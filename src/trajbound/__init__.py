@@ -41,8 +41,6 @@ from .trajectory import (
     TrajectoryRecorder,
     TrajectorySnapshot,
     complexity_update,
-    estimate_V,
-    estimate_gamma_prime,
     gamma_tilde,
     gen_decomposition,
     grad_trace_sigma,

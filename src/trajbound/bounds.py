@@ -12,6 +12,13 @@ plug-in estimates.
 Every report stores the constants and scalar aggregates its formula
 consumed, and reevaluate_bound reproduces the value bitwise from those,
 so a report on disk can always be audited.
+
+Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
+complexity C, the ratio gamma_tilde) are recorded by
+trajectory.TrajectoryRecorder. estimate_constants is the only place the
+constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
+drift are formed. top_hessian_eig is the one smoothness estimator; it gives
+estimate_constants its beta_hat and assemble_run the schedule's beta.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import (
     IncompleteTrajectoryError,
     InvalidArgumentError,
@@ -88,6 +95,25 @@ def _ratio_term(trace: float, grad_norm: float) -> float | None:
     return 1.0 + trace / (grad_norm * grad_norm)
 
 
+def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
+    """Largest top Hessian eigenvalue of F_S over the given weights.
+
+    The linear model's Hessian X'X/n does not depend on w and is solved
+    densely; the MLP runs power iteration on Hessian-vector products at each
+    weight vector. The value is not floored, so callers see a non-positive
+    estimate.
+    """
+    if spec.kind == "linear":
+        hess = (S.features.T @ S.features) / S.n  # (d, d)
+        return float(np.max(np.linalg.eigvalsh(hess)))
+    return max(
+        power_iteration_top_eig(
+            lambda v, _w=w: hessian_vector_product(spec, _w, S, v), dim=w.size
+        )[0]
+        for w in weights
+    )
+
+
 def estimate_constants(spec: ModelSpec, weights, snapshots, records,
                        S: Dataset, S_prime: Dataset,
                        cfg: SubsetEstimatorConfig | None = None,
@@ -97,9 +123,8 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
 
     Per-sample gradients are computed once per snapshot and shared by the
     L, V, subset-amplification, and batch-moment estimators. The smoothness
-    constant uses a dense eigensolve for the linear model and power
-    iteration on Hessian-vector products (at up to beta_snapshots evenly
-    spaced weights) otherwise.
+    constant is top_hessian_eig at up to beta_snapshots evenly spaced
+    weights, floored at 0.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
@@ -111,6 +136,8 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
         raise InvalidArgumentError(
             f"{len(weights)} weights vs {len(snapshots)} snapshots"
         )
+    if S.n < 2:
+        raise InvalidArgumentError(f"V estimation needs n >= 2, got n={S.n}")
     flags: list[str] = []
     n = S.n
     T = len(records)
@@ -189,21 +216,9 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
             excess = snap.grad_norm_Sprime - gamma_early * snap.grad_norm_S
             zeta = max(zeta, max(0.0, excess))
 
-    if spec.kind == "linear":
-        X = S.features
-        hess = (X.T @ X) / n  # (d, d)
-        beta_hat = float(np.max(np.linalg.eigvalsh(hess)))
-    else:
-        count = min(beta_snapshots, len(weights))
-        pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
-        beta_hat = 0.0
-        for i in pick:
-            w = weights[i]
-            lam, _ = power_iteration_top_eig(
-                lambda v, _w=w: hessian_vector_product(spec, _w, S, v),
-                dim=w.size,
-            )
-            beta_hat = max(beta_hat, lam)
+    count = min(beta_snapshots, len(weights))
+    pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
+    beta_hat = max(0.0, top_hessian_eig(spec, S, [weights[i] for i in pick]))
 
     eta_m = max((rec.eta_t for rec in records), default=0.0)
     return ConstantEstimates(
@@ -438,14 +453,6 @@ _USED: dict[str, tuple[str, ...]] = {
 }
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_bounds_csv(path: str, reports, seeds=None) -> None:
     """One row per report; a leading seed column when seeds are given."""
     reports = list(reports)
@@ -459,31 +466,22 @@ def write_bounds_csv(path: str, reports, seeds=None) -> None:
     header += list(_CONSTANT_COLUMNS) + list(_AGGREGATE_COLUMNS)
     if seeds is not None:
         header = ["seed"] + header
-    lines = [",".join(header)]
+    rows = []
     for i, rep in enumerate(reports):
         used = _USED[rep.method]
-        cells = [rep.method, repr(float(rep.value)), _fmt(rep.remainder_scale)]
+        agg = rep.trajectory_aggregates
+        row = [rep.method, float(rep.value), rep.remainder_scale]
         for name in _CONSTANT_COLUMNS:
             if name not in used:
-                cells.append("")
+                row.append(None)
                 continue
             # the relaxed bound may have been evaluated with overridden
             # T0/zeta; the aggregates hold what the formula actually used
-            if name in rep.trajectory_aggregates:
-                val = rep.trajectory_aggregates[name]
-            else:
-                val = getattr(rep.constants, name)
-            if name in ("T0", "n", "T", "b"):
-                cells.append(str(int(val)))
-            else:
-                cells.append(repr(float(val)))
+            val = agg[name] if name in agg else getattr(rep.constants, name)
+            row.append(int(val) if name in ("T0", "n", "T", "b") else float(val))
         for name in _AGGREGATE_COLUMNS:
-            if name in used and name in rep.trajectory_aggregates:
-                cells.append(repr(float(rep.trajectory_aggregates[name])))
-            else:
-                cells.append("")
+            row.append(float(agg[name]) if name in used and name in agg else None)
         if seeds is not None:
-            cells = [str(int(seeds[i]))] + cells
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+            row.insert(0, int(seeds[i]))
+        rows.append(row)
+    write_csv(path, header, rows)

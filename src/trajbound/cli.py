@@ -3,9 +3,10 @@
 Usage: trajbound <experiment> --config <path> [--out <dir>]
        [--seeds s1,s2,...] [--plots]
 
-Exit codes: 0 success; 2 configuration or input-schema error; 3 numeric
-divergence outside a sweep (sweeps record diverged cells as rows instead);
-4 I/O failure.
+Exit codes: 0 success; 2 configuration, input-schema or any other package
+error; 3 numeric divergence or a quantity outside its numeric domain,
+outside a sweep (sweeps record diverged cells as rows instead); 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import replace
 from .config import EXPERIMENTS, parse_config
 from .errors import (
     ConfigError,
-    DataParseError,
     DataSchemaError,
     DivergedError,
-    InvalidArgumentError,
+    NumericDomainError,
+    TrajboundError,
 )
 from .experiments import COMMANDS
 
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
         if args.seeds:
             seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
             if not seeds:
-                raise ConfigError("--seeds: expected comma-separated integers")
+                raise ValueError("no seeds")
             cfg = replace(cfg, seeds=seeds)
     except ValueError:
         print(f"trajbound: --seeds: expected comma-separated integers, "
@@ -80,12 +81,15 @@ def main(argv=None) -> int:
     command = COMMANDS[args.experiment]
     try:
         result = command(cfg, plots=args.plots)
-    except (ConfigError, InvalidArgumentError, DataSchemaError, DataParseError) as exc:
-        print(f"trajbound: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergedError as exc:
         print(f"trajbound: diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except NumericDomainError as exc:
+        print(f"trajbound: numeric error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except TrajboundError as exc:
+        print(f"trajbound: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"trajbound: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

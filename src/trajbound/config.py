@@ -40,7 +40,7 @@ Keys (see default_config for per-experiment defaults):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -413,12 +413,3 @@ def parse_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_config_text(text, source=str(path))
-
-
-def config_as_dict(cfg: ExperimentConfig) -> dict:
-    """Plain-value mapping for metadata output."""
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out

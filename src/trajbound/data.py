@@ -1,10 +1,14 @@
-"""Datasets: the synthetic teacher-sign task, label noise, splits, CSV loading.
+"""Datasets: the synthetic teacher-sign task, label noise, splits, CSV I/O.
 
 The toy task draws x ~ N(0, I_d) and a fixed teacher direction w_t ~ N(0, I_d),
 then labels y = 1 if w_t'x > 0 else 0. Train and test sets come from disjoint
 RNG substreams of the same master seed. The holdout split exists because the
 package estimates population quantities on a held-out set everywhere a true
 data distribution would be needed.
+
+write_csv is the one CSV writer of the package: every output table, from
+trajectory.csv to bounds.csv and the experiment tables, goes through it and
+its cell formatter csv_cell.
 """
 
 from __future__ import annotations
@@ -177,6 +181,30 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
     if not rows:
         raise DataSchemaError(f"{path}: header only, no data rows")
     return Dataset(np.array(rows), np.array(labels), name=path)
+
+
+def csv_cell(v) -> str:
+    """One CSV cell: blank for None, digits for integers, repr for floats.
+
+    repr is the shortest string that parses back to the same float, so
+    every written value round-trips exactly.
+    """
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a header line plus one line per row, cells from csv_cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(csv_cell(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def noise_stream(seed: int) -> RngStream:

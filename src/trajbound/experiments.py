@@ -22,6 +22,7 @@ from .bounds import (
     bound_trajectory_relaxed,
     bound_trajectory_smooth,
     estimate_constants,
+    top_hessian_eig,
     write_bounds_csv,
 )
 from .config import ExperimentConfig, emit_config
@@ -34,6 +35,7 @@ from .data import (
     noise_stream,
     split_stream,
     split_train_holdout,
+    write_csv,
 )
 from .errors import DivergedError
 from .models import (
@@ -69,17 +71,6 @@ class RunParts:
     est: SubsetEstimatorConfig
 
 
-def _resolve_beta(spec: ModelSpec, S: Dataset, w0: np.ndarray) -> float:
-    """Smoothness estimate for schedules that need it before training."""
-    if spec.kind == "linear":
-        hess = (S.features.T @ S.features) / S.n
-        return float(np.max(np.linalg.eigvalsh(hess)))
-    lam, _ = power_iteration_top_eig(
-        lambda v: hessian_vector_product(spec, w0, S, v), dim=w0.size
-    )
-    return lam
-
-
 def assemble_run(cfg: ExperimentConfig, run_seed: int,
                  eta0_override: float | None = None,
                  flip_override: float | None = None) -> RunParts:
@@ -112,7 +103,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     if cfg.schedule_kind == "constant":
         schedule = Schedule("constant", eta0=eta0)
     elif cfg.schedule_kind == "inverse_time":
-        beta = cfg.beta if cfg.beta is not None else _resolve_beta(spec, S, w0)
+        beta = cfg.beta if cfg.beta is not None else top_hessian_eig(spec, S, [w0])
         schedule = Schedule("inverse_time", c=cfg.c, beta=beta)
     else:
         t_max = cfg.t_max if cfg.t_max is not None else max(1, max_steps)
@@ -131,24 +122,6 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     est = SubsetEstimatorConfig(k_samples=cfg.k_samples, n_sp=cfg.n_sp,
                                 seed=run_seed, subset_mode=cfg.subset_mode)
     return RunParts(spec, S, S_prime, w0, ocfg, schedule, steps_per_epoch, b, est)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
@@ -212,7 +185,7 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     values = np.array([row[1:] for row in table_rows], dtype=np.float64)
     mean_row = ["mean"] + [float(v) for v in np.mean(values, axis=0)]
     table_path = os.path.join(out, "toy_table.csv")
-    _write_csv(table_path, TOY_TABLE_COLUMNS, table_rows + [mean_row])
+    write_csv(table_path, TOY_TABLE_COLUMNS, table_rows + [mean_row])
     bounds_path = os.path.join(out, "bounds.csv")
     write_bounds_csv(bounds_path, reports, seeds=report_seeds)
     meta_path = _write_meta(out, cfg, {})
@@ -254,8 +227,8 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
         rows.append([snap.t, snap.epoch, snap.F_S, snap.F_Sprime,
                      snap.F_S + snap.C_cum, ratio])
     track_path = os.path.join(out, "track.csv")
-    _write_csv(track_path, ("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"),
-               rows)
+    write_csv(track_path, ("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"),
+              rows)
     meta_path = _write_meta(out, cfg, {"seed_used": s})
     paths = [traj_path, track_path, meta_path]
     if plots:
@@ -297,8 +270,8 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
             rows.append([label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S,
                          sn.grad_norm_Sprime, sn.gamma_tilde])
     path = os.path.join(out, "assumption.csv")
-    _write_csv(path, ("dataset", "t", "epoch", "F_S", "grad_norm_S",
-                      "grad_norm_Sprime", "gamma_tilde"), rows)
+    write_csv(path, ("dataset", "t", "epoch", "F_S", "grad_norm_S",
+                     "grad_norm_Sprime", "gamma_tilde"), rows)
     meta_path = _write_meta(out, cfg, {
         "seed_used": s,
         "gamma_max_main": gamma_max["main"],
@@ -361,7 +334,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
             rows.append([param, v, "mean", None, None, None, None])
 
     path = os.path.join(out, "sweep.csv")
-    _write_csv(path, SWEEP_COLUMNS, rows)
+    write_csv(path, SWEEP_COLUMNS, rows)
     meta_path = _write_meta(out, cfg, {"grid": list(cfg.sweep_values),
                                        "sweep_param": param})
     paths = [path, meta_path]
@@ -410,8 +383,8 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
         rows.append([snap.t, snap.epoch, snap.eta_t, eta_eff, snap.rp, snap.trp,
                      sharp, 2.0 / eta_eff])
     path = os.path.join(out, "eos.csv")
-    _write_csv(path, ("t", "epoch", "eta", "eta_eff", "rp", "trp",
-                      "sharpness", "two_over_eta_eff"), rows)
+    write_csv(path, ("t", "epoch", "eta", "eta_eff", "rp", "trp",
+                     "sharpness", "two_over_eta_eff"), rows)
     meta_path = _write_meta(out, cfg, {
         "seed_used": s,
         "rp_mode": rp_mode,

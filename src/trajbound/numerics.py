@@ -49,21 +49,6 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(seq))
         return self._gen
 
-    def child(self, k: int) -> "RngStream":
-        """Fresh independent stream derived from this one (k-th child)."""
-        mixed = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_id, k)
-        ).generate_state(1, np.uint64)[0]
-        return RngStream(int(mixed), self.stream_id)
-
-
-def rademacher_signs(rng: RngStream, n: int) -> np.ndarray:
-    """Draw n independent uniform signs in {-1, +1}, advancing the stream."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1 sign draws, got {n}")
-    bits = rng.generator().integers(0, 2, size=n)
-    return (2 * bits - 1).astype(np.int64)
-
 
 def rademacher_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
     """(k, n) array of independent ±1 draws; one row per Monte-Carlo sample."""

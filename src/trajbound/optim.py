@@ -104,8 +104,6 @@ class StepRecord:
     t: int
     eta_t: float
     batch_indices: np.ndarray
-    w_after: np.ndarray
-    F_B: float
 
 
 @dataclass
@@ -155,8 +153,8 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
         batch_indices = sample_batch(rng, data.n, b)
     eta = lr_at(cfg.schedule, t)
     try:
-        f_b, g_b = grad_mean_xy(spec, w, data.features[batch_indices],
-                                data.labels[batch_indices])
+        _, g_b = grad_mean_xy(spec, w, data.features[batch_indices],
+                              data.labels[batch_indices])
     except NumericDomainError as exc:
         raise DivergedError(t, float(np.linalg.norm(w)), str(exc)) from exc
     if not np.all(np.isfinite(g_b)):
@@ -165,8 +163,7 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
     norm_next = float(np.linalg.norm(w_next))
     if not math.isfinite(norm_next) or norm_next > PARAM_NORM_CAP:
         raise DivergedError(t, norm_next)
-    rec = StepRecord(t=t, eta_t=eta, batch_indices=batch_indices, w_after=w_next, F_B=f_b)
-    return w_next, rec
+    return w_next, StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
 
 
 def _permute_batches(gen: np.random.Generator, n: int, b: int) -> list[np.ndarray]:

@@ -1,11 +1,13 @@
 """Per-snapshot trajectory statistics.
 
-Everything recorded about a training run flows through here: full-set loss
-and gradient norms on the training set S and holdout S', the per-sample
-gradient covariance trace, the cumulative complexity term, the
-train/holdout gradient-norm ratio, subset-based estimators for the bound
-constants, relative-progress diagnostics, and the per-step decomposition of
-the generalization gap.
+TrajectoryRecorder computes everything recorded about a training run:
+full-set loss and gradient norms on the training set S and holdout S', the
+per-sample gradient covariance trace, the cumulative complexity term, the
+train/holdout gradient-norm ratio, and relative-progress diagnostics.
+gen_decomposition splits the generalization gap per step. The bound
+constants are not formed here: bounds.estimate_constants computes them,
+calling this module's per-sample-gradient kernels signed_mean_norm_stats
+(for V) and subset_ratio_max (for gamma').
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import (
     IncompleteTrajectoryError,
     InvalidArgumentError,
@@ -41,6 +43,8 @@ from .numerics import (
     rademacher_matrix,
 )
 
+# Relative: the trace is a difference of two terms of the second moment's
+# size, so its roundoff scales with that moment.
 NEGATIVE_TRACE_TOL = 1e-9
 
 # Exhaustive subset enumeration is used instead of Monte Carlo whenever the
@@ -104,8 +108,9 @@ def _trace_from_grads(G: np.ndarray, g_mean: np.ndarray, n_sp: int | None,
     """Covariance trace from a per-sample gradient matrix.
 
     The mean-gradient norm is always exact; the second moment may be
-    subsampled. Negative values within roundoff clamp to zero; with an
-    exact second moment a larger negative value indicates a gradient bug.
+    subsampled. Negative values within roundoff of the second moment clamp
+    to zero; with an exact second moment a larger negative value indicates
+    a gradient bug.
     A subsampled second moment can be legitimately below the exact mean
     gradient norm, so that path clamps any negative value.
     """
@@ -123,11 +128,12 @@ def _trace_from_grads(G: np.ndarray, g_mean: np.ndarray, n_sp: int | None,
         second = float(np.mean(sq_norms))
     trace = second - float(g_mean @ g_mean)
     if trace < 0.0:
-        if subsampled or trace >= -NEGATIVE_TRACE_TOL:
+        if subsampled or trace >= -NEGATIVE_TRACE_TOL * second:
             return 0.0
         raise NumericDomainError(
-            f"covariance trace {trace:.3e} below -{NEGATIVE_TRACE_TOL:g}: "
-            "second moment cannot undercut the mean-gradient norm"
+            f"covariance trace {trace:.3e} below -{NEGATIVE_TRACE_TOL:g} times "
+            f"the second moment {second:.3e}: it cannot undercut the "
+            "mean-gradient norm"
         )
     return trace
 
@@ -255,34 +261,6 @@ def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
     return d_hat, se
 
 
-def estimate_V_stats(spec: ModelSpec, w: np.ndarray, data: Dataset,
-                     cfg: SubsetEstimatorConfig
-                     ) -> tuple[float, float, float, bool]:
-    """(V, D_hat, standard error, trivial_flag) at one weight vector.
-
-    V is the ratio of the full-gradient norm to the expected norm of the
-    sign-mixed mean gradient; a vanishing denominator means the bound
-    machinery degenerates (trivial_flag set, V reported as inf).
-    """
-    if data.n < 2:
-        raise InvalidArgumentError(f"V estimation needs n >= 2, got n={data.n}")
-    G = per_sample_grads(spec, w, data)
-    g = np.mean(G, axis=0)
-    d_hat, se = signed_mean_norm_stats(G, cfg)
-    numer = float(np.linalg.norm(g))
-    if d_hat == 0.0:
-        return math.inf, d_hat, se, True
-    return numer / d_hat, d_hat, se, False
-
-
-def estimate_V(spec: ModelSpec, w: np.ndarray, data: Dataset,
-               cfg: SubsetEstimatorConfig, flags: list[str] | None = None) -> float:
-    v, _d, _se, trivial = estimate_V_stats(spec, w, data, cfg)
-    if trivial and flags is not None:
-        flags.append("trivial-bound: sign-mixed gradient mean is zero")
-    return v
-
-
 def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
     """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||)."""
     n = G.shape[0]
@@ -295,41 +273,6 @@ def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
     sums = members @ G
     norms = np.sqrt(np.einsum("kp,kp->k", sums, sums))
     return float(np.max(norms)) / denom
-
-
-def estimate_gamma_prime(spec: ModelSpec, weights, data: Dataset, gamma: float,
-                         cfg: SubsetEstimatorConfig,
-                         flags: list[str] | None = None,
-                         with_envelope: bool = False):
-    """Subset-amplification factor times gamma, maximized over snapshots.
-
-    Also offers the analytic upper envelope max_i ||grad_i|| / ||mean grad||
-    as a cheap bracket on the sampled inner max (returned when
-    with_envelope is set).
-    """
-    if not gamma > 0:
-        raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
-    inner = 0.0
-    envelope = 0.0
-    used = 0
-    for w in weights:
-        G = per_sample_grads(spec, w, data)
-        g = np.mean(G, axis=0)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            if flags is not None:
-                flags.append("gamma-prime: snapshot with zero gradient skipped")
-            continue
-        inner = max(inner, subset_ratio_max(G, cfg))
-        row_norms = np.sqrt(np.einsum("np,np->n", G, G))
-        envelope = max(envelope, float(np.max(row_norms)) / gnorm)
-        used += 1
-    if used == 0:
-        raise InvalidArgumentError("gamma-prime: every snapshot had zero gradient")
-    value = max(1.0, inner) * gamma
-    if with_envelope:
-        return value, max(1.0, envelope) * gamma
-    return value
 
 
 def rp_trp_gd(F_S_prev: float, F_S_curr: float, F_Sp_prev: float, F_Sp_curr: float,
@@ -522,14 +465,6 @@ def replay_trajectory(spec: ModelSpec, S: Dataset, S_prime: Dataset, weights,
     return rec
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 TRAJECTORY_COLUMNS = (
     "t", "epoch", "eta", "F_S", "F_Sprime", "grad_norm_S", "grad_norm_Sprime",
     "grad_dot", "trace_sigma", "delta", "C_cum", "gamma_tilde", "rp", "trp",
@@ -538,11 +473,8 @@ TRAJECTORY_COLUMNS = (
 
 def write_trajectory_csv(path: str, snapshots) -> None:
     """Serialize snapshots with missing values as empty cells."""
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for s in snapshots:
-        row = (s.t, s.epoch, s.eta_t, s.F_S, s.F_Sprime, s.grad_norm_S,
-               s.grad_norm_Sprime, s.grad_dot, s.trace_sigma, s.delta_t,
-               s.C_cum, s.gamma_tilde, s.rp, s.trp)
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, TRAJECTORY_COLUMNS, (
+        (s.t, s.epoch, s.eta_t, s.F_S, s.F_Sprime, s.grad_norm_S,
+         s.grad_norm_Sprime, s.grad_dot, s.trace_sigma, s.delta_t,
+         s.C_cum, s.gamma_tilde, s.rp, s.trp)
+        for s in snapshots))

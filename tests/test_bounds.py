@@ -1,10 +1,12 @@
 """Bound formulas, constant estimation, and the report CSV."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from trajbound import bounds
 from trajbound.bounds import (
     STABILITY_KINDS,
     BoundReport,
@@ -15,10 +17,13 @@ from trajbound.bounds import (
     bound_trajectory_smooth,
     estimate_constants,
     reevaluate_bound,
+    top_hessian_eig,
     write_bounds_csv,
 )
+from trajbound.config import default_config
 from trajbound.data import ToyConfig, generate_toy
 from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
+from trajbound.experiments import assemble_run
 from trajbound.models import init_params, linear_spec, mlp_spec, per_sample_grads
 from trajbound.numerics import RngStream
 from trajbound.optim import OptimConfig, Schedule, StepRecord, train
@@ -49,8 +54,7 @@ def consts(**overrides):
 
 
 def records(etas):
-    return [StepRecord(t=t, eta_t=e, batch_indices=np.arange(2),
-                       w_after=np.zeros(2), F_B=0.0)
+    return [StepRecord(t=t, eta_t=e, batch_indices=np.arange(2))
             for t, e in enumerate(etas)]
 
 
@@ -122,6 +126,29 @@ def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, Sp)
     hess = S.features.T @ S.features / S.n
     assert c.beta_hat == pytest.approx(float(np.max(np.linalg.eigvalsh(hess))))
+
+
+def test_top_hessian_eig_is_the_largest_solve_over_the_weights():
+    spec, S, _, _, rec, _ = small_run(mode="gd", steps=4)
+    each = [top_hessian_eig(spec, S, [w]) for w in rec.weights]
+    assert top_hessian_eig(spec, S, rec.weights) == max(each)
+
+
+def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
+    # one smoothness routine serves both callers: the pre-training schedule
+    # sees the raw eigenvalue and rejects it, estimate_constants floors it
+    monkeypatch.setattr(bounds, "power_iteration_top_eig",
+                        lambda apply, dim: (-1.0, np.zeros(dim)))
+    spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3)
+    assert top_hessian_eig(spec, S, rec.weights) == -1.0
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+                           S, Sp, est)
+    assert c.beta_hat == 0.0
+    cfg = dataclasses.replace(default_config("toy_table"), seeds=(0,),
+                              n_train=12, n_test=12, dim=3, k_samples=32,
+                              model_kind="mlp", hidden=(4,))
+    with pytest.raises(InvalidArgumentError, match="beta > 0"):
+        assemble_run(cfg, run_seed=0)
 
 
 def test_estimate_constants_zeta_vanishes_when_holdout_is_the_train_set():

@@ -7,7 +7,6 @@ import pytest
 from trajbound.config import (
     EXPERIMENTS,
     ExperimentConfig,
-    config_as_dict,
     default_config,
     emit_config,
     parse_config,
@@ -244,13 +243,6 @@ def test_shipped_config_files_parse(tmp_path):
     table = parse_config(os.path.join(os.path.dirname(__file__), "..",
                                       "configs", "toy_table.cfg"))
     assert table.batch_size == 1
-
-
-def test_config_as_dict_uses_plain_values():
-    d = config_as_dict(default_config("sweep_noise"))
-    assert d["seeds"] == [0, 1, 2]
-    assert d["sweep_values"] == [0.0, 0.1, 0.2, 0.3]
-    assert d["experiment"] == "sweep_noise"
 
 
 def test_experiment_config_is_frozen():

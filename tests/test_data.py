@@ -1,11 +1,16 @@
-"""Dataset container, toy generator, label noise, splits, CSV loading."""
+"""Dataset container, toy generator, label noise, splits, CSV I/O."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trajbound.data import (
     Dataset,
     ToyConfig,
+    csv_cell,
     generate_toy,
     inject_label_noise,
     load_csv_dataset,
@@ -13,6 +18,7 @@ from trajbound.data import (
     split_train_holdout,
     split_stream,
     teacher_labels,
+    write_csv,
 )
 from trajbound.errors import DataParseError, DataSchemaError, InvalidArgumentError
 
@@ -196,3 +202,23 @@ def test_load_csv_dataset_names_unparseable_cell(tmp_path):
     assert exc.value.row == 2
     assert exc.value.column == "a"
     assert exc.value.value == "x7"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_csv_cell_round_trips_every_finite_float(x):
+    assert float(csv_cell(x)) == x
+    assert csv_cell(np.float64(x)) == csv_cell(x)
+
+
+@given(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1), st.text())
+def test_csv_cell_renders_integers_none_and_text_verbatim(i, j, text):
+    assert csv_cell(i) == str(i)
+    assert csv_cell(np.int64(j)) == str(j)
+    assert csv_cell(None) == ""
+    assert csv_cell(text) == text
+
+
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("a", "b", "c"), [[1, 0.5, None], ["mean", math.inf, 2]])
+    assert path.read_bytes() == b"a,b,c\n1,0.5,\nmean,inf,2\n"

@@ -7,8 +7,20 @@ import os
 import numpy as np
 import pytest
 
+from trajbound import cli
 from trajbound.cli import main
 from trajbound.config import default_config, parse_config_text
+from trajbound.errors import (
+    ConfigError,
+    DataParseError,
+    DataSchemaError,
+    DimensionMismatchError,
+    DivergedError,
+    IncompleteTrajectoryError,
+    InvalidArgumentError,
+    NumericDomainError,
+    TrajboundError,
+)
 from trajbound.experiments import (
     assemble_run,
     cmd_assumption,
@@ -296,6 +308,8 @@ def test_cli_bad_seeds_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\n"))
     assert main(["eos", "--config", cfg, "--seeds", "one,two"]) == 2
     assert "--seeds" in capsys.readouterr().err
+    assert main(["eos", "--config", cfg, "--seeds", ","]) == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_an_io_error(tmp_path, capsys):
@@ -312,3 +326,35 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # the partial series was still written before the failure surfaced
     assert (out / "eos.csv").exists()
+
+
+PACKAGE_ERROR_EXITS = [
+    (TrajboundError("unclassified"), 2),
+    (InvalidArgumentError("bad argument"), 2),
+    (DimensionMismatchError("bad shape"), 2),
+    (DataSchemaError("no rows"), 2),
+    (DataParseError(3, "x", "abc"), 2),
+    (ConfigError("bad key"), 2),
+    (IncompleteTrajectoryError("snapshots too sparse"), 2),
+    (NumericDomainError("negative trace"), 3),
+    (DivergedError(7, 1e13), 3),
+]
+
+
+def test_cli_exit_code_cases_cover_every_package_error():
+    def family(cls):
+        return {cls}.union(*(family(sub) for sub in cls.__subclasses__()))
+    assert {type(exc) for exc, _ in PACKAGE_ERROR_EXITS} == family(TrajboundError)
+
+
+@pytest.mark.parametrize("exc, code", PACKAGE_ERROR_EXITS,
+                         ids=[type(exc).__name__ for exc, _ in PACKAGE_ERROR_EXITS])
+def test_cli_maps_each_package_error_to_its_exit_code(tmp_path, monkeypatch,
+                                                      capsys, exc, code):
+    def command(cfg, plots=False):
+        raise exc
+    monkeypatch.setitem(cli.COMMANDS, "eos", command)
+    cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\n"))
+    assert main(["eos", "--config", cfg]) == code
+    assert str(exc) in capsys.readouterr().err
+

@@ -14,7 +14,6 @@ from trajbound.numerics import (
     default_fd_step,
     power_iteration_top_eig,
     rademacher_matrix,
-    rademacher_signs,
 )
 
 
@@ -43,26 +42,6 @@ def test_generator_is_cached_and_advances():
     assert not np.array_equal(first, second)
 
 
-def test_child_streams_are_reproducible_and_independent():
-    c0 = RngStream(9, 2).child(0)
-    c0_again = RngStream(9, 2).child(0)
-    c1 = RngStream(9, 2).child(1)
-    assert c0.master_seed == c0_again.master_seed
-    assert c0.master_seed != c1.master_seed
-    a = c0.generator().standard_normal(20)
-    b = c1.generator().standard_normal(20)
-    assert not np.array_equal(a, b)
-
-
-def test_rademacher_signs_values_and_determinism():
-    s = rademacher_signs(RngStream(3, 0), 1000)
-    assert s.shape == (1000,)
-    assert set(np.unique(s)) <= {-1, 1}
-    assert np.array_equal(s, rademacher_signs(RngStream(3, 0), 1000))
-    # both signs should actually occur in a thousand draws
-    assert (s == 1).any() and (s == -1).any()
-
-
 def test_rademacher_matrix_shape_and_values():
     m = rademacher_matrix(RngStream(3, 0), 16, 9)
     assert m.shape == (16, 9)
@@ -71,8 +50,6 @@ def test_rademacher_matrix_shape_and_values():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_rademacher_rejects_nonpositive_counts(n):
-    with pytest.raises(InvalidArgumentError):
-        rademacher_signs(RngStream(0, 0), n)
     with pytest.raises(InvalidArgumentError):
         rademacher_matrix(RngStream(0, 0), n, 4)
 

@@ -145,7 +145,6 @@ def test_step_applies_gradient_descent_update():
     assert np.allclose(w1, w0 - 0.2 * grad, atol=1e-12)
     assert rec.t == 0 and rec.eta_t == 0.2
     assert np.array_equal(rec.batch_indices, np.arange(S.n))
-    assert np.array_equal(rec.w_after, w1)
 
 
 def test_step_diverges_past_the_norm_cap():
@@ -196,16 +195,20 @@ def test_train_epoch_indexing_uses_steps_per_epoch():
 def test_sgd_full_batch_is_bitwise_identical_to_gd():
     spec, w0, S, Sp = toy_parts(kind="mlp")
     sched = Schedule("constant", eta0=0.05)
+    rec_gd = TrajectoryRecorder(spec, S, Sp)
+    rec_sgd = TrajectoryRecorder(spec, S, Sp)
     res_gd = train(spec, w0, S, Sp,
                    OptimConfig(mode="gd", batch_size=None, schedule=sched,
-                               max_steps=20, seed=3))
+                               max_steps=20, snapshot_every=1, seed=3), rec_gd)
     res_sgd = train(spec, w0, S, Sp,
                     OptimConfig(mode="sgd", batch_size=S.n, schedule=sched,
-                                max_steps=20, seed=3))
+                                max_steps=20, snapshot_every=1, seed=3), rec_sgd)
     assert np.array_equal(res_gd.w_final, res_sgd.w_final)
-    for a, b in zip(res_gd.records, res_sgd.records):
-        assert np.array_equal(a.w_after, b.w_after)
-        assert a.F_B == b.F_B
+    # a snapshot at every step: the whole path agrees, not just its end
+    assert len(rec_gd.weights) == len(rec_sgd.weights) == 21
+    for a, b in zip(rec_gd.weights, rec_sgd.weights):
+        assert np.array_equal(a, b)
+    assert [s.F_S for s in rec_gd.snapshots] == [s.F_S for s in rec_sgd.snapshots]
 
 
 def test_train_is_deterministic_per_seed():

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trajbound.bounds import estimate_constants
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import (
     IncompleteTrajectoryError,
@@ -33,9 +36,6 @@ from trajbound.trajectory import (
     TrajectoryRecorder,
     _trace_from_grads,
     complexity_update,
-    estimate_V,
-    estimate_V_stats,
-    estimate_gamma_prime,
     gamma_tilde,
     gen_decomposition,
     grad_trace_sigma,
@@ -146,6 +146,17 @@ def test_trace_guard_paths():
         _trace_from_grads(G, np.zeros(2), 3, RngStream(0, 10))
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 49), p=st.integers(1, 29),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_trace_guard_scales_with_the_gradient_magnitude(n, p, seed):
+    # near-identical rows at gradient scale 1e4: the exact trace is ~1e-12,
+    # and the roundoff of the 1e8-sized difference must not read as a bug
+    gen = np.random.default_rng(seed)
+    G = 1e4 * gen.standard_normal(p) + 1e-6 * gen.standard_normal((n, p))
+    assert _trace_from_grads(G, np.mean(G, axis=0), None, None) >= 0.0
+
+
 # -- complexity increments ---------------------------------------------------
 
 def test_complexity_update_closed_form():
@@ -236,32 +247,45 @@ def test_jensen_bound_on_signed_mean():
     assert se == 0.0
 
 
-def test_estimate_v_stats_and_trivial_flag():
+def constants_at(spec, data, weights, cfg):
+    """estimate_constants over a replayed trajectory, data as its own holdout."""
+    k = len(weights)
+    rec = replay_trajectory(spec, data, data, weights, list(range(k)),
+                            list(range(k)), [0.1] * k, cfg)
+    return estimate_constants(spec, rec.weights, rec.snapshots, [], data, data,
+                              cfg)
+
+
+def zero_gradient_start():
+    """Two snapshots; the first has bitwise-zero per-sample gradients.
+
+    Zero weights on zero labels give exactly zero residuals; a label vector
+    built as X @ w_star would not (roundoff leaves a tiny residual).
+    """
+    X = np.random.default_rng(1).standard_normal((4, 3))
+    return linear_spec(3), Dataset(X, np.zeros(4)), [np.zeros(3), np.full(3, 0.5)]
+
+
+def test_estimate_constants_v_and_trivial_flag():
     spec, w, data = linear_state(n=5, d=3, seed=10)
-    v, d_hat, se, trivial = estimate_V_stats(spec, w, data,
-                                             SubsetEstimatorConfig(k_samples=64))
+    c = constants_at(spec, data, [w], SubsetEstimatorConfig(k_samples=64))
     G = per_sample_grads(spec, w, data)
-    assert not trivial
-    assert v == pytest.approx(
+    assert c.V_m == pytest.approx(
         np.linalg.norm(np.mean(G, axis=0)) / exhaustive_signed_mean(G), rel=1e-12
     )
+    assert not any("trivial-bound" in f for f in c.flags)
 
-    # exact interpolation: every residual zero, so every gradient is zero
-    X = np.random.default_rng(0).standard_normal((4, 4))
-    w_star = np.array([1.0, -2.0, 0.5, 3.0])
-    flat = Dataset(X, X @ w_star)
-    flags = []
-    v = estimate_V(linear_spec(4), w_star, flat,
-                   SubsetEstimatorConfig(k_samples=32), flags)
-    assert v == math.inf
-    assert any("trivial-bound" in f for f in flags)
+    # every gradient zero at the first snapshot: the sign-mixed mean vanishes
+    spec, data, weights = zero_gradient_start()
+    c = constants_at(spec, data, weights, SubsetEstimatorConfig(k_samples=32))
+    assert c.V_m == math.inf
+    assert any("trivial-bound" in f for f in c.flags)
 
 
-def test_estimate_v_needs_two_samples():
+def test_estimate_constants_needs_two_samples():
     data = Dataset(np.ones((1, 2)), np.zeros(1))
-    with pytest.raises(InvalidArgumentError):
-        estimate_V_stats(linear_spec(2), np.ones(2), data,
-                         SubsetEstimatorConfig())
+    with pytest.raises(InvalidArgumentError, match="n >= 2"):
+        constants_at(linear_spec(2), data, [np.ones(2)], SubsetEstimatorConfig())
 
 
 def test_subset_ratio_max_matches_exhaustive_enumeration():
@@ -303,37 +327,27 @@ def test_subset_estimator_config_validation():
         SubsetEstimatorConfig(subset_mode="stratified")
 
 
-def test_estimate_gamma_prime_brackets():
+def test_estimate_constants_gamma_prime_brackets():
     spec, w, data = linear_state(n=6, d=3, seed=13)
     cfg = SubsetEstimatorConfig(k_samples=64)
-    gamma = 1.7
-    value, envelope = estimate_gamma_prime(spec, [w], data, gamma, cfg,
-                                           with_envelope=True)
-    assert value >= gamma  # the amplification factor is at least 1
-    assert envelope >= value  # analytic bracket dominates the sampled max
+    c = constants_at(spec, data, [w], cfg)
+    assert c.gamma == 1.0  # the holdout is the training set
+    assert c.gamma_prime >= c.gamma  # the amplification factor is at least 1
+    assert c.gamma_prime_envelope >= c.gamma_prime  # the analytic bracket
     inner = subset_ratio_max(per_sample_grads(spec, w, data), cfg)
-    assert value == pytest.approx(max(1.0, inner) * gamma, rel=1e-12)
+    assert c.gamma_prime == pytest.approx(max(1.0, inner) * c.gamma, rel=1e-12)
 
 
-def test_estimate_gamma_prime_skips_zero_gradient_snapshots():
-    # zero weights on zero labels give a bitwise-zero gradient; a label
-    # vector built as X @ w_star would not (roundoff leaves a tiny residual)
-    X = np.random.default_rng(1).standard_normal((4, 3))
-    w_star = np.zeros(3)
-    data = Dataset(X, np.zeros(4))
-    spec = linear_spec(3)
-    flags = []
-    value = estimate_gamma_prime(spec, [w_star, w_star + 0.5], data, 1.0,
-                                 SubsetEstimatorConfig(k_samples=16),
-                                 flags=flags)
-    assert value >= 1.0
-    assert any("zero gradient" in f for f in flags)
-    with pytest.raises(InvalidArgumentError):
-        estimate_gamma_prime(spec, [w_star], data, 1.0,
-                             SubsetEstimatorConfig(k_samples=16))
-    with pytest.raises(InvalidArgumentError):
-        estimate_gamma_prime(spec, [w_star + 0.5], data, 0.0,
-                             SubsetEstimatorConfig(k_samples=16))
+def test_estimate_constants_skips_zero_gradient_snapshots_for_gamma_prime():
+    spec, data, weights = zero_gradient_start()
+    cfg = SubsetEstimatorConfig(k_samples=16)
+    c = constants_at(spec, data, weights, cfg)
+    assert any("gamma-prime: zero gradient at step 0" in f for f in c.flags)
+    inner = subset_ratio_max(per_sample_grads(spec, weights[1], data), cfg)
+    assert c.gamma_prime == max(1.0, inner) * c.gamma
+    # with only the zero-gradient snapshot nothing defines gamma
+    with pytest.raises(InvalidArgumentError, match="zero training gradient"):
+        constants_at(spec, data, weights[:1], cfg)
 
 
 # -- relative progress ---------------------------------------------------------
