@@ -30,6 +30,7 @@ from .models import (
     hessian_vector_product,
     init_params,
     linear_spec,
+    loss_grad_stats,
     losses_batch,
     mlp_spec,
     per_sample_grads,

@@ -39,8 +39,10 @@ from .optim import Schedule, StepRecord
 from .trajectory import (
     SubsetEstimatorConfig,
     TrajectorySnapshot,
+    mixing_signs,
     signed_mean_norm_stats,
     subset_ratio_max,
+    subset_signs,
 )
 
 
@@ -122,9 +124,10 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     """One pass over the snapshot weights collecting every constant.
 
     Per-sample gradients are computed once per snapshot and shared by the
-    L, V, subset-amplification, and batch-moment estimators. The smoothness
-    constant is top_hessian_eig at up to beta_snapshots evenly spaced
-    weights, floored at 0.
+    L, V, subset-amplification, and batch-moment estimators; the sign
+    matrices of V and gamma' are drawn once and reused at every snapshot.
+    The smoothness constant is top_hessian_eig at up to beta_snapshots
+    evenly spaced weights, floored at 0.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
@@ -154,6 +157,8 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     m2 = 0.0
     m4 = 0.0
     trivial_v = False
+    v_signs = mixing_signs(cfg, n)
+    gamma_signs = subset_signs(cfg, n)
     for w, snap in zip(weights, snapshots):
         G = per_sample_grads(spec, w, S)  # (n, P)
         g = np.mean(G, axis=0)
@@ -161,7 +166,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
         row_norms = np.sqrt(np.einsum("np,np->n", G, G))
         l_hat = max(l_hat, float(np.max(row_norms)))
 
-        d_hat, _se = signed_mean_norm_stats(G, cfg)
+        d_hat, _se = signed_mean_norm_stats(G, cfg, v_signs)
         if d_hat == 0.0:
             trivial_v = True
         else:
@@ -170,7 +175,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
         if gnorm == 0.0:
             flags.append(f"gamma-prime: zero gradient at step {snap.t} skipped")
         else:
-            inner_subset = max(inner_subset, subset_ratio_max(G, cfg))
+            inner_subset = max(inner_subset, subset_ratio_max(G, cfg, gamma_signs))
             envelope = max(envelope, float(np.max(row_norms)) / gnorm)
 
         if exact_batches:

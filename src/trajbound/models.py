@@ -5,11 +5,19 @@ with squared or softmax cross-entropy loss. Parameters live in one flat
 vector, flattened layer-major with each layer's weight matrix (C order)
 followed by its bias; the linear model's vector is just the weight vector.
 
-All dataset-level contractions go through np.einsum with its default
-non-BLAS evaluation, so row i of a batched computation is bitwise identical
-to the same computation on the singleton batch {z_i}. That keeps the
-documented identity exact: grad_mean is the plain arithmetic mean (numpy
-pairwise summation over the sample axis) of grad_per_sample results.
+per_sample_grads and grad_mean are the reference gradients. Their
+dataset-level contractions go through np.einsum with its default non-BLAS
+evaluation, so row i of a batched computation is bitwise identical to the
+same computation on the singleton batch {z_i}. That keeps the documented
+identity exact: grad_mean is the plain arithmetic mean (numpy pairwise
+summation over the sample axis) of grad_per_sample results.
+
+loss_grad_stats is the fused kernel behind the trajectory snapshots and
+the Hessian-vector product: one forward pass and one backward pass give the
+mean loss (bitwise the mean of losses_batch), the mean gradient and every
+sample's squared gradient norm, without forming the (n, P) per-sample
+matrix. Its backward pass contracts each layer with a matmul, so its
+gradient agrees with grad_mean to roundoff, not bitwise.
 """
 
 from __future__ import annotations
@@ -171,7 +179,11 @@ def _class_indices(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
 
 def losses_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample losses, shape (n,)."""
-    out = forward_batch(spec, w, X)
+    return _losses_from_outputs(spec, forward_batch(spec, w, X), y)
+
+
+def _losses_from_outputs(spec: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample losses of the model outputs; rejects a non-finite forward pass."""
     if not np.all(np.isfinite(out)):
         bad = int(np.argwhere(~np.isfinite(out))[0][0])
         raise NumericDomainError(f"non-finite forward value at sample {bad}")
@@ -254,9 +266,56 @@ def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.
     return grad_mean_xy(spec, w, data.features, data.labels)
 
 
+def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mean loss, mean gradient, per-sample squared gradient norms).
+
+    One forward pass and one backward pass over the dataset. Layer l's
+    per-sample gradient is (delta_l outer h_{l-1}, delta_l), so its squared
+    norm is ||delta_l||^2 (||h_{l-1}||^2 + 1) and its mean is
+    (delta_l' h_{l-1} / n, sum delta_l / n); the linear model is one layer
+    without a bias. The mean loss is computed exactly as losses_batch does.
+    """
+    w, X = _check_inputs(spec, w, data.features)
+    y = np.asarray(data.labels, dtype=np.float64)
+    n = X.shape[0]
+    if spec.kind == "linear":
+        out = np.einsum("ni,i->n", X, w)[:, None]
+        loss = float(np.mean(_losses_from_outputs(spec, out, y)))
+        resid = out[:, 0] - y
+        sq_norms = resid * resid * np.einsum("ni,ni->n", X, X)
+        return loss, (resid @ X) / n, sq_norms
+
+    out, hs = _forward_mlp(spec, w, X)
+    loss = float(np.mean(_losses_from_outputs(spec, out, y)))
+    if spec.loss == "squared":
+        g = out - y[:, None]
+    else:
+        e = np.exp(out - np.max(out, axis=1, keepdims=True))
+        g = e / np.sum(e, axis=1, keepdims=True)
+        g[np.arange(n), _class_indices(spec, y)] -= 1.0
+
+    layers = unflatten(spec, w)
+    grads = [None] * len(layers)
+    sq_norms = np.zeros(n)
+    for l in range(len(layers) - 1, -1, -1):
+        mat, _bias = layers[l]
+        h_prev = hs[l]
+        grads[l] = np.concatenate([(g.T @ h_prev).ravel(), np.sum(g, axis=0)]) / n
+        sq_norms += (np.einsum("no,no->n", g, g)
+                     * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
+        if l > 0:
+            g = (g @ mat) * (1.0 - h_prev * h_prev)
+    return loss, np.concatenate(grads), sq_norms
+
+
 def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,
                            v: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference HVP of the mean loss: exact for the linear model."""
+    """Central-difference HVP of the mean loss: exact for the linear model.
+
+    The two mean gradients come from loss_grad_stats, so no (n, P)
+    per-sample matrix is formed.
+    """
     v = np.asarray(v, dtype=np.float64)
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
@@ -264,8 +323,8 @@ def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,
     if h is None:
         h = default_fd_step(w)
     unit = v / norm_v
-    _, gp = grad_mean(spec, w + h * unit, data)
-    _, gm = grad_mean(spec, w - h * unit, data)
+    _, gp, _ = loss_grad_stats(spec, w + h * unit, data)
+    _, gm, _ = loss_grad_stats(spec, w - h * unit, data)
     return (gp - gm) / (2.0 * h) * norm_v
 
 

@@ -3,11 +3,14 @@
 TrajectoryRecorder computes everything recorded about a training run:
 full-set loss and gradient norms on the training set S and holdout S', the
 per-sample gradient covariance trace, the cumulative complexity term, the
-train/holdout gradient-norm ratio, and relative-progress diagnostics.
-gen_decomposition splits the generalization gap per step. The bound
-constants are not formed here: bounds.estimate_constants computes them,
-calling this module's per-sample-gradient kernels signed_mean_norm_stats
-(for V) and subset_ratio_max (for gamma').
+train/holdout gradient-norm ratio, and relative-progress diagnostics. Each
+snapshot's loss, mean gradient and per-sample squared gradient norms come
+from one models.loss_grad_stats call on S and one on S'; the recorder never
+forms the (n, P) per-sample gradient matrix. gen_decomposition splits the
+generalization gap per step. The bound constants are not formed here:
+bounds.estimate_constants computes them, calling this module's
+per-sample-gradient kernels signed_mean_norm_stats (for V) and
+subset_ratio_max (for gamma').
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -34,7 +37,7 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
 )
-from .models import ModelSpec, losses_batch, per_sample_grads
+from .models import ModelSpec, loss_grad_stats
 from .numerics import (
     STREAM_SUBSET_GAMMA,
     STREAM_SUBSET_V,
@@ -103,9 +106,9 @@ def noise_cov_scale(n: int, b: int) -> float:
     return (n - b) / (b * (n - 1))
 
 
-def _trace_from_grads(G: np.ndarray, g_mean: np.ndarray, n_sp: int | None,
-                      rng: RngStream | None) -> float:
-    """Covariance trace from a per-sample gradient matrix.
+def _trace_from_sq_norms(sq_norms: np.ndarray, g_mean: np.ndarray,
+                         n_sp: int | None, rng: RngStream | None) -> float:
+    """Covariance trace from the per-sample squared gradient norms.
 
     The mean-gradient norm is always exact; the second moment may be
     subsampled. Negative values within roundoff of the second moment clamp
@@ -114,10 +117,9 @@ def _trace_from_grads(G: np.ndarray, g_mean: np.ndarray, n_sp: int | None,
     A subsampled second moment can be legitimately below the exact mean
     gradient norm, so that path clamps any negative value.
     """
-    n = G.shape[0]
+    n = sq_norms.shape[0]
     if n_sp is not None and n_sp > n:
         raise InvalidArgumentError(f"n_sp={n_sp} exceeds the sample count n={n}")
-    sq_norms = np.einsum("np,np->n", G, G)
     subsampled = n_sp is not None and n_sp < n
     if subsampled:
         if rng is None:
@@ -141,13 +143,9 @@ def _trace_from_grads(G: np.ndarray, g_mean: np.ndarray, n_sp: int | None,
 def grad_trace_sigma(spec: ModelSpec, w: np.ndarray, data: Dataset,
                      n_sp: int | None = None, rng: RngStream | None = None
                      ) -> tuple[float, float, float]:
-    """(covariance trace, ||grad F_S||, F_S) at w; see _trace_from_grads."""
-    if n_sp is not None and n_sp > data.n:
-        raise InvalidArgumentError(f"n_sp={n_sp} exceeds n={data.n}")
-    G = per_sample_grads(spec, w, data)
-    g = np.mean(G, axis=0)
-    F = float(np.mean(losses_batch(spec, w, data.features, data.labels)))
-    trace = _trace_from_grads(G, g, n_sp, rng)
+    """(covariance trace, ||grad F_S||, F_S) at w; see _trace_from_sq_norms."""
+    F, g, sq_norms = loss_grad_stats(spec, w, data)
+    trace = _trace_from_sq_norms(sq_norms, g, n_sp, rng)
     return trace, float(np.linalg.norm(g)), F
 
 
@@ -243,15 +241,27 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
     return rows, False
 
 
-def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
+def mixing_signs(cfg: SubsetEstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
+    """The sign rows signed_mean_norm_stats draws for n samples under cfg."""
+    return _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
+
+
+def subset_signs(cfg: SubsetEstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
+    """The sign rows subset_ratio_max draws for n samples under cfg."""
+    return _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
+
+
+def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig,
+                           signs: tuple[np.ndarray, bool] | None = None
                            ) -> tuple[float, float]:
     """Mean and standard error of ||(1/n) sum_i s_i grad_i|| over sign draws.
 
     Exhaustive enumeration (standard error 0) replaces Monte Carlo whenever
-    all 2^n patterns fit in the sample budget.
+    all 2^n patterns fit in the sample budget. signs is mixing_signs(cfg, n)
+    when the caller already built it; the draw depends only on (cfg, n).
     """
     n = G.shape[0]
-    rows, exhaustive = _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
+    rows, exhaustive = signs or mixing_signs(cfg, n)
     mixed = rows @ G  # (k, P)
     norms = np.sqrt(np.einsum("kp,kp->k", mixed, mixed)) / n
     d_hat = float(np.mean(norms))
@@ -261,14 +271,18 @@ def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
     return d_hat, se
 
 
-def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
-    """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||)."""
+def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig,
+                     signs: tuple[np.ndarray, bool] | None = None) -> float:
+    """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||).
+
+    signs is subset_signs(cfg, n) when the caller already built it.
+    """
     n = G.shape[0]
     g = np.mean(G, axis=0)
     denom = n * float(np.linalg.norm(g))
     if denom == 0.0:
         raise InvalidArgumentError("subset ratio undefined at zero mean gradient")
-    rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
+    rows, _ = signs or subset_signs(cfg, n)
     members = (rows + 1.0) / 2.0  # {0,1} membership
     sums = members @ G
     norms = np.sqrt(np.einsum("kp,kp->k", sums, sums))
@@ -408,14 +422,9 @@ class TrajectoryRecorder:
 
     def __call__(self, t: int, epoch: int, eta: float, w: np.ndarray) -> TrajectorySnapshot:
         w = np.asarray(w, dtype=np.float64).copy()
-        G = per_sample_grads(self.spec, w, self.S)
-        g_s = np.mean(G, axis=0)
-        f_s = float(np.mean(losses_batch(self.spec, w, self.S.features, self.S.labels)))
-        trace = _trace_from_grads(G, g_s, self.est.n_sp, self._trace_rng)
-        g_sp_mat = per_sample_grads(self.spec, w, self.S_prime)
-        g_sp = np.mean(g_sp_mat, axis=0)
-        f_sp = float(np.mean(losses_batch(self.spec, w, self.S_prime.features,
-                                          self.S_prime.labels)))
+        f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
+        trace = _trace_from_sq_norms(sq_norms, g_s, self.est.n_sp, self._trace_rng)
+        f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime)
         norm_s = float(np.linalg.norm(g_s))
         norm_sp = float(np.linalg.norm(g_sp))
 

@@ -1,6 +1,7 @@
 """Experiment commands and the CLI, on deliberately tiny configurations."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 
@@ -9,7 +10,7 @@ import pytest
 
 from trajbound import cli
 from trajbound.cli import main
-from trajbound.config import default_config, parse_config_text
+from trajbound.config import default_config, parse_config, parse_config_text
 from trajbound.errors import (
     ConfigError,
     DataParseError,
@@ -230,6 +231,20 @@ def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["rp_mode"] == "step"
     assert meta["diverged_at"] is None
+
+
+def test_eos_matches_the_benchmark_reference(tmp_path):
+    # eos reads rp/trp off the recorder's mean gradients at every step, the
+    # outputs most sensitive to how the snapshot statistics are computed
+    root = os.path.join(os.path.dirname(__file__), "..")
+    loader = importlib.util.spec_from_file_location(
+        "bench_check", os.path.join(root, "bench", "check.py"))
+    check = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(check)
+    config_path = os.path.join(root, "configs", "eos.cfg")
+    cfg = dataclasses.replace(parse_config(config_path), output_dir=str(tmp_path))
+    cmd_eos(cfg)
+    check.check_outputs("eos", config_path, cfg.seeds, str(tmp_path), full=True)
 
 
 def test_commands_rerun_byte_identical(tmp_path):

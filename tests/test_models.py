@@ -1,7 +1,11 @@
 """Model forward/gradient/HVP correctness against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajbound.data import Dataset
 from trajbound.errors import (
@@ -18,6 +22,7 @@ from trajbound.models import (
     init_params,
     linear_spec,
     load_param_vector,
+    loss_grad_stats,
     loss_per_sample,
     losses_batch,
     mlp_spec,
@@ -39,6 +44,9 @@ def random_case(gen, kind):
         y = gen.standard_normal(n)
     elif kind == "mlp":
         spec = mlp_spec(d, (int(gen.integers(2, 5)),))
+        y = gen.standard_normal(n)
+    elif kind == "mlp2":
+        spec = mlp_spec(d, (int(gen.integers(2, 5)), int(gen.integers(2, 5))))
         y = gen.standard_normal(n)
     else:
         spec = mlp_spec(d, (3,), output_dim=3, loss="cross_entropy")
@@ -175,6 +183,51 @@ def test_grad_mean_is_arithmetic_mean_of_per_sample_grads():
     G = per_sample_grads(spec, w, data)
     assert np.array_equal(g, np.mean(G, axis=0))
     assert F == float(np.mean(losses_batch(spec, w, data.features, data.labels)))
+
+
+def assert_loss_grad_stats_match_the_oracle(spec, w, data):
+    F, g, sq_norms = loss_grad_stats(spec, w, data)
+    G = per_sample_grads(spec, w, data)
+    _, g_ref = grad_mean(spec, w, data)
+    sq_ref = np.einsum("np,np->n", G, G)
+    assert F == float(np.mean(losses_batch(spec, w, data.features, data.labels)))
+    # the mean gradient's roundoff scales with its summands, the per-sample
+    # gradients, not with the (possibly cancelling) mean itself
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * math.sqrt(float(np.mean(sq_ref)))
+    assert np.all(np.abs(sq_norms - sq_ref) <= 1e-12 * sq_ref)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_loss_grad_stats_matches_the_per_sample_oracle(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(20):
+        assert_loss_grad_stats_match_the_oracle(*random_case(gen, kind))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 5),
+       hidden=st.lists(st.integers(1, 6), max_size=2),
+       classes=st.sampled_from([0, 2, 4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
+    # classes = 0 picks the squared loss, and with no hidden layer the
+    # squared-loss case is the linear model
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    if classes:
+        spec = mlp_spec(d, tuple(hidden), output_dim=classes, loss="cross_entropy")
+        y = gen.integers(0, classes, size=n).astype(np.float64)
+    else:
+        spec = mlp_spec(d, tuple(hidden)) if hidden else linear_spec(d)
+        y = gen.standard_normal(n)
+    w = gen.standard_normal(param_count(spec)) * 0.5
+    assert_loss_grad_stats_match_the_oracle(spec, w, Dataset(X, y))
+
+
+@pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
+def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
+    w = np.full(param_count(spec), 1e308)
+    with pytest.raises(NumericDomainError):
+        loss_grad_stats(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
 
 def test_singleton_batch_row_is_bitwise_identical():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajbound import models, trajectory
 from trajbound.bounds import estimate_constants
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import (
@@ -24,6 +25,7 @@ from trajbound.errors import (
 from trajbound.models import (
     init_params,
     linear_spec,
+    losses_batch,
     mlp_spec,
     param_count,
     per_sample_grads,
@@ -34,7 +36,7 @@ from trajbound.optim import OptimConfig, Schedule, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
-    _trace_from_grads,
+    _trace_from_sq_norms,
     complexity_update,
     gamma_tilde,
     gen_decomposition,
@@ -135,15 +137,16 @@ def test_subsampled_trace_is_deterministic_and_clamped():
 
 def test_trace_guard_paths():
     G = np.array([[1.0, 0.0], [0.0, 1.0]])
+    sq = np.einsum("np,np->n", G, G)
     # a mean inconsistent with the rows drives the trace clearly negative
     with pytest.raises(NumericDomainError):
-        _trace_from_grads(G, np.array([5.0, 5.0]), None, None)
+        _trace_from_sq_norms(sq, np.array([5.0, 5.0]), None, None)
     # the subsampled path clamps instead of raising
-    assert _trace_from_grads(G, np.array([5.0, 5.0]), 1, RngStream(0, 10)) == 0.0
+    assert _trace_from_sq_norms(sq, np.array([5.0, 5.0]), 1, RngStream(0, 10)) == 0.0
     with pytest.raises(InvalidArgumentError):
-        _trace_from_grads(G, np.zeros(2), 1, None)  # subsample without rng
+        _trace_from_sq_norms(sq, np.zeros(2), 1, None)  # subsample without rng
     with pytest.raises(InvalidArgumentError):
-        _trace_from_grads(G, np.zeros(2), 3, RngStream(0, 10))
+        _trace_from_sq_norms(sq, np.zeros(2), 3, RngStream(0, 10))
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +157,8 @@ def test_trace_guard_scales_with_the_gradient_magnitude(n, p, seed):
     # and the roundoff of the 1e8-sized difference must not read as a bug
     gen = np.random.default_rng(seed)
     G = 1e4 * gen.standard_normal(p) + 1e-6 * gen.standard_normal((n, p))
-    assert _trace_from_grads(G, np.mean(G, axis=0), None, None) >= 0.0
+    sq = np.einsum("np,np->n", G, G)
+    assert _trace_from_sq_norms(sq, np.mean(G, axis=0), None, None) >= 0.0
 
 
 # -- complexity increments ---------------------------------------------------
@@ -435,6 +439,34 @@ def test_recorder_snapshot_fields_are_consistent():
         assert snap.trace_sigma == pytest.approx(
             float(np.mean(np.sum(G * G, axis=1))) - float(g_s @ g_s), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
+    spec, S, Sp, rec, _ = per_step_run(steps=6, kind=kind)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recorder formed the per-sample gradient matrix")
+
+    monkeypatch.setattr(models, "per_sample_grads", forbidden)
+    monkeypatch.setattr(models, "per_sample_grads_xy", forbidden)
+    monkeypatch.setattr(trajectory, "per_sample_grads", forbidden, raising=False)
+    snaps = rec.snapshots
+    again = replay_trajectory(spec, S, Sp, rec.weights, [s.t for s in snaps],
+                              [s.epoch for s in snaps], [s.eta_t for s in snaps],
+                              est=rec.est)
+    assert again.snapshots == snaps
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_recorder_losses_are_bitwise_the_mean_of_losses_batch(kind):
+    # early stopping compares F_S to a threshold, so a last-bit change here
+    # could move the step a run stops at
+    spec, S, Sp, rec, _ = per_step_run(kind=kind)
+    for snap, w in zip(rec.snapshots, rec.weights):
+        assert snap.F_S == float(np.mean(losses_batch(spec, w, S.features, S.labels)))
+        assert snap.F_Sprime == float(np.mean(
+            losses_batch(spec, w, Sp.features, Sp.labels)))
 
 
 def test_recorder_complexity_telescopes():
