@@ -39,10 +39,8 @@ from .optim import Schedule, StepRecord
 from .trajectory import (
     SubsetEstimatorConfig,
     TrajectorySnapshot,
-    mixing_signs,
     signed_mean_norm_stats,
     subset_ratio_max,
-    subset_signs,
 )
 
 
@@ -124,10 +122,11 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     """One pass over the snapshot weights collecting every constant.
 
     Per-sample gradients are computed once per snapshot and shared by the
-    L, V, subset-amplification, and batch-moment estimators; the sign
-    matrices of V and gamma' are drawn once and reused at every snapshot.
-    The smoothness constant is top_hessian_eig at up to beta_snapshots
-    evenly spaced weights, floored at 0.
+    L, V, subset-amplification, and batch-moment estimators; the V and
+    gamma' sign matrices are drawn once and reused at every snapshot
+    (trajectory._sign_rows is cached). The smoothness constant is
+    top_hessian_eig at up to beta_snapshots evenly spaced weights, floored
+    at 0.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
@@ -157,8 +156,6 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     m2 = 0.0
     m4 = 0.0
     trivial_v = False
-    v_signs = mixing_signs(cfg, n)
-    gamma_signs = subset_signs(cfg, n)
     for w, snap in zip(weights, snapshots):
         G = per_sample_grads(spec, w, S)  # (n, P)
         g = np.mean(G, axis=0)
@@ -166,7 +163,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
         row_norms = np.sqrt(np.einsum("np,np->n", G, G))
         l_hat = max(l_hat, float(np.max(row_norms)))
 
-        d_hat, _se = signed_mean_norm_stats(G, cfg, v_signs)
+        d_hat, _se = signed_mean_norm_stats(G, cfg)
         if d_hat == 0.0:
             trivial_v = True
         else:
@@ -175,7 +172,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
         if gnorm == 0.0:
             flags.append(f"gamma-prime: zero gradient at step {snap.t} skipped")
         else:
-            inner_subset = max(inner_subset, subset_ratio_max(G, cfg, gamma_signs))
+            inner_subset = max(inner_subset, subset_ratio_max(G, cfg))
             envelope = max(envelope, float(np.max(row_norms)) / gnorm)
 
         if exact_batches:

@@ -179,22 +179,42 @@ def _class_indices(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
 
 def losses_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample losses, shape (n,)."""
-    return _losses_from_outputs(spec, forward_batch(spec, w, X), y)
+    out = forward_batch(spec, w, X)
+    _check_finite(out)
+    return _losses(spec, out, _targets(spec, y))
 
 
-def _losses_from_outputs(spec: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample losses of the model outputs; rejects a non-finite forward pass."""
+def _check_finite(out: np.ndarray) -> None:
     if not np.all(np.isfinite(out)):
         bad = int(np.argwhere(~np.isfinite(out))[0][0])
         raise NumericDomainError(f"non-finite forward value at sample {bad}")
+
+
+def _targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """The labels as the loss reads them: values, or checked class indices."""
     y = np.asarray(y, dtype=np.float64)
+    return y if spec.loss == "squared" else _class_indices(spec, y)
+
+
+def _losses(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-sample losses of finite model outputs against _targets t."""
     if spec.loss == "squared":
-        resid = out[:, 0] - y
+        resid = out[:, 0] - t
         return 0.5 * resid * resid
-    idx = _class_indices(spec, y)
     m = np.max(out, axis=1)
     lse = m + np.log(np.sum(np.exp(out - m[:, None]), axis=1))
-    return lse - out[np.arange(out.shape[0]), idx]
+    return lse - out[np.arange(out.shape[0]), t]
+
+
+def _output_grad(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient of each sample's loss with respect to its outputs, (n, output_dim)."""
+    if spec.loss == "squared":
+        return out - t[:, None]
+    m = np.max(out, axis=1, keepdims=True)
+    e = np.exp(out - m)
+    delta = e / np.sum(e, axis=1, keepdims=True)
+    delta[np.arange(out.shape[0]), t] -= 1.0
+    return delta
 
 
 def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
@@ -211,22 +231,12 @@ def per_sample_grads_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
         return resid[:, None] * X
 
     out, hs = _forward_mlp(spec, w, X)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argwhere(~np.isfinite(out))[0][0])
-        raise NumericDomainError(f"non-finite forward value at sample {bad}")
-    if spec.loss == "squared":
-        delta = out - y[:, None]  # dloss/dlogits, (n, 1)
-    else:
-        idx = _class_indices(spec, y)
-        m = np.max(out, axis=1, keepdims=True)
-        e = np.exp(out - m)
-        delta = e / np.sum(e, axis=1, keepdims=True)
-        delta[np.arange(out.shape[0]), idx] -= 1.0
-
+    _check_finite(out)
     layers = unflatten(spec, w)
     n = X.shape[0]
     grads = [None] * len(layers)
-    g = delta  # gradient wrt pre-activation of the current layer, (n, width)
+    # gradient wrt pre-activation of the current layer, (n, width)
+    g = _output_grad(spec, out, _targets(spec, y))
     for l in range(len(layers) - 1, -1, -1):
         mat, _bias = layers[l]
         h_prev = hs[l]
@@ -277,23 +287,19 @@ def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
     without a bias. The mean loss is computed exactly as losses_batch does.
     """
     w, X = _check_inputs(spec, w, data.features)
-    y = np.asarray(data.labels, dtype=np.float64)
+    t = _targets(spec, data.labels)
     n = X.shape[0]
     if spec.kind == "linear":
         out = np.einsum("ni,i->n", X, w)[:, None]
-        loss = float(np.mean(_losses_from_outputs(spec, out, y)))
-        resid = out[:, 0] - y
+        _check_finite(out)
+        resid = _output_grad(spec, out, t)[:, 0]
         sq_norms = resid * resid * np.einsum("ni,ni->n", X, X)
-        return loss, (resid @ X) / n, sq_norms
+        return float(np.mean(_losses(spec, out, t))), (resid @ X) / n, sq_norms
 
     out, hs = _forward_mlp(spec, w, X)
-    loss = float(np.mean(_losses_from_outputs(spec, out, y)))
-    if spec.loss == "squared":
-        g = out - y[:, None]
-    else:
-        e = np.exp(out - np.max(out, axis=1, keepdims=True))
-        g = e / np.sum(e, axis=1, keepdims=True)
-        g[np.arange(n), _class_indices(spec, y)] -= 1.0
+    _check_finite(out)
+    loss = float(np.mean(_losses(spec, out, t)))
+    g = _output_grad(spec, out, t)
 
     layers = unflatten(spec, w)
     grads = [None] * len(layers)

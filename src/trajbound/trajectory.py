@@ -26,6 +26,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -206,8 +207,8 @@ def _size_uniform_rows(gen, k: int, n: int, proper: bool) -> np.ndarray:
     return rows
 
 
-def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
-               exclude_trivial: bool) -> tuple[np.ndarray, bool]:
+def _draw_sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
+                    exclude_trivial: bool) -> tuple[np.ndarray, bool]:
     """Sign matrix for subset estimation: exhaustive when affordable.
 
     Returns (rows, exhaustive). exclude_trivial drops the all-plus and
@@ -241,28 +242,32 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
     return rows, False
 
 
-def mixing_signs(cfg: SubsetEstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
-    """The sign rows signed_mean_norm_stats draws for n samples under cfg."""
-    return _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
+@functools.lru_cache(maxsize=4)
+def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
+               exclude_trivial: bool) -> tuple[np.ndarray, bool]:
+    """_draw_sign_rows, cached and read-only.
+
+    The draw depends only on the arguments, so every snapshot of an
+    estimate_constants call reuses one matrix for V and one for gamma'.
+    The cache outlives the call, so it holds the signs as int8, an eighth of
+    the float64 draw.
+    """
+    rows, exhaustive = _draw_sign_rows(cfg, n, stream_id, exclude_trivial)
+    rows = rows.astype(np.int8)
+    rows.flags.writeable = False
+    return rows, exhaustive
 
 
-def subset_signs(cfg: SubsetEstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
-    """The sign rows subset_ratio_max draws for n samples under cfg."""
-    return _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
-
-
-def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig,
-                           signs: tuple[np.ndarray, bool] | None = None
+def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
                            ) -> tuple[float, float]:
     """Mean and standard error of ||(1/n) sum_i s_i grad_i|| over sign draws.
 
     Exhaustive enumeration (standard error 0) replaces Monte Carlo whenever
-    all 2^n patterns fit in the sample budget. signs is mixing_signs(cfg, n)
-    when the caller already built it; the draw depends only on (cfg, n).
+    all 2^n patterns fit in the sample budget.
     """
     n = G.shape[0]
-    rows, exhaustive = signs or mixing_signs(cfg, n)
-    mixed = rows @ G  # (k, P)
+    rows, exhaustive = _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
+    mixed = rows.astype(np.float64) @ G  # (k, P)
     norms = np.sqrt(np.einsum("kp,kp->k", mixed, mixed)) / n
     d_hat = float(np.mean(norms))
     if exhaustive or norms.size < 2:
@@ -271,18 +276,14 @@ def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig,
     return d_hat, se
 
 
-def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig,
-                     signs: tuple[np.ndarray, bool] | None = None) -> float:
-    """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||).
-
-    signs is subset_signs(cfg, n) when the caller already built it.
-    """
+def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
+    """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||)."""
     n = G.shape[0]
     g = np.mean(G, axis=0)
     denom = n * float(np.linalg.norm(g))
     if denom == 0.0:
         raise InvalidArgumentError("subset ratio undefined at zero mean gradient")
-    rows, _ = signs or subset_signs(cfg, n)
+    rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
     members = (rows + 1.0) / 2.0  # {0,1} membership
     sums = members @ G
     norms = np.sqrt(np.einsum("kp,kp->k", sums, sums))

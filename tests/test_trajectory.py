@@ -31,11 +31,13 @@ from trajbound.models import (
     per_sample_grads,
     per_sample_grads_xy,
 )
-from trajbound.numerics import RngStream
+from trajbound.numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
 from trajbound.optim import OptimConfig, Schedule, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
+    _draw_sign_rows,
+    _sign_rows,
     _trace_from_sq_norms,
     complexity_update,
     gamma_tilde,
@@ -239,6 +241,19 @@ def test_signed_mean_norm_monte_carlo_is_deterministic():
     assert a[1] > 0.0
     other = signed_mean_norm_stats(G, SubsetEstimatorConfig(k_samples=256, seed=6))
     assert a != other
+
+
+def test_sign_rows_are_cached_read_only_and_equal_a_fresh_draw():
+    # every snapshot of an estimate_constants call reuses one draw per
+    # estimator, so the cached matrix must be that draw and must not change
+    cfg = SubsetEstimatorConfig(k_samples=64, seed=3)
+    for stream, trivial in ((STREAM_SUBSET_V, False), (STREAM_SUBSET_GAMMA, True)):
+        rows, exhaustive = _sign_rows(cfg, 12, stream, exclude_trivial=trivial)
+        assert _sign_rows(cfg, 12, stream, exclude_trivial=trivial)[0] is rows
+        fresh, fresh_exhaustive = _draw_sign_rows(cfg, 12, stream, trivial)
+        assert np.array_equal(rows, fresh) and exhaustive == fresh_exhaustive
+        with pytest.raises(ValueError):
+            rows[0, 0] = -rows[0, 0]
 
 
 def test_jensen_bound_on_signed_mean():
