@@ -22,7 +22,7 @@ class NumericDomainError(TrajboundError, ArithmeticError):
 
 
 class DivergedError(TrajboundError):
-    """Training blew up: non-finite loss or parameter norm past the cap.
+    """Training blew up: the parameter norm went non-finite or past the cap.
 
     Carries the step index and the parameter norm at failure so harness
     code can report where the run died.

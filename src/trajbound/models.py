@@ -5,19 +5,21 @@ with squared or softmax cross-entropy loss. Parameters live in one flat
 vector, flattened layer-major with each layer's weight matrix (C order)
 followed by its bias; the linear model's vector is just the weight vector.
 
-per_sample_grads and grad_mean are the reference gradients. Their
-dataset-level contractions go through np.einsum with its default non-BLAS
-evaluation, so row i of a batched computation is bitwise identical to the
-same computation on the singleton batch {z_i}. That keeps the documented
-identity exact: grad_mean is the plain arithmetic mean (numpy pairwise
-summation over the sample axis) of grad_per_sample results.
+per_sample_grads and grad_mean are the reference gradients, the oracle the
+fast kernels are tested against. Their dataset-level contractions go
+through np.einsum with its default non-BLAS evaluation, so row i of a
+batched computation is bitwise identical to the same computation on the
+singleton batch {z_i}. That keeps the documented identity exact: grad_mean
+is the plain arithmetic mean (numpy pairwise summation over the sample
+axis) of grad_per_sample results.
 
-loss_grad_stats is the fused kernel behind the trajectory snapshots and
-the Hessian-vector product: one forward pass and one backward pass give the
-mean loss (bitwise the mean of losses_batch), the mean gradient and every
-sample's squared gradient norm, without forming the (n, P) per-sample
-matrix. Its backward pass contracts each layer with a matmul, so its
-gradient agrees with grad_mean to roundoff, not bitwise.
+grad_mean_xy, the training step's kernel, gives only a batch's mean
+gradient. loss_grad_stats, behind the trajectory snapshots and the
+Hessian-vector product, also gives the mean loss (bitwise the mean of
+losses_batch) and every sample's squared gradient norm. Both run one
+forward pass and the one backward pass of _mean_grad, which contracts each
+layer with a matmul: neither forms the (n, P) per-sample matrix, and their
+gradients agree with grad_mean to roundoff, not bitwise.
 """
 
 from __future__ import annotations
@@ -141,10 +143,16 @@ def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.nda
     return w, X
 
 
-def _forward_mlp(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    """Batched forward pass. Returns (outputs, hidden activations per layer)."""
+def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
+    """Batched forward pass: (outputs, input of each layer).
+
+    The outputs have shape (n, output_dim) and hs[l] is layer l's input,
+    (n, width_l); the linear model is one bias-free layer whose input is X.
+    """
+    if spec.kind == "linear":
+        return np.einsum("ni,i->n", X, w)[:, None], [X]
     layers = unflatten(spec, w)
-    hs = [X]  # hs[l] has shape (n, width_l)
+    hs = [X]
     out = X
     for l, (mat, bias) in enumerate(layers):
         z = np.einsum("ni,oi->no", out, mat) + bias
@@ -157,10 +165,7 @@ def _forward_mlp(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
 def forward_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Model outputs, shape (n, output_dim)."""
     w, X = _check_inputs(spec, w, X)
-    if spec.kind == "linear":
-        return np.einsum("ni,i->n", X, w)[:, None]
-    out, _ = _forward_mlp(spec, w, X)
-    return out
+    return _forward(spec, w, X)[0]
 
 
 def _class_indices(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
@@ -230,7 +235,7 @@ def per_sample_grads_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
         resid = np.einsum("ni,i->n", X, w) - y  # (n,)
         return resid[:, None] * X
 
-    out, hs = _forward_mlp(spec, w, X)
+    out, hs = _forward(spec, w, X)
     _check_finite(out)
     layers = unflatten(spec, w)
     n = X.shape[0]
@@ -259,60 +264,75 @@ def grad_per_sample(spec: ModelSpec, w: np.ndarray, z: tuple) -> np.ndarray:
     return per_sample_grads(spec, w, single)[0]
 
 
-def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
-                 y: np.ndarray) -> tuple[float, np.ndarray]:
-    losses = losses_batch(spec, w, X, y)
-    grads = per_sample_grads_xy(spec, w, X, y)
-    return float(np.mean(losses)), np.mean(grads, axis=0)
-
-
 def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:
-    """Mean loss and mean gradient over the dataset.
+    """Mean loss and mean gradient over the dataset: the reference oracle.
 
     Both reductions are numpy means over the sample axis (pairwise
     summation), so the result is a deterministic function of the inputs;
     the mean gradient is exactly the arithmetic mean of per_sample_grads.
     """
-    return grad_mean_xy(spec, w, data.features, data.labels)
+    losses = losses_batch(spec, w, data.features, data.labels)
+    return float(np.mean(losses)), np.mean(per_sample_grads(spec, w, data), axis=0)
+
+
+def _mean_grad(spec: ModelSpec, w: np.ndarray, hs: list[np.ndarray], g: np.ndarray,
+               sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Mean gradient by one backward pass from the output gradients g.
+
+    Layer l's per-sample gradient is (delta_l outer h_{l-1}, delta_l), so its
+    mean is (delta_l' h_{l-1} / n, sum delta_l / n), one matmul per layer,
+    and its squared norm is ||delta_l||^2 (||h_{l-1}||^2 + 1), which is
+    added to sq_norms when given. The linear model is one layer without a
+    bias: (r X / n, r_i^2 ||x_i||^2).
+    """
+    n = g.shape[0]
+    if spec.kind == "linear":
+        resid, X = g[:, 0], hs[0]
+        if sq_norms is not None:
+            sq_norms += resid * resid * np.einsum("ni,ni->n", X, X)
+        return (resid @ X) / n
+
+    layers = unflatten(spec, w)
+    grads = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        mat, _bias = layers[l]
+        h_prev = hs[l]
+        grads[l] = np.concatenate([(g.T @ h_prev).ravel(), np.sum(g, axis=0)]) / n
+        if sq_norms is not None:
+            sq_norms += (np.einsum("no,no->n", g, g)
+                         * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
+        if l > 0:
+            g = (g @ mat) * (1.0 - h_prev * h_prev)
+    return np.concatenate(grads)
+
+
+def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """Mean gradient over the batch (X, y): the training step's kernel.
+
+    One forward and one matmul backward pass, with no loss, no (b, P)
+    matrix and no finiteness check: the step checks the updated weights.
+    """
+    w, X = _check_inputs(spec, w, X)
+    out, hs = _forward(spec, w, X)
+    return _mean_grad(spec, w, hs, _output_grad(spec, out, _targets(spec, y)))
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
                     ) -> tuple[float, np.ndarray, np.ndarray]:
     """(mean loss, mean gradient, per-sample squared gradient norms).
 
-    One forward pass and one backward pass over the dataset. Layer l's
-    per-sample gradient is (delta_l outer h_{l-1}, delta_l), so its squared
-    norm is ||delta_l||^2 (||h_{l-1}||^2 + 1) and its mean is
-    (delta_l' h_{l-1} / n, sum delta_l / n); the linear model is one layer
-    without a bias. The mean loss is computed exactly as losses_batch does.
+    One forward pass and the backward pass of _mean_grad over the dataset.
+    The mean loss is computed exactly as losses_batch does, and a non-finite
+    forward value raises NumericDomainError.
     """
     w, X = _check_inputs(spec, w, data.features)
     t = _targets(spec, data.labels)
-    n = X.shape[0]
-    if spec.kind == "linear":
-        out = np.einsum("ni,i->n", X, w)[:, None]
-        _check_finite(out)
-        resid = _output_grad(spec, out, t)[:, 0]
-        sq_norms = resid * resid * np.einsum("ni,ni->n", X, X)
-        return float(np.mean(_losses(spec, out, t))), (resid @ X) / n, sq_norms
-
-    out, hs = _forward_mlp(spec, w, X)
+    out, hs = _forward(spec, w, X)
     _check_finite(out)
-    loss = float(np.mean(_losses(spec, out, t)))
-    g = _output_grad(spec, out, t)
-
-    layers = unflatten(spec, w)
-    grads = [None] * len(layers)
-    sq_norms = np.zeros(n)
-    for l in range(len(layers) - 1, -1, -1):
-        mat, _bias = layers[l]
-        h_prev = hs[l]
-        grads[l] = np.concatenate([(g.T @ h_prev).ravel(), np.sum(g, axis=0)]) / n
-        sq_norms += (np.einsum("no,no->n", g, g)
-                     * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
-        if l > 0:
-            g = (g @ mat) * (1.0 - h_prev * h_prev)
-    return loss, np.concatenate(grads), sq_norms
+    sq_norms = np.zeros(X.shape[0])
+    grad = _mean_grad(spec, w, hs, _output_grad(spec, out, t), sq_norms)
+    return float(np.mean(_losses(spec, out, t))), grad, sq_norms
 
 
 def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DivergedError, InvalidArgumentError, NumericDomainError
+from .errors import DivergedError, InvalidArgumentError
 from .models import ModelSpec, grad_mean_xy
 from .numerics import STREAM_BATCH, RngStream
 
@@ -147,21 +147,20 @@ def sample_batch(rng: RngStream, n: int, b: int) -> np.ndarray:
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
          rng: RngStream, batch_indices: np.ndarray | None = None
          ) -> tuple[np.ndarray, StepRecord]:
-    """One update w - eta_t * grad_F_B(w); raises DivergedError on blow-up."""
+    """One update w - eta_t * grad_F_B(w); raises DivergedError on blow-up.
+
+    The only check is the norm guard on the updated weights. A NaN or inf
+    in the gradient reaches w_next even at eta_t = 0 (0 * inf is NaN), and
+    a non-finite norm fails the comparison.
+    """
     b = resolve_batch_size(cfg, data.n)
     if batch_indices is None:
         batch_indices = sample_batch(rng, data.n, b)
     eta = lr_at(cfg.schedule, t)
-    try:
-        _, g_b = grad_mean_xy(spec, w, data.features[batch_indices],
-                              data.labels[batch_indices])
-    except NumericDomainError as exc:
-        raise DivergedError(t, float(np.linalg.norm(w)), str(exc)) from exc
-    if not np.all(np.isfinite(g_b)):
-        raise DivergedError(t, float(np.linalg.norm(w)), f"non-finite gradient at step {t}")
-    w_next = w - eta * g_b
+    w_next = w - eta * grad_mean_xy(spec, w, data.features[batch_indices],
+                                     data.labels[batch_indices])
     norm_next = float(np.linalg.norm(w_next))
-    if not math.isfinite(norm_next) or norm_next > PARAM_NORM_CAP:
+    if not norm_next <= PARAM_NORM_CAP:
         raise DivergedError(t, norm_next)
     return w_next, StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
 

@@ -23,6 +23,7 @@ from trajbound.errors import (
     TrajboundError,
 )
 from trajbound.experiments import (
+    COMMANDS,
     assemble_run,
     cmd_assumption,
     cmd_eos,
@@ -233,18 +234,20 @@ def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
     assert meta["diverged_at"] is None
 
 
-def test_eos_matches_the_benchmark_reference(tmp_path):
+@pytest.mark.parametrize("experiment", ["toy_table", "eos"])
+def test_shipped_config_matches_the_benchmark_reference(experiment, tmp_path):
     # eos reads rp/trp off the recorder's mean gradients at every step, the
-    # outputs most sensitive to how the snapshot statistics are computed
+    # outputs most sensitive to how the snapshot statistics are computed;
+    # toy_table's 60 000 batch-1 steps are the ones most sensitive to the step
     root = os.path.join(os.path.dirname(__file__), "..")
     loader = importlib.util.spec_from_file_location(
         "bench_check", os.path.join(root, "bench", "check.py"))
     check = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(check)
-    config_path = os.path.join(root, "configs", "eos.cfg")
+    config_path = os.path.join(root, "configs", f"{experiment}.cfg")
     cfg = dataclasses.replace(parse_config(config_path), output_dir=str(tmp_path))
-    cmd_eos(cfg)
-    check.check_outputs("eos", config_path, cfg.seeds, str(tmp_path), full=True)
+    COMMANDS[experiment](cfg)
+    check.check_outputs(experiment, config_path, cfg.seeds, str(tmp_path), full=True)
 
 
 def test_commands_rerun_byte_identical(tmp_path):

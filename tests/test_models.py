@@ -17,6 +17,7 @@ from trajbound.models import (
     ModelSpec,
     forward_batch,
     grad_mean,
+    grad_mean_xy,
     grad_per_sample,
     hessian_vector_product,
     init_params,
@@ -204,11 +205,35 @@ def test_loss_grad_stats_matches_the_per_sample_oracle(kind):
         assert_loss_grad_stats_match_the_oracle(*random_case(gen, kind))
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 40), d=st.integers(1, 5),
-       hidden=st.lists(st.integers(1, 6), max_size=2),
-       classes=st.sampled_from([0, 2, 4]), seed=st.integers(0, 2 ** 32 - 1))
-def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
+def assert_grad_mean_xy_matches_the_oracle(spec, w, data):
+    g = grad_mean_xy(spec, w, data.features, data.labels)
+    G = per_sample_grads(spec, w, data)
+    _, g_ref = grad_mean(spec, w, data)
+    assert g.shape == g_ref.shape
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * math.sqrt(
+        float(np.mean(np.einsum("np,np->n", G, G))))
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_grad_mean_xy_matches_the_per_sample_oracle(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)) + 1)
+    for _ in range(20):
+        assert_grad_mean_xy_matches_the_oracle(*random_case(gen, kind))
+
+
+def test_grad_mean_xy_is_bitwise_the_oracle_at_batch_size_one():
+    # toy_table trains the linear model on single samples: the matmul is one
+    # exact product there, so its outputs do not move with the kernel
+    gen = np.random.default_rng(12)
+    for _ in range(20):
+        spec, w, data = random_case(gen, "linear")
+        for i in range(data.n):
+            one = Dataset(data.features[i:i + 1], data.labels[i:i + 1])
+            g = grad_mean_xy(spec, w, one.features, one.labels)
+            assert np.array_equal(g, grad_mean(spec, w, one)[1])
+
+
+def random_shape_case(n, d, hidden, classes, seed):
     # classes = 0 picks the squared loss, and with no hidden layer the
     # squared-loss case is the linear model
     gen = np.random.default_rng(seed)
@@ -220,7 +245,24 @@ def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, 
         spec = mlp_spec(d, tuple(hidden)) if hidden else linear_spec(d)
         y = gen.standard_normal(n)
     w = gen.standard_normal(param_count(spec)) * 0.5
-    assert_loss_grad_stats_match_the_oracle(spec, w, Dataset(X, y))
+    return spec, w, Dataset(X, y)
+
+
+any_shape = given(n=st.integers(1, 40), d=st.integers(1, 5),
+                  hidden=st.lists(st.integers(1, 6), max_size=2),
+                  classes=st.sampled_from([0, 2, 4]), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
+    assert_loss_grad_stats_match_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_grad_mean_xy_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
+    assert_grad_mean_xy_matches_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
 
 
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from trajbound import models, optim, trajectory
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import DivergedError, InvalidArgumentError
-from trajbound.models import init_params, linear_spec, mlp_spec, param_count
+from trajbound.models import grad_mean_xy, init_params, linear_spec, mlp_spec, param_count
 from trajbound.numerics import STREAM_BATCH, RngStream
 from trajbound.optim import (
     OptimConfig,
@@ -158,6 +159,57 @@ def test_step_diverges_past_the_norm_cap():
     assert exc.value.param_norm > 1e12
 
 
+def assert_step_diverges_at(spec, w, S, cfg, t):
+    # the gradient itself must be non-finite, so only the guard's handling
+    # of NaN and inf norms can raise here
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(grad_mean_xy(spec, w, S.features, S.labels)))
+        with pytest.raises(DivergedError) as exc:
+            step(spec, w, S, cfg, t, RngStream(0, STREAM_BATCH))
+    assert exc.value.t == t
+    assert not math.isfinite(exc.value.param_norm)
+
+
+def with_nan_feature(S, i, j):
+    # Dataset rejects non-finite entries, so the NaN goes in after
+    # construction; it stands for any NaN that reaches the batch gradient
+    X = S.features.copy()
+    X[i, j] = np.nan
+    bad = Dataset(S.features, S.labels)
+    object.__setattr__(bad, "features", X)
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_step_diverges_on_a_nan_feature(kind):
+    spec, w0, S, _ = toy_parts(kind=kind)
+    cfg = OptimConfig(mode="gd", batch_size=None,
+                      schedule=Schedule("constant", eta0=0.05), max_steps=10)
+    assert_step_diverges_at(spec, w0, with_nan_feature(S, 3, 1), cfg, 7)
+
+
+@pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
+def test_step_diverges_on_overflowing_weights(spec):
+    # the linear output overflows to inf; the MLP's backward pass meets
+    # inf * 0 and returns NaN
+    w = np.full(param_count(spec), 1e308)
+    S = Dataset(np.ones((3, 2)), np.zeros(3))
+    cfg = OptimConfig(mode="gd", batch_size=None,
+                      schedule=Schedule("constant", eta0=0.05), max_steps=10)
+    assert_step_diverges_at(spec, w, S, cfg, 4)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_step_diverges_on_a_non_finite_gradient_at_zero_rate(kind):
+    # past t_max a cosine schedule with eta_min = 0 steps at eta = 0, and
+    # 0 * NaN is still NaN
+    spec, w0, S, _ = toy_parts(kind=kind)
+    sched = Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=5)
+    cfg = OptimConfig(mode="gd", batch_size=None, schedule=sched, max_steps=10)
+    assert lr_at(sched, 6) == 0.0
+    assert_step_diverges_at(spec, w0, with_nan_feature(S, 0, 0), cfg, 6)
+
+
 # -- training loop -----------------------------------------------------------
 
 def test_train_snapshot_cadence_and_counts():
@@ -304,6 +356,24 @@ def test_train_propagates_divergence_with_step_index():
     with pytest.raises(DivergedError) as exc:
         train(spec, w0, S, Sp, cfg)
     assert 0 <= exc.value.t < 200
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_train_never_forms_per_sample_gradients_or_losses(kind, monkeypatch):
+    spec, w0, S, Sp = toy_parts(kind=kind)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training formed per-sample gradients or losses")
+
+    for name in ("losses_batch", "per_sample_grads", "per_sample_grads_xy"):
+        for mod in (models, optim, trajectory):
+            monkeypatch.setattr(mod, name, forbidden, raising=mod is models)
+    cfg = OptimConfig(mode="sgd", batch_size=5,
+                      schedule=Schedule("constant", eta0=0.05),
+                      max_steps=12, snapshot_every=4)
+    res = train(spec, w0, S, Sp, cfg)
+    assert res.stopped_at == 12
+    assert [s.t for s in res.snapshots] == [0, 4, 8, 12]
 
 
 def test_train_does_not_mutate_the_initial_vector():
