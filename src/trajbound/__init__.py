@@ -27,6 +27,7 @@ from .errors import (
 from .models import (
     ModelSpec,
     grad_mean,
+    hessian_operator,
     hessian_vector_product,
     init_params,
     linear_spec,

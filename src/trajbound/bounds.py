@@ -33,7 +33,7 @@ from .errors import (
     IncompleteTrajectoryError,
     InvalidArgumentError,
 )
-from .models import ModelSpec, hessian_vector_product, per_sample_grads
+from .models import ModelSpec, hessian_operator, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, StepRecord
 from .trajectory import (
@@ -96,20 +96,19 @@ def _ratio_term(trace: float, grad_norm: float) -> float | None:
 
 
 def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
-    """Largest top Hessian eigenvalue of F_S over the given weights.
+    """Largest top algebraic Hessian eigenvalue of F_S over the given weights.
 
     The linear model's Hessian X'X/n does not depend on w and is solved
-    densely; the MLP runs power iteration on Hessian-vector products at each
-    weight vector. The value is not floored, so callers see a non-positive
-    estimate.
+    densely; the MLP runs a Lanczos solve (power_iteration_top_eig) on one
+    exact Hessian operator per weight vector. The value is the top algebraic
+    eigenvalue, not the one of largest magnitude, and it is not floored, so
+    callers see a non-positive estimate.
     """
     if spec.kind == "linear":
         hess = (S.features.T @ S.features) / S.n  # (d, d)
         return float(np.max(np.linalg.eigvalsh(hess)))
     return max(
-        power_iteration_top_eig(
-            lambda v, _w=w: hessian_vector_product(spec, _w, S, v), dim=w.size
-        )[0]
+        power_iteration_top_eig(hessian_operator(spec, w, S), dim=w.size)[0]
         for w in weights
     )
 

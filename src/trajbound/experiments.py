@@ -40,7 +40,7 @@ from .data import (
 from .errors import DivergedError
 from .models import (
     ModelSpec,
-    hessian_vector_product,
+    hessian_operator,
     init_params,
     linear_spec,
     mlp_spec,
@@ -375,10 +375,8 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     n = parts.S.n
     rows = []
     for snap, w in zip(rec.snapshots, rec.weights):
-        sharp, _ = power_iteration_top_eig(
-            lambda v, _w=w: hessian_vector_product(parts.spec, _w, parts.S, v),
-            dim=w.size, iters=120, tol=1e-7,
-        )
+        sharp, _ = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
+                                           dim=w.size, iters=120, tol=1e-7)
         eta_eff = snap.eta_t if rp_mode == "step" else (n / parts.batch_size) * snap.eta_t
         rows.append([snap.t, snap.epoch, snap.eta_t, eta_eff, snap.rp, snap.trp,
                      sharp, 2.0 / eta_eff])

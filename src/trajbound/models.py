@@ -14,12 +14,18 @@ is the plain arithmetic mean (numpy pairwise summation over the sample
 axis) of grad_per_sample results.
 
 grad_mean_xy, the training step's kernel, gives only a batch's mean
-gradient. loss_grad_stats, behind the trajectory snapshots and the
-Hessian-vector product, also gives the mean loss (bitwise the mean of
-losses_batch) and every sample's squared gradient norm. Both run one
-forward pass and the one backward pass of _mean_grad, which contracts each
-layer with a matmul: neither forms the (n, P) per-sample matrix, and their
-gradients agree with grad_mean to roundoff, not bitwise.
+gradient. loss_grad_stats, behind the trajectory snapshots, also gives the
+mean loss (bitwise the mean of losses_batch) and every sample's squared
+gradient norm. Both run one forward pass and the one backward pass of
+_mean_grad, which contracts each layer with a matmul: neither forms the
+(n, P) per-sample matrix, and their gradients agree with grad_mean to
+roundoff, not bitwise.
+
+hessian_operator gives exact Hessian-vector products of the mean loss at
+one weight vector: it runs the forward and backward pass once and each
+product then costs one R-forward and one R-backward pass (Pearlmutter
+1994), with no finite-difference step. hessian_vector_product is a single
+product through it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
 )
-from .numerics import RngStream, default_fd_step
+from .numerics import RngStream
 
 
 @dataclass(frozen=True)
@@ -215,11 +221,14 @@ def _output_grad(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Gradient of each sample's loss with respect to its outputs, (n, output_dim)."""
     if spec.loss == "squared":
         return out - t[:, None]
-    m = np.max(out, axis=1, keepdims=True)
-    e = np.exp(out - m)
-    delta = e / np.sum(e, axis=1, keepdims=True)
+    delta = _softmax(out)
     delta[np.arange(out.shape[0]), t] -= 1.0
     return delta
+
+
+def _softmax(out: np.ndarray) -> np.ndarray:
+    e = np.exp(out - np.max(out, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
@@ -335,23 +344,82 @@ def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
     return float(np.mean(_losses(spec, out, t))), grad, sq_norms
 
 
-def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,
-                           v: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference HVP of the mean loss: exact for the linear model.
+def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
+    """Exact Hessian-vector products of the mean loss at w, as apply(v).
 
-    The two mean gradients come from loss_grad_stats, so no (n, P)
-    per-sample matrix is formed.
+    The forward and backward pass at w run once, here; a non-finite forward
+    value raises NumericDomainError. Each apply(v) then runs only
+    Pearlmutter's R-forward and R-backward passes, the directional
+    derivatives R{.} = d/dr (.)(w + r v) at r = 0 of the forward values and
+    the mean gradient. The linear model's Hessian is X'X/n, so its product
+    is X'(Xv)/n.
     """
-    v = np.asarray(v, dtype=np.float64)
-    norm_v = float(np.linalg.norm(v))
-    if norm_v == 0.0:
-        raise InvalidArgumentError("HVP direction must be nonzero")
-    if h is None:
-        h = default_fd_step(w)
-    unit = v / norm_v
-    _, gp, _ = loss_grad_stats(spec, w + h * unit, data)
-    _, gm, _ = loss_grad_stats(spec, w - h * unit, data)
-    return (gp - gm) / (2.0 * h) * norm_v
+    w, X = _check_inputs(spec, w, data.features)
+    t = _targets(spec, data.labels)
+    out, hs = _forward(spec, w, X)
+    _check_finite(out)
+    n, P = X.shape[0], w.size
+
+    def direction(v):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (P,):
+            raise DimensionMismatchError(f"HVP direction shape {v.shape}, expected ({P},)")
+        return v
+
+    if spec.kind == "linear":
+        return lambda v: ((X @ direction(v)) @ X) / n
+
+    layers = unflatten(spec, w)
+    last = len(layers) - 1
+    # tanh' at each hidden activation h_l (hs[0] is the input)
+    dts = [None] + [1.0 - h * h for h in hs[1:]]
+    if spec.loss == "cross_entropy":
+        probs = _softmax(out)
+    # The backward pass at w, keeping each layer's output gradient g_l and,
+    # for tanh'', curv_l = -2 h_l * (g_l W_l).
+    gs, curvs = [None] * len(layers), [None] * len(layers)
+    g = _output_grad(spec, out, t)
+    for l in range(last, -1, -1):
+        gs[l] = g
+        if l > 0:
+            gw = g @ layers[l][0]
+            curvs[l] = -2.0 * hs[l] * gw
+            g = gw * dts[l]
+
+    def apply(v):
+        dirs = unflatten(spec, direction(v))
+        # R-forward: R{z_l} = R{h_l} W_l' + h_l V_l' + c_l, R{h_l+1} = tanh' R{z_l}
+        rhs = [None] * len(layers)
+        for l, ((mat, _bias), (V, c)) in enumerate(zip(layers, dirs)):
+            rz = hs[l] @ V.T + c
+            if l > 0:
+                rz += rhs[l] @ mat.T
+            if l < last:
+                rhs[l + 1] = dts[l + 1] * rz
+        # R{output gradient}: the loss's Hessian in the outputs times R{z}
+        if spec.loss == "squared":
+            rg = rz
+        else:
+            rg = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True))
+        # R-backward, the mean-gradient pass of _mean_grad differentiated
+        hv = [None] * len(layers)
+        for l in range(last, -1, -1):
+            rw = rg.T @ hs[l]
+            if l > 0:
+                rw += gs[l].T @ rhs[l]
+            hv[l] = np.concatenate([rw.ravel(), np.sum(rg, axis=0)]) / n
+            if l > 0:
+                rg = ((rg @ layers[l][0] + gs[l] @ dirs[l][0]) * dts[l]
+                      + curvs[l] * rhs[l])
+        return np.concatenate(hv)
+
+    return apply
+
+
+def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,
+                           v: np.ndarray) -> np.ndarray:
+    """One exact Hessian-vector product: hessian_operator(spec, w, data)(v)."""
+    return hessian_operator(spec, w, data)(v)
 
 
 def model_tag(spec: ModelSpec) -> str:

@@ -1,9 +1,14 @@
-"""Deterministic RNG streams, power iteration, and finite-difference oracles.
+"""Deterministic RNG streams, the Lanczos eigen-solver, and finite differences.
 
 Randomness throughout the package flows through RngStream, a thin wrapper
 over numpy's Philox counter-based generator keyed by (master_seed,
 stream_id). Distinct stream ids give independent substreams, so estimators
 and samplers can be seeded separately and stay bit-reproducible.
+
+power_iteration_top_eig is a Lanczos solve for the top algebraic eigenvalue
+of a symmetric operator, such as models.hessian_operator; it stops on its
+Ritz residual. central_diff_gradient is the finite-difference oracle that
+the tests check analytic gradients against.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ STREAM_SUBSET_GAMMA = 8
 STREAM_MOMENT = 9
 STREAM_TRACE_SUBSAMPLE = 10
 STREAM_POWER_ITER = 11
+
+# A Lanczos residual this small relative to the operator's scale is a Krylov
+# breakdown: the basis spans an invariant subspace.
+BREAKDOWN = 1e-12
 
 
 @dataclass
@@ -58,13 +67,6 @@ def rademacher_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.int64)
 
 
-def default_fd_step(w: np.ndarray) -> float:
-    """Finite-difference step scaled to the parameter magnitude."""
-    w = np.asarray(w, dtype=np.float64)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return 1e-4 * max(1.0, scale)
-
-
 def central_diff_gradient(f, w: np.ndarray, h: float) -> np.ndarray:
     """Coordinate-wise centered difference (f(w+h e_i) - f(w-h e_i)) / 2h."""
     if not h > 0:
@@ -87,44 +89,43 @@ def central_diff_gradient(f, w: np.ndarray, h: float) -> np.ndarray:
 
 def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9,
                             rng: RngStream | None = None):
-    """Dominant eigenvalue and unit eigenvector of a symmetric operator.
+    """Top algebraic eigenvalue and a unit Ritz vector of a symmetric operator.
 
-    `apply` maps a length-dim vector to a length-dim vector. Iterates until
-    the Rayleigh quotient moves by at most tol or `iters` are exhausted. If
-    the iterate collapses to (numerically) zero the starting direction was
-    degenerate and we restart from a fresh random vector; after a few
-    restarts the operator is treated as zero.
+    Lanczos with full reorthogonalization: `apply` maps a length-dim vector
+    to a length-dim vector and is called once per step. After each step the
+    tridiagonal matrix T is solved with eigh, and the solve stops when the
+    top Ritz pair's residual ||A x - theta x|| = beta_k |s_k| is at most tol,
+    at a Krylov breakdown (an invariant subspace: the result is exact), or
+    after `iters` applies. A non-finite product raises NumericDomainError.
+    The start vector is a seeded Gaussian draw, so the solve is
+    deterministic. The name is kept from the power iteration it replaced.
     """
     if dim < 1:
         raise InvalidArgumentError(f"operator dimension must be >= 1, got {dim}")
     if rng is None:
         rng = RngStream(0x9E3779B9, STREAM_POWER_ITER)
-    gen = rng.generator()
-
-    for _restart in range(4):
-        v = gen.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lam_prev = np.inf
-        collapsed = False
-        for _ in range(iters):
-            av = np.asarray(apply(v), dtype=np.float64)
-            if av.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"operator returned shape {av.shape}, expected ({dim},)"
-                )
-            norm_av = np.linalg.norm(av)
-            if norm_av <= 1e-300:
-                collapsed = True
-                break
-            lam = float(v @ av)  # Rayleigh quotient, |v| = 1
-            v = av / norm_av
-            if abs(lam - lam_prev) <= tol:
-                return lam, v
-            lam_prev = lam
-        if not collapsed:
-            lam = float(v @ np.asarray(apply(v), dtype=np.float64))
-            return lam, v
-    # Every restart collapsed: the operator annihilates random vectors.
-    v = np.zeros(dim)
-    v[0] = 1.0
-    return 0.0, v
+    steps = min(iters, dim)
+    basis = np.empty((steps, dim))
+    tri = np.zeros((steps, steps))  # the Lanczos tridiagonal T
+    q = rng.generator().standard_normal(dim)
+    basis[0] = q / np.linalg.norm(q)
+    scale = 0.0  # largest ||A q_k||, a lower bound on ||A||
+    for k in range(steps):
+        aq = np.array(apply(basis[k]), dtype=np.float64)  # a copy: updated below
+        if aq.shape != (dim,):
+            raise DimensionMismatchError(
+                f"operator returned shape {aq.shape}, expected ({dim},)"
+            )
+        if not np.all(np.isfinite(aq)):
+            raise NumericDomainError(f"non-finite operator product at Lanczos step {k}")
+        scale = max(scale, float(np.linalg.norm(aq)))
+        tri[k, k] = basis[k] @ aq
+        for _ in range(2):  # Gram-Schmidt against the whole basis, twice
+            aq -= (basis[:k + 1] @ aq) @ basis[:k + 1]
+        beta = float(np.linalg.norm(aq))
+        thetas, s = np.linalg.eigh(tri[:k + 1, :k + 1])
+        if beta * abs(s[-1, -1]) <= tol or beta <= BREAKDOWN * scale or k == steps - 1:
+            x = s[:, -1] @ basis[:k + 1]
+            return float(thetas[-1]), x / np.linalg.norm(x)
+        basis[k + 1] = aq / beta
+        tri[k, k + 1] = tri[k + 1, k] = beta

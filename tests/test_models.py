@@ -19,6 +19,7 @@ from trajbound.models import (
     grad_mean,
     grad_mean_xy,
     grad_per_sample,
+    hessian_operator,
     hessian_vector_product,
     init_params,
     linear_spec,
@@ -33,7 +34,7 @@ from trajbound.models import (
     save_param_vector,
     unflatten,
 )
-from trajbound.numerics import RngStream, central_diff_gradient
+from trajbound.numerics import RngStream, central_diff_gradient, power_iteration_top_eig
 
 
 def random_case(gen, kind):
@@ -284,6 +285,17 @@ def test_singleton_batch_row_is_bitwise_identical():
             assert np.array_equal(G[i], gi)
 
 
+def dense_fd_hessian(spec, w, data, h=1e-5):
+    # column j is the central difference of the oracle mean gradient along e_j
+    P = w.size
+    dense = np.empty((P, P))
+    for j in range(P):
+        e = np.zeros(P)
+        e[j] = h
+        dense[:, j] = (grad_mean(spec, w + e, data)[1] - grad_mean(spec, w - e, data)[1]) / (2 * h)
+    return dense
+
+
 def test_hvp_linear_is_exact_covariance_product():
     gen = np.random.default_rng(10)
     X = gen.standard_normal((6, 4))
@@ -315,25 +327,90 @@ def test_hvp_mlp_matches_dense_fd_hessian():
     spec = mlp_spec(2, (3,))
     data = Dataset(gen.standard_normal((5, 2)), gen.standard_normal(5))
     w = gen.standard_normal(param_count(spec)) * 0.3
-    P = w.size
-    dense = np.zeros((P, P))
-    h = 1e-4
-    for j in range(P):
-        e = np.zeros(P)
-        e[j] = 1.0
-        _, gp = grad_mean(spec, w + h * e, data)
-        _, gm = grad_mean(spec, w - h * e, data)
-        dense[:, j] = (gp - gm) / (2 * h)
-    v = gen.standard_normal(P)
+    dense = dense_fd_hessian(spec, w, data, h=1e-4)
+    v = gen.standard_normal(w.size)
     hv = hessian_vector_product(spec, w, data, v)
     assert np.linalg.norm(hv - dense @ v) < 1e-4 * max(1.0, np.linalg.norm(dense @ v))
 
 
-def test_hvp_rejects_zero_direction():
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_hessian_operator_matches_a_dense_fd_hessian(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)) + 2)
+    for _ in range(20):
+        spec, w, data = random_case(gen, kind)
+        hess = hessian_operator(spec, w, data)
+        exact = np.stack([hess(e) for e in np.eye(w.size)], axis=1)
+        dense = dense_fd_hessian(spec, w, data)
+        # the differences carry O(h^2) truncation and O(eps / h) roundoff
+        assert np.max(np.abs(exact - dense)) <= 1e-8 * max(1.0, np.max(np.abs(dense)))
+
+
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_hessian_operator_matches_a_directional_difference_on_any_shape(
+        n, d, hidden, classes, seed):
+    spec, w, data = random_shape_case(n, d, hidden, classes, seed)
+    v = np.random.default_rng(seed + 1).standard_normal(w.size)
+    v /= np.linalg.norm(v)
+    h = 1e-5
+    fd = (grad_mean(spec, w + h * v, data)[1] - grad_mean(spec, w - h * v, data)[1]) / (2 * h)
+    hv = hessian_operator(spec, w, data)(v)
+    assert np.linalg.norm(hv - fd) <= 1e-7 * max(1.0, float(np.linalg.norm(hv)))
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_hessian_operator_is_symmetric(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)) + 3)
+    for _ in range(20):
+        spec, w, data = random_case(gen, kind)
+        hess = hessian_operator(spec, w, data)
+        u, v = gen.standard_normal((2, w.size))
+        hu, hv = hess(u), hess(v)
+        scale = np.linalg.norm(u) * np.linalg.norm(hv) + np.linalg.norm(v) * np.linalg.norm(hu)
+        assert abs(float(u @ hv) - float(v @ hu)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_hvp_is_bitwise_one_apply_of_the_operator(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)) + 4)
+    spec, w, data = random_case(gen, kind)
+    v = gen.standard_normal(w.size)
+    assert np.array_equal(hessian_vector_product(spec, w, data, v),
+                          hessian_operator(spec, w, data)(v))
+
+
+def test_hvp_rejects_a_misshapen_direction():
+    # the product is linear in the direction, so zero maps to zero
     spec = linear_spec(2)
     data = Dataset(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(InvalidArgumentError):
-        hessian_vector_product(spec, np.zeros(2), data, np.zeros(2))
+    assert np.array_equal(hessian_vector_product(spec, np.zeros(2), data, np.zeros(2)),
+                          np.zeros(2))
+    with pytest.raises(DimensionMismatchError):
+        hessian_vector_product(spec, np.zeros(2), data, np.zeros(3))
+
+
+@pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
+def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
+    w = np.full(param_count(spec), 1e308)
+    with pytest.raises(NumericDomainError):
+        hessian_operator(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_hessian_solve_rejects_a_non_finite_product(kind):
+    # the forward pass at w is finite (the inputs are 1e200, the first
+    # layer's weights 0 or 1e-200), but a product overflows: the solver
+    # raises instead of returning a NaN eigenvalue
+    data = Dataset(np.full((3, 2), 1e200), np.zeros(3))
+    if kind == "linear":
+        spec, w = linear_spec(2), np.zeros(2)
+    else:
+        spec = mlp_spec(2, (2,))
+        w = np.ones(param_count(spec))
+        w[:4] = 1e-200
+    hess = hessian_operator(spec, w, data)
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
+        power_iteration_top_eig(hess, dim=w.size)
 
 
 def test_model_tag():

@@ -1,4 +1,4 @@
-"""RNG streams, finite differences, and power iteration."""
+"""RNG streams, finite differences, and the Lanczos top-eigenvalue solve."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from trajbound.errors import (
 from trajbound.numerics import (
     RngStream,
     central_diff_gradient,
-    default_fd_step,
     power_iteration_top_eig,
     rademacher_matrix,
 )
@@ -54,12 +53,6 @@ def test_rademacher_rejects_nonpositive_counts(n):
         rademacher_matrix(RngStream(0, 0), n, 4)
 
 
-def test_default_fd_step_scales_with_magnitude():
-    assert default_fd_step(np.zeros(3)) == pytest.approx(1e-4)
-    assert default_fd_step(np.array([0.5, -0.2])) == pytest.approx(1e-4)
-    assert default_fd_step(np.array([200.0, 1.0])) == pytest.approx(2e-2)
-
-
 def test_central_diff_matches_analytic_gradient_of_quartic():
     # f(w) = sum w_i^4 has gradient 4 w^3; centered differences are O(h^2)
     w = np.array([0.3, -1.2, 0.7])
@@ -83,25 +76,60 @@ def test_central_diff_rejects_bad_step_and_nonfinite_values():
         central_diff_gradient(lambda v: float("nan"), w, h=1e-4)
 
 
+def counted(A):
+    calls = [0]
+
+    def apply(x):
+        calls[0] += 1
+        return A @ x
+
+    return apply, calls
+
+
 def test_power_iteration_matches_dense_eigensolver():
+    # random symmetric matrices are indefinite: the solve returns the top
+    # algebraic eigenvalue, whatever the sign of the largest-magnitude one
     gen = np.random.default_rng(0)
-    for _ in range(10):
-        d = int(gen.integers(2, 9))
+    for _ in range(20):
+        d = int(gen.integers(2, 40))
         M = gen.standard_normal((d, d))
         A = M + M.T
         lam, v = power_iteration_top_eig(lambda x: A @ x, dim=d, iters=5000,
-                                         tol=1e-13)
-        dense = np.linalg.eigvalsh(A)
-        top = dense[np.argmax(np.abs(dense))]
-        assert lam == pytest.approx(top, rel=1e-6)
+                                         tol=1e-10)
+        assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-9)
         # v is a unit eigenvector for lam
-        assert np.linalg.norm(A @ v - lam * v) < 1e-4 * max(1.0, abs(lam))
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(A @ v - lam * v) <= 1e-6 * max(1.0, abs(lam))
 
 
-def test_power_iteration_sign_of_dominant_eigenvalue():
+def test_power_iteration_returns_the_top_algebraic_eigenvalue():
     A = np.diag([-5.0, 2.0, 1.0])
-    lam, _ = power_iteration_top_eig(lambda x: A @ x, dim=3, iters=2000, tol=1e-13)
-    assert lam == pytest.approx(-5.0, rel=1e-6)
+    lam, v = power_iteration_top_eig(lambda x: A @ x, dim=3)
+    assert lam == pytest.approx(2.0, rel=1e-12)
+    assert abs(v[1]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_power_iteration_stops_exactly_at_a_krylov_breakdown():
+    # tol = 0 leaves only the breakdown (or the iteration cap) to stop it
+    gen = np.random.default_rng(1)
+    apply, calls = counted(np.eye(6))
+    lam, _ = power_iteration_top_eig(apply, dim=6, tol=0.0)
+    assert lam == pytest.approx(1.0, rel=1e-15)
+    assert calls[0] == 1
+    u = gen.standard_normal(6)
+    apply, calls = counted(np.outer(u, u))
+    lam, v = power_iteration_top_eig(apply, dim=6, tol=0.0)
+    assert lam == pytest.approx(float(u @ u), rel=1e-14)
+    assert abs(v @ u) == pytest.approx(np.linalg.norm(u), rel=1e-14)
+    assert calls[0] <= 2
+
+
+def test_power_iteration_stops_after_iters_applies():
+    gen = np.random.default_rng(2)
+    M = gen.standard_normal((30, 30))
+    apply, calls = counted(M + M.T)
+    power_iteration_top_eig(apply, dim=30, iters=4, tol=0.0)
+    assert calls[0] == 4
 
 
 def test_power_iteration_zero_operator_returns_zero():
@@ -117,9 +145,16 @@ def test_power_iteration_checks_operator_shape():
         power_iteration_top_eig(lambda x: x, dim=0)
 
 
+def test_power_iteration_rejects_a_non_finite_product():
+    with pytest.raises(NumericDomainError):
+        power_iteration_top_eig(lambda x: x * np.nan, dim=3)
+
+
 def test_power_iteration_is_deterministic_by_default():
-    A = np.array([[3.0, 1.0], [1.0, 2.0]])
-    r1 = power_iteration_top_eig(lambda x: A @ x, dim=2)
-    r2 = power_iteration_top_eig(lambda x: A @ x, dim=2)
+    gen = np.random.default_rng(3)
+    M = gen.standard_normal((25, 25))
+    A = M + M.T
+    r1 = power_iteration_top_eig(lambda x: A @ x, dim=25)
+    r2 = power_iteration_top_eig(lambda x: A @ x, dim=25)
     assert r1[0] == r2[0]
     assert np.array_equal(r1[1], r2[1])
