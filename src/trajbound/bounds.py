@@ -35,7 +35,7 @@ from .errors import (
 )
 from .models import ModelSpec, hessian_operator, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
-from .optim import Schedule, StepRecord
+from .optim import Schedule, StepRecord, draw_batches
 from .trajectory import (
     SubsetEstimatorConfig,
     TrajectorySnapshot,
@@ -123,7 +123,11 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     Per-sample gradients are computed once per snapshot and shared by the
     L, V, subset-amplification, and batch-moment estimators; the V and
     gamma' sign matrices are drawn once and reused at every snapshot
-    (trajectory._sign_rows is cached). The smoothness constant is
+    (trajectory._sign_rows is cached). The batch moments average
+    k_batches size-b subsets per snapshot, drawn for all snapshots at once
+    by optim.draw_batches on the STREAM_MOMENT stream, the same helper the
+    training loop draws its batches with; at b = 1 each draw is a lookup
+    into the per-sample squared norms. The smoothness constant is
     top_hessian_eig at up to beta_snapshots evenly spaced weights, floored
     at 0.
     """
@@ -146,8 +150,9 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     if not records:
         flags.append("no-steps: eta_m and batch size defaulted")
 
-    exact_batches = b == n
-    moment_rng = RngStream(cfg.seed, STREAM_MOMENT)
+    exact_batches = b == n  # draw_batches then consumes nothing
+    moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b,
+                              len(weights) * k_batches)
     l_hat = 0.0
     v_m = 0.0
     inner_subset = 0.0
@@ -155,7 +160,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     m2 = 0.0
     m4 = 0.0
     trivial_v = False
-    for w, snap in zip(weights, snapshots):
+    for i, (w, snap) in enumerate(zip(weights, snapshots)):
         G = per_sample_grads(spec, w, S)  # (n, P)
         g = np.mean(G, axis=0)
         gnorm = float(np.linalg.norm(g))
@@ -178,12 +183,13 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
             m2 = max(m2, gnorm * gnorm)
             m4 = max(m4, gnorm ** 4)
         else:
-            gen = moment_rng.generator()
-            sq = np.empty(k_batches)
-            for j in range(k_batches):
-                idx = np.sort(gen.choice(n, size=b, replace=False))
-                gb = np.mean(G[idx], axis=0)
-                sq[j] = float(gb @ gb)
+            idx = moment_idx[i * k_batches:(i + 1) * k_batches]
+            if b == 1:
+                # ||g_i||^2 per row; the batched matmul is bitwise gb @ gb
+                sq = (G[:, None, :] @ G[:, :, None]).ravel()[idx[:, 0]]
+            else:
+                means = [np.mean(G[rows], axis=0) for rows in idx]
+                sq = np.array([gb @ gb for gb in means])
             m2 = max(m2, float(np.mean(sq)))
             m4 = max(m4, float(np.mean(sq * sq)))
     if trivial_v:

@@ -37,7 +37,7 @@ from .data import (
     split_train_holdout,
     write_csv,
 )
-from .errors import DivergedError
+from .errors import DivergedError, NumericDomainError
 from .models import (
     ModelSpec,
     hessian_operator,
@@ -296,8 +296,11 @@ SWEEP_COLUMNS = ("sweep_param", "value", "seed", "gen_error", "C_final",
 def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Grid x seeds sweep recording generalization gap and final complexity.
 
-    A diverging cell becomes a row with diverged=1 and empty metrics; it is
-    excluded from the seed-mean rows and does not abort the sweep.
+    A cell that fails numerically becomes a row with diverged=1 and empty
+    metrics; it is excluded from the seed-mean rows and does not abort the
+    sweep. A divergence reports its step in stopped_at; a NumericDomainError
+    (a non-finite pass or a negative trace) reports the last recorded
+    snapshot step.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -307,17 +310,22 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     for v in cfg.sweep_values:
         cells = []
         for s in cfg.seeds:
-            parts = assemble_run(
-                cfg, s,
-                eta0_override=v if param == "lr" else None,
-                flip_override=v if param == "noise" else None,
-            )
-            rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+            rec = None
             try:
+                parts = assemble_run(
+                    cfg, s,
+                    eta0_override=v if param == "lr" else None,
+                    flip_override=v if param == "noise" else None,
+                )
+                rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
                 res = train(parts.spec, parts.w0, parts.S, parts.S_prime,
                             parts.ocfg, rec)
             except DivergedError as exc:
                 rows.append([param, v, s, None, None, exc.t, 1])
+                continue
+            except NumericDomainError:
+                last_t = rec.snapshots[-1].t if rec and rec.snapshots else 0
+                rows.append([param, v, s, None, None, last_t, 1])
                 continue
             last = rec.snapshots[-1]
             gen = last.F_Sprime - last.F_S

@@ -5,6 +5,15 @@ full dataset every step; SGD draws an independent uniform size-b subset per
 step by default (the covariance identity the trajectory statistics rely on
 is derived for that scheme). An epoch-permutation sampling mode exists for
 the epoch-level diagnostics and is flagged in run metadata by the harness.
+
+Batches are drawn by draw_batches, k steps at a time: train draws one block
+per snapshot interval and bounds.estimate_constants draws its batch-moment
+subsets through it too. Its rows equal k successive sample_batch calls and
+leave the stream where those calls would. At b = 1 that is one block
+integers draw, which consumes the Philox stream exactly like b = 1 choice
+calls on the numpy this ships with; tests/test_optim.py guards that
+equivalence, so a numpy upgrade that breaks it fails a test instead of
+silently changing every SGD output.
 """
 
 from __future__ import annotations
@@ -134,7 +143,9 @@ def sample_batch(rng: RngStream, n: int, b: int) -> np.ndarray:
     """b distinct indices, uniform over size-b subsets, ascending order.
 
     The full batch b = n short-circuits to range(n) without consuming the
-    stream, so an SGD run with b = n is bitwise identical to GD.
+    stream, so an SGD run with b = n is bitwise identical to GD. To draw
+    several steps' batches use draw_batches, whose b = 1 block draw stands
+    in for this function's choice call.
     """
     if not 1 <= b <= n:
         raise InvalidArgumentError(f"need 1 <= b <= n, got b={b}, n={n}")
@@ -142,6 +153,31 @@ def sample_batch(rng: RngStream, n: int, b: int) -> np.ndarray:
         return np.arange(n)
     idx = rng.generator().choice(n, size=b, replace=False)
     return np.sort(idx)
+
+
+def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
+    """(k, b) index rows: row j is the j-th of k successive sample_batch calls.
+
+    The stream is left in the state those calls would leave it. b = n gives
+    read-only range(n) rows and consumes nothing. b = 1 is one block
+    integers(0, n) draw: for n <= 2**32, Generator.choice(n, size=1,
+    replace=False) takes one bounded 32-bit draw per call, as integers does
+    per element, so the two consume the Philox stream identically (a numpy
+    equivalence that tests/test_optim.py guards). Any other b calls
+    sample_batch once per row.
+    """
+    if not 1 <= b <= n:
+        raise InvalidArgumentError(f"need 1 <= b <= n, got b={b}, n={n}")
+    if k < 0:
+        raise InvalidArgumentError(f"need k >= 0 batches, got {k}")
+    if b == n:
+        return np.broadcast_to(np.arange(n), (k, n))
+    if b == 1:
+        return rng.generator().integers(0, n, size=(k, 1))
+    rows = np.empty((k, b), dtype=np.int64)
+    for j in range(k):
+        rows[j] = sample_batch(rng, n, b)
+    return rows
 
 
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
@@ -159,7 +195,7 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
     eta = lr_at(cfg.schedule, t)
     w_next = w - eta * grad_mean_xy(spec, w, data.features[batch_indices],
                                      data.labels[batch_indices])
-    norm_next = float(np.linalg.norm(w_next))
+    norm_next = math.sqrt(w_next @ w_next)  # np.linalg.norm's own formula
     if not norm_next <= PARAM_NORM_CAP:
         raise DivergedError(t, norm_next)
     return w_next, StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
@@ -178,7 +214,9 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
     The recorder is called as recorder(t, epoch, eta_t, w) at step 0, every
     snapshot_every-th step, and the final step; it returns the snapshot it
     recorded. The early-stop rule is evaluated at snapshot steps, where F_S
-    is already being computed.
+    is already being computed. With iid sampling each snapshot interval's
+    batches are drawn as one draw_batches block; a run stops only at a
+    snapshot step, so every drawn row is used.
     """
     if recorder is None:
         from .trajectory import TrajectoryRecorder
@@ -207,7 +245,10 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
                 pending = _permute_batches(rng.generator(), S.n, b)
             batch = pending.pop(0)
         else:
-            batch = None
+            if t % cfg.snapshot_every == 0:
+                block = draw_batches(rng, S.n, b,
+                                     min(cfg.snapshot_every, cfg.max_steps - t))
+            batch = block[t % cfg.snapshot_every]
         w, rec = step(spec, w, S, cfg, t, rng, batch_indices=batch)
         records.append(rec)
         done = t + 1 == cfg.max_steps

@@ -25,7 +25,7 @@ from trajbound.data import ToyConfig, generate_toy
 from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
 from trajbound.experiments import assemble_run
 from trajbound.models import init_params, linear_spec, mlp_spec, per_sample_grads
-from trajbound.numerics import RngStream
+from trajbound.numerics import STREAM_MOMENT, RngStream
 from trajbound.optim import OptimConfig, Schedule, StepRecord, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
@@ -58,9 +58,9 @@ def records(etas):
             for t, e in enumerate(etas)]
 
 
-def small_run(seed=0, steps=30, mode="sgd", batch=4):
+def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
     S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=seed))
-    spec = mlp_spec(3, (4,))
+    spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     w0 = init_params(spec, RngStream(seed, 5))
     est = SubsetEstimatorConfig(k_samples=64, seed=seed)
     rec = TrajectoryRecorder(spec, S, Sp, est)
@@ -112,6 +112,29 @@ def test_estimate_constants_minibatch_moments_are_consistent():
     again = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
                                S, Sp, est, k_batches=32)
     assert c.M2_sq == again.M2_sq and c.M4_fourth == again.M4_fourth
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
+    # the b = 1 lookup into per-sample squared norms must reproduce the
+    # per-draw choice + sort + mean + dot loop bit for bit
+    spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=1, steps=15,
+                                           kind=kind)
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+                           S, Sp, est, k_batches=32)
+    gen = RngStream(est.seed, STREAM_MOMENT).generator()
+    m2 = m4 = 0.0
+    for w in rec.weights:
+        G = per_sample_grads(spec, w, S)
+        sq = np.empty(32)
+        for j in range(32):
+            idx = np.sort(gen.choice(S.n, size=1, replace=False))
+            gb = np.mean(G[idx], axis=0)
+            sq[j] = float(gb @ gb)
+        m2 = max(m2, float(np.mean(sq)))
+        m4 = max(m4, float(np.mean(sq * sq)))
+    assert c.b == 1
+    assert c.M2_sq == m2 and c.M4_fourth == m4
 
 
 def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():

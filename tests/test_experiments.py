@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from trajbound import cli
+from trajbound import cli, experiments
 from trajbound.cli import main
 from trajbound.config import default_config, parse_config, parse_config_text
 from trajbound.errors import (
@@ -214,6 +214,42 @@ def test_cmd_sweep_records_divergence_without_aborting(tmp_path):
     ok_mean = [r for r in rows
                if r["value"] == "0.05" and r["seed"] == "mean"][0]
     assert ok_mean["gen_error"] != ""
+
+
+def test_sweep_cell_numeric_domain_error_does_not_abort_the_grid(tmp_path,
+                                                                  monkeypatch):
+    built = []
+
+    class FlakyRecorder(experiments.TrajectoryRecorder):
+        # the second cell's recorder hits a numeric edge at step 8
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.flaky = len(built) == 1
+            built.append(self)
+
+        def __call__(self, t, epoch, eta_t, w):
+            if self.flaky and t == 8:
+                raise NumericDomainError("negative covariance trace")
+            return super().__call__(t, epoch, eta_t, w)
+
+    monkeypatch.setattr(experiments, "TrajectoryRecorder", FlakyRecorder)
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "sweep_noise", "optim.epochs = 3\noptim.batch_size = 4\n"
+        "optim.stop_train_loss = none\nsweep.values = 0.0,0.25\n"))
+    out = tmp_path / "out"
+    assert main(["sweep_noise", "--config", cfg, "--out", str(out),
+                 "--seeds", "0,1"]) == 0
+    _, rows = read_rows(out / "sweep.csv")
+    assert len(rows) == 2 * (2 + 1)
+    failed = [r for r in rows if r["diverged"] == "1"]
+    assert [(r["value"], r["seed"]) for r in failed] == [("0.0", "1")]
+    # empty metrics, stopped at the last snapshot the recorder completed
+    assert failed[0]["gen_error"] == "" and failed[0]["C_final"] == ""
+    assert failed[0]["stopped_at"] == "4"
+    means = {r["value"]: r for r in rows if r["seed"] == "mean"}
+    seed0 = [r for r in rows if r["value"] == "0.0" and r["seed"] == "0"][0]
+    assert means["0.0"]["gen_error"] == seed0["gen_error"]
+    assert all(r["gen_error"] != "" for r in rows if r["value"] == "0.25")
 
 
 def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):

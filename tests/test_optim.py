@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajbound import models, optim, trajectory
 from trajbound.data import Dataset, ToyConfig, generate_toy
@@ -13,6 +15,7 @@ from trajbound.numerics import STREAM_BATCH, RngStream
 from trajbound.optim import (
     OptimConfig,
     Schedule,
+    draw_batches,
     lr_at,
     resolve_batch_size,
     sample_batch,
@@ -132,6 +135,35 @@ def test_sample_batch_reaches_every_subset_eventually():
     rng = RngStream(1, STREAM_BATCH)
     seen = {tuple(sample_batch(rng, 4, 2).tolist()) for _ in range(400)}
     assert len(seen) == 6  # all C(4,2) subsets
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 2000), k=st.integers(0, 300),
+       b_rule=st.sampled_from(["1", "2", "half", "n"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_draw_batches_equals_successive_sample_batch_calls(n, k, b_rule, seed):
+    # The b = 1 block draw relies on integers(0, n) consuming the stream
+    # exactly like choice(n, size=1, replace=False); a numpy that breaks
+    # that equivalence must fail here, not silently change SGD outputs.
+    b = min(n, max(1, {"1": 1, "2": 2, "half": n // 2, "n": n}[b_rule]))
+    block_rng = RngStream(seed, STREAM_BATCH)
+    step_rng = RngStream(seed, STREAM_BATCH)
+    rows = draw_batches(block_rng, n, b, k)
+    assert rows.shape == (k, b)
+    for row in rows:
+        assert np.array_equal(row, sample_batch(step_rng, n, b))
+    assert (repr(block_rng.generator().bit_generator.state)
+            == repr(step_rng.generator().bit_generator.state))
+    after = max(1, n // 3)
+    assert np.array_equal(sample_batch(block_rng, n, after),
+                          sample_batch(step_rng, n, after))
+    assert block_rng.generator().random() == step_rng.generator().random()
+
+
+@pytest.mark.parametrize("n, b, k", [(5, 0, 1), (5, 6, 1), (5, 1, -1)])
+def test_draw_batches_rejects_bad_arguments(n, b, k):
+    with pytest.raises(InvalidArgumentError):
+        draw_batches(RngStream(0, STREAM_BATCH), n, b, k)
 
 
 # -- single step -------------------------------------------------------------
@@ -338,6 +370,34 @@ def test_early_stop_is_checked_at_snapshot_times_only():
     assert res.snapshots[-1].F_S < 1e-4
     for s in res.snapshots[:-1]:
         assert s.F_S >= 1e-4
+
+
+@pytest.mark.parametrize("stop", [1e-3, None])
+def test_batch_one_training_draws_like_per_step_sample_batch(stop):
+    # realizable labels so batch-1 SGD reaches the early-stop threshold;
+    # snapshot_every = 7 does not divide max_steps, so the last block is short
+    gen = np.random.default_rng(5)
+    X = gen.standard_normal((20, 4))
+    S = Dataset(X, X @ gen.standard_normal(4))
+    spec = linear_spec(4)
+    w0 = init_params(spec, RngStream(0, 5))
+    cfg = OptimConfig(mode="sgd", batch_size=1,
+                      schedule=Schedule("constant", eta0=0.1),
+                      max_steps=400 if stop else 53, stop_train_loss=stop,
+                      snapshot_every=7, seed=11)
+    res = train(spec, w0, S, S, cfg)
+    if stop:
+        assert 0 < res.stopped_at < cfg.max_steps
+        assert res.stopped_at % 7 == 0
+    else:
+        assert res.stopped_at == 53
+    rng = RngStream(cfg.seed, STREAM_BATCH)
+    w = w0.copy()
+    for rec in res.records:
+        assert np.array_equal(rec.batch_indices, sample_batch(rng, S.n, 1))
+        w, _ = step(spec, w, S, cfg, rec.t, RngStream(0), rec.batch_indices)
+    assert len(res.records) == res.stopped_at
+    assert np.array_equal(w, res.w_final)
 
 
 def test_max_steps_zero_records_only_the_initial_point():
