@@ -126,10 +126,10 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     (trajectory._sign_rows is cached). The batch moments average
     k_batches size-b subsets per snapshot, drawn for all snapshots at once
     by optim.draw_batches on the STREAM_MOMENT stream, the same helper the
-    training loop draws its batches with; at b = 1 each draw is a lookup
-    into the per-sample squared norms. The smoothness constant is
-    top_hessian_eig at up to beta_snapshots evenly spaced weights, floored
-    at 0.
+    training loop draws its batches with, and averaged by one batched mean
+    per snapshot; at b = n the one draw is the exact mean gradient. The
+    smoothness constant is top_hessian_eig at up to beta_snapshots evenly
+    spaced weights, floored at 0.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
@@ -150,9 +150,8 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     if not records:
         flags.append("no-steps: eta_m and batch size defaulted")
 
-    exact_batches = b == n  # draw_batches then consumes nothing
-    moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b,
-                              len(weights) * k_batches)
+    k = 1 if b == n else k_batches  # the full batch is one exact draw
+    moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
     l_hat = 0.0
     v_m = 0.0
     inner_subset = 0.0
@@ -179,19 +178,10 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
             inner_subset = max(inner_subset, subset_ratio_max(G, cfg))
             envelope = max(envelope, float(np.max(row_norms)) / gnorm)
 
-        if exact_batches:
-            m2 = max(m2, gnorm * gnorm)
-            m4 = max(m4, gnorm ** 4)
-        else:
-            idx = moment_idx[i * k_batches:(i + 1) * k_batches]
-            if b == 1:
-                # ||g_i||^2 per row; the batched matmul is bitwise gb @ gb
-                sq = (G[:, None, :] @ G[:, :, None]).ravel()[idx[:, 0]]
-            else:
-                means = [np.mean(G[rows], axis=0) for rows in idx]
-                sq = np.array([gb @ gb for gb in means])
-            m2 = max(m2, float(np.mean(sq)))
-            m4 = max(m4, float(np.mean(sq * sq)))
+        means = G[moment_idx[i * k:(i + 1) * k]].mean(axis=1)  # (k, P) batch means
+        sq = (means[:, None, :] @ means[:, :, None]).ravel()  # bitwise gb @ gb per row
+        m2 = max(m2, float(np.mean(sq)))
+        m4 = max(m4, float(np.mean(sq * sq)))
     if trivial_v:
         flags.append("trivial-bound: sign-mixed gradient mean vanished at a snapshot")
         v_m = math.inf

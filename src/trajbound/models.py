@@ -2,8 +2,13 @@
 
 Two model kinds: a bias-free linear model with squared loss, and a tanh MLP
 with squared or softmax cross-entropy loss. Parameters live in one flat
-vector, flattened layer-major with each layer's weight matrix (C order)
-followed by its bias; the linear model's vector is just the weight vector.
+vector whose layout ModelSpec fixes once: layer-major, each layer's weight
+matrix (C order) followed by its bias, with the slice bounds and shapes in
+spec.layout and the length in spec.n_params. The linear model's vector is
+just the weight vector (an empty layout, P = d). unflatten reads the layout
+into per-layer views, and _flatten, its inverse, is the only code that joins
+parameter blocks. Each kernel unflattens w once, in _forward, and its
+backward pass reuses those views.
 
 per_sample_grads and grad_mean are the reference gradients, the oracle the
 fast kernels are tested against. Their dataset-level contractions go
@@ -36,6 +41,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
+    DataParseError,
+    DataSchemaError,
     DimensionMismatchError,
     InvalidArgumentError,
     NumericDomainError,
@@ -45,7 +52,12 @@ from .numerics import RngStream
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture and loss choice; validated on construction."""
+    """Architecture and loss choice; validated on construction.
+
+    Construction also derives the parameter layout: n_params, the length P
+    of the flat vector, and layout, one (weight start, bias start, bias end,
+    weight shape) tuple per MLP layer (empty for the linear model).
+    """
 
     kind: str  # "linear" | "mlp"
     input_dim: int
@@ -81,6 +93,13 @@ class ModelSpec:
             raise InvalidArgumentError("squared loss is wired for a single output")
         if self.loss == "cross_entropy" and self.output_dim < 2:
             raise InvalidArgumentError("cross-entropy needs >= 2 output logits")
+        layout, pos = [], 0
+        for fan_in, fan_out in zip(self.layer_widths, self.layer_widths[1:]):
+            bias_at = pos + fan_out * fan_in
+            layout.append((pos, bias_at, bias_at + fan_out, (fan_out, fan_in)))
+            pos = bias_at + fan_out
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "n_params", pos if layout else self.input_dim)
 
 
 def linear_spec(input_dim: int) -> ModelSpec:
@@ -95,68 +114,68 @@ def mlp_spec(input_dim: int, hidden: tuple[int, ...], output_dim: int = 1,
 
 
 def param_count(spec: ModelSpec) -> int:
-    if spec.kind == "linear":
-        return spec.input_dim
-    w = spec.layer_widths
-    return sum(w[i + 1] * w[i] + w[i + 1] for i in range(len(w) - 1))
+    return spec.n_params
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Linear starts at zero; mlp layers draw uniform +-1/sqrt(fan_in)."""
     if spec.kind == "linear":
-        return np.zeros(spec.input_dim)
+        return np.zeros(spec.n_params)
     gen = rng.generator()
-    chunks = []
-    widths = spec.layer_widths
-    for l in range(len(widths) - 1):
-        fan_in, fan_out = widths[l], widths[l + 1]
+    layers = []
+    for *_, (fan_out, fan_in) in spec.layout:
         bound = 1.0 / np.sqrt(fan_in)
-        chunks.append(gen.uniform(-bound, bound, size=fan_out * fan_in))
-        chunks.append(gen.uniform(-bound, bound, size=fan_out))
-    return np.concatenate(chunks)
+        layers.append((gen.uniform(-bound, bound, size=(fan_out, fan_in)),
+                       gen.uniform(-bound, bound, size=fan_out)))
+    return _flatten(layers)
+
+
+def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
+    """w as a float64 array, which must have the flat shape (P,)."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (spec.n_params,):
+        raise DimensionMismatchError(
+            f"parameter vector shape {w.shape}, expected ({spec.n_params},)"
+        )
+    return w
 
 
 def unflatten(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (weight, bias) pairs (mlp only)."""
-    w = np.asarray(w, dtype=np.float64)
-    expect = param_count(spec)
-    if w.shape != (expect,):
-        raise DimensionMismatchError(f"parameter vector shape {w.shape}, expected ({expect},)")
-    layers = []
-    pos = 0
-    widths = spec.layer_widths
-    for l in range(len(widths) - 1):
-        fan_in, fan_out = widths[l], widths[l + 1]
-        mat = w[pos:pos + fan_out * fan_in].reshape(fan_out, fan_in)
-        pos += fan_out * fan_in
-        bias = w[pos:pos + fan_out]
-        pos += fan_out
-        layers.append((mat, bias))
-    return layers
+    """Per-layer (weight, bias) views of the flat vector (mlp only)."""
+    w = _check_params(spec, w)
+    return [(w[at:bias_at].reshape(shape), w[bias_at:end])
+            for at, bias_at, end, shape in spec.layout]
+
+
+def _flatten(layers) -> np.ndarray:
+    """unflatten's inverse: join (weight, bias) blocks in layout order.
+
+    Leading axes are kept, so per-sample blocks of shapes (..., out, in) and
+    (..., out) give (..., P) rows.
+    """
+    lead = layers[0][1].shape[:-1]
+    return np.concatenate([part.reshape(*lead, -1) for layer in layers for part in layer],
+                          axis=-1)
 
 
 def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = np.asarray(w, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DimensionMismatchError(
             f"features shape {X.shape} incompatible with input_dim={spec.input_dim}"
         )
-    if w.shape != (param_count(spec),):
-        raise DimensionMismatchError(
-            f"parameter vector shape {w.shape}, expected ({param_count(spec)},)"
-        )
-    return w, X
+    return _check_params(spec, w), X
 
 
 def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
-    """Batched forward pass: (outputs, input of each layer).
+    """Batched forward pass: (outputs, input of each layer, layer views).
 
-    The outputs have shape (n, output_dim) and hs[l] is layer l's input,
-    (n, width_l); the linear model is one bias-free layer whose input is X.
+    The outputs have shape (n, output_dim), hs[l] is layer l's input,
+    (n, width_l), and the views are unflatten(spec, w); the linear model is
+    one bias-free layer whose input is X, with no views.
     """
     if spec.kind == "linear":
-        return np.einsum("ni,i->n", X, w)[:, None], [X]
+        return np.einsum("ni,i->n", X, w)[:, None], [X], []
     layers = unflatten(spec, w)
     hs = [X]
     out = X
@@ -165,7 +184,7 @@ def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
         out = np.tanh(z) if l < len(layers) - 1 else z
         if l < len(layers) - 1:
             hs.append(out)
-    return out, hs
+    return out, hs, layers
 
 
 def forward_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -233,32 +252,23 @@ def _softmax(out: np.ndarray) -> np.ndarray:
 
 def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Exact gradient of each sample's loss, stacked as an (n, P) matrix."""
-    return per_sample_grads_xy(spec, w, data.features, data.labels)
-
-
-def per_sample_grads_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
-                        y: np.ndarray) -> np.ndarray:
-    w, X = _check_inputs(spec, w, X)
-    y = np.asarray(y, dtype=np.float64)
+    w, X = _check_inputs(spec, w, data.features)
+    t = _targets(spec, data.labels)
     if spec.kind == "linear":
-        resid = np.einsum("ni,i->n", X, w) - y  # (n,)
+        resid = np.einsum("ni,i->n", X, w) - t  # (n,)
         return resid[:, None] * X
 
-    out, hs = _forward(spec, w, X)
+    out, hs, layers = _forward(spec, w, X)
     _check_finite(out)
-    layers = unflatten(spec, w)
-    n = X.shape[0]
     grads = [None] * len(layers)
     # gradient wrt pre-activation of the current layer, (n, width)
-    g = _output_grad(spec, out, _targets(spec, y))
+    g = _output_grad(spec, out, t)
     for l in range(len(layers) - 1, -1, -1):
-        mat, _bias = layers[l]
         h_prev = hs[l]
-        gw = np.einsum("no,ni->noi", g, h_prev).reshape(n, -1)
-        grads[l] = np.concatenate([gw, g], axis=1)
+        grads[l] = (np.einsum("no,ni->noi", g, h_prev), g)
         if l > 0:
-            g = np.einsum("no,oi->ni", g, mat) * (1.0 - h_prev * h_prev)
-    return np.concatenate(grads, axis=1)
+            g = np.einsum("no,oi->ni", g, layers[l][0]) * (1.0 - h_prev * h_prev)
+    return _flatten(grads)
 
 
 def loss_per_sample(spec: ModelSpec, w: np.ndarray, z: tuple) -> float:
@@ -284,15 +294,16 @@ def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.
     return float(np.mean(losses)), np.mean(per_sample_grads(spec, w, data), axis=0)
 
 
-def _mean_grad(spec: ModelSpec, w: np.ndarray, hs: list[np.ndarray], g: np.ndarray,
+def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarray,
                sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Mean gradient by one backward pass from the output gradients g.
 
-    Layer l's per-sample gradient is (delta_l outer h_{l-1}, delta_l), so its
-    mean is (delta_l' h_{l-1} / n, sum delta_l / n), one matmul per layer,
-    and its squared norm is ||delta_l||^2 (||h_{l-1}||^2 + 1), which is
-    added to sq_norms when given. The linear model is one layer without a
-    bias: (r X / n, r_i^2 ||x_i||^2).
+    layers and hs are _forward's layer views and layer inputs. Layer l's
+    per-sample gradient is (delta_l outer h_{l-1}, delta_l), so its mean is
+    (delta_l' h_{l-1} / n, sum delta_l / n), one matmul per layer, and its
+    squared norm is ||delta_l||^2 (||h_{l-1}||^2 + 1), which is added to
+    sq_norms when given. The linear model is one layer without a bias:
+    (r X / n, r_i^2 ||x_i||^2).
     """
     n = g.shape[0]
     if spec.kind == "linear":
@@ -301,18 +312,16 @@ def _mean_grad(spec: ModelSpec, w: np.ndarray, hs: list[np.ndarray], g: np.ndarr
             sq_norms += resid * resid * np.einsum("ni,ni->n", X, X)
         return (resid @ X) / n
 
-    layers = unflatten(spec, w)
     grads = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
-        mat, _bias = layers[l]
         h_prev = hs[l]
-        grads[l] = np.concatenate([(g.T @ h_prev).ravel(), np.sum(g, axis=0)]) / n
+        grads[l] = (g.T @ h_prev, np.sum(g, axis=0))
         if sq_norms is not None:
             sq_norms += (np.einsum("no,no->n", g, g)
                          * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
         if l > 0:
-            g = (g @ mat) * (1.0 - h_prev * h_prev)
-    return np.concatenate(grads)
+            g = (g @ layers[l][0]) * (1.0 - h_prev * h_prev)
+    return _flatten(grads) / n
 
 
 def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
@@ -323,8 +332,8 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
     matrix and no finiteness check: the step checks the updated weights.
     """
     w, X = _check_inputs(spec, w, X)
-    out, hs = _forward(spec, w, X)
-    return _mean_grad(spec, w, hs, _output_grad(spec, out, _targets(spec, y)))
+    out, hs, layers = _forward(spec, w, X)
+    return _mean_grad(spec, layers, hs, _output_grad(spec, out, _targets(spec, y)))
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
@@ -337,10 +346,10 @@ def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
     """
     w, X = _check_inputs(spec, w, data.features)
     t = _targets(spec, data.labels)
-    out, hs = _forward(spec, w, X)
+    out, hs, layers = _forward(spec, w, X)
     _check_finite(out)
     sq_norms = np.zeros(X.shape[0])
-    grad = _mean_grad(spec, w, hs, _output_grad(spec, out, t), sq_norms)
+    grad = _mean_grad(spec, layers, hs, _output_grad(spec, out, t), sq_norms)
     return float(np.mean(_losses(spec, out, t))), grad, sq_norms
 
 
@@ -356,20 +365,12 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
     """
     w, X = _check_inputs(spec, w, data.features)
     t = _targets(spec, data.labels)
-    out, hs = _forward(spec, w, X)
+    out, hs, layers = _forward(spec, w, X)
     _check_finite(out)
-    n, P = X.shape[0], w.size
-
-    def direction(v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (P,):
-            raise DimensionMismatchError(f"HVP direction shape {v.shape}, expected ({P},)")
-        return v
-
+    n = X.shape[0]
     if spec.kind == "linear":
-        return lambda v: ((X @ direction(v)) @ X) / n
+        return lambda v: ((X @ _check_params(spec, v)) @ X) / n
 
-    layers = unflatten(spec, w)
     last = len(layers) - 1
     # tanh' at each hidden activation h_l (hs[0] is the input)
     dts = [None] + [1.0 - h * h for h in hs[1:]]
@@ -387,7 +388,7 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
             g = gw * dts[l]
 
     def apply(v):
-        dirs = unflatten(spec, direction(v))
+        dirs = unflatten(spec, v)
         # R-forward: R{z_l} = R{h_l} W_l' + h_l V_l' + c_l, R{h_l+1} = tanh' R{z_l}
         rhs = [None] * len(layers)
         for l, ((mat, _bias), (V, c)) in enumerate(zip(layers, dirs)):
@@ -407,11 +408,11 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
             rw = rg.T @ hs[l]
             if l > 0:
                 rw += gs[l].T @ rhs[l]
-            hv[l] = np.concatenate([rw.ravel(), np.sum(rg, axis=0)]) / n
+            hv[l] = (rw, np.sum(rg, axis=0))
             if l > 0:
                 rg = ((rg @ layers[l][0] + gs[l] @ dirs[l][0]) * dts[l]
                       + curvs[l] * rhs[l])
-        return np.concatenate(hv)
+        return _flatten(hv) / n
 
     return apply
 
@@ -432,29 +433,39 @@ def model_tag(spec: ModelSpec) -> str:
 
 def save_param_vector(path: str, spec: ModelSpec, w: np.ndarray) -> None:
     """One header line naming the model and P, then the flat CSV row."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (param_count(spec),):
-        raise DimensionMismatchError(
-            f"parameter vector shape {w.shape}, expected ({param_count(spec)},)"
-        )
+    w = _check_params(spec, w)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# model={model_tag(spec)} P={w.size}\n")
         fh.write(",".join(repr(float(x)) for x in w) + "\n")
 
 
 def load_param_vector(path: str, spec: ModelSpec | None = None) -> np.ndarray:
+    """The vector save_param_vector wrote; malformed files raise package errors.
+
+    A header without an integer P= raises DataSchemaError, a cell that is
+    not a number DataParseError naming its column index.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         row = fh.readline().strip()
     if not header.startswith("# model="):
         raise InvalidArgumentError(f"{path}: missing parameter-snapshot header")
-    declared = int(header.rsplit("P=", 1)[1])
-    w = np.array([float(c) for c in row.split(",")])
+    try:
+        declared = int(header.split(" P=", 1)[1])
+    except (IndexError, ValueError):
+        raise DataSchemaError(f"{path}: header {header!r} does not declare P=<count>") from None
+    cells = row.split(",")
+    w = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        try:
+            w[j] = float(cell)
+        except ValueError:
+            raise DataParseError(1, str(j), cell) from None
     if w.size != declared:
         raise DimensionMismatchError(
             f"{path}: header declares P={declared} but row has {w.size} values"
         )
-    if spec is not None and w.size != param_count(spec):
+    if spec is not None and w.size != spec.n_params:
         raise DimensionMismatchError(
             f"{path}: snapshot P={w.size} does not fit {model_tag(spec)}"
         )

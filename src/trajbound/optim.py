@@ -7,13 +7,14 @@ is derived for that scheme). An epoch-permutation sampling mode exists for
 the epoch-level diagnostics and is flagged in run metadata by the harness.
 
 Batches are drawn by draw_batches, k steps at a time: train draws one block
-per snapshot interval and bounds.estimate_constants draws its batch-moment
-subsets through it too. Its rows equal k successive sample_batch calls and
-leave the stream where those calls would. At b = 1 that is one block
-integers draw, which consumes the Philox stream exactly like b = 1 choice
-calls on the numpy this ships with; tests/test_optim.py guards that
-equivalence, so a numpy upgrade that breaks it fails a test instead of
-silently changing every SGD output.
+per snapshot interval and hands each row to step, which draws nothing
+itself; bounds.estimate_constants draws its batch-moment subsets through it
+too. Its rows equal k successive sample_batch calls and leave the stream
+where those calls would. At b = 1 that is one block integers draw, which
+consumes the Philox stream exactly like b = 1 choice calls on the numpy
+this ships with; tests/test_optim.py guards that equivalence, so a numpy
+upgrade that breaks it fails a test instead of silently changing every SGD
+output.
 """
 
 from __future__ import annotations
@@ -181,17 +182,13 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
 
 
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
-         rng: RngStream, batch_indices: np.ndarray | None = None
-         ) -> tuple[np.ndarray, StepRecord]:
-    """One update w - eta_t * grad_F_B(w); raises DivergedError on blow-up.
+         batch_indices: np.ndarray) -> tuple[np.ndarray, StepRecord]:
+    """One update w - eta_t * grad_F_B(w) over the given batch B.
 
-    The only check is the norm guard on the updated weights. A NaN or inf
-    in the gradient reaches w_next even at eta_t = 0 (0 * inf is NaN), and
-    a non-finite norm fails the comparison.
+    Raises DivergedError on blow-up. The only check is the norm guard on the
+    updated weights. A NaN or inf in the gradient reaches w_next even at
+    eta_t = 0 (0 * inf is NaN), and a non-finite norm fails the comparison.
     """
-    b = resolve_batch_size(cfg, data.n)
-    if batch_indices is None:
-        batch_indices = sample_batch(rng, data.n, b)
     eta = lr_at(cfg.schedule, t)
     w_next = w - eta * grad_mean_xy(spec, w, data.features[batch_indices],
                                      data.labels[batch_indices])
@@ -249,7 +246,7 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
                 block = draw_batches(rng, S.n, b,
                                      min(cfg.snapshot_every, cfg.max_steps - t))
             batch = block[t % cfg.snapshot_every]
-        w, rec = step(spec, w, S, cfg, t, rng, batch_indices=batch)
+        w, rec = step(spec, w, S, cfg, t, batch)
         records.append(rec)
         done = t + 1 == cfg.max_steps
         if (t + 1) % cfg.snapshot_every == 0 or done:

@@ -114,11 +114,10 @@ def test_estimate_constants_minibatch_moments_are_consistent():
     assert c.M2_sq == again.M2_sq and c.M4_fourth == again.M4_fourth
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
-def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
-    # the b = 1 lookup into per-sample squared norms must reproduce the
-    # per-draw choice + sort + mean + dot loop bit for bit
-    spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=1, steps=15,
+def assert_moments_match_the_per_draw_loop(kind, batch):
+    # the batched draws and means must reproduce the per-draw
+    # choice + sort + mean + dot loop bit for bit
+    spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=batch, steps=15,
                                            kind=kind)
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
                            S, Sp, est, k_batches=32)
@@ -128,13 +127,24 @@ def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
         G = per_sample_grads(spec, w, S)
         sq = np.empty(32)
         for j in range(32):
-            idx = np.sort(gen.choice(S.n, size=1, replace=False))
+            idx = np.sort(gen.choice(S.n, size=batch, replace=False))
             gb = np.mean(G[idx], axis=0)
             sq[j] = float(gb @ gb)
         m2 = max(m2, float(np.mean(sq)))
         m4 = max(m4, float(np.mean(sq * sq)))
-    assert c.b == 1
+    assert c.b == batch
     assert c.M2_sq == m2 and c.M4_fourth == m4
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
+    assert_moments_match_the_per_draw_loop(kind, 1)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("batch", [2, 5])
+def test_estimate_constants_minibatch_moments_match_the_per_draw_loop(kind, batch):
+    assert_moments_match_the_per_draw_loop(kind, batch)
 
 
 def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():

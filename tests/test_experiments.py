@@ -270,11 +270,12 @@ def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
     assert meta["diverged_at"] is None
 
 
-@pytest.mark.parametrize("experiment", ["toy_table", "eos"])
+@pytest.mark.parametrize("experiment", ["toy_table", "sweep_noise", "eos"])
 def test_shipped_config_matches_the_benchmark_reference(experiment, tmp_path):
     # eos reads rp/trp off the recorder's mean gradients at every step, the
     # outputs most sensitive to how the snapshot statistics are computed;
-    # toy_table's 60 000 batch-1 steps are the ones most sensitive to the step
+    # toy_table's 60 000 batch-1 steps are the ones most sensitive to the step;
+    # sweep_noise is the shipped SGD run of the MLP (b = 10, early stopping)
     root = os.path.join(os.path.dirname(__file__), "..")
     loader = importlib.util.spec_from_file_location(
         "bench_check", os.path.join(root, "bench", "check.py"))

@@ -1,5 +1,6 @@
 """Model forward/gradient/HVP correctness against independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajbound import models
 from trajbound.data import Dataset
 from trajbound.errors import (
+    DataParseError,
+    DataSchemaError,
     DimensionMismatchError,
     InvalidArgumentError,
     NumericDomainError,
 )
 from trajbound.models import (
     ModelSpec,
+    _flatten,
     forward_batch,
     grad_mean,
     grad_mean_xy,
@@ -266,6 +271,61 @@ def test_grad_mean_xy_matches_the_oracle_on_any_shape(n, d, hidden, classes, see
     assert_grad_mean_xy_matches_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
 
 
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, classes, seed):
+    spec, w, _ = random_shape_case(n, d, hidden, classes, seed)
+    widths = spec.layer_widths
+    assert spec.n_params == param_count(spec) == (
+        sum(o * i + o for i, o in zip(widths, widths[1:])) if widths else d)
+    if spec.kind == "linear":
+        assert spec.layout == () and unflatten(spec, w) == []
+        return
+    layers = unflatten(spec, w)
+    assert all(np.shares_memory(part, w) for layer in layers for part in layer)
+    assert _flatten(layers).tobytes() == w.tobytes()
+    # leading per-sample axes are kept: stacked views flatten to stacked rows
+    rows = np.random.default_rng(seed).standard_normal((n, w.size))
+    per_row = [unflatten(spec, r) for r in rows]
+    stacked = [tuple(np.stack([views[l][k] for views in per_row]) for k in (0, 1))
+               for l in range(len(layers))]
+    assert _flatten(stacked).tobytes() == rows.tobytes()
+
+
+def test_the_layout_is_derived_not_a_constructor_field():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == [
+        "kind", "input_dim", "output_dim", "layer_widths", "activation", "loss"]
+    spec = mlp_spec(3, (4,), output_dim=2, loss="cross_entropy")
+    assert spec.layout == ((0, 12, 16, (4, 3)), (16, 24, 26, (2, 4)))
+    assert dataclasses.replace(spec) == spec
+    assert dataclasses.replace(spec).layout == spec.layout
+    assert linear_spec(7).layout == () and linear_spec(7).n_params == 7
+
+
+@pytest.mark.parametrize("kind", ["mlp", "mlp2", "mlp_ce"])
+def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
+    spec, w, data = random_case(np.random.default_rng(sum(map(ord, kind))), kind)
+    calls = []
+    real = models.unflatten
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(models, "unflatten", counted)
+    grad_mean_xy(spec, w, data.features, data.labels)
+    assert len(calls) == 1
+    loss_grad_stats(spec, w, data)
+    assert len(calls) == 2
+    per_sample_grads(spec, w, data)
+    assert len(calls) == 3
+    hess = hessian_operator(spec, w, data)
+    assert len(calls) == 4 and all(u is w for u in calls)
+    v = np.ones(w.size)
+    hess(v)  # each product unflattens only its direction
+    assert len(calls) == 5 and calls[-1] is v
+
+
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
     w = np.full(param_count(spec), 1e308)
@@ -443,3 +503,18 @@ def test_param_vector_load_errors(tmp_path):
     save_param_vector(str(other), linear_spec(2), np.zeros(2))
     with pytest.raises(DimensionMismatchError):
         load_param_vector(str(other), linear_spec(3))
+
+
+@pytest.mark.parametrize("row, error", [
+    ("# model=linear:d2\n1.0,2.0\n", DataSchemaError),  # no P=
+    ("# model=linear:d2 P=x\n1.0,2.0\n", DataSchemaError),
+    ("# model=linear:d2 P=2\n1.0,abc\n", DataParseError),
+    ("# model=linear:d2 P=2\n1.0,\n", DataParseError),  # empty cell
+])
+def test_param_vector_load_raises_package_errors_on_malformed_files(tmp_path, row, error):
+    path = tmp_path / "w.csv"
+    path.write_text(row)
+    with pytest.raises(error) as exc:
+        load_param_vector(str(path))
+    if error is DataParseError:
+        assert (exc.value.row, exc.value.column) == (1, "1")

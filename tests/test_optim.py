@@ -172,7 +172,7 @@ def test_step_applies_gradient_descent_update():
     spec, w0, S, _ = toy_parts()
     cfg = OptimConfig(mode="gd", batch_size=None,
                       schedule=Schedule("constant", eta0=0.2), max_steps=1)
-    w1, rec = step(spec, w0, S, cfg, 0, RngStream(0, STREAM_BATCH))
+    w1, rec = step(spec, w0, S, cfg, 0, np.arange(S.n))
     resid = S.features @ w0 - S.labels
     grad = S.features.T @ resid / S.n
     assert np.allclose(w1, w0 - 0.2 * grad, atol=1e-12)
@@ -186,7 +186,7 @@ def test_step_diverges_past_the_norm_cap():
     cfg = OptimConfig(mode="gd", batch_size=None,
                       schedule=Schedule("constant", eta0=1e15), max_steps=1)
     with pytest.raises(DivergedError) as exc:
-        step(spec, np.array([1.0]), S, cfg, 0, RngStream(0, STREAM_BATCH))
+        step(spec, np.array([1.0]), S, cfg, 0, np.arange(S.n))
     assert exc.value.t == 0
     assert exc.value.param_norm > 1e12
 
@@ -197,7 +197,7 @@ def assert_step_diverges_at(spec, w, S, cfg, t):
     with np.errstate(all="ignore"):
         assert not np.all(np.isfinite(grad_mean_xy(spec, w, S.features, S.labels)))
         with pytest.raises(DivergedError) as exc:
-            step(spec, w, S, cfg, t, RngStream(0, STREAM_BATCH))
+            step(spec, w, S, cfg, t, np.arange(S.n))
     assert exc.value.t == t
     assert not math.isfinite(exc.value.param_norm)
 
@@ -395,7 +395,7 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
     w = w0.copy()
     for rec in res.records:
         assert np.array_equal(rec.batch_indices, sample_batch(rng, S.n, 1))
-        w, _ = step(spec, w, S, cfg, rec.t, RngStream(0), rec.batch_indices)
+        w, _ = step(spec, w, S, cfg, rec.t, rec.batch_indices)
     assert len(res.records) == res.stopped_at
     assert np.array_equal(w, res.w_final)
 
@@ -425,7 +425,7 @@ def test_train_never_forms_per_sample_gradients_or_losses(kind, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("training formed per-sample gradients or losses")
 
-    for name in ("losses_batch", "per_sample_grads", "per_sample_grads_xy"):
+    for name in ("losses_batch", "per_sample_grads"):
         for mod in (models, optim, trajectory):
             monkeypatch.setattr(mod, name, forbidden, raising=mod is models)
     cfg = OptimConfig(mode="sgd", batch_size=5,

@@ -29,7 +29,6 @@ from trajbound.models import (
     mlp_spec,
     param_count,
     per_sample_grads,
-    per_sample_grads_xy,
 )
 from trajbound.numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
 from trajbound.optim import OptimConfig, Schedule, train
@@ -450,7 +449,7 @@ def test_recorder_snapshot_fields_are_consistent():
         assert snap.gamma_tilde == pytest.approx(
             snap.grad_norm_Sprime / snap.grad_norm_S
         )
-        G = per_sample_grads_xy(spec, w, S.features, S.labels)
+        G = per_sample_grads(spec, w, S)
         assert snap.trace_sigma == pytest.approx(
             float(np.mean(np.sum(G * G, axis=1))) - float(g_s @ g_s), abs=1e-12
         )
@@ -464,7 +463,6 @@ def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
         raise AssertionError("the recorder formed the per-sample gradient matrix")
 
     monkeypatch.setattr(models, "per_sample_grads", forbidden)
-    monkeypatch.setattr(models, "per_sample_grads_xy", forbidden)
     monkeypatch.setattr(trajectory, "per_sample_grads", forbidden, raising=False)
     snaps = rec.snapshots
     again = replay_trajectory(spec, S, Sp, rec.weights, [s.t for s in snaps],
