@@ -11,17 +11,28 @@ parameter blocks. Each kernel unflattens w once, in _forward, and its
 backward pass reuses those views.
 
 per_sample_grads and grad_mean are the reference gradients, the oracle the
-fast kernels are tested against. Their dataset-level contractions go
-through np.einsum with its default non-BLAS evaluation, so row i of a
-batched computation is bitwise identical to the same computation on the
-singleton batch {z_i}. That keeps the documented identity exact: grad_mean
-is the plain arithmetic mean (numpy pairwise summation over the sample
-axis) of grad_per_sample results.
+fast kernels are tested against. per_sample_grads contracts each layer,
+forward and backward, with np.einsum in its default non-BLAS evaluation,
+so row i of a batched computation is bitwise identical to the same
+computation on the singleton batch {z_i}. That keeps the documented
+identity exact: grad_mean is the plain arithmetic mean (numpy pairwise
+summation over the sample axis) of grad_per_sample results.
+
+Every other kernel (forward_batch, losses_batch, grad_mean_xy,
+loss_grad_stats, hessian_operator) contracts each MLP layer with a BLAS
+matmul, several times faster than the einsum and equal to it to roundoff.
+losses_batch and loss_grad_stats share that forward pass, so the mean loss
+loss_grad_stats gives is bitwise the mean of losses_batch. The forward and
+backward passes add the bias, apply tanh and form tanh' in place, in their
+own (n, width) temporaries and never in the caller's arrays, because each
+fresh temporary is paid for in page faults: at the recorder's 1000-row
+holdout one is 256 KB, above glibc's mmap threshold.
 
 grad_mean_xy, the training step's kernel, gives only a batch's mean
 gradient. loss_grad_stats, behind the trajectory snapshots, also gives the
-mean loss (bitwise the mean of losses_batch) and every sample's squared
-gradient norm. Both run one forward pass and the one backward pass of
+mean loss and every sample's squared gradient norm; with norms=False it
+skips the norms, which the recorder does on the holdout S', whose norms it
+never reads. Both run one forward pass and the one backward pass of
 _mean_grad, which contracts each layer with a matmul: neither forms the
 (n, P) per-sample matrix, and their gradients agree with grad_mean to
 roundoff, not bitwise.
@@ -167,12 +178,14 @@ def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.nda
     return _check_params(spec, w), X
 
 
-def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
+def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False):
     """Batched forward pass: (outputs, input of each layer, layer views).
 
     The outputs have shape (n, output_dim), hs[l] is layer l's input,
     (n, width_l), and the views are unflatten(spec, w); the linear model is
-    one bias-free layer whose input is X, with no views.
+    one bias-free layer whose input is X, with no views. Each MLP layer is
+    a matmul, or with oracle the singleton-bitwise einsum; the bias and the
+    tanh then update that fresh product in place.
     """
     if spec.kind == "linear":
         return np.einsum("ni,i->n", X, w)[:, None], [X], []
@@ -180,9 +193,10 @@ def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
     hs = [X]
     out = X
     for l, (mat, bias) in enumerate(layers):
-        z = np.einsum("ni,oi->no", out, mat) + bias
-        out = np.tanh(z) if l < len(layers) - 1 else z
+        out = np.einsum("ni,oi->no", out, mat) if oracle else out @ mat.T
+        out += bias
         if l < len(layers) - 1:
+            np.tanh(out, out=out)
             hs.append(out)
     return out, hs, layers
 
@@ -258,7 +272,7 @@ def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarra
         resid = np.einsum("ni,i->n", X, w) - t  # (n,)
         return resid[:, None] * X
 
-    out, hs, layers = _forward(spec, w, X)
+    out, hs, layers = _forward(spec, w, X, oracle=True)
     _check_finite(out)
     grads = [None] * len(layers)
     # gradient wrt pre-activation of the current layer, (n, width)
@@ -320,7 +334,10 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
             sq_norms += (np.einsum("no,no->n", g, g)
                          * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
         if l > 0:
-            g = (g @ layers[l][0]) * (1.0 - h_prev * h_prev)
+            g = g @ layers[l][0]
+            dt = h_prev * h_prev
+            np.subtract(1.0, dt, out=dt)
+            g *= dt
     return _flatten(grads) / n
 
 
@@ -336,19 +353,21 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
     return _mean_grad(spec, layers, hs, _output_grad(spec, out, _targets(spec, y)))
 
 
-def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset
-                    ) -> tuple[float, np.ndarray, np.ndarray]:
+def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool = True
+                    ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(mean loss, mean gradient, per-sample squared gradient norms).
 
     One forward pass and the backward pass of _mean_grad over the dataset.
     The mean loss is computed exactly as losses_batch does, and a non-finite
-    forward value raises NumericDomainError.
+    forward value raises NumericDomainError. With norms=False the backward
+    pass skips the squared norms and None takes their place; the loss and
+    the gradient are bitwise those of the full call.
     """
     w, X = _check_inputs(spec, w, data.features)
     t = _targets(spec, data.labels)
     out, hs, layers = _forward(spec, w, X)
     _check_finite(out)
-    sq_norms = np.zeros(X.shape[0])
+    sq_norms = np.zeros(X.shape[0]) if norms else None
     grad = _mean_grad(spec, layers, hs, _output_grad(spec, out, t), sq_norms)
     return float(np.mean(_losses(spec, out, t))), grad, sq_norms
 
@@ -443,7 +462,7 @@ def load_param_vector(path: str, spec: ModelSpec | None = None) -> np.ndarray:
     """The vector save_param_vector wrote; malformed files raise package errors.
 
     A header without an integer P= raises DataSchemaError, a cell that is
-    not a number DataParseError naming its column index.
+    not a finite number DataParseError naming its column index.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -460,7 +479,9 @@ def load_param_vector(path: str, spec: ModelSpec | None = None) -> np.ndarray:
         try:
             w[j] = float(cell)
         except ValueError:
-            raise DataParseError(1, str(j), cell) from None
+            w[j] = np.nan
+        if not np.isfinite(w[j]):
+            raise DataParseError(1, str(j), cell)
     if w.size != declared:
         raise DimensionMismatchError(
             f"{path}: header declares P={declared} but row has {w.size} values"

@@ -5,8 +5,9 @@ full-set loss and gradient norms on the training set S and holdout S', the
 per-sample gradient covariance trace, the cumulative complexity term, the
 train/holdout gradient-norm ratio, and relative-progress diagnostics. Each
 snapshot's loss, mean gradient and per-sample squared gradient norms come
-from one models.loss_grad_stats call on S and one on S'; the recorder never
-forms the (n, P) per-sample gradient matrix. gen_decomposition splits the
+from one models.loss_grad_stats call on S, and the loss and mean gradient
+on S' from one call that skips the norms; the recorder never forms the
+(n, P) per-sample gradient matrix. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
 bounds.estimate_constants computes them, calling this module's
 per-sample-gradient kernels signed_mean_norm_stats (for V) and
@@ -425,7 +426,7 @@ class TrajectoryRecorder:
         w = np.asarray(w, dtype=np.float64).copy()
         f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
         trace = _trace_from_sq_norms(sq_norms, g_s, self.est.n_sp, self._trace_rng)
-        f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime)
+        f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime, norms=False)
         norm_s = float(np.linalg.norm(g_s))
         norm_sp = float(np.linalg.norm(g_sp))
 

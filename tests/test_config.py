@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trajbound.config import (
     EXPERIMENTS,
@@ -48,6 +50,54 @@ def test_round_trip_survives_overrides():
         seeds=(7, 8), batch_size=1, n_train=50, stop_train_loss=0.01,
         n_sp=16, subset_mode="size_uniform", output_dir="elsewhere",
     )
+    assert parse_config_text(emit_config(cfg)) == cfg
+
+
+positive = st.floats(min_value=1e-6, max_value=10.0)
+
+
+@st.composite
+def drawn_configs(draw):
+    """A preset with drawn seeds, sizes, batch size, schedule and estimator.
+
+    Only fields that the drawn shape emits are drawn: emit_config leaves the
+    rest out, so parsing refills them from the preset.
+    """
+    cfg = default_config(draw(st.sampled_from(EXPERIMENTS)))
+    horizon = draw(st.integers(0, 10_000))
+    by_epochs = draw(st.booleans())
+    fields = dict(
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))),
+        n_train=draw(st.integers(2, 500)), n_test=draw(st.integers(1, 5000)),
+        dim=draw(st.integers(1, 64)),
+        epochs=horizon if by_epochs else None, max_steps=None if by_epochs else horizon,
+        stop_train_loss=draw(st.none() | positive),
+        snapshot_every=draw(st.none() | st.integers(1, 100)),
+        sampling=draw(st.sampled_from(("iid", "permute"))),
+        k_samples=draw(st.integers(1, 4096)), n_sp=draw(st.none() | st.integers(1, 500)),
+        subset_mode=draw(st.sampled_from(("rademacher", "size_uniform"))),
+    )
+    if cfg.mode == "sgd":
+        fields["batch_size"] = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(("constant", "inverse_time", "cosine")))
+    fields["schedule_kind"] = kind
+    if kind == "inverse_time":
+        fields.update(c=draw(positive), beta=draw(st.none() | positive))
+    else:
+        fields["eta0"] = eta0 = draw(positive)
+        if kind == "cosine":
+            fields.update(eta_min=eta0 * draw(st.floats(0.0, 1.0)),
+                          t_max=draw(st.none() | st.integers(1, 10_000)))
+    return dataclasses.replace(cfg, **fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=drawn_configs())
+def test_emit_then_parse_reproduces_any_valid_config(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        assume(False)
     assert parse_config_text(emit_config(cfg)) == cfg
 
 

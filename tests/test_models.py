@@ -198,6 +198,9 @@ def assert_loss_grad_stats_match_the_oracle(spec, w, data):
     _, g_ref = grad_mean(spec, w, data)
     sq_ref = np.einsum("np,np->n", G, G)
     assert F == float(np.mean(losses_batch(spec, w, data.features, data.labels)))
+    F_only, g_only, no_norms = loss_grad_stats(spec, w, data, norms=False)
+    assert no_norms is None
+    assert F_only == F and g_only.tobytes() == g.tobytes()
     # the mean gradient's roundoff scales with its summands, the per-sample
     # gradients, not with the (possibly cancelling) mean itself
     assert np.linalg.norm(g - g_ref) <= 1e-12 * math.sqrt(float(np.mean(sq_ref)))
@@ -326,10 +329,39 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     assert len(calls) == 5 and calls[-1] is v
 
 
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_kernels_never_write_into_their_inputs(n, d, hidden, classes, seed):
+    # the MLP forward and backward passes update their temporaries in place;
+    # none of them may be the caller's weights, direction or data. A stray
+    # write into a Dataset's read-only arrays raises; the (X, y) kernels get
+    # writable copies, where it would not.
+    spec, w, data = random_shape_case(n, d, hidden, classes, seed)
+    X, y = data.features.copy(), data.labels.copy()
+    vs = np.random.default_rng(seed + 1).standard_normal((3, w.size))
+    inputs = (w, vs, X, y)
+    before = [a.copy() for a in inputs]
+    out = forward_batch(spec, w, X)
+    losses_batch(spec, w, X, y)
+    grad_mean_xy(spec, w, X, y)
+    loss_grad_stats(spec, w, data)
+    loss_grad_stats(spec, w, data, norms=False)
+    per_sample_grads(spec, w, data)
+    hess = hessian_operator(spec, w, data)
+    for v in vs:
+        hess(v)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    # the fast kernels' matmul forward agrees with the oracle's einsum
+    oracle = models._forward(spec, w, X, oracle=True)[0]
+    assert np.allclose(out, oracle, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
     w = np.full(param_count(spec), 1e308)
-    with pytest.raises(NumericDomainError):
+    # the MLP's matmul overflows to inf, which numpy reports as a warning
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         loss_grad_stats(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
 
@@ -452,7 +484,8 @@ def test_hvp_rejects_a_misshapen_direction():
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
     w = np.full(param_count(spec), 1e308)
-    with pytest.raises(NumericDomainError):
+    # the MLP's matmul overflows to inf, which numpy reports as a warning
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         hessian_operator(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
 
@@ -488,6 +521,14 @@ def test_param_vector_roundtrip(tmp_path):
     assert np.array_equal(back, w)
 
 
+def test_param_vector_load_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("# model=linear:d2 P=2\nnan,inf\n")
+    with pytest.raises(DataParseError) as exc:
+        load_param_vector(str(path))
+    assert (exc.value.row, exc.value.column, exc.value.value) == (1, "0", "nan")
+
+
 def test_param_vector_load_errors(tmp_path):
     bad = tmp_path / "noheader.csv"
     bad.write_text("1.0,2.0\n")
@@ -510,6 +551,7 @@ def test_param_vector_load_errors(tmp_path):
     ("# model=linear:d2 P=x\n1.0,2.0\n", DataSchemaError),
     ("# model=linear:d2 P=2\n1.0,abc\n", DataParseError),
     ("# model=linear:d2 P=2\n1.0,\n", DataParseError),  # empty cell
+    ("# model=linear:d2 P=2\n1.0,inf\n", DataParseError),
 ])
 def test_param_vector_load_raises_package_errors_on_malformed_files(tmp_path, row, error):
     path = tmp_path / "w.csv"

@@ -472,6 +472,26 @@ def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_recorder_computes_no_per_sample_norms_on_the_holdout(kind, monkeypatch):
+    # the recorder keeps S's per-sample norms for the trace and discards
+    # S''s, so the backward pass on S' must not compute them
+    calls = []
+    real = models._mean_grad
+
+    def spy(spec, layers, hs, g, sq_norms=None):
+        calls.append((hs[0], sq_norms))
+        return real(spec, layers, hs, g, sq_norms)
+
+    monkeypatch.setattr(models, "_mean_grad", spy)
+    _, S, Sp, rec, _ = per_step_run(kind=kind)
+    on_S = [sq for X, sq in calls if X is S.features]
+    on_Sp = [sq for X, sq in calls if X is Sp.features]
+    assert len(on_S) == len(on_Sp) == len(rec.snapshots)
+    assert all(sq is not None for sq in on_S)
+    assert all(sq is None for sq in on_Sp)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_recorder_losses_are_bitwise_the_mean_of_losses_batch(kind):
     # early stopping compares F_S to a threshold, so a last-bit change here
     # could move the step a run stops at
