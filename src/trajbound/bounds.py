@@ -35,10 +35,9 @@ from .errors import (
 )
 from .models import ModelSpec, hessian_operator, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
-from .optim import Schedule, StepRecord, draw_batches
+from .optim import Schedule, draw_batches
 from .trajectory import (
     SubsetEstimatorConfig,
-    TrajectorySnapshot,
     signed_mean_norm_stats,
     subset_ratio_max,
 )
@@ -113,23 +112,27 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
     )
 
 
-def estimate_constants(spec: ModelSpec, weights, snapshots, records,
-                       S: Dataset, S_prime: Dataset,
-                       cfg: SubsetEstimatorConfig | None = None,
-                       k_batches: int = 64, beta_snapshots: int = 16,
-                       gamma_quantile: float = 0.95) -> ConstantEstimates:
+K_BATCHES = 64
+BETA_SNAPSHOTS = 16
+GAMMA_QUANTILE = 0.95
+
+
+def estimate_constants(spec: ModelSpec, weights, snapshots, records, S: Dataset, *,
+                       cfg: SubsetEstimatorConfig | None = None) -> ConstantEstimates:
     """One pass over the snapshot weights collecting every constant.
 
-    Per-sample gradients are computed once per snapshot and shared by the
-    L, V, subset-amplification, and batch-moment estimators; the V and
-    gamma' sign matrices are drawn once and reused at every snapshot
-    (trajectory._sign_rows is cached). The batch moments average
-    k_batches size-b subsets per snapshot, drawn for all snapshots at once
-    by optim.draw_batches on the STREAM_MOMENT stream, the same helper the
+    The holdout enters only through the recorded snapshots. Per-sample
+    gradients on S are computed once per snapshot and shared by the L, V,
+    subset-amplification, and batch-moment estimators; the V and gamma'
+    sign matrices are drawn once and reused at every snapshot
+    (trajectory._sign_rows is cached). The batch moments average K_BATCHES
+    size-b subsets per snapshot, drawn for all snapshots at once by
+    optim.draw_batches on the STREAM_MOMENT stream, the same helper the
     training loop draws its batches with, and averaged by one batched mean
     per snapshot; at b = n the one draw is the exact mean gradient. The
-    smoothness constant is top_hessian_eig at up to beta_snapshots evenly
-    spaced weights, floored at 0.
+    smoothness constant is top_hessian_eig at up to BETA_SNAPSHOTS evenly
+    spaced weights, floored at 0; the tail-drift onset uses the
+    GAMMA_QUANTILE quantile of the early ratios.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
@@ -150,7 +153,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     if not records:
         flags.append("no-steps: eta_m and batch size defaulted")
 
-    k = 1 if b == n else k_batches  # the full batch is one exact draw
+    k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
     moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
     l_hat = 0.0
     v_m = 0.0
@@ -199,7 +202,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
     # of the early phase (first half of the recorded ratios).
     vals = np.array([r for _, r in ratios])
     early = vals[: max(1, len(vals) // 2)]
-    threshold = float(np.quantile(early, gamma_quantile))
+    threshold = float(np.quantile(early, GAMMA_QUANTILE))
     t0 = ratios[-1][0]
     for t, r in ratios:
         if r > threshold:
@@ -213,7 +216,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records,
             excess = snap.grad_norm_Sprime - gamma_early * snap.grad_norm_S
             zeta = max(zeta, max(0.0, excess))
 
-    count = min(beta_snapshots, len(weights))
+    count = min(BETA_SNAPSHOTS, len(weights))
     pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
     beta_hat = max(0.0, top_hessian_eig(spec, S, [weights[i] for i in pick]))
 
@@ -450,24 +453,21 @@ _USED: dict[str, tuple[str, ...]] = {
 }
 
 
-def write_bounds_csv(path: str, reports, seeds=None) -> None:
-    """One row per report; a leading seed column when seeds are given."""
+def write_bounds_csv(path: str, reports, seeds) -> None:
+    """One row per report, led by the seed of the run it came from."""
     reports = list(reports)
-    if seeds is not None:
-        seeds = list(seeds)
-        if len(seeds) != len(reports):
-            raise InvalidArgumentError(
-                f"{len(seeds)} seeds for {len(reports)} reports"
-            )
-    header = ["method", "value", "remainder_scale"]
+    seeds = list(seeds)
+    if len(seeds) != len(reports):
+        raise InvalidArgumentError(
+            f"{len(seeds)} seeds for {len(reports)} reports"
+        )
+    header = ["seed", "method", "value", "remainder_scale"]
     header += list(_CONSTANT_COLUMNS) + list(_AGGREGATE_COLUMNS)
-    if seeds is not None:
-        header = ["seed"] + header
     rows = []
-    for i, rep in enumerate(reports):
+    for seed, rep in zip(seeds, reports):
         used = _USED[rep.method]
         agg = rep.trajectory_aggregates
-        row = [rep.method, float(rep.value), rep.remainder_scale]
+        row = [int(seed), rep.method, float(rep.value), rep.remainder_scale]
         for name in _CONSTANT_COLUMNS:
             if name not in used:
                 row.append(None)
@@ -478,7 +478,5 @@ def write_bounds_csv(path: str, reports, seeds=None) -> None:
             row.append(int(val) if name in ("T0", "n", "T", "b") else float(val))
         for name in _AGGREGATE_COLUMNS:
             row.append(float(agg[name]) if name in used and name in agg else None)
-        if seeds is not None:
-            row.insert(0, int(seeds[i]))
         rows.append(row)
     write_csv(path, header, rows)

@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import EXPERIMENTS, parse_config
+from .config import EXPERIMENTS, _parse_int_list, parse_config, validate_config
 from .errors import (
     ConfigError,
     DataSchemaError,
@@ -51,6 +51,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
+        if args.out:
+            cfg = replace(cfg, output_dir=args.out)
+        if args.seeds:
+            cfg = replace(cfg, seeds=_parse_int_list("--seeds", args.seeds))
+        # the overrides bypass parse_config's checks, so validate again
+        cfg = validate_config(cfg)
     except (ConfigError, DataSchemaError) as exc:
         print(f"trajbound: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -64,18 +70,6 @@ def main(argv=None) -> int:
             f"but {args.experiment!r} was requested",
             file=sys.stderr,
         )
-        return EXIT_CONFIG
-    try:
-        if args.out:
-            cfg = replace(cfg, output_dir=args.out)
-        if args.seeds:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            if not seeds:
-                raise ValueError("no seeds")
-            cfg = replace(cfg, seeds=seeds)
-    except ValueError:
-        print(f"trajbound: --seeds: expected comma-separated integers, "
-              f"got {args.seeds!r}", file=sys.stderr)
         return EXIT_CONFIG
 
     command = COMMANDS[args.experiment]

@@ -10,7 +10,7 @@ parse(emit(cfg)) reproduces cfg exactly.
 Keys (see default_config for per-experiment defaults):
   experiment              toy_table | track | assumption | sweep_noise |
                           sweep_lr | eos
-  seeds                   comma-separated 64-bit integers
+  seeds                   comma-separated non-negative integers
   output_dir              directory for CSV/SVG/meta outputs
   dataset.kind            toy | csv
   dataset.n_train, dataset.n_test, dataset.dim        (toy)
@@ -251,6 +251,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise bad("experiment", f"unknown experiment {cfg.experiment!r}")
     if not cfg.seeds:
         raise bad("seeds", "at least one seed is required")
+    if min(cfg.seeds) < 0:
+        raise bad("seeds", f"needs non-negative values, got {min(cfg.seeds)}")
     if cfg.dataset_kind == "toy":
         if cfg.n_train < 2:
             raise bad("dataset.n_train", f"needs >= 2, got {cfg.n_train}")
@@ -410,6 +412,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_config_text(text, source=str(path))

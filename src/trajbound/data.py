@@ -146,7 +146,10 @@ def split_train_holdout(data: Dataset, holdout_fraction: float,
 def load_csv_dataset(path: str, label_column: str) -> Dataset:
     """Read a comma-separated file with a header row; one column holds labels."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise DataSchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
         try:
             header = next(reader)
         except StopIteration:

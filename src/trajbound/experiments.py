@@ -65,8 +65,6 @@ class RunParts:
     S_prime: Dataset
     w0: np.ndarray
     ocfg: OptimConfig
-    schedule: Schedule
-    steps_per_epoch: int
     batch_size: int
     est: SubsetEstimatorConfig
 
@@ -121,7 +119,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     )
     est = SubsetEstimatorConfig(k_samples=cfg.k_samples, n_sp=cfg.n_sp,
                                 seed=run_seed, subset_mode=cfg.subset_mode)
-    return RunParts(spec, S, S_prime, w0, ocfg, schedule, steps_per_epoch, b, est)
+    return RunParts(spec, S, S_prime, w0, ocfg, b, est)
 
 
 def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
@@ -163,16 +161,15 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
         parts = assemble_run(cfg, s)
         rec, res = _train_run(parts, s, "toy_table")
         consts = estimate_constants(parts.spec, rec.weights, rec.snapshots,
-                                    res.records, parts.S, parts.S_prime, parts.est)
+                                    res.records, parts.S, cfg=parts.est)
+        schedule = parts.ocfg.schedule
         r_main = bound_trajectory_main(consts, rec.snapshots)
-        r_smooth = bound_trajectory_smooth(consts, rec.snapshots,
-                                           parts.schedule.c, parts.schedule)
+        r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule.c, schedule)
         r_relaxed = bound_trajectory_relaxed(consts, rec.snapshots)
         r_hc = bound_stability_baseline("hardt_convex", consts, res.records)
         r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.records,
-                                         parts.schedule)
-        r_zh = bound_stability_baseline("zhang", consts, res.records,
-                                        parts.schedule)
+                                         schedule)
+        r_zh = bound_stability_baseline("zhang", consts, res.records, schedule)
         r_ba = bound_stability_baseline("bassily", consts, res.records)
         last = rec.snapshots[-1]
         gen = last.F_Sprime - last.F_S

@@ -16,7 +16,8 @@ forward and backward, with np.einsum in its default non-BLAS evaluation,
 so row i of a batched computation is bitwise identical to the same
 computation on the singleton batch {z_i}. That keeps the documented
 identity exact: grad_mean is the plain arithmetic mean (numpy pairwise
-summation over the sample axis) of grad_per_sample results.
+summation over the sample axis) of the rows per_sample_grads gives on
+each one-row Dataset.
 
 Every other kernel (forward_batch, losses_batch, grad_mean_xy,
 loss_grad_stats, hessian_operator) contracts each MLP layer with a BLAS
@@ -52,8 +53,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    DataParseError,
-    DataSchemaError,
     DimensionMismatchError,
     InvalidArgumentError,
     NumericDomainError,
@@ -268,15 +267,13 @@ def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarra
     """Exact gradient of each sample's loss, stacked as an (n, P) matrix."""
     w, X = _check_inputs(spec, w, data.features)
     t = _targets(spec, data.labels)
-    if spec.kind == "linear":
-        resid = np.einsum("ni,i->n", X, w) - t  # (n,)
-        return resid[:, None] * X
-
     out, hs, layers = _forward(spec, w, X, oracle=True)
     _check_finite(out)
-    grads = [None] * len(layers)
     # gradient wrt pre-activation of the current layer, (n, width)
     g = _output_grad(spec, out, t)
+    if spec.kind == "linear":
+        return g * X
+    grads = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
         h_prev = hs[l]
         grads[l] = (np.einsum("no,ni->noi", g, h_prev), g)
@@ -289,12 +286,6 @@ def loss_per_sample(spec: ModelSpec, w: np.ndarray, z: tuple) -> float:
     x, y = z
     return float(losses_batch(spec, w, np.asarray(x, dtype=np.float64)[None, :],
                               np.asarray([y]))[0])
-
-
-def grad_per_sample(spec: ModelSpec, w: np.ndarray, z: tuple) -> np.ndarray:
-    x, y = z
-    single = Dataset(np.asarray(x, dtype=np.float64)[None, :], np.asarray([y], dtype=np.float64))
-    return per_sample_grads(spec, w, single)[0]
 
 
 def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:
@@ -440,54 +431,3 @@ def hessian_vector_product(spec: ModelSpec, w: np.ndarray, data: Dataset,
                            v: np.ndarray) -> np.ndarray:
     """One exact Hessian-vector product: hessian_operator(spec, w, data)(v)."""
     return hessian_operator(spec, w, data)(v)
-
-
-def model_tag(spec: ModelSpec) -> str:
-    """Short text form used in snapshot headers and config echoes."""
-    if spec.kind == "linear":
-        return f"linear:d{spec.input_dim}"
-    widths = "-".join(str(x) for x in spec.layer_widths)
-    return f"mlp:{widths}:{spec.activation}:{spec.loss}"
-
-
-def save_param_vector(path: str, spec: ModelSpec, w: np.ndarray) -> None:
-    """One header line naming the model and P, then the flat CSV row."""
-    w = _check_params(spec, w)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# model={model_tag(spec)} P={w.size}\n")
-        fh.write(",".join(repr(float(x)) for x in w) + "\n")
-
-
-def load_param_vector(path: str, spec: ModelSpec | None = None) -> np.ndarray:
-    """The vector save_param_vector wrote; malformed files raise package errors.
-
-    A header without an integer P= raises DataSchemaError, a cell that is
-    not a finite number DataParseError naming its column index.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        row = fh.readline().strip()
-    if not header.startswith("# model="):
-        raise InvalidArgumentError(f"{path}: missing parameter-snapshot header")
-    try:
-        declared = int(header.split(" P=", 1)[1])
-    except (IndexError, ValueError):
-        raise DataSchemaError(f"{path}: header {header!r} does not declare P=<count>") from None
-    cells = row.split(",")
-    w = np.empty(len(cells))
-    for j, cell in enumerate(cells):
-        try:
-            w[j] = float(cell)
-        except ValueError:
-            w[j] = np.nan
-        if not np.isfinite(w[j]):
-            raise DataParseError(1, str(j), cell)
-    if w.size != declared:
-        raise DimensionMismatchError(
-            f"{path}: header declares P={declared} but row has {w.size} values"
-        )
-    if spec is not None and w.size != spec.n_params:
-        raise DimensionMismatchError(
-            f"{path}: snapshot P={w.size} does not fit {model_tag(spec)}"
-        )
-    return w

@@ -87,8 +87,7 @@ def central_diff_gradient(f, w: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9,
-                            rng: RngStream | None = None):
+def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9):
     """Top algebraic eigenvalue and a unit Ritz vector of a symmetric operator.
 
     Lanczos with full reorthogonalization: `apply` maps a length-dim vector
@@ -97,17 +96,15 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     top Ritz pair's residual ||A x - theta x|| = beta_k |s_k| is at most tol,
     at a Krylov breakdown (an invariant subspace: the result is exact), or
     after `iters` applies. A non-finite product raises NumericDomainError.
-    The start vector is a seeded Gaussian draw, so the solve is
-    deterministic. The name is kept from the power iteration it replaced.
+    The start vector is a Gaussian draw from one fixed stream, so the solve
+    is deterministic. The name is kept from the power iteration it replaced.
     """
     if dim < 1:
         raise InvalidArgumentError(f"operator dimension must be >= 1, got {dim}")
-    if rng is None:
-        rng = RngStream(0x9E3779B9, STREAM_POWER_ITER)
     steps = min(iters, dim)
     basis = np.empty((steps, dim))
     tri = np.zeros((steps, steps))  # the Lanczos tridiagonal T
-    q = rng.generator().standard_normal(dim)
+    q = RngStream(0x9E3779B9, STREAM_POWER_ITER).generator().standard_normal(dim)
     basis[0] = q / np.linalg.norm(q)
     scale = 0.0  # largest ||A q_k||, a lower bound on ||A||
     for k in range(steps):

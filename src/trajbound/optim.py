@@ -123,7 +123,6 @@ class TrainResult:
     w_final: np.ndarray
     snapshots: list
     records: list[StepRecord] = field(default_factory=list)
-    steps_per_epoch: int = 1
     stopped_at: int = 0  # number of update steps actually taken
 
 
@@ -233,7 +232,7 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
     w = np.asarray(w0, dtype=np.float64).copy()
     snap = record(0, w)
     if cfg.stop_train_loss is not None and snap.F_S < cfg.stop_train_loss:
-        return TrainResult(w, snapshots, records, steps_per_epoch, 0)
+        return TrainResult(w, snapshots, records, 0)
 
     pending: list[np.ndarray] = []
     for t in range(cfg.max_steps):
@@ -252,5 +251,5 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
         if (t + 1) % cfg.snapshot_every == 0 or done:
             snap = record(t + 1, w)
             if cfg.stop_train_loss is not None and snap.F_S < cfg.stop_train_loss:
-                return TrainResult(w, snapshots, records, steps_per_epoch, t + 1)
-    return TrainResult(w, snapshots, records, steps_per_epoch, len(records))
+                return TrainResult(w, snapshots, records, t + 1)
+    return TrainResult(w, snapshots, records, len(records))

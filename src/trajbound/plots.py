@@ -153,15 +153,15 @@ def _svg_for_series(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts) + "\n"
 
 
-def emit_svg_plots(csv_path: str, specs, out_dir: str | None = None) -> list[str]:
-    """Render each PlotSpec from the CSV; returns the file paths written.
+def emit_svg_plots(csv_path: str, specs) -> list[str]:
+    """Render each PlotSpec from the CSV into its directory; returns the paths.
 
     Every referenced column must exist, and every series must contribute
     at least one point, otherwise nothing is written and the offending
     column is named.
     """
     header, rows = _read_table(csv_path)
-    out_dir = out_dir or os.path.dirname(csv_path) or "."
+    out_dir = os.path.dirname(csv_path) or "."
     written = []
     for spec in specs:
         xi = _column(header, spec.x, csv_path)

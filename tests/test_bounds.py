@@ -76,7 +76,7 @@ def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
 def test_estimate_constants_on_a_full_batch_run():
     spec, S, Sp, est, rec, res = small_run(mode="gd", steps=20)
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                           S, Sp, est)
+                           S, cfg=est)
     assert c.n == S.n and c.T == 20 and c.b == S.n
     assert c.eta_m == 0.05
     assert c.gamma == max(s.gamma_tilde for s in rec.snapshots)
@@ -105,12 +105,12 @@ def test_estimate_constants_on_a_full_batch_run():
 def test_estimate_constants_minibatch_moments_are_consistent():
     spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=3, steps=15)
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                           S, Sp, est, k_batches=32)
+                           S, cfg=est)
     assert c.b == 3
     assert c.M2_sq > 0
     assert c.M4_fourth >= c.M2_sq ** 2  # second moments dominate squared means
     again = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                               S, Sp, est, k_batches=32)
+                               S, cfg=est)
     assert c.M2_sq == again.M2_sq and c.M4_fourth == again.M4_fourth
 
 
@@ -120,13 +120,13 @@ def assert_moments_match_the_per_draw_loop(kind, batch):
     spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=batch, steps=15,
                                            kind=kind)
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                           S, Sp, est, k_batches=32)
+                           S, cfg=est)
     gen = RngStream(est.seed, STREAM_MOMENT).generator()
     m2 = m4 = 0.0
     for w in rec.weights:
         G = per_sample_grads(spec, w, S)
-        sq = np.empty(32)
-        for j in range(32):
+        sq = np.empty(bounds.K_BATCHES)
+        for j in range(bounds.K_BATCHES):
             idx = np.sort(gen.choice(S.n, size=batch, replace=False))
             gb = np.mean(G[idx], axis=0)
             sq[j] = float(gb @ gb)
@@ -156,7 +156,7 @@ def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():
                       schedule=Schedule("constant", eta0=0.05), max_steps=5,
                       snapshot_every=1)
     res = train(spec, w0, S, Sp, cfg, rec)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, Sp)
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records, S)
     hess = S.features.T @ S.features / S.n
     assert c.beta_hat == pytest.approx(float(np.max(np.linalg.eigvalsh(hess))))
 
@@ -175,7 +175,7 @@ def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
     spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3)
     assert top_hessian_eig(spec, S, rec.weights) == -1.0
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                           S, Sp, est)
+                           S, cfg=est)
     assert c.beta_hat == 0.0
     cfg = dataclasses.replace(default_config("toy_table"), seeds=(0,),
                               n_train=12, n_test=12, dim=3, k_samples=32,
@@ -193,18 +193,28 @@ def test_estimate_constants_zeta_vanishes_when_holdout_is_the_train_set():
                                 [s.epoch for s in rec.snapshots],
                                 [s.eta_t for s in rec.snapshots], est)
     c = estimate_constants(spec, control.weights, control.snapshots,
-                           res.records, S, S, est)
+                           res.records, S, cfg=est)
     assert c.gamma == 1.0
     assert c.zeta == 0.0
+
+
+def test_estimate_constants_takes_the_estimator_config_by_keyword_only():
+    # the holdout argument is gone; a call still passing it must not bind
+    # the holdout to cfg
+    spec, S, Sp, est, rec, res = small_run(steps=2)
+    with pytest.raises(TypeError):
+        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, Sp, est)
+    with pytest.raises(TypeError):
+        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, est)
 
 
 def test_estimate_constants_validation():
     spec, S, Sp, est, rec, res = small_run(steps=5)
     with pytest.raises(InvalidArgumentError):
-        estimate_constants(spec, [], [], res.records, S, Sp, est)
+        estimate_constants(spec, [], [], res.records, S, cfg=est)
     with pytest.raises(InvalidArgumentError):
         estimate_constants(spec, rec.weights[:-1], rec.snapshots, res.records,
-                           S, Sp, est)
+                           S, cfg=est)
 
 
 # -- trajectory bounds ------------------------------------------------------------
@@ -376,7 +386,7 @@ def test_nonconvex_baselines_require_the_inverse_time_schedule():
 def test_reevaluate_reproduces_every_report_bitwise():
     spec, S, Sp, est, rec, res = small_run(steps=20)
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
-                           S, Sp, est)
+                           S, cfg=est)
     sched = Schedule("inverse_time", c=1.0, beta=c.beta_hat)
     reports = [
         bound_trajectory_main(c, rec.snapshots),
@@ -426,7 +436,7 @@ def test_write_bounds_csv_records_overridden_tail_constants(tmp_path):
     snapshots = [snap(0), snap(1, C_cum=0.3), snap(2, C_cum=0.4)]
     rep = bound_trajectory_relaxed(est, snapshots, T0=2, zeta=0.5)
     path = str(tmp_path / "relaxed.csv")
-    write_bounds_csv(path, [rep])
+    write_bounds_csv(path, [rep], seeds=[0])
     lines = open(path).read().splitlines()
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["T0"] == "2"       # the value the formula used, not est.T0

@@ -276,6 +276,13 @@ def test_parse_config_reads_files_and_names_them(tmp_path):
         parse_config(str(bad))
 
 
+def test_parse_config_rejects_bytes_that_are_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("experiment = eos\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.cfg: not UTF-8"):
+        parse_config(str(bad))
+
+
 def test_shipped_config_files_parse(tmp_path):
     import glob
     import os

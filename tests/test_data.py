@@ -194,6 +194,13 @@ def test_load_csv_dataset_schema_errors(tmp_path):
         load_csv_dataset(str(ragged), "y")
 
 
+def test_load_csv_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("caf\u00e9,y\n1,0\n2,1\n".encode("latin-1"))
+    with pytest.raises(DataSchemaError, match="not UTF-8"):
+        load_csv_dataset(str(p), "y")
+
+
 def test_load_csv_dataset_names_unparseable_cell(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,y\n1,0\nx7,1\n")

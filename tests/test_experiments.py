@@ -1,16 +1,21 @@
 """Experiment commands and the CLI, on deliberately tiny configurations."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajbound import cli, experiments
 from trajbound.cli import main
-from trajbound.config import default_config, parse_config, parse_config_text
+from trajbound.config import default_config, emit_config, parse_config, parse_config_text
 from trajbound.errors import (
     ConfigError,
     DataParseError,
@@ -54,11 +59,10 @@ def test_assemble_run_resolves_dataset_model_and_schedule(tmp_path):
     assert parts.S.n == 16 and parts.S_prime.n == 16
     assert parts.spec.kind == "mlp"
     assert parts.batch_size == 4
-    assert parts.steps_per_epoch == 4
     assert parts.ocfg.max_steps == 12  # 3 epochs x 4 steps
     assert parts.ocfg.snapshot_every == 4  # defaults to one epoch
-    assert parts.schedule.kind == "cosine"
-    assert parts.schedule.t_max == 12
+    assert parts.ocfg.schedule.kind == "cosine"
+    assert parts.ocfg.schedule.t_max == 12
 
     clean = assemble_run(dataclasses.replace(cfg, flip_fraction=0.0), 1)
     flipped = int(np.sum(parts.S.labels != clean.S.labels))
@@ -71,14 +75,13 @@ def test_assemble_run_gd_uses_the_full_batch(tmp_path):
     assert parts.ocfg.mode == "gd"
     assert parts.ocfg.batch_size is None
     assert parts.batch_size == 16
-    assert parts.steps_per_epoch == 1
     assert parts.ocfg.max_steps == 5
 
 
 def test_assemble_run_overrides_for_sweep_cells(tmp_path):
     cfg = tiny("sweep_lr", tmp_path, epochs=2)
     a = assemble_run(cfg, 0, eta0_override=0.3)
-    assert a.schedule.eta0 == 0.3
+    assert a.ocfg.schedule.eta0 == 0.3
     b = assemble_run(tiny("sweep_noise", tmp_path, epochs=2), 0,
                      flip_override=0.5)
     base = assemble_run(tiny("sweep_noise", tmp_path, epochs=2), 0,
@@ -90,8 +93,8 @@ def test_assemble_run_inverse_time_estimates_smoothness(tmp_path):
     cfg = tiny("toy_table", tmp_path, epochs=2)
     parts = assemble_run(cfg, 0)
     hess = parts.S.features.T @ parts.S.features / parts.S.n
-    assert parts.schedule.kind == "inverse_time"
-    assert parts.schedule.beta == pytest.approx(
+    assert parts.ocfg.schedule.kind == "inverse_time"
+    assert parts.ocfg.schedule.beta == pytest.approx(
         float(np.max(np.linalg.eigvalsh(hess)))
     )
 
@@ -367,6 +370,19 @@ def test_cli_bad_seeds_exit_code(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, route):
+    text = tiny_cfg_text("track", "optim.epochs = 1\n")
+    argv = ["--out", str(tmp_path / "out")]
+    if route == "config":
+        text = text.replace("seeds = 0", "seeds = -1")
+    else:
+        argv.append("--seeds=-5")
+    assert main(["track", "--config", write_cfg(tmp_path, text), *argv]) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config_is_an_io_error(tmp_path, capsys):
     assert main(["eos", "--config", str(tmp_path / "absent.cfg")]) == 4
     assert "cannot read config" in capsys.readouterr().err
@@ -413,3 +429,47 @@ def test_cli_maps_each_package_error_to_its_exit_code(tmp_path, monkeypatch,
     assert main(["eos", "--config", cfg]) == code
     assert str(exc) in capsys.readouterr().err
 
+
+# Each preset at a size where a whole run takes milliseconds: the property
+# below is about which exit code comes back, not about the results.
+SHRUNK = dict(n_train=8, n_test=8, dim=3, k_samples=16, epochs=None, max_steps=3)
+
+
+def run_cli_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=200), experiment=st.sampled_from(sorted(COMMANDS)))
+def test_cli_exit_code_is_documented_for_any_config_bytes(raw, experiment):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        code = run_cli_quietly([experiment, "--config", path,
+                                "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(experiment=st.sampled_from(sorted(COMMANDS)),
+       seeds=st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=1, max_size=2),
+       via_flag=st.booleans())
+def test_cli_exit_code_is_documented_for_shrunk_presets(experiment, seeds, via_flag):
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    cfg = parse_config(os.path.join(root, f"{experiment}.cfg"))
+    cfg = dataclasses.replace(cfg, **SHRUNK, seeds=(0,) if via_flag else tuple(seeds))
+    if cfg.mode == "sgd":
+        cfg = dataclasses.replace(cfg, batch_size=min(cfg.batch_size, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit_config(cfg))
+        argv = [experiment, "--config", path, "--out", os.path.join(tmp, "out")]
+        if via_flag:
+            argv.append("--seeds=" + ",".join(str(s) for s in seeds))
+        code = run_cli_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    assert (code == 2) == any(s < 0 for s in seeds)

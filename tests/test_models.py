@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from trajbound import models
 from trajbound.data import Dataset
 from trajbound.errors import (
-    DataParseError,
-    DataSchemaError,
     DimensionMismatchError,
     InvalidArgumentError,
     NumericDomainError,
@@ -23,20 +21,16 @@ from trajbound.models import (
     forward_batch,
     grad_mean,
     grad_mean_xy,
-    grad_per_sample,
     hessian_operator,
     hessian_vector_product,
     init_params,
     linear_spec,
-    load_param_vector,
     loss_grad_stats,
     loss_per_sample,
     losses_batch,
     mlp_spec,
-    model_tag,
     param_count,
     per_sample_grads,
-    save_param_vector,
     unflatten,
 )
 from trajbound.numerics import RngStream, central_diff_gradient, power_iteration_top_eig
@@ -365,6 +359,13 @@ def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
         loss_grad_stats(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
 
+@pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
+def test_per_sample_grads_rejects_a_non_finite_forward_pass(spec):
+    w = np.full(param_count(spec), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
+        per_sample_grads(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
+
+
 def test_singleton_batch_row_is_bitwise_identical():
     # the documented identity behind the trace computation: row i of the
     # batched gradient equals the gradient of the singleton batch {z_i}
@@ -373,8 +374,8 @@ def test_singleton_batch_row_is_bitwise_identical():
         spec, w, data = random_case(gen, kind)
         G = per_sample_grads(spec, w, data)
         for i in range(data.n):
-            gi = grad_per_sample(spec, w, (data.features[i], data.labels[i]))
-            assert np.array_equal(G[i], gi)
+            one = Dataset(data.features[i:i + 1], data.labels[i:i + 1])
+            assert np.array_equal(G[i], per_sample_grads(spec, w, one)[0])
 
 
 def dense_fd_hessian(spec, w, data, h=1e-5):
@@ -504,59 +505,3 @@ def test_hessian_solve_rejects_a_non_finite_product(kind):
     hess = hessian_operator(spec, w, data)
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         power_iteration_top_eig(hess, dim=w.size)
-
-
-def test_model_tag():
-    assert model_tag(linear_spec(20)) == "linear:d20"
-    assert model_tag(mlp_spec(20, (32,))) == "mlp:20-32-1:tanh:squared"
-
-
-def test_param_vector_roundtrip(tmp_path):
-    spec = mlp_spec(3, (4,))
-    gen = np.random.default_rng(13)
-    w = gen.standard_normal(param_count(spec))
-    path = str(tmp_path / "w.csv")
-    save_param_vector(path, spec, w)
-    back = load_param_vector(path, spec)
-    assert np.array_equal(back, w)
-
-
-def test_param_vector_load_rejects_non_finite_cells(tmp_path):
-    path = tmp_path / "w.csv"
-    path.write_text("# model=linear:d2 P=2\nnan,inf\n")
-    with pytest.raises(DataParseError) as exc:
-        load_param_vector(str(path))
-    assert (exc.value.row, exc.value.column, exc.value.value) == (1, "0", "nan")
-
-
-def test_param_vector_load_errors(tmp_path):
-    bad = tmp_path / "noheader.csv"
-    bad.write_text("1.0,2.0\n")
-    with pytest.raises(InvalidArgumentError):
-        load_param_vector(str(bad))
-
-    lying = tmp_path / "short.csv"
-    lying.write_text("# model=linear:d3 P=3\n1.0,2.0\n")
-    with pytest.raises(DimensionMismatchError):
-        load_param_vector(str(lying))
-
-    other = tmp_path / "wrongspec.csv"
-    save_param_vector(str(other), linear_spec(2), np.zeros(2))
-    with pytest.raises(DimensionMismatchError):
-        load_param_vector(str(other), linear_spec(3))
-
-
-@pytest.mark.parametrize("row, error", [
-    ("# model=linear:d2\n1.0,2.0\n", DataSchemaError),  # no P=
-    ("# model=linear:d2 P=x\n1.0,2.0\n", DataSchemaError),
-    ("# model=linear:d2 P=2\n1.0,abc\n", DataParseError),
-    ("# model=linear:d2 P=2\n1.0,\n", DataParseError),  # empty cell
-    ("# model=linear:d2 P=2\n1.0,inf\n", DataParseError),
-])
-def test_param_vector_load_raises_package_errors_on_malformed_files(tmp_path, row, error):
-    path = tmp_path / "w.csv"
-    path.write_text(row)
-    with pytest.raises(error) as exc:
-        load_param_vector(str(path))
-    if error is DataParseError:
-        assert (exc.value.row, exc.value.column) == (1, "1")

@@ -108,10 +108,9 @@ def test_empty_csv_is_a_schema_error(tmp_path):
         emit_svg_plots(path, [PlotSpec(x="t", ys=("v",), out_name="x.svg")])
 
 
-def test_out_dir_override(tmp_path):
-    path = write_csv(tmp_path, "t,v\n0,1\n1,2\n")
+def test_plots_are_written_next_to_the_csv(tmp_path):
     sub = tmp_path / "elsewhere"
     sub.mkdir()
-    out = emit_svg_plots(path, [PlotSpec(x="t", ys=("v",), out_name="v.svg")],
-                         out_dir=str(sub))
+    path = write_csv(sub, "t,v\n0,1\n1,2\n")
+    out = emit_svg_plots(path, [PlotSpec(x="t", ys=("v",), out_name="v.svg")])
     assert out == [str(sub / "v.svg")]

@@ -270,8 +270,7 @@ def constants_at(spec, data, weights, cfg):
     k = len(weights)
     rec = replay_trajectory(spec, data, data, weights, list(range(k)),
                             list(range(k)), [0.1] * k, cfg)
-    return estimate_constants(spec, rec.weights, rec.snapshots, [], data, data,
-                              cfg)
+    return estimate_constants(spec, rec.weights, rec.snapshots, [], data, cfg=cfg)
 
 
 def zero_gradient_start():
