@@ -146,6 +146,11 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records, S: Dataset,
         )
     if S.n < 2:
         raise InvalidArgumentError(f"V estimation needs n >= 2, got n={S.n}")
+    if any(s.F_Sprime is None for s in snapshots):
+        raise InvalidArgumentError(
+            "gamma needs holdout statistics: the snapshots were recorded "
+            "without a holdout"
+        )
     flags: list[str] = []
     n = S.n
     T = len(records)

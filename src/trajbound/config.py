@@ -253,6 +253,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise bad("seeds", "at least one seed is required")
     if min(cfg.seeds) < 0:
         raise bad("seeds", f"needs non-negative values, got {min(cfg.seeds)}")
+    # the OS rejects a path holding a NUL with ValueError, not OSError
+    if "\0" in cfg.output_dir:
+        raise bad("output_dir", "a path cannot contain a NUL character")
     if cfg.dataset_kind == "toy":
         if cfg.n_train < 2:
             raise bad("dataset.n_train", f"needs >= 2, got {cfg.n_train}")
@@ -263,6 +266,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     else:
         if not cfg.csv_path:
             raise bad("dataset.path", "required when dataset.kind = csv")
+        if "\0" in cfg.csv_path:
+            raise bad("dataset.path", "a path cannot contain a NUL character")
         if not cfg.label_column:
             raise bad("dataset.label_column", "required when dataset.kind = csv")
         if not 0.0 < cfg.holdout_fraction < 1.0:

@@ -43,6 +43,7 @@ from .models import (
     hessian_operator,
     init_params,
     linear_spec,
+    losses_batch,
     mlp_spec,
 )
 from .numerics import STREAM_INIT, RngStream, power_iteration_top_eig
@@ -293,11 +294,16 @@ SWEEP_COLUMNS = ("sweep_param", "value", "seed", "gen_error", "C_final",
 def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Grid x seeds sweep recording generalization gap and final complexity.
 
+    Each cell trains with a recorder that has no holdout, since C_final needs
+    only training-set statistics; gen_error = F_S' - F_S takes F_S' from one
+    forward pass over S' at the final weights (bitwise the F_S' a holdout
+    recorder would give there) and F_S from the last snapshot.
+
     A cell that fails numerically becomes a row with diverged=1 and empty
     metrics; it is excluded from the seed-mean rows and does not abort the
     sweep. A divergence reports its step in stopped_at; a NumericDomainError
-    (a non-finite pass or a negative trace) reports the last recorded
-    snapshot step.
+    (a non-finite pass, including the final S' pass, or a negative trace)
+    reports the last recorded snapshot step.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -314,9 +320,11 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
                     eta0_override=v if param == "lr" else None,
                     flip_override=v if param == "noise" else None,
                 )
-                rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
-                res = train(parts.spec, parts.w0, parts.S, parts.S_prime,
-                            parts.ocfg, rec)
+                rec = TrajectoryRecorder(parts.spec, parts.S, None, parts.est)
+                res = train(parts.spec, parts.w0, parts.S, None, parts.ocfg, rec)
+                f_sp = float(np.mean(losses_batch(parts.spec, res.w_final,
+                                                  parts.S_prime.features,
+                                                  parts.S_prime.labels)))
             except DivergedError as exc:
                 rows.append([param, v, s, None, None, exc.t, 1])
                 continue
@@ -325,7 +333,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
                 rows.append([param, v, s, None, None, last_t, 1])
                 continue
             last = rec.snapshots[-1]
-            gen = last.F_Sprime - last.F_S
+            gen = f_sp - last.F_S
             cells.append((gen, last.C_cum, res.stopped_at))
             rows.append([param, v, s, gen, last.C_cum, res.stopped_at, 0])
         if cells:

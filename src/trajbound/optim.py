@@ -203,16 +203,18 @@ def _permute_batches(gen: np.random.Generator, n: int, b: int) -> list[np.ndarra
     return [np.sort(perm[i:i + b]) for i in range(0, n, b)]
 
 
-def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset,
+def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
           cfg: OptimConfig, recorder=None) -> TrainResult:
     """Run the configured loop, invoking the recorder at snapshot steps.
 
     The recorder is called as recorder(t, epoch, eta_t, w) at step 0, every
     snapshot_every-th step, and the final step; it returns the snapshot it
-    recorded. The early-stop rule is evaluated at snapshot steps, where F_S
-    is already being computed. With iid sampling each snapshot interval's
-    batches are drawn as one draw_batches block; a run stops only at a
-    snapshot step, so every drawn row is used.
+    recorded; the last call is at the returned weights. S_prime is read only
+    by the default recorder (None gives it no holdout). The early-stop rule
+    is evaluated at snapshot steps, where F_S is already being computed.
+    With iid sampling each snapshot interval's batches are drawn as one
+    draw_batches block; a run stops only at a snapshot step, so every drawn
+    row is used.
     """
     if recorder is None:
         from .trajectory import TrajectoryRecorder

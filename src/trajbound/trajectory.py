@@ -7,7 +7,10 @@ train/holdout gradient-norm ratio, and relative-progress diagnostics. Each
 snapshot's loss, mean gradient and per-sample squared gradient norms come
 from one models.loss_grad_stats call on S, and the loss and mean gradient
 on S' from one call that skips the norms; the recorder never forms the
-(n, P) per-sample gradient matrix. gen_decomposition splits the
+(n, P) per-sample gradient matrix. A recorder built without a holdout
+(S' = None) makes only the S call and leaves every S' statistic None; the
+sweeps use one, since they read F_S' only at the final weights, where one
+forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
 bounds.estimate_constants computes them, calling this module's
 per-sample-gradient kernels signed_mean_norm_stats (for V) and
@@ -59,14 +62,22 @@ EXHAUSTIVE_MAX_N = 20
 
 @dataclass
 class TrajectorySnapshot:
+    """The statistics of one recorded step.
+
+    The holdout fields F_Sprime, grad_norm_Sprime, grad_dot and gamma_tilde
+    are None when the recorder has no holdout; gamma_tilde is also None when
+    grad_norm_S is 0. rp and trp are None unless the recorder's rp_mode is
+    set, and at the first snapshot or a degenerate denominator.
+    """
+
     t: int
     epoch: int
     eta_t: float
     F_S: float
-    F_Sprime: float
+    F_Sprime: float | None
     grad_norm_S: float
-    grad_norm_Sprime: float
-    grad_dot: float
+    grad_norm_Sprime: float | None
+    grad_dot: float | None
     trace_sigma: float
     delta_t: float
     C_cum: float
@@ -396,16 +407,23 @@ class TrajectoryRecorder:
     gradient history needed by downstream estimators, and collects flags
     for degenerate situations instead of failing mid-run.
 
+    S_prime = None skips the holdout pass: the snapshots' holdout fields and
+    the grads_Sprime entries are None, and the S-side statistics are
+    bitwise those of a recorder with a holdout.
+
     rp_mode: None records no relative-progress columns; "step" applies the
     exact one-step ratios (consecutive snapshots must be one step apart);
     "epoch" applies the boundary-weight approximation with batch size b.
+    Both need the holdout, for trp.
     """
 
-    def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset,
+    def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset | None,
                  est: SubsetEstimatorConfig | None = None,
                  rp_mode: str | None = None, batch_size: int | None = None):
         if rp_mode not in (None, "step", "epoch"):
             raise InvalidArgumentError(f"unknown rp_mode {rp_mode!r}")
+        if rp_mode is not None and S_prime is None:
+            raise InvalidArgumentError(f"{rp_mode} rp needs a holdout for trp")
         if rp_mode == "epoch" and batch_size is None:
             raise InvalidArgumentError("epoch rp needs the batch size")
         self.spec = spec
@@ -418,7 +436,7 @@ class TrajectoryRecorder:
         self.snapshots: list[TrajectorySnapshot] = []
         self.weights: list[np.ndarray] = []
         self.grads_S: list[np.ndarray] = []
-        self.grads_Sprime: list[np.ndarray] = []
+        self.grads_Sprime: list[np.ndarray | None] = []
         self.flags: list[str] = []
         self._c_cum = 0.0
 
@@ -426,9 +444,11 @@ class TrajectoryRecorder:
         w = np.asarray(w, dtype=np.float64).copy()
         f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
         trace = _trace_from_sq_norms(sq_norms, g_s, self.est.n_sp, self._trace_rng)
-        f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime, norms=False)
         norm_s = float(np.linalg.norm(g_s))
-        norm_sp = float(np.linalg.norm(g_sp))
+        f_sp = g_sp = norm_sp = None
+        if self.S_prime is not None:
+            f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime, norms=False)
+            norm_sp = float(np.linalg.norm(g_sp))
 
         if self.snapshots:
             prev = self.snapshots[-1]
@@ -454,9 +474,10 @@ class TrajectoryRecorder:
         snap = TrajectorySnapshot(
             t=t, epoch=epoch, eta_t=eta, F_S=f_s, F_Sprime=f_sp,
             grad_norm_S=norm_s, grad_norm_Sprime=norm_sp,
-            grad_dot=float(g_s @ g_sp), trace_sigma=trace,
-            delta_t=eta * norm_s, C_cum=self._c_cum,
-            gamma_tilde=gamma_tilde(norm_sp, norm_s, self.flags),
+            grad_dot=None if g_sp is None else float(g_s @ g_sp),
+            trace_sigma=trace, delta_t=eta * norm_s, C_cum=self._c_cum,
+            gamma_tilde=(None if g_sp is None
+                         else gamma_tilde(norm_sp, norm_s, self.flags)),
             rp=rp, trp=trp,
         )
         self.snapshots.append(snap)

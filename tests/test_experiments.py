@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajbound import cli, experiments
+from trajbound import cli, experiments, models
 from trajbound.cli import main
 from trajbound.config import default_config, emit_config, parse_config, parse_config_text
 from trajbound.errors import (
@@ -36,6 +36,8 @@ from trajbound.experiments import (
     cmd_toy_table,
     cmd_track,
 )
+from trajbound.optim import train
+from trajbound.trajectory import TrajectoryRecorder
 
 
 def tiny(experiment, out, **overrides):
@@ -255,6 +257,99 @@ def test_sweep_cell_numeric_domain_error_does_not_abort_the_grid(tmp_path,
     assert all(r["gen_error"] != "" for r in rows if r["value"] == "0.25")
 
 
+def shrunk_sweep(experiment, out):
+    """A shipped sweep preset at a size where the whole grid takes a second."""
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    cfg = parse_config(os.path.join(root, f"{experiment}.cfg"))
+    return dataclasses.replace(cfg, seeds=(0, 1), output_dir=str(out), n_train=20,
+                               n_test=40, dim=4, k_samples=16, epochs=12,
+                               batch_size=4, stop_train_loss=0.05,
+                               sweep_values=cfg.sweep_values[:2])
+
+
+@pytest.mark.parametrize("experiment", ["sweep_noise", "sweep_lr"])
+def test_sweep_cells_match_a_recorder_with_the_holdout(experiment, tmp_path):
+    # the sweep records no holdout statistics per snapshot; its training-set
+    # statistics and gen_error must still be bitwise a full recorder's
+    cfg = shrunk_sweep(experiment, tmp_path)
+    cmd_sweep(cfg)
+    _, rows = read_rows(tmp_path / "sweep.csv")
+    cells = {(r["value"], r["seed"]): r for r in rows if r["seed"] != "mean"}
+    lr = cfg.sweep_param == "lr"
+    stopped = []
+    for v in cfg.sweep_values:
+        for s in cfg.seeds:
+            parts = assemble_run(cfg, s, eta0_override=v if lr else None,
+                                 flip_override=None if lr else v)
+            full = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+            bare = TrajectoryRecorder(parts.spec, parts.S, None, parts.est)
+            res = train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg, full)
+            train(parts.spec, parts.w0, parts.S, None, parts.ocfg, bare)
+            for a, b in zip(full.snapshots, bare.snapshots, strict=True):
+                for name in ("t", "epoch", "eta_t", "F_S", "grad_norm_S",
+                             "trace_sigma", "delta_t", "C_cum"):
+                    assert getattr(a, name) == getattr(b, name), name
+            last = full.snapshots[-1]
+            row = cells[(repr(float(v)), str(s))]
+            assert row["diverged"] == "0"
+            assert float(row["gen_error"]) == last.F_Sprime - last.F_S
+            assert float(row["C_final"]) == last.C_cum
+            assert int(row["stopped_at"]) == res.stopped_at
+            stopped.append(res.stopped_at < parts.ocfg.max_steps)
+    assert any(stopped)  # early stopping is covered too
+
+
+@pytest.mark.parametrize("experiment, values, completed", [
+    ("sweep_noise", None, 4),
+    ("sweep_lr", (0.1, 1e6), 2),  # both 1e6 cells diverge in training
+])
+def test_sweep_reads_the_holdout_once_per_completed_cell(experiment, values, completed,
+                                                         tmp_path, monkeypatch):
+    holdouts, training = [], [False]
+    seen = {"while training": 0, "after training": 0}
+    losses_on_holdout = []
+    real_assemble, real_train = experiments.assemble_run, experiments.train
+    real_forward, real_losses = models._forward, models.losses_batch
+
+    def on_holdout(X):
+        return any(np.shares_memory(X, h) for h in holdouts)
+
+    def assemble(*args, **kwargs):
+        parts = real_assemble(*args, **kwargs)
+        holdouts.append(parts.S_prime.features)
+        return parts
+
+    def train_spy(*args, **kwargs):
+        training[0] = True
+        try:
+            return real_train(*args, **kwargs)
+        finally:
+            training[0] = False
+
+    def forward_spy(spec, w, X, oracle=False):
+        # every kernel's forward pass, so every kernel that receives S'
+        if on_holdout(X):
+            seen["while training" if training[0] else "after training"] += 1
+        return real_forward(spec, w, X, oracle)
+
+    def losses_spy(spec, w, X, y):
+        losses_on_holdout.append(on_holdout(X))
+        return real_losses(spec, w, X, y)
+
+    monkeypatch.setattr(experiments, "assemble_run", assemble)
+    monkeypatch.setattr(experiments, "train", train_spy)
+    monkeypatch.setattr(models, "_forward", forward_spy)
+    monkeypatch.setattr(experiments, "losses_batch", losses_spy)
+    cfg = shrunk_sweep(experiment, tmp_path)
+    if values is not None:
+        cfg = dataclasses.replace(cfg, sweep_values=values)
+    cmd_sweep(cfg)
+    _, rows = read_rows(tmp_path / "sweep.csv")
+    assert sum(r["diverged"] == "0" for r in rows) == completed
+    assert seen == {"while training": 0, "after training": completed}
+    assert losses_on_holdout == [True] * completed
+
+
 def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
     cfg = tiny("eos", tmp_path, epochs=5)
     cmd_eos(cfg, plots=True)
@@ -381,6 +476,21 @@ def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, route):
     assert main(["track", "--config", write_cfg(tmp_path, text), *argv]) == 2
     assert "seeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, key, extra", [
+    ("track", "output_dir", "optim.epochs = 1\noutput_dir = a\0b\n"),
+    ("toy_table", "dataset.path",
+     "optim.epochs = 1\ndataset.kind = csv\ndataset.path = a\0b\n"
+     "dataset.label_column = y\n"),
+], ids=["output_dir", "dataset.path"])
+def test_cli_nul_in_a_path_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                             experiment, key, extra):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, f"experiment = {experiment}\nseeds = 0\n" + extra)
+    assert main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "NUL" in err
 
 
 def test_cli_missing_config_is_an_io_error(tmp_path, capsys):

@@ -511,6 +511,118 @@ def test_recorder_complexity_telescopes():
     assert rec.snapshots[0].C_cum == 0.0
 
 
+def short_run(kind, holdout, seed=0, n=12, steps=11, snapshot_every=3, batch=4,
+              S=None, w0=None):
+    """A short run with a recorder on the holdout, or on none."""
+    S_toy, Sp, _ = generate_toy(ToyConfig(n, 8, 3, seed=seed))
+    S = S_toy if S is None else S
+    spec = mlp_spec(S.dim, (4,)) if kind == "mlp" else linear_spec(S.dim)
+    w0 = init_params(spec, RngStream(seed, 5)) if w0 is None else w0
+    rec = TrajectoryRecorder(spec, S, Sp if holdout else None,
+                             SubsetEstimatorConfig(k_samples=64, seed=seed))
+    cfg = OptimConfig(mode="sgd" if batch < S.n else "gd",
+                      batch_size=batch if batch < S.n else None,
+                      schedule=Schedule("constant", eta0=0.05), max_steps=steps,
+                      snapshot_every=snapshot_every, seed=seed)
+    res = train(spec, w0, S, Sp if holdout else None, cfg, rec)
+    return spec, S, Sp, rec, res
+
+
+S_SIDE_FIELDS = ("t", "epoch", "eta_t", "F_S", "grad_norm_S", "trace_sigma",
+                 "delta_t", "C_cum")
+HOLDOUT_FIELDS = ("F_Sprime", "grad_norm_Sprime", "grad_dot", "gamma_tilde")
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_recorder_without_a_holdout_matches_the_full_recorder_on_S(kind):
+    # 11 steps at a snapshot every 3: the last interval is a short one
+    *_, full, res_full = short_run(kind, holdout=True)
+    *_, bare, res_bare = short_run(kind, holdout=False)
+    assert len(bare.snapshots) == len(full.snapshots) == 5
+    for a, b in zip(full.snapshots, bare.snapshots):
+        for name in S_SIDE_FIELDS:
+            assert getattr(a, name) == getattr(b, name), name
+        for name in HOLDOUT_FIELDS:
+            assert getattr(a, name) is not None
+            assert getattr(b, name) is None, name
+        assert b.rp is None and b.trp is None
+    for wa, wb, ga, gb in zip(full.weights, bare.weights, full.grads_S, bare.grads_S):
+        assert np.array_equal(wa, wb) and np.array_equal(ga, gb)
+    assert bare.grads_Sprime == [None] * len(bare.snapshots)
+    assert np.array_equal(res_full.w_final, res_bare.w_final)
+    assert res_full.stopped_at == res_bare.stopped_at
+
+
+@pytest.mark.parametrize("rp_mode", ["step", "epoch"])
+def test_recorder_without_a_holdout_rejects_relative_progress(rp_mode):
+    S, _, _ = generate_toy(ToyConfig(10, 10, 3, seed=1))
+    with pytest.raises(InvalidArgumentError, match="holdout"):
+        TrajectoryRecorder(linear_spec(3), S, None, rp_mode=rp_mode, batch_size=2)
+
+
+def test_estimate_constants_rejects_snapshots_without_holdout_statistics():
+    spec, S, _, rec, res = short_run("linear", holdout=False)
+    with pytest.raises(InvalidArgumentError, match="without a holdout"):
+        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S)
+
+
+def test_write_trajectory_csv_leaves_missing_holdout_fields_empty(tmp_path):
+    *_, rec, _ = short_run("mlp", holdout=False)
+    path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(path, rec.snapshots)
+    lines = open(path).read().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 1 + len(rec.snapshots)
+    for line, snap in zip(lines[1:], rec.snapshots):
+        row = dict(zip(header, line.split(",")))
+        assert len(row) == len(header)
+        for name in ("F_Sprime", "grad_norm_Sprime", "grad_dot", "gamma_tilde"):
+            assert row[name] == ""
+        assert float(row["F_S"]) == snap.F_S
+        assert float(row["C_cum"]) == snap.C_cum
+
+
+def mirrored_pair_start(dim):
+    """A two-sample set whose gradients cancel exactly at w = 0.
+
+    Both samples share x and have labels y and -y, so at w = 0 the
+    residuals are -y and y: the mean gradient is exactly zero while the
+    covariance trace is not, the complexity increment's degenerate case.
+    """
+    x = np.linspace(0.5, 1.5, dim)
+    return Dataset(np.stack([x, x]), np.array([0.75, -0.75])), np.zeros(dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["linear", "mlp"]), holdout=st.booleans(),
+       seed=st.integers(0, 2 ** 16), steps=st.integers(0, 9),
+       snapshot_every=st.integers(1, 4), batch=st.integers(1, 8),
+       degenerate=st.booleans())
+def test_complexity_telescopes_along_any_short_run(kind, holdout, seed, steps,
+                                                   snapshot_every, batch,
+                                                   degenerate):
+    # ROADMAP item 3: C_cum is the running sum of complexity_update
+    # recomputed from the recorded statistics, skip included
+    S = w0 = None
+    if degenerate:
+        kind, batch = "linear", 2  # full-batch GD stays at the stationary w0
+        S, w0 = mirrored_pair_start(3)
+    _, S, _, rec, _ = short_run(kind, holdout, seed=seed, n=8, steps=steps,
+                                snapshot_every=snapshot_every, batch=batch,
+                                S=S, w0=w0)
+    snaps = rec.snapshots
+    assert snaps[0].C_cum == 0.0
+    c = 0.0
+    for prev, snap in zip(snaps[:-1], snaps[1:]):
+        c = complexity_update(c, prev.F_S, snap.F_S, snap.trace_sigma,
+                              snap.grad_norm_S, S.n)
+        assert snap.C_cum == c
+    if degenerate:
+        assert all(s.grad_norm_S == 0.0 and s.trace_sigma > 0.0 for s in snaps)
+        skipped = [f for f in rec.flags if f.startswith("degenerate-gradient")]
+        assert len(skipped) == len(snaps) - 1
+
+
 def test_gen_decomposition_telescopes_exactly():
     _, _, _, rec, _ = per_step_run(steps=30)
     per_step, gen_lin, remainder = gen_decomposition(
