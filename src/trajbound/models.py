@@ -7,7 +7,8 @@ matrix (C order) followed by its bias, with the slice bounds and shapes in
 spec.layout and the length in spec.n_params. The linear model's vector is
 just the weight vector (an empty layout, P = d). unflatten reads the layout
 into per-layer views, and _flatten, its inverse, is the only code that joins
-parameter blocks. Each kernel unflattens w once, in _forward, and its
+parameter blocks; the per-sample oracle and the Hessian products use it, the
+mean gradient does not. Each kernel unflattens w once, in _forward, and its
 backward pass reuses those views.
 
 per_sample_grads and grad_mean are the reference gradients, the oracle the
@@ -20,23 +21,29 @@ summation over the sample axis) of the rows per_sample_grads gives on
 each one-row Dataset.
 
 Every other kernel (forward_batch, losses_batch, grad_mean_xy,
-loss_grad_stats, hessian_operator) contracts each MLP layer with a BLAS
-matmul, several times faster than the einsum and equal to it to roundoff.
-losses_batch and loss_grad_stats share that forward pass, so the mean loss
-loss_grad_stats gives is bitwise the mean of losses_batch. The forward and
-backward passes add the bias, apply tanh and form tanh' in place, in their
-own (n, width) temporaries and never in the caller's arrays, because each
-fresh temporary is paid for in page faults: at the recorder's 1000-row
-holdout one is 256 KB, above glibc's mmap threshold.
+bind_step_kernel, loss_grad_stats, hessian_operator) contracts each MLP
+layer with a BLAS matmul, several times faster than the einsum and equal to
+it to roundoff. losses_batch and loss_grad_stats share that forward pass,
+so the mean loss loss_grad_stats gives is bitwise the mean of losses_batch.
+The forward and backward passes add the bias, apply tanh and form tanh' in
+place, in their own (n, width) temporaries and never in the caller's
+arrays, because each fresh temporary is paid for in page faults: at the
+recorder's 1000-row holdout one is 256 KB, above glibc's mmap threshold.
 
-grad_mean_xy, the training step's kernel, gives only a batch's mean
-gradient. loss_grad_stats, behind the trajectory snapshots, also gives the
-mean loss and every sample's squared gradient norm; with norms=False it
-skips the norms, which the recorder does on the holdout S', whose norms it
-never reads. Both run one forward pass and the one backward pass of
-_mean_grad, which contracts each layer with a matmul: neither forms the
-(n, P) per-sample matrix, and their gradients agree with grad_mean to
-roundoff, not bitwise.
+grad_mean_xy gives only a batch's mean gradient. bind_step_kernel is the
+training step: it binds, once per run, a copy w of the initial weights, its
+layer views, the data's checked targets and one flat gradient buffer with
+its layer views. Each update then runs the forward pass on those views,
+writes the batch's mean gradient into the buffer and sets w <- w - eta *
+grad in place, bitwise grad_mean_xy's out-of-place step, with no per-step
+check, unflatten or concatenation. loss_grad_stats, behind the trajectory
+snapshots, also gives the mean loss and every sample's squared gradient
+norm; with norms=False it skips the norms, which the recorder does on the
+holdout S', whose norms it never reads. All three run one forward pass and
+the one backward pass of _mean_grad, which contracts each layer with a
+matmul into its views of a flat gradient (the bound buffer, or a fresh one):
+none forms the (n, P) per-sample matrix, and their gradients agree with
+grad_mean to roundoff, not bitwise.
 
 hessian_operator gives exact Hessian-vector products of the mean loss at
 one weight vector: it runs the forward and backward pass once and each
@@ -47,6 +54,7 @@ product through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +160,11 @@ def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
 
 def unflatten(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (weight, bias) views of the flat vector (mlp only)."""
-    w = _check_params(spec, w)
+    return _layer_views(spec, _check_params(spec, w))
+
+
+def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """unflatten of a vector known to be a float64 (P,) array, unchecked."""
     return [(w[at:bias_at].reshape(shape), w[bias_at:end])
             for at, bias_at, end, shape in spec.layout]
 
@@ -177,18 +189,21 @@ def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.nda
     return _check_params(spec, w), X
 
 
-def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False):
+def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False,
+             layers: list | None = None):
     """Batched forward pass: (outputs, input of each layer, layer views).
 
     The outputs have shape (n, output_dim), hs[l] is layer l's input,
-    (n, width_l), and the views are unflatten(spec, w); the linear model is
-    one bias-free layer whose input is X, with no views. Each MLP layer is
-    a matmul, or with oracle the singleton-bitwise einsum; the bias and the
+    (n, width_l), and the views are unflatten(spec, w), or the given layers
+    when the caller has already bound them; the linear model is one
+    bias-free layer whose input is X, with no views. Each MLP layer is a
+    matmul, or with oracle the singleton-bitwise einsum; the bias and the
     tanh then update that fresh product in place.
     """
     if spec.kind == "linear":
         return np.einsum("ni,i->n", X, w)[:, None], [X], []
-    layers = unflatten(spec, w)
+    if layers is None:
+        layers = unflatten(spec, w)
     hs = [X]
     out = X
     for l, (mat, bias) in enumerate(layers):
@@ -300,7 +315,7 @@ def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.
 
 
 def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarray,
-               sq_norms: np.ndarray | None = None) -> np.ndarray:
+               sq_norms: np.ndarray | None = None, out: tuple | None = None) -> np.ndarray:
     """Mean gradient by one backward pass from the output gradients g.
 
     layers and hs are _forward's layer views and layer inputs. Layer l's
@@ -309,18 +324,27 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
     squared norm is ||delta_l||^2 (||h_{l-1}||^2 + 1), which is added to
     sq_norms when given. The linear model is one layer without a bias:
     (r X / n, r_i^2 ||x_i||^2).
+
+    Each layer's sums go straight into its views of the flat gradient, which
+    is then divided by n in place and returned. out is that gradient as
+    (flat (P,) buffer, _layer_views of it), reused across calls by the bound
+    step kernel; by default a fresh one is allocated.
     """
+    grad, views = _grad_buffer(spec) if out is None else out
     n = g.shape[0]
     if spec.kind == "linear":
         resid, X = g[:, 0], hs[0]
         if sq_norms is not None:
             sq_norms += resid * resid * np.einsum("ni,ni->n", X, X)
-        return (resid @ X) / n
+        np.matmul(resid, X, out=grad)
+        grad /= n
+        return grad
 
-    grads = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
         h_prev = hs[l]
-        grads[l] = (g.T @ h_prev, np.sum(g, axis=0))
+        gw, gb = views[l]
+        np.matmul(g.T, h_prev, out=gw)
+        np.add.reduce(g, axis=0, out=gb)
         if sq_norms is not None:
             sq_norms += (np.einsum("no,no->n", g, g)
                          * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
@@ -329,19 +353,54 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
             dt = h_prev * h_prev
             np.subtract(1.0, dt, out=dt)
             g *= dt
-    return _flatten(grads) / n
+    grad /= n
+    return grad
+
+
+def _grad_buffer(spec: ModelSpec) -> tuple[np.ndarray, list]:
+    """A fresh flat gradient and its per-layer views, the out of _mean_grad."""
+    grad = np.empty(spec.n_params)
+    return grad, _layer_views(spec, grad)
 
 
 def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
-    """Mean gradient over the batch (X, y): the training step's kernel.
+    """Mean gradient over the batch (X, y): the pass of the training step.
 
     One forward and one matmul backward pass, with no loss, no (b, P)
     matrix and no finiteness check: the step checks the updated weights.
+    bind_step_kernel runs the same passes on bound buffers.
     """
     w, X = _check_inputs(spec, w, X)
     out, hs, layers = _forward(spec, w, X)
     return _mean_grad(spec, layers, hs, _output_grad(spec, out, _targets(spec, y)))
+
+
+def bind_step_kernel(spec: ModelSpec, w0: np.ndarray, data: Dataset):
+    """The in-place SGD step on a copy of w0 over batches of data: (w, update).
+
+    The checks, the copy w, its layer views, the data's checked targets and
+    one flat gradient buffer are bound here, once per run. update(batch,
+    eta) then sets w <- w - eta * grad_mean_xy(spec, w, X_B, y_B) in place,
+    bitwise, for the rows batch of data, and returns the new ||w||
+    (np.linalg.norm's formula). It neither checks finiteness nor copies w:
+    a NaN or inf gradient shows as a non-finite norm, and a caller that keeps
+    a weight vector past the next update must copy it.
+    """
+    w, X = _check_inputs(spec, np.array(w0, dtype=np.float64), data.features)
+    t = _targets(spec, data.labels)
+    layers = unflatten(spec, w)
+    out = _grad_buffer(spec)
+    grad = out[0]
+
+    def update(batch: np.ndarray, eta: float) -> float:
+        scores, hs, _ = _forward(spec, w, X[batch], layers=layers)
+        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t[batch]), out=out)
+        np.multiply(grad, eta, out=grad)
+        np.subtract(w, grad, out=w)
+        return math.sqrt(w @ w)
+
+    return w, update
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool = True

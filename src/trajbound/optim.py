@@ -6,10 +6,15 @@ step by default (the covariance identity the trajectory statistics rely on
 is derived for that scheme). An epoch-permutation sampling mode exists for
 the epoch-level diagnostics and is flagged in run metadata by the harness.
 
+Every step runs through one kernel, models.bind_step_kernel, followed by
+the one norm guard (_bind_step). train binds it once per run, to the run's
+own copy of w0, and each step then updates that vector in place; step is
+one update of the same kernel on a copy of the w it is given.
+
 Batches are drawn by draw_batches, k steps at a time: train draws one block
-per snapshot interval and hands each row to step, which draws nothing
-itself; bounds.estimate_constants draws its batch-moment subsets through it
-too. Its rows equal k successive sample_batch calls and leave the stream
+per snapshot interval and hands each row to the bound step, which draws
+nothing itself; bounds.estimate_constants draws its batch-moment subsets
+through it too. Its rows equal k successive sample_batch calls and leave the stream
 where those calls would. At b = 1 that is one block integers draw, which
 consumes the Philox stream exactly like b = 1 choice calls on the numpy
 this ships with; tests/test_optim.py guards that equivalence, so a numpy
@@ -26,7 +31,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DivergedError, InvalidArgumentError
-from .models import ModelSpec, grad_mean_xy
+from .models import ModelSpec, bind_step_kernel
+from .models import grad_mean_xy  # noqa: F401 (bench/tracing.py wraps optim.grad_mean_xy)
 from .numerics import STREAM_BATCH, RngStream
 
 PARAM_NORM_CAP = 1e12
@@ -180,21 +186,37 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
     return rows
 
 
+def _bind_step(spec: ModelSpec, w0: np.ndarray, data: Dataset, cfg: OptimConfig):
+    """The run's weights w, a copy of w0, and its step: (w, run).
+
+    run(t, batch_indices) updates w in place by one bind_step_kernel update
+    at eta_t and returns the StepRecord. It raises DivergedError on blow-up;
+    the only check is the norm guard on the updated weights. A NaN or inf in
+    the gradient reaches w even at eta_t = 0 (0 * inf is NaN), and a
+    non-finite norm fails the comparison.
+    """
+    w, update = bind_step_kernel(spec, w0, data)
+
+    def run(t: int, batch_indices: np.ndarray) -> StepRecord:
+        eta = lr_at(cfg.schedule, t)
+        norm = update(batch_indices, eta)
+        if not norm <= PARAM_NORM_CAP:
+            raise DivergedError(t, norm)
+        return StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
+
+    return w, run
+
+
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
          batch_indices: np.ndarray) -> tuple[np.ndarray, StepRecord]:
-    """One update w - eta_t * grad_F_B(w) over the given batch B.
+    """One update w - eta_t * grad_F_B(w) over the given batch B, out of place.
 
-    Raises DivergedError on blow-up. The only check is the norm guard on the
-    updated weights. A NaN or inf in the gradient reaches w_next even at
-    eta_t = 0 (0 * inf is NaN), and a non-finite norm fails the comparison.
+    train's step path (_bind_step) bound to a copy of w for this one update,
+    so w itself is left unchanged; the result is bitwise the train step's.
+    Raises DivergedError when the updated norm fails the cap.
     """
-    eta = lr_at(cfg.schedule, t)
-    w_next = w - eta * grad_mean_xy(spec, w, data.features[batch_indices],
-                                     data.labels[batch_indices])
-    norm_next = math.sqrt(w_next @ w_next)  # np.linalg.norm's own formula
-    if not norm_next <= PARAM_NORM_CAP:
-        raise DivergedError(t, norm_next)
-    return w_next, StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
+    w_next, run = _bind_step(spec, w, data, cfg)
+    return w_next, run(t, batch_indices)
 
 
 def _permute_batches(gen: np.random.Generator, n: int, b: int) -> list[np.ndarray]:
@@ -207,11 +229,15 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
           cfg: OptimConfig, recorder=None) -> TrainResult:
     """Run the configured loop, invoking the recorder at snapshot steps.
 
-    The recorder is called as recorder(t, epoch, eta_t, w) at step 0, every
-    snapshot_every-th step, and the final step; it returns the snapshot it
-    recorded; the last call is at the returned weights. S_prime is read only
-    by the default recorder (None gives it no holdout). The early-stop rule
-    is evaluated at snapshot steps, where F_S is already being computed.
+    The step kernel is bound once, to a copy of w0 that every step updates
+    in place, so w0 is never written. The recorder is called as
+    recorder(t, epoch, eta_t, w) at step 0, every snapshot_every-th step,
+    and the final step; it returns the snapshot it recorded; the last call
+    is at the returned weights. w is the run's live vector, which later
+    steps overwrite: a recorder that keeps it must copy it, as
+    TrajectoryRecorder does. S_prime is read only by the default recorder
+    (None gives it no holdout). The early-stop rule is evaluated at
+    snapshot steps, where F_S is already being computed.
     With iid sampling each snapshot interval's batches are drawn as one
     draw_batches block; a run stops only at a snapshot step, so every drawn
     row is used.
@@ -231,7 +257,7 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
         snapshots.append(snap)
         return snap
 
-    w = np.asarray(w0, dtype=np.float64).copy()
+    w, run = _bind_step(spec, w0, S, cfg)
     snap = record(0, w)
     if cfg.stop_train_loss is not None and snap.F_S < cfg.stop_train_loss:
         return TrainResult(w, snapshots, records, 0)
@@ -247,8 +273,7 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
                 block = draw_batches(rng, S.n, b,
                                      min(cfg.snapshot_every, cfg.max_steps - t))
             batch = block[t % cfg.snapshot_every]
-        w, rec = step(spec, w, S, cfg, t, batch)
-        records.append(rec)
+        records.append(run(t, batch))
         done = t + 1 == cfg.max_steps
         if (t + 1) % cfg.snapshot_every == 0 or done:
             snap = record(t + 1, w)

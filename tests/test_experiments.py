@@ -326,11 +326,11 @@ def test_sweep_reads_the_holdout_once_per_completed_cell(experiment, values, com
         finally:
             training[0] = False
 
-    def forward_spy(spec, w, X, oracle=False):
+    def forward_spy(spec, w, X, oracle=False, layers=None):
         # every kernel's forward pass, so every kernel that receives S'
         if on_holdout(X):
             seen["while training" if training[0] else "after training"] += 1
-        return real_forward(spec, w, X, oracle)
+        return real_forward(spec, w, X, oracle, layers=layers)
 
     def losses_spy(spec, w, X, y):
         losses_on_holdout.append(on_holdout(X))

@@ -321,6 +321,57 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     v = np.ones(w.size)
     hess(v)  # each product unflattens only its direction
     assert len(calls) == 5 and calls[-1] is v
+    # the step kernel unflattens its own copy once, at bind, and never per update
+    w_run, update = models.bind_step_kernel(spec, w, data)
+    assert len(calls) == 6 and calls[-1] is w_run
+    for b in (1, data.n, 2):
+        update(np.arange(b), 0.1)
+    assert len(calls) == 6
+
+
+def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
+    gen = np.random.default_rng(seed)
+    X, y, n = data.features, data.labels, data.n
+    w_before = w.copy()
+    for b in range(1, n + 1):
+        batch = np.sort(gen.choice(n, size=b, replace=False))
+        for eta in (0.0, float(gen.uniform(0.01, 1.0))):
+            w_run, update = models.bind_step_kernel(spec, w, data)
+            norm = update(batch, eta)
+            expected = w - eta * grad_mean_xy(spec, w, X[batch], y[batch])
+            assert w_run.tobytes() == expected.tobytes()
+            assert norm == math.sqrt(w_run @ w_run)
+    assert w.tobytes() == w_before.tobytes()
+    # one bound buffer across batch sizes that change from step to step,
+    # permute's short last slice among them, leaks nothing between steps
+    size = int(gen.integers(1, n + 1))
+    perm = gen.permutation(n)
+    batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]
+    batches += [np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
+                for _ in range(4)]
+    w_run, update = models.bind_step_kernel(spec, w, data)
+    w_ref = w
+    for batch in batches:
+        eta = float(gen.uniform(0.0, 0.5))
+        norm = update(batch, eta)
+        w_ref = w_ref - eta * grad_mean_xy(spec, w_ref, X[batch], y[batch])
+        assert w_run.tobytes() == w_ref.tobytes()
+        assert norm == math.sqrt(w_ref @ w_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@any_shape
+def test_step_kernel_is_bitwise_the_out_of_place_step_on_any_shape(n, d, hidden, classes,
+                                                                   seed):
+    assert_step_kernel_is_the_out_of_place_step(
+        *random_shape_case(n, d, hidden, classes, seed), seed)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+def test_step_kernel_is_bitwise_the_out_of_place_step(kind):
+    gen = np.random.default_rng(sum(map(ord, kind)) + 2)
+    for k in range(20):
+        assert_step_kernel_is_the_out_of_place_step(*random_case(gen, kind), k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -370,6 +370,20 @@ def test_early_stop_is_checked_at_snapshot_times_only():
         assert s.F_S >= 1e-4
 
 
+def assert_records_replay_through_step(spec, w0, S, cfg, res, rec):
+    # replaying the records one out-of-place step at a time reproduces every
+    # stored snapshot and the final weights bitwise
+    at = {snap.t: k for k, snap in enumerate(rec.snapshots)}
+    assert rec.weights[0].tobytes() == w0.tobytes()
+    w = w0.copy()
+    for r in res.records:
+        w, _ = step(spec, w, S, cfg, r.t, r.batch_indices)
+        if r.t + 1 in at:
+            assert rec.weights[at[r.t + 1]].tobytes() == w.tobytes()
+    assert len(res.records) == res.stopped_at
+    assert w.tobytes() == res.w_final.tobytes()
+
+
 @pytest.mark.parametrize("stop", [1e-3, None])
 def test_batch_one_training_draws_like_per_step_sample_batch(stop):
     # realizable labels so batch-1 SGD reaches the early-stop threshold;
@@ -383,19 +397,36 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=400 if stop else 53, stop_train_loss=stop,
                       snapshot_every=7, seed=11)
-    res = train(spec, w0, S, S, cfg)
+    rec = TrajectoryRecorder(spec, S, S)
+    res = train(spec, w0, S, S, cfg, rec)
     if stop:
         assert 0 < res.stopped_at < cfg.max_steps
         assert res.stopped_at % 7 == 0
     else:
         assert res.stopped_at == 53
     rng = RngStream(cfg.seed, STREAM_BATCH)
-    w = w0.copy()
-    for rec in res.records:
-        assert np.array_equal(rec.batch_indices, sample_batch(rng, S.n, 1))
-        w, _ = step(spec, w, S, cfg, rec.t, rec.batch_indices)
-    assert len(res.records) == res.stopped_at
-    assert np.array_equal(w, res.w_final)
+    for r in res.records:
+        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 1))
+    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+
+
+@pytest.mark.parametrize("sampling", ["iid", "permute"])
+def test_mlp_batch_ten_training_replays_through_step(sampling):
+    # n = 25 at b = 10: permute's every third batch is a short one of 5
+    spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
+    cfg = OptimConfig(mode="sgd", batch_size=10,
+                      schedule=Schedule("constant", eta0=0.1),
+                      max_steps=53, snapshot_every=7, seed=11, sampling=sampling)
+    rec = TrajectoryRecorder(spec, S, Sp)
+    res = train(spec, w0, S, Sp, cfg, rec)
+    assert res.stopped_at == 53
+    if sampling == "iid":
+        rng = RngStream(cfg.seed, STREAM_BATCH)
+        for r in res.records:
+            assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 10))
+    else:
+        assert [len(r.batch_indices) for r in res.records[:6]] == [10, 10, 5, 10, 10, 5]
+    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
 
 
 def test_max_steps_zero_records_only_the_initial_point():
@@ -441,3 +472,72 @@ def test_train_does_not_mutate_the_initial_vector():
                       schedule=Schedule("constant", eta0=0.05), max_steps=5)
     train(spec, w0, S, Sp, cfg)
     assert np.array_equal(w0, w0_copy)
+    # the MLP SGD run updates its own copy in place; what the recorder kept
+    # and the returned weights are separate arrays
+    spec, w0, S, Sp = toy_parts(kind="mlp")
+    w0_copy = w0.copy()
+    cfg = OptimConfig(mode="sgd", batch_size=5,
+                      schedule=Schedule("constant", eta0=0.05),
+                      max_steps=12, snapshot_every=3)
+    rec = TrajectoryRecorder(spec, S, Sp)
+    res = train(spec, w0, S, Sp, cfg, rec)
+    assert np.array_equal(w0, w0_copy)
+    kept = [w0, *rec.weights, res.w_final]
+    assert len(kept) == 2 + len(res.snapshots) == 7
+    for i, a in enumerate(kept):
+        for b in kept[i + 1:]:
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(rec.weights[-1], res.w_final)
+    assert not np.array_equal(rec.weights[-2], res.w_final)
+
+
+@pytest.mark.parametrize("fault", ["huge_rate", "nan_feature"])
+def test_mlp_training_diverges_at_the_step_a_step_replay_does(fault):
+    spec, w0, S, _ = toy_parts(kind="mlp")
+    if fault == "nan_feature":
+        S = with_nan_feature(S, 3, 1)
+    cfg = OptimConfig(mode="sgd", batch_size=5,
+                      schedule=Schedule("constant",
+                                        eta0=1e4 if fault == "huge_rate" else 0.05),
+                      max_steps=200, snapshot_every=2, seed=4)
+    stored = {}
+
+    def recorder(t, epoch, eta, w):
+        stored[t] = w.copy()
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergedError) as run:
+            train(spec, w0, S, None, cfg, recorder)
+        rng = RngStream(cfg.seed, STREAM_BATCH)
+        w = w0.copy()
+        with pytest.raises(DivergedError) as replay:
+            for t in range(cfg.max_steps):
+                assert t not in stored or stored[t].tobytes() == w.tobytes()
+                w, _ = step(spec, w, S, cfg, t, sample_batch(rng, S.n, 5))
+    assert 0 < run.value.t == replay.value.t
+    assert not run.value.param_norm <= optim.PARAM_NORM_CAP
+    assert max(stored) <= run.value.t
+    assert all(np.all(np.isfinite(w)) for w in stored.values())
+
+
+def test_train_binds_its_step_once(monkeypatch):
+    # the step's checks, target conversion and layer views are bound once per
+    # run: their count does not grow with the number of steps
+    spec, w0, S, _ = toy_parts(kind="mlp")
+    counts = {}
+    for name in ("unflatten", "_check_inputs", "_targets", "_flatten"):
+        def counted(*args, _real=getattr(models, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(models, name, counted)
+
+    def calls_per_run(max_steps):
+        counts.clear()
+        cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=max_steps,
+                          snapshot_every=max_steps)
+        train(spec, w0, S, None, cfg, lambda t, epoch, eta, w: None)
+        return dict(counts)
+
+    assert calls_per_run(2) == calls_per_run(40) == {
+        "unflatten": 1, "_check_inputs": 1, "_targets": 1}

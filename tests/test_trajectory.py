@@ -477,9 +477,9 @@ def test_recorder_computes_no_per_sample_norms_on_the_holdout(kind, monkeypatch)
     calls = []
     real = models._mean_grad
 
-    def spy(spec, layers, hs, g, sq_norms=None):
+    def spy(spec, layers, hs, g, sq_norms=None, out=None):
         calls.append((hs[0], sq_norms))
-        return real(spec, layers, hs, g, sq_norms)
+        return real(spec, layers, hs, g, sq_norms, out=out)
 
     monkeypatch.setattr(models, "_mean_grad", spy)
     _, S, Sp, rec, _ = per_step_run(kind=kind)
