@@ -38,6 +38,7 @@ from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, draw_batches
 from .trajectory import (
     SubsetEstimatorConfig,
+    covariance_ratio,
     signed_mean_norm_stats,
     subset_ratio_max,
 )
@@ -85,13 +86,6 @@ class BoundReport:
     trajectory_aggregates: dict[str, float]
     remainder_scale: float | None = None
     notes: str = ""
-
-
-def _ratio_term(trace: float, grad_norm: float) -> float | None:
-    """1 + trace/||grad||^2, degenerating to 1 at a fully stationary point."""
-    if grad_norm == 0.0:
-        return 1.0 if trace == 0.0 else None
-    return 1.0 + trace / (grad_norm * grad_norm)
 
 
 def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
@@ -338,7 +332,7 @@ def bound_trajectory_smooth(est: ConstantEstimates, snapshots, c: float,
     if c > 0:
         beta_sq = est.beta_hat * est.beta_hat
         for left, right in zip(snapshots[:-1], snapshots[1:]):
-            ratio = _ratio_term(left.trace_sigma, left.grad_norm_S)
+            ratio = covariance_ratio(left.trace_sigma, left.grad_norm_S)
             if ratio is None:
                 continue  # stationary mean with residual spread: no defined weight
             for t in range(left.t, right.t):

@@ -19,20 +19,18 @@ Keys (see default_config for per-experiment defaults):
   noise.flip_fraction     fraction of training labels flipped
   model.kind              linear | mlp
   model.hidden            comma-separated widths      (mlp)
-  model.activation        tanh
   model.loss              squared | cross_entropy
   optim.mode              gd | sgd
   optim.batch_size        sgd only; gd always uses the full batch
   optim.epochs | optim.max_steps   exactly one of the two
   optim.stop_train_loss   early-stop threshold or "none"
   optim.snapshot_every    positive step count or "epoch"
-  optim.sampling          iid | permute
   schedule.kind           constant | inverse_time | cosine
   schedule.eta0           constant / cosine initial step size
   schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
                           "auto" (estimated from data at run time)
   schedule.eta_min, schedule.t_max (cosine; t_max "auto" = run length)
-  est.k_samples, est.n_sp, est.subset_mode
+  est.k_samples           Monte-Carlo sign draws for V and gamma'
   sweep.param             noise | lr   (sweep experiments only)
   sweep.values            comma-separated grid values
 """
@@ -62,7 +60,6 @@ class ExperimentConfig:
     flip_fraction: float = 0.0
     model_kind: str = "linear"
     hidden: tuple[int, ...] = (32,)
-    activation: str = "tanh"
     loss: str = "squared"
     mode: str = "sgd"
     batch_size: int | None = 10
@@ -70,7 +67,6 @@ class ExperimentConfig:
     max_steps: int | None = None
     stop_train_loss: float | None = None
     snapshot_every: int | None = None  # None means once per epoch
-    sampling: str = "iid"
     schedule_kind: str = "constant"
     eta0: float = 0.05
     c: float = 1.0
@@ -78,8 +74,6 @@ class ExperimentConfig:
     eta_min: float = 0.0
     t_max: int | None = None  # None means the run length
     k_samples: int = 1024
-    n_sp: int | None = None
-    subset_mode: str = "rademacher"
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
@@ -200,8 +194,6 @@ _KEYS = {
     "model.kind": ("model_kind",
                    lambda k, r: _parse_choice(k, r, ("linear", "mlp"))),
     "model.hidden": ("hidden", _parse_int_list),
-    "model.activation": ("activation",
-                         lambda k, r: _parse_choice(k, r, ("tanh",))),
     "model.loss": ("loss",
                    lambda k, r: _parse_choice(k, r, ("squared", "cross_entropy"))),
     "optim.mode": ("mode", lambda k, r: _parse_choice(k, r, ("gd", "sgd"))),
@@ -212,8 +204,6 @@ _KEYS = {
     "optim.snapshot_every": ("snapshot_every",
                              lambda k, r: None if r in ("epoch", "none")
                              else _parse_int(k, r)),
-    "optim.sampling": ("sampling",
-                       lambda k, r: _parse_choice(k, r, ("iid", "permute"))),
     "schedule.kind": ("schedule_kind",
                       lambda k, r: _parse_choice(
                           k, r, ("constant", "inverse_time", "cosine"))),
@@ -225,10 +215,6 @@ _KEYS = {
     "schedule.t_max": ("t_max",
                        lambda k, r: None if r == "auto" else _parse_int(k, r)),
     "est.k_samples": ("k_samples", _parse_int),
-    "est.n_sp": ("n_sp", _opt(_parse_int)),
-    "est.subset_mode": ("subset_mode",
-                        lambda k, r: _parse_choice(
-                            k, r, ("rademacher", "size_uniform"))),
     "sweep.param": ("sweep_param",
                     _opt(lambda k, r: _parse_choice(k, r, ("noise", "lr")))),
     "sweep.values": ("sweep_values", _opt(_parse_float_list)),
@@ -306,8 +292,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise bad("schedule.t_max", f"needs >= 1 or auto, got {cfg.t_max}")
     if cfg.k_samples < 1:
         raise bad("est.k_samples", f"needs >= 1, got {cfg.k_samples}")
-    if cfg.n_sp is not None and cfg.n_sp < 1:
-        raise bad("est.n_sp", f"needs >= 1 or none, got {cfg.n_sp}")
 
     is_sweep = cfg.experiment in ("sweep_noise", "sweep_lr")
     if is_sweep:
@@ -345,7 +329,7 @@ def _relevant_keys(cfg: ExperimentConfig) -> list[str]:
         if key in ("dataset.path", "dataset.label_column", "dataset.holdout_fraction"):
             if cfg.dataset_kind != "csv":
                 continue
-        if key in ("model.hidden", "model.activation", "model.loss"):
+        if key in ("model.hidden", "model.loss"):
             if cfg.model_kind != "mlp":
                 continue
         if key == "optim.batch_size" and cfg.mode == "gd":

@@ -35,7 +35,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -97,8 +96,8 @@ def generate_toy(cfg: ToyConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     x_test = RngStream(cfg.seed, STREAM_TEST_X).generator().standard_normal(
         (cfg.n_test, cfg.dim)
     )
-    train = Dataset(x_train, teacher_labels(x_train, teacher), name="toy_train")
-    test = Dataset(x_test, teacher_labels(x_test, teacher), name="toy_test")
+    train = Dataset(x_train, teacher_labels(x_train, teacher))
+    test = Dataset(x_test, teacher_labels(x_test, teacher))
     return train, test, teacher
 
 
@@ -115,11 +114,11 @@ def inject_label_noise(data: Dataset, flip_fraction: float, rng: RngStream) -> D
         raise InvalidArgumentError("label noise needs binary {0,1} labels")
     n_flip = int(np.rint(flip_fraction * data.n))
     if n_flip == 0:
-        return Dataset(data.features, labels, name=data.name)
+        return data
     idx = rng.generator().choice(data.n, size=n_flip, replace=False)
     flipped = labels.copy()
     flipped[idx] = 1.0 - flipped[idx]
-    return Dataset(data.features, flipped, name=f"{data.name}_flip{flip_fraction:g}")
+    return Dataset(data.features, flipped)
 
 
 def split_train_holdout(data: Dataset, holdout_fraction: float,
@@ -137,10 +136,8 @@ def split_train_holdout(data: Dataset, holdout_fraction: float,
     perm = rng.generator().permutation(data.n)
     hold_idx = np.sort(perm[:n_hold])
     keep_idx = np.sort(perm[n_hold:])
-    s = Dataset(data.features[keep_idx], data.labels[keep_idx], name=f"{data.name}_S")
-    s_prime = Dataset(data.features[hold_idx], data.labels[hold_idx],
-                      name=f"{data.name}_Sprime")
-    return s, s_prime
+    return (Dataset(data.features[keep_idx], data.labels[keep_idx]),
+            Dataset(data.features[hold_idx], data.labels[hold_idx]))
 
 
 def load_csv_dataset(path: str, label_column: str) -> Dataset:
@@ -183,7 +180,7 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
 
     if not rows:
         raise DataSchemaError(f"{path}: header only, no data rows")
-    return Dataset(np.array(rows), np.array(labels), name=path)
+    return Dataset(np.array(rows), np.array(labels))
 
 
 def csv_cell(v) -> str:

@@ -116,16 +116,14 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         stop_train_loss=cfg.stop_train_loss,
         snapshot_every=snapshot_every,
         seed=run_seed,
-        sampling=cfg.sampling,
     )
-    est = SubsetEstimatorConfig(k_samples=cfg.k_samples, n_sp=cfg.n_sp,
-                                seed=run_seed, subset_mode=cfg.subset_mode)
+    est = SubsetEstimatorConfig(k_samples=cfg.k_samples, seed=run_seed)
     return RunParts(spec, S, S_prime, w0, ocfg, b, est)
 
 
 def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
-    meta = {"experiment": cfg.experiment, "sampling": cfg.sampling,
-            "seeds": list(cfg.seeds), "config": emit_config(cfg)}
+    meta = {"experiment": cfg.experiment, "seeds": list(cfg.seeds),
+            "config": emit_config(cfg)}
     meta.update(extra)
     path = os.path.join(out_dir, "meta.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -81,7 +81,6 @@ class ModelSpec:
     input_dim: int
     output_dim: int = 1
     layer_widths: tuple[int, ...] = ()  # mlp only, includes input and output
-    activation: str = "tanh"
     loss: str = "squared"  # "squared" | "cross_entropy"
 
     def __post_init__(self):
@@ -100,8 +99,6 @@ class ModelSpec:
                     f"mlp widths {w} must start at input_dim={self.input_dim} "
                     f"and end at output_dim={self.output_dim}"
                 )
-            if self.activation != "tanh":
-                raise InvalidArgumentError(f"unsupported activation {self.activation!r}")
             object.__setattr__(self, "layer_widths", w)
         else:
             raise InvalidArgumentError(f"unknown model kind {self.kind!r}")

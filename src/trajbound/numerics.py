@@ -31,7 +31,6 @@ STREAM_BATCH = 6
 STREAM_SUBSET_V = 7
 STREAM_SUBSET_GAMMA = 8
 STREAM_MOMENT = 9
-STREAM_TRACE_SUBSAMPLE = 10
 STREAM_POWER_ITER = 11
 
 # A Lanczos residual this small relative to the operator's scale is a Krylov

@@ -2,24 +2,23 @@
 
 A "step" updates w <- w - eta_t * grad over the current batch. GD uses the
 full dataset every step; SGD draws an independent uniform size-b subset per
-step by default (the covariance identity the trajectory statistics rely on
-is derived for that scheme). An epoch-permutation sampling mode exists for
-the epoch-level diagnostics and is flagged in run metadata by the harness.
+step (the covariance identity the trajectory statistics rely on is derived
+for that scheme).
 
 Every step runs through one kernel, models.bind_step_kernel, followed by
 the one norm guard (_bind_step). train binds it once per run, to the run's
 own copy of w0, and each step then updates that vector in place; step is
 one update of the same kernel on a copy of the w it is given.
 
-Batches are drawn by draw_batches, k steps at a time: train draws one block
-per snapshot interval and hands each row to the bound step, which draws
-nothing itself; bounds.estimate_constants draws its batch-moment subsets
-through it too. Its rows equal k successive sample_batch calls and leave the stream
-where those calls would. At b = 1 that is one block integers draw, which
-consumes the Philox stream exactly like b = 1 choice calls on the numpy
-this ships with; tests/test_optim.py guards that equivalence, so a numpy
-upgrade that breaks it fails a test instead of silently changing every SGD
-output.
+Batches are drawn by draw_batches, k steps at a time: train runs one
+snapshot interval at a time, draws that interval's block and hands each row
+to the bound step, which draws nothing itself; bounds.estimate_constants
+draws its batch-moment subsets through it too. Its rows equal k successive
+sample_batch calls and leave the stream where those calls would. At b = 1
+that is one block integers draw, which consumes the Philox stream exactly
+like b = 1 choice calls on the numpy this ships with; tests/test_optim.py
+guards that equivalence, so a numpy upgrade that breaks it fails a test
+instead of silently changing every SGD output.
 """
 
 from __future__ import annotations
@@ -100,13 +99,10 @@ class OptimConfig:
     stop_train_loss: float | None = None
     snapshot_every: int = 1
     seed: int = 0
-    sampling: str = "iid"  # "iid" | "permute" (epoch permutation)
 
     def __post_init__(self):
         if self.mode not in ("gd", "sgd"):
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
-        if self.sampling not in ("iid", "permute"):
-            raise InvalidArgumentError(f"unknown sampling {self.sampling!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:
@@ -219,28 +215,21 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
     return w_next, run(t, batch_indices)
 
 
-def _permute_batches(gen: np.random.Generator, n: int, b: int) -> list[np.ndarray]:
-    """Consecutive size-b slices of a fresh permutation (last may be short)."""
-    perm = gen.permutation(n)
-    return [np.sort(perm[i:i + b]) for i in range(0, n, b)]
-
-
 def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
           cfg: OptimConfig, recorder=None) -> TrainResult:
-    """Run the configured loop, invoking the recorder at snapshot steps.
+    """Run the configured loop, one snapshot interval at a time.
 
     The step kernel is bound once, to a copy of w0 that every step updates
-    in place, so w0 is never written. The recorder is called as
-    recorder(t, epoch, eta_t, w) at step 0, every snapshot_every-th step,
-    and the final step; it returns the snapshot it recorded; the last call
-    is at the returned weights. w is the run's live vector, which later
-    steps overwrite: a recorder that keeps it must copy it, as
-    TrajectoryRecorder does. S_prime is read only by the default recorder
-    (None gives it no holdout). The early-stop rule is evaluated at
-    snapshot steps, where F_S is already being computed.
-    With iid sampling each snapshot interval's batches are drawn as one
-    draw_batches block; a run stops only at a snapshot step, so every drawn
-    row is used.
+    in place, so w0 is never written. At each snapshot step t (0, every
+    snapshot_every-th step and max_steps) the recorder is called as
+    recorder(t, epoch, eta_t, w) and returns the snapshot it recorded. The
+    run ends there when t == max_steps or the snapshot's F_S is below
+    stop_train_loss; otherwise it runs the next interval's
+    min(snapshot_every, max_steps - t) steps on one draw_batches block, so
+    every drawn row is used and the last call is at the returned weights.
+    w is the run's live vector, which later steps overwrite: a recorder
+    that keeps it must copy it, as TrajectoryRecorder does. S_prime is read
+    only by the default recorder (None gives it no holdout).
     """
     if recorder is None:
         from .trajectory import TrajectoryRecorder
@@ -249,34 +238,17 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
     b = resolve_batch_size(cfg, S.n)
     steps_per_epoch = max(1, math.ceil(S.n / b))
     rng = RngStream(cfg.seed, STREAM_BATCH)
+    w, run = _bind_step(spec, w0, S, cfg)
     snapshots = []
     records: list[StepRecord] = []
-
-    def record(t_now: int, w_now: np.ndarray):
-        snap = recorder(t_now, t_now // steps_per_epoch, lr_at(cfg.schedule, t_now), w_now)
+    t = 0
+    while True:
+        snap = recorder(t, t // steps_per_epoch, lr_at(cfg.schedule, t), w)
         snapshots.append(snap)
-        return snap
-
-    w, run = _bind_step(spec, w0, S, cfg)
-    snap = record(0, w)
-    if cfg.stop_train_loss is not None and snap.F_S < cfg.stop_train_loss:
-        return TrainResult(w, snapshots, records, 0)
-
-    pending: list[np.ndarray] = []
-    for t in range(cfg.max_steps):
-        if cfg.sampling == "permute":
-            if not pending:
-                pending = _permute_batches(rng.generator(), S.n, b)
-            batch = pending.pop(0)
-        else:
-            if t % cfg.snapshot_every == 0:
-                block = draw_batches(rng, S.n, b,
-                                     min(cfg.snapshot_every, cfg.max_steps - t))
-            batch = block[t % cfg.snapshot_every]
-        records.append(run(t, batch))
-        done = t + 1 == cfg.max_steps
-        if (t + 1) % cfg.snapshot_every == 0 or done:
-            snap = record(t + 1, w)
-            if cfg.stop_train_loss is not None and snap.F_S < cfg.stop_train_loss:
-                return TrainResult(w, snapshots, records, t + 1)
-    return TrainResult(w, snapshots, records, len(records))
+        if t == cfg.max_steps or (cfg.stop_train_loss is not None
+                                  and snap.F_S < cfg.stop_train_loss):
+            return TrainResult(w, snapshots, records, t)
+        k = min(cfg.snapshot_every, cfg.max_steps - t)
+        for batch in draw_batches(rng, S.n, b, k):
+            records.append(run(t, batch))
+            t += 1

@@ -19,12 +19,12 @@ subset_ratio_max (for gamma').
 Conventions used throughout:
   - The covariance trace uses the identity
       Tr Sigma(w) = (1/n) sum_i ||grad f(w, z_i)||^2 - ||grad F_S(w)||^2,
-    optionally subsampling the second-moment term over n_sp samples while
-    keeping grad F_S exact.
+    with both terms exact.
   - The cumulative complexity C starts at 0 and, on each recorded interval,
-    adds  -2 * (F_curr - F_prev)/sqrt(n) * sqrt(1 + trace/grad_norm^2)
-    with the trace and gradient norm taken at the newer snapshot, so loss
-    decreases contribute positive complexity.
+    adds  -2 * (F_curr - F_prev)/sqrt(n) * sqrt(covariance_ratio), where
+    covariance_ratio is 1 + trace/grad_norm^2 with the trace and gradient
+    norm taken at the newer snapshot, so loss decreases contribute positive
+    complexity. bounds' smooth bound weighs its steps by the same ratio.
   - Holdout quantities stand in for population ones everywhere.
 """
 
@@ -46,7 +46,6 @@ from .models import ModelSpec, loss_grad_stats
 from .numerics import (
     STREAM_SUBSET_GAMMA,
     STREAM_SUBSET_V,
-    STREAM_TRACE_SUBSAMPLE,
     RngStream,
     rademacher_matrix,
 )
@@ -88,26 +87,19 @@ class TrajectorySnapshot:
 
 @dataclass(frozen=True)
 class SubsetEstimatorConfig:
-    """Knobs for the Monte-Carlo subset estimators.
+    """Knobs for the Monte-Carlo subset estimators of V and gamma'.
 
-    n_sp = None keeps the covariance-trace second moment exact. subset_mode
-    picks the distribution over sample subsets U: "rademacher" gives
-    independent coin-flip membership; "size_uniform" first draws |U|
-    uniformly and then a uniform subset of that size.
+    Each draws k_samples Rademacher sign rows (independent coin-flip
+    membership of every sample in the subset U) from its own stream of
+    seed, or enumerates every pattern when that fits in k_samples.
     """
 
     k_samples: int = 1024
-    n_sp: int | None = None
     seed: int = 0
-    subset_mode: str = "rademacher"
 
     def __post_init__(self):
         if self.k_samples < 1:
             raise InvalidArgumentError(f"k_samples must be >= 1, got {self.k_samples}")
-        if self.n_sp is not None and self.n_sp < 1:
-            raise InvalidArgumentError(f"n_sp must be >= 1, got {self.n_sp}")
-        if self.subset_mode not in ("rademacher", "size_uniform"):
-            raise InvalidArgumentError(f"unknown subset_mode {self.subset_mode!r}")
 
 
 def noise_cov_scale(n: int, b: int) -> float:
@@ -119,31 +111,16 @@ def noise_cov_scale(n: int, b: int) -> float:
     return (n - b) / (b * (n - 1))
 
 
-def _trace_from_sq_norms(sq_norms: np.ndarray, g_mean: np.ndarray,
-                         n_sp: int | None, rng: RngStream | None) -> float:
+def _trace_from_sq_norms(sq_norms: np.ndarray, g_mean: np.ndarray) -> float:
     """Covariance trace from the per-sample squared gradient norms.
 
-    The mean-gradient norm is always exact; the second moment may be
-    subsampled. Negative values within roundoff of the second moment clamp
-    to zero; with an exact second moment a larger negative value indicates
-    a gradient bug.
-    A subsampled second moment can be legitimately below the exact mean
-    gradient norm, so that path clamps any negative value.
+    Negative values within roundoff of the second moment clamp to zero; a
+    larger negative value indicates a gradient bug.
     """
-    n = sq_norms.shape[0]
-    if n_sp is not None and n_sp > n:
-        raise InvalidArgumentError(f"n_sp={n_sp} exceeds the sample count n={n}")
-    subsampled = n_sp is not None and n_sp < n
-    if subsampled:
-        if rng is None:
-            raise InvalidArgumentError("subsampled trace needs an RngStream")
-        idx = np.sort(rng.generator().choice(n, size=n_sp, replace=False))
-        second = float(np.mean(sq_norms[idx]))
-    else:
-        second = float(np.mean(sq_norms))
+    second = float(np.mean(sq_norms))
     trace = second - float(g_mean @ g_mean)
     if trace < 0.0:
-        if subsampled or trace >= -NEGATIVE_TRACE_TOL * second:
+        if trace >= -NEGATIVE_TRACE_TOL * second:
             return 0.0
         raise NumericDomainError(
             f"covariance trace {trace:.3e} below -{NEGATIVE_TRACE_TOL:g} times "
@@ -153,37 +130,41 @@ def _trace_from_sq_norms(sq_norms: np.ndarray, g_mean: np.ndarray,
     return trace
 
 
-def grad_trace_sigma(spec: ModelSpec, w: np.ndarray, data: Dataset,
-                     n_sp: int | None = None, rng: RngStream | None = None
+def grad_trace_sigma(spec: ModelSpec, w: np.ndarray, data: Dataset
                      ) -> tuple[float, float, float]:
     """(covariance trace, ||grad F_S||, F_S) at w; see _trace_from_sq_norms."""
     F, g, sq_norms = loss_grad_stats(spec, w, data)
-    trace = _trace_from_sq_norms(sq_norms, g, n_sp, rng)
+    trace = _trace_from_sq_norms(sq_norms, g)
     return trace, float(np.linalg.norm(g)), F
+
+
+def covariance_ratio(trace: float, grad_norm: float) -> float | None:
+    """1 + trace/||grad||^2, the covariance-to-gradient ratio of the bound.
+
+    It is 1 at a fully stationary point (trace and gradient both zero) and
+    None when only the gradient vanishes, where it is undefined.
+    """
+    if grad_norm == 0.0:
+        return 1.0 if trace == 0.0 else None
+    return 1.0 + trace / (grad_norm * grad_norm)
 
 
 def complexity_update(C_prev: float, F_prev: float, F_curr: float,
                       trace_sigma: float, grad_norm: float, n: int,
                       flags: list[str] | None = None) -> float:
-    """One discrete complexity increment.
+    """One discrete complexity increment, weighted by sqrt(covariance_ratio).
 
-    At a snapshot where the full gradient vanished: if the trace is also
-    zero every sample is stationary and the ratio factor degenerates to 1;
-    otherwise the increment is undefined and is skipped with a flag.
+    Where the ratio is undefined (a vanished gradient with residual spread)
+    the increment is skipped with a flag.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    d_f = F_curr - F_prev
-    if grad_norm == 0.0:
-        if trace_sigma == 0.0:
-            factor = 1.0
-        else:
-            if flags is not None:
-                flags.append("degenerate-gradient: complexity increment skipped")
-            return C_prev
-    else:
-        factor = math.sqrt(1.0 + trace_sigma / (grad_norm * grad_norm))
-    return C_prev - 2.0 * (d_f / math.sqrt(n)) * factor
+    ratio = covariance_ratio(trace_sigma, grad_norm)
+    if ratio is None:
+        if flags is not None:
+            flags.append("degenerate-gradient: complexity increment skipped")
+        return C_prev
+    return C_prev - 2.0 * ((F_curr - F_prev) / math.sqrt(n)) * math.sqrt(ratio)
 
 
 def gamma_tilde(grad_norm_Sprime: float, grad_norm_S: float,
@@ -203,45 +184,22 @@ def _all_sign_patterns(n: int) -> np.ndarray:
     return (2 * bits - 1).astype(np.float64)
 
 
-def _size_uniform_rows(gen, k: int, n: int, proper: bool) -> np.ndarray:
-    """Sign rows whose positive set has a uniformly drawn size.
-
-    proper restricts the size to 1..n-1 (nonempty proper subsets); the
-    default allows 0..n.
-    """
-    lo, hi = (1, n - 1) if proper else (0, n)
-    rows = -np.ones((k, n))
-    for j in range(k):
-        size = int(gen.integers(lo, hi + 1))
-        if size:
-            idx = np.sort(gen.choice(n, size=size, replace=False))
-            rows[j, idx] = 1.0
-    return rows
-
-
 def _draw_sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
                     exclude_trivial: bool) -> tuple[np.ndarray, bool]:
     """Sign matrix for subset estimation: exhaustive when affordable.
 
     Returns (rows, exhaustive). exclude_trivial drops the all-plus and
-    all-minus patterns (the empty and full subsets). The exhaustive
-    shortcut only applies to the equal-weight rademacher distribution.
+    all-minus patterns (the empty and full subsets).
     """
-    if cfg.subset_mode == "rademacher":
-        total = 2 ** n if n <= EXHAUSTIVE_MAX_N else None
-        need = total - 2 if (total is not None and exclude_trivial) else total
-        if need is not None and need <= cfg.k_samples:
-            rows = _all_sign_patterns(n)
-            if exclude_trivial:
-                keep = np.abs(rows.sum(axis=1)) < n
-                rows = rows[keep]
-            return rows, True
+    total = 2 ** n if n <= EXHAUSTIVE_MAX_N else None
+    need = total - 2 if (total is not None and exclude_trivial) else total
+    if need is not None and need <= cfg.k_samples:
+        rows = _all_sign_patterns(n)
+        if exclude_trivial:
+            keep = np.abs(rows.sum(axis=1)) < n
+            rows = rows[keep]
+        return rows, True
     rng = RngStream(cfg.seed, stream_id)
-    if cfg.subset_mode == "size_uniform":
-        if exclude_trivial and n < 2:
-            raise InvalidArgumentError("no proper nonempty subsets exist for n < 2")
-        rows = _size_uniform_rows(rng.generator(), cfg.k_samples, n, exclude_trivial)
-        return rows, False
     rows = rademacher_matrix(rng, cfg.k_samples, n).astype(np.float64)
     if exclude_trivial:
         gen = rng.generator()
@@ -432,7 +390,6 @@ class TrajectoryRecorder:
         self.est = est or SubsetEstimatorConfig()
         self.rp_mode = rp_mode
         self.batch_size = batch_size
-        self._trace_rng = RngStream(self.est.seed, STREAM_TRACE_SUBSAMPLE)
         self.snapshots: list[TrajectorySnapshot] = []
         self.weights: list[np.ndarray] = []
         self.grads_S: list[np.ndarray] = []
@@ -443,7 +400,7 @@ class TrajectoryRecorder:
     def __call__(self, t: int, epoch: int, eta: float, w: np.ndarray) -> TrajectorySnapshot:
         w = np.asarray(w, dtype=np.float64).copy()
         f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
-        trace = _trace_from_sq_norms(sq_norms, g_s, self.est.n_sp, self._trace_rng)
+        trace = _trace_from_sq_norms(sq_norms, g_s)
         norm_s = float(np.linalg.norm(g_s))
         f_sp = g_sp = norm_sp = None
         if self.S_prime is not None:

@@ -48,7 +48,7 @@ def test_round_trip_survives_overrides():
     cfg = dataclasses.replace(
         default_config("toy_table"),
         seeds=(7, 8), batch_size=1, n_train=50, stop_train_loss=0.01,
-        n_sp=16, subset_mode="size_uniform", output_dir="elsewhere",
+        k_samples=16, output_dir="elsewhere",
     )
     assert parse_config_text(emit_config(cfg)) == cfg
 
@@ -73,9 +73,7 @@ def drawn_configs(draw):
         epochs=horizon if by_epochs else None, max_steps=None if by_epochs else horizon,
         stop_train_loss=draw(st.none() | positive),
         snapshot_every=draw(st.none() | st.integers(1, 100)),
-        sampling=draw(st.sampled_from(("iid", "permute"))),
-        k_samples=draw(st.integers(1, 4096)), n_sp=draw(st.none() | st.integers(1, 500)),
-        subset_mode=draw(st.sampled_from(("rademacher", "size_uniform"))),
+        k_samples=draw(st.integers(1, 4096)),
     )
     if cfg.mode == "sgd":
         fields["batch_size"] = draw(st.integers(1, 200))
@@ -116,7 +114,6 @@ def test_round_trip_csv_dataset_shape():
 def test_emit_omits_keys_outside_the_config_shape():
     text = emit_config(default_config("toy_table"))  # linear model, sgd
     assert "model.hidden" not in text
-    assert "model.activation" not in text
     assert "schedule.eta0" not in text  # inverse_time ignores eta0
     assert "schedule.beta = auto" in text
     assert "sweep.param" not in text
@@ -159,9 +156,13 @@ def test_comments_and_blank_lines_are_ignored():
     assert cfg.seeds == (4,)
 
 
-def test_unknown_key_names_key_and_line():
-    with pytest.raises(ConfigError, match=r"<config>:3: unknown key 'optim.lr'"):
-        parse_config_text("experiment = eos\n\noptim.lr = 0.1\n")
+# model.activation, optim.sampling, est.n_sp and est.subset_mode are retired
+# keys: each had one value in use and is rejected like any unknown key
+@pytest.mark.parametrize("key", ["optim.lr", "model.activation", "optim.sampling",
+                                 "est.n_sp", "est.subset_mode"])
+def test_unknown_key_names_key_and_line(key):
+    with pytest.raises(ConfigError, match=rf"<config>:3: unknown key '{key}'"):
+        parse_config_text(f"experiment = eos\n\n{key} = none\n")
 
 
 def test_duplicate_key_names_both_lines():
@@ -248,7 +249,6 @@ def test_cross_field_validation_catches_out_of_range_values():
         dict(snapshot_every=0),
         dict(eta0=0.0),
         dict(k_samples=0),
-        dict(n_sp=0),
         dict(epochs=-1),
     ]
     for override in cases:
@@ -295,6 +295,10 @@ def test_shipped_config_files_parse(tmp_path):
         cfg = parse_config(path)
         seen.add(cfg.experiment)
         assert os.path.basename(path) == f"{cfg.experiment}.cfg"
+        # each file is emit_config's own output, so a change to the key set
+        # cannot leave stale or hand-edited configs behind
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == emit_config(cfg), path
     assert seen == set(EXPERIMENTS)
     # the comparison experiment ships with single-sample batches
     table = parse_config(os.path.join(os.path.dirname(__file__), "..",

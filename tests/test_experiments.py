@@ -451,6 +451,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_retired_key_in_an_old_config_exits_2(tmp_path, capsys):
+    # configs written before est.n_sp was retired still carry its "none" line
+    cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\nest.n_sp = none\n"))
+    assert main(["eos", "--config", cfg]) == 2
+    assert f"{cfg}:8: unknown key 'est.n_sp'" in capsys.readouterr().err
+
+
 def test_cli_experiment_mismatch_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\n"))
     assert main(["track", "--config", cfg]) == 2

@@ -73,9 +73,6 @@ def test_spec_validation():
     with pytest.raises(InvalidArgumentError):
         ModelSpec(kind="mlp", input_dim=3, layer_widths=(4, 2, 1))  # wrong input
     with pytest.raises(InvalidArgumentError):
-        ModelSpec(kind="mlp", input_dim=3, layer_widths=(3, 2, 1),
-                  activation="relu")
-    with pytest.raises(InvalidArgumentError):
         mlp_spec(3, (4,), output_dim=1, loss="cross_entropy")
 
 
@@ -291,7 +288,7 @@ def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, classes, seed):
 
 def test_the_layout_is_derived_not_a_constructor_field():
     assert [f.name for f in dataclasses.fields(ModelSpec)] == [
-        "kind", "input_dim", "output_dim", "layer_widths", "activation", "loss"]
+        "kind", "input_dim", "output_dim", "layer_widths", "loss"]
     spec = mlp_spec(3, (4,), output_dim=2, loss="cross_entropy")
     assert spec.layout == ((0, 12, 16, (4, 3)), (16, 24, 26, (2, 4)))
     assert dataclasses.replace(spec) == spec
@@ -343,7 +340,8 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
             assert norm == math.sqrt(w_run @ w_run)
     assert w.tobytes() == w_before.tobytes()
     # one bound buffer across batch sizes that change from step to step,
-    # permute's short last slice among them, leaks nothing between steps
+    # a short last slice of a permutation among them, leaks nothing between
+    # steps
     size = int(gen.integers(1, n + 1))
     perm = gen.permutation(n)
     batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]

@@ -87,7 +87,7 @@ def test_schedule_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     dict(mode="adam"),
-    dict(sampling="shuffled"),
+    dict(mode="GD"),
     dict(batch_size=0),
     dict(max_steps=-1),
     dict(snapshot_every=0),
@@ -305,37 +305,6 @@ def test_train_is_deterministic_per_seed():
     assert not np.array_equal(r1.w_final, r3.w_final)
 
 
-def test_permute_sampling_covers_each_sample_once_per_epoch():
-    spec, w0, S, Sp = toy_parts(n=20)
-    cfg = OptimConfig(mode="sgd", batch_size=5,
-                      schedule=Schedule("constant", eta0=0.01),
-                      max_steps=8, sampling="permute", seed=2)
-    res = train(spec, w0, S, Sp, cfg)
-    for e in range(2):
-        epoch_idx = np.concatenate(
-            [res.records[t].batch_indices for t in range(4 * e, 4 * e + 4)]
-        )
-        assert np.array_equal(np.sort(epoch_idx), np.arange(20))
-    # consecutive epochs use different permutations
-    first = [tuple(res.records[t].batch_indices) for t in range(4)]
-    second = [tuple(res.records[t].batch_indices) for t in range(4, 8)]
-    assert first != second
-
-
-def test_permute_sampling_short_final_slice():
-    spec, w0, S, Sp = toy_parts(n=10)
-    cfg = OptimConfig(mode="sgd", batch_size=4,
-                      schedule=Schedule("constant", eta0=0.01),
-                      max_steps=3, sampling="permute", seed=0)
-    res = train(spec, w0, S, Sp, cfg)
-    sizes = [len(r.batch_indices) for r in res.records]
-    assert sizes == [4, 4, 2]
-    assert np.array_equal(
-        np.sort(np.concatenate([r.batch_indices for r in res.records])),
-        np.arange(10),
-    )
-
-
 def test_early_stop_at_initial_snapshot():
     spec, w0, S, Sp = toy_parts()
     rec = TrajectoryRecorder(spec, S, Sp)
@@ -410,23 +379,54 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
     assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
 
 
-@pytest.mark.parametrize("sampling", ["iid", "permute"])
-def test_mlp_batch_ten_training_replays_through_step(sampling):
-    # n = 25 at b = 10: permute's every third batch is a short one of 5
+def test_mlp_batch_ten_training_replays_through_step():
     spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
     cfg = OptimConfig(mode="sgd", batch_size=10,
                       schedule=Schedule("constant", eta0=0.1),
-                      max_steps=53, snapshot_every=7, seed=11, sampling=sampling)
+                      max_steps=53, snapshot_every=7, seed=11)
     rec = TrajectoryRecorder(spec, S, Sp)
     res = train(spec, w0, S, Sp, cfg, rec)
     assert res.stopped_at == 53
-    if sampling == "iid":
-        rng = RngStream(cfg.seed, STREAM_BATCH)
-        for r in res.records:
-            assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 10))
-    else:
-        assert [len(r.batch_indices) for r in res.records[:6]] == [10, 10, 5, 10, 10, 5]
+    rng = RngStream(cfg.seed, STREAM_BATCH)
+    for r in res.records:
+        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 10))
     assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 30), b_frac=st.floats(0.0, 1.0),
+       max_steps=st.integers(0, 60), every=st.integers(1, 15),
+       stop_frac=st.none() | st.floats(0.01, 1.5), seed=st.integers(0, 2 ** 16))
+def test_interval_loop_snapshots_records_and_batches(n, b_frac, max_steps, every,
+                                                     stop_frac, seed):
+    # any batch size and cadence, max_steps a multiple of the cadence or not,
+    # with or without an early stop (a threshold above the initial loss
+    # stops at step 0)
+    b = 1 + int(b_frac * (n - 1))
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, 3))
+    S = Dataset(X, X @ gen.standard_normal(3))
+    spec = linear_spec(3)
+    w0 = init_params(spec, RngStream(seed, 5))
+    stop = None if stop_frac is None else stop_frac * 0.5 * float(np.mean(S.labels ** 2))
+    cfg = OptimConfig(mode="sgd", batch_size=b,
+                      schedule=Schedule("constant", eta0=0.1), max_steps=max_steps,
+                      stop_train_loss=stop, snapshot_every=every, seed=seed)
+    res = train(spec, w0, S, None, cfg)
+    ts = [snap.t for snap in res.snapshots]
+    cadence = list(range(0, max_steps, every)) + [max_steps]
+    assert ts == cadence[:len(ts)]
+    assert ts[-1] == res.stopped_at
+    if stop is None:
+        assert ts == cadence
+    else:
+        assert all(snap.F_S >= stop for snap in res.snapshots[:-1])
+        assert res.stopped_at == max_steps or res.snapshots[-1].F_S < stop
+    assert len(res.records) == res.stopped_at
+    assert [r.t for r in res.records] == list(range(res.stopped_at))
+    rng = RngStream(seed, STREAM_BATCH)
+    for r in res.records:
+        assert np.array_equal(r.batch_indices, sample_batch(rng, n, b))
 
 
 def test_max_steps_zero_records_only_the_initial_point():
