@@ -141,42 +141,49 @@ def split_train_holdout(data: Dataset, holdout_fraction: float,
 
 
 def load_csv_dataset(path: str, label_column: str) -> Dataset:
-    """Read a comma-separated file with a header row; one column holds labels."""
+    """Read a comma-separated file with a header row; one column holds labels.
+
+    A file the csv module cannot parse (say, a cell past its field size
+    limit) raises DataSchemaError naming the row, as a schema fault does.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh.readlines())
         except UnicodeDecodeError as exc:
             raise DataSchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataSchemaError(f"{path}: file is empty, expected a header row")
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise DataSchemaError(
-                f"{path}: label column {label_column!r} not found in header {header}"
-            )
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        if not feature_names:
-            raise DataSchemaError(f"{path}: no feature columns besides {label_column!r}")
+    try:
+        table = list(reader)
+    except csv.Error as exc:
+        where = f"row {reader.line_num - 1}" if reader.line_num > 1 else "header row"
+        raise DataSchemaError(f"{path}: {where}: {exc}") from None
+    if not table:
+        raise DataSchemaError(f"{path}: file is empty, expected a header row")
+    header = [h.strip() for h in table[0]]
+    if label_column not in header:
+        raise DataSchemaError(
+            f"{path}: label column {label_column!r} not found in header {header}"
+        )
+    label_pos = header.index(label_column)
+    feature_names = [h for i, h in enumerate(header) if i != label_pos]
+    if not feature_names:
+        raise DataSchemaError(f"{path}: no feature columns besides {label_column!r}")
 
-        rows, labels = [], []
-        for r, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataSchemaError(
-                    f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
-                )
-            parsed = []
-            for i, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataParseError(r, header[i], cell.strip()) from None
-            labels.append(parsed[label_pos])
-            rows.append([v for i, v in enumerate(parsed) if i != label_pos])
+    rows, labels = [], []
+    for r, row in enumerate(table[1:], start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataSchemaError(
+                f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
+            )
+        parsed = []
+        for i, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataParseError(r, header[i], cell.strip()) from None
+        labels.append(parsed[label_pos])
+        rows.append([v for i, v in enumerate(parsed) if i != label_pos])
 
     if not rows:
         raise DataSchemaError(f"{path}: header only, no data rows")

@@ -10,19 +10,24 @@ the one norm guard (_bind_step). train binds it once per run, to the run's
 own copy of w0, and each step then updates that vector in place; step is
 one update of the same kernel on a copy of the w it is given.
 
-Batches are drawn by draw_batches, k steps at a time: train runs one
-snapshot interval at a time, draws that interval's block and hands each row
-to the bound step, which draws nothing itself; bounds.estimate_constants
-draws its batch-moment subsets through it too. Its rows equal k successive
-sample_batch calls and leave the stream where those calls would. At b = 1
-that is one block integers draw, which consumes the Philox stream exactly
-like b = 1 choice calls on the numpy this ships with; tests/test_optim.py
-guards that equivalence, so a numpy upgrade that breaks it fails a test
-instead of silently changing every SGD output.
+Batches are drawn by draw_batches, k steps at a time: train draws its
+private batch stream in blocks of up to BATCH_BLOCK_ROWS rows and hands each
+row, in order, to the bound step, which draws nothing itself;
+bounds.estimate_constants draws its batch-moment subsets through it too.
+Its rows equal k successive sample_batch calls and leave the stream where
+those calls would. At b = 1 that is one integers draw; for
+1 < b <= FLOYD_MAX_BATCH it replays numpy's own Floyd sampling from one
+uint32 block (_floyd_rows).
+Both rest on how Generator.choice consumes the Philox stream on the numpy
+this ships with; tests/test_optim.py guards that equivalence, so a numpy
+upgrade that breaks it fails a test instead of silently changing every SGD
+output. sample_batch, one choice call per batch, is the tests' oracle and
+the fallback for the cases the block does not replay.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +40,15 @@ from .models import grad_mean_xy  # noqa: F401 (bench/tracing.py wraps optim.gra
 from .numerics import STREAM_BATCH, RngStream
 
 PARAM_NORM_CAP = 1e12
+# Rows per draw_batches block in train's batch stream: sweep_noise's 4 000
+# steps are one block, and a longer run holds at most this many drawn rows
+# it may not use.
+BATCH_BLOCK_ROWS = 4096
+# Largest b the Floyd block replays. Its duplicate check is O(b^2) a row: on
+# numpy 2.4.6 (2-vCPU x86, 1000-row blocks, n = 1000 and 10 000) it costs
+# 0.5 us a row at b = 10 and 10-14 us at b = 120, against 16-25 us for
+# per-row choice, and overtakes choice near b = 200.
+FLOYD_MAX_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -145,9 +159,9 @@ def sample_batch(rng: RngStream, n: int, b: int) -> np.ndarray:
     """b distinct indices, uniform over size-b subsets, ascending order.
 
     The full batch b = n short-circuits to range(n) without consuming the
-    stream, so an SGD run with b = n is bitwise identical to GD. To draw
-    several steps' batches use draw_batches, whose b = 1 block draw stands
-    in for this function's choice call.
+    stream, so an SGD run with b = n is bitwise identical to GD. This is one
+    Generator.choice call: the oracle draw_batches is tested against, and
+    its fallback for rows the block draw does not replay.
     """
     if not 1 <= b <= n:
         raise InvalidArgumentError(f"need 1 <= b <= n, got b={b}, n={n}")
@@ -164,9 +178,13 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
     read-only range(n) rows and consumes nothing. b = 1 is one block
     integers(0, n) draw: for n <= 2**32, Generator.choice(n, size=1,
     replace=False) takes one bounded 32-bit draw per call, as integers does
-    per element, so the two consume the Philox stream identically (a numpy
-    equivalence that tests/test_optim.py guards). Any other b calls
-    sample_batch once per row.
+    per element, so the two consume the Philox stream identically. For
+    1 < b <= FLOYD_MAX_BATCH, wherever choice itself runs Floyd's algorithm
+    (n <= 10 000 or b <= n // 50) with 32-bit draws (n <= 2**32, which also
+    keeps each uint32 draw times its bound within uint64), _floyd_rows
+    replays it from one uint32 block. Any other b (numpy's tail-shuffle
+    path, or b above the cutoff) calls sample_batch once per row.
+    tests/test_optim.py guards each of these numpy equivalences.
     """
     if not 1 <= b <= n:
         raise InvalidArgumentError(f"need 1 <= b <= n, got b={b}, n={n}")
@@ -177,9 +195,61 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
     if b == 1:
         return rng.generator().integers(0, n, size=(k, 1))
     rows = np.empty((k, b), dtype=np.int64)
-    for j in range(k):
-        rows[j] = sample_batch(rng, n, b)
+    if b <= FLOYD_MAX_BATCH and n <= 2 ** 32 and (n <= 10_000 or b <= n // 50):
+        _floyd_rows(rng, n, b, rows)
+    else:
+        for j in range(k):
+            rows[j] = sample_batch(rng, n, b)
     return rows
+
+
+def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
+    """Fill rows with successive sample_batch draws, replayed from uint32 blocks.
+
+    choice(n, b, replace=False) on its Floyd path (Bentley & Floyd, CACM
+    1987) takes one Lemire bounded draw (Lemire, ACM TOMACS 2019) per pick,
+    with bounds n-b+1 .. n, then shuffles the b picks with bounds b .. 2:
+    2b - 1 draws of one uint32 each. A draw u with bound m gives (u*m) >> 32
+    and is rejected, consuming another uint32, only when its low word is
+    below 2**32 % m. So one integers(0, 2**32, (rows, 2b-1)) block replays
+    every row up to the first rejection: pick c is (u*m) >> 32, or
+    n - b + c when an earlier pick of its row already holds that value;
+    the shuffle only consumes draws, since each row is sorted. At the first
+    rejected row the generator is restored, advanced past the rows already
+    replayed, and that row is drawn by sample_batch; a new block resumes
+    after it.
+    """
+    gen = rng.generator()
+    bounds = np.array([*range(n - b + 1, n + 1), *range(b, 1, -1)], dtype=np.uint64)
+    thresholds = (1 << 32) % bounds
+    done = 0
+    while done < len(rows):
+        state = gen.bit_generator.state
+        u = gen.integers(0, 1 << 32, size=(len(rows) - done, 2 * b - 1), dtype=np.uint32)
+        m = u * bounds
+        rejected = np.flatnonzero(((m & 0xFFFFFFFF) < thresholds).any(axis=1))
+        good = int(rejected[0]) if len(rejected) else len(m)
+        picks = (m[:good, :b] >> 32).T.astype(np.int64, order="C")  # a row per pick
+        for c in range(1, b):
+            np.putmask(picks[c], (picks[:c] == picks[c]).any(axis=0), n - b + c)
+        block = rows[done:done + good]
+        block[:] = picks.T
+        block.sort(axis=1)
+        done += good
+        if done < len(rows):
+            gen.bit_generator.state = state
+            gen.integers(0, 1 << 32, size=(good, 2 * b - 1), dtype=np.uint32)
+            rows[done] = sample_batch(rng, n, b)
+            done += 1
+
+
+def _batch_stream(rng: RngStream, n: int, b: int, horizon: int):
+    """The horizon's batch rows in order, drawn BATCH_BLOCK_ROWS at a time.
+
+    Lazy: a block is drawn only when its first row is taken.
+    """
+    for start in range(0, horizon, BATCH_BLOCK_ROWS):
+        yield from draw_batches(rng, n, b, min(BATCH_BLOCK_ROWS, horizon - start))
 
 
 def _bind_step(spec: ModelSpec, w0: np.ndarray, data: Dataset, cfg: OptimConfig):
@@ -225,11 +295,14 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
     recorder(t, epoch, eta_t, w) and returns the snapshot it recorded. The
     run ends there when t == max_steps or the snapshot's F_S is below
     stop_train_loss; otherwise it runs the next interval's
-    min(snapshot_every, max_steps - t) steps on one draw_batches block, so
-    every drawn row is used and the last call is at the returned weights.
-    w is the run's live vector, which later steps overwrite: a recorder
-    that keeps it must copy it, as TrajectoryRecorder does. S_prime is read
-    only by the default recorder (None gives it no holdout).
+    min(snapshot_every, max_steps - t) steps, so the last call is at the
+    returned weights. The steps take their rows in order from the run's
+    private batch stream, drawn in draw_batches blocks of up to
+    BATCH_BLOCK_ROWS at a time; rows drawn past an early stop are dropped
+    with the stream, so they change no output, and a stop at t = 0 draws
+    nothing. w is the run's live vector, which later steps overwrite: a
+    recorder that keeps it must copy it, as TrajectoryRecorder does.
+    S_prime is read only by the default recorder (None gives it no holdout).
     """
     if recorder is None:
         from .trajectory import TrajectoryRecorder
@@ -237,7 +310,7 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
         recorder = TrajectoryRecorder(spec, S, S_prime)
     b = resolve_batch_size(cfg, S.n)
     steps_per_epoch = max(1, math.ceil(S.n / b))
-    rng = RngStream(cfg.seed, STREAM_BATCH)
+    batches = _batch_stream(RngStream(cfg.seed, STREAM_BATCH), S.n, b, cfg.max_steps)
     w, run = _bind_step(spec, w0, S, cfg)
     snapshots = []
     records: list[StepRecord] = []
@@ -249,6 +322,6 @@ def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
                                   and snap.F_S < cfg.stop_train_loss):
             return TrainResult(w, snapshots, records, t)
         k = min(cfg.snapshot_every, cfg.max_steps - t)
-        for batch in draw_batches(rng, S.n, b, k):
+        for batch in itertools.islice(batches, k):
             records.append(run(t, batch))
             t += 1

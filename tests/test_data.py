@@ -1,10 +1,12 @@
 """Dataset container, toy generator, label noise, splits, CSV I/O."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajbound.data import (
@@ -20,7 +22,12 @@ from trajbound.data import (
     teacher_labels,
     write_csv,
 )
-from trajbound.errors import DataParseError, DataSchemaError, InvalidArgumentError
+from trajbound.errors import (
+    DataParseError,
+    DataSchemaError,
+    InvalidArgumentError,
+    TrajboundError,
+)
 
 
 def test_dataset_shapes_and_accessors():
@@ -209,6 +216,35 @@ def test_load_csv_dataset_names_unparseable_cell(tmp_path):
     assert exc.value.row == 2
     assert exc.value.column == "a"
     assert exc.value.value == "x7"
+
+
+def test_load_csv_dataset_maps_a_csv_module_error_to_a_schema_error(tmp_path):
+    # the csv module caps a field at 131 072 characters and raises its own
+    # csv.Error past that; the loader names the file and the row instead
+    p = tmp_path / "wide.csv"
+    p.write_text("a,y\n1,0\n" + "7" * 131_073 + ",1\n")
+    with pytest.raises(DataSchemaError, match=r"wide\.csv: row 2: field larger"):
+        load_csv_dataset(str(p), "y")
+    p.write_text("a" * 131_073 + ",y\n1,0\n")
+    with pytest.raises(DataSchemaError, match="header row: field larger"):
+        load_csv_dataset(str(p), "y")
+
+
+CSV_ISH = st.text(alphabet='ay,"\n\r 0123456789.e-+x\t\0', max_size=120)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=200) | CSV_ISH.map(lambda s: ("a,y\n" + s).encode()))
+def test_load_csv_dataset_returns_a_dataset_or_a_package_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            d = load_csv_dataset(path, "y")
+        except TrajboundError:
+            return
+    assert isinstance(d, Dataset) and d.n >= 1 and d.dim >= 1
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

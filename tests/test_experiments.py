@@ -458,6 +458,16 @@ def test_cli_retired_key_in_an_old_config_exits_2(tmp_path, capsys):
     assert f"{cfg}:8: unknown key 'est.n_sp'" in capsys.readouterr().err
 
 
+def test_cli_oversized_csv_field_is_a_config_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,y\n" + "1" * 131_073 + ",0\n2,1\n3,0\n4,1\n")
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "track", f"dataset.kind = csv\ndataset.path = {data}\n"
+                 "dataset.label_column = y\n"))
+    assert main(["track", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "row 1: field larger than field limit" in capsys.readouterr().err
+
+
 def test_cli_experiment_mismatch_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\n"))
     assert main(["track", "--config", cfg]) == 2

@@ -1,6 +1,8 @@
 """Schedules, batch sampling, the update step, and the training loop."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,15 +139,8 @@ def test_sample_batch_reaches_every_subset_eventually():
     assert len(seen) == 6  # all C(4,2) subsets
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 2000), k=st.integers(0, 300),
-       b_rule=st.sampled_from(["1", "2", "half", "n"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_draw_batches_equals_successive_sample_batch_calls(n, k, b_rule, seed):
-    # The b = 1 block draw relies on integers(0, n) consuming the stream
-    # exactly like choice(n, size=1, replace=False); a numpy that breaks
-    # that equivalence must fail here, not silently change SGD outputs.
-    b = min(n, max(1, {"1": 1, "2": 2, "half": n // 2, "n": n}[b_rule]))
+def assert_draw_batches_matches_sample_batch(n, b, k, seed):
+    # rows, the generator state after them, and the draws that follow
     block_rng = RngStream(seed, STREAM_BATCH)
     step_rng = RngStream(seed, STREAM_BATCH)
     rows = draw_batches(block_rng, n, b, k)
@@ -154,10 +149,66 @@ def test_draw_batches_equals_successive_sample_batch_calls(n, k, b_rule, seed):
         assert np.array_equal(row, sample_batch(step_rng, n, b))
     assert (repr(block_rng.generator().bit_generator.state)
             == repr(step_rng.generator().bit_generator.state))
-    after = max(1, n // 3)
+    after = max(1, min(n // 3, 50))
     assert np.array_equal(sample_batch(block_rng, n, after),
                           sample_batch(step_rng, n, after))
     assert block_rng.generator().random() == step_rng.generator().random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 2000), b_small=st.integers(1, 2 * optim.FLOYD_MAX_BATCH),
+       b_frac=st.none() | st.floats(0.0, 1.0), k=st.integers(0, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_draw_batches_equals_successive_sample_batch_calls(n, b_small, b_frac, k, seed):
+    # The b = 1 block draw relies on integers(0, n) consuming the stream
+    # exactly like choice(n, size=1, replace=False), and the Floyd block on
+    # choice's own Floyd draws; a numpy that breaks either equivalence must
+    # fail here, not silently change SGD outputs. b is drawn around the
+    # Floyd cutoff half the time and anywhere in 1..n otherwise.
+    b = min(n, b_small) if b_frac is None else 1 + int(b_frac * (n - 1))
+    assert_draw_batches_matches_sample_batch(n, b, k, seed)
+
+
+# numpy's choice runs Floyd's algorithm when n <= 10 000 or b <= n // 50 and
+# shuffles a tail of range(n) otherwise; 2**32 + 1 needs 64-bit draws. With
+# the cutoff lifted the block path meets each threshold from both sides.
+@pytest.mark.parametrize("cutoff", ["shipped", "lifted"])
+@pytest.mark.parametrize("n, b", [(10_000, 200), (10_000, 201), (10_001, 200),
+                                  (10_001, 201), (20_000, 400), (20_000, 401),
+                                  (20_000, 500), (2 ** 32, 3), (2 ** 32 + 1, 3)])
+def test_draw_batches_at_numpy_choice_thresholds(monkeypatch, cutoff, n, b):
+    if cutoff == "lifted":
+        monkeypatch.setattr(optim, "FLOYD_MAX_BATCH", n)
+    for seed in range(3):
+        assert_draw_batches_matches_sample_batch(n, b, 6, seed)
+
+
+@pytest.mark.parametrize("n, b, rejects", [(2 ** 31 + 1, 2, True), (2 ** 31 + 1, 5, True),
+                                           (2 ** 31, 3, False)])
+def test_draw_batches_falls_back_on_a_rejected_draw(monkeypatch, n, b, rejects):
+    # numpy rejects a bounded draw u of bound m when (u*m) mod 2**32 is below
+    # 2**32 % m: about half of all draws at m = 2**31 + 1, so the block hits
+    # rejections there and each rejected row must come from sample_batch. At
+    # n = 2**31 the low word is often below m but never below 2**32 % m here,
+    # so the block replays every row itself.
+    k = 40
+    u = RngStream(3, STREAM_BATCH).generator().integers(
+        0, 2 ** 32, size=(k, 2 * b - 1), dtype=np.uint64)
+    bounds = np.array([*range(n - b + 1, n + 1), *range(b, 1, -1)], dtype=np.uint64)
+    low = (u * bounds) % 2 ** 32
+    assert (low < bounds).any()
+    assert (low < 2 ** 32 % bounds).any() == rejects
+    calls = []
+
+    def counted(rng, n_, b_):
+        calls.append(b_)
+        return sample_batch(rng, n_, b_)
+    monkeypatch.setattr(optim, "sample_batch", counted)
+    assert_draw_batches_matches_sample_batch(n, b, k, 3)
+    if rejects:
+        assert 1 <= len(calls) < k  # the block resumed after each fallback row
+    else:
+        assert not calls
 
 
 @pytest.mark.parametrize("n, b, k", [(5, 0, 1), (5, 6, 1), (5, 1, -1)])
@@ -391,6 +442,52 @@ def test_mlp_batch_ten_training_replays_through_step():
     for r in res.records:
         assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 10))
     assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+
+
+@pytest.mark.parametrize("stop", [False, True])
+def test_block_stream_rows_and_replay_across_block_edges(monkeypatch, stop):
+    # blocks of 7 rows against intervals of 5 steps: block edges fall inside
+    # intervals, and an early stop drops the rest of the last block
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 7)
+    spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
+    cfg = OptimConfig(mode="sgd", batch_size=6,
+                      schedule=Schedule("constant", eta0=0.1),
+                      max_steps=53, snapshot_every=5, seed=11)
+    if stop:
+        # a threshold below every earlier snapshot's F_S and above the ninth's
+        losses = [snap.F_S for snap in train(spec, w0, S, None, cfg).snapshots]
+        assert losses[8] < min(losses[:8])
+        cfg = dataclasses.replace(cfg, stop_train_loss=(losses[8] + min(losses[:8])) / 2)
+    rec = TrajectoryRecorder(spec, S, Sp)
+    res = train(spec, w0, S, Sp, cfg, rec)
+    assert res.stopped_at == (40 if stop else 53)
+    rng = RngStream(cfg.seed, STREAM_BATCH)
+    for r in res.records:
+        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 6))
+    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+
+
+def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
+    # max_steps far beyond memory: a stop at t = 0 draws nothing, and a stop
+    # at t = 12 has drawn two blocks of BATCH_BLOCK_ROWS rows
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 7)
+    drawn = []
+
+    def counted(rng, n, b, k):
+        drawn.append(k)
+        return draw_batches(rng, n, b, k)
+    monkeypatch.setattr(optim, "draw_batches", counted)
+    spec, w0, S, _ = toy_parts(n=25, kind="mlp")
+    cfg = OptimConfig(mode="sgd", batch_size=6,
+                      schedule=Schedule("constant", eta0=0.1),
+                      max_steps=10 ** 9, stop_train_loss=1e300, snapshot_every=4, seed=2)
+    res = train(spec, w0, S, None, cfg)
+    assert res.stopped_at == 0 and not res.records and drawn == []
+
+    cfg = dataclasses.replace(cfg, stop_train_loss=0.5)
+    res = train(spec, w0, S, None, cfg,
+                lambda t, epoch, eta, w: SimpleNamespace(F_S=0.0 if t == 12 else 1.0))
+    assert res.stopped_at == 12 and drawn == [7, 7]
 
 
 @settings(max_examples=100, deadline=None)
