@@ -111,8 +111,9 @@ BETA_SNAPSHOTS = 16
 GAMMA_QUANTILE = 0.95
 
 
-def estimate_constants(spec: ModelSpec, weights, snapshots, records, S: Dataset, *,
-                       cfg: SubsetEstimatorConfig | None = None) -> ConstantEstimates:
+def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: int,
+                       S: Dataset, *, cfg: SubsetEstimatorConfig | None = None
+                       ) -> ConstantEstimates:
     """One pass over the snapshot weights collecting every constant.
 
     The holdout enters only through the recorded snapshots. Per-sample
@@ -127,30 +128,35 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records, S: Dataset,
     smoothness constant is top_hessian_eig at up to BETA_SNAPSHOTS evenly
     spaced weights, floored at 0; the tail-drift onset uses the
     GAMMA_QUANTILE quantile of the early ratios.
+
+    etas are the run's step sizes, one per step taken (TrainResult.etas),
+    and batch_size its b; the largest step size is eta_m.
     """
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
     snapshots = list(snapshots)
-    records = list(records)
-    if not weights or not snapshots:
+    etas = np.asarray(etas, dtype=np.float64).tolist()
+    if not snapshots:
         raise InvalidArgumentError("constant estimation needs a non-empty trajectory")
+    if any(s.F_Sprime is None for s in snapshots):
+        raise InvalidArgumentError(
+            "gamma needs holdout statistics: the snapshots were recorded "
+            "without a holdout"
+        )
     if len(weights) != len(snapshots):
         raise InvalidArgumentError(
             f"{len(weights)} weights vs {len(snapshots)} snapshots"
         )
     if S.n < 2:
         raise InvalidArgumentError(f"V estimation needs n >= 2, got n={S.n}")
-    if any(s.F_Sprime is None for s in snapshots):
-        raise InvalidArgumentError(
-            "gamma needs holdout statistics: the snapshots were recorded "
-            "without a holdout"
-        )
-    flags: list[str] = []
     n = S.n
-    T = len(records)
-    b = len(records[0].batch_indices) if records else n
-    if not records:
-        flags.append("no-steps: eta_m and batch size defaulted")
+    if not 1 <= batch_size <= n:
+        raise InvalidArgumentError(f"need 1 <= batch_size <= n={n}, got {batch_size}")
+    flags: list[str] = []
+    T = len(etas)
+    b = batch_size
+    if not etas:
+        flags.append("no-steps: eta_m defaulted")
 
     k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
     moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
@@ -219,7 +225,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, records, S: Dataset,
     pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
     beta_hat = max(0.0, top_hessian_eig(spec, S, [weights[i] for i in pick]))
 
-    eta_m = max((rec.eta_t for rec in records), default=0.0)
+    eta_m = max(etas, default=0.0)
     return ConstantEstimates(
         L_hat=l_hat, beta_hat=beta_hat, M2_sq=m2, M4_fourth=m4,
         gamma=gamma, gamma_prime=gamma_prime, V_m=v_m, eta_m=eta_m,
@@ -385,19 +391,19 @@ _HARDT_NONCONVEX_FORM = (
 )
 
 
-def bound_stability_baseline(kind: str, est: ConstantEstimates, records,
+def bound_stability_baseline(kind: str, est: ConstantEstimates, etas,
                              schedule: Schedule | None = None) -> BoundReport:
     """Closed-form uniform-stability rates with plug-in constants.
 
-    hardt_convex and bassily consume the realized step sizes; the
-    nonconvex rates consume the inverse-time schedule parameters, so those
-    kinds require the schedule. bassily's decomposition uses the step
+    hardt_convex and bassily consume the realized step sizes etas, one per
+    step taken (TrainResult.etas), summed one after another in step order;
+    the nonconvex rates consume the inverse-time schedule parameters, so
+    those kinds require the schedule. bassily's decomposition uses the step
     sizes of all but the final step.
     """
     if kind not in STABILITY_KINDS:
         raise InvalidArgumentError(f"unknown stability baseline {kind!r}")
-    records = list(records)
-    etas = [rec.eta_t for rec in records]
+    etas = np.asarray(etas, dtype=np.float64).tolist()
     agg: dict[str, float] = {}
     notes = ""
     if kind == "hardt_convex":

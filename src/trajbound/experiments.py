@@ -131,14 +131,32 @@ def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
     return path
 
 
+def _labelled(exc: DivergedError, seed: int, label: str) -> DivergedError:
+    """The divergence restated with the command and the seed that diverged."""
+    return DivergedError(exc.t, exc.param_norm, f"{label} seed {seed}: {exc}")
+
+
 def _train_run(parts: RunParts, seed: int, label: str):
     rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
     try:
         res = train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg, rec)
     except DivergedError as exc:
-        raise DivergedError(exc.t, exc.param_norm,
-                            f"{label} seed {seed}: {exc}") from exc
+        raise _labelled(exc, seed, label) from exc
     return rec, res
+
+
+def _train_cells(cells, recorders) -> list:
+    """Train the cells (RunParts), each with its recorder, as one stack.
+
+    One outcome per cell, in order: its TrainResult, or the DivergedError or
+    NumericDomainError that ended it. The cells of one command share their
+    config, so they stack: one model spec, n, batch size, max_steps and
+    snapshot_every.
+    """
+    if not cells:
+        return []
+    return train([p.spec for p in cells], [p.w0 for p in cells], [p.S for p in cells],
+                 None, [p.ocfg for p in cells], list(recorders))
 
 
 TOY_TABLE_COLUMNS = ("seed", "gen_error", "ours_main", "ours_smooth",
@@ -148,28 +166,36 @@ TOY_TABLE_COLUMNS = ("seed", "gen_error", "ours_main", "ours_smooth",
 def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Train the comparison task per seed and tabulate bound values.
 
-    Writes toy_table.csv (per-seed rows plus a seed-mean row) and
-    bounds.csv with the full per-seed bound reports.
+    The seeds train as one stack, each with its own beta and schedule;
+    the constants and bounds are then estimated per seed. A seed whose run
+    failed raises its error, the lowest such seed first, a DivergedError
+    labelled with the seed. Writes toy_table.csv (per-seed rows plus a
+    seed-mean row) and bounds.csv with the full per-seed bound reports.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     table_rows = []
     reports = []
     report_seeds = []
-    for s in cfg.seeds:
-        parts = assemble_run(cfg, s)
-        rec, res = _train_run(parts, s, "toy_table")
+    cells = [assemble_run(cfg, s) for s in cfg.seeds]
+    recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime, p.est) for p in cells]
+    outcomes = _train_cells(cells, recs)
+    for s, parts, rec, res in zip(cfg.seeds, cells, recs, outcomes):
+        if isinstance(res, DivergedError):
+            raise _labelled(res, s, "toy_table") from res
+        if isinstance(res, Exception):
+            raise res
         consts = estimate_constants(parts.spec, rec.weights, rec.snapshots,
-                                    res.records, parts.S, cfg=parts.est)
+                                    res.etas, res.batch_size, parts.S, cfg=parts.est)
         schedule = parts.ocfg.schedule
         r_main = bound_trajectory_main(consts, rec.snapshots)
         r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule.c, schedule)
         r_relaxed = bound_trajectory_relaxed(consts, rec.snapshots)
-        r_hc = bound_stability_baseline("hardt_convex", consts, res.records)
-        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.records,
+        r_hc = bound_stability_baseline("hardt_convex", consts, res.etas)
+        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas,
                                          schedule)
-        r_zh = bound_stability_baseline("zhang", consts, res.records, schedule)
-        r_ba = bound_stability_baseline("bassily", consts, res.records)
+        r_zh = bound_stability_baseline("zhang", consts, res.etas, schedule)
+        r_ba = bound_stability_baseline("bassily", consts, res.etas)
         last = rec.snapshots[-1]
         gen = last.F_Sprime - last.F_S
         table_rows.append([s, gen, r_main.value, r_smooth.value,
@@ -292,10 +318,11 @@ SWEEP_COLUMNS = ("sweep_param", "value", "seed", "gen_error", "C_final",
 def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Grid x seeds sweep recording generalization gap and final complexity.
 
-    Each cell trains with a recorder that has no holdout, since C_final needs
-    only training-set statistics; gen_error = F_S' - F_S takes F_S' from one
-    forward pass over S' at the final weights (bitwise the F_S' a holdout
-    recorder would give there) and F_S from the last snapshot.
+    Every cell of the grid trains in one stack; rows are written in grid
+    order. Each cell trains with a recorder that has no holdout, since
+    C_final needs only training-set statistics; gen_error = F_S' - F_S takes
+    F_S' from one forward pass over S' at the final weights (bitwise the
+    F_S' a holdout recorder would give there) and F_S from the last snapshot.
 
     A cell that fails numerically becomes a row with diverged=1 and empty
     metrics; it is excluded from the seed-mean rows and does not abort the
@@ -306,36 +333,52 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     param = cfg.sweep_param
+    grid = [(v, s) for v in cfg.sweep_values for s in cfg.seeds]
+    cells, recs, at = [], [], []
+    for i, (v, s) in enumerate(grid):
+        try:
+            parts = assemble_run(
+                cfg, s,
+                eta0_override=v if param == "lr" else None,
+                flip_override=v if param == "noise" else None,
+            )
+        except NumericDomainError:  # a non-finite curvature solve for beta
+            continue
+        cells.append(parts)
+        recs.append(TrajectoryRecorder(parts.spec, parts.S, None, parts.est))
+        at.append(i)
+    trained = dict(zip(at, zip(cells, recs, _train_cells(cells, recs))))
+
+    def cell_row(i: int) -> list:
+        v, s = grid[i]
+        if i not in trained:
+            return [param, v, s, None, None, 0, 1]
+        parts, rec, res = trained[i]
+        if isinstance(res, DivergedError):
+            return [param, v, s, None, None, res.t, 1]
+        # a NumericDomainError, in training or in the final S' pass
+        domain_row = [param, v, s, None, None,
+                      rec.snapshots[-1].t if rec.snapshots else 0, 1]
+        if isinstance(res, NumericDomainError):
+            return domain_row
+        try:
+            f_sp = float(np.mean(losses_batch(parts.spec, res.w_final,
+                                              parts.S_prime.features,
+                                              parts.S_prime.labels)))
+        except NumericDomainError:
+            return domain_row
+        last = rec.snapshots[-1]
+        return [param, v, s, f_sp - last.F_S, last.C_cum, res.stopped_at, 0]
+
     rows = []
     per_value = {}
-    for v in cfg.sweep_values:
-        cells = []
-        for s in cfg.seeds:
-            rec = None
-            try:
-                parts = assemble_run(
-                    cfg, s,
-                    eta0_override=v if param == "lr" else None,
-                    flip_override=v if param == "noise" else None,
-                )
-                rec = TrajectoryRecorder(parts.spec, parts.S, None, parts.est)
-                res = train(parts.spec, parts.w0, parts.S, None, parts.ocfg, rec)
-                f_sp = float(np.mean(losses_batch(parts.spec, res.w_final,
-                                                  parts.S_prime.features,
-                                                  parts.S_prime.labels)))
-            except DivergedError as exc:
-                rows.append([param, v, s, None, None, exc.t, 1])
-                continue
-            except NumericDomainError:
-                last_t = rec.snapshots[-1].t if rec and rec.snapshots else 0
-                rows.append([param, v, s, None, None, last_t, 1])
-                continue
-            last = rec.snapshots[-1]
-            gen = f_sp - last.F_S
-            cells.append((gen, last.C_cum, res.stopped_at))
-            rows.append([param, v, s, gen, last.C_cum, res.stopped_at, 0])
-        if cells:
-            arr = np.array(cells, dtype=np.float64)
+    n_seeds = len(cfg.seeds)
+    for j, v in enumerate(cfg.sweep_values):
+        cell_rows = [cell_row(i) for i in range(j * n_seeds, (j + 1) * n_seeds)]
+        rows += cell_rows
+        metrics = [row[3:6] for row in cell_rows if row[6] == 0]
+        if metrics:
+            arr = np.array(metrics, dtype=np.float64)
             m = np.mean(arr, axis=0)
             per_value[v] = (float(m[0]), float(m[1]), float(m[2]))
             rows.append([param, v, "mean", float(m[0]), float(m[1]),

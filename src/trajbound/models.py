@@ -31,19 +31,23 @@ arrays, because each fresh temporary is paid for in page faults: at the
 recorder's 1000-row holdout one is 256 KB, above glibc's mmap threshold.
 
 grad_mean_xy gives only a batch's mean gradient. bind_step_kernel is the
-training step: it binds, once per run, a copy w of the initial weights, its
-layer views, the data's checked targets and one flat gradient buffer with
-its layer views. Each update then runs the forward pass on those views,
-writes the batch's mean gradient into the buffer and sets w <- w - eta *
-grad in place, bitwise grad_mean_xy's out-of-place step, with no per-step
-check, unflatten or concatenation. loss_grad_stats, behind the trajectory
-snapshots, also gives the mean loss and every sample's squared gradient
-norm; with norms=False it skips the norms, which the recorder does on the
-holdout S', whose norms it never reads. All three run one forward pass and
-the one backward pass of _mean_grad, which contracts each layer with a
-matmul into its views of a flat gradient (the bound buffer, or a fresh one):
-none forms the (n, P) per-sample matrix, and their gradients agree with
-grad_mean to roundoff, not bitwise.
+training step, for a stack of R runs of one model and one n: it binds, once
+per stack, a copy W of the (R, P) initial weights, its layer views (each
+with a leading R axis), the stacked features (R, n, d), each run's checked
+targets and one (R, P) gradient buffer with its views. Each update gathers
+every run's batch rows with one fancy index, runs the forward pass and the
+backward pass on those views with stacked matmuls, and sets W <- W - eta *
+grad in place. Numpy runs a stacked matmul as one BLAS call per run, so
+row r is bitwise grad_mean_xy's out-of-place step for run r whatever the
+other rows hold, and one run is the stack R = 1. loss_grad_stats, behind
+the trajectory snapshots, also gives the mean loss and every sample's
+squared gradient norm; with norms=False it skips the norms, which the
+recorder does on the holdout S', whose norms it never reads. All three run
+_forward and the one backward pass of _mean_grad, which take a leading
+stack axis or none and contract each layer with a matmul into views of a
+flat gradient (the bound buffer, or a fresh one): none forms the (n, P)
+per-sample matrix, and their gradients agree with grad_mean to roundoff,
+not bitwise.
 
 hessian_operator gives exact Hessian-vector products of the mean loss at
 one weight vector: it runs the forward and backward pass once and each
@@ -145,24 +149,32 @@ def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     return _flatten(layers)
 
 
-def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
-    """w as a float64 array, which must have the flat shape (P,)."""
+def _check_params(spec: ModelSpec, w: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """w as a float64 array of the flat shape (P,), or (R, P) when stacked."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (spec.n_params,):
+    if w.ndim != 1 + stacked or w.shape[-1] != spec.n_params:
+        expected = "(R, P)" if stacked else "(P,)"
         raise DimensionMismatchError(
-            f"parameter vector shape {w.shape}, expected ({spec.n_params},)"
+            f"parameter vector shape {w.shape}, expected {expected} "
+            f"with P = {spec.n_params}"
         )
     return w
 
 
-def unflatten(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views of the flat vector (mlp only)."""
-    return _layer_views(spec, _check_params(spec, w))
+def unflatten(spec: ModelSpec, w: np.ndarray, stacked: bool = False
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views of the flat vector (mlp only).
+
+    With stacked, w is an (R, P) stack of vectors and each view has a
+    leading R axis.
+    """
+    return _layer_views(spec, _check_params(spec, w, stacked))
 
 
 def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """unflatten of a vector known to be a float64 (P,) array, unchecked."""
-    return [(w[at:bias_at].reshape(shape), w[bias_at:end])
+    """unflatten of a float64 (P,) vector or (R, P) stack, unchecked."""
+    lead = w.shape[:-1]
+    return [(w[..., at:bias_at].reshape(*lead, *shape), w[..., bias_at:end])
             for at, bias_at, end, shape in spec.layout]
 
 
@@ -195,16 +207,19 @@ def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False
     when the caller has already bound them; the linear model is one
     bias-free layer whose input is X, with no views. Each MLP layer is a
     matmul, or with oracle the singleton-bitwise einsum; the bias and the
-    tanh then update that fresh product in place.
+    tanh then update that fresh product in place. A stack, X (R, n, d) with
+    w (R, P) and the bound views of bind_step_kernel (each bias an
+    (R, 1, width) view), gives every array a leading R axis; each run's
+    values are bitwise those of its own unstacked pass.
     """
     if spec.kind == "linear":
-        return np.einsum("ni,i->n", X, w)[:, None], [X], []
+        return np.einsum("...ni,...i->...n", X, w)[..., None], [X], []
     if layers is None:
         layers = unflatten(spec, w)
     hs = [X]
     out = X
     for l, (mat, bias) in enumerate(layers):
-        out = np.einsum("ni,oi->no", out, mat) if oracle else out @ mat.T
+        out = np.einsum("ni,oi->no", out, mat) if oracle else out @ mat.mT
         out += bias
         if l < len(layers) - 1:
             np.tanh(out, out=out)
@@ -262,17 +277,17 @@ def _losses(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _output_grad(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient of each sample's loss with respect to its outputs, (n, output_dim)."""
+    """Gradient of each sample's loss with respect to its outputs, (..., n, output_dim)."""
     if spec.loss == "squared":
-        return out - t[:, None]
+        return out - t[..., None]
     delta = _softmax(out)
-    delta[np.arange(out.shape[0]), t] -= 1.0
+    delta[(*np.indices(t.shape, sparse=True), t)] -= 1.0
     return delta
 
 
 def _softmax(out: np.ndarray) -> np.ndarray:
-    e = np.exp(out - np.max(out, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(out - np.max(out, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
@@ -325,23 +340,24 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
     Each layer's sums go straight into its views of the flat gradient, which
     is then divided by n in place and returned. out is that gradient as
     (flat (P,) buffer, _layer_views of it), reused across calls by the bound
-    step kernel; by default a fresh one is allocated.
+    step kernel; by default a fresh one is allocated. A stack (a leading R
+    axis on every array, out an (R, P) buffer) gives each run its own sums.
     """
     grad, views = _grad_buffer(spec) if out is None else out
-    n = g.shape[0]
+    n = g.shape[-2]
     if spec.kind == "linear":
-        resid, X = g[:, 0], hs[0]
+        resid, X = g[..., 0], hs[0]
         if sq_norms is not None:
             sq_norms += resid * resid * np.einsum("ni,ni->n", X, X)
-        np.matmul(resid, X, out=grad)
+        np.matmul(resid[..., None, :], X, out=grad[..., None, :])
         grad /= n
         return grad
 
     for l in range(len(layers) - 1, -1, -1):
         h_prev = hs[l]
         gw, gb = views[l]
-        np.matmul(g.T, h_prev, out=gw)
-        np.add.reduce(g, axis=0, out=gb)
+        np.matmul(g.mT, h_prev, out=gw)
+        np.add.reduce(g, axis=-2, out=gb)
         if sq_norms is not None:
             sq_norms += (np.einsum("no,no->n", g, g)
                          * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
@@ -354,9 +370,9 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
     return grad
 
 
-def _grad_buffer(spec: ModelSpec) -> tuple[np.ndarray, list]:
-    """A fresh flat gradient and its per-layer views, the out of _mean_grad."""
-    grad = np.empty(spec.n_params)
+def _grad_buffer(spec: ModelSpec, lead: tuple[int, ...] = ()) -> tuple[np.ndarray, list]:
+    """A fresh flat gradient, (*lead, P), and its per-layer views: the out of _mean_grad."""
+    grad = np.empty((*lead, spec.n_params))
     return grad, _layer_views(spec, grad)
 
 
@@ -373,31 +389,50 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
     return _mean_grad(spec, layers, hs, _output_grad(spec, out, _targets(spec, y)))
 
 
-def bind_step_kernel(spec: ModelSpec, w0: np.ndarray, data: Dataset):
-    """The in-place SGD step on a copy of w0 over batches of data: (w, update).
+def bind_step_kernel(spec: ModelSpec, W0, data):
+    """The in-place SGD step on a stack of R runs: (W, update).
 
-    The checks, the copy w, its layer views, the data's checked targets and
-    one flat gradient buffer are bound here, once per run. update(batch,
-    eta) then sets w <- w - eta * grad_mean_xy(spec, w, X_B, y_B) in place,
-    bitwise, for the rows batch of data, and returns the new ||w||
-    (np.linalg.norm's formula). It neither checks finiteness nor copies w:
-    a NaN or inf gradient shows as a non-finite norm, and a caller that keeps
-    a weight vector past the next update must copy it.
+    W0 holds the R runs' initial weights, an (R, P) array or R vectors, and
+    data their R datasets, all of one n; run r trains on data[r]. The
+    checks, the stacked copy W, its layer views, the stacked features
+    (R, n, d), each run's checked targets and one (R, P) gradient buffer
+    with its views are bound here, once per stack. update(batches, etas),
+    with batches an (R, b) array of row indices and etas an (R,) array, then
+    sets row r of W to w_r - etas[r] * grad_mean_xy(spec, w_r, X_B, y_B) in
+    place, bitwise, for the rows batches[r] of data[r], and returns each
+    row's new ||w|| (np.linalg.norm's formula) as an (R,) array. It neither
+    checks finiteness nor copies W or the norms: a NaN or inf gradient shows
+    as a non-finite norm of its own row only, and a caller that keeps a row
+    or the norms past the next update must copy them.
     """
-    w, X = _check_inputs(spec, np.array(w0, dtype=np.float64), data.features)
-    t = _targets(spec, data.labels)
-    layers = unflatten(spec, w)
-    out = _grad_buffer(spec)
+    data = list(data)
+    if not data or len(W0) != len(data):
+        raise DimensionMismatchError(f"{len(W0)} weight vectors for {len(data)} datasets")
+    if any(d.n != data[0].n for d in data):
+        raise DimensionMismatchError(f"stacked datasets differ in n: {[d.n for d in data]}")
+    checked = [_check_inputs(spec, w, d.features) for w, d in zip(W0, data)]
+    W = np.stack([w for w, _ in checked])
+    X = np.stack([x for _, x in checked])
+    t = np.stack([_targets(spec, d.labels) for d in data])
+    # each bias as an (R, 1, width) view, to broadcast over the stacked batch
+    layers = [(mat, bias[:, None, :]) for mat, bias in unflatten(spec, W, stacked=True)]
+    out = _grad_buffer(spec, (len(W),))
     grad = out[0]
+    runs = np.arange(len(W))[:, None]
+    # (R, 1, P) @ (R, P, 1) is one BLAS dot per run, bitwise w @ w
+    w_rows, w_cols = W[:, None, :], W[:, :, None]
+    sq = np.empty((len(W), 1, 1))
+    norms = sq.reshape(len(W))
 
-    def update(batch: np.ndarray, eta: float) -> float:
-        scores, hs, _ = _forward(spec, w, X[batch], layers=layers)
-        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t[batch]), out=out)
-        np.multiply(grad, eta, out=grad)
-        np.subtract(w, grad, out=w)
-        return math.sqrt(w @ w)
+    def update(batches: np.ndarray, etas: np.ndarray) -> np.ndarray:
+        scores, hs, _ = _forward(spec, W, X[runs, batches], layers=layers)
+        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t[runs, batches]), out=out)
+        np.multiply(grad, etas[:, None], out=grad)
+        np.subtract(W, grad, out=W)
+        np.matmul(w_rows, w_cols, out=sq)
+        return np.sqrt(norms, out=norms)
 
-    return w, update
+    return W, update
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool = True

@@ -5,17 +5,23 @@ full dataset every step; SGD draws an independent uniform size-b subset per
 step (the covariance identity the trajectory statistics rely on is derived
 for that scheme).
 
-Every step runs through one kernel, models.bind_step_kernel, followed by
-the one norm guard (_bind_step). train binds it once per run, to the run's
-own copy of w0, and each step then updates that vector in place; step is
-one update of the same kernel on a copy of the w it is given.
+train runs one loop over snapshot intervals for a stack of R runs of one
+model, n, batch size, max_steps and snapshot_every; one run is the stack
+R = 1, with no second path. Every step of the stack is one update of
+models.bind_step_kernel, whose row r is bitwise run r's own step, followed
+by the norm guard on each row. Each run keeps its own batch stream,
+schedule, recorder, early stop and divergence state; a run that stops,
+diverges or fails numerically leaves the stack, which is rebound on the
+others. step is one update of the same kernel on a copy of the w it is
+given. A run's result keeps its step sizes, one float64 array, and its
+batch size, not a per-step log.
 
-Batches are drawn by draw_batches, k steps at a time: train draws its
-private batch stream in blocks of up to BATCH_BLOCK_ROWS rows and hands each
-row, in order, to the bound step, which draws nothing itself;
-bounds.estimate_constants draws its batch-moment subsets through it too.
-Its rows equal k successive sample_batch calls and leave the stream where
-those calls would. At b = 1 that is one integers draw; for
+Batches are drawn by draw_batches, k steps at a time: each run draws its
+private batch stream in blocks of up to BATCH_BLOCK_ROWS rows and hands
+each snapshot interval's rows, in order, to the bound step, which draws
+nothing itself; bounds.estimate_constants draws its batch-moment subsets
+through it too. Its rows equal k successive sample_batch calls and leave
+the stream where those calls would. At b = 1 that is one integers draw; for
 1 < b <= FLOYD_MAX_BATCH it replays numpy's own Floyd sampling from one
 uint32 block (_floyd_rows).
 Both rest on how Generator.choice consumes the Philox stream on the numpy
@@ -27,23 +33,24 @@ the fallback for the cases the block does not replay.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DivergedError, InvalidArgumentError
+from .errors import DivergedError, InvalidArgumentError, NumericDomainError
 from .models import ModelSpec, bind_step_kernel
 from .models import grad_mean_xy  # noqa: F401 (bench/tracing.py wraps optim.grad_mean_xy)
 from .numerics import STREAM_BATCH, RngStream
 
 PARAM_NORM_CAP = 1e12
-# Rows per draw_batches block in train's batch stream: sweep_noise's 4 000
-# steps are one block, and a longer run holds at most this many drawn rows
-# it may not use.
-BATCH_BLOCK_ROWS = 4096
+# Rows per draw_batches block in a run's batch stream. A stack holds one
+# block per run at a time: sweep_noise's 12 cells at 4096 rows (3.9 MB)
+# raised its peak RSS by 2.3 MB, at 1024 rows (1 MB) not at all, and each
+# extra b = 10 block costs about 95 us. A run holds at most this many
+# drawn rows it may not use.
+BATCH_BLOCK_ROWS = 1024
 # Largest b the Floyd block replays. Its duplicate check is O(b^2) a row: on
 # numpy 2.4.6 (2-vCPU x86, 1000-row blocks, n = 1000 and 10 000) it costs
 # 0.5 us a row at b = 10 and 10-14 us at b = 120, against 16-25 us for
@@ -126,19 +133,13 @@ class OptimConfig:
 
 
 @dataclass
-class StepRecord:
-    t: int
-    eta_t: float
-    batch_indices: np.ndarray
-
-
-@dataclass
 class TrainResult:
     """Everything a single run produced, in step order."""
 
     w_final: np.ndarray
     snapshots: list
-    records: list[StepRecord] = field(default_factory=list)
+    etas: np.ndarray  # the step size of each step taken, lr_at(schedule, t)
+    batch_size: int
     stopped_at: int = 0  # number of update steps actually taken
 
 
@@ -243,85 +244,160 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
             done += 1
 
 
-def _batch_stream(rng: RngStream, n: int, b: int, horizon: int):
-    """The horizon's batch rows in order, drawn BATCH_BLOCK_ROWS at a time.
+def _interval_batches(rng: RngStream, n: int, b: int, horizon: int, every: int):
+    """Each snapshot interval's (k, b) batch rows, in step order.
 
-    Lazy: a block is drawn only when its first row is taken.
+    The rows come from draw_batches blocks of up to BATCH_BLOCK_ROWS rows
+    over the horizon. Lazy: a block is drawn only when an interval needs
+    rows past those already drawn.
     """
-    for start in range(0, horizon, BATCH_BLOCK_ROWS):
-        yield from draw_batches(rng, n, b, min(BATCH_BLOCK_ROWS, horizon - start))
-
-
-def _bind_step(spec: ModelSpec, w0: np.ndarray, data: Dataset, cfg: OptimConfig):
-    """The run's weights w, a copy of w0, and its step: (w, run).
-
-    run(t, batch_indices) updates w in place by one bind_step_kernel update
-    at eta_t and returns the StepRecord. It raises DivergedError on blow-up;
-    the only check is the norm guard on the updated weights. A NaN or inf in
-    the gradient reaches w even at eta_t = 0 (0 * inf is NaN), and a
-    non-finite norm fails the comparison.
-    """
-    w, update = bind_step_kernel(spec, w0, data)
-
-    def run(t: int, batch_indices: np.ndarray) -> StepRecord:
-        eta = lr_at(cfg.schedule, t)
-        norm = update(batch_indices, eta)
-        if not norm <= PARAM_NORM_CAP:
-            raise DivergedError(t, norm)
-        return StepRecord(t=t, eta_t=eta, batch_indices=batch_indices)
-
-    return w, run
+    rest, drawn = np.empty((0, b), dtype=np.int64), 0
+    for t in range(0, horizon, every):
+        need = min(every, horizon - t)
+        parts = []
+        while need > len(rest):
+            if len(rest):
+                parts.append(rest)
+                need -= len(rest)
+            k = min(BATCH_BLOCK_ROWS, horizon - drawn)
+            rest = draw_batches(rng, n, b, k)
+            drawn += k
+        parts.append(rest[:need])
+        rest = rest[need:]
+        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
-         batch_indices: np.ndarray) -> tuple[np.ndarray, StepRecord]:
+         batch_indices: np.ndarray) -> np.ndarray:
     """One update w - eta_t * grad_F_B(w) over the given batch B, out of place.
 
-    train's step path (_bind_step) bound to a copy of w for this one update,
-    so w itself is left unchanged; the result is bitwise the train step's.
-    Raises DivergedError when the updated norm fails the cap.
+    train's step, the stack R = 1 of bind_step_kernel, bound to a copy of w
+    for this one update, so w itself is left unchanged; the result is
+    bitwise the train step's. Raises DivergedError when the updated norm
+    fails the cap.
     """
-    w_next, run = _bind_step(spec, w, data, cfg)
-    return w_next, run(t, batch_indices)
+    W, update = bind_step_kernel(spec, [w], [data])
+    norm = update(np.asarray(batch_indices)[None], np.array([lr_at(cfg.schedule, t)]))[0]
+    if not norm <= PARAM_NORM_CAP:
+        raise DivergedError(t, float(norm))
+    return W[0]
 
 
-def train(spec: ModelSpec, w0: np.ndarray, S: Dataset, S_prime: Dataset | None,
-          cfg: OptimConfig, recorder=None) -> TrainResult:
-    """Run the configured loop, one snapshot interval at a time.
+_STACK_FIELDS = ("model spec", "n", "batch size", "max_steps", "snapshot_every")
 
-    The step kernel is bound once, to a copy of w0 that every step updates
-    in place, so w0 is never written. At each snapshot step t (0, every
-    snapshot_every-th step and max_steps) the recorder is called as
-    recorder(t, epoch, eta_t, w) and returns the snapshot it recorded. The
-    run ends there when t == max_steps or the snapshot's F_S is below
-    stop_train_loss; otherwise it runs the next interval's
-    min(snapshot_every, max_steps - t) steps, so the last call is at the
-    returned weights. The steps take their rows in order from the run's
-    private batch stream, drawn in draw_batches blocks of up to
-    BATCH_BLOCK_ROWS at a time; rows drawn past an early stop are dropped
-    with the stream, so they change no output, and a stop at t = 0 draws
-    nothing. w is the run's live vector, which later steps overwrite: a
-    recorder that keeps it must copy it, as TrajectoryRecorder does.
-    S_prime is read only by the default recorder (None gives it no holdout).
+
+def train(spec, w0, S, S_prime, cfg, recorder=None):
+    """Train one run, or a stack of runs, one snapshot interval at a time.
+
+    One run: spec is its ModelSpec, w0 its (P,) initial weights, S its
+    training set and cfg its OptimConfig; the result is its TrainResult and
+    a failure raises. At each snapshot step t (0, every snapshot_every-th
+    step and max_steps) the recorder is called as recorder(t, epoch, eta_t,
+    w) and returns the snapshot it recorded. The run ends there when
+    t == max_steps or the snapshot's F_S is below stop_train_loss; otherwise
+    it runs the next interval's min(snapshot_every, max_steps - t) steps,
+    so the last call is at the returned weights. The steps take their rows
+    in order from the run's private batch stream, drawn in draw_batches
+    blocks of up to BATCH_BLOCK_ROWS at a time; rows drawn past an early
+    stop are dropped with the stream, so they change no output, and a stop
+    at t = 0 draws nothing. w is a row of the live weight stack, which later
+    steps overwrite: a recorder that keeps it must copy it, as
+    TrajectoryRecorder does. w0 is never written. S_prime is read only by
+    the default recorder (None gives it no holdout).
+
+    A stack of R runs passes spec, w0, S, cfg and recorder as length-R
+    sequences, one entry per run, and S_prime=None: each recorder holds its
+    own holdout. The runs must share the model spec, n, the batch size,
+    max_steps and snapshot_every (InvalidArgumentError otherwise); seeds,
+    schedules, early stops and data differ freely. The result is a list
+    with, for each run, its TrainResult, or the DivergedError of its norm
+    guard or the NumericDomainError of its recorder, which took it out of
+    the stack. Each run's snapshots, step sizes and final weights are
+    bitwise those of training it alone.
     """
-    if recorder is None:
-        from .trajectory import TrajectoryRecorder
+    if isinstance(spec, ModelSpec):
+        if recorder is None:
+            from .trajectory import TrajectoryRecorder
 
-        recorder = TrajectoryRecorder(spec, S, S_prime)
-    b = resolve_batch_size(cfg, S.n)
-    steps_per_epoch = max(1, math.ceil(S.n / b))
-    batches = _batch_stream(RngStream(cfg.seed, STREAM_BATCH), S.n, b, cfg.max_steps)
-    w, run = _bind_step(spec, w0, S, cfg)
-    snapshots = []
-    records: list[StepRecord] = []
+            recorder = TrajectoryRecorder(spec, S, S_prime)
+        (outcome,) = _train_stack([spec], [w0], [S], [cfg], [recorder])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    if S_prime is not None or recorder is None:
+        raise InvalidArgumentError(
+            "a stack takes one recorder per run and no shared holdout"
+        )
+    return _train_stack(list(spec), list(w0), list(S), list(cfg), list(recorder))
+
+
+def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
+    """train's loop over the stack of runs: one outcome per run, in order."""
+    R = len(specs)
+    if R == 0 or not len(w0s) == len(Ss) == len(cfgs) == len(recorders) == R:
+        raise InvalidArgumentError(
+            f"a stack needs one entry per run in each of spec, w0, S, cfg and "
+            f"recorder; got {[len(x) for x in (specs, w0s, Ss, cfgs, recorders)]}"
+        )
+    shapes = [(sp, S.n, resolve_batch_size(cfg, S.n), cfg.max_steps, cfg.snapshot_every)
+              for sp, S, cfg in zip(specs, Ss, cfgs)]
+    for name, values in zip(_STACK_FIELDS, zip(*shapes)):
+        if any(v != values[0] for v in values):
+            raise InvalidArgumentError(f"stacked runs differ in {name}: {list(values)}")
+    spec, n, b, horizon, every = shapes[0]
+    steps_per_epoch = max(1, math.ceil(n / b))
+    streams = [_interval_batches(RngStream(cfg.seed, STREAM_BATCH), n, b, horizon, every)
+               for cfg in cfgs]
+    snapshots = [[] for _ in range(R)]
+    etas = [[] for _ in range(R)]
+    outcomes: list = [None] * R
+    live = list(range(R))  # the stacked runs, row i of W being run live[i]
+    W, update = bind_step_kernel(spec, w0s, Ss)
+
+    def narrow(keep):
+        """Keep the rows at positions keep, rebinding the kernel on them."""
+        nonlocal live, W, update
+        live = [live[i] for i in keep]
+        if live:
+            W, update = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
+
     t = 0
     while True:
-        snap = recorder(t, t // steps_per_epoch, lr_at(cfg.schedule, t), w)
-        snapshots.append(snap)
-        if t == cfg.max_steps or (cfg.stop_train_loss is not None
-                                  and snap.F_S < cfg.stop_train_loss):
-            return TrainResult(w, snapshots, records, t)
-        k = min(cfg.snapshot_every, cfg.max_steps - t)
-        for batch in itertools.islice(batches, k):
-            records.append(run(t, batch))
-            t += 1
+        keep = []
+        for i, r in enumerate(live):
+            try:
+                snap = recorders[r](t, t // steps_per_epoch, lr_at(cfgs[r].schedule, t), W[i])
+            except NumericDomainError as exc:
+                outcomes[r] = exc
+                continue
+            snapshots[r].append(snap)
+            stop = cfgs[r].stop_train_loss
+            if t == horizon or (stop is not None and snap.F_S < stop):
+                outcomes[r] = TrainResult(W[i].copy(), snapshots[r],
+                                          np.concatenate(etas[r] or [np.zeros(0)]), b, t)
+            else:
+                keep.append(i)
+        if len(keep) < len(live):
+            narrow(keep)
+            if not live:
+                return outcomes
+        k = min(every, horizon - t)
+        batches = np.stack([next(streams[r]) for r in live])
+        rates = np.array([[lr_at(cfgs[r].schedule, t + j) for j in range(k)] for r in live])
+        for j in range(k):
+            norms = update(batches[:, j], rates[:, j])
+            if np.maximum.reduce(norms) <= PARAM_NORM_CAP:  # NaN-propagating max
+                continue
+            keep = []
+            for i, norm in enumerate(norms):
+                if norm <= PARAM_NORM_CAP:
+                    keep.append(i)
+                else:
+                    outcomes[live[i]] = DivergedError(t + j, float(norm))
+            narrow(keep)
+            if not live:
+                return outcomes
+            batches, rates = batches[keep], rates[keep]
+        for i, r in enumerate(live):
+            etas[r].append(rates[i])
+        t += k

@@ -361,13 +361,15 @@ class TrajectoryRecorder:
     """Computes and stores one TrajectorySnapshot per recorded step.
 
     The training loop calls the recorder with (t, epoch, eta_t, w); the
-    recorder owns the cumulative complexity state, keeps the weight and
-    gradient history needed by downstream estimators, and collects flags
-    for degenerate situations instead of failing mid-run.
+    recorder owns the cumulative complexity state, keeps a copy of each
+    snapshot's weights and its gradients on S and S' (weights, grads_S,
+    grads_Sprime) for downstream estimators, and collects flags for
+    degenerate situations instead of failing mid-run.
 
-    S_prime = None skips the holdout pass: the snapshots' holdout fields and
-    the grads_Sprime entries are None, and the S-side statistics are
-    bitwise those of a recorder with a holdout.
+    S_prime = None skips the holdout pass: the snapshots' holdout fields are
+    None, the S-side statistics are bitwise those of a recorder with a
+    holdout, and no history is kept (weights, grads_S and grads_Sprime stay
+    empty), since every reader of it needs the holdout too.
 
     rp_mode: None records no relative-progress columns; "step" applies the
     exact one-step ratios (consecutive snapshots must be one step apart);
@@ -398,7 +400,7 @@ class TrajectoryRecorder:
         self._c_cum = 0.0
 
     def __call__(self, t: int, epoch: int, eta: float, w: np.ndarray) -> TrajectorySnapshot:
-        w = np.asarray(w, dtype=np.float64).copy()
+        w = np.asarray(w, dtype=np.float64)
         f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
         trace = _trace_from_sq_norms(sq_norms, g_s)
         norm_s = float(np.linalg.norm(g_s))
@@ -438,9 +440,10 @@ class TrajectoryRecorder:
             rp=rp, trp=trp,
         )
         self.snapshots.append(snap)
-        self.weights.append(w)
-        self.grads_S.append(g_s)
-        self.grads_Sprime.append(g_sp)
+        if self.S_prime is not None:
+            self.weights.append(w.copy())
+            self.grads_S.append(g_s)
+            self.grads_Sprime.append(g_sp)
         return snap
 
 

@@ -26,7 +26,7 @@ from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
 from trajbound.experiments import assemble_run
 from trajbound.models import init_params, linear_spec, mlp_spec, per_sample_grads
 from trajbound.numerics import STREAM_MOMENT, RngStream
-from trajbound.optim import OptimConfig, Schedule, StepRecord, train
+from trajbound.optim import OptimConfig, Schedule, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
@@ -53,11 +53,6 @@ def consts(**overrides):
     return ConstantEstimates(**base)
 
 
-def records(etas):
-    return [StepRecord(t=t, eta_t=e, batch_indices=np.arange(2))
-            for t, e in enumerate(etas)]
-
-
 def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
     S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=seed))
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
@@ -75,7 +70,7 @@ def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
 
 def test_estimate_constants_on_a_full_batch_run():
     spec, S, Sp, est, rec, res = small_run(mode="gd", steps=20)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
     assert c.n == S.n and c.T == 20 and c.b == S.n
     assert c.eta_m == 0.05
@@ -104,12 +99,12 @@ def test_estimate_constants_on_a_full_batch_run():
 
 def test_estimate_constants_minibatch_moments_are_consistent():
     spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=3, steps=15)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
     assert c.b == 3
     assert c.M2_sq > 0
     assert c.M4_fourth >= c.M2_sq ** 2  # second moments dominate squared means
-    again = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    again = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                                S, cfg=est)
     assert c.M2_sq == again.M2_sq and c.M4_fourth == again.M4_fourth
 
@@ -119,7 +114,7 @@ def assert_moments_match_the_per_draw_loop(kind, batch):
     # choice + sort + mean + dot loop bit for bit
     spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=batch, steps=15,
                                            kind=kind)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
     gen = RngStream(est.seed, STREAM_MOMENT).generator()
     m2 = m4 = 0.0
@@ -156,7 +151,7 @@ def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():
                       schedule=Schedule("constant", eta0=0.05), max_steps=5,
                       snapshot_every=1)
     res = train(spec, w0, S, Sp, cfg, rec)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records, S)
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S)
     hess = S.features.T @ S.features / S.n
     assert c.beta_hat == pytest.approx(float(np.max(np.linalg.eigvalsh(hess))))
 
@@ -174,7 +169,7 @@ def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
                         lambda apply, dim: (-1.0, np.zeros(dim)))
     spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3)
     assert top_hessian_eig(spec, S, rec.weights) == -1.0
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
     assert c.beta_hat == 0.0
     cfg = dataclasses.replace(default_config("toy_table"), seeds=(0,),
@@ -193,7 +188,7 @@ def test_estimate_constants_zeta_vanishes_when_holdout_is_the_train_set():
                                 [s.epoch for s in rec.snapshots],
                                 [s.eta_t for s in rec.snapshots], est)
     c = estimate_constants(spec, control.weights, control.snapshots,
-                           res.records, S, cfg=est)
+                           res.etas, res.batch_size, S, cfg=est)
     assert c.gamma == 1.0
     assert c.zeta == 0.0
 
@@ -202,19 +197,23 @@ def test_estimate_constants_takes_the_estimator_config_by_keyword_only():
     # the holdout argument is gone; a call still passing it must not bind
     # the holdout to cfg
     spec, S, Sp, est, rec, res = small_run(steps=2)
+    args = (spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S)
     with pytest.raises(TypeError):
-        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, Sp, est)
+        estimate_constants(*args, Sp, est)
     with pytest.raises(TypeError):
-        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S, est)
+        estimate_constants(*args, est)
 
 
 def test_estimate_constants_validation():
     spec, S, Sp, est, rec, res = small_run(steps=5)
     with pytest.raises(InvalidArgumentError):
-        estimate_constants(spec, [], [], res.records, S, cfg=est)
+        estimate_constants(spec, [], [], res.etas, res.batch_size, S, cfg=est)
     with pytest.raises(InvalidArgumentError):
-        estimate_constants(spec, rec.weights[:-1], rec.snapshots, res.records,
+        estimate_constants(spec, rec.weights[:-1], rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
+    for b in (0, S.n + 1):
+        with pytest.raises(InvalidArgumentError, match="batch_size"):
+            estimate_constants(spec, rec.weights, rec.snapshots, res.etas, b, S, cfg=est)
 
 
 # -- trajectory bounds ------------------------------------------------------------
@@ -334,14 +333,14 @@ def test_relaxed_bound_with_zero_drift_equals_the_main_bound():
 
 def test_hardt_convex_closed_form():
     est = consts(L_hat=2.0, n=10)
-    rep = bound_stability_baseline("hardt_convex", est, records([0.1, 0.2, 0.3]))
+    rep = bound_stability_baseline("hardt_convex", est, np.array([0.1, 0.2, 0.3]))
     assert rep.value == pytest.approx(2.0 * 4.0 / 10.0 * 0.6)
     assert rep.trajectory_aggregates == {"sum_eta": pytest.approx(0.6)}
 
 
 def test_bassily_closed_form_drops_the_final_step():
     est = consts(L_hat=2.0, n=10)
-    rep = bound_stability_baseline("bassily", est, records([0.1, 0.2, 0.5]))
+    rep = bound_stability_baseline("bassily", est, np.array([0.1, 0.2, 0.5]))
     head_sum = 0.1 + 0.2
     head_sq = 0.01 + 0.04
     assert rep.value == pytest.approx(2.0 * 4.0 * math.sqrt(head_sq)
@@ -351,7 +350,7 @@ def test_bassily_closed_form_drops_the_final_step():
 def test_hardt_nonconvex_closed_form():
     est = consts(L_hat=2.0, beta_hat=2.0, n=11, T=100)
     sched = Schedule("inverse_time", c=1.0, beta=2.0)
-    rep = bound_stability_baseline("hardt_nonconvex", est, records([0.1]), sched)
+    rep = bound_stability_baseline("hardt_nonconvex", est, np.array([0.1]), sched)
     bc = 2.0
     expect = (1 + 1 / bc) / 10 * (2 * 1.0 * 4.0) ** (1 / 3) * 100 ** (2 / 3)
     assert rep.value == pytest.approx(expect)
@@ -361,7 +360,7 @@ def test_hardt_nonconvex_closed_form():
 def test_zhang_closed_form():
     est = consts(L_hat=2.0, n=11, T=100)
     sched = Schedule("inverse_time", c=1.0, beta=2.0)
-    rep = bound_stability_baseline("zhang", est, records([0.1]), sched)
+    rep = bound_stability_baseline("zhang", est, np.array([0.1]), sched)
     assert rep.value == pytest.approx(16.0 * 4.0 * 100.0 / 121.0)
 
 
@@ -369,15 +368,15 @@ def test_nonconvex_baselines_require_the_inverse_time_schedule():
     est = consts()
     for kind in ("hardt_nonconvex", "zhang"):
         with pytest.raises(InvalidArgumentError, match="inverse-time"):
-            bound_stability_baseline(kind, est, records([0.1]))
+            bound_stability_baseline(kind, est, np.array([0.1]))
         with pytest.raises(InvalidArgumentError, match="inverse-time"):
-            bound_stability_baseline(kind, est, records([0.1]),
+            bound_stability_baseline(kind, est, np.array([0.1]),
                                      Schedule("constant", eta0=0.1))
     with pytest.raises(InvalidArgumentError, match="unknown stability"):
-        bound_stability_baseline("feldman", est, records([0.1]))
+        bound_stability_baseline("feldman", est, np.array([0.1]))
     with pytest.raises(InvalidArgumentError, match="beta_hat"):
         bound_stability_baseline("hardt_nonconvex", consts(beta_hat=0.0),
-                                 records([0.1]),
+                                 np.array([0.1]),
                                  Schedule("inverse_time", c=1.0, beta=2.0))
 
 
@@ -385,16 +384,16 @@ def test_nonconvex_baselines_require_the_inverse_time_schedule():
 
 def test_reevaluate_reproduces_every_report_bitwise():
     spec, S, Sp, est, rec, res = small_run(steps=20)
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.records,
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
                            S, cfg=est)
     sched = Schedule("inverse_time", c=1.0, beta=c.beta_hat)
     reports = [
         bound_trajectory_main(c, rec.snapshots),
         bound_trajectory_relaxed(c, rec.snapshots),
-        bound_stability_baseline("hardt_convex", c, res.records),
-        bound_stability_baseline("hardt_nonconvex", c, res.records, sched),
-        bound_stability_baseline("zhang", c, res.records, sched),
-        bound_stability_baseline("bassily", c, res.records),
+        bound_stability_baseline("hardt_convex", c, res.etas),
+        bound_stability_baseline("hardt_nonconvex", c, res.etas, sched),
+        bound_stability_baseline("zhang", c, res.etas, sched),
+        bound_stability_baseline("bassily", c, res.etas),
     ]
     for rep in reports:
         assert reevaluate_bound(rep) == rep.value
@@ -410,7 +409,7 @@ def test_reevaluate_rejects_unknown_method():
 def test_write_bounds_csv_blanks_unused_columns(tmp_path):
     est = consts()
     main = bound_trajectory_main(est, [snap(0), snap(1, C_cum=0.4)])
-    hc = bound_stability_baseline("hardt_convex", est, records([0.1, 0.2]))
+    hc = bound_stability_baseline("hardt_convex", est, np.array([0.1, 0.2]))
     path = str(tmp_path / "bounds.csv")
     write_bounds_csv(path, [main, hc], seeds=[3, 3])
     lines = open(path).read().splitlines()

@@ -6,6 +6,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -36,7 +38,7 @@ from trajbound.experiments import (
     cmd_toy_table,
     cmd_track,
 )
-from trajbound.optim import train
+from trajbound.optim import Schedule, train
 from trajbound.trajectory import TrajectoryRecorder
 
 
@@ -297,6 +299,117 @@ def test_sweep_cells_match_a_recorder_with_the_holdout(experiment, tmp_path):
             assert int(row["stopped_at"]) == res.stopped_at
             stopped.append(res.stopped_at < parts.ocfg.max_steps)
     assert any(stopped)  # early stopping is covered too
+
+
+def train_each_cell_alone(cells, recorders):
+    """experiments._train_cells' contract, one solo train call per cell."""
+    outcomes = []
+    for parts, rec in zip(cells, recorders):
+        try:
+            outcomes.append(train(parts.spec, parts.w0, parts.S, None, parts.ocfg, rec))
+        except (DivergedError, NumericDomainError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def test_stacked_sweep_rows_equal_training_each_cell_alone(tmp_path, monkeypatch):
+    # a grid with a diverging rate: the one stack of all cells writes the
+    # rows, in the order, that training every cell alone writes
+    cfg = dataclasses.replace(shrunk_sweep("sweep_lr", tmp_path / "stack"),
+                              sweep_values=(0.1, 1e6, 0.3))
+    stacks = []
+    real_train = experiments.train
+
+    def train_spy(spec, *args, **kwargs):
+        stacks.append(len(spec))
+        return real_train(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", train_spy)
+    cmd_sweep(cfg)
+    assert stacks == [6]
+    monkeypatch.setattr(experiments, "_train_cells", train_each_cell_alone)
+    cmd_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "solo")))
+    stacked = (tmp_path / "stack" / "sweep.csv").read_bytes()
+    assert stacked == (tmp_path / "solo" / "sweep.csv").read_bytes()
+    _, rows = read_rows(tmp_path / "stack" / "sweep.csv")
+    assert [(r["value"], r["diverged"]) for r in rows if r["seed"] != "mean"] == [
+        ("0.1", "0"), ("0.1", "0"), ("1000000.0", "1"), ("1000000.0", "1"),
+        ("0.3", "0"), ("0.3", "0")]
+
+
+def test_toy_table_names_the_lowest_diverging_seed(tmp_path, monkeypatch):
+    # seeds 1 and 2 get a rate that diverges; the stacked seeds raise the
+    # labelled error training seed 1 alone raises, before any bound is formed
+    cfg = tiny("toy_table", tmp_path, seeds=(0, 1, 2), epochs=2)
+    real_assemble = experiments.assemble_run
+
+    def assemble(cfg, run_seed, **kwargs):
+        parts = real_assemble(cfg, run_seed, **kwargs)
+        if run_seed > 0:
+            blowup = Schedule("inverse_time", c=1e6, beta=parts.ocfg.schedule.beta)
+            parts.ocfg = dataclasses.replace(parts.ocfg, schedule=blowup)
+        return parts
+
+    monkeypatch.setattr(experiments, "assemble_run", assemble)
+    with pytest.raises(DivergedError) as solo:
+        experiments._train_run(assemble(cfg, 1), 1, "toy_table")
+    constants = []
+    real_estimate = experiments.estimate_constants
+
+    def estimate(*args, **kwargs):
+        constants.append(args[0])
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_constants", estimate)
+    with pytest.raises(DivergedError) as stacked:
+        cmd_toy_table(cfg)
+    assert str(stacked.value).startswith("toy_table seed 1: ")
+    assert str(stacked.value) == str(solo.value)
+    assert (stacked.value.t, stacked.value.param_norm) == (solo.value.t,
+                                                           solo.value.param_norm)
+    assert len(constants) == 1  # seed 0's, formed before seed 1 is reached
+
+
+TRACED_RUN = """
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer("test")
+tracing.install(tracer)
+from trajbound import optim
+from trajbound.config import default_config
+from trajbound.experiments import COMMANDS
+small = dict(seeds=(0, 1), n_train=16, n_test=16, dim=3, k_samples=32, epochs=2)
+for name, extra in (("toy_table", {}), ("sweep_noise", {"sweep_values": (0.0, 0.25)})):
+    cfg = dataclasses.replace(default_config(name), output_dir=sys.argv[2] + "/" + name,
+                              **small, **extra)
+    COMMANDS[name](cfg)
+tracer.dump(sys.argv[2] + "/spans.json")
+doc = tracing.load_spans(sys.argv[2] + "/spans.json")
+tracing.check_tree(doc)
+stats = tracing.layer_stats(doc)
+stats["wrapped"] = [fn.__name__ for fn in (optim.step, optim.grad_mean_xy)]
+print(json.dumps(stats))
+"""
+
+
+def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
+    # bench/tracing.py patches these names from outside the package: the
+    # stacked train call is one optim.train span per command, assemble_run
+    # still runs once per cell and estimate_constants once per seed
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, os.path.join(root, "bench"),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    stats = json.loads(done.stdout.splitlines()[-1])
+    assert stats["optim.train.calls"] == 2
+    assert stats["experiments.assemble_run.calls"] == 2 + 2 * 2
+    assert stats["bounds.estimate_constants.calls"] == 2
+    assert stats["bounds.report.calls"] == 2 * 7 + 1
+    assert stats["trajectory.recorder.calls"] > 4
+    assert stats["wrapped"] == ["step", "grad_mean_xy"]
 
 
 @pytest.mark.parametrize("experiment, values, completed", [

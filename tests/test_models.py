@@ -302,9 +302,9 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     calls = []
     real = models.unflatten
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1])
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(models, "unflatten", counted)
     grad_mean_xy(spec, w, data.features, data.labels)
@@ -319,10 +319,10 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     hess(v)  # each product unflattens only its direction
     assert len(calls) == 5 and calls[-1] is v
     # the step kernel unflattens its own copy once, at bind, and never per update
-    w_run, update = models.bind_step_kernel(spec, w, data)
+    w_run, update = models.bind_step_kernel(spec, [w], [data])
     assert len(calls) == 6 and calls[-1] is w_run
     for b in (1, data.n, 2):
-        update(np.arange(b), 0.1)
+        update(np.arange(b)[None], np.array([0.1]))
     assert len(calls) == 6
 
 
@@ -333,11 +333,12 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     for b in range(1, n + 1):
         batch = np.sort(gen.choice(n, size=b, replace=False))
         for eta in (0.0, float(gen.uniform(0.01, 1.0))):
-            w_run, update = models.bind_step_kernel(spec, w, data)
-            norm = update(batch, eta)
+            w_run, update = models.bind_step_kernel(spec, [w], [data])
+            norm = update(batch[None], np.array([eta]))
             expected = w - eta * grad_mean_xy(spec, w, X[batch], y[batch])
-            assert w_run.tobytes() == expected.tobytes()
-            assert norm == math.sqrt(w_run @ w_run)
+            assert w_run.shape == (1, w.size)
+            assert w_run[0].tobytes() == expected.tobytes()
+            assert norm.tolist() == [math.sqrt(expected @ expected)]
     assert w.tobytes() == w_before.tobytes()
     # one bound buffer across batch sizes that change from step to step,
     # a short last slice of a permutation among them, leaks nothing between
@@ -347,14 +348,30 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]
     batches += [np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
                 for _ in range(4)]
-    w_run, update = models.bind_step_kernel(spec, w, data)
+    w_run, update = models.bind_step_kernel(spec, [w], [data])
     w_ref = w
     for batch in batches:
         eta = float(gen.uniform(0.0, 0.5))
-        norm = update(batch, eta)
+        norm = update(batch[None], np.array([eta]))
         w_ref = w_ref - eta * grad_mean_xy(spec, w_ref, X[batch], y[batch])
-        assert w_run.tobytes() == w_ref.tobytes()
-        assert norm == math.sqrt(w_ref @ w_ref)
+        assert w_run[0].tobytes() == w_ref.tobytes()
+        assert norm[0] == math.sqrt(w_ref @ w_ref)
+    # a stack of three runs on their own weights, data and rates: each row is
+    # bitwise its run's own out-of-place step, whatever the other rows hold
+    refs = [w, w[::-1] * 0.5, -w]
+    data_r = [data] + [Dataset(X[gen.permutation(n)], y[gen.permutation(n)])
+                       for _ in range(2)]
+    W_run, update = models.bind_step_kernel(spec, np.stack(refs), data_r)
+    for b in (1, n, int(gen.integers(1, n + 1))):
+        rows = np.stack([np.sort(gen.choice(n, size=b, replace=False)) for _ in refs])
+        etas = gen.uniform(0.0, 0.5, size=len(refs))
+        norms = update(rows, etas)
+        for r, d in enumerate(data_r):
+            refs[r] = refs[r] - etas[r] * grad_mean_xy(spec, refs[r], d.features[rows[r]],
+                                                       d.labels[rows[r]])
+            assert W_run[r].tobytes() == refs[r].tobytes()
+            assert norms[r] == math.sqrt(refs[r] @ refs[r])
+    assert w.tobytes() == w_before.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -363,6 +380,15 @@ def test_step_kernel_is_bitwise_the_out_of_place_step_on_any_shape(n, d, hidden,
                                                                    seed):
     assert_step_kernel_is_the_out_of_place_step(
         *random_shape_case(n, d, hidden, classes, seed), seed)
+
+
+def test_step_kernel_rejects_a_mismatched_stack():
+    spec, w, data = random_case(np.random.default_rng(3), "mlp")
+    shorter = Dataset(data.features[:-1], data.labels[:-1])
+    for weights, datasets in (([w, w], [data]), ([], []), ([w, w], [data, shorter]),
+                              ([w[:-1]], [data])):
+        with pytest.raises(DimensionMismatchError):
+            models.bind_step_kernel(spec, weights, datasets)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])

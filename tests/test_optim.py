@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from trajbound import models, optim, trajectory
 from trajbound.data import Dataset, ToyConfig, generate_toy
-from trajbound.errors import DivergedError, InvalidArgumentError
+from trajbound.errors import DivergedError, InvalidArgumentError, NumericDomainError
 from trajbound.models import grad_mean_xy, init_params, linear_spec, mlp_spec, param_count
 from trajbound.numerics import STREAM_BATCH, RngStream
 from trajbound.optim import (
@@ -223,12 +223,11 @@ def test_step_applies_gradient_descent_update():
     spec, w0, S, _ = toy_parts()
     cfg = OptimConfig(mode="gd", batch_size=None,
                       schedule=Schedule("constant", eta0=0.2), max_steps=1)
-    w1, rec = step(spec, w0, S, cfg, 0, np.arange(S.n))
+    w1 = step(spec, w0, S, cfg, 0, np.arange(S.n))
     resid = S.features @ w0 - S.labels
     grad = S.features.T @ resid / S.n
     assert np.allclose(w1, w0 - 0.2 * grad, atol=1e-12)
-    assert rec.t == 0 and rec.eta_t == 0.2
-    assert np.array_equal(rec.batch_indices, np.arange(S.n))
+    assert not np.shares_memory(w1, w0)
 
 
 def test_step_diverges_past_the_norm_cap():
@@ -303,8 +302,7 @@ def test_train_snapshot_cadence_and_counts():
     res = train(spec, w0, S, Sp, cfg)
     assert [s.t for s in res.snapshots] == [0, 3, 6, 9, 10]
     assert res.stopped_at == 10
-    assert len(res.records) == 10
-    assert [r.t for r in res.records] == list(range(10))
+    assert res.etas.shape == (10,) and res.batch_size == S.n
 
 
 def test_train_records_schedule_rates():
@@ -312,8 +310,8 @@ def test_train_records_schedule_rates():
     sched = Schedule("inverse_time", c=1.0, beta=2.0)
     cfg = OptimConfig(mode="gd", batch_size=None, schedule=sched, max_steps=5)
     res = train(spec, w0, S, Sp, cfg)
-    for rec in res.records:
-        assert rec.eta_t == lr_at(sched, rec.t)
+    assert res.etas.dtype == np.float64
+    assert res.etas.tolist() == [lr_at(sched, t) for t in range(5)]
 
 
 def test_train_epoch_indexing_uses_steps_per_epoch():
@@ -365,7 +363,7 @@ def test_early_stop_at_initial_snapshot():
                       max_steps=50, stop_train_loss=f0 * 2)
     res = train(spec, w0, S, Sp, cfg)
     assert res.stopped_at == 0
-    assert len(res.records) == 0
+    assert res.etas.size == 0
     assert len(res.snapshots) == 1
     assert np.array_equal(res.w_final, w0)
 
@@ -390,17 +388,27 @@ def test_early_stop_is_checked_at_snapshot_times_only():
         assert s.F_S >= 1e-4
 
 
-def assert_records_replay_through_step(spec, w0, S, cfg, res, rec):
-    # replaying the records one out-of-place step at a time reproduces every
-    # stored snapshot and the final weights bitwise
+def redrawn_batches(cfg, n, b, steps):
+    # the run's batch rows, redrawn from a fresh stream of its seed; each is
+    # the per-step sample_batch call it stands for
+    rows = draw_batches(RngStream(cfg.seed, STREAM_BATCH), n, b, steps)
+    rng = RngStream(cfg.seed, STREAM_BATCH)
+    for row in rows:
+        assert np.array_equal(row, sample_batch(rng, n, b))
+    return rows
+
+
+def assert_run_replays_through_step(spec, w0, S, cfg, res, rec):
+    # replaying the redrawn rows one out-of-place step at a time reproduces
+    # every stored snapshot and the final weights bitwise
     at = {snap.t: k for k, snap in enumerate(rec.snapshots)}
     assert rec.weights[0].tobytes() == w0.tobytes()
+    assert res.etas.tolist() == [lr_at(cfg.schedule, t) for t in range(res.stopped_at)]
     w = w0.copy()
-    for r in res.records:
-        w, _ = step(spec, w, S, cfg, r.t, r.batch_indices)
-        if r.t + 1 in at:
-            assert rec.weights[at[r.t + 1]].tobytes() == w.tobytes()
-    assert len(res.records) == res.stopped_at
+    for t, batch in enumerate(redrawn_batches(cfg, S.n, res.batch_size, res.stopped_at)):
+        w = step(spec, w, S, cfg, t, batch)
+        if t + 1 in at:
+            assert rec.weights[at[t + 1]].tobytes() == w.tobytes()
     assert w.tobytes() == res.w_final.tobytes()
 
 
@@ -424,10 +432,8 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
         assert res.stopped_at % 7 == 0
     else:
         assert res.stopped_at == 53
-    rng = RngStream(cfg.seed, STREAM_BATCH)
-    for r in res.records:
-        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 1))
-    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+    assert res.batch_size == 1
+    assert_run_replays_through_step(spec, w0, S, cfg, res, rec)
 
 
 def test_mlp_batch_ten_training_replays_through_step():
@@ -437,11 +443,8 @@ def test_mlp_batch_ten_training_replays_through_step():
                       max_steps=53, snapshot_every=7, seed=11)
     rec = TrajectoryRecorder(spec, S, Sp)
     res = train(spec, w0, S, Sp, cfg, rec)
-    assert res.stopped_at == 53
-    rng = RngStream(cfg.seed, STREAM_BATCH)
-    for r in res.records:
-        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 10))
-    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+    assert res.stopped_at == 53 and res.batch_size == 10
+    assert_run_replays_through_step(spec, w0, S, cfg, res, rec)
 
 
 @pytest.mark.parametrize("stop", [False, True])
@@ -461,10 +464,7 @@ def test_block_stream_rows_and_replay_across_block_edges(monkeypatch, stop):
     rec = TrajectoryRecorder(spec, S, Sp)
     res = train(spec, w0, S, Sp, cfg, rec)
     assert res.stopped_at == (40 if stop else 53)
-    rng = RngStream(cfg.seed, STREAM_BATCH)
-    for r in res.records:
-        assert np.array_equal(r.batch_indices, sample_batch(rng, S.n, 6))
-    assert_records_replay_through_step(spec, w0, S, cfg, res, rec)
+    assert_run_replays_through_step(spec, w0, S, cfg, res, rec)
 
 
 def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
@@ -482,7 +482,7 @@ def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=10 ** 9, stop_train_loss=1e300, snapshot_every=4, seed=2)
     res = train(spec, w0, S, None, cfg)
-    assert res.stopped_at == 0 and not res.records and drawn == []
+    assert res.stopped_at == 0 and res.etas.size == 0 and drawn == []
 
     cfg = dataclasses.replace(cfg, stop_train_loss=0.5)
     res = train(spec, w0, S, None, cfg,
@@ -519,11 +519,11 @@ def test_interval_loop_snapshots_records_and_batches(n, b_frac, max_steps, every
     else:
         assert all(snap.F_S >= stop for snap in res.snapshots[:-1])
         assert res.stopped_at == max_steps or res.snapshots[-1].F_S < stop
-    assert len(res.records) == res.stopped_at
-    assert [r.t for r in res.records] == list(range(res.stopped_at))
-    rng = RngStream(seed, STREAM_BATCH)
-    for r in res.records:
-        assert np.array_equal(r.batch_indices, sample_batch(rng, n, b))
+    assert res.etas.shape == (res.stopped_at,) and res.batch_size == b
+    w = w0
+    for t, batch in enumerate(redrawn_batches(cfg, n, b, res.stopped_at)):
+        w = step(spec, w, S, cfg, t, batch)
+    assert w.tobytes() == res.w_final.tobytes()
 
 
 def test_max_steps_zero_records_only_the_initial_point():
@@ -610,7 +610,7 @@ def test_mlp_training_diverges_at_the_step_a_step_replay_does(fault):
         with pytest.raises(DivergedError) as replay:
             for t in range(cfg.max_steps):
                 assert t not in stored or stored[t].tobytes() == w.tobytes()
-                w, _ = step(spec, w, S, cfg, t, sample_batch(rng, S.n, 5))
+                w = step(spec, w, S, cfg, t, sample_batch(rng, S.n, 5))
     assert 0 < run.value.t == replay.value.t
     assert not run.value.param_norm <= optim.PARAM_NORM_CAP
     assert max(stored) <= run.value.t
@@ -623,18 +623,203 @@ def test_train_binds_its_step_once(monkeypatch):
     spec, w0, S, _ = toy_parts(kind="mlp")
     counts = {}
     for name in ("unflatten", "_check_inputs", "_targets", "_flatten"):
-        def counted(*args, _real=getattr(models, name), _name=name):
+        def counted(*args, _real=getattr(models, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(models, name, counted)
 
-    def calls_per_run(max_steps):
+    def calls_per_run(max_steps, runs=1):
         counts.clear()
         cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=max_steps,
                           snapshot_every=max_steps)
-        train(spec, w0, S, None, cfg, lambda t, epoch, eta, w: None)
+        if runs == 1:
+            train(spec, w0, S, None, cfg, lambda t, epoch, eta, w: None)
+        else:
+            train([spec] * runs, [w0] * runs, [S] * runs, None, [cfg] * runs,
+                  [lambda t, epoch, eta, w: None] * runs)
         return dict(counts)
 
     assert calls_per_run(2) == calls_per_run(40) == {
         "unflatten": 1, "_check_inputs": 1, "_targets": 1}
+    # a stack checks each run's inputs once and binds one set of stacked views
+    assert calls_per_run(2, runs=3) == calls_per_run(40, runs=3) == {
+        "unflatten": 1, "_check_inputs": 3, "_targets": 3}
+
+
+# -- stacked runs ------------------------------------------------------------
+
+STACK_KINDS = ("linear", "mlp", "mlp2", "mlp_ce")
+# The constant rate of a "diverge" run: it blows past PARAM_NORM_CAP within a
+# few steps, mid-interval for the fixed seed of the test below (the linear
+# model grows geometrically, the MLP by eta * grad a step; cross-entropy
+# saturates, so it needs the largest rate).
+DIVERGING_RATE = {"linear": 60.0, "mlp": 1e9, "mlp2": 1e9, "mlp_ce": 5e11}
+
+
+def stack_spec(kind, d=3):
+    if kind == "linear":
+        return linear_spec(d)
+    if kind == "mlp_ce":
+        return mlp_spec(d, (3,), output_dim=3, loss="cross_entropy")
+    return mlp_spec(d, (4,) if kind == "mlp" else (3, 2))
+
+
+class FailingRecorder(TrajectoryRecorder):
+    """A recorder whose snapshot at step fail_at raises NumericDomainError."""
+
+    def __init__(self, *args, fail_at, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fail_at = fail_at
+
+    def __call__(self, t, epoch, eta, w):
+        if t == self.fail_at:
+            raise NumericDomainError(f"recorder fault at step {t}")
+        return super().__call__(t, epoch, eta, w)
+
+
+def stack_runs(kind, n, b, max_steps, every, fates, seed):
+    """One (S, S', w0, cfg, make_recorder) per fate, all of one spec, n and b.
+
+    fate is "run" (no early stop), "stop0" (stops at t = 0), a float
+    fraction (stops once F_S falls below that fraction of its initial
+    value, if it does), "diverge", or ("fail", t) for a recorder that
+    raises NumericDomainError at snapshot step t.
+    """
+    spec = stack_spec(kind)
+    gen = np.random.default_rng(seed)
+    runs = []
+    for r, fate in enumerate(fates):
+        X, Xp = gen.standard_normal((n, 3)), gen.standard_normal((5, 3))
+        if kind == "mlp_ce":
+            S = Dataset(X, gen.integers(0, 3, n).astype(np.float64))
+            Sp = Dataset(Xp, gen.integers(0, 3, 5).astype(np.float64))
+        else:
+            teacher = gen.standard_normal(3)
+            S, Sp = Dataset(X, X @ teacher), Dataset(Xp, Xp @ teacher)
+        w0 = init_params(spec, RngStream(seed + r, 5))
+        if kind == "linear":
+            w0 = w0 + gen.standard_normal(3) * 0.1
+        stop = None
+        if fate == "stop0":
+            stop = 1e300
+        elif isinstance(fate, float):
+            f0 = TrajectoryRecorder(spec, S, None)(0, 0, 0.0, w0).F_S
+            stop = fate * f0
+        eta = DIVERGING_RATE[kind] if fate == "diverge" else float(gen.uniform(0.02, 0.2))
+        cfg = OptimConfig(mode="sgd", batch_size=b, schedule=Schedule("constant", eta0=eta),
+                          max_steps=max_steps, stop_train_loss=stop,
+                          snapshot_every=every, seed=seed + 7 * r)
+        fail_at = fate[1] if isinstance(fate, tuple) else None
+
+        def make_recorder(S=S, Sp=Sp, fail_at=fail_at):
+            if fail_at is None:
+                return TrajectoryRecorder(spec, S, Sp)
+            return FailingRecorder(spec, S, Sp, fail_at=fail_at)
+
+        runs.append((S, w0, cfg, make_recorder))
+    return spec, runs
+
+
+def outcome_bytes(out, rec):
+    """Everything a run left, as bytes and reprs: bitwise equal or not."""
+    if isinstance(out, DivergedError):
+        head = ("diverged", out.t, repr(out.param_norm))
+    elif isinstance(out, NumericDomainError):
+        head = ("numeric", str(out))
+    else:
+        head = ("done", out.stopped_at, out.batch_size, out.etas.dtype.str,
+                out.etas.tobytes(), out.w_final.tobytes(),
+                [repr(dataclasses.astuple(snap)) for snap in out.snapshots])
+    return (head, [repr(dataclasses.astuple(snap)) for snap in rec.snapshots],
+            [w.tobytes() for w in rec.weights], list(rec.flags))
+
+
+def assert_stack_matches_solo_runs(spec, runs):
+    solo = []
+    for S, w0, cfg, make_recorder in runs:
+        rec = make_recorder()
+        try:
+            out = train(spec, w0, S, None, cfg, rec)
+        except (DivergedError, NumericDomainError) as exc:
+            out = exc
+        solo.append(outcome_bytes(out, rec))
+    recs = [make_recorder() for *_, make_recorder in runs]
+    w0s = [w0.copy() for _, w0, *_ in runs]
+    outs = train([spec] * len(runs), w0s, [S for S, *_ in runs], None,
+                 [cfg for _, _, cfg, _ in runs], recs)
+    assert len(outs) == len(runs)
+    for k, (out, rec) in enumerate(zip(outs, recs)):
+        assert outcome_bytes(out, rec) == solo[k], f"run {k}"
+    for w0, (_, w0_given, *_) in zip(w0s, runs):
+        assert w0.tobytes() == w0_given.tobytes()
+    return outs
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(STACK_KINDS), n=st.integers(2, 12),
+       b_pick=st.sampled_from(["one", "mid", "full"]), max_steps=st.integers(0, 30),
+       every=st.integers(1, 7), seed=st.integers(0, 2 ** 16),
+       fates=st.lists(st.sampled_from(["run", "stop0", "diverge"])
+                      | st.floats(0.2, 1.0)
+                      | st.tuples(st.just("fail"), st.integers(0, 30)),
+                      min_size=1, max_size=4))
+def test_stacked_runs_are_bitwise_their_solo_runs(kind, n, b_pick, max_steps, every,
+                                                   seed, fates):
+    # every run's snapshots, recorded weights, flags, step sizes and final
+    # weights, or its error, equal those of training it alone, whatever the
+    # other runs of the stack do and whenever they leave it
+    b = {"one": 1, "mid": max(1, n // 2), "full": n}[b_pick]
+    spec, runs = stack_runs(kind, n, b, max_steps, every, fates, seed)
+    with np.errstate(all="ignore"):  # a diverging run warns alike alone and stacked
+        assert_stack_matches_solo_runs(spec, runs)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_stack_outlives_a_stop_at_zero_a_mid_interval_divergence_and_a_recorder_fault(kind):
+    # four runs that leave at different times: at t = 0, by divergence
+    # inside an interval, by a recorder fault at step 10 and at the end; the
+    # survivors stay bitwise their solo runs through every rebinding
+    every = 5
+    fates = ["stop0", "diverge", ("fail", 10), "run"]
+    spec, runs = stack_runs(kind, 12, 4, 40, every, fates, seed=3)
+    with np.errstate(all="ignore"):
+        outs = assert_stack_matches_solo_runs(spec, runs)
+    stopped, diverged, failed, done = outs
+    assert stopped.stopped_at == 0 and len(stopped.snapshots) == 1
+    assert isinstance(diverged, DivergedError) and diverged.t % every != 0
+    assert isinstance(failed, NumericDomainError)
+    assert done.stopped_at == 40
+
+
+@pytest.mark.parametrize("field, change", [
+    ("spec", lambda run: {"spec": mlp_spec(3, (5,))}),
+    ("n", lambda run: {"S": Dataset(run["S"].features[:-1], run["S"].labels[:-1])}),
+    ("batch size", lambda run: {"cfg": dataclasses.replace(run["cfg"], batch_size=3)}),
+    ("max_steps", lambda run: {"cfg": dataclasses.replace(run["cfg"], max_steps=9)}),
+    ("snapshot_every", lambda run: {"cfg": dataclasses.replace(run["cfg"],
+                                                               snapshot_every=2)}),
+])
+def test_stack_rejects_runs_of_another_shape(field, change):
+    spec, w0, S, _ = toy_parts(kind="mlp")
+    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=10, snapshot_every=5)
+    run = {"spec": spec, "w0": w0, "S": S, "cfg": cfg}
+    other = {**run, **change(run)}
+    rec = lambda t, epoch, eta, w: None  # noqa: E731
+    with pytest.raises(InvalidArgumentError, match=field):
+        train([run["spec"], other["spec"]], [w0, w0], [run["S"], other["S"]], None,
+              [run["cfg"], other["cfg"]], [rec, rec])
+
+
+def test_stack_rejects_ragged_or_holdout_arguments():
+    spec, w0, S, Sp = toy_parts()
+    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=4)
+    rec = lambda t, epoch, eta, w: None  # noqa: E731
+    with pytest.raises(InvalidArgumentError, match="one entry per run"):
+        train([spec, spec], [w0, w0], [S], None, [cfg, cfg], [rec, rec])
+    with pytest.raises(InvalidArgumentError, match="one entry per run"):
+        train([], [], [], None, [], [])
+    with pytest.raises(InvalidArgumentError, match="holdout"):
+        train([spec], [w0], [S], [Sp], [cfg], [rec])
+    with pytest.raises(InvalidArgumentError, match="recorder"):
+        train([spec], [w0], [S], None, [cfg])

@@ -253,7 +253,8 @@ def constants_at(spec, data, weights, cfg):
     k = len(weights)
     rec = replay_trajectory(spec, data, data, weights, list(range(k)),
                             list(range(k)), [0.1] * k, cfg)
-    return estimate_constants(spec, rec.weights, rec.snapshots, [], data, cfg=cfg)
+    return estimate_constants(spec, rec.weights, rec.snapshots, [], data.n, data,
+                              cfg=cfg)
 
 
 def zero_gradient_start():
@@ -522,9 +523,9 @@ def test_recorder_without_a_holdout_matches_the_full_recorder_on_S(kind):
             assert getattr(a, name) is not None
             assert getattr(b, name) is None, name
         assert b.rp is None and b.trp is None
-    for wa, wb, ga, gb in zip(full.weights, bare.weights, full.grads_S, bare.grads_S):
-        assert np.array_equal(wa, wb) and np.array_equal(ga, gb)
-    assert bare.grads_Sprime == [None] * len(bare.snapshots)
+    # no reader of the history goes without a holdout, so none is kept
+    assert len(full.weights) == len(full.grads_S) == len(full.snapshots)
+    assert bare.weights == bare.grads_S == bare.grads_Sprime == []
     assert np.array_equal(res_full.w_final, res_bare.w_final)
     assert res_full.stopped_at == res_bare.stopped_at
 
@@ -539,7 +540,8 @@ def test_recorder_without_a_holdout_rejects_relative_progress(rp_mode):
 def test_estimate_constants_rejects_snapshots_without_holdout_statistics():
     spec, S, _, rec, res = short_run("linear", holdout=False)
     with pytest.raises(InvalidArgumentError, match="without a holdout"):
-        estimate_constants(spec, rec.weights, rec.snapshots, res.records, S)
+        estimate_constants(spec, rec.weights, rec.snapshots, res.etas,
+                           res.batch_size, S)
 
 
 def test_write_trajectory_csv_leaves_missing_holdout_fields_empty(tmp_path):
