@@ -65,8 +65,7 @@ class RunParts:
     S: Dataset
     S_prime: Dataset
     w0: np.ndarray
-    ocfg: OptimConfig
-    batch_size: int
+    ocfg: OptimConfig  # batch_size resolved: n for gd
     est: SubsetEstimatorConfig
 
 
@@ -110,7 +109,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
 
     ocfg = OptimConfig(
         mode=cfg.mode,
-        batch_size=None if cfg.mode == "gd" else b,
+        batch_size=b,
         schedule=schedule,
         max_steps=max_steps,
         stop_train_loss=cfg.stop_train_loss,
@@ -118,7 +117,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         seed=run_seed,
     )
     est = SubsetEstimatorConfig(k_samples=cfg.k_samples, seed=run_seed)
-    return RunParts(spec, S, S_prime, w0, ocfg, b, est)
+    return RunParts(spec, S, S_prime, w0, ocfg, est)
 
 
 def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
@@ -129,20 +128,6 @@ def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def _labelled(exc: DivergedError, seed: int, label: str) -> DivergedError:
-    """The divergence restated with the command and the seed that diverged."""
-    return DivergedError(exc.t, exc.param_norm, f"{label} seed {seed}: {exc}")
-
-
-def _train_run(parts: RunParts, seed: int, label: str):
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
-    try:
-        res = train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg, rec)
-    except DivergedError as exc:
-        raise _labelled(exc, seed, label) from exc
-    return rec, res
 
 
 def _train_cells(cells, recorders) -> list:
@@ -159,6 +144,19 @@ def _train_cells(cells, recorders) -> list:
                  None, [p.ocfg for p in cells], list(recorders))
 
 
+def _raise_failed(seeds, outcomes, label: str) -> None:
+    """Raise the first failed outcome in config order, if any.
+
+    A DivergedError is restated with the command and the seed that diverged;
+    any other error is raised as it is.
+    """
+    for seed, res in zip(seeds, outcomes):
+        if isinstance(res, DivergedError):
+            raise DivergedError(res.t, res.param_norm, f"{label} seed {seed}: {res}") from res
+        if isinstance(res, Exception):
+            raise res
+
+
 TOY_TABLE_COLUMNS = ("seed", "gen_error", "ours_main", "ours_smooth",
                      "hardt_convex", "hardt_nonconvex", "zhang")
 
@@ -167,10 +165,11 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Train the comparison task per seed and tabulate bound values.
 
     The seeds train as one stack, each with its own beta and schedule;
-    the constants and bounds are then estimated per seed. A seed whose run
-    failed raises its error, the lowest such seed first, a DivergedError
-    labelled with the seed. Writes toy_table.csv (per-seed rows plus a
-    seed-mean row) and bounds.csv with the full per-seed bound reports.
+    the constants and bounds are then estimated per seed. If a seed's run
+    failed, the first such seed in config order raises its error, before
+    any constants are formed: a DivergedError labelled with the seed.
+    Writes toy_table.csv (per-seed rows plus a seed-mean row) and bounds.csv
+    with the full per-seed bound reports.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -180,11 +179,8 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     cells = [assemble_run(cfg, s) for s in cfg.seeds]
     recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime, p.est) for p in cells]
     outcomes = _train_cells(cells, recs)
+    _raise_failed(cfg.seeds, outcomes, "toy_table")
     for s, parts, rec, res in zip(cfg.seeds, cells, recs, outcomes):
-        if isinstance(res, DivergedError):
-            raise _labelled(res, s, "toy_table") from res
-        if isinstance(res, Exception):
-            raise res
         consts = estimate_constants(parts.spec, rec.weights, rec.snapshots,
                                     res.etas, res.batch_size, parts.S, cfg=parts.est)
         schedule = parts.ocfg.schedule
@@ -232,7 +228,8 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
-    rec, _res = _train_run(parts, s, "track")
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+    _raise_failed([s], _train_cells([parts], [rec]), "track")
 
     traj_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj_path, rec.snapshots)
@@ -274,7 +271,8 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
-    rec, _res = _train_run(parts, s, "assumption")
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+    _raise_failed([s], _train_cells([parts], [rec]), "assumption")
     control = replay_trajectory(
         parts.spec, parts.S, parts.S, rec.weights,
         [sn.t for sn in rec.snapshots],
@@ -410,30 +408,31 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     Records RP/TRP per snapshot (exact one-step ratios when the cadence is
     a single step, the epoch-boundary approximation otherwise), the top
     Hessian eigenvalue at each snapshot, and the 2/eta_eff stability
-    reference. On divergence the partial series is still written, then the
-    error propagates.
+    reference, left empty at a snapshot whose rate is 0 (the cosine
+    endpoint with eta_min = 0). On divergence the partial series is still
+    written, then the error propagates.
     """
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
     rp_mode = "step" if parts.ocfg.snapshot_every == 1 else "epoch"
+    b = parts.ocfg.batch_size
     rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est,
-                             rp_mode=rp_mode, batch_size=parts.batch_size)
-    died = None
-    try:
-        train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg, rec)
-    except DivergedError as exc:
-        died = exc
+                             rp_mode=rp_mode, batch_size=b)
+    (res,) = _train_cells([parts], [rec])
+    if isinstance(res, NumericDomainError):
+        raise res
+    died = res if isinstance(res, DivergedError) else None
 
     n = parts.S.n
     rows = []
     for snap, w in zip(rec.snapshots, rec.weights):
         sharp, _ = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
                                            dim=w.size, iters=120, tol=1e-7)
-        eta_eff = snap.eta_t if rp_mode == "step" else (n / parts.batch_size) * snap.eta_t
+        eta_eff = snap.eta_t if rp_mode == "step" else (n / b) * snap.eta_t
         rows.append([snap.t, snap.epoch, snap.eta_t, eta_eff, snap.rp, snap.trp,
-                     sharp, 2.0 / eta_eff])
+                     sharp, 2.0 / eta_eff if eta_eff > 0 else None])
     path = os.path.join(out, "eos.csv")
     write_csv(path, ("t", "epoch", "eta", "eta_eff", "rp", "trp",
                      "sharpness", "two_over_eta_eff"), rows)

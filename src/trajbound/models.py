@@ -149,26 +149,19 @@ def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     return _flatten(layers)
 
 
-def _check_params(spec: ModelSpec, w: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """w as a float64 array of the flat shape (P,), or (R, P) when stacked."""
+def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
+    """w as a float64 array of the flat shape (P,)."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 + stacked or w.shape[-1] != spec.n_params:
-        expected = "(R, P)" if stacked else "(P,)"
+    if w.shape != (spec.n_params,):
         raise DimensionMismatchError(
-            f"parameter vector shape {w.shape}, expected {expected} "
-            f"with P = {spec.n_params}"
+            f"parameter vector shape {w.shape}, expected (P,) with P = {spec.n_params}"
         )
     return w
 
 
-def unflatten(spec: ModelSpec, w: np.ndarray, stacked: bool = False
-              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views of the flat vector (mlp only).
-
-    With stacked, w is an (R, P) stack of vectors and each view has a
-    leading R axis.
-    """
-    return _layer_views(spec, _check_params(spec, w, stacked))
+def unflatten(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views of the flat vector (mlp only)."""
+    return _layer_views(spec, _check_params(spec, w))
 
 
 def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -415,7 +408,7 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     X = np.stack([x for _, x in checked])
     t = np.stack([_targets(spec, d.labels) for d in data])
     # each bias as an (R, 1, width) view, to broadcast over the stacked batch
-    layers = [(mat, bias[:, None, :]) for mat, bias in unflatten(spec, W, stacked=True)]
+    layers = [(mat, bias[:, None, :]) for mat, bias in _layer_views(spec, W)]
     out = _grad_buffer(spec, (len(W),))
     grad = out[0]
     runs = np.arange(len(W))[:, None]

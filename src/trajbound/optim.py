@@ -17,18 +17,18 @@ given. A run's result keeps its step sizes, one float64 array, and its
 batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
-private batch stream in blocks of up to BATCH_BLOCK_ROWS rows and hands
-each snapshot interval's rows, in order, to the bound step, which draws
-nothing itself; bounds.estimate_constants draws its batch-moment subsets
-through it too. Its rows equal k successive sample_batch calls and leave
-the stream where those calls would. At b = 1 that is one integers draw; for
-1 < b <= FLOYD_MAX_BATCH it replays numpy's own Floyd sampling from one
-uint32 block (_floyd_rows).
-Both rest on how Generator.choice consumes the Philox stream on the numpy
-this ships with; tests/test_optim.py guards that equivalence, so a numpy
-upgrade that breaks it fails a test instead of silently changing every SGD
-output. sample_batch, one choice call per batch, is the tests' oracle and
-the fallback for the cases the block does not replay.
+private batch stream in blocks of whole snapshot intervals, about
+BATCH_BLOCK_ROWS rows each, and hands each interval's rows, in order, to
+the bound step, which draws nothing itself; bounds.estimate_constants draws
+its batch-moment subsets through it too. Its rows equal k successive
+sample_batch calls and leave the stream where those calls would. For
+b <= FLOYD_MAX_BATCH below n it replays numpy's own Floyd sampling from
+uint32 blocks (_floyd_rows). That rests on how Generator.choice consumes the
+Philox stream on the numpy this ships with; tests/test_optim.py guards the
+equivalence, so a numpy upgrade that breaks it fails a test instead of
+silently changing every SGD output. sample_batch, one choice call per
+batch, is the tests' oracle and the fallback for the cases the block does
+not replay.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ from .models import grad_mean_xy  # noqa: F401 (bench/tracing.py wraps optim.gra
 from .numerics import STREAM_BATCH, RngStream
 
 PARAM_NORM_CAP = 1e12
-# Rows per draw_batches block in a run's batch stream. A stack holds one
-# block per run at a time: sweep_noise's 12 cells at 4096 rows (3.9 MB)
-# raised its peak RSS by 2.3 MB, at 1024 rows (1 MB) not at all, and each
-# extra b = 10 block costs about 95 us. A run holds at most this many
-# drawn rows it may not use.
+# Rows per draw_batches block in a run's batch stream, rounded down to
+# whole snapshot intervals (one interval when it is longer), and the most
+# rows _floyd_rows replays from one uint32 block. A stack holds one block
+# per run at a time: sweep_noise's 12 cells at 4096 rows (3.9 MB) raised
+# its peak RSS by 2.3 MB, at 1024 rows (1 MB) not at all, and each extra
+# b = 10 block costs about 95 us.
 BATCH_BLOCK_ROWS = 1024
 # Largest b the Floyd block replays. Its duplicate check is O(b^2) a row: on
 # numpy 2.4.6 (2-vCPU x86, 1000-row blocks, n = 1000 and 10 000) it costs
@@ -176,16 +177,14 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
     """(k, b) index rows: row j is the j-th of k successive sample_batch calls.
 
     The stream is left in the state those calls would leave it. b = n gives
-    read-only range(n) rows and consumes nothing. b = 1 is one block
-    integers(0, n) draw: for n <= 2**32, Generator.choice(n, size=1,
-    replace=False) takes one bounded 32-bit draw per call, as integers does
-    per element, so the two consume the Philox stream identically. For
-    1 < b <= FLOYD_MAX_BATCH, wherever choice itself runs Floyd's algorithm
-    (n <= 10 000 or b <= n // 50) with 32-bit draws (n <= 2**32, which also
-    keeps each uint32 draw times its bound within uint64), _floyd_rows
-    replays it from one uint32 block. Any other b (numpy's tail-shuffle
-    path, or b above the cutoff) calls sample_batch once per row.
-    tests/test_optim.py guards each of these numpy equivalences.
+    read-only range(n) rows and consumes nothing. For b <= FLOYD_MAX_BATCH,
+    wherever choice itself runs Floyd's algorithm (n <= 10 000 or
+    b <= n // 50) with 32-bit draws (n <= 2**32, which also keeps each
+    uint32 draw times its bound within uint64), _floyd_rows replays it from
+    uint32 blocks; at b = 1 that is one bounded draw a row, with no
+    shuffle. Any other b (numpy's tail-shuffle path, or b above the cutoff)
+    calls sample_batch once per row. tests/test_optim.py guards this numpy
+    equivalence.
     """
     if not 1 <= b <= n:
         raise InvalidArgumentError(f"need 1 <= b <= n, got b={b}, n={n}")
@@ -193,8 +192,6 @@ def draw_batches(rng: RngStream, n: int, b: int, k: int) -> np.ndarray:
         raise InvalidArgumentError(f"need k >= 0 batches, got {k}")
     if b == n:
         return np.broadcast_to(np.arange(n), (k, n))
-    if b == 1:
-        return rng.generator().integers(0, n, size=(k, 1))
     rows = np.empty((k, b), dtype=np.int64)
     if b <= FLOYD_MAX_BATCH and n <= 2 ** 32 and (n <= 10_000 or b <= n // 50):
         _floyd_rows(rng, n, b, rows)
@@ -212,13 +209,14 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
     with bounds n-b+1 .. n, then shuffles the b picks with bounds b .. 2:
     2b - 1 draws of one uint32 each. A draw u with bound m gives (u*m) >> 32
     and is rejected, consuming another uint32, only when its low word is
-    below 2**32 % m. So one integers(0, 2**32, (rows, 2b-1)) block replays
-    every row up to the first rejection: pick c is (u*m) >> 32, or
+    below 2**32 % m. So one integers(0, 2**32, (k, 2b-1)) block replays
+    its k rows up to the first rejection: pick c is (u*m) >> 32, or
     n - b + c when an earlier pick of its row already holds that value;
     the shuffle only consumes draws, since each row is sorted. At the first
     rejected row the generator is restored, advanced past the rows already
     replayed, and that row is drawn by sample_batch; a new block resumes
-    after it.
+    after it. A block holds at most BATCH_BLOCK_ROWS rows, which bounds the
+    uint64 temporaries of a long draw such as estimate_constants' moments.
     """
     gen = rng.generator()
     bounds = np.array([*range(n - b + 1, n + 1), *range(b, 1, -1)], dtype=np.uint64)
@@ -226,7 +224,8 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
     done = 0
     while done < len(rows):
         state = gen.bit_generator.state
-        u = gen.integers(0, 1 << 32, size=(len(rows) - done, 2 * b - 1), dtype=np.uint32)
+        k = min(len(rows) - done, BATCH_BLOCK_ROWS)
+        u = gen.integers(0, 1 << 32, size=(k, 2 * b - 1), dtype=np.uint32)
         m = u * bounds
         rejected = np.flatnonzero(((m & 0xFFFFFFFF) < thresholds).any(axis=1))
         good = int(rejected[0]) if len(rejected) else len(m)
@@ -237,7 +236,7 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
         block[:] = picks.T
         block.sort(axis=1)
         done += good
-        if done < len(rows):
+        if good < k:
             gen.bit_generator.state = state
             gen.integers(0, 1 << 32, size=(good, 2 * b - 1), dtype=np.uint32)
             rows[done] = sample_batch(rng, n, b)
@@ -247,24 +246,16 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
 def _interval_batches(rng: RngStream, n: int, b: int, horizon: int, every: int):
     """Each snapshot interval's (k, b) batch rows, in step order.
 
-    The rows come from draw_batches blocks of up to BATCH_BLOCK_ROWS rows
-    over the horizon. Lazy: a block is drawn only when an interval needs
-    rows past those already drawn.
+    The rows come from draw_batches blocks of whole intervals over the
+    horizon: every * max(1, BATCH_BLOCK_ROWS // every) rows, or fewer at the
+    horizon, so no interval spans two blocks. Lazy: a block is drawn only
+    when an interval needs it.
     """
-    rest, drawn = np.empty((0, b), dtype=np.int64), 0
-    for t in range(0, horizon, every):
-        need = min(every, horizon - t)
-        parts = []
-        while need > len(rest):
-            if len(rest):
-                parts.append(rest)
-                need -= len(rest)
-            k = min(BATCH_BLOCK_ROWS, horizon - drawn)
-            rest = draw_batches(rng, n, b, k)
-            drawn += k
-        parts.append(rest[:need])
-        rest = rest[need:]
-        yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+    rows = every * max(1, BATCH_BLOCK_ROWS // every)
+    for start in range(0, horizon, rows):
+        block = draw_batches(rng, n, b, min(rows, horizon - start))
+        for t in range(0, len(block), every):
+            yield block[t:t + every]
 
 
 def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int,
@@ -298,7 +289,7 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     it runs the next interval's min(snapshot_every, max_steps - t) steps,
     so the last call is at the returned weights. The steps take their rows
     in order from the run's private batch stream, drawn in draw_batches
-    blocks of up to BATCH_BLOCK_ROWS at a time; rows drawn past an early
+    blocks of whole intervals (_interval_batches); rows drawn past an early
     stop are dropped with the stream, so they change no output, and a stop
     at t = 0 draws nothing. w is a row of the live weight stack, which later
     steps overwrite: a recorder that keeps it must copy it, as

@@ -372,7 +372,8 @@ class TrajectoryRecorder:
     empty), since every reader of it needs the holdout too.
 
     rp_mode: None records no relative-progress columns; "step" applies the
-    exact one-step ratios (consecutive snapshots must be one step apart);
+    exact one-step ratios (consecutive snapshots must be one step apart),
+    recording None and a flag after a step of rate 0, which has no ratio;
     "epoch" applies the boundary-weight approximation with batch size b.
     Both need the holdout, for trp.
     """
@@ -421,8 +422,11 @@ class TrajectoryRecorder:
                     raise InvalidArgumentError(
                         "step rp needs consecutive snapshots one step apart"
                     )
-                rp, trp = rp_trp_gd(prev.F_S, f_s, prev.F_Sprime, f_sp, prev.eta_t,
-                                    self.grads_S[-1], self.grads_Sprime[-1], self.flags)
+                if prev.eta_t == 0.0:  # a zero-rate step predicts no progress
+                    self.flags.append(f"rp/trp: zero step size at step {prev.t}")
+                else:
+                    rp, trp = rp_trp_gd(prev.F_S, f_s, prev.F_Sprime, f_sp, prev.eta_t,
+                                        self.grads_S[-1], self.grads_Sprime[-1], self.flags)
             else:
                 rp, trp, _ = rp_trp_sgd_approx(
                     self.weights[-1], w, prev.F_S, f_s, prev.F_Sprime, f_sp,

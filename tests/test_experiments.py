@@ -62,7 +62,7 @@ def test_assemble_run_resolves_dataset_model_and_schedule(tmp_path):
     parts = assemble_run(cfg, run_seed=1)
     assert parts.S.n == 16 and parts.S_prime.n == 16
     assert parts.spec.kind == "mlp"
-    assert parts.batch_size == 4
+    assert parts.ocfg.batch_size == 4
     assert parts.ocfg.max_steps == 12  # 3 epochs x 4 steps
     assert parts.ocfg.snapshot_every == 4  # defaults to one epoch
     assert parts.ocfg.schedule.kind == "cosine"
@@ -77,8 +77,7 @@ def test_assemble_run_gd_uses_the_full_batch(tmp_path):
     cfg = tiny("assumption", tmp_path, max_steps=5)
     parts = assemble_run(cfg, 0)
     assert parts.ocfg.mode == "gd"
-    assert parts.ocfg.batch_size is None
-    assert parts.batch_size == 16
+    assert parts.ocfg.batch_size == 16
     assert parts.ocfg.max_steps == 5
 
 
@@ -339,8 +338,8 @@ def test_stacked_sweep_rows_equal_training_each_cell_alone(tmp_path, monkeypatch
 
 def test_toy_table_names_the_lowest_diverging_seed(tmp_path, monkeypatch):
     # seeds 1 and 2 get a rate that diverges; the stacked seeds raise the
-    # labelled error training seed 1 alone raises, before any bound is formed
-    cfg = tiny("toy_table", tmp_path, seeds=(0, 1, 2), epochs=2)
+    # labelled error of the first failed seed in config order, the one
+    # training that seed alone raises, before any constants are formed
     real_assemble = experiments.assemble_run
 
     def assemble(cfg, run_seed, **kwargs):
@@ -351,23 +350,20 @@ def test_toy_table_names_the_lowest_diverging_seed(tmp_path, monkeypatch):
         return parts
 
     monkeypatch.setattr(experiments, "assemble_run", assemble)
-    with pytest.raises(DivergedError) as solo:
-        experiments._train_run(assemble(cfg, 1), 1, "toy_table")
     constants = []
-    real_estimate = experiments.estimate_constants
-
-    def estimate(*args, **kwargs):
-        constants.append(args[0])
-        return real_estimate(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "estimate_constants", estimate)
-    with pytest.raises(DivergedError) as stacked:
-        cmd_toy_table(cfg)
-    assert str(stacked.value).startswith("toy_table seed 1: ")
-    assert str(stacked.value) == str(solo.value)
-    assert (stacked.value.t, stacked.value.param_norm) == (solo.value.t,
-                                                           solo.value.param_norm)
-    assert len(constants) == 1  # seed 0's, formed before seed 1 is reached
+    monkeypatch.setattr(experiments, "estimate_constants",
+                        lambda *args, **kwargs: constants.append(args[0]))
+    for seeds, first in (((0, 1, 2), 1), ((0, 2, 1), 2)):
+        cfg = tiny("toy_table", tmp_path, seeds=seeds, epochs=2)
+        parts = assemble(cfg, first)
+        with pytest.raises(DivergedError) as solo:
+            train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg)
+        with pytest.raises(DivergedError) as stacked:
+            cmd_toy_table(cfg)
+        assert str(stacked.value) == f"toy_table seed {first}: {solo.value}"
+        assert (stacked.value.t, stacked.value.param_norm) == (solo.value.t,
+                                                               solo.value.param_norm)
+    assert constants == []
 
 
 TRACED_RUN = """
@@ -637,6 +633,27 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
     # the partial series was still written before the failure surfaced
     assert (out / "eos.csv").exists()
+
+
+@pytest.mark.parametrize("t_max", ["auto", "2"])
+def test_cli_eos_runs_through_zero_rate_steps(tmp_path, t_max):
+    # cosine down to eta_min = 0: at t_max = auto only the last snapshot has
+    # rate 0, at t_max = 2 every step from the third on is a no-op, which
+    # has no one-step rp/trp; 2/eta_eff is left empty wherever the rate is 0
+    cfg = write_cfg(tmp_path, tiny_cfg_text("eos", (
+        "optim.max_steps = 5\nschedule.kind = cosine\nschedule.eta0 = 0.1\n"
+        f"schedule.eta_min = 0.0\nschedule.t_max = {t_max}\n")))
+    out = tmp_path / "out"
+    assert main(["eos", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "eos.csv")
+    assert [r["t"] for r in rows] == ["0", "1", "2", "3", "4", "5"]
+    zero = [r["t"] for r in rows if float(r["eta"]) == 0.0]
+    assert zero == (["5"] if t_max == "auto" else ["2", "3", "4", "5"])
+    for r in rows:
+        assert (r["two_over_eta_eff"] == "") == (r["t"] in zero)
+        # rp/trp at t describe the step from t - 1
+        no_ratio = r["t"] == "0" or str(int(r["t"]) - 1) in zero
+        assert (r["rp"] == "" and r["trp"] == "") == no_ratio
 
 
 PACKAGE_ERROR_EXITS = [

@@ -318,12 +318,18 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     v = np.ones(w.size)
     hess(v)  # each product unflattens only its direction
     assert len(calls) == 5 and calls[-1] is v
-    # the step kernel unflattens its own copy once, at bind, and never per update
+    # the step kernel takes the views of its own checked copy once, at bind,
+    # and never per update
+    views = []
+    real_views = models._layer_views
+    monkeypatch.setattr(models, "_layer_views",
+                        lambda spec, w: views.append(w) or real_views(spec, w))
     w_run, update = models.bind_step_kernel(spec, [w], [data])
-    assert len(calls) == 6 and calls[-1] is w_run
+    assert len(calls) == 5 and sum(u is w_run for u in views) == 1
+    bound = len(views)
     for b in (1, data.n, 2):
         update(np.arange(b)[None], np.array([0.1]))
-    assert len(calls) == 6
+    assert len(calls) == 5 and len(views) == bound
 
 
 def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,11 +161,10 @@ def assert_draw_batches_matches_sample_batch(n, b, k, seed):
        b_frac=st.none() | st.floats(0.0, 1.0), k=st.integers(0, 300),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_draw_batches_equals_successive_sample_batch_calls(n, b_small, b_frac, k, seed):
-    # The b = 1 block draw relies on integers(0, n) consuming the stream
-    # exactly like choice(n, size=1, replace=False), and the Floyd block on
-    # choice's own Floyd draws; a numpy that breaks either equivalence must
-    # fail here, not silently change SGD outputs. b is drawn around the
-    # Floyd cutoff half the time and anywhere in 1..n otherwise.
+    # The Floyd block relies on choice's own Floyd draws, b = 1 included; a
+    # numpy that breaks that equivalence must fail here, not silently change
+    # SGD outputs. b is drawn around the Floyd cutoff half the time and
+    # anywhere in 1..n otherwise.
     b = min(n, b_small) if b_frac is None else 1 + int(b_frac * (n - 1))
     assert_draw_batches_matches_sample_batch(n, b, k, seed)
 
@@ -183,8 +183,8 @@ def test_draw_batches_at_numpy_choice_thresholds(monkeypatch, cutoff, n, b):
         assert_draw_batches_matches_sample_batch(n, b, 6, seed)
 
 
-@pytest.mark.parametrize("n, b, rejects", [(2 ** 31 + 1, 2, True), (2 ** 31 + 1, 5, True),
-                                           (2 ** 31, 3, False)])
+@pytest.mark.parametrize("n, b, rejects", [(2 ** 31 + 1, 1, True), (2 ** 31 + 1, 2, True),
+                                           (2 ** 31 + 1, 5, True), (2 ** 31, 3, False)])
 def test_draw_batches_falls_back_on_a_rejected_draw(monkeypatch, n, b, rejects):
     # numpy rejects a bounded draw u of bound m when (u*m) mod 2**32 is below
     # 2**32 % m: about half of all draws at m = 2**31 + 1, so the block hits
@@ -204,11 +204,14 @@ def test_draw_batches_falls_back_on_a_rejected_draw(monkeypatch, n, b, rejects):
         calls.append(b_)
         return sample_batch(rng, n_, b_)
     monkeypatch.setattr(optim, "sample_batch", counted)
-    assert_draw_batches_matches_sample_batch(n, b, k, 3)
-    if rejects:
-        assert 1 <= len(calls) < k  # the block resumed after each fallback row
-    else:
-        assert not calls
+    for block_rows in (optim.BATCH_BLOCK_ROWS, 16):  # one uint32 block, then three
+        monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", block_rows)
+        calls.clear()
+        assert_draw_batches_matches_sample_batch(n, b, k, 3)
+        if rejects:
+            assert 1 <= len(calls) < k  # the block resumed after each fallback row
+        else:
+            assert not calls
 
 
 @pytest.mark.parametrize("n, b, k", [(5, 0, 1), (5, 6, 1), (5, 1, -1)])
@@ -449,9 +452,10 @@ def test_mlp_batch_ten_training_replays_through_step():
 
 @pytest.mark.parametrize("stop", [False, True])
 def test_block_stream_rows_and_replay_across_block_edges(monkeypatch, stop):
-    # blocks of 7 rows against intervals of 5 steps: block edges fall inside
-    # intervals, and an early stop drops the rest of the last block
-    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 7)
+    # blocks of three 5-step intervals over 53 steps: the last block and its
+    # last interval are short, and an early stop at 40 drops the rest of the
+    # block drawn at 30
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 16)
     spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
     cfg = OptimConfig(mode="sgd", batch_size=6,
                       schedule=Schedule("constant", eta0=0.1),
@@ -469,8 +473,8 @@ def test_block_stream_rows_and_replay_across_block_edges(monkeypatch, stop):
 
 def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
     # max_steps far beyond memory: a stop at t = 0 draws nothing, and a stop
-    # at t = 12 has drawn two blocks of BATCH_BLOCK_ROWS rows
-    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 7)
+    # at t = 12 has drawn two blocks of two 4-step intervals
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 9)
     drawn = []
 
     def counted(rng, n, b, k):
@@ -487,7 +491,38 @@ def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
     cfg = dataclasses.replace(cfg, stop_train_loss=0.5)
     res = train(spec, w0, S, None, cfg,
                 lambda t, epoch, eta, w: SimpleNamespace(F_S=0.0 if t == 12 else 1.0))
-    assert res.stopped_at == 12 and drawn == [7, 7]
+    assert res.stopped_at == 12 and drawn == [8, 8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), b_frac=st.floats(0.0, 1.0), horizon=st.integers(0, 120),
+       every=st.integers(1, 30), block_rows=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 16))
+def test_interval_batches_are_whole_intervals_of_the_sample_batch_stream(
+        n, b_frac, horizon, every, block_rows, seed):
+    # every may exceed the block size, and horizon need not be a multiple of it
+    b = 1 + int(b_frac * (n - 1))
+    ks = []
+
+    def counted(rng, n_, b_, k):
+        ks.append(k)
+        return draw_batches(rng, n_, b_, k)
+
+    rng = RngStream(seed, STREAM_BATCH)
+    with mock.patch.object(optim, "BATCH_BLOCK_ROWS", block_rows), \
+            mock.patch.object(optim, "draw_batches", counted):
+        intervals = list(optim._interval_batches(rng, n, b, horizon, every))
+    starts = range(0, horizon, every)
+    assert [len(rows) for rows in intervals] == [min(every, horizon - t) for t in starts]
+    per_block = every * max(1, block_rows // every)
+    assert ks == [min(per_block, horizon - t) for t in range(0, horizon, per_block)]
+    oracle = RngStream(seed, STREAM_BATCH)
+    rows = [row for block in intervals for row in block]
+    assert len(rows) == horizon
+    for row in rows:
+        assert np.array_equal(row, sample_batch(oracle, n, b))
+    assert (repr(rng.generator().bit_generator.state)
+            == repr(oracle.generator().bit_generator.state))
 
 
 @settings(max_examples=100, deadline=None)
@@ -622,7 +657,7 @@ def test_train_binds_its_step_once(monkeypatch):
     # run: their count does not grow with the number of steps
     spec, w0, S, _ = toy_parts(kind="mlp")
     counts = {}
-    for name in ("unflatten", "_check_inputs", "_targets", "_flatten"):
+    for name in ("unflatten", "_layer_views", "_check_inputs", "_targets", "_flatten"):
         def counted(*args, _real=getattr(models, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args, **kwargs)
@@ -640,11 +675,12 @@ def test_train_binds_its_step_once(monkeypatch):
                   [lambda t, epoch, eta, w: None] * runs)
         return dict(counts)
 
+    # two sets of views: the weights' and the gradient buffer's
     assert calls_per_run(2) == calls_per_run(40) == {
-        "unflatten": 1, "_check_inputs": 1, "_targets": 1}
+        "_layer_views": 2, "_check_inputs": 1, "_targets": 1}
     # a stack checks each run's inputs once and binds one set of stacked views
     assert calls_per_run(2, runs=3) == calls_per_run(40, runs=3) == {
-        "unflatten": 1, "_check_inputs": 3, "_targets": 3}
+        "_layer_views": 2, "_check_inputs": 3, "_targets": 3}
 
 
 # -- stacked runs ------------------------------------------------------------

@@ -431,6 +431,23 @@ def test_recorder_snapshot_fields_are_consistent():
         )
 
 
+def test_step_rp_after_a_zero_rate_step_is_none_and_flagged():
+    # cosine with t_max = 3 < max_steps: steps 3 and 4 have rate 0 and leave
+    # w unchanged, so the snapshots after them have no one-step ratio
+    S, Sp, _ = generate_toy(ToyConfig(16, 16, 3, seed=0))
+    spec = mlp_spec(3, (4,))
+    rec = TrajectoryRecorder(spec, S, Sp, rp_mode="step")
+    cfg = OptimConfig(mode="gd", batch_size=None, max_steps=5, snapshot_every=1,
+                      schedule=Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=3))
+    train(spec, init_params(spec, RngStream(0, 5)), S, Sp, cfg, rec)
+    assert [snap.eta_t for snap in rec.snapshots][3:] == [0.0, 0.0, 0.0]
+    assert all(snap.rp is not None and snap.trp is not None
+               for snap in rec.snapshots[1:4])
+    assert [(snap.rp, snap.trp) for snap in rec.snapshots[4:]] == [(None, None)] * 2
+    assert rec.flags == ["rp/trp: zero step size at step 3",
+                         "rp/trp: zero step size at step 4"]
+
+
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
     spec, S, Sp, rec, _ = per_step_run(steps=6, kind=kind)
