@@ -252,7 +252,7 @@ def _eval_bound(method: str, est: ConstantEstimates, agg: dict[str, float]) -> f
         return term1 + term2 + term3
     if method == "ours_relaxed":
         main = est.gamma_prime * est.V_m * agg["C_final"]
-        return main + 0.5 * agg["tail_delta_sum"] * agg["zeta"]
+        return main + 0.5 * agg["tail_delta_sum"] * est.zeta
     L2 = est.L_hat * est.L_hat
     if method == "hardt_convex":
         return 2.0 * L2 / est.n * agg["sum_eta"]
@@ -302,48 +302,40 @@ def bound_trajectory_main(est: ConstantEstimates, snapshots) -> BoundReport:
     )
 
 
-def bound_trajectory_smooth(est: ConstantEstimates, snapshots, c: float,
-                            schedule: Schedule | None = None) -> BoundReport:
+def bound_trajectory_smooth(est: ConstantEstimates, snapshots,
+                            schedule: Schedule) -> BoundReport:
     """Three-term bound for inverse-time step sizes eta_t = c/(beta (t+1)).
 
-    The second term sums 1/(n beta^2 (t+1)^4) times the covariance ratio
-    over realized steps, taking the ratio from the left endpoint of each
-    snapshot interval (exact at cadence 1). The step-size form is part of
-    the hypothesis, so a mismatched schedule is rejected.
+    c is the schedule's. The second term sums 1/(n beta^2 (t+1)^4) times the
+    covariance ratio over realized steps, taking the ratio from the left
+    endpoint of each snapshot interval (exact at cadence 1). The step-size
+    form is part of the hypothesis, so another schedule kind, or a beta
+    other than the estimated smoothness, is rejected.
     """
     if not snapshots:
         raise IncompleteTrajectoryError("smooth bound needs at least one snapshot")
     _check_usable(est)
-    if c < 0:
-        raise InvalidArgumentError(f"c must be >= 0, got {c}")
-    if schedule is not None:
-        if schedule.kind != "inverse_time":
-            raise InvalidArgumentError(
-                f"smooth bound assumes inverse-time steps, schedule is {schedule.kind!r}"
-            )
-        if schedule.c != c:
-            raise InvalidArgumentError(
-                f"schedule c={schedule.c} does not match requested c={c}"
-            )
-        if est.beta_hat > 0 and not math.isclose(schedule.beta, est.beta_hat,
-                                                 rel_tol=1e-6):
-            raise InvalidArgumentError(
-                f"schedule beta={schedule.beta} is not the estimated "
-                f"smoothness {est.beta_hat}"
-            )
-    if c > 0 and est.beta_hat <= 0:
+    if schedule.kind != "inverse_time":
+        raise InvalidArgumentError(
+            f"smooth bound assumes inverse-time steps, schedule is {schedule.kind!r}"
+        )
+    if est.beta_hat <= 0:
         raise InvalidArgumentError("smooth bound needs a positive smoothness estimate")
+    if not math.isclose(schedule.beta, est.beta_hat, rel_tol=1e-6):
+        raise InvalidArgumentError(
+            f"schedule beta={schedule.beta} is not the estimated "
+            f"smoothness {est.beta_hat}"
+        )
 
     inner = 0.0
-    if c > 0:
-        beta_sq = est.beta_hat * est.beta_hat
-        for left, right in zip(snapshots[:-1], snapshots[1:]):
-            ratio = covariance_ratio(left.trace_sigma, left.grad_norm_S)
-            if ratio is None:
-                continue  # stationary mean with residual spread: no defined weight
-            for t in range(left.t, right.t):
-                inner += ratio / (est.n * beta_sq * (t + 1) ** 4)
-    agg = {"C_final": snapshots[-1].C_cum, "sum_inv4_ratio": inner, "c": c}
+    beta_sq = est.beta_hat * est.beta_hat
+    for left, right in zip(snapshots[:-1], snapshots[1:]):
+        ratio = covariance_ratio(left.trace_sigma, left.grad_norm_S)
+        if ratio is None:
+            continue  # stationary mean with residual spread: no defined weight
+        for t in range(left.t, right.t):
+            inner += ratio / (est.n * beta_sq * (t + 1) ** 4)
+    agg = {"C_final": snapshots[-1].C_cum, "sum_inv4_ratio": inner, "c": schedule.c}
     return BoundReport(
         method="ours_smooth",
         value=_eval_bound("ours_smooth", est, agg),
@@ -352,28 +344,23 @@ def bound_trajectory_smooth(est: ConstantEstimates, snapshots, c: float,
     )
 
 
-def bound_trajectory_relaxed(est: ConstantEstimates, snapshots,
-                             T0: int | None = None,
-                             zeta: float | None = None) -> BoundReport:
+def bound_trajectory_relaxed(est: ConstantEstimates, snapshots) -> BoundReport:
     """Main bound plus the late-phase drift correction.
 
-    Adds half of zeta times the sum of eta_t ||grad F_S|| over recorded
-    steps at or after T0 (final step included).
+    Adds half of est.zeta times the sum of eta_t ||grad F_S|| over recorded
+    steps at or after est.T0 (final step included).
     """
     if not snapshots:
         raise IncompleteTrajectoryError("relaxed bound needs at least one snapshot")
     _check_usable(est)
-    t0 = est.T0 if T0 is None else T0
-    z = est.zeta if zeta is None else zeta
-    if t0 > snapshots[-1].t:
+    if est.T0 > snapshots[-1].t:
         raise InvalidArgumentError(
-            f"T0={t0} is past the final recorded step {snapshots[-1].t}"
+            f"T0={est.T0} is past the final recorded step {snapshots[-1].t}"
         )
-    if z < 0:
-        raise InvalidArgumentError(f"zeta must be >= 0, got {z}")
-    tail = sum(s.delta_t for s in snapshots if s.t >= t0)
-    agg = {"C_final": snapshots[-1].C_cum, "tail_delta_sum": tail,
-           "T0": float(t0), "zeta": z}
+    if est.zeta < 0:
+        raise InvalidArgumentError(f"zeta must be >= 0, got {est.zeta}")
+    tail = sum(s.delta_t for s in snapshots if s.t >= est.T0)
+    agg = {"C_final": snapshots[-1].C_cum, "tail_delta_sum": tail}
     return BoundReport(
         method="ours_relaxed",
         value=_eval_bound("ours_relaxed", est, agg),
@@ -477,9 +464,7 @@ def write_bounds_csv(path: str, reports, seeds) -> None:
             if name not in used:
                 row.append(None)
                 continue
-            # the relaxed bound may have been evaluated with overridden
-            # T0/zeta; the aggregates hold what the formula actually used
-            val = agg[name] if name in agg else getattr(rep.constants, name)
+            val = getattr(rep.constants, name)
             row.append(int(val) if name in ("T0", "n", "T", "b") else float(val))
         for name in _AGGREGATE_COLUMNS:
             row.append(float(agg[name]) if name in used and name in agg else None)

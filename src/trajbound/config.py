@@ -167,8 +167,6 @@ def _opt(parser):
 def _fmt_value(v) -> str:
     if v is None:
         return "none"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(_fmt_value(x) for x in v)
     if isinstance(v, float):
@@ -316,6 +314,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise bad("schedule.kind",
                   "toy_table compares against inverse-time-rate baselines; "
                   "schedule.kind must be inverse_time")
+    if cfg.experiment == "toy_table" and cfg.model_kind != "linear":
+        raise bad("model.kind",
+                  "toy_table's smooth bound needs the schedule's beta to be the "
+                  "trajectory's smoothness, which a schedule fixed before "
+                  "training carries only when the Hessian does not depend on "
+                  "w; model.kind must be linear")
     return cfg
 
 

@@ -66,7 +66,7 @@ class RunParts:
     S_prime: Dataset
     w0: np.ndarray
     ocfg: OptimConfig  # batch_size resolved: n for gd
-    est: SubsetEstimatorConfig
+    est: SubsetEstimatorConfig  # read only by estimate_constants
 
 
 def assemble_run(cfg: ExperimentConfig, run_seed: int,
@@ -177,7 +177,7 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     reports = []
     report_seeds = []
     cells = [assemble_run(cfg, s) for s in cfg.seeds]
-    recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime, p.est) for p in cells]
+    recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime) for p in cells]
     outcomes = _train_cells(cells, recs)
     _raise_failed(cfg.seeds, outcomes, "toy_table")
     for s, parts, rec, res in zip(cfg.seeds, cells, recs, outcomes):
@@ -185,7 +185,7 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
                                     res.etas, res.batch_size, parts.S, cfg=parts.est)
         schedule = parts.ocfg.schedule
         r_main = bound_trajectory_main(consts, rec.snapshots)
-        r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule.c, schedule)
+        r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule)
         r_relaxed = bound_trajectory_relaxed(consts, rec.snapshots)
         r_hc = bound_stability_baseline("hardt_convex", consts, res.etas)
         r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas,
@@ -228,7 +228,7 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
     _raise_failed([s], _train_cells([parts], [rec]), "track")
 
     traj_path = os.path.join(out, "trajectory.csv")
@@ -271,14 +271,13 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
     _raise_failed([s], _train_cells([parts], [rec]), "assumption")
     control = replay_trajectory(
         parts.spec, parts.S, parts.S, rec.weights,
         [sn.t for sn in rec.snapshots],
         [sn.epoch for sn in rec.snapshots],
         [sn.eta_t for sn in rec.snapshots],
-        parts.est,
     )
 
     rows = []
@@ -343,7 +342,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         except NumericDomainError:  # a non-finite curvature solve for beta
             continue
         cells.append(parts)
-        recs.append(TrajectoryRecorder(parts.spec, parts.S, None, parts.est))
+        recs.append(TrajectoryRecorder(parts.spec, parts.S, None))
         at.append(i)
     trained = dict(zip(at, zip(cells, recs, _train_cells(cells, recs))))
 
@@ -418,7 +417,7 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     parts = assemble_run(cfg, s)
     rp_mode = "step" if parts.ocfg.snapshot_every == 1 else "epoch"
     b = parts.ocfg.batch_size
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est,
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime,
                              rp_mode=rp_mode, batch_size=b)
     (res,) = _train_cells([parts], [rec])
     if isinstance(res, NumericDomainError):

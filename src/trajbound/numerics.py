@@ -58,14 +58,6 @@ class RngStream:
         return self._gen
 
 
-def rademacher_matrix(rng: RngStream, k: int, n: int) -> np.ndarray:
-    """(k, n) array of independent ±1 draws; one row per Monte-Carlo sample."""
-    if k < 1 or n < 1:
-        raise InvalidArgumentError(f"need k, n >= 1, got k={k}, n={n}")
-    bits = rng.generator().integers(0, 2, size=(k, n))
-    return (2 * bits - 1).astype(np.int64)
-
-
 def central_diff_gradient(f, w: np.ndarray, h: float) -> np.ndarray:
     """Coordinate-wise centered difference (f(w+h e_i) - f(w-h e_i)) / 2h."""
     if not h > 0:

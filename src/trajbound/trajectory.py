@@ -14,7 +14,11 @@ forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
 bounds.estimate_constants computes them, calling this module's
 per-sample-gradient kernels signed_mean_norm_stats (for V) and
-subset_ratio_max (for gamma').
+subset_ratio_max (for gamma'), which read their +-1 sign matrices from
+_sign_rows, the one place the sign patterns are built. The helpers that
+can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd,
+rp_trp_sgd_approx) append a flag to the list they are given, which is
+required; the recorder passes its own flags.
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -43,12 +47,7 @@ from .errors import (
     NumericDomainError,
 )
 from .models import ModelSpec, loss_grad_stats
-from .numerics import (
-    STREAM_SUBSET_GAMMA,
-    STREAM_SUBSET_V,
-    RngStream,
-    rademacher_matrix,
-)
+from .numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
 
 # Relative: the trace is a difference of two terms of the second moment's
 # size, so its roundoff scales with that moment.
@@ -151,7 +150,7 @@ def covariance_ratio(trace: float, grad_norm: float) -> float | None:
 
 def complexity_update(C_prev: float, F_prev: float, F_curr: float,
                       trace_sigma: float, grad_norm: float, n: int,
-                      flags: list[str] | None = None) -> float:
+                      flags: list[str]) -> float:
     """One discrete complexity increment, weighted by sqrt(covariance_ratio).
 
     Where the ratio is undefined (a vanished gradient with residual spread)
@@ -161,69 +160,52 @@ def complexity_update(C_prev: float, F_prev: float, F_curr: float,
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     ratio = covariance_ratio(trace_sigma, grad_norm)
     if ratio is None:
-        if flags is not None:
-            flags.append("degenerate-gradient: complexity increment skipped")
+        flags.append("degenerate-gradient: complexity increment skipped")
         return C_prev
     return C_prev - 2.0 * ((F_curr - F_prev) / math.sqrt(n)) * math.sqrt(ratio)
 
 
 def gamma_tilde(grad_norm_Sprime: float, grad_norm_S: float,
-                flags: list[str] | None = None) -> float | None:
+                flags: list[str]) -> float | None:
     """Holdout-to-train gradient norm ratio; None when the train norm is 0."""
     if grad_norm_S == 0.0:
-        if flags is not None:
-            flags.append("undefined-ratio: zero training gradient norm")
+        flags.append("undefined-ratio: zero training gradient norm")
         return None
     return grad_norm_Sprime / grad_norm_S
-
-
-def _all_sign_patterns(n: int) -> np.ndarray:
-    """(2^n, n) matrix of every +-1 pattern, in binary counting order."""
-    masks = np.arange(2 ** n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
-    return (2 * bits - 1).astype(np.float64)
-
-
-def _draw_sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
-                    exclude_trivial: bool) -> tuple[np.ndarray, bool]:
-    """Sign matrix for subset estimation: exhaustive when affordable.
-
-    Returns (rows, exhaustive). exclude_trivial drops the all-plus and
-    all-minus patterns (the empty and full subsets).
-    """
-    total = 2 ** n if n <= EXHAUSTIVE_MAX_N else None
-    need = total - 2 if (total is not None and exclude_trivial) else total
-    if need is not None and need <= cfg.k_samples:
-        rows = _all_sign_patterns(n)
-        if exclude_trivial:
-            keep = np.abs(rows.sum(axis=1)) < n
-            rows = rows[keep]
-        return rows, True
-    rng = RngStream(cfg.seed, stream_id)
-    rows = rademacher_matrix(rng, cfg.k_samples, n).astype(np.float64)
-    if exclude_trivial:
-        gen = rng.generator()
-        for _ in range(64):
-            bad = np.abs(rows.sum(axis=1)) == n
-            if not bad.any():
-                break
-            redraw = gen.integers(0, 2, size=(int(bad.sum()), n))
-            rows[bad] = 2.0 * redraw - 1.0
-    return rows, False
 
 
 @functools.lru_cache(maxsize=4)
 def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
                exclude_trivial: bool) -> tuple[np.ndarray, bool]:
-    """_draw_sign_rows, cached and read-only.
+    """The +-1 sign matrix of a subset estimator, as cached read-only int8.
 
-    The draw depends only on the arguments, so every snapshot of an
-    estimate_constants call reuses one matrix for V and one for gamma'.
-    The cache outlives the call, so it holds the signs as int8, an eighth of
-    the float64 draw.
+    Returns (rows, exhaustive). When every pattern fits in cfg.k_samples
+    (n <= EXHAUSTIVE_MAX_N), the rows are all 2^n patterns in binary
+    counting order (bit j of the row index is the sign of sample j);
+    otherwise they are k_samples rows of coin flips drawn by
+    integers(0, 2) from the (cfg.seed, stream_id) stream. exclude_trivial
+    drops the all-minus and all-plus patterns (the empty and full
+    subsets): the enumeration skips them, and a draw redraws such rows from
+    the same stream, at most 64 times. The draw depends only on the
+    arguments, so every snapshot of an estimate_constants call reuses one
+    matrix for V and one for gamma'; the cache outlives the call, hence
+    int8.
     """
-    rows, exhaustive = _draw_sign_rows(cfg, n, stream_id, exclude_trivial)
-    rows = rows.astype(np.int8)
+    trim = int(exclude_trivial)  # masks 0 and 2^n - 1 are the trivial patterns
+    total = 2 ** n if n <= EXHAUSTIVE_MAX_N else None
+    exhaustive = total is not None and total - 2 * trim <= cfg.k_samples
+    if exhaustive:
+        masks = np.arange(trim, total - trim, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(n)) & 1
+    else:
+        gen = RngStream(cfg.seed, stream_id).generator()
+        bits = gen.integers(0, 2, size=(cfg.k_samples, n))
+        for _ in range(64 if exclude_trivial else 0):
+            bad = bits.min(axis=1) == bits.max(axis=1)
+            if not bad.any():
+                break
+            bits[bad] = gen.integers(0, 2, size=(int(bad.sum()), n))
+    rows = (2 * bits - 1).astype(np.int8)
     rows.flags.writeable = False
     return rows, exhaustive
 
@@ -254,7 +236,7 @@ def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
     if denom == 0.0:
         raise InvalidArgumentError("subset ratio undefined at zero mean gradient")
     rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
-    members = (rows + 1.0) / 2.0  # {0,1} membership
+    members = (rows > 0).astype(np.float64)  # {0,1} membership
     sums = members @ G
     norms = np.sqrt(np.einsum("kp,kp->k", sums, sums))
     return float(np.max(norms)) / denom
@@ -262,7 +244,7 @@ def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
 
 def rp_trp_gd(F_S_prev: float, F_S_curr: float, F_Sp_prev: float, F_Sp_curr: float,
               eta: float, grad_S_prev: np.ndarray, grad_Sp_prev: np.ndarray,
-              flags: list[str] | None = None) -> tuple[float | None, float | None]:
+              flags: list[str]) -> tuple[float | None, float | None]:
     """Relative progress of one GD step on the train and holdout losses.
 
     rp compares the realized loss change to the first-order prediction
@@ -277,13 +259,11 @@ def rp_trp_gd(F_S_prev: float, F_S_curr: float, F_Sp_prev: float, F_Sp_curr: flo
     denom_trp = eta * float(gs @ gp)
     rp = trp = None
     if denom_rp == 0.0:
-        if flags is not None:
-            flags.append("rp: zero gradient, ratio undefined")
+        flags.append("rp: zero gradient, ratio undefined")
     else:
         rp = (F_S_curr - F_S_prev) / denom_rp
     if denom_trp == 0.0:
-        if flags is not None:
-            flags.append("trp: orthogonal gradients, ratio undefined")
+        flags.append("trp: orthogonal gradients, ratio undefined")
     else:
         trp = (F_Sp_curr - F_Sp_prev) / denom_trp
     return rp, trp
@@ -293,7 +273,7 @@ def rp_trp_sgd_approx(X_prev: np.ndarray, X_curr: np.ndarray,
                       F_S_prev: float, F_S_curr: float,
                       F_Sp_prev: float, F_Sp_curr: float,
                       eta: float, b: int, n: int, grad_Sp_prev: np.ndarray,
-                      flags: list[str] | None = None
+                      flags: list[str]
                       ) -> tuple[float | None, float | None, float]:
     """Epoch-level relative progress from boundary weights only.
 
@@ -309,14 +289,12 @@ def rp_trp_sgd_approx(X_prev: np.ndarray, X_curr: np.ndarray,
     dx = X_curr - X_prev
     dx_sq = float(dx @ dx)
     if dx_sq == 0.0:
-        if flags is not None:
-            flags.append("rp/trp: zero epoch displacement")
+        flags.append("rp/trp: zero epoch displacement")
         return None, None, eta_eff
     rp = eta_eff * (F_S_curr - F_S_prev) / dx_sq
     denom_trp = float((X_prev - X_curr) @ np.asarray(grad_Sp_prev, dtype=np.float64))
     if denom_trp == 0.0:
-        if flags is not None:
-            flags.append("trp: displacement orthogonal to holdout gradient")
+        flags.append("trp: displacement orthogonal to holdout gradient")
         return rp, None, eta_eff
     trp = (F_Sp_curr - F_Sp_prev) / denom_trp
     return rp, trp, eta_eff
@@ -376,6 +354,10 @@ class TrajectoryRecorder:
     recording None and a flag after a step of rate 0, which has no ratio;
     "epoch" applies the boundary-weight approximation with batch size b.
     Both need the holdout, for trp.
+
+    est is not read: the recorder forms no subset estimate
+    (bounds.estimate_constants does). It remains the fourth positional
+    parameter, which existing callers still pass.
     """
 
     def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset | None,
@@ -390,7 +372,6 @@ class TrajectoryRecorder:
         self.spec = spec
         self.S = S
         self.S_prime = S_prime
-        self.est = est or SubsetEstimatorConfig()
         self.rp_mode = rp_mode
         self.batch_size = batch_size
         self.snapshots: list[TrajectorySnapshot] = []
@@ -452,10 +433,9 @@ class TrajectoryRecorder:
 
 
 def replay_trajectory(spec: ModelSpec, S: Dataset, S_prime: Dataset, weights,
-                      ts, epochs, etas, est: SubsetEstimatorConfig | None = None
-                      ) -> TrajectoryRecorder:
+                      ts, epochs, etas) -> TrajectoryRecorder:
     """Recompute trajectory statistics over a stored weight sequence."""
-    rec = TrajectoryRecorder(spec, S, S_prime, est=est)
+    rec = TrajectoryRecorder(spec, S, S_prime)
     for w, t, epoch, eta in zip(weights, ts, epochs, etas, strict=True):
         rec(t, epoch, eta, w)
     return rec

@@ -45,6 +45,9 @@ def snap(t, F_S=1.0, gnorm=1.0, trace=0.0, C_cum=0.0, gnorm_sp=1.0, eta=0.1):
     )
 
 
+INVERSE_TIME = Schedule("inverse_time", c=1.0, beta=2.0)  # consts()' beta_hat
+
+
 def consts(**overrides):
     base = dict(L_hat=2.0, beta_hat=2.0, M2_sq=4.0, M4_fourth=16.0, gamma=1.5,
                 gamma_prime=2.0, V_m=3.0, eta_m=0.1, zeta=0.0, T0=0, n=4,
@@ -186,7 +189,7 @@ def test_estimate_constants_zeta_vanishes_when_holdout_is_the_train_set():
     control = replay_trajectory(spec, S, S, rec.weights,
                                 [s.t for s in rec.snapshots],
                                 [s.epoch for s in rec.snapshots],
-                                [s.eta_t for s in rec.snapshots], est)
+                                [s.eta_t for s in rec.snapshots])
     c = estimate_constants(spec, control.weights, control.snapshots,
                            res.etas, res.batch_size, S, cfg=est)
     assert c.gamma == 1.0
@@ -235,7 +238,7 @@ def test_bounds_reject_a_trivial_mixing_ratio():
     est = consts(V_m=math.inf)
     snapshots = [snap(0)]
     for builder in (bound_trajectory_main,
-                    lambda e, s: bound_trajectory_smooth(e, s, 1.0),
+                    lambda e, s: bound_trajectory_smooth(e, s, INVERSE_TIME),
                     bound_trajectory_relaxed):
         with pytest.raises(InvalidArgumentError, match="trivial"):
             builder(est, snapshots)
@@ -249,7 +252,7 @@ def test_smooth_bound_worked_example():
         snap(1, gnorm=1.0, trace=0.0),           # ratio term 1
         snap(2, gnorm=1.0, trace=0.0, C_cum=0.5),
     ]
-    rep = bound_trajectory_smooth(est, snapshots, c=1.0)
+    rep = bound_trajectory_smooth(est, snapshots, INVERSE_TIME)
     inner = 4.0 / (4 * 4 * 1 ** 4) + 1.0 / (4 * 4 * 2 ** 4)
     term1 = 2.0 * 3.0 * 0.5
     term2 = 2.0 * 2.0 * 3.0 * math.sqrt(16.0) * math.sqrt(inner)
@@ -264,44 +267,34 @@ def test_smooth_bound_covers_multi_step_snapshot_gaps():
     # left endpoint's covariance ratio
     est = consts(n=4, beta_hat=2.0)
     snapshots = [snap(0, gnorm=1.0, trace=3.0), snap(2, gnorm=1.0, C_cum=0.1)]
-    rep = bound_trajectory_smooth(est, snapshots, c=1.0)
+    rep = bound_trajectory_smooth(est, snapshots, INVERSE_TIME)
     inner = 4.0 / (4 * 4 * 1) + 4.0 / (4 * 4 * 16)
     assert rep.trajectory_aggregates["sum_inv4_ratio"] == pytest.approx(inner)
-
-
-def test_smooth_bound_with_c_zero_reduces_to_the_main_value():
-    est = consts()
-    snapshots = [snap(0), snap(1, C_cum=0.4)]
-    rep = bound_trajectory_smooth(est, snapshots, c=0.0)
-    assert rep.value == bound_trajectory_main(est, snapshots).value
-    assert rep.trajectory_aggregates["sum_inv4_ratio"] == 0.0
 
 
 def test_smooth_bound_skips_undefined_ratio_intervals():
     est = consts(n=4, beta_hat=2.0)
     snapshots = [snap(0, gnorm=0.0, trace=1.0), snap(1, gnorm=1.0, C_cum=0.2)]
-    rep = bound_trajectory_smooth(est, snapshots, c=1.0)
+    rep = bound_trajectory_smooth(est, snapshots, INVERSE_TIME)
     assert rep.trajectory_aggregates["sum_inv4_ratio"] == 0.0
 
 
 def test_smooth_bound_schedule_hypothesis_is_enforced():
     est = consts(beta_hat=2.0)
     snapshots = [snap(0), snap(1, C_cum=0.2)]
-    good = Schedule("inverse_time", c=1.0, beta=2.0)
-    assert bound_trajectory_smooth(est, snapshots, 1.0, good).value > 0
+    assert bound_trajectory_smooth(est, snapshots, INVERSE_TIME).value > 0
+    # c is the schedule's
+    c2 = bound_trajectory_smooth(est, snapshots,
+                                 Schedule("inverse_time", c=2.0, beta=2.0))
+    assert c2.trajectory_aggregates["c"] == 2.0
+    assert c2.value == reevaluate_bound(c2)
     with pytest.raises(InvalidArgumentError, match="inverse-time"):
-        bound_trajectory_smooth(est, snapshots, 1.0,
-                                Schedule("constant", eta0=0.1))
-    with pytest.raises(InvalidArgumentError, match="does not match"):
-        bound_trajectory_smooth(est, snapshots, 1.0,
-                                Schedule("inverse_time", c=2.0, beta=2.0))
+        bound_trajectory_smooth(est, snapshots, Schedule("constant", eta0=0.1))
     with pytest.raises(InvalidArgumentError, match="smoothness"):
-        bound_trajectory_smooth(est, snapshots, 1.0,
+        bound_trajectory_smooth(est, snapshots,
                                 Schedule("inverse_time", c=1.0, beta=5.0))
-    with pytest.raises(InvalidArgumentError):
-        bound_trajectory_smooth(est, snapshots, -1.0)
     with pytest.raises(InvalidArgumentError, match="positive smoothness"):
-        bound_trajectory_smooth(consts(beta_hat=0.0), snapshots, 1.0)
+        bound_trajectory_smooth(consts(beta_hat=0.0), snapshots, INVERSE_TIME)
 
 
 def test_relaxed_bound_adds_the_tail_correction():
@@ -311,15 +304,14 @@ def test_relaxed_bound_adds_the_tail_correction():
     rep = bound_trajectory_relaxed(est, snapshots)
     tail = snapshots[1].delta_t + snapshots[2].delta_t
     assert rep.value == pytest.approx(2.0 * 3.0 * 0.4 + 0.5 * tail * 0.25)
-    assert rep.trajectory_aggregates["T0"] == 1.0
-    # explicit overrides replace the stored constants
-    rep2 = bound_trajectory_relaxed(est, snapshots, T0=2, zeta=1.0)
-    assert rep2.value == pytest.approx(2.0 * 3.0 * 0.4
-                                       + 0.5 * snapshots[2].delta_t * 1.0)
+    later = bound_trajectory_relaxed(consts(T0=2, zeta=1.0), snapshots)
+    assert later.value == pytest.approx(2.0 * 3.0 * 0.4
+                                        + 0.5 * snapshots[2].delta_t * 1.0)
+    # a hand-built ConstantEstimates can hold either value
     with pytest.raises(InvalidArgumentError, match="past the final"):
-        bound_trajectory_relaxed(est, snapshots, T0=5)
-    with pytest.raises(InvalidArgumentError):
-        bound_trajectory_relaxed(est, snapshots, zeta=-0.1)
+        bound_trajectory_relaxed(consts(T0=5), snapshots)
+    with pytest.raises(InvalidArgumentError, match="zeta"):
+        bound_trajectory_relaxed(consts(zeta=-0.1), snapshots)
 
 
 def test_relaxed_bound_with_zero_drift_equals_the_main_bound():
@@ -428,18 +420,6 @@ def test_write_bounds_csv_blanks_unused_columns(tmp_path):
     assert float(row_hc["sum_eta"]) == pytest.approx(0.3)
     assert row_hc["remainder_scale"] == ""
     assert row_hc["seed"] == "3"
-
-
-def test_write_bounds_csv_records_overridden_tail_constants(tmp_path):
-    est = consts(T0=0, zeta=0.0)
-    snapshots = [snap(0), snap(1, C_cum=0.3), snap(2, C_cum=0.4)]
-    rep = bound_trajectory_relaxed(est, snapshots, T0=2, zeta=0.5)
-    path = str(tmp_path / "relaxed.csv")
-    write_bounds_csv(path, [rep], seeds=[0])
-    lines = open(path).read().splitlines()
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert row["T0"] == "2"       # the value the formula used, not est.T0
-    assert float(row["zeta"]) == 0.5
 
 
 def test_write_bounds_csv_seed_count_mismatch(tmp_path):

@@ -236,6 +236,14 @@ def test_toy_table_pins_the_inverse_time_schedule():
         parse_config_text("experiment = toy_table\nschedule.kind = constant\n")
 
 
+def test_toy_table_pins_the_linear_model():
+    # the smooth bound needs the schedule's beta, fixed at w0, to be the
+    # trajectory's smoothness: true only for a Hessian independent of w
+    for extra in ("", "schedule.beta = 2.0\n"):
+        with pytest.raises(ConfigError, match="model.kind: .*must be linear"):
+            parse_config_text("experiment = toy_table\nmodel.kind = mlp\n" + extra)
+
+
 def test_cross_field_validation_catches_out_of_range_values():
     base = default_config("track")
     cases = [

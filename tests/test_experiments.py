@@ -604,6 +604,15 @@ def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, route):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_toy_table_with_an_mlp_exits_2_before_training(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "toy_table", "model.kind = mlp\nmodel.hidden = 8\noptim.epochs = 2\n"
+                     "optim.batch_size = 4\n"))
+    assert main(["toy_table", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "model.kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment, key, extra", [
     ("track", "output_dir", "optim.epochs = 1\noutput_dir = a\0b\n"),
     ("toy_table", "dataset.path",

@@ -12,7 +12,6 @@ from trajbound.numerics import (
     RngStream,
     central_diff_gradient,
     power_iteration_top_eig,
-    rademacher_matrix,
 )
 
 
@@ -39,18 +38,6 @@ def test_generator_is_cached_and_advances():
     first = rng.generator().standard_normal(10)
     second = rng.generator().standard_normal(10)
     assert not np.array_equal(first, second)
-
-
-def test_rademacher_matrix_shape_and_values():
-    m = rademacher_matrix(RngStream(3, 0), 16, 9)
-    assert m.shape == (16, 9)
-    assert set(np.unique(m)) <= {-1, 1}
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_rademacher_rejects_nonpositive_counts(n):
-    with pytest.raises(InvalidArgumentError):
-        rademacher_matrix(RngStream(0, 0), n, 4)
 
 
 def test_central_diff_matches_analytic_gradient_of_quartic():

@@ -35,7 +35,6 @@ from trajbound.optim import OptimConfig, Schedule, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
-    _draw_sign_rows,
     _sign_rows,
     _trace_from_sq_norms,
     complexity_update,
@@ -150,23 +149,26 @@ def test_trace_guard_scales_with_the_gradient_magnitude(n, p, seed):
 def test_complexity_update_closed_form():
     # single interval: C = -2 (dF / sqrt(n)) sqrt(1 + trace/g^2)
     c = complexity_update(0.0, F_prev=1.0, F_curr=0.75, trace_sigma=3.0,
-                          grad_norm=1.0, n=16)
+                          grad_norm=1.0, n=16, flags=[])
     assert c == pytest.approx(-2.0 * (-0.25) / 4.0 * 2.0)
     # a loss increase subtracts complexity symmetrically
-    assert complexity_update(0.0, 0.75, 1.0, 3.0, 1.0, 16) == pytest.approx(-c)
+    assert complexity_update(0.0, 0.75, 1.0, 3.0, 1.0, 16, []) == pytest.approx(-c)
 
 
 def test_complexity_update_accumulates():
-    c1 = complexity_update(0.0, 1.0, 0.8, 0.5, 1.0, 9)
-    c2 = complexity_update(c1, 0.8, 0.7, 0.2, 0.5, 9)
+    c1 = complexity_update(0.0, 1.0, 0.8, 0.5, 1.0, 9, [])
+    c2 = complexity_update(c1, 0.8, 0.7, 0.2, 0.5, 9, [])
     expect = (-2.0 * (-0.2) / 3.0 * math.sqrt(1.5)
               - 2.0 * (-0.1) / 3.0 * math.sqrt(1.0 + 0.2 / 0.25))
     assert c2 == pytest.approx(expect)
 
 
 def test_complexity_update_stationary_point_degenerates_to_factor_one():
-    c = complexity_update(1.0, 0.5, 0.4, trace_sigma=0.0, grad_norm=0.0, n=4)
+    flags = []
+    c = complexity_update(1.0, 0.5, 0.4, trace_sigma=0.0, grad_norm=0.0, n=4,
+                          flags=flags)
     assert c == pytest.approx(1.0 - 2.0 * (-0.1) / 2.0)
+    assert flags == []
 
 
 def test_complexity_update_skips_undefined_ratio_with_flag():
@@ -176,21 +178,22 @@ def test_complexity_update_skips_undefined_ratio_with_flag():
     assert c == 1.0
     assert any("degenerate-gradient" in f for f in flags)
     with pytest.raises(InvalidArgumentError):
-        complexity_update(0.0, 1.0, 0.5, 0.1, 1.0, 0)
+        complexity_update(0.0, 1.0, 0.5, 0.1, 1.0, 0, [])
 
 
 def test_interval_ratio_identity():
     # |dC/dF| over one interval is exactly (2/sqrt(n)) sqrt(1 + r)
     n, trace, gnorm = 25, 2.0, 0.5
     dF = -0.3
-    dC = complexity_update(0.0, 1.0, 1.0 + dF, trace, gnorm, n)
+    dC = complexity_update(0.0, 1.0, 1.0 + dF, trace, gnorm, n, [])
     expect = (2.0 / math.sqrt(n)) * math.sqrt(1.0 + trace / gnorm ** 2)
     assert abs(dC / dF) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gamma_tilde():
-    assert gamma_tilde(2.0, 4.0) == 0.5
     flags = []
+    assert gamma_tilde(2.0, 4.0, flags) == 0.5
+    assert flags == []
     assert gamma_tilde(1.0, 0.0, flags) is None
     assert any("undefined-ratio" in f for f in flags)
 
@@ -225,17 +228,66 @@ def test_signed_mean_norm_monte_carlo_is_deterministic():
     assert a != other
 
 
+def reference_sign_rows(cfg, n, stream_id, exclude_trivial):
+    """The sign rows built the long way: float64 patterns or draws, then redraws."""
+    total = 2 ** n if n <= trajectory.EXHAUSTIVE_MAX_N else None
+    need = total - 2 if (total is not None and exclude_trivial) else total
+    if need is not None and need <= cfg.k_samples:
+        rows = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))[:, ::-1]
+        if exclude_trivial:
+            rows = rows[np.abs(rows.sum(axis=1)) < n]
+        return rows, True
+    gen = RngStream(cfg.seed, stream_id).generator()
+    rows = 2.0 * gen.integers(0, 2, size=(cfg.k_samples, n)) - 1.0
+    if exclude_trivial:
+        for _ in range(64):
+            bad = np.abs(rows.sum(axis=1)) == n
+            if not bad.any():
+                break
+            rows[bad] = 2.0 * gen.integers(0, 2, size=(int(bad.sum()), n)) - 1.0
+    return rows, False
+
+
+def assert_sign_rows_match_the_reference(cfg, n, stream, exclude_trivial):
+    rows, exhaustive = _sign_rows(cfg, n, stream, exclude_trivial)
+    ref, ref_exhaustive = reference_sign_rows(cfg, n, stream, exclude_trivial)
+    assert rows.dtype == np.int8 and not rows.flags.writeable
+    assert exhaustive == ref_exhaustive
+    assert rows.shape == ref.shape and np.array_equal(rows, ref)
+
+
 def test_sign_rows_are_cached_read_only_and_equal_a_fresh_draw():
     # every snapshot of an estimate_constants call reuses one draw per
     # estimator, so the cached matrix must be that draw and must not change
     cfg = SubsetEstimatorConfig(k_samples=64, seed=3)
     for stream, trivial in ((STREAM_SUBSET_V, False), (STREAM_SUBSET_GAMMA, True)):
-        rows, exhaustive = _sign_rows(cfg, 12, stream, exclude_trivial=trivial)
+        rows, _ = _sign_rows(cfg, 12, stream, exclude_trivial=trivial)
         assert _sign_rows(cfg, 12, stream, exclude_trivial=trivial)[0] is rows
-        fresh, fresh_exhaustive = _draw_sign_rows(cfg, 12, stream, trivial)
-        assert np.array_equal(rows, fresh) and exhaustive == fresh_exhaustive
+        assert_sign_rows_match_the_reference(cfg, 12, stream, trivial)
         with pytest.raises(ValueError):
             rows[0, 0] = -rows[0, 0]
+    # seed 3's first 1000 rows at n = 10 hold two trivial rows, so the
+    # gamma' matrix is only right if it redraws them from the same stream
+    big = SubsetEstimatorConfig(k_samples=1000, seed=3)
+    first = RngStream(3, STREAM_SUBSET_GAMMA).generator().integers(0, 2, size=(1000, 10))
+    assert (first.min(axis=1) == first.max(axis=1)).sum() == 2
+    rows, exhaustive = _sign_rows(big, 10, STREAM_SUBSET_GAMMA, exclude_trivial=True)
+    assert not exhaustive and (np.abs(rows.sum(axis=1, dtype=np.int64)) < 10).all()
+    assert_sign_rows_match_the_reference(big, 10, STREAM_SUBSET_GAMMA, True)
+    # n = 1 without trivial rows leaves nothing to enumerate
+    assert _sign_rows(cfg, 1, STREAM_SUBSET_GAMMA, True)[0].shape == (0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), k=st.integers(1, 5000), seed=st.integers(0, 2 ** 31),
+       stream=st.sampled_from([STREAM_SUBSET_V, STREAM_SUBSET_GAMMA]),
+       exclude_trivial=st.booleans())
+def test_sign_rows_equal_the_reference_construction(n, k, seed, stream,
+                                                    exclude_trivial):
+    # small n against large k: enumeration where every pattern fits, and
+    # draws with several trivial rows to redraw where they do not
+    assert_sign_rows_match_the_reference(SubsetEstimatorConfig(k_samples=k, seed=seed),
+                                         n, stream, exclude_trivial)
 
 
 def test_jensen_bound_on_signed_mean():
@@ -252,7 +304,7 @@ def constants_at(spec, data, weights, cfg):
     """estimate_constants over a replayed trajectory, data as its own holdout."""
     k = len(weights)
     rec = replay_trajectory(spec, data, data, weights, list(range(k)),
-                            list(range(k)), [0.1] * k, cfg)
+                            list(range(k)), [0.1] * k)
     return estimate_constants(spec, rec.weights, rec.snapshots, [], data.n, data,
                               cfg=cfg)
 
@@ -353,7 +405,7 @@ def test_rp_trp_gd_exact_quadratic():
     w_next = w - eta * g
     F = lambda x: 0.5 * lam * x * x
     rp, trp = rp_trp_gd(F(w), F(w_next), F(w), F(w_next), eta,
-                        np.array([g]), np.array([g]))
+                        np.array([g]), np.array([g]), [])
     assert rp == pytest.approx(-1.0 + eta * lam / 2.0, abs=1e-12)
     assert trp == pytest.approx(rp, abs=1e-12)
 
@@ -369,7 +421,7 @@ def test_rp_trp_gd_degenerate_denominators():
     assert rp is not None and trp is None
     assert any("trp:" in f for f in flags)
     with pytest.raises(InvalidArgumentError):
-        rp_trp_gd(1.0, 0.9, 1.0, 0.9, 0.0, np.ones(1), np.ones(1))
+        rp_trp_gd(1.0, 0.9, 1.0, 0.9, 0.0, np.ones(1), np.ones(1), [])
 
 
 def test_rp_sgd_approx_reduces_to_gd_on_a_full_batch_step():
@@ -381,10 +433,10 @@ def test_rp_sgd_approx_reduces_to_gd_on_a_full_batch_step():
     X_curr = X_prev - eta * g
     F_prev, F_curr = 1.0, 0.83
     Fp_prev, Fp_curr = 1.1, 0.95
-    rp_ref, trp_ref = rp_trp_gd(F_prev, F_curr, Fp_prev, Fp_curr, eta, g, g_sp)
+    rp_ref, trp_ref = rp_trp_gd(F_prev, F_curr, Fp_prev, Fp_curr, eta, g, g_sp, [])
     rp, trp, eta_eff = rp_trp_sgd_approx(X_prev, X_curr, F_prev, F_curr,
                                          Fp_prev, Fp_curr, eta, b=8, n=8,
-                                         grad_Sp_prev=g_sp)
+                                         grad_Sp_prev=g_sp, flags=[])
     assert eta_eff == eta
     assert rp == pytest.approx(rp_ref, rel=1e-12)
     assert trp == pytest.approx(trp_ref, rel=1e-12)
@@ -459,8 +511,7 @@ def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
     monkeypatch.setattr(trajectory, "per_sample_grads", forbidden, raising=False)
     snaps = rec.snapshots
     again = replay_trajectory(spec, S, Sp, rec.weights, [s.t for s in snaps],
-                              [s.epoch for s in snaps], [s.eta_t for s in snaps],
-                              est=rec.est)
+                              [s.epoch for s in snaps], [s.eta_t for s in snaps])
     assert again.snapshots == snaps
 
 
@@ -500,7 +551,7 @@ def test_recorder_complexity_telescopes():
     c = 0.0
     for prev, snap in zip(rec.snapshots[:-1], rec.snapshots[1:]):
         c = complexity_update(c, prev.F_S, snap.F_S, snap.trace_sigma,
-                              snap.grad_norm_S, S.n)
+                              snap.grad_norm_S, S.n, [])
         assert snap.C_cum == c
     assert rec.snapshots[0].C_cum == 0.0
 
@@ -610,7 +661,7 @@ def test_complexity_telescopes_along_any_short_run(kind, holdout, seed, steps,
     c = 0.0
     for prev, snap in zip(snaps[:-1], snaps[1:]):
         c = complexity_update(c, prev.F_S, snap.F_S, snap.trace_sigma,
-                              snap.grad_norm_S, S.n)
+                              snap.grad_norm_S, S.n, [])
         assert snap.C_cum == c
     if degenerate:
         assert all(s.grad_norm_S == 0.0 and s.trace_sigma > 0.0 for s in snaps)
@@ -683,7 +734,7 @@ def test_recorder_step_rp_matches_direct_computation():
         prev, snap = rec.snapshots[k - 1], rec.snapshots[k]
         rp, trp = rp_trp_gd(prev.F_S, snap.F_S, prev.F_Sprime, snap.F_Sprime,
                             prev.eta_t, rec.grads_S[k - 1],
-                            rec.grads_Sprime[k - 1])
+                            rec.grads_Sprime[k - 1], [])
         assert snap.rp == rp
         assert snap.trp == trp
 
@@ -695,7 +746,6 @@ def test_replay_reproduces_the_recorded_trajectory():
         [s.t for s in rec.snapshots],
         [s.epoch for s in rec.snapshots],
         [s.eta_t for s in rec.snapshots],
-        SubsetEstimatorConfig(k_samples=64),
     )
     for a, b in zip(rec.snapshots, again.snapshots):
         assert a.F_S == b.F_S
