@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import EXPERIMENTS, _parse_int_list, parse_config, validate_config
+from .config import _KEYS, EXPERIMENTS, parse_config, validate_config
 from .errors import (
     ConfigError,
     DataSchemaError,
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         if args.out:
             cfg = replace(cfg, output_dir=args.out)
         if args.seeds:
-            cfg = replace(cfg, seeds=_parse_int_list("--seeds", args.seeds))
+            cfg = replace(cfg, seeds=_KEYS["seeds"].parse("--seeds", args.seeds))
         # the overrides bypass parse_config's checks, so validate again
         cfg = validate_config(cfg)
     except (ConfigError, DataSchemaError) as exc:

@@ -7,42 +7,47 @@ per experiment; a file only has to state what differs from its
 experiment's preset. emit_config writes the canonical form, and
 parse(emit(cfg)) reproduces cfg exactly.
 
-Keys (see default_config for per-experiment defaults):
+Each key is one _KEYS row: the field it sets, its parser, the sentinel
+spellings that read as None (in any letter case; the first is the one
+written) and the config shapes in which emit_config writes it. Each
+experiment's preset is one _PRESETS entry.
+
+Keys, in emit order (shape in parentheses):
   experiment              toy_table | track | assumption | sweep_noise |
                           sweep_lr | eos
   seeds                   comma-separated non-negative integers
-  output_dir              directory for CSV/SVG/meta outputs
+  output_dir              directory for CSV/SVG/meta outputs; no sentinel
   dataset.kind            toy | csv
   dataset.n_train, dataset.n_test, dataset.dim        (toy)
-  dataset.path, dataset.label_column,
+  dataset.path, dataset.label_column  or "none"       (csv)
   dataset.holdout_fraction                            (csv)
   noise.flip_fraction     fraction of training labels flipped
   model.kind              linear | mlp
-  model.hidden            comma-separated widths      (mlp)
-  model.loss              squared | cross_entropy
+  model.hidden            comma-separated widths >= 1 (mlp)
+  model.loss              squared | cross_entropy     (mlp)
   optim.mode              gd | sgd
-  optim.batch_size        sgd only; gd always uses the full batch
-  optim.epochs | optim.max_steps   exactly one of the two
+  optim.batch_size        1 to n, or "none"           (sgd; gd always uses
+                                                       the full batch)
+  optim.epochs | optim.max_steps   exactly one of the two; the other "none"
   optim.stop_train_loss   early-stop threshold or "none"
-  optim.snapshot_every    positive step count or "epoch"
+  optim.snapshot_every    positive step count, or "epoch" / "none"
   schedule.kind           constant | inverse_time | cosine
-  schedule.eta0           constant / cosine initial step size
+  schedule.eta0           initial step size           (constant, cosine)
   schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
                           "auto" (estimated from data at run time)
   schedule.eta_min, schedule.t_max (cosine; t_max "auto" = run length)
   est.k_samples           Monte-Carlo sign draws for V and gamma'
-  sweep.param             noise | lr   (sweep experiments only)
-  sweep.values            comma-separated grid values
+  sweep.param             noise | lr, or "none"       (sweeps)
+  sweep.values            comma-separated grid values (sweeps)
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-
-EXPERIMENTS = ("toy_table", "track", "assumption", "sweep_noise", "sweep_lr", "eos")
 
 
 @dataclass(frozen=True)
@@ -78,45 +83,31 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] | None = None
 
 
+# experiment -> the fields its preset sets apart from ExperimentConfig's
+# defaults; the order here is the order of EXPERIMENTS
+_PRESETS = {
+    "toy_table": dict(schedule_kind="inverse_time"),
+    "track": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15,
+                  schedule_kind="cosine", epochs=800),
+    "assumption": dict(model_kind="mlp", mode="gd", batch_size=None, eta0=0.008,
+                       epochs=None, max_steps=800, snapshot_every=4),
+    "sweep_noise": dict(model_kind="mlp", epochs=400, stop_train_loss=0.005,
+                        sweep_param="noise", sweep_values=(0.0, 0.1, 0.2, 0.3)),
+    "sweep_lr": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15, eta0=0.1,
+                     epochs=400, stop_train_loss=0.001,
+                     sweep_param="lr", sweep_values=(0.1, 0.2, 0.3, 0.5, 0.8)),
+    "eos": dict(model_kind="mlp", mode="gd", batch_size=None, snapshot_every=1),
+}
+EXPERIMENTS = tuple(_PRESETS)
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     """Preset for each experiment; files override individual keys."""
-    if experiment == "toy_table":
-        return ExperimentConfig(
-            experiment, schedule_kind="inverse_time", c=1.0, beta=None,
-            model_kind="linear", epochs=200,
+    if experiment not in _PRESETS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
         )
-    if experiment == "track":
-        return ExperimentConfig(
-            experiment, model_kind="mlp", hidden=(8,), flip_fraction=0.15,
-            schedule_kind="cosine", eta0=0.05, epochs=800,
-        )
-    if experiment == "assumption":
-        return ExperimentConfig(
-            experiment, model_kind="mlp", mode="gd", batch_size=None,
-            schedule_kind="constant", eta0=0.008, epochs=None, max_steps=800,
-            snapshot_every=4,
-        )
-    if experiment == "sweep_noise":
-        return ExperimentConfig(
-            experiment, model_kind="mlp", schedule_kind="constant", eta0=0.05,
-            epochs=400, stop_train_loss=0.005,
-            sweep_param="noise", sweep_values=(0.0, 0.1, 0.2, 0.3),
-        )
-    if experiment == "sweep_lr":
-        return ExperimentConfig(
-            experiment, model_kind="mlp", hidden=(8,), flip_fraction=0.15,
-            schedule_kind="constant", eta0=0.1, epochs=400,
-            stop_train_loss=0.001,
-            sweep_param="lr", sweep_values=(0.1, 0.2, 0.3, 0.5, 0.8),
-        )
-    if experiment == "eos":
-        return ExperimentConfig(
-            experiment, model_kind="mlp", mode="gd", batch_size=None,
-            schedule_kind="constant", eta0=0.05, epochs=200, snapshot_every=1,
-        )
-    raise ConfigError(
-        f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
-    )
+    return ExperimentConfig(experiment, **_PRESETS[experiment])
 
 
 def _parse_int(key, raw):
@@ -136,93 +127,92 @@ def _parse_float(key, raw):
     return v
 
 
-def _parse_int_list(key, raw):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
-    return tuple(_parse_int(key, p) for p in parts)
-
-
-def _parse_float_list(key, raw):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
-    return tuple(_parse_float(key, p) for p in parts)
-
-
-def _parse_choice(key, raw, choices):
-    if raw not in choices:
-        raise ConfigError(f"{key}: expected one of {', '.join(choices)}, got {raw!r}")
+def _parse_text(key, raw):
     return raw
 
 
-def _opt(parser):
+def _list(parse):
+    def parse_list(key, raw):
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
+        return tuple(parse(key, p) for p in parts)
+    return parse_list
+
+
+def _choice(*values):
     def parse(key, raw):
-        if raw.lower() == "none":
-            return None
-        return parser(key, raw)
+        if raw not in values:
+            raise ConfigError(f"{key}: expected one of {', '.join(values)}, got {raw!r}")
+        return raw
     return parse
 
 
-def _fmt_value(v) -> str:
-    if v is None:
-        return "none"
-    if isinstance(v, tuple):
-        return ",".join(_fmt_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _always(cfg):
+    return True
 
 
-# key -> (attribute, parser); order here is the canonical emit order
+def _when(attr, value):
+    return lambda cfg: getattr(cfg, attr) == value
+
+
+def _unless(attr, value):
+    return lambda cfg: getattr(cfg, attr) != value
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: the field it sets and how its value is read and written.
+
+    A value whose lower-cased text is one of `none` reads as None, and None is
+    written as `none[0]`; any other value goes to `parse(key, raw)`.
+    emit_config writes the key only for configs where `applies(cfg)` holds.
+    """
+    attr: str
+    parse: Callable[[str, str], object]
+    none: tuple[str, ...] = ()
+    applies: Callable[[ExperimentConfig], bool] = _always
+
+
+_toy, _csv = _when("dataset_kind", "toy"), _when("dataset_kind", "csv")
+_mlp = _when("model_kind", "mlp")
+_inverse_time = _when("schedule_kind", "inverse_time")
+_cosine = _when("schedule_kind", "cosine")
+_sweep = _unless("sweep_param", None)
+
+# key -> row; the order here is the canonical emit order
 _KEYS = {
-    "experiment": ("experiment",
-                   lambda k, r: _parse_choice(k, r, EXPERIMENTS)),
-    "seeds": ("seeds", _parse_int_list),
-    "output_dir": ("output_dir", lambda k, r: r),
-    "dataset.kind": ("dataset_kind",
-                     lambda k, r: _parse_choice(k, r, ("toy", "csv"))),
-    "dataset.n_train": ("n_train", _parse_int),
-    "dataset.n_test": ("n_test", _parse_int),
-    "dataset.dim": ("dim", _parse_int),
-    "dataset.path": ("csv_path", _opt(lambda k, r: r)),
-    "dataset.label_column": ("label_column", _opt(lambda k, r: r)),
-    "dataset.holdout_fraction": ("holdout_fraction", _parse_float),
-    "noise.flip_fraction": ("flip_fraction", _parse_float),
-    "model.kind": ("model_kind",
-                   lambda k, r: _parse_choice(k, r, ("linear", "mlp"))),
-    "model.hidden": ("hidden", _parse_int_list),
-    "model.loss": ("loss",
-                   lambda k, r: _parse_choice(k, r, ("squared", "cross_entropy"))),
-    "optim.mode": ("mode", lambda k, r: _parse_choice(k, r, ("gd", "sgd"))),
-    "optim.batch_size": ("batch_size", _opt(_parse_int)),
-    "optim.epochs": ("epochs", _opt(_parse_int)),
-    "optim.max_steps": ("max_steps", _opt(_parse_int)),
-    "optim.stop_train_loss": ("stop_train_loss", _opt(_parse_float)),
-    "optim.snapshot_every": ("snapshot_every",
-                             lambda k, r: None if r in ("epoch", "none")
-                             else _parse_int(k, r)),
-    "schedule.kind": ("schedule_kind",
-                      lambda k, r: _parse_choice(
-                          k, r, ("constant", "inverse_time", "cosine"))),
-    "schedule.eta0": ("eta0", _parse_float),
-    "schedule.c": ("c", _parse_float),
-    "schedule.beta": ("beta",
-                      lambda k, r: None if r == "auto" else _parse_float(k, r)),
-    "schedule.eta_min": ("eta_min", _parse_float),
-    "schedule.t_max": ("t_max",
-                       lambda k, r: None if r == "auto" else _parse_int(k, r)),
-    "est.k_samples": ("k_samples", _parse_int),
-    "sweep.param": ("sweep_param",
-                    _opt(lambda k, r: _parse_choice(k, r, ("noise", "lr")))),
-    "sweep.values": ("sweep_values", _opt(_parse_float_list)),
-}
-
-# value rendering quirks on emit: tokens that aren't plain _fmt_value output
-_EMIT_SPECIAL = {
-    "schedule.beta": lambda v: "auto" if v is None else repr(float(v)),
-    "schedule.t_max": lambda v: "auto" if v is None else str(v),
-    "optim.snapshot_every": lambda v: "epoch" if v is None else str(v),
+    "experiment": _Key("experiment", _choice(*EXPERIMENTS)),
+    "seeds": _Key("seeds", _list(_parse_int)),
+    "output_dir": _Key("output_dir", _parse_text),
+    "dataset.kind": _Key("dataset_kind", _choice("toy", "csv")),
+    "dataset.n_train": _Key("n_train", _parse_int, applies=_toy),
+    "dataset.n_test": _Key("n_test", _parse_int, applies=_toy),
+    "dataset.dim": _Key("dim", _parse_int, applies=_toy),
+    "dataset.path": _Key("csv_path", _parse_text, ("none",), _csv),
+    "dataset.label_column": _Key("label_column", _parse_text, ("none",), _csv),
+    "dataset.holdout_fraction": _Key("holdout_fraction", _parse_float, applies=_csv),
+    "noise.flip_fraction": _Key("flip_fraction", _parse_float),
+    "model.kind": _Key("model_kind", _choice("linear", "mlp")),
+    "model.hidden": _Key("hidden", _list(_parse_int), applies=_mlp),
+    "model.loss": _Key("loss", _choice("squared", "cross_entropy"), applies=_mlp),
+    "optim.mode": _Key("mode", _choice("gd", "sgd")),
+    "optim.batch_size": _Key("batch_size", _parse_int, ("none",), _unless("mode", "gd")),
+    "optim.epochs": _Key("epochs", _parse_int, ("none",), _unless("epochs", None)),
+    "optim.max_steps": _Key("max_steps", _parse_int, ("none",),
+                            _unless("max_steps", None)),
+    "optim.stop_train_loss": _Key("stop_train_loss", _parse_float, ("none",)),
+    "optim.snapshot_every": _Key("snapshot_every", _parse_int, ("epoch", "none")),
+    "schedule.kind": _Key("schedule_kind", _choice("constant", "inverse_time", "cosine")),
+    "schedule.eta0": _Key("eta0", _parse_float,
+                          applies=_unless("schedule_kind", "inverse_time")),
+    "schedule.c": _Key("c", _parse_float, applies=_inverse_time),
+    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time),
+    "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine),
+    "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine),
+    "est.k_samples": _Key("k_samples", _parse_int),
+    "sweep.param": _Key("sweep_param", _choice("noise", "lr"), ("none",), _sweep),
+    "sweep.values": _Key("sweep_values", _list(_parse_float), ("none",), _sweep),
 }
 
 
@@ -261,10 +251,16 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise bad("noise.flip_fraction", f"needs [0, 1], got {cfg.flip_fraction}")
     if cfg.model_kind == "mlp" and not cfg.hidden:
         raise bad("model.hidden", "mlp needs at least one hidden width")
+    if cfg.model_kind == "mlp" and min(cfg.hidden) < 1:
+        raise bad("model.hidden", f"needs widths >= 1, got {min(cfg.hidden)}")
     if cfg.mode == "gd" and cfg.batch_size is not None:
         raise bad("optim.batch_size", "gd always uses the full batch; drop the key")
     if cfg.mode == "sgd" and (cfg.batch_size is None or cfg.batch_size < 1):
         raise bad("optim.batch_size", f"sgd needs a positive size, got {cfg.batch_size}")
+    # a CSV dataset's n is known only once it is loaded
+    if cfg.mode == "sgd" and cfg.dataset_kind == "toy" and cfg.batch_size > cfg.n_train:
+        raise bad("optim.batch_size",
+                  f"needs <= dataset.n_train = {cfg.n_train}, got {cfg.batch_size}")
     if (cfg.epochs is None) == (cfg.max_steps is None):
         raise bad("optim.epochs", "set exactly one of optim.epochs or optim.max_steps")
     horizon = cfg.epochs if cfg.epochs is not None else cfg.max_steps
@@ -323,45 +319,26 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _relevant_keys(cfg: ExperimentConfig) -> list[str]:
-    """Canonical emit set: keys that apply to this config's shape."""
-    keys = []
-    for key, (attr, _) in _KEYS.items():
-        if key in ("dataset.n_train", "dataset.n_test", "dataset.dim"):
-            if cfg.dataset_kind != "toy":
-                continue
-        if key in ("dataset.path", "dataset.label_column", "dataset.holdout_fraction"):
-            if cfg.dataset_kind != "csv":
-                continue
-        if key in ("model.hidden", "model.loss"):
-            if cfg.model_kind != "mlp":
-                continue
-        if key == "optim.batch_size" and cfg.mode == "gd":
-            continue
-        if key == "optim.epochs" and cfg.epochs is None:
-            continue
-        if key == "optim.max_steps" and cfg.max_steps is None:
-            continue
-        if key == "schedule.eta0" and cfg.schedule_kind == "inverse_time":
-            continue
-        if key in ("schedule.c", "schedule.beta") and cfg.schedule_kind != "inverse_time":
-            continue
-        if key in ("schedule.eta_min", "schedule.t_max") and cfg.schedule_kind != "cosine":
-            continue
-        if key in ("sweep.param", "sweep.values") and cfg.sweep_param is None:
-            continue
-        keys.append(key)
-    return keys
+def _fmt_value(v) -> str:
+    if isinstance(v, tuple):
+        return ",".join(_fmt_value(x) for x in v)
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
     lines = []
-    for key in _relevant_keys(cfg):
-        attr, _ = _KEYS[key]
-        value = getattr(cfg, attr)
-        render = _EMIT_SPECIAL.get(key, _fmt_value)
-        lines.append(f"{key} = {render(value)}")
+    for key, row in _KEYS.items():
+        if row.applies(cfg):
+            value = getattr(cfg, row.attr)
+            lines.append(f"{key} = {row.none[0] if value is None else _fmt_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_value(key, raw):
+    row = _KEYS[key]
+    return None if raw.lower() in row.none else row.parse(key, raw)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -386,13 +363,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     if "experiment" not in seen:
         raise ConfigError(f"{source}: missing required key 'experiment'")
 
-    experiment = _KEYS["experiment"][1]("experiment", seen["experiment"][0])
-    cfg = default_config(experiment)
+    cfg = default_config(_parse_value("experiment", seen["experiment"][0]))
     overrides = {}
     for key, (raw, lineno) in seen.items():
-        attr, parser = _KEYS[key]
         try:
-            overrides[attr] = parser(key, raw)
+            overrides[_KEYS[key].attr] = _parse_value(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
     # an explicit epochs/max_steps override replaces the preset's choice

@@ -231,6 +231,8 @@ def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
 def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
     """max over sampled proper subsets U of ||sum_{i in U} grad_i|| / (n ||mean||)."""
     n = G.shape[0]
+    if n < 2:
+        raise InvalidArgumentError(f"subset ratio needs n >= 2, got n={n}")
     g = np.mean(G, axis=0)
     denom = n * float(np.linalg.norm(g))
     if denom == 0.0:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trajbound.config import (
+    _KEYS,
     EXPERIMENTS,
     ExperimentConfig,
     default_config,
@@ -145,6 +146,49 @@ def test_sentinel_values_parse():
     assert cfg3.beta == 3.5
 
 
+# key -> (a config text that accepts the key as None, fields under which
+# emit_config writes the key, or None where a None value drops the key)
+NONE_CONTEXTS = {
+    "dataset.path": ("experiment = track", dict(dataset_kind="csv")),
+    "dataset.label_column": ("experiment = track", dict(dataset_kind="csv")),
+    "optim.batch_size": ("experiment = eos", dict(mode="sgd")),
+    "optim.epochs": ("experiment = track\noptim.max_steps = 50", None),
+    "optim.max_steps": ("experiment = assumption\noptim.epochs = 5", None),
+    "optim.stop_train_loss": ("experiment = track", {}),
+    "optim.snapshot_every": ("experiment = track", {}),
+    "schedule.beta": ("experiment = toy_table", {}),
+    "schedule.t_max": ("experiment = track", {}),
+    "sweep.param": ("experiment = eos", None),
+    "sweep.values": ("experiment = eos", dict(sweep_param="noise")),
+}
+
+
+def test_every_sentinel_key_has_a_none_context():
+    assert set(NONE_CONTEXTS) == {key for key, row in _KEYS.items() if row.none}
+
+
+@pytest.mark.parametrize("key, spelling", [(key, spelling) for key, row in _KEYS.items()
+                                           for spelling in row.none])
+def test_sentinels_ignore_case_and_emit_their_first_spelling(key, spelling):
+    row = _KEYS[key]
+    context, shape = NONE_CONTEXTS[key]
+    for raw in (spelling, spelling.upper(), spelling.capitalize(),
+                spelling.capitalize().swapcase()):
+        cfg = parse_config_text(f"{context}\n{key} = {raw}\n")
+        assert getattr(cfg, row.attr) is None, raw
+    if shape is None:
+        assert f"{key} =" not in emit_config(cfg)
+    else:
+        assert f"\n{key} = {row.none[0]}\n" in emit_config(dataclasses.replace(cfg, **shape))
+
+
+def test_output_dir_none_is_a_directory_name():
+    for raw in ("none", "None"):
+        cfg = parse_config_text(f"experiment = eos\noutput_dir = {raw}\n")
+        assert cfg.output_dir == raw
+        assert f"output_dir = {raw}\n" in emit_config(cfg)
+
+
 def test_comments_and_blank_lines_are_ignored():
     cfg = parse_config_text(
         "# a comment\n"
@@ -271,6 +315,26 @@ def test_cross_field_validation_catches_out_of_range_values():
         validate_config(dataclasses.replace(base, eta_min=0.2))  # above eta0
     with pytest.raises(ConfigError, match="schedule.c"):
         validate_config(dataclasses.replace(default_config("toy_table"), c=0.0))
+
+
+@pytest.mark.parametrize("fields, key", [
+    (dict(hidden=(0,)), "model.hidden"),
+    (dict(hidden=(8, -3)), "model.hidden"),
+    (dict(batch_size=101), "optim.batch_size"),  # the toy n_train is 100
+], ids=["zero_width", "negative_width", "batch_above_n_train"])
+def test_validation_names_an_out_of_range_width_or_batch_size(fields, key):
+    with pytest.raises(ConfigError, match=rf"^{key}: needs"):
+        validate_config(dataclasses.replace(default_config("track"), **fields))
+
+
+def test_range_checks_accept_b_equal_n_unused_widths_and_csv_batch_sizes():
+    track = default_config("track")
+    validate_config(dataclasses.replace(track, batch_size=100))  # b = n is allowed
+    # a linear model has no hidden layer, and a CSV dataset's n is known only
+    # once it is loaded, so the runtime check guards it
+    validate_config(dataclasses.replace(track, model_kind="linear", hidden=(0,)))
+    validate_config(dataclasses.replace(track, dataset_kind="csv", csv_path="x.csv",
+                                        label_column="y", batch_size=500))
 
 
 def test_parse_config_reads_files_and_names_them(tmp_path):

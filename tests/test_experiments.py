@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from trajbound import cli, experiments, models
 from trajbound.cli import main
-from trajbound.config import default_config, emit_config, parse_config, parse_config_text
+from trajbound.config import (
+    EXPERIMENTS,
+    default_config,
+    emit_config,
+    parse_config,
+    parse_config_text,
+)
 from trajbound.errors import (
     ConfigError,
     DataParseError,
@@ -366,6 +372,10 @@ def test_toy_table_names_the_lowest_diverging_seed(tmp_path, monkeypatch):
     assert constants == []
 
 
+def test_every_experiment_has_a_command_in_the_same_order():
+    assert tuple(COMMANDS) == EXPERIMENTS
+
+
 TRACED_RUN = """
 import dataclasses, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -376,15 +386,18 @@ from trajbound import optim
 from trajbound.config import default_config
 from trajbound.experiments import COMMANDS
 small = dict(seeds=(0, 1), n_train=16, n_test=16, dim=3, k_samples=32, epochs=2)
-for name, extra in (("toy_table", {}), ("sweep_noise", {"sweep_values": (0.0, 0.25)})):
+for name, extra in (("toy_table", {}), ("sweep_noise", {"sweep_values": (0.0, 0.25)}),
+                    ("eos", {"seeds": (0,), "hidden": (4,), "epochs": 3})):
     cfg = dataclasses.replace(default_config(name), output_dir=sys.argv[2] + "/" + name,
-                              **small, **extra)
+                              **dict(small, **extra))
     COMMANDS[name](cfg)
 tracer.dump(sys.argv[2] + "/spans.json")
 doc = tracing.load_spans(sys.argv[2] + "/spans.json")
 tracing.check_tree(doc)
 stats = tracing.layer_stats(doc)
 stats["wrapped"] = [fn.__name__ for fn in (optim.step, optim.grad_mean_xy)]
+with open(sys.argv[2] + "/eos/eos.csv") as fh:
+    stats["eos.snapshots"] = len(fh.read().splitlines()) - 1
 print(json.dumps(stats))
 """
 
@@ -392,7 +405,9 @@ print(json.dumps(stats))
 def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
     # bench/tracing.py patches these names from outside the package: the
     # stacked train call is one optim.train span per command, assemble_run
-    # still runs once per cell and estimate_constants once per seed
+    # still runs once per cell and estimate_constants once per seed, and
+    # eos's power_iteration_top_eig is bound by its `apply` and `iters`
+    # parameter names, one solve per snapshot
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run([sys.executable, "-c", TRACED_RUN, os.path.join(root, "bench"),
@@ -400,12 +415,15 @@ def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     stats = json.loads(done.stdout.splitlines()[-1])
-    assert stats["optim.train.calls"] == 2
-    assert stats["experiments.assemble_run.calls"] == 2 + 2 * 2
+    assert stats["optim.train.calls"] == 3
+    assert stats["experiments.assemble_run.calls"] == 2 + 2 * 2 + 1
     assert stats["bounds.estimate_constants.calls"] == 2
     assert stats["bounds.report.calls"] == 2 * 7 + 1
     assert stats["trajectory.recorder.calls"] > 4
     assert stats["wrapped"] == ["step", "grad_mean_xy"]
+    assert stats["eos.snapshots"] > 0
+    assert stats["numerics.power_iteration.solves"] == stats["eos.snapshots"]
+    assert stats["numerics.power_iteration.applies"] > 0
 
 
 @pytest.mark.parametrize("experiment, values, completed", [
@@ -610,6 +628,18 @@ def test_cli_toy_table_with_an_mlp_exits_2_before_training(tmp_path, capsys):
                      "optim.batch_size = 4\n"))
     assert main(["toy_table", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "model.kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, key, extra", [
+    ("track", "model.hidden", "optim.epochs = 1\nmodel.hidden = 0\n"),
+    ("sweep_noise", "optim.batch_size", "optim.epochs = 1\noptim.batch_size = 17\n"),
+], ids=["zero_width", "batch_above_n_train"])
+def test_cli_out_of_range_value_exits_2_at_validation(tmp_path, capsys, experiment, key,
+                                                       extra):
+    cfg = write_cfg(tmp_path, tiny_cfg_text(experiment, extra))  # n_train = 16
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key}: needs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -368,6 +368,12 @@ def test_subset_ratio_max_rejects_zero_mean_gradient():
         subset_ratio_max(G, SubsetEstimatorConfig())
 
 
+def test_subset_ratio_max_rejects_a_single_row():
+    # one row has no proper non-empty subset, so no gamma' sign row survives
+    with pytest.raises(InvalidArgumentError, match="n >= 2, got n=1"):
+        subset_ratio_max(np.ones((1, 3)), SubsetEstimatorConfig())
+
+
 def test_subset_estimator_config_validation():
     with pytest.raises(InvalidArgumentError):
         SubsetEstimatorConfig(k_samples=0)
