@@ -49,7 +49,6 @@ from .trajectory import (
     noise_cov_scale,
     replay_trajectory,
     rp_trp_gd,
-    rp_trp_sgd_approx,
     write_trajectory_csv,
 )
 

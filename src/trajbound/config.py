@@ -30,7 +30,8 @@ Keys, in emit order (shape in parentheses):
                                                        the full batch)
   optim.epochs | optim.max_steps   exactly one of the two; the other "none"
   optim.stop_train_loss   early-stop threshold or "none"
-  optim.snapshot_every    positive step count, or "epoch" / "none"
+  optim.snapshot_every    positive step count, or "epoch" / "none" (eos
+                          needs a snapshot every step)
   schedule.kind           constant | inverse_time | cosine
   schedule.eta0           initial step size           (constant, cosine)
   schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
@@ -44,6 +45,7 @@ Keys, in emit order (shape in parentheses):
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -271,6 +273,14 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise bad("optim.stop_train_loss", f"needs > 0, got {cfg.stop_train_loss}")
     if cfg.snapshot_every is not None and cfg.snapshot_every < 1:
         raise bad("optim.snapshot_every", f"needs >= 1, got {cfg.snapshot_every}")
+    if cfg.experiment == "eos":
+        # a CSV dataset's n is known only once it is loaded; cmd_eos checks it
+        toy_sgd = cfg.mode == "sgd" and cfg.dataset_kind == "toy"
+        every = cfg.snapshot_every or (math.ceil(cfg.n_train / cfg.batch_size)
+                                       if toy_sgd else 1)
+        if every != 1:
+            raise bad("optim.snapshot_every",
+                      f"eos needs a snapshot every step, got one every {every} steps")
     if cfg.schedule_kind in ("constant", "cosine") and cfg.eta0 <= 0:
         raise bad("schedule.eta0", f"needs > 0, got {cfg.eta0}")
     if cfg.schedule_kind == "inverse_time":
@@ -320,10 +330,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _fmt_value(v) -> str:
+    # the numbers ABCs also cover numpy scalars, whose repr names their type
     if isinstance(v, tuple):
         return ",".join(_fmt_value(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    if isinstance(v, numbers.Real):
+        return repr(float(v))
     return str(v)
 
 
@@ -363,13 +376,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     if "experiment" not in seen:
         raise ConfigError(f"{source}: missing required key 'experiment'")
 
-    cfg = default_config(_parse_value("experiment", seen["experiment"][0]))
     overrides = {}
     for key, (raw, lineno) in seen.items():
         try:
             overrides[_KEYS[key].attr] = _parse_value(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
+    cfg = default_config(overrides["experiment"])
     # an explicit epochs/max_steps override replaces the preset's choice
     if "epochs" in overrides and "max_steps" not in overrides:
         overrides.setdefault("max_steps", None)

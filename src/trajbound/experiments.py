@@ -37,7 +37,7 @@ from .data import (
     split_train_holdout,
     write_csv,
 )
-from .errors import DivergedError, NumericDomainError
+from .errors import ConfigError, DivergedError, NumericDomainError
 from .models import (
     ModelSpec,
     hessian_operator,
@@ -87,7 +87,9 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     if cfg.model_kind == "linear":
         spec = linear_spec(S.dim)
     else:
-        out_dim = 1 if cfg.loss == "squared" else int(np.unique(S.labels).size)
+        out_dim = 1
+        if cfg.loss == "cross_entropy":  # S and S' together: the split must not set it
+            out_dim = int(np.unique(np.concatenate([S.labels, S_prime.labels])).size)
         spec = mlp_spec(S.dim, cfg.hidden, out_dim, cfg.loss)
     w0 = init_params(spec, RngStream(run_seed, STREAM_INIT))
 
@@ -404,40 +406,41 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
 def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Relative-progress and sharpness series for one run.
 
-    Records RP/TRP per snapshot (exact one-step ratios when the cadence is
-    a single step, the epoch-boundary approximation otherwise), the top
-    Hessian eigenvalue at each snapshot, and the 2/eta_eff stability
-    reference, left empty at a snapshot whose rate is 0 (the cosine
-    endpoint with eta_min = 0). On divergence the partial series is still
-    written, then the error propagates.
+    Snapshots come every step. Each records the exact one-step RP/TRP, the
+    top Hessian eigenvalue, and the 2/eta_eff stability reference (eta_eff
+    is the step's eta), left empty at a snapshot whose rate is 0 (the
+    cosine endpoint with eta_min = 0). Any other cadence raises a
+    ConfigError naming optim.snapshot_every before training: validation
+    rejects it, except for a CSV dataset's once-per-epoch cadence, which is
+    checked here once n is known. On divergence the partial series is
+    still written, then the error propagates.
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
-    rp_mode = "step" if parts.ocfg.snapshot_every == 1 else "epoch"
-    b = parts.ocfg.batch_size
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime,
-                             rp_mode=rp_mode, batch_size=b)
+    if parts.ocfg.snapshot_every != 1:
+        raise ConfigError("optim.snapshot_every: eos needs a snapshot every step, "
+                          f"got one every {parts.ocfg.snapshot_every} steps")
+    os.makedirs(out, exist_ok=True)
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, rp_mode="step")
     (res,) = _train_cells([parts], [rec])
     if isinstance(res, NumericDomainError):
         raise res
     died = res if isinstance(res, DivergedError) else None
 
-    n = parts.S.n
     rows = []
     for snap, w in zip(rec.snapshots, rec.weights):
         sharp, _ = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
                                            dim=w.size, iters=120, tol=1e-7)
-        eta_eff = snap.eta_t if rp_mode == "step" else (n / b) * snap.eta_t
-        rows.append([snap.t, snap.epoch, snap.eta_t, eta_eff, snap.rp, snap.trp,
-                     sharp, 2.0 / eta_eff if eta_eff > 0 else None])
+        eta = snap.eta_t  # also eta_eff: snapshots are one step apart
+        rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
+                     sharp, 2.0 / eta if eta > 0 else None])
     path = os.path.join(out, "eos.csv")
     write_csv(path, ("t", "epoch", "eta", "eta_eff", "rp", "trp",
                      "sharpness", "two_over_eta_eff"), rows)
     meta_path = _write_meta(out, cfg, {
         "seed_used": s,
-        "rp_mode": rp_mode,
+        "rp_mode": "step",
         "diverged_at": died.t if died is not None else None,
     })
     paths = [path, meta_path]

@@ -16,9 +16,11 @@ bounds.estimate_constants computes them, calling this module's
 per-sample-gradient kernels signed_mean_norm_stats (for V) and
 subset_ratio_max (for gamma'), which read their +-1 sign matrices from
 _sign_rows, the one place the sign patterns are built. The helpers that
-can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd,
-rp_trp_sgd_approx) append a flag to the list they are given, which is
-required; the recorder passes its own flags.
+can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd)
+append a flag to the list they are given, which is required; the recorder
+passes its own flags. Relative progress has one formula, rp_trp_gd's exact
+one-step ratio, so a recorder that records it needs consecutive snapshots
+one step apart.
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -271,37 +273,6 @@ def rp_trp_gd(F_S_prev: float, F_S_curr: float, F_Sp_prev: float, F_Sp_curr: flo
     return rp, trp
 
 
-def rp_trp_sgd_approx(X_prev: np.ndarray, X_curr: np.ndarray,
-                      F_S_prev: float, F_S_curr: float,
-                      F_Sp_prev: float, F_Sp_curr: float,
-                      eta: float, b: int, n: int, grad_Sp_prev: np.ndarray,
-                      flags: list[str]
-                      ) -> tuple[float | None, float | None, float]:
-    """Epoch-level relative progress from boundary weights only.
-
-    Treats the epoch displacement as one effective step of size
-    eta_effective = (n/b) eta, giving rp = eta_eff * dF_S / ||dX||^2; this
-    reduces exactly to the GD ratio when b = n and one step spans the
-    interval. trp uses the realized displacement against the holdout
-    gradient at the interval start.
-    """
-    X_prev = np.asarray(X_prev, dtype=np.float64)
-    X_curr = np.asarray(X_curr, dtype=np.float64)
-    eta_eff = (n / b) * eta
-    dx = X_curr - X_prev
-    dx_sq = float(dx @ dx)
-    if dx_sq == 0.0:
-        flags.append("rp/trp: zero epoch displacement")
-        return None, None, eta_eff
-    rp = eta_eff * (F_S_curr - F_S_prev) / dx_sq
-    denom_trp = float((X_prev - X_curr) @ np.asarray(grad_Sp_prev, dtype=np.float64))
-    if denom_trp == 0.0:
-        flags.append("trp: displacement orthogonal to holdout gradient")
-        return rp, None, eta_eff
-    trp = (F_Sp_curr - F_Sp_prev) / denom_trp
-    return rp, trp, eta_eff
-
-
 def gen_decomposition(snapshots, weights, grads_S, grads_Sp
                       ) -> tuple[np.ndarray, float, float]:
     """Split the generalization-gap change into linear and remainder parts.
@@ -352,10 +323,9 @@ class TrajectoryRecorder:
     empty), since every reader of it needs the holdout too.
 
     rp_mode: None records no relative-progress columns; "step" applies the
-    exact one-step ratios (consecutive snapshots must be one step apart),
-    recording None and a flag after a step of rate 0, which has no ratio;
-    "epoch" applies the boundary-weight approximation with batch size b.
-    Both need the holdout, for trp.
+    exact one-step ratios of rp_trp_gd (consecutive snapshots must be one
+    step apart), recording None and a flag after a step of rate 0, which
+    has no ratio. It needs the holdout, for trp.
 
     est is not read: the recorder forms no subset estimate
     (bounds.estimate_constants does). It remains the fourth positional
@@ -364,18 +334,15 @@ class TrajectoryRecorder:
 
     def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset | None,
                  est: SubsetEstimatorConfig | None = None,
-                 rp_mode: str | None = None, batch_size: int | None = None):
-        if rp_mode not in (None, "step", "epoch"):
+                 rp_mode: str | None = None):
+        if rp_mode not in (None, "step"):
             raise InvalidArgumentError(f"unknown rp_mode {rp_mode!r}")
         if rp_mode is not None and S_prime is None:
-            raise InvalidArgumentError(f"{rp_mode} rp needs a holdout for trp")
-        if rp_mode == "epoch" and batch_size is None:
-            raise InvalidArgumentError("epoch rp needs the batch size")
+            raise InvalidArgumentError("step rp needs a holdout for trp")
         self.spec = spec
         self.S = S
         self.S_prime = S_prime
         self.rp_mode = rp_mode
-        self.batch_size = batch_size
         self.snapshots: list[TrajectorySnapshot] = []
         self.weights: list[np.ndarray] = []
         self.grads_S: list[np.ndarray] = []
@@ -399,23 +366,15 @@ class TrajectoryRecorder:
                                             norm_s, self.S.n, self.flags)
         rp = trp = None
         if self.rp_mode is not None and self.snapshots:
-            prev = self.snapshots[-1]
-            if self.rp_mode == "step":
-                if t - prev.t != 1:
-                    raise InvalidArgumentError(
-                        "step rp needs consecutive snapshots one step apart"
-                    )
-                if prev.eta_t == 0.0:  # a zero-rate step predicts no progress
-                    self.flags.append(f"rp/trp: zero step size at step {prev.t}")
-                else:
-                    rp, trp = rp_trp_gd(prev.F_S, f_s, prev.F_Sprime, f_sp, prev.eta_t,
-                                        self.grads_S[-1], self.grads_Sprime[-1], self.flags)
-            else:
-                rp, trp, _ = rp_trp_sgd_approx(
-                    self.weights[-1], w, prev.F_S, f_s, prev.F_Sprime, f_sp,
-                    prev.eta_t, self.batch_size, self.S.n,
-                    self.grads_Sprime[-1], self.flags,
+            if t - prev.t != 1:
+                raise InvalidArgumentError(
+                    "step rp needs consecutive snapshots one step apart"
                 )
+            if prev.eta_t == 0.0:  # a zero-rate step predicts no progress
+                self.flags.append(f"rp/trp: zero step size at step {prev.t}")
+            else:
+                rp, trp = rp_trp_gd(prev.F_S, f_s, prev.F_Sprime, f_sp, prev.eta_t,
+                                    self.grads_S[-1], self.grads_Sprime[-1], self.flags)
 
         snap = TrajectorySnapshot(
             t=t, epoch=epoch, eta_t=eta, F_S=f_s, F_Sprime=f_sp,

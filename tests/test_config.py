@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,9 @@ def drawn_configs(draw):
         if kind == "cosine":
             fields.update(eta_min=eta0 * draw(st.floats(0.0, 1.0)),
                           t_max=draw(st.none() | st.integers(1, 10_000)))
+    if draw(st.booleans()):  # a library caller may pass numpy scalars
+        fields = {k: np.int64(v) if type(v) is int else np.float64(v) if type(v) is float
+                  else v for k, v in fields.items()}
     return dataclasses.replace(cfg, **fields)
 
 
@@ -230,6 +234,8 @@ def test_malformed_line_and_bad_values_name_the_source_line():
         parse_config_text("experiment = eos\nschedule.eta0 = inf\n")
     with pytest.raises(ConfigError, match="expected one of"):
         parse_config_text("experiment = eos\noptim.mode = adam\n")
+    with pytest.raises(ConfigError, match=r"<config>:2: experiment: expected one of"):
+        parse_config_text("seeds = 1\nexperiment = foo\n")
 
 
 def test_epochs_override_replaces_preset_max_steps():
@@ -335,6 +341,34 @@ def test_range_checks_accept_b_equal_n_unused_widths_and_csv_batch_sizes():
     validate_config(dataclasses.replace(track, model_kind="linear", hidden=(0,)))
     validate_config(dataclasses.replace(track, dataset_kind="csv", csv_path="x.csv",
                                         label_column="y", batch_size=500))
+
+
+# eos records exact one-step relative progress, so it takes exactly the
+# configs whose snapshots come every step: the preset's cadence 1, or once
+# per epoch where an epoch is one step (gd, or sgd with b = n); a CSV
+# dataset's n is known only once it is loaded, so cmd_eos checks that case
+@pytest.mark.parametrize("fields, every", [
+    (dict(), None),
+    (dict(snapshot_every=None), None),
+    (dict(mode="sgd", batch_size=100, snapshot_every=None), None),
+    (dict(mode="sgd", batch_size=4, snapshot_every=1), None),
+    (dict(mode="sgd", batch_size=4, snapshot_every=None, dataset_kind="csv",
+          csv_path="x.csv", label_column="y"), None),
+    (dict(snapshot_every=2), 2),
+    (dict(mode="sgd", batch_size=100, snapshot_every=3), 3),
+    (dict(mode="sgd", batch_size=10, snapshot_every=None), 10),
+    (dict(mode="sgd", batch_size=99, snapshot_every=None), 2),
+], ids=["preset", "gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
+        "csv_sgd_epoch", "gd_every_2", "sgd_full_batch_every_3", "sgd_epoch_of_10",
+        "sgd_epoch_of_2"])
+def test_eos_accepts_exactly_the_one_step_cadences(fields, every):
+    cfg = dataclasses.replace(default_config("eos"), **fields)  # n_train = 100
+    if every is None:
+        assert validate_config(cfg) is cfg
+    else:
+        with pytest.raises(ConfigError, match=rf"^optim.snapshot_every: .*one every "
+                                              rf"{every} steps"):
+            validate_config(cfg)
 
 
 def test_parse_config_reads_files_and_names_them(tmp_path):

@@ -132,6 +132,21 @@ def test_assemble_run_csv_dataset(tmp_path):
     assert parts.spec.input_dim == 2
 
 
+def test_cross_entropy_width_counts_the_classes_of_both_sides_of_the_split(tmp_path):
+    # one row of class 2 among 0/1 labels: whichever side the split puts it
+    # on, the output layer has three classes
+    data = tmp_path / "d.csv"
+    rows = ["f1,f2,y"] + [f"{i},{i % 3},{i % 2}" for i in range(39)] + ["39,0,2"]
+    data.write_text("\n".join(rows) + "\n")
+    cfg = dataclasses.replace(
+        tiny("track", tmp_path, epochs=1, batch_size=4, flip_fraction=0.0),
+        loss="cross_entropy", dataset_kind="csv", csv_path=str(data), label_column="y",
+    )
+    parts = [assemble_run(cfg, seed) for seed in range(1, 6)]
+    assert {p.S.labels.max() for p in parts} == {1.0, 2.0}  # both sides hold it
+    assert [p.spec.output_dim for p in parts] == [3] * 5
+
+
 # -- commands ----------------------------------------------------------------
 
 def test_cmd_toy_table_outputs(tmp_path):
@@ -656,6 +671,32 @@ def test_cli_nul_in_a_path_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert main([experiment, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "NUL" in err
+
+
+def test_cli_eos_cadence_above_one_step_exits_2_before_any_output(tmp_path, capsys):
+    # toy sgd with b < n_train: validation rejects the once-per-epoch cadence
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "eos", "optim.epochs = 1\noptim.mode = sgd\noptim.batch_size = 4\n"
+               "optim.snapshot_every = epoch\n"))
+    assert main(["eos", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "optim.snapshot_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_eos_checks_a_csv_epoch_cadence_before_any_output(tmp_path):
+    # a CSV dataset's n is known only once it is loaded: 6 rows of S at b = 2
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(10)]) + "\n")
+    cfg = dataclasses.replace(
+        tiny("eos", tmp_path / "out", epochs=1), mode="sgd", batch_size=2,
+        snapshot_every=None, dataset_kind="csv", csv_path=str(data), label_column="y",
+        holdout_fraction=0.4,
+    )
+    with pytest.raises(ConfigError, match=r"^optim.snapshot_every: .*one every 3 steps"):
+        cmd_eos(cfg)
+    assert not (tmp_path / "out").exists()
+    cmd_eos(dataclasses.replace(cfg, batch_size=6))  # b = n: one step an epoch
+    assert (tmp_path / "out" / "eos.csv").exists()
 
 
 def test_cli_missing_config_is_an_io_error(tmp_path, capsys):

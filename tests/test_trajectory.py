@@ -44,7 +44,6 @@ from trajbound.trajectory import (
     noise_cov_scale,
     replay_trajectory,
     rp_trp_gd,
-    rp_trp_sgd_approx,
     signed_mean_norm_stats,
     subset_ratio_max,
     write_trajectory_csv,
@@ -430,34 +429,6 @@ def test_rp_trp_gd_degenerate_denominators():
         rp_trp_gd(1.0, 0.9, 1.0, 0.9, 0.0, np.ones(1), np.ones(1), [])
 
 
-def test_rp_sgd_approx_reduces_to_gd_on_a_full_batch_step():
-    gen = np.random.default_rng(14)
-    g = gen.standard_normal(4)
-    g_sp = gen.standard_normal(4)
-    eta = 0.07
-    X_prev = gen.standard_normal(4)
-    X_curr = X_prev - eta * g
-    F_prev, F_curr = 1.0, 0.83
-    Fp_prev, Fp_curr = 1.1, 0.95
-    rp_ref, trp_ref = rp_trp_gd(F_prev, F_curr, Fp_prev, Fp_curr, eta, g, g_sp, [])
-    rp, trp, eta_eff = rp_trp_sgd_approx(X_prev, X_curr, F_prev, F_curr,
-                                         Fp_prev, Fp_curr, eta, b=8, n=8,
-                                         grad_Sp_prev=g_sp, flags=[])
-    assert eta_eff == eta
-    assert rp == pytest.approx(rp_ref, rel=1e-12)
-    assert trp == pytest.approx(trp_ref, rel=1e-12)
-
-
-def test_rp_sgd_approx_effective_rate_and_zero_displacement():
-    flags = []
-    rp, trp, eta_eff = rp_trp_sgd_approx(np.ones(3), np.ones(3), 1.0, 0.9,
-                                         1.0, 0.9, 0.05, b=2, n=10,
-                                         grad_Sp_prev=np.ones(3), flags=flags)
-    assert eta_eff == pytest.approx(0.25)
-    assert rp is None and trp is None
-    assert any("zero epoch displacement" in f for f in flags)
-
-
 # -- recorder and decomposition -------------------------------------------------
 
 def per_step_run(seed=0, steps=25, kind="mlp", eta=0.05):
@@ -604,11 +575,11 @@ def test_recorder_without_a_holdout_matches_the_full_recorder_on_S(kind):
     assert res_full.stopped_at == res_bare.stopped_at
 
 
-@pytest.mark.parametrize("rp_mode", ["step", "epoch"])
+@pytest.mark.parametrize("rp_mode", ["step"])
 def test_recorder_without_a_holdout_rejects_relative_progress(rp_mode):
     S, _, _ = generate_toy(ToyConfig(10, 10, 3, seed=1))
     with pytest.raises(InvalidArgumentError, match="holdout"):
-        TrajectoryRecorder(linear_spec(3), S, None, rp_mode=rp_mode, batch_size=2)
+        TrajectoryRecorder(linear_spec(3), S, None, rp_mode=rp_mode)
 
 
 def test_estimate_constants_rejects_snapshots_without_holdout_statistics():
@@ -714,10 +685,9 @@ def test_gen_decomposition_zero_steps():
 def test_recorder_rp_modes():
     S, Sp, _ = generate_toy(ToyConfig(10, 10, 3, seed=1))
     spec = linear_spec(3)
-    with pytest.raises(InvalidArgumentError):
-        TrajectoryRecorder(spec, S, Sp, rp_mode="batch")
-    with pytest.raises(InvalidArgumentError):
-        TrajectoryRecorder(spec, S, Sp, rp_mode="epoch")  # needs batch size
+    for unknown in ("batch", "epoch"):
+        with pytest.raises(InvalidArgumentError, match=f"unknown rp_mode '{unknown}'"):
+            TrajectoryRecorder(spec, S, Sp, rp_mode=unknown)
     rec = TrajectoryRecorder(spec, S, Sp, rp_mode="step")
     rec(0, 0, 0.1, np.zeros(3))
     with pytest.raises(InvalidArgumentError, match="consecutive"):
