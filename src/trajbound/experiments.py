@@ -47,7 +47,7 @@ from .models import (
     mlp_spec,
 )
 from .numerics import STREAM_INIT, RngStream, power_iteration_top_eig
-from .optim import OptimConfig, Schedule, train
+from .optim import OptimConfig, Schedule, resolve_batch_size, train
 from .plots import PlotSpec, emit_svg_plots
 from .trajectory import (
     SubsetEstimatorConfig,
@@ -89,7 +89,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     else:
         out_dim = 1
         if cfg.loss == "cross_entropy":  # S and S' together: the split must not set it
-            out_dim = int(np.unique(np.concatenate([S.labels, S_prime.labels])).size)
+            out_dim = int(max(S.labels.max(), S_prime.labels.max())) + 1
         spec = mlp_spec(S.dim, cfg.hidden, out_dim, cfg.loss)
     w0 = init_params(spec, RngStream(run_seed, STREAM_INIT))
 
@@ -118,6 +118,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         snapshot_every=snapshot_every,
         seed=run_seed,
     )
+    resolve_batch_size(ocfg, S.n)  # a batch larger than S fails here, before any output
     est = SubsetEstimatorConfig(k_samples=cfg.k_samples, seed=run_seed)
     return RunParts(spec, S, S_prime, w0, ocfg, est)
 
@@ -174,11 +175,11 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     with the full per-seed bound reports.
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     table_rows = []
     reports = []
     report_seeds = []
     cells = [assemble_run(cfg, s) for s in cfg.seeds]
+    os.makedirs(out, exist_ok=True)
     recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime) for p in cells]
     outcomes = _train_cells(cells, recs)
     _raise_failed(cfg.seeds, outcomes, "toy_table")
@@ -227,9 +228,9 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     per-interval ratio dC/dF_S (empty when F_S did not change).
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
+    os.makedirs(out, exist_ok=True)
     rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
     _raise_failed([s], _train_cells([parts], [rec]), "track")
 
@@ -270,9 +271,9 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     the ratio is identically 1.
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
+    os.makedirs(out, exist_ok=True)
     rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
     _raise_failed([s], _train_cells([parts], [rec]), "assumption")
     control = replay_trajectory(
@@ -330,7 +331,6 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     reports the last recorded snapshot step.
     """
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
     param = cfg.sweep_param
     grid = [(v, s) for v in cfg.sweep_values for s in cfg.seeds]
     cells, recs, at = [], [], []
@@ -346,6 +346,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         cells.append(parts)
         recs.append(TrajectoryRecorder(parts.spec, parts.S, None))
         at.append(i)
+    os.makedirs(out, exist_ok=True)
     trained = dict(zip(at, zip(cells, recs, _train_cells(cells, recs))))
 
     def cell_row(i: int) -> list:
@@ -429,9 +430,11 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     died = res if isinstance(res, DivergedError) else None
 
     rows = []
+    ritz = None  # each solve starts from the previous snapshot's Ritz vector
     for snap, w in zip(rec.snapshots, rec.weights):
-        sharp, _ = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
-                                           dim=w.size, iters=120, tol=1e-7)
+        sharp, ritz = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
+                                              dim=w.size, iters=120, tol=1e-7,
+                                              start=ritz)
         eta = snap.eta_t  # also eta_eff: snapshots are one step apart
         rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
                      sharp, 2.0 / eta if eta > 0 else None])

@@ -7,13 +7,18 @@ and samplers can be seeded separately and stay bit-reproducible.
 
 power_iteration_top_eig is a Lanczos solve for the top algebraic eigenvalue
 of a symmetric operator, such as models.hessian_operator; it stops on its
-Ritz residual. central_diff_gradient is the finite-difference oracle that
-the tests check analytic gradients against.
+Ritz residual. A cold solve starts from one fixed Gaussian vector per
+dimension; a warm solve starts from a caller's vector (a previous solve's
+Ritz vector, when the operator changes little between solves) plus a
+WARM_SHARE multiple of that Gaussian vector, so a new top eigenvector
+orthogonal to the old one is still reached. central_diff_gradient is the
+finite-difference oracle that the tests check analytic gradients against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +41,11 @@ STREAM_POWER_ITER = 11
 # A Lanczos residual this small relative to the operator's scale is a Krylov
 # breakdown: the basis spans an invariant subspace.
 BREAKDOWN = 1e-12
+
+# The weight of the fixed Gaussian direction in a warm start (against a unit
+# start vector): a pure warm start orthogonal to the new top eigenvector
+# would stop at the old eigenvalue.
+WARM_SHARE = 1e-3
 
 
 @dataclass
@@ -78,7 +88,17 @@ def central_diff_gradient(f, w: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9):
+@lru_cache(maxsize=8)
+def _gaussian_start(dim: int) -> np.ndarray:
+    """The cold start: a unit Gaussian draw from one fixed stream, read-only."""
+    q = RngStream(0x9E3779B9, STREAM_POWER_ITER).generator().standard_normal(dim)
+    q /= np.linalg.norm(q)
+    q.flags.writeable = False
+    return q
+
+
+def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9,
+                            start: np.ndarray | None = None):
     """Top algebraic eigenvalue and a unit Ritz vector of a symmetric operator.
 
     Lanczos with full reorthogonalization: `apply` maps a length-dim vector
@@ -87,16 +107,36 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     top Ritz pair's residual ||A x - theta x|| = beta_k |s_k| is at most tol,
     at a Krylov breakdown (an invariant subspace: the result is exact), or
     after `iters` applies. A non-finite product raises NumericDomainError.
-    The start vector is a Gaussian draw from one fixed stream, so the solve
-    is deterministic. The name is kept from the power iteration it replaced.
+    Without `start` the first Lanczos vector is a Gaussian draw from one
+    fixed stream (_gaussian_start), so the solve is deterministic. With it,
+    the first vector is start/||start|| + WARM_SHARE * that draw, normalized:
+    a start near the top eigenvector converges in fewer applies, and the
+    Gaussian share keeps every eigenvector in reach. A start of the wrong
+    shape raises DimensionMismatchError; a non-finite or zero one raises
+    InvalidArgumentError. The name is kept from the power iteration it
+    replaced.
     """
     if dim < 1:
         raise InvalidArgumentError(f"operator dimension must be >= 1, got {dim}")
+    if iters < 1:
+        raise InvalidArgumentError(f"iters must be >= 1, got {iters}")
     steps = min(iters, dim)
     basis = np.empty((steps, dim))
     tri = np.zeros((steps, steps))  # the Lanczos tridiagonal T
-    q = RngStream(0x9E3779B9, STREAM_POWER_ITER).generator().standard_normal(dim)
-    basis[0] = q / np.linalg.norm(q)
+    g = _gaussian_start(dim)
+    if start is None:
+        basis[0] = g
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (dim,):
+            raise DimensionMismatchError(
+                f"start vector has shape {start.shape}, expected ({dim},)"
+            )
+        norm = float(np.linalg.norm(start))
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise InvalidArgumentError("start vector must be finite and nonzero")
+        q = start / norm + WARM_SHARE * g
+        basis[0] = q / np.linalg.norm(q)
     scale = 0.0  # largest ||A q_k||, a lower bound on ||A||
     for k in range(steps):
         aq = np.array(apply(basis[k]), dtype=np.float64)  # a copy: updated below

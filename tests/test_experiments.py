@@ -147,6 +147,21 @@ def test_cross_entropy_width_counts_the_classes_of_both_sides_of_the_split(tmp_p
     assert [p.spec.output_dim for p in parts] == [3] * 5
 
 
+def test_cross_entropy_width_is_the_largest_label_plus_one(tmp_path):
+    # labels {0, 2}: no row holds class 1, but class 2 needs a third output
+    data = tmp_path / "d.csv"
+    rows = ["f1,f2,y"] + [f"{i},{i % 3},{2 * (i % 2)}" for i in range(20)]
+    data.write_text("\n".join(rows) + "\n")
+    cfg = dataclasses.replace(
+        tiny("track", tmp_path / "out", epochs=1, batch_size=4, flip_fraction=0.0),
+        loss="cross_entropy", dataset_kind="csv", csv_path=str(data), label_column="y",
+    )
+    assert assemble_run(cfg, 0).spec.output_dim == 3
+    cmd_track(cfg)
+    _, rows = read_rows(tmp_path / "out" / "track.csv")
+    assert len(rows) == 2 and all(np.isfinite(float(r["F_S"])) for r in rows)
+
+
 # -- commands ----------------------------------------------------------------
 
 def test_cmd_toy_table_outputs(tmp_path):
@@ -510,6 +525,54 @@ def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
     assert meta["diverged_at"] is None
 
 
+def chained_and_cold_solves(monkeypatch, cfg):
+    """Run cmd_eos, solving each snapshot both as cmd_eos does and cold.
+
+    Returns the (chained, cold) eigenvalues per snapshot and the operator
+    applies each side made, counted through a wrapped `apply`.
+    """
+    real = experiments.power_iteration_top_eig
+    values = {"chained": [], "cold": []}
+    applies = {"chained": 0, "cold": 0}
+
+    def counted(apply, side):
+        def wrapped(v):
+            applies[side] += 1
+            return apply(v)
+        return wrapped
+
+    def both(apply, dim, iters, tol, start=None):
+        cold, _ = real(counted(apply, "cold"), dim, iters=iters, tol=tol)
+        lam, v = real(counted(apply, "chained"), dim, iters=iters, tol=tol, start=start)
+        values["chained"].append(lam)
+        values["cold"].append(cold)
+        return lam, v
+
+    monkeypatch.setattr(experiments, "power_iteration_top_eig", both)
+    cmd_eos(cfg)
+    return values, applies
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cmd_eos_chained_solves_match_cold_solves(seed, tmp_path, monkeypatch):
+    cfg = tiny("eos", tmp_path, seeds=(seed,), epochs=40)
+    values, _ = chained_and_cold_solves(monkeypatch, cfg)
+    chained, cold = np.array(values["chained"]), np.array(values["cold"])
+    assert len(chained) == 41
+    assert np.all(np.abs(chained - cold) <= 1e-12 * np.abs(cold))
+    _, rows = read_rows(tmp_path / "eos.csv")
+    assert [float(r["sharpness"]) for r in rows] == list(chained)
+
+
+def test_cmd_eos_chained_solves_save_applies_on_the_shipped_config(tmp_path,
+                                                                   monkeypatch):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "eos.cfg")),
+                              output_dir=str(tmp_path))
+    _, applies = chained_and_cold_solves(monkeypatch, cfg)
+    assert applies["chained"] <= 0.7 * applies["cold"]
+
+
 @pytest.mark.parametrize("experiment", ["toy_table", "sweep_noise", "eos"])
 def test_shipped_config_matches_the_benchmark_reference(experiment, tmp_path):
     # eos reads rp/trp off the recorder's mean gradients at every step, the
@@ -680,6 +743,24 @@ def test_cli_eos_cadence_above_one_step_exits_2_before_any_output(tmp_path, caps
                "optim.snapshot_every = epoch\n"))
     assert main(["eos", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "optim.snapshot_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["toy_table", "track", "assumption",
+                                        "sweep_noise", "eos"])
+def test_cli_batch_larger_than_a_csv_training_set_leaves_no_output_dir(
+        experiment, tmp_path, capsys):
+    # validation cannot see a CSV's size: assemble_run rejects the batch,
+    # before any command makes --out
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["f1,f2,y"] + [f"{i},{i % 3},{i % 2}" for i in range(20)])
+                    + "\n")
+    cfg = write_cfg(tmp_path, (
+        f"experiment = {experiment}\nseeds = 0\ndataset.kind = csv\n"
+        f"dataset.path = {data}\ndataset.label_column = y\n"
+        "optim.epochs = 1\noptim.mode = sgd\noptim.batch_size = 500\n"))
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "need 1 <= batch_size <= n=10, got 500" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

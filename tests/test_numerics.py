@@ -9,6 +9,7 @@ from trajbound.errors import (
     NumericDomainError,
 )
 from trajbound.numerics import (
+    STREAM_POWER_ITER,
     RngStream,
     central_diff_gradient,
     power_iteration_top_eig,
@@ -130,6 +131,8 @@ def test_power_iteration_checks_operator_shape():
         power_iteration_top_eig(lambda x: np.zeros(3), dim=4)
     with pytest.raises(InvalidArgumentError):
         power_iteration_top_eig(lambda x: x, dim=0)
+    with pytest.raises(InvalidArgumentError):
+        power_iteration_top_eig(lambda x: x, dim=3, iters=0)
 
 
 def test_power_iteration_rejects_a_non_finite_product():
@@ -145,3 +148,60 @@ def test_power_iteration_is_deterministic_by_default():
     r2 = power_iteration_top_eig(lambda x: A @ x, dim=25)
     assert r1[0] == r2[0]
     assert np.array_equal(r1[1], r2[1])
+
+
+def test_warm_start_reaches_a_top_eigenvector_orthogonal_to_it():
+    # the top eigenvalue moved from e1 (2.0) to e2 (3.0): a pure e1 start
+    # spans an invariant subspace after one apply and would return 2.0
+    A = np.diag([2.0, 3.0] + [1.0] * 8)
+    apply, calls = counted(A)
+    lam, v = power_iteration_top_eig(apply, dim=10, start=np.eye(10)[0])
+    assert lam == pytest.approx(3.0, rel=1e-14)
+    assert abs(v[1]) == pytest.approx(1.0, rel=1e-12)
+    assert calls[0] == 3  # three distinct eigenvalues: a breakdown at step 3
+
+
+def test_warm_start_converges_in_fewer_applies_near_the_eigenvector():
+    gen = np.random.default_rng(4)
+    M = gen.standard_normal((40, 40))
+    A = M + M.T
+    _, v = power_iteration_top_eig(lambda x: A @ x, dim=40, iters=5000, tol=1e-10)
+    B = A + 1e-3 * np.diag(gen.standard_normal(40))  # a nearby operator
+    cold_apply, cold = counted(B)
+    warm_apply, warm = counted(B)
+    lam_cold, _ = power_iteration_top_eig(cold_apply, dim=40, tol=1e-10)
+    lam_warm, _ = power_iteration_top_eig(warm_apply, dim=40, tol=1e-10, start=v)
+    assert lam_warm == pytest.approx(lam_cold, rel=1e-12)
+    assert warm[0] < cold[0]
+
+
+def test_warm_start_checks_the_start_vector():
+    A = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        power_iteration_top_eig(lambda x: A @ x, dim=3, start=np.ones(4))
+    with pytest.raises(DimensionMismatchError):
+        power_iteration_top_eig(lambda x: A @ x, dim=3, start=np.ones((3, 1)))
+    for bad in ([0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(InvalidArgumentError):
+            power_iteration_top_eig(lambda x: A @ x, dim=3, start=np.array(bad))
+
+
+def test_cold_start_is_the_fixed_gaussian_solve_bitwise():
+    # start=None is the solve from one normalized draw of the fixed stream,
+    # however often it runs: the start vector is cached read-only
+    gen = np.random.default_rng(5)
+    M = gen.standard_normal((25, 25))
+    A = M + M.T
+    q = RngStream(0x9E3779B9, STREAM_POWER_ITER).generator().standard_normal(25)
+    q = q / np.linalg.norm(q)
+    seen = []
+
+    def apply(x):
+        seen.append(x.copy())
+        return A @ x
+
+    lam, v = power_iteration_top_eig(apply, dim=25)
+    assert np.array_equal(seen[0], q)
+    again = power_iteration_top_eig(lambda x: A @ x, dim=25, start=None)
+    assert again[0] == lam
+    assert np.array_equal(again[1], v)
