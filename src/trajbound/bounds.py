@@ -36,12 +36,7 @@ from .errors import (
 from .models import ModelSpec, hessian_operator, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, draw_batches
-from .trajectory import (
-    SubsetEstimatorConfig,
-    covariance_ratio,
-    signed_mean_norm_stats,
-    subset_ratio_max,
-)
+from .trajectory import SubsetEstimatorConfig, bind_subset_norms, covariance_ratio
 
 
 @dataclass
@@ -108,6 +103,11 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
 
 K_BATCHES = 64
 BETA_SNAPSHOTS = 16
+# Snapshots per block of estimate_constants' stacked pass. Its products are
+# (SNAPSHOT_BLOCK, k, P) per sign matrix: at toy_table's shape (k = 1024,
+# P = 20) a block of 4 is 0.66 MB, where stacking all 201 snapshots would
+# hold about 33 MB.
+SNAPSHOT_BLOCK = 4
 GAMMA_QUANTILE = 0.95
 
 
@@ -118,16 +118,19 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
 
     The holdout enters only through the recorded snapshots. Per-sample
     gradients on S are computed once per snapshot and shared by the L, V,
-    subset-amplification, and batch-moment estimators; the V and gamma'
-    sign matrices are drawn once and reused at every snapshot
-    (trajectory._sign_rows is cached). The batch moments average K_BATCHES
-    size-b subsets per snapshot, drawn for all snapshots at once by
-    optim.draw_batches on the STREAM_MOMENT stream, the same helper the
-    training loop draws its batches with, and averaged by one batched mean
-    per snapshot; at b = n the one draw is the exact mean gradient. The
-    smoothness constant is top_hessian_eig at up to BETA_SNAPSHOTS evenly
-    spaced weights, floored at 0; the tail-drift onset uses the
-    GAMMA_QUANTILE quantile of the early ratios.
+    subset-amplification, and batch-moment estimators. The snapshots go
+    through in blocks of SNAPSHOT_BLOCK: each block stacks its (n, P)
+    matrices and runs trajectory.bind_subset_norms' sign-row products, the
+    row norms and the batch means on the whole stack, each slice bitwise
+    the per-snapshot computation, which keeps the memory at one block's
+    products. The V and gamma' sign matrices are drawn once and reused at
+    every snapshot (trajectory._sign_rows is cached). The batch moments
+    average K_BATCHES size-b subsets per snapshot, drawn for all snapshots
+    at once by optim.draw_batches on the STREAM_MOMENT stream, the same
+    helper the training loop draws its batches with; at b = n the one draw
+    is the exact mean gradient. The smoothness constant is top_hessian_eig
+    at up to BETA_SNAPSHOTS evenly spaced weights, floored at 0; the
+    tail-drift onset uses the GAMMA_QUANTILE quantile of the early ratios.
 
     etas are the run's step sizes, one per step taken (TrainResult.etas),
     and batch_size its b; the largest step size is eta_m.
@@ -160,6 +163,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
 
     k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
     moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
+    subset_norms = bind_subset_norms(cfg, n)
     l_hat = 0.0
     v_m = 0.0
     inner_subset = 0.0
@@ -167,29 +171,32 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     m2 = 0.0
     m4 = 0.0
     trivial_v = False
-    for i, (w, snap) in enumerate(zip(weights, snapshots)):
-        G = per_sample_grads(spec, w, S)  # (n, P)
-        g = np.mean(G, axis=0)
-        gnorm = float(np.linalg.norm(g))
-        row_norms = np.sqrt(np.einsum("np,np->n", G, G))
-        l_hat = max(l_hat, float(np.max(row_norms)))
-
-        d_hat, _se = signed_mean_norm_stats(G, cfg)
-        if d_hat == 0.0:
-            trivial_v = True
-        else:
-            v_m = max(v_m, gnorm / d_hat)
-
-        if gnorm == 0.0:
-            flags.append(f"gamma-prime: zero gradient at step {snap.t} skipped")
-        else:
-            inner_subset = max(inner_subset, subset_ratio_max(G, cfg))
-            envelope = max(envelope, float(np.max(row_norms)) / gnorm)
-
-        means = G[moment_idx[i * k:(i + 1) * k]].mean(axis=1)  # (k, P) batch means
-        sq = (means[:, None, :] @ means[:, :, None]).ravel()  # bitwise gb @ gb per row
-        m2 = max(m2, float(np.mean(sq)))
-        m4 = max(m4, float(np.mean(sq * sq)))
+    for start in range(0, len(weights), SNAPSHOT_BLOCK):
+        Gs = np.stack([per_sample_grads(spec, w, S)
+                       for w in weights[start:start + SNAPSHOT_BLOCK]])  # (c, n, P)
+        c = len(Gs)
+        gs = np.mean(Gs, axis=1)
+        l_max = np.max(np.sqrt(np.einsum("tnp,tnp->tn", Gs, Gs)), axis=1)
+        d_hats, subset_max = subset_norms(Gs)
+        idx = moment_idx[start * k:(start + c) * k].reshape(c, k, b)
+        means = Gs[np.arange(c)[:, None, None], idx].mean(axis=2)  # (c, k, P) batch means
+        sq = (means[..., None, :] @ means[..., :, None]).reshape(c, k)  # bitwise gb @ gb
+        m2_t, m4_t = np.mean(sq, axis=1), np.mean(sq * sq, axis=1)
+        for j, snap in enumerate(snapshots[start:start + c]):
+            gnorm = float(np.linalg.norm(gs[j]))
+            l_hat = max(l_hat, float(l_max[j]))
+            d_hat = float(d_hats[j])
+            if d_hat == 0.0:
+                trivial_v = True
+            else:
+                v_m = max(v_m, gnorm / d_hat)
+            if gnorm == 0.0:
+                flags.append(f"gamma-prime: zero gradient at step {snap.t} skipped")
+            else:
+                inner_subset = max(inner_subset, float(subset_max[j]) / (n * gnorm))
+                envelope = max(envelope, float(l_max[j]) / gnorm)
+            m2 = max(m2, float(m2_t[j]))
+            m4 = max(m4, float(m4_t[j]))
     if trivial_v:
         flags.append("trivial-bound: sign-mixed gradient mean vanished at a snapshot")
         v_m = math.inf

@@ -34,10 +34,13 @@ grad_mean_xy gives only a batch's mean gradient. bind_step_kernel is the
 training step, for a stack of R runs of one model and one n: it binds, once
 per stack, a copy W of the (R, P) initial weights, its layer views (each
 with a leading R axis), the stacked features (R, n, d), each run's checked
-targets and one (R, P) gradient buffer with its views. Each update gathers
-every run's batch rows with one fancy index, runs the forward pass and the
-backward pass on those views with stacked matmuls, and sets W <- W - eta *
-grad in place. Numpy runs a stacked matmul as one BLAS call per run, so
+targets and one (R, P) gradient buffer with its views. Its gather takes a
+block of steps' batch rows for every run with one fancy index, step-major,
+so each step's operands are one C-contiguous slice; each update runs the
+forward pass and the backward pass on one step's slice with stacked
+matmuls, sets W <- W - eta * grad in place and writes each row's squared
+norm into a slot the caller gives, so the caller checks a whole block of
+steps at once. Numpy runs a stacked matmul as one BLAS call per run, so
 row r is bitwise grad_mean_xy's out-of-place step for run r whatever the
 other rows hold, and one run is the stack R = 1. loss_grad_stats, behind
 the trajectory snapshots, also gives the mean loss and every sample's
@@ -383,20 +386,26 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
 
 
 def bind_step_kernel(spec: ModelSpec, W0, data):
-    """The in-place SGD step on a stack of R runs: (W, update).
+    """The in-place SGD step on a stack of R runs: (W, gather, update).
 
     W0 holds the R runs' initial weights, an (R, P) array or R vectors, and
     data their R datasets, all of one n; run r trains on data[r]. The
     checks, the stacked copy W, its layer views, the stacked features
     (R, n, d), each run's checked targets and one (R, P) gradient buffer
-    with its views are bound here, once per stack. update(batches, etas),
-    with batches an (R, b) array of row indices and etas an (R,) array, then
-    sets row r of W to w_r - etas[r] * grad_mean_xy(spec, w_r, X_B, y_B) in
-    place, bitwise, for the rows batches[r] of data[r], and returns each
-    row's new ||w|| (np.linalg.norm's formula) as an (R,) array. It neither
-    checks finiteness nor copies W or the norms: a NaN or inf gradient shows
-    as a non-finite norm of its own row only, and a caller that keeps a row
-    or the norms past the next update must copy them.
+    with its views are bound here, once per stack.
+
+    gather(batches), with batches a (k, R, b) array of row indices (step j
+    of run r takes the rows batches[j, r] of data[r]), returns the k steps'
+    operands step-major: the features (k, R, b, d) and the targets
+    (k, R, b), one fancy index each, so each step's slice is C-contiguous.
+    update(x, t, etas, sq_out), with x and t one step's slices and etas an
+    (R,) array, then sets row r of W to w_r - etas[r] * grad_mean_xy(spec,
+    w_r, X_B, y_B) in place, bitwise, and writes each row's new squared
+    norm w_r @ w_r into sq_out, an (R, 1, 1) float64 block. It neither
+    checks finiteness nor copies W: a NaN or inf gradient shows as a
+    non-finite norm of its own row only, and warns as numpy does unless the
+    caller silences it; a caller that keeps a row past the next update must
+    copy it.
     """
     data = list(data)
     if not data or len(W0) != len(data):
@@ -414,18 +423,18 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     runs = np.arange(len(W))[:, None]
     # (R, 1, P) @ (R, P, 1) is one BLAS dot per run, bitwise w @ w
     w_rows, w_cols = W[:, None, :], W[:, :, None]
-    sq = np.empty((len(W), 1, 1))
-    norms = sq.reshape(len(W))
 
-    def update(batches: np.ndarray, etas: np.ndarray) -> np.ndarray:
-        scores, hs, _ = _forward(spec, W, X[runs, batches], layers=layers)
-        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t[runs, batches]), out=out)
+    def gather(batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return X[runs, batches], t[runs, batches]
+
+    def update(x: np.ndarray, t_b: np.ndarray, etas: np.ndarray, sq_out: np.ndarray) -> None:
+        scores, hs, _ = _forward(spec, W, x, layers=layers)
+        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
         np.multiply(grad, etas[:, None], out=grad)
         np.subtract(W, grad, out=W)
-        np.matmul(w_rows, w_cols, out=sq)
-        return np.sqrt(norms, out=norms)
+        np.matmul(w_rows, w_cols, out=sq_out)
 
-    return W, update
+    return W, gather, update
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool = True

@@ -7,14 +7,19 @@ for that scheme).
 
 train runs one loop over snapshot intervals for a stack of R runs of one
 model, n, batch size, max_steps and snapshot_every; one run is the stack
-R = 1, with no second path. Every step of the stack is one update of
-models.bind_step_kernel, whose row r is bitwise run r's own step, followed
-by the norm guard on each row. Each run keeps its own batch stream,
-schedule, recorder, early stop and divergence state; a run that stops,
-diverges or fails numerically leaves the stack, which is rebound on the
-others. step is one update of the same kernel on a copy of the w it is
-given. A run's result keeps its step sizes, one float64 array, and its
-batch size, not a per-step log.
+R = 1, with no second path. Each interval gathers its steps' batch rows for
+every run at once (models.bind_step_kernel's gather, in blocks of at most
+BATCH_BLOCK_ROWS sample rows a run), and every step of the stack is one
+update of the kernel, whose row r is bitwise run r's own step. The norm
+guard runs once per interval, on every row's norm after every step: a row
+that failed it is reported at its first failing step and leaves the stack,
+while its later steps in the interval run on, with numpy's overflow and
+invalid warnings off, without touching the other rows. Each run keeps its
+own batch stream, schedule, recorder, early stop and divergence state; a
+run that stops, diverges or fails numerically leaves the stack, which is
+rebound on the others at the snapshot. step is one update of the same
+kernel on a copy of the w it is given. A run's result keeps its step sizes,
+one float64 array, and its batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
 private batch stream in blocks of whole snapshot intervals, about
@@ -47,8 +52,9 @@ from .numerics import STREAM_BATCH, RngStream
 PARAM_NORM_CAP = 1e12
 # Rows per draw_batches block in a run's batch stream, rounded down to
 # whole snapshot intervals (one interval when it is longer), and the most
-# rows _floyd_rows replays from one uint32 block. A stack holds one block
-# per run at a time: sweep_noise's 12 cells at 4096 rows (3.9 MB) raised
+# rows _floyd_rows replays from one uint32 block; also the most sample rows
+# a run's gathered step operands hold. A stack holds one block per run at a
+# time: sweep_noise's 12 cells at 4096 rows (3.9 MB) raised
 # its peak RSS by 2.3 MB, at 1024 rows (1 MB) not at all, and each extra
 # b = 10 block costs about 95 us.
 BATCH_BLOCK_ROWS = 1024
@@ -262,16 +268,39 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
          batch_indices: np.ndarray) -> np.ndarray:
     """One update w - eta_t * grad_F_B(w) over the given batch B, out of place.
 
-    train's step, the stack R = 1 of bind_step_kernel, bound to a copy of w
-    for this one update, so w itself is left unchanged; the result is
-    bitwise the train step's. Raises DivergedError when the updated norm
-    fails the cap.
+    train's step, the stack R = 1 of bind_step_kernel through the same
+    interval runner, bound to a copy of w for this one update, so w itself
+    is left unchanged; the result is bitwise the train step's. Raises
+    DivergedError when the updated norm fails the cap.
     """
-    W, update = bind_step_kernel(spec, [w], [data])
-    norm = update(np.asarray(batch_indices)[None], np.array([lr_at(cfg.schedule, t)]))[0]
+    W, gather, update = bind_step_kernel(spec, [w], [data])
+    norm = float(_run_interval(gather, update, np.asarray(batch_indices)[None, None],
+                               np.array([[lr_at(cfg.schedule, t)]]))[0, 0])
     if not norm <= PARAM_NORM_CAP:
-        raise DivergedError(t, float(norm))
+        raise DivergedError(t, norm)
     return W[0]
+
+
+def _run_interval(gather, update, batches: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Run one interval's k steps on the bound stack: its (k, R) norms.
+
+    batches (k, R, b) and rates (k, R) are the steps' rows and step sizes,
+    step-major. The operands are gathered in blocks of whole steps holding
+    at most BATCH_BLOCK_ROWS sample rows a run (one step when b is larger),
+    so their size grows neither with the interval nor with b. The steps run
+    with numpy's overflow and invalid warnings off, since a diverging row
+    keeps stepping until the interval ends; each row's norm after each step
+    comes back for the one guard check.
+    """
+    k, R, b = batches.shape
+    steps = max(1, BATCH_BLOCK_ROWS // b)
+    sq = np.empty((k, R, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, k, steps):
+            xs, ts = gather(batches[start:start + steps])
+            for j, (x, t_b) in enumerate(zip(xs, ts), start):
+                update(x, t_b, rates[j], sq[j])
+        return np.sqrt(sq.reshape(k, -1))
 
 
 _STACK_FIELDS = ("model spec", "n", "batch size", "max_steps", "snapshot_every")
@@ -343,14 +372,14 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
     etas = [[] for _ in range(R)]
     outcomes: list = [None] * R
     live = list(range(R))  # the stacked runs, row i of W being run live[i]
-    W, update = bind_step_kernel(spec, w0s, Ss)
+    W, gather, update = bind_step_kernel(spec, w0s, Ss)
 
     def narrow(keep):
         """Keep the rows at positions keep, rebinding the kernel on them."""
-        nonlocal live, W, update
+        nonlocal live, W, gather, update
         live = [live[i] for i in keep]
         if live:
-            W, update = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
+            W, gather, update = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
 
     t = 0
     while True:
@@ -373,22 +402,22 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
             if not live:
                 return outcomes
         k = min(every, horizon - t)
-        batches = np.stack([next(streams[r]) for r in live])
+        batches = np.stack([next(streams[r]) for r in live], axis=1)  # (k, R, b)
         rates = np.array([[lr_at(cfgs[r].schedule, t + j) for j in range(k)] for r in live])
-        for j in range(k):
-            norms = update(batches[:, j], rates[:, j])
-            if np.maximum.reduce(norms) <= PARAM_NORM_CAP:  # NaN-propagating max
-                continue
+        norms = _run_interval(gather, update, batches, rates.T)
+        failed = ~(norms <= PARAM_NORM_CAP)  # (k, R); a NaN norm fails too
+        keep = list(range(len(live)))
+        if failed.any():
             keep = []
-            for i, norm in enumerate(norms):
-                if norm <= PARAM_NORM_CAP:
-                    keep.append(i)
+            for i, column in enumerate(failed.T):
+                if column.any():
+                    j = int(np.argmax(column))  # the row's first failing step
+                    outcomes[live[i]] = DivergedError(t + j, float(norms[j, i]))
                 else:
-                    outcomes[live[i]] = DivergedError(t + j, float(norm))
+                    keep.append(i)
             narrow(keep)
             if not live:
                 return outcomes
-            batches, rates = batches[keep], rates[keep]
-        for i, r in enumerate(live):
+        for i, r in zip(keep, live):
             etas[r].append(rates[i])
         t += k

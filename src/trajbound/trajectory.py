@@ -12,15 +12,16 @@ on S' from one call that skips the norms; the recorder never forms the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
-bounds.estimate_constants computes them, calling this module's
-per-sample-gradient kernels signed_mean_norm_stats (for V) and
-subset_ratio_max (for gamma'), which read their +-1 sign matrices from
-_sign_rows, the one place the sign patterns are built. The helpers that
-can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd)
-append a flag to the list they are given, which is required; the recorder
-passes its own flags. Relative progress has one formula, rp_trp_gd's exact
-one-step ratio, so a recorder that records it needs consecutive snapshots
-one step apart.
+bounds.estimate_constants computes them through bind_subset_norms, the
+block form of this module's per-sample-gradient kernels
+signed_mean_norm_stats (for V) and subset_ratio_max (for gamma'). All
+three share one product-and-norm kernel, _signed_sum_norms, and read
+their +-1 sign matrices from _sign_rows, the one place the sign patterns
+are built. The helpers that can meet a degenerate ratio
+(complexity_update, gamma_tilde, rp_trp_gd) append a flag to the list
+they are given, which is required; the recorder passes its own flags.
+Relative progress has one formula, rp_trp_gd's exact one-step ratio, so
+a recorder that records it needs consecutive snapshots one step apart.
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -212,6 +213,45 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
     return rows, exhaustive
 
 
+def _signed_sum_norms(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """||sum_i rows[j, i] grad_i|| for every row j: shape (..., k).
+
+    rows is a float64 (k, n) matrix of signs or {0, 1} memberships and G an
+    (n, P) per-sample gradient matrix or a (c, n, P) stack of them. numpy
+    runs the stacked matmul as one BLAS product per G[t], and the einsum
+    reduces each row alone, so slice t of a stacked call is bitwise the
+    call on G[t].
+    """
+    sums = rows @ G
+    return np.sqrt(np.einsum("...kp,...kp->...k", sums, sums))
+
+
+def bind_subset_norms(cfg: SubsetEstimatorConfig, n: int):
+    """The V and gamma' sign-row pass over a stack of snapshots: block(Gs).
+
+    block(Gs), for a (c, n, P) stack of per-sample gradient matrices,
+    returns two (c,) arrays: D_hat, bitwise signed_mean_norm_stats(G[t],
+    cfg)[0] (its standard error is not formed), and the largest subset-sum
+    norm, bitwise subset_ratio_max(G[t], cfg) times n ||mean G[t]||. Each
+    block converts both int8 sign matrices in turn into one float64 (k, n)
+    buffer bound here, so a conversion serves a block of snapshots and no
+    second float64 copy is held.
+    """
+    v_rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
+    gamma_rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
+    buf = np.empty((max(len(v_rows), len(gamma_rows)), n))
+
+    def block(Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        signs = buf[:len(v_rows)]
+        np.copyto(signs, v_rows)
+        d_hat = np.mean(_signed_sum_norms(signs, Gs) / n, axis=-1)
+        members = buf[:len(gamma_rows)]
+        np.greater(gamma_rows, 0, out=members)  # {0,1} membership
+        return d_hat, np.max(_signed_sum_norms(members, Gs), axis=-1)
+
+    return block
+
+
 def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
                            ) -> tuple[float, float]:
     """Mean and standard error of ||(1/n) sum_i s_i grad_i|| over sign draws.
@@ -221,8 +261,7 @@ def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig
     """
     n = G.shape[0]
     rows, exhaustive = _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
-    mixed = rows.astype(np.float64) @ G  # (k, P)
-    norms = np.sqrt(np.einsum("kp,kp->k", mixed, mixed)) / n
+    norms = _signed_sum_norms(rows.astype(np.float64), G) / n
     d_hat = float(np.mean(norms))
     if exhaustive or norms.size < 2:
         return d_hat, 0.0
@@ -241,9 +280,7 @@ def subset_ratio_max(G: np.ndarray, cfg: SubsetEstimatorConfig) -> float:
         raise InvalidArgumentError("subset ratio undefined at zero mean gradient")
     rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
     members = (rows > 0).astype(np.float64)  # {0,1} membership
-    sums = members @ G
-    norms = np.sqrt(np.einsum("kp,kp->k", sums, sums))
-    return float(np.max(norms)) / denom
+    return float(np.max(_signed_sum_norms(members, G))) / denom
 
 
 def rp_trp_gd(F_S_prev: float, F_S_curr: float, F_Sp_prev: float, F_Sp_curr: float,

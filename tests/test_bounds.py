@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trajbound import bounds
+from trajbound import bounds, trajectory
 from trajbound.bounds import (
     STABILITY_KINDS,
     BoundReport,
@@ -26,12 +27,13 @@ from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
 from trajbound.experiments import assemble_run
 from trajbound.models import init_params, linear_spec, mlp_spec, per_sample_grads
 from trajbound.numerics import STREAM_MOMENT, RngStream
-from trajbound.optim import OptimConfig, Schedule, train
+from trajbound.optim import OptimConfig, Schedule, draw_batches, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
     TrajectorySnapshot,
     replay_trajectory,
+    signed_mean_norm_stats,
     subset_ratio_max,
 )
 
@@ -143,6 +145,87 @@ def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
 @pytest.mark.parametrize("batch", [2, 5])
 def test_estimate_constants_minibatch_moments_match_the_per_draw_loop(kind, batch):
     assert_moments_match_the_per_draw_loop(kind, batch)
+
+
+def per_snapshot_constants(spec, weights, snapshots, etas, b, S, est):
+    """The per-snapshot loop the blocked constants pass must reproduce bitwise.
+
+    One (n, P) matrix per snapshot, signed_mean_norm_stats, subset_ratio_max
+    and the batch-moment means of that snapshot's K_BATCHES draws; returns
+    the fields of ConstantEstimates they feed, and the flags.
+    """
+    n = S.n
+    k = 1 if b == n else bounds.K_BATCHES
+    moment_idx = draw_batches(RngStream(est.seed, STREAM_MOMENT), n, b, len(weights) * k)
+    l_hat = v_m = inner = envelope = m2 = m4 = 0.0
+    flags = [] if len(etas) else ["no-steps: eta_m defaulted"]
+    for i, (w, s) in enumerate(zip(weights, snapshots)):
+        G = per_sample_grads(spec, w, S)
+        gnorm = float(np.linalg.norm(np.mean(G, axis=0)))
+        row_norms = np.sqrt(np.einsum("np,np->n", G, G))
+        l_hat = max(l_hat, float(np.max(row_norms)))
+        d_hat, _ = signed_mean_norm_stats(G, est)
+        v_m = math.inf if d_hat == 0.0 or v_m == math.inf else max(v_m, gnorm / d_hat)
+        if gnorm == 0.0:
+            flags.append(f"gamma-prime: zero gradient at step {s.t} skipped")
+        else:
+            inner = max(inner, subset_ratio_max(G, est))
+            envelope = max(envelope, float(np.max(row_norms)) / gnorm)
+        means = G[moment_idx[i * k:(i + 1) * k]].mean(axis=1)
+        sq = np.array([gb @ gb for gb in means])
+        m2 = max(m2, float(np.mean(sq)))
+        m4 = max(m4, float(np.mean(sq * sq)))
+    gamma = max(s.gamma_tilde for s in snapshots if s.gamma_tilde is not None)
+    return dict(L_hat=l_hat, V_m=v_m, gamma_prime=max(1.0, inner) * gamma,
+                gamma_prime_envelope=max(1.0, envelope) * gamma, M2_sq=m2, M4_fourth=m4,
+                flags=flags)
+
+
+BLOCK = bounds.SNAPSHOT_BLOCK
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("n, k_samples", [(8, 1024), (12, 64)])  # exhaustive, sampled
+@pytest.mark.parametrize("mode", ["gd", "sgd"])  # b = n, b = 3
+def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_samples,
+                                                             mode):
+    S, Sp, _ = generate_toy(ToyConfig(n, n, 3, seed=count))
+    spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
+    est = SubsetEstimatorConfig(k_samples=k_samples, seed=count)
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(mode=mode, batch_size=None if mode == "gd" else 3,
+                      schedule=Schedule("constant", eta0=0.05),
+                      max_steps=count - 1, snapshot_every=1, seed=count)
+    res = train(spec, init_params(spec, RngStream(count, 5)), S, Sp, cfg, rec)
+    assert len(rec.weights) == count
+    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
+                           cfg=est)
+    expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, res.etas,
+                                      res.batch_size, S, est)
+    assert {key: getattr(c, key) for key in expected} == expected
+
+
+def test_constants_pass_memory_stays_bounded_by_the_block():
+    # toy_table's shape: n = 100, P = 20, 1024 sign rows, 201 snapshots. The
+    # blocked pass holds one float64 sign buffer and one block's products
+    # (about 2.9 MB at its tracemalloc peak with the sign draw, 2.3 MB
+    # without); stacking the whole trajectory would need about 35 MB
+    S, Sp, _ = generate_toy(ToyConfig(100, 100, 20, seed=0))
+    spec = linear_spec(20)
+    gen = np.random.default_rng(0)
+    weights = list(np.cumsum(gen.standard_normal((201, 20)) * 0.01, axis=0))
+    rec = TrajectoryRecorder(spec, S, Sp)
+    snaps = [rec(100 * i, i, 0.01, w) for i, w in enumerate(weights)]
+    trajectory._sign_rows.cache_clear()  # the first call of a process draws the signs
+    tracemalloc.start()
+    try:
+        estimate_constants(spec, weights, snaps, np.full(20_000, 0.01), 1, S,
+                           cfg=SubsetEstimatorConfig(k_samples=1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():

@@ -324,12 +324,20 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     real_views = models._layer_views
     monkeypatch.setattr(models, "_layer_views",
                         lambda spec, w: views.append(w) or real_views(spec, w))
-    w_run, update = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
     assert len(calls) == 5 and sum(u is w_run for u in views) == 1
     bound = len(views)
     for b in (1, data.n, 2):
-        update(np.arange(b)[None], np.array([0.1]))
+        kernel_step(gather, update, np.arange(b)[None], np.array([0.1]))
     assert len(calls) == 5 and len(views) == bound
+
+
+def kernel_step(gather, update, batches, etas):
+    """One update of a bound step kernel on the (R, b) batches: its (R,) norms."""
+    x, t = gather(np.asarray(batches)[None])
+    sq = np.empty((1, len(etas), 1, 1))
+    update(x[0], t[0], etas, sq[0])
+    return np.sqrt(sq.ravel())
 
 
 def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
@@ -339,8 +347,8 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     for b in range(1, n + 1):
         batch = np.sort(gen.choice(n, size=b, replace=False))
         for eta in (0.0, float(gen.uniform(0.01, 1.0))):
-            w_run, update = models.bind_step_kernel(spec, [w], [data])
-            norm = update(batch[None], np.array([eta]))
+            w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
+            norm = kernel_step(gather, update, batch[None], np.array([eta]))
             expected = w - eta * grad_mean_xy(spec, w, X[batch], y[batch])
             assert w_run.shape == (1, w.size)
             assert w_run[0].tobytes() == expected.tobytes()
@@ -354,11 +362,11 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]
     batches += [np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
                 for _ in range(4)]
-    w_run, update = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
     w_ref = w
     for batch in batches:
         eta = float(gen.uniform(0.0, 0.5))
-        norm = update(batch[None], np.array([eta]))
+        norm = kernel_step(gather, update, batch[None], np.array([eta]))
         w_ref = w_ref - eta * grad_mean_xy(spec, w_ref, X[batch], y[batch])
         assert w_run[0].tobytes() == w_ref.tobytes()
         assert norm[0] == math.sqrt(w_ref @ w_ref)
@@ -367,11 +375,11 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     refs = [w, w[::-1] * 0.5, -w]
     data_r = [data] + [Dataset(X[gen.permutation(n)], y[gen.permutation(n)])
                        for _ in range(2)]
-    W_run, update = models.bind_step_kernel(spec, np.stack(refs), data_r)
+    W_run, gather, update = models.bind_step_kernel(spec, np.stack(refs), data_r)
     for b in (1, n, int(gen.integers(1, n + 1))):
         rows = np.stack([np.sort(gen.choice(n, size=b, replace=False)) for _ in refs])
         etas = gen.uniform(0.0, 0.5, size=len(refs))
-        norms = update(rows, etas)
+        norms = kernel_step(gather, update, rows, etas)
         for r, d in enumerate(data_r):
             refs[r] = refs[r] - etas[r] * grad_mean_xy(spec, refs[r], d.features[rows[r]],
                                                        d.labels[rows[r]])
@@ -395,6 +403,38 @@ def test_step_kernel_rejects_a_mismatched_stack():
                               ([w[:-1]], [data])):
         with pytest.raises(DimensionMismatchError):
             models.bind_step_kernel(spec, weights, datasets)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp_ce"])
+def test_step_kernel_gathers_an_interval_step_major(kind):
+    # gather returns every step's operands of an interval at once, step-major:
+    # each step's slice is a C-contiguous (R, b, ...) block holding each run's
+    # own rows, and k updates on those slices are k single-step updates
+    gen = np.random.default_rng(sum(map(ord, kind)) + 5)
+    spec, w, data = random_case(gen, kind)
+    n, R, k = data.n, 3, 6
+    data_r = [data] + [Dataset(data.features[gen.permutation(n)], data.labels)
+                       for _ in range(R - 1)]
+    refs = [w, w * 0.5, -w]
+    W_run, gather, update = models.bind_step_kernel(spec, refs, data_r)
+    b = int(gen.integers(1, n + 1))
+    batches = np.stack([[np.sort(gen.choice(n, size=b, replace=False)) for _ in refs]
+                        for _ in range(k)])  # (k, R, b)
+    xs, ts = gather(batches)
+    assert xs.shape == (k, R, b, spec.input_dim) and ts.shape == (k, R, b)
+    sq = np.empty((k, R, 1, 1))
+    etas = gen.uniform(0.0, 0.5, size=(k, R))
+    for j in range(k):
+        assert xs[j].flags.c_contiguous and ts[j].flags.c_contiguous
+        for r, d in enumerate(data_r):
+            assert xs[j, r].tobytes() == d.features[batches[j, r]].tobytes()
+        update(xs[j], ts[j], etas[j], sq[j])
+        for r, d in enumerate(data_r):
+            rows = batches[j, r]
+            refs[r] = refs[r] - etas[j, r] * grad_mean_xy(spec, refs[r], d.features[rows],
+                                                          d.labels[rows])
+            assert W_run[r].tobytes() == refs[r].tobytes()
+            assert sq[j, r, 0, 0] == refs[r] @ refs[r]
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])

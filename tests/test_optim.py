@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -826,6 +827,70 @@ def test_stack_outlives_a_stop_at_zero_a_mid_interval_divergence_and_a_recorder_
     assert isinstance(diverged, DivergedError) and diverged.t % every != 0
     assert isinstance(failed, NumericDomainError)
     assert done.stopped_at == 40
+
+
+def test_stack_reports_a_row_that_crosses_the_cap_then_overflows_mid_interval():
+    # the linear "diverge" run passes PARAM_NORM_CAP a few steps into a long
+    # interval and keeps stepping to a non-finite norm before the interval's
+    # one guard check: that check names the crossing step and its finite
+    # norm, no numpy warning escapes, and the other rows are bitwise their
+    # solo runs
+    every, b = 200, 4
+    spec, runs = stack_runs("linear", 12, b, 2 * every, every, ["run", "diverge", "run"],
+                            seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = assert_stack_matches_solo_runs(spec, runs)
+    S, w0, cfg, _ = runs[1]
+    rng = RngStream(cfg.seed, STREAM_BATCH)
+    w, norms = w0, []
+    with np.errstate(all="ignore"):
+        for _ in range(every):
+            batch = sample_batch(rng, S.n, b)
+            w = w - cfg.schedule.eta0 * grad_mean_xy(spec, w, S.features[batch],
+                                                     S.labels[batch])
+            norms.append(math.sqrt(w @ w))
+    crossing = next(t for t, norm in enumerate(norms) if not norm <= optim.PARAM_NORM_CAP)
+    assert 0 < crossing < every - 1
+    assert math.isfinite(norms[crossing]) and not math.isfinite(norms[-1])
+    diverged = outs[1]
+    assert isinstance(diverged, DivergedError)
+    assert (diverged.t, diverged.param_norm) == (crossing, norms[crossing])
+    assert outs[0].stopped_at == outs[2].stopped_at == 2 * every
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monkeypatch):
+    # 23-step intervals of batch 3 over blocks of 12 rows, 4 steps: the final
+    # weights are bitwise those of 3-step intervals, and no gather holds
+    # more than a block
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 12)
+    gathered = []
+    real_bind = optim.bind_step_kernel
+
+    def bind(*args):
+        W, gather, update = real_bind(*args)
+
+        def counted(batches):
+            xs, ts = gather(batches)
+            assert xs.shape[1:3] == ts.shape[1:] == (2, 3)
+            gathered.append(len(xs))
+            return xs, ts
+
+        return W, counted, update
+
+    monkeypatch.setattr(optim, "bind_step_kernel", bind)
+    spec, runs = stack_runs(kind, 12, 3, 50, 23, ["run", "run"], seed=8)
+    finals = {}
+    for every in (23, 3):
+        outs = train([spec] * 2, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
+                     [dataclasses.replace(cfg, snapshot_every=every) for *_, cfg, _ in runs],
+                     [lambda t, epoch, eta, w: SimpleNamespace(F_S=1.0)] * 2)
+        finals[every] = [out.w_final.tobytes() for out in outs]
+        if every == 23:
+            assert gathered == [4, 4, 4, 4, 4, 3] * 2 + [4]
+            assert all(out.stopped_at == 50 for out in outs)
+    assert finals[23] == finals[3]
 
 
 @pytest.mark.parametrize("field, change", [
