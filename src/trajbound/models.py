@@ -21,7 +21,7 @@ summation over the sample axis) of the rows per_sample_grads gives on
 each one-row Dataset.
 
 Every other kernel (forward_batch, losses_batch, grad_mean_xy,
-bind_step_kernel, loss_grad_stats, hessian_operator) contracts each MLP
+bind_step_kernel, the snapshot pass, hessian_operator) contracts each MLP
 layer with a BLAS matmul, several times faster than the einsum and equal to
 it to roundoff. losses_batch and loss_grad_stats share that forward pass,
 so the mean loss loss_grad_stats gives is bitwise the mean of losses_batch.
@@ -42,15 +42,25 @@ matmuls, sets W <- W - eta * grad in place and writes each row's squared
 norm into a slot the caller gives, so the caller checks a whole block of
 steps at once. Numpy runs a stacked matmul as one BLAS call per run, so
 row r is bitwise grad_mean_xy's out-of-place step for run r whatever the
-other rows hold, and one run is the stack R = 1. loss_grad_stats, behind
-the trajectory snapshots, also gives the mean loss and every sample's
-squared gradient norm; with norms=False it skips the norms, which the
-recorder does on the holdout S', whose norms it never reads. All three run
-_forward and the one backward pass of _mean_grad, which take a leading
-stack axis or none and contract each layer with a matmul into views of a
-flat gradient (the bound buffer, or a fresh one): none forms the (n, P)
-per-sample matrix, and their gradients agree with grad_mean to roundoff,
-not bitwise.
+other rows hold, and one run is the stack R = 1.
+
+The snapshot pass, _snapshot_pass, is behind the trajectory snapshots: over
+a whole dataset it gives the mean loss, the mean gradient, every sample's
+squared gradient norm and every sample's finiteness flag; with norms=False
+it skips the norms, which the recorder does on the holdout S', whose norms
+it never reads. It takes a leading stack axis or none, like the step:
+the kernel's snapshot() runs it once on the bound stack (features,
+targets, layer views and gradient buffer, with no second (R, n, d) copy),
+and loss_grad_stats is its unstacked call, so row r of the stacked pass
+is bitwise loss_grad_stats on run r. The pass runs with numpy's overflow
+and invalid warnings off and checks nothing, so a non-finite row runs on
+without touching the others; checked_stats turns one run's row into
+loss_grad_stats' result, or its NumericDomainError naming the first
+non-finite sample. The step, grad_mean_xy and the snapshot pass all run
+_forward and the one backward pass of _mean_grad, which contract each
+layer with a matmul into views of a flat gradient (the bound buffer, or a
+fresh one): none forms the (n, P) per-sample matrix, and their gradients
+agree with grad_mean to roundoff, not bitwise.
 
 hessian_operator gives exact Hessian-vector products of the mean loss at
 one weight vector: it runs the forward and backward pass once and each
@@ -251,9 +261,13 @@ def losses_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -
 
 
 def _check_finite(out: np.ndarray) -> None:
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argwhere(~np.isfinite(out))[0][0])
-        raise NumericDomainError(f"non-finite forward value at sample {bad}")
+    _check_samples(np.isfinite(out).all(axis=-1))
+
+
+def _check_samples(finite: np.ndarray) -> None:
+    """NumericDomainError naming the first sample whose finite flag is False."""
+    if not finite.all():
+        raise NumericDomainError(f"non-finite forward value at sample {int(np.argmin(finite))}")
 
 
 def _targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
@@ -263,13 +277,13 @@ def _targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
 
 
 def _losses(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-sample losses of finite model outputs against _targets t."""
+    """Per-sample losses of model outputs against _targets t, (..., n)."""
     if spec.loss == "squared":
-        resid = out[:, 0] - t
+        resid = out[..., 0] - t
         return 0.5 * resid * resid
-    m = np.max(out, axis=1)
-    lse = m + np.log(np.sum(np.exp(out - m[:, None]), axis=1))
-    return lse - out[np.arange(out.shape[0]), t]
+    m = np.max(out, axis=-1)
+    lse = m + np.log(np.sum(np.exp(out - m[..., None]), axis=-1))
+    return lse - np.take_along_axis(out, t[..., None], axis=-1)[..., 0]
 
 
 def _output_grad(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -333,18 +347,22 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
     sq_norms when given. The linear model is one layer without a bias:
     (r X / n, r_i^2 ||x_i||^2).
 
-    Each layer's sums go straight into its views of the flat gradient, which
-    is then divided by n in place and returned. out is that gradient as
-    (flat (P,) buffer, _layer_views of it), reused across calls by the bound
-    step kernel; by default a fresh one is allocated. A stack (a leading R
-    axis on every array, out an (R, P) buffer) gives each run its own sums.
+    Once layer l > 0 is done, its input hs[l], a temporary of _forward, is
+    overwritten with tanh' = 1 - hs[l]^2 in place, so that no second
+    (..., n, width) temporary is allocated; hs[0], the features, is only
+    read. Each layer's sums go straight into its views of the flat
+    gradient, which is then divided by n in place and returned. out is that
+    gradient as (flat (P,) buffer, _layer_views of it), reused across calls
+    by the bound step kernel; by default a fresh one is allocated. A stack
+    (a leading R axis on every array, out an (R, P) buffer) gives each run
+    its own sums.
     """
     grad, views = _grad_buffer(spec) if out is None else out
     n = g.shape[-2]
     if spec.kind == "linear":
         resid, X = g[..., 0], hs[0]
         if sq_norms is not None:
-            sq_norms += resid * resid * np.einsum("ni,ni->n", X, X)
+            sq_norms += resid * resid * np.einsum("...ni,...ni->...n", X, X)
         np.matmul(resid[..., None, :], X, out=grad[..., None, :])
         grad /= n
         return grad
@@ -355,13 +373,13 @@ def _mean_grad(spec: ModelSpec, layers: list, hs: list[np.ndarray], g: np.ndarra
         np.matmul(g.mT, h_prev, out=gw)
         np.add.reduce(g, axis=-2, out=gb)
         if sq_norms is not None:
-            sq_norms += (np.einsum("no,no->n", g, g)
-                         * (np.einsum("ni,ni->n", h_prev, h_prev) + 1.0))
+            sq_norms += (np.einsum("...no,...no->...n", g, g)
+                         * (np.einsum("...ni,...ni->...n", h_prev, h_prev) + 1.0))
         if l > 0:
             g = g @ layers[l][0]
-            dt = h_prev * h_prev
-            np.subtract(1.0, dt, out=dt)
-            g *= dt
+            np.multiply(h_prev, h_prev, out=h_prev)  # h_prev becomes tanh'
+            np.subtract(1.0, h_prev, out=h_prev)
+            g *= h_prev
     grad /= n
     return grad
 
@@ -386,7 +404,7 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
 
 
 def bind_step_kernel(spec: ModelSpec, W0, data):
-    """The in-place SGD step on a stack of R runs: (W, gather, update).
+    """The in-place SGD step on a stack of R runs: (W, gather, update, snapshot).
 
     W0 holds the R runs' initial weights, an (R, P) array or R vectors, and
     data their R datasets, all of one n; run r trains on data[r]. The
@@ -406,6 +424,12 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     non-finite norm of its own row only, and warns as numpy does unless the
     caller silences it; a caller that keeps a row past the next update must
     copy it.
+
+    snapshot() runs _snapshot_pass over every run's whole dataset at the
+    current W, on the bound features, targets, layer views and gradient
+    buffer: (F (R,), grad (R, P), sq_norms (R, n), finite (R, n)), row r
+    bitwise loss_grad_stats(spec, W[r], data[r]) before its check. Its
+    gradient rows view the step's buffer, which the next update overwrites.
     """
     data = list(data)
     if not data or len(W0) != len(data):
@@ -434,26 +458,60 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
         np.subtract(W, grad, out=W)
         np.matmul(w_rows, w_cols, out=sq_out)
 
-    return W, gather, update
+    def snapshot() -> tuple:
+        return _snapshot_pass(spec, W, X, t, layers=layers, out=out)
+
+    return W, gather, update, snapshot
+
+
+def _snapshot_pass(spec: ModelSpec, w: np.ndarray, X: np.ndarray, t: np.ndarray,
+                   norms: bool = True, layers: list | None = None,
+                   out: tuple | None = None) -> tuple:
+    """The snapshot statistics of one run, or of a stack: (F, grad, sq_norms, finite).
+
+    One forward pass over all of X and the backward pass of _mean_grad: the
+    mean loss F (the mean over the last axis of _losses, so bitwise the mean
+    of losses_batch), the mean gradient, each sample's squared gradient norm
+    (None with norms=False, which skips them) and each sample's flag that
+    its forward values are finite. A stack (w (R, P), X (R, n, d), t (R, n),
+    the bound layers and gradient buffer out of bind_step_kernel) gives each
+    a leading R axis and each row bitwise its run's unstacked pass. The
+    flags are not checked here: a non-finite row runs on to NaN in its own
+    row only, with numpy's overflow and invalid warnings off, and
+    _check_samples turns its flags into the unstacked call's error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores, hs, layers = _forward(spec, w, X, layers=layers)
+        sq_norms = np.zeros(X.shape[:-1]) if norms else None
+        grad = _mean_grad(spec, layers, hs, _output_grad(spec, scores, t), sq_norms, out)
+        return (np.mean(_losses(spec, scores, t), axis=-1), grad, sq_norms,
+                np.isfinite(scores).all(axis=-1))
+
+
+def checked_stats(row: tuple) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(F, grad, sq_norms) of one run's snapshot pass row, checked finite.
+
+    row is (F, grad, sq_norms, finite) of one run: an unstacked pass, or
+    row r of a stacked one. A False finite flag raises NumericDomainError
+    naming the first such sample, as losses_batch does.
+    """
+    F, grad, sq_norms, finite = row
+    _check_samples(finite)
+    return float(F), grad, sq_norms
 
 
 def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool = True
                     ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """(mean loss, mean gradient, per-sample squared gradient norms).
 
-    One forward pass and the backward pass of _mean_grad over the dataset.
-    The mean loss is computed exactly as losses_batch does, and a non-finite
-    forward value raises NumericDomainError. With norms=False the backward
-    pass skips the squared norms and None takes their place; the loss and
-    the gradient are bitwise those of the full call.
+    The unstacked snapshot pass over the dataset, checked by checked_stats:
+    the mean loss is computed exactly as losses_batch does, and a
+    non-finite forward value raises NumericDomainError. With norms=False
+    the backward pass skips the squared norms and None takes their place;
+    the loss and the gradient are bitwise those of the full call.
     """
     w, X = _check_inputs(spec, w, data.features)
-    t = _targets(spec, data.labels)
-    out, hs, layers = _forward(spec, w, X)
-    _check_finite(out)
-    sq_norms = np.zeros(X.shape[0]) if norms else None
-    grad = _mean_grad(spec, layers, hs, _output_grad(spec, out, t), sq_norms)
-    return float(np.mean(_losses(spec, out, t))), grad, sq_norms
+    return checked_stats(_snapshot_pass(spec, w, X, _targets(spec, data.labels), norms))
 
 
 def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):

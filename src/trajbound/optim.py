@@ -17,9 +17,15 @@ while its later steps in the interval run on, with numpy's overflow and
 invalid warnings off, without touching the other rows. Each run keeps its
 own batch stream, schedule, recorder, early stop and divergence state; a
 run that stops, diverges or fails numerically leaves the stack, which is
-rebound on the others at the snapshot. step is one update of the same
-kernel on a copy of the w it is given. A run's result keeps its step sizes,
-one float64 array, and its batch size, not a per-step log.
+rebound on the others at the snapshot. At each snapshot time the S-side
+snapshot statistics run once for the live stack, through the kernel's
+snapshot pass, when some live run's recorder is a TrajectoryRecorder on
+that run's own S and spec; each recorder is still called once, and such
+a recorder gets its row (a plain callable gets none and triggers no
+pass). Each interval's step sizes are one lr_steps call a run, bitwise
+lr_at step by step. step is one update of the same kernel on a copy of
+the w it is given. A run's result keeps its step sizes, one float64
+array, and its batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
 private batch stream in blocks of whole snapshot intervals, about
@@ -48,6 +54,7 @@ from .errors import DivergedError, InvalidArgumentError, NumericDomainError
 from .models import ModelSpec, bind_step_kernel
 from .models import grad_mean_xy  # noqa: F401 (bench/tracing.py wraps optim.grad_mean_xy)
 from .numerics import STREAM_BATCH, RngStream
+from .trajectory import TrajectoryRecorder
 
 PARAM_NORM_CAP = 1e12
 # Rows per draw_batches block in a run's batch stream, rounded down to
@@ -116,6 +123,22 @@ def lr_at(schedule: Schedule, t: int) -> float:
     return schedule.eta_min + 0.5 * (schedule.eta0 - schedule.eta_min) * (
         1.0 + math.cos(math.pi * t / schedule.t_max)
     )
+
+
+def lr_steps(schedule: Schedule, t: int, k: int) -> np.ndarray:
+    """The rates of steps t .. t + k - 1, bitwise [lr_at(schedule, t + j) ...].
+
+    constant and inverse_time are one numpy expression each, the latter the
+    same IEEE multiply and divide as lr_at. cosine calls lr_at per step,
+    since np.cos is not guaranteed to round as math.cos does.
+    """
+    if t < 0:
+        raise InvalidArgumentError(f"step index must be >= 0, got {t}")
+    if schedule.kind == "constant":
+        return np.full(k, schedule.eta0, dtype=np.float64)
+    if schedule.kind == "inverse_time":
+        return schedule.c / (schedule.beta * np.arange(t + 1, t + 1 + k))
+    return np.array([lr_at(schedule, t + j) for j in range(k)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -273,7 +296,7 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
     is left unchanged; the result is bitwise the train step's. Raises
     DivergedError when the updated norm fails the cap.
     """
-    W, gather, update = bind_step_kernel(spec, [w], [data])
+    W, gather, update, _ = bind_step_kernel(spec, [w], [data])
     norm = float(_run_interval(gather, update, np.asarray(batch_indices)[None, None],
                                np.array([[lr_at(cfg.schedule, t)]]))[0, 0])
     if not norm <= PARAM_NORM_CAP:
@@ -313,7 +336,9 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     training set and cfg its OptimConfig; the result is its TrainResult and
     a failure raises. At each snapshot step t (0, every snapshot_every-th
     step and max_steps) the recorder is called as recorder(t, epoch, eta_t,
-    w) and returns the snapshot it recorded. The run ends there when
+    w) and returns the snapshot it recorded; a TrajectoryRecorder on the
+    run's own S and spec is called with stats=, its row of the stacked
+    S-side snapshot pass, as well. The run ends there when
     t == max_steps or the snapshot's F_S is below stop_train_loss; otherwise
     it runs the next interval's min(snapshot_every, max_steps - t) steps,
     so the last call is at the returned weights. The steps take their rows
@@ -337,8 +362,6 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     """
     if isinstance(spec, ModelSpec):
         if recorder is None:
-            from .trajectory import TrajectoryRecorder
-
             recorder = TrajectoryRecorder(spec, S, S_prime)
         (outcome,) = _train_stack([spec], [w0], [S], [cfg], [recorder])
         if isinstance(outcome, Exception):
@@ -371,22 +394,29 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
     snapshots = [[] for _ in range(R)]
     etas = [[] for _ in range(R)]
     outcomes: list = [None] * R
+    # the runs whose recorder takes its S-side row of the stacked snapshot pass
+    shared = [isinstance(rec, TrajectoryRecorder) and rec.S is S and rec.spec == spec
+              for rec, S in zip(recorders, Ss)]
     live = list(range(R))  # the stacked runs, row i of W being run live[i]
-    W, gather, update = bind_step_kernel(spec, w0s, Ss)
+    W, gather, update, snapshot = bind_step_kernel(spec, w0s, Ss)
 
     def narrow(keep):
         """Keep the rows at positions keep, rebinding the kernel on them."""
-        nonlocal live, W, gather, update
+        nonlocal live, W, gather, update, snapshot
         live = [live[i] for i in keep]
         if live:
-            W, gather, update = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
+            W, gather, update, snapshot = bind_step_kernel(spec, W[keep],
+                                                           [Ss[r] for r in live])
 
     t = 0
     while True:
+        stats = snapshot() if any(shared[r] for r in live) else None
         keep = []
         for i, r in enumerate(live):
+            row = {"stats": tuple(a[i] for a in stats)} if shared[r] else {}
             try:
-                snap = recorders[r](t, t // steps_per_epoch, lr_at(cfgs[r].schedule, t), W[i])
+                snap = recorders[r](t, t // steps_per_epoch, lr_at(cfgs[r].schedule, t), W[i],
+                                    **row)
             except NumericDomainError as exc:
                 outcomes[r] = exc
                 continue
@@ -403,7 +433,7 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
                 return outcomes
         k = min(every, horizon - t)
         batches = np.stack([next(streams[r]) for r in live], axis=1)  # (k, R, b)
-        rates = np.array([[lr_at(cfgs[r].schedule, t + j) for j in range(k)] for r in live])
+        rates = np.stack([lr_steps(cfgs[r].schedule, t, k) for r in live])
         norms = _run_interval(gather, update, batches, rates.T)
         failed = ~(norms <= PARAM_NORM_CAP)  # (k, R); a NaN norm fails too
         keep = list(range(len(live)))

@@ -5,9 +5,12 @@ full-set loss and gradient norms on the training set S and holdout S', the
 per-sample gradient covariance trace, the cumulative complexity term, the
 train/holdout gradient-norm ratio, and relative-progress diagnostics. Each
 snapshot's loss, mean gradient and per-sample squared gradient norms come
-from one models.loss_grad_stats call on S, and the loss and mean gradient
-on S' from one call that skips the norms; the recorder never forms the
-(n, P) per-sample gradient matrix. A recorder built without a holdout
+from one snapshot pass on S: during training, the recorder's row of the
+pass optim.train runs once per snapshot time for the whole stack (the
+stats argument), and otherwise its own models.loss_grad_stats call, the
+unstacked pass, bitwise the same. The loss and mean gradient on S' come
+from the recorder's own call that skips the norms; the recorder never
+forms the (n, P) per-sample gradient matrix. A recorder built without a holdout
 (S' = None) makes only the S call and leaves every S' statistic None; the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
@@ -49,7 +52,7 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
 )
-from .models import ModelSpec, loss_grad_stats
+from .models import ModelSpec, checked_stats, loss_grad_stats
 from .numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
 
 # Relative: the trace is a difference of two terms of the second moment's
@@ -359,6 +362,13 @@ class TrajectoryRecorder:
     holdout, and no history is kept (weights, grads_S and grads_Sprime stay
     empty), since every reader of it needs the holdout too.
 
+    stats, when given, is this recorder's row (F, grad, sq_norms, finite)
+    of a snapshot pass on S at w, which optim.train hands in from its
+    stacked pass in place of the recorder's own loss_grad_stats call on S:
+    a False finite flag raises that call's NumericDomainError, and the
+    snapshot is bitwise the one the call would give. The row's gradient
+    may view a buffer the next step reuses, so grads_S keeps a copy.
+
     rp_mode: None records no relative-progress columns; "step" applies the
     exact one-step ratios of rp_trp_gd (consecutive snapshots must be one
     step apart), recording None and a flag after a step of rate 0, which
@@ -387,9 +397,13 @@ class TrajectoryRecorder:
         self.flags: list[str] = []
         self._c_cum = 0.0
 
-    def __call__(self, t: int, epoch: int, eta: float, w: np.ndarray) -> TrajectorySnapshot:
+    def __call__(self, t: int, epoch: int, eta: float, w: np.ndarray,
+                 stats: tuple | None = None) -> TrajectorySnapshot:
         w = np.asarray(w, dtype=np.float64)
-        f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
+        if stats is None:
+            f_s, g_s, sq_norms = loss_grad_stats(self.spec, w, self.S)
+        else:
+            f_s, g_s, sq_norms = checked_stats(stats)
         trace = _trace_from_sq_norms(sq_norms, g_s)
         norm_s = float(np.linalg.norm(g_s))
         f_sp = g_sp = norm_sp = None
@@ -425,7 +439,7 @@ class TrajectoryRecorder:
         self.snapshots.append(snap)
         if self.S_prime is not None:
             self.weights.append(w.copy())
-            self.grads_S.append(g_s)
+            self.grads_S.append(g_s.copy())  # a handed-in row views a reused buffer
             self.grads_Sprime.append(g_sp)
         return snap
 

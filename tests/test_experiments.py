@@ -269,10 +269,10 @@ def test_sweep_cell_numeric_domain_error_does_not_abort_the_grid(tmp_path,
             self.flaky = len(built) == 1
             built.append(self)
 
-        def __call__(self, t, epoch, eta_t, w):
+        def __call__(self, t, epoch, eta_t, w, stats=None):
             if self.flaky and t == 8:
                 raise NumericDomainError("negative covariance trace")
-            return super().__call__(t, epoch, eta_t, w)
+            return super().__call__(t, epoch, eta_t, w, stats)
 
     monkeypatch.setattr(experiments, "TrajectoryRecorder", FlakyRecorder)
     cfg = write_cfg(tmp_path, tiny_cfg_text(

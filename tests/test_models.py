@@ -18,6 +18,7 @@ from trajbound.errors import (
 from trajbound.models import (
     ModelSpec,
     _flatten,
+    checked_stats,
     forward_batch,
     grad_mean,
     grad_mean_xy,
@@ -324,7 +325,7 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     real_views = models._layer_views
     monkeypatch.setattr(models, "_layer_views",
                         lambda spec, w: views.append(w) or real_views(spec, w))
-    w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
     assert len(calls) == 5 and sum(u is w_run for u in views) == 1
     bound = len(views)
     for b in (1, data.n, 2):
@@ -347,7 +348,7 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     for b in range(1, n + 1):
         batch = np.sort(gen.choice(n, size=b, replace=False))
         for eta in (0.0, float(gen.uniform(0.01, 1.0))):
-            w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
+            w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
             norm = kernel_step(gather, update, batch[None], np.array([eta]))
             expected = w - eta * grad_mean_xy(spec, w, X[batch], y[batch])
             assert w_run.shape == (1, w.size)
@@ -362,7 +363,7 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]
     batches += [np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
                 for _ in range(4)]
-    w_run, gather, update = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
     w_ref = w
     for batch in batches:
         eta = float(gen.uniform(0.0, 0.5))
@@ -375,7 +376,7 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     refs = [w, w[::-1] * 0.5, -w]
     data_r = [data] + [Dataset(X[gen.permutation(n)], y[gen.permutation(n)])
                        for _ in range(2)]
-    W_run, gather, update = models.bind_step_kernel(spec, np.stack(refs), data_r)
+    W_run, gather, update, snapshot = models.bind_step_kernel(spec, np.stack(refs), data_r)
     for b in (1, n, int(gen.integers(1, n + 1))):
         rows = np.stack([np.sort(gen.choice(n, size=b, replace=False)) for _ in refs])
         etas = gen.uniform(0.0, 0.5, size=len(refs))
@@ -385,7 +386,31 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
                                                        d.labels[rows[r]])
             assert W_run[r].tobytes() == refs[r].tobytes()
             assert norms[r] == math.sqrt(refs[r] @ refs[r])
+        # the snapshot pass between steps reads the live weights, and its use
+        # of the step's gradient buffer does not leak into the next step
+        assert_snapshot_rows_are_loss_grad_stats(spec, snapshot(), refs, data_r)
     assert w.tobytes() == w_before.tobytes()
+    # a fresh stack of R = 1 to 4 runs: each snapshot row is bitwise its
+    # run's unstacked loss_grad_stats
+    for R in range(1, 5):
+        ws = [w * gen.uniform(-1.5, 1.5) for _ in range(R)]
+        ds = [data] + [Dataset(X[gen.permutation(n)], y[gen.permutation(n)])
+                       for _ in range(R - 1)]
+        snapshot = models.bind_step_kernel(spec, ws, ds)[3]
+        assert_snapshot_rows_are_loss_grad_stats(spec, snapshot(), ws, ds)
+
+
+def assert_snapshot_rows_are_loss_grad_stats(spec, stats, ws, datasets):
+    """Row r of a stacked snapshot pass is bitwise loss_grad_stats on run r."""
+    F, g, sq_norms, finite = stats
+    R, n = len(ws), datasets[0].n
+    assert F.shape == (R,) and g.shape == (R, spec.n_params)
+    assert sq_norms.shape == finite.shape == (R, n) and finite.all()
+    for r, (w, data) in enumerate(zip(ws, datasets)):
+        F_r, g_r, sq_r = checked_stats((F[r], g[r], sq_norms[r], finite[r]))
+        F_ref, g_ref, sq_ref = loss_grad_stats(spec, w, data)
+        assert np.float64(F_r).tobytes() == np.float64(F_ref).tobytes()
+        assert g_r.tobytes() == g_ref.tobytes() and sq_r.tobytes() == sq_ref.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -416,7 +441,7 @@ def test_step_kernel_gathers_an_interval_step_major(kind):
     data_r = [data] + [Dataset(data.features[gen.permutation(n)], data.labels)
                        for _ in range(R - 1)]
     refs = [w, w * 0.5, -w]
-    W_run, gather, update = models.bind_step_kernel(spec, refs, data_r)
+    W_run, gather, update, _ = models.bind_step_kernel(spec, refs, data_r)
     b = int(gen.integers(1, n + 1))
     batches = np.stack([[np.sort(gen.choice(n, size=b, replace=False)) for _ in refs]
                         for _ in range(k)])  # (k, R, b)

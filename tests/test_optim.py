@@ -14,13 +14,22 @@ from hypothesis import strategies as st
 from trajbound import models, optim, trajectory
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import DivergedError, InvalidArgumentError, NumericDomainError
-from trajbound.models import grad_mean_xy, init_params, linear_spec, mlp_spec, param_count
+from trajbound.models import (
+    grad_mean_xy,
+    init_params,
+    linear_spec,
+    loss_grad_stats,
+    mlp_spec,
+    param_count,
+    unflatten,
+)
 from trajbound.numerics import STREAM_BATCH, RngStream
 from trajbound.optim import (
     OptimConfig,
     Schedule,
     draw_batches,
     lr_at,
+    lr_steps,
     resolve_batch_size,
     sample_batch,
     step,
@@ -72,6 +81,27 @@ def test_cosine_rates_stay_positive_over_the_run():
 def test_lr_at_rejects_negative_step():
     with pytest.raises(InvalidArgumentError):
         lr_at(Schedule("constant", eta0=0.1), -1)
+
+
+@pytest.mark.parametrize("schedule", [
+    Schedule("constant", eta0=0.3),
+    Schedule("inverse_time", c=2.0, beta=4.0),
+    Schedule("inverse_time", c=0.7, beta=1.37),
+    Schedule("inverse_time", c=3, beta=7),
+    Schedule("cosine", eta0=0.05, eta_min=0.0, t_max=8000),
+    Schedule("cosine", eta0=0.1, eta_min=0.01, t_max=12345),
+], ids=["constant", "inverse_time", "inverse_time_beta_1.37", "inverse_time_ints",
+        "cosine_to_zero", "cosine_clamped"])
+def test_lr_steps_are_bitwise_lr_at(schedule):
+    # an interval's step sizes equal lr_at's, step by step, over 20 000 steps
+    # taken at once and in windows that start inside the run
+    ref = np.array([lr_at(schedule, t) for t in range(20_000)])
+    assert lr_steps(schedule, 0, 20_000).tobytes() == ref.tobytes()
+    for t, k in ((0, 1), (1, 100), (7_999, 3), (12_340, 2_000), (19_999, 1)):
+        rates = lr_steps(schedule, t, k)
+        assert rates.dtype == np.float64 and rates.tobytes() == ref[t:t + k].tobytes()
+    with pytest.raises(InvalidArgumentError):
+        lr_steps(schedule, -1, 3)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -684,6 +714,49 @@ def test_train_binds_its_step_once(monkeypatch):
         "_layer_views": 2, "_check_inputs": 3, "_targets": 3}
 
 
+def test_a_stack_of_recorders_runs_one_snapshot_pass_per_snapshot_time(monkeypatch):
+    # the TrajectoryRecorders on their runs' own S share one stacked S-side
+    # pass per snapshot time, over the live stack, and each is still called
+    # once a snapshot with its row; each holdout pass stays the recorder's
+    # own, without norms. A recorder on another S (here a copy of its run's)
+    # makes its own pass, and plain callables trigger none
+    passes, calls = [], []
+    real_pass, real_call = models._snapshot_pass, TrajectoryRecorder.__call__
+
+    def counted_pass(spec, w, X, t, norms=True, **kwargs):
+        passes.append((len(w) if w.ndim == 2 else None, norms))
+        return real_pass(spec, w, X, t, norms, **kwargs)
+
+    def counted_call(self, *args, stats=None):
+        calls.append(stats is not None)
+        return real_call(self, *args, stats=stats)
+
+    monkeypatch.setattr(models, "_snapshot_pass", counted_pass)
+    monkeypatch.setattr(TrajectoryRecorder, "__call__", counted_call)
+    R, every, horizon = 4, 5, 20
+    times = horizon // every + 1
+    spec, runs = stack_runs("mlp", 12, 4, horizon, every, ["run"] * R, seed=5)
+    recs = [make_recorder() for *_, make_recorder in runs]
+    S3, w3, cfg3, make3 = runs[3]
+    recs[3] = make3(S=Dataset(S3.features.copy(), S3.labels))
+    outs = train([spec] * R, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
+                 [cfg for _, _, cfg, _ in runs], recs)
+    assert all(out.stopped_at == horizon for out in outs)
+    assert [p for p in passes if p[0] is not None] == [(R, True)] * times
+    assert sorted(p for p in passes if p[0] is None) == sorted(
+        [(None, False)] * (R * times) + [(None, True)] * times)
+    assert calls == [True, True, True, False] * times
+    # the recorder's own S pass gives the snapshots its stacked row would
+    alone = make3()
+    train(spec, w3, S3, None, cfg3, alone)
+    assert ([repr(dataclasses.astuple(snap)) for snap in recs[3].snapshots]
+            == [repr(dataclasses.astuple(snap)) for snap in alone.snapshots])
+    passes.clear()
+    train([spec] * R, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
+          [cfg for _, _, cfg, _ in runs], [lambda t, epoch, eta, w: None] * R)
+    assert passes == []
+
+
 # -- stacked runs ------------------------------------------------------------
 
 STACK_KINDS = ("linear", "mlp", "mlp2", "mlp_ce")
@@ -709,10 +782,10 @@ class FailingRecorder(TrajectoryRecorder):
         super().__init__(*args, **kwargs)
         self.fail_at = fail_at
 
-    def __call__(self, t, epoch, eta, w):
+    def __call__(self, t, epoch, eta, w, stats=None):
         if t == self.fail_at:
             raise NumericDomainError(f"recorder fault at step {t}")
-        return super().__call__(t, epoch, eta, w)
+        return super().__call__(t, epoch, eta, w, stats)
 
 
 def stack_runs(kind, n, b, max_steps, every, fates, seed):
@@ -859,6 +932,36 @@ def test_stack_reports_a_row_that_crosses_the_cap_then_overflows_mid_interval():
     assert outs[0].stopped_at == outs[2].stopped_at == 2 * every
 
 
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_a_run_whose_forward_pass_overflows_fails_alone_in_the_stack(kind):
+    # run 1's sample 2 holds 1e308 in every feature, and its forward value
+    # overflows to inf at the first snapshot: the linear weights are ones;
+    # an MLP's tiny first layer and unit middle layers pass the other
+    # samples on as near 0 but saturate every hidden unit to 1 on sample 2,
+    # which the last layer's 1e308 weights sum past the largest float. That
+    # run fails with the error and message of training it alone and of its
+    # unstacked pass, the other runs stay bitwise their solo runs, and no
+    # RuntimeWarning escapes the stacked pass
+    spec, runs = stack_runs(kind, 12, 4, 20, 5, ["run", "run", "run"], seed=11)
+    S, w0, cfg, make_recorder = runs[1]
+    X = S.features.copy()
+    X[2] = 1e308
+    bad, w0 = Dataset(X, S.labels), np.ones_like(w0)
+    layers = unflatten(spec, w0)
+    for l, (mat, bias) in enumerate(layers):
+        mat *= 1e308 if l == len(layers) - 1 else 1e-300 if l == 0 else 20.0
+        bias[:] = 0.0
+    runs[1] = (bad, w0, cfg, lambda: make_recorder(S=bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = assert_stack_matches_solo_runs(spec, runs)
+        with pytest.raises(NumericDomainError) as unstacked:
+            loss_grad_stats(spec, w0, bad)
+    assert isinstance(outs[1], NumericDomainError)
+    assert str(outs[1]) == str(unstacked.value) == "non-finite forward value at sample 2"
+    assert outs[0].stopped_at == outs[2].stopped_at == 20
+
+
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monkeypatch):
     # 23-step intervals of batch 3 over blocks of 12 rows, 4 steps: the final
@@ -869,7 +972,7 @@ def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monke
     real_bind = optim.bind_step_kernel
 
     def bind(*args):
-        W, gather, update = real_bind(*args)
+        W, gather, update, snapshot = real_bind(*args)
 
         def counted(batches):
             xs, ts = gather(batches)
@@ -877,7 +980,7 @@ def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monke
             gathered.append(len(xs))
             return xs, ts
 
-        return W, counted, update
+        return W, counted, update, snapshot
 
     monkeypatch.setattr(optim, "bind_step_kernel", bind)
     spec, runs = stack_runs(kind, 12, 3, 50, 23, ["run", "run"], seed=8)

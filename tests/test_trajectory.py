@@ -495,19 +495,33 @@ def test_recorder_never_forms_the_per_sample_gradient_matrix(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_recorder_computes_no_per_sample_norms_on_the_holdout(kind, monkeypatch):
     # the recorder keeps S's per-sample norms for the trace and discards
-    # S''s, so the backward pass on S' must not compute them
-    calls = []
-    real = models._mean_grad
+    # S''s, so the backward pass on S' must not compute them. The S pass
+    # runs on the step kernel's stacked copy of S's features, so each
+    # backward pass inside a snapshot pass is matched by the features'
+    # values; the steps' backward passes, outside any, are not counted
+    calls, features = [], []
+    real_pass, real_grad = models._snapshot_pass, models._mean_grad
 
-    def spy(spec, layers, hs, g, sq_norms=None, out=None):
-        calls.append((hs[0], sq_norms))
-        return real(spec, layers, hs, g, sq_norms, out=out)
+    def pass_spy(spec, w, X, *args, **kwargs):
+        features.append(X)
+        try:
+            return real_pass(spec, w, X, *args, **kwargs)
+        finally:
+            features.pop()
 
-    monkeypatch.setattr(models, "_mean_grad", spy)
+    def grad_spy(spec, layers, hs, g, sq_norms=None, out=None):
+        if features:
+            calls.append((features[-1], sq_norms))
+        return real_grad(spec, layers, hs, g, sq_norms, out=out)
+
+    monkeypatch.setattr(models, "_snapshot_pass", pass_spy)
+    monkeypatch.setattr(models, "_mean_grad", grad_spy)
     _, S, Sp, rec, _ = per_step_run(kind=kind)
-    on_S = [sq for X, sq in calls if X is S.features]
+    on_S = [sq for X, sq in calls
+            if X.shape[-2:] == S.features.shape and (X == S.features).all()]
     on_Sp = [sq for X, sq in calls if X is Sp.features]
     assert len(on_S) == len(on_Sp) == len(rec.snapshots)
+    assert len(calls) == 2 * len(rec.snapshots)
     assert all(sq is not None for sq in on_S)
     assert all(sq is None for sq in on_Sp)
 
