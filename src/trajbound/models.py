@@ -51,10 +51,13 @@ it skips the norms, which the recorder does on the holdout S', whose norms
 it never reads. It takes a leading stack axis or none, like the step:
 the kernel's snapshot() runs it once on the bound stack (features,
 targets, layer views and gradient buffer, with no second (R, n, d) copy),
-and loss_grad_stats is its unstacked call, so row r of the stacked pass
-is bitwise loss_grad_stats on run r. The pass runs with numpy's overflow
-and invalid warnings off and checks nothing, so a non-finite row runs on
-without touching the others; checked_stats turns one run's row into
+which optim.train does at every snapshot time for every recorder, and
+loss_grad_stats is its unstacked call (a recorder called directly, the
+holdout S'), so row r of the stacked pass is bitwise loss_grad_stats on
+run r. The pass runs with numpy's overflow and invalid warnings off and
+checks nothing, so a non-finite row runs on without touching the others
+(a run that diverged in the last interval included, whose row train
+drops); checked_stats turns one run's row into
 loss_grad_stats' result, or its NumericDomainError naming the first
 non-finite sample. The step, grad_mean_xy and the snapshot pass all run
 _forward and the one backward pass of _mean_grad, which contract each

@@ -12,20 +12,19 @@ every run at once (models.bind_step_kernel's gather, in blocks of at most
 BATCH_BLOCK_ROWS sample rows a run), and every step of the stack is one
 update of the kernel, whose row r is bitwise run r's own step. The norm
 guard runs once per interval, on every row's norm after every step: a row
-that failed it is reported at its first failing step and leaves the stack,
-while its later steps in the interval run on, with numpy's overflow and
-invalid warnings off, without touching the other rows. Each run keeps its
-own batch stream, schedule, recorder, early stop and divergence state; a
-run that stops, diverges or fails numerically leaves the stack, which is
-rebound on the others at the snapshot. At each snapshot time the S-side
-snapshot statistics run once for the live stack, through the kernel's
-snapshot pass, when some live run's recorder is a TrajectoryRecorder on
-that run's own S and spec; each recorder is still called once, and such
-a recorder gets its row (a plain callable gets none and triggers no
-pass). Each interval's step sizes are one lr_steps call a run, bitwise
-lr_at step by step. step is one update of the same kernel on a copy of
-the w it is given. A run's result keeps its step sizes, one float64
-array, and its batch size, not a per-step log.
+that failed it is reported at its first failing step, while its later
+steps in the interval run on, with numpy's overflow and invalid warnings
+off, without touching the other rows. Each run keeps its own batch
+stream, schedule, recorder, early stop and divergence state. At each
+snapshot time the kernel's snapshot pass runs once for the live stack,
+and every recorder is called once with its run's row of it. Runs leave
+the stack there and nowhere else: those that stopped, whose recorder
+failed numerically, or that diverged in the interval just run (whose rows
+are dropped unrecorded), and the stack is rebound on the others. Each
+interval's step sizes are one lr_steps call a run, bitwise lr_at step by
+step. step is one update of the same kernel on a copy of the w it is
+given. A run's result keeps its step sizes, one float64 array, and its
+batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
 private batch stream in blocks of whole snapshot intervals, about
@@ -95,7 +94,7 @@ class Schedule:
         elif self.kind == "cosine":
             if not (self.eta0 > 0 and math.isfinite(self.eta0)):
                 raise InvalidArgumentError(f"cosine schedule needs eta0 > 0, got {self.eta0}")
-            if self.eta_min < 0 or self.eta_min > self.eta0:
+            if not 0.0 <= self.eta_min <= self.eta0:
                 raise InvalidArgumentError(
                     f"cosine needs 0 <= eta_min <= eta0, got eta_min={self.eta_min}"
                 )
@@ -134,6 +133,8 @@ def lr_steps(schedule: Schedule, t: int, k: int) -> np.ndarray:
     """
     if t < 0:
         raise InvalidArgumentError(f"step index must be >= 0, got {t}")
+    if k < 0:
+        raise InvalidArgumentError(f"need k >= 0 steps, got {k}")
     if schedule.kind == "constant":
         return np.full(k, schedule.eta0, dtype=np.float64)
     if schedule.kind == "inverse_time":
@@ -336,16 +337,17 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     training set and cfg its OptimConfig; the result is its TrainResult and
     a failure raises. At each snapshot step t (0, every snapshot_every-th
     step and max_steps) the recorder is called as recorder(t, epoch, eta_t,
-    w) and returns the snapshot it recorded; a TrajectoryRecorder on the
-    run's own S and spec is called with stats=, its row of the stacked
-    S-side snapshot pass, as well. The run ends there when
-    t == max_steps or the snapshot's F_S is below stop_train_loss; otherwise
-    it runs the next interval's min(snapshot_every, max_steps - t) steps,
-    so the last call is at the returned weights. The steps take their rows
-    in order from the run's private batch stream, drawn in draw_batches
-    blocks of whole intervals (_interval_batches); rows drawn past an early
-    stop are dropped with the stream, so they change no output, and a stop
-    at t = 0 draws nothing. w is a row of the live weight stack, which later
+    w, stats=row), row being the run's (F, grad, sq_norms, finite) of the
+    kernel's snapshot pass on S, run once for the stack, and returns the
+    snapshot it recorded; a plain callable must accept stats and may ignore
+    it. The run ends there when t == max_steps or the snapshot's F_S is
+    below stop_train_loss; otherwise it runs the next interval's
+    min(snapshot_every, max_steps - t) steps, so the last call is at the
+    returned weights. The steps take their rows in order from the run's
+    private batch stream, drawn in draw_batches blocks of whole intervals
+    (_interval_batches); rows drawn past an early stop are dropped with the
+    stream, so they change no output, and a stop at t = 0 draws nothing.
+    w is a row of the live weight stack, which later
     steps overwrite: a recorder that keeps it must copy it, as
     TrajectoryRecorder does. w0 is never written. S_prime is read only by
     the default recorder (None gives it no holdout).
@@ -356,8 +358,9 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     max_steps and snapshot_every (InvalidArgumentError otherwise); seeds,
     schedules, early stops and data differ freely. The result is a list
     with, for each run, its TrainResult, or the DivergedError of its norm
-    guard or the NumericDomainError of its recorder, which took it out of
-    the stack. Each run's snapshots, step sizes and final weights are
+    guard or the NumericDomainError of its recorder. A run leaves the stack
+    only at a snapshot time; one that diverged leaves at the next, without
+    a recorder call. Each run's snapshots, step sizes and final weights are
     bitwise those of training it alone.
     """
     if isinstance(spec, ModelSpec):
@@ -394,29 +397,18 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
     snapshots = [[] for _ in range(R)]
     etas = [[] for _ in range(R)]
     outcomes: list = [None] * R
-    # the runs whose recorder takes its S-side row of the stacked snapshot pass
-    shared = [isinstance(rec, TrajectoryRecorder) and rec.S is S and rec.spec == spec
-              for rec, S in zip(recorders, Ss)]
     live = list(range(R))  # the stacked runs, row i of W being run live[i]
     W, gather, update, snapshot = bind_step_kernel(spec, w0s, Ss)
-
-    def narrow(keep):
-        """Keep the rows at positions keep, rebinding the kernel on them."""
-        nonlocal live, W, gather, update, snapshot
-        live = [live[i] for i in keep]
-        if live:
-            W, gather, update, snapshot = bind_step_kernel(spec, W[keep],
-                                                           [Ss[r] for r in live])
-
     t = 0
     while True:
-        stats = snapshot() if any(shared[r] for r in live) else None
+        stats = snapshot()
         keep = []
         for i, r in enumerate(live):
-            row = {"stats": tuple(a[i] for a in stats)} if shared[r] else {}
+            if outcomes[r] is not None:  # diverged in the interval just run
+                continue
             try:
                 snap = recorders[r](t, t // steps_per_epoch, lr_at(cfgs[r].schedule, t), W[i],
-                                    **row)
+                                    stats=tuple(a[i] for a in stats))
             except NumericDomainError as exc:
                 outcomes[r] = exc
                 continue
@@ -428,26 +420,20 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
             else:
                 keep.append(i)
         if len(keep) < len(live):
-            narrow(keep)
+            live = [live[i] for i in keep]
             if not live:
                 return outcomes
+            W, gather, update, snapshot = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
         k = min(every, horizon - t)
         batches = np.stack([next(streams[r]) for r in live], axis=1)  # (k, R, b)
         rates = np.stack([lr_steps(cfgs[r].schedule, t, k) for r in live])
         norms = _run_interval(gather, update, batches, rates.T)
         failed = ~(norms <= PARAM_NORM_CAP)  # (k, R); a NaN norm fails too
-        keep = list(range(len(live)))
-        if failed.any():
-            keep = []
-            for i, column in enumerate(failed.T):
-                if column.any():
-                    j = int(np.argmax(column))  # the row's first failing step
-                    outcomes[live[i]] = DivergedError(t + j, float(norms[j, i]))
-                else:
-                    keep.append(i)
-            narrow(keep)
-            if not live:
-                return outcomes
-        for i, r in zip(keep, live):
-            etas[r].append(rates[i])
+        diverged = failed.any(axis=0)
+        for i, r in enumerate(live):
+            if diverged[i]:
+                j = int(np.argmax(failed[:, i]))  # the row's first failing step
+                outcomes[r] = DivergedError(t + j, float(norms[j, i]))
+            else:
+                etas[r].append(rates[i])
         t += k

@@ -5,13 +5,14 @@ full-set loss and gradient norms on the training set S and holdout S', the
 per-sample gradient covariance trace, the cumulative complexity term, the
 train/holdout gradient-norm ratio, and relative-progress diagnostics. Each
 snapshot's loss, mean gradient and per-sample squared gradient norms come
-from one snapshot pass on S: during training, the recorder's row of the
-pass optim.train runs once per snapshot time for the whole stack (the
-stats argument), and otherwise its own models.loss_grad_stats call, the
-unstacked pass, bitwise the same. The loss and mean gradient on S' come
-from the recorder's own call that skips the norms; the recorder never
-forms the (n, P) per-sample gradient matrix. A recorder built without a holdout
-(S' = None) makes only the S call and leaves every S' statistic None; the
+from one snapshot pass on S: during training, the row of the pass
+optim.train runs once per snapshot time for the whole stack (the stats
+argument), which every recorder gets; only a direct call without stats
+makes its own models.loss_grad_stats call, the unstacked pass, bitwise
+the same. The loss and mean gradient on S' come from the recorder's own
+call that skips the norms; the recorder never forms the (n, P)
+per-sample gradient matrix. A recorder built without a holdout (S' =
+None) makes no S' call and leaves every S' statistic None; the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
@@ -351,8 +352,8 @@ def gen_decomposition(snapshots, weights, grads_S, grads_Sp
 class TrajectoryRecorder:
     """Computes and stores one TrajectorySnapshot per recorded step.
 
-    The training loop calls the recorder with (t, epoch, eta_t, w); the
-    recorder owns the cumulative complexity state, keeps a copy of each
+    The training loop calls the recorder with (t, epoch, eta_t, w, stats);
+    the recorder owns the cumulative complexity state, keeps a copy of each
     snapshot's weights and its gradients on S and S' (weights, grads_S,
     grads_Sprime) for downstream estimators, and collects flags for
     degenerate situations instead of failing mid-run.
@@ -362,12 +363,14 @@ class TrajectoryRecorder:
     holdout, and no history is kept (weights, grads_S and grads_Sprime stay
     empty), since every reader of it needs the holdout too.
 
-    stats, when given, is this recorder's row (F, grad, sq_norms, finite)
-    of a snapshot pass on S at w, which optim.train hands in from its
-    stacked pass in place of the recorder's own loss_grad_stats call on S:
-    a False finite flag raises that call's NumericDomainError, and the
-    snapshot is bitwise the one the call would give. The row's gradient
-    may view a buffer the next step reuses, so grads_S keeps a copy.
+    stats, when given, is the row (F, grad, sq_norms, finite) of a snapshot
+    pass at w, which optim.train always hands in from its stacked pass on
+    the run's own training set; without it the recorder makes its own
+    loss_grad_stats call on S. A False finite flag raises that call's
+    NumericDomainError, and the snapshot is bitwise the one the call would
+    give. The complexity's n is the row's sample count, so under train the
+    S-side series are those of the run trained. The row's gradient may view
+    a buffer the next step reuses, so grads_S keeps a copy.
 
     rp_mode: None records no relative-progress columns; "step" applies the
     exact one-step ratios of rp_trp_gd (consecutive snapshots must be one
@@ -414,7 +417,7 @@ class TrajectoryRecorder:
         if self.snapshots:
             prev = self.snapshots[-1]
             self._c_cum = complexity_update(self._c_cum, prev.F_S, f_s, trace,
-                                            norm_s, self.S.n, self.flags)
+                                            norm_s, len(sq_norms), self.flags)
         rp = trp = None
         if self.rp_mode is not None and self.snapshots:
             if t - prev.t != 1:

@@ -94,14 +94,17 @@ def test_lr_at_rejects_negative_step():
         "cosine_to_zero", "cosine_clamped"])
 def test_lr_steps_are_bitwise_lr_at(schedule):
     # an interval's step sizes equal lr_at's, step by step, over 20 000 steps
-    # taken at once and in windows that start inside the run
+    # taken at once and in windows that start inside the run, an empty one
+    # included; a negative step or step count is rejected for every kind
     ref = np.array([lr_at(schedule, t) for t in range(20_000)])
     assert lr_steps(schedule, 0, 20_000).tobytes() == ref.tobytes()
-    for t, k in ((0, 1), (1, 100), (7_999, 3), (12_340, 2_000), (19_999, 1)):
+    for t, k in ((0, 1), (1, 100), (3, 0), (7_999, 3), (12_340, 2_000), (19_999, 1)):
         rates = lr_steps(schedule, t, k)
         assert rates.dtype == np.float64 and rates.tobytes() == ref[t:t + k].tobytes()
     with pytest.raises(InvalidArgumentError):
         lr_steps(schedule, -1, 3)
+    with pytest.raises(InvalidArgumentError, match="k >= 0"):
+        lr_steps(schedule, 0, -1)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -111,6 +114,7 @@ def test_lr_steps_are_bitwise_lr_at(schedule):
     dict(kind="inverse_time", c=1.0, beta=-1.0),
     dict(kind="cosine", eta0=0.1, eta_min=0.2),
     dict(kind="cosine", eta0=0.1, eta_min=-0.1),
+    dict(kind="cosine", eta0=0.1, eta_min=float("nan")),
     dict(kind="cosine", eta0=0.1, t_max=0),
     dict(kind="warmup"),
 ])
@@ -521,7 +525,7 @@ def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
 
     cfg = dataclasses.replace(cfg, stop_train_loss=0.5)
     res = train(spec, w0, S, None, cfg,
-                lambda t, epoch, eta, w: SimpleNamespace(F_S=0.0 if t == 12 else 1.0))
+                lambda t, epoch, eta, w, stats: SimpleNamespace(F_S=0.0 if t == 12 else 1.0))
     assert res.stopped_at == 12 and drawn == [8, 8]
 
 
@@ -665,7 +669,7 @@ def test_mlp_training_diverges_at_the_step_a_step_replay_does(fault):
                       max_steps=200, snapshot_every=2, seed=4)
     stored = {}
 
-    def recorder(t, epoch, eta, w):
+    def recorder(t, epoch, eta, w, stats):
         stored[t] = w.copy()
 
     with np.errstate(all="ignore"):
@@ -700,10 +704,10 @@ def test_train_binds_its_step_once(monkeypatch):
         cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=max_steps,
                           snapshot_every=max_steps)
         if runs == 1:
-            train(spec, w0, S, None, cfg, lambda t, epoch, eta, w: None)
+            train(spec, w0, S, None, cfg, lambda t, epoch, eta, w, stats: None)
         else:
             train([spec] * runs, [w0] * runs, [S] * runs, None, [cfg] * runs,
-                  [lambda t, epoch, eta, w: None] * runs)
+                  [lambda t, epoch, eta, w, stats: None] * runs)
         return dict(counts)
 
     # two sets of views: the weights' and the gradient buffer's
@@ -715,11 +719,11 @@ def test_train_binds_its_step_once(monkeypatch):
 
 
 def test_a_stack_of_recorders_runs_one_snapshot_pass_per_snapshot_time(monkeypatch):
-    # the TrajectoryRecorders on their runs' own S share one stacked S-side
-    # pass per snapshot time, over the live stack, and each is still called
-    # once a snapshot with its row; each holdout pass stays the recorder's
-    # own, without norms. A recorder on another S (here a copy of its run's)
-    # makes its own pass, and plain callables trigger none
+    # whatever the recorders (TrajectoryRecorders with and without a holdout,
+    # plain callables), train runs one stacked S-side pass per snapshot time
+    # over the live stack and no unstacked S pass; each holdout recorder
+    # makes one holdout pass a snapshot, without norms; and every recorder
+    # is called once a snapshot, with its row. Run 1 stops at t = 0
     passes, calls = [], []
     real_pass, real_call = models._snapshot_pass, TrajectoryRecorder.__call__
 
@@ -727,34 +731,42 @@ def test_a_stack_of_recorders_runs_one_snapshot_pass_per_snapshot_time(monkeypat
         passes.append((len(w) if w.ndim == 2 else None, norms))
         return real_pass(spec, w, X, t, norms, **kwargs)
 
-    def counted_call(self, *args, stats=None):
-        calls.append(stats is not None)
-        return real_call(self, *args, stats=stats)
+    def counted_call(self, t, *args, stats=None):
+        calls.append((recs.index(self), t, stats is not None))
+        return real_call(self, t, *args, stats=stats)
+
+    def plain(t, epoch, eta, w, stats):
+        calls.append((3, t, stats is not None))
+        return SimpleNamespace(F_S=float(stats[0]))
 
     monkeypatch.setattr(models, "_snapshot_pass", counted_pass)
     monkeypatch.setattr(TrajectoryRecorder, "__call__", counted_call)
     R, every, horizon = 4, 5, 20
-    times = horizon // every + 1
-    spec, runs = stack_runs("mlp", 12, 4, horizon, every, ["run"] * R, seed=5)
-    recs = [make_recorder() for *_, make_recorder in runs]
-    S3, w3, cfg3, make3 = runs[3]
-    recs[3] = make3(S=Dataset(S3.features.copy(), S3.labels))
+    times = range(0, horizon + 1, every)
+    spec, runs = stack_runs("mlp", 12, 4, horizon, every, ["run", "stop0", "run", "run"],
+                            seed=5)
+    recs = [make_recorder() for *_, make_recorder in runs[:2]]
+    recs += [runs[2][3](Sp=None), plain]
     outs = train([spec] * R, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
                  [cfg for _, _, cfg, _ in runs], recs)
-    assert all(out.stopped_at == horizon for out in outs)
-    assert [p for p in passes if p[0] is not None] == [(R, True)] * times
-    assert sorted(p for p in passes if p[0] is None) == sorted(
-        [(None, False)] * (R * times) + [(None, True)] * times)
-    assert calls == [True, True, True, False] * times
-    # the recorder's own S pass gives the snapshots its stacked row would
-    alone = make3()
-    train(spec, w3, S3, None, cfg3, alone)
-    assert ([repr(dataclasses.astuple(snap)) for snap in recs[3].snapshots]
-            == [repr(dataclasses.astuple(snap)) for snap in alone.snapshots])
-    passes.clear()
-    train([spec] * R, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
-          [cfg for _, _, cfg, _ in runs], [lambda t, epoch, eta, w: None] * R)
-    assert passes == []
+    assert [out.stopped_at for out in outs] == [horizon, 0, horizon, horizon]
+    assert [p for p in passes if p[0] is not None] == (
+        [(R, True)] + [(R - 1, True)] * (len(times) - 1))
+    assert [p for p in passes if p[0] is None] == [(None, False)] * (len(times) + 1)
+    assert calls == [(r, t, True) for t in times for r in range(R) if r != 1 or t == 0]
+
+
+def test_a_recorder_under_train_records_the_run_it_is_handed():
+    # the S-side series, the complexity's n included, come from the row of
+    # the run trained, not from the recorder's own S
+    spec, w0, S, Sp = toy_parts(n=20)
+    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=12, snapshot_every=4)
+    own = TrajectoryRecorder(spec, S, Sp)
+    other = TrajectoryRecorder(spec, Dataset(S.features[:7], S.labels[:7]), Sp)
+    train(spec, w0, S, None, cfg, own)
+    train(spec, w0, S, None, cfg, other)
+    assert ([repr(dataclasses.astuple(snap)) for snap in other.snapshots]
+            == [repr(dataclasses.astuple(snap)) for snap in own.snapshots])
 
 
 # -- stacked runs ------------------------------------------------------------
@@ -988,7 +1000,7 @@ def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monke
     for every in (23, 3):
         outs = train([spec] * 2, [w0 for _, w0, *_ in runs], [S for S, *_ in runs], None,
                      [dataclasses.replace(cfg, snapshot_every=every) for *_, cfg, _ in runs],
-                     [lambda t, epoch, eta, w: SimpleNamespace(F_S=1.0)] * 2)
+                     [lambda t, epoch, eta, w, stats: SimpleNamespace(F_S=1.0)] * 2)
         finals[every] = [out.w_final.tobytes() for out in outs]
         if every == 23:
             assert gathered == [4, 4, 4, 4, 4, 3] * 2 + [4]
@@ -1009,7 +1021,7 @@ def test_stack_rejects_runs_of_another_shape(field, change):
     cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=10, snapshot_every=5)
     run = {"spec": spec, "w0": w0, "S": S, "cfg": cfg}
     other = {**run, **change(run)}
-    rec = lambda t, epoch, eta, w: None  # noqa: E731
+    rec = lambda t, epoch, eta, w, stats: None  # noqa: E731
     with pytest.raises(InvalidArgumentError, match=field):
         train([run["spec"], other["spec"]], [w0, w0], [run["S"], other["S"]], None,
               [run["cfg"], other["cfg"]], [rec, rec])
@@ -1018,7 +1030,7 @@ def test_stack_rejects_runs_of_another_shape(field, change):
 def test_stack_rejects_ragged_or_holdout_arguments():
     spec, w0, S, Sp = toy_parts()
     cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=4)
-    rec = lambda t, epoch, eta, w: None  # noqa: E731
+    rec = lambda t, epoch, eta, w, stats: None  # noqa: E731
     with pytest.raises(InvalidArgumentError, match="one entry per run"):
         train([spec, spec], [w0, w0], [S], None, [cfg, cfg], [rec, rec])
     with pytest.raises(InvalidArgumentError, match="one entry per run"):

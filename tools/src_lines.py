@@ -2,8 +2,9 @@
 
     python3 tools/src_lines.py
 
-Counts every .py file under src/. The first figure is the physical line
-count. The second counts only lines that hold code: blank lines, comment
+Counts every .py file under src/ and prints the two totals, then each
+module's two figures, one module a line. The first figure is the physical
+line count. The second counts only lines that hold code: blank lines, comment
 lines and the lines of module, class and function docstrings are left out.
 A line is code when a token other than a comment starts, ends or continues
 on it; a string literal that is not a docstring counts on every line it
@@ -45,13 +46,13 @@ def count(text: str) -> tuple[int, int]:
 
 
 def main() -> None:
-    total = code = 0
-    for path in sorted(SRC.rglob("*.py")):
-        lines, code_lines = count(path.read_text(encoding="utf-8"))
-        total += lines
-        code += code_lines
-    print(f"src/ lines: {total}")
-    print(f"code lines (no docstrings, comments or blank lines): {code}")
+    counts = {path.relative_to(SRC).as_posix(): count(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.rglob("*.py"))}
+    print(f"src/ lines: {sum(lines for lines, _ in counts.values())}")
+    print("code lines (no docstrings, comments or blank lines): "
+          f"{sum(code for _, code in counts.values())}")
+    for name, (lines, code) in counts.items():
+        print(f"{name}: {lines} lines, {code} code lines")
 
 
 if __name__ == "__main__":
