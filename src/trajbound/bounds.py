@@ -17,8 +17,16 @@ Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
 complexity C, the ratio gamma_tilde) are recorded by
 trajectory.TrajectoryRecorder. estimate_constants is the only place the
 constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
-drift are formed. top_hessian_eig is the one smoothness estimator; it gives
-estimate_constants its beta_hat and assemble_run the schedule's beta.
+drift are formed. It runs the snapshots in blocks of SNAPSHOT_BLOCK, with
+one wide sign-row product per sign matrix and block
+(trajectory.bind_subset_norms). top_hessian_eig is the one smoothness
+estimator; it gives estimate_constants its beta_hat and assemble_run the
+schedule's beta.
+
+The aggregates the bound reports sum over steps or snapshots (sum_eta,
+sum_eta_sq, sum_inv4_ratio, tail_delta_sum) go through _sequential_sum,
+one rounded addition at a time, so a report's bytes do not depend on the
+Python version.
 """
 
 from __future__ import annotations
@@ -103,10 +111,11 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
 
 K_BATCHES = 64
 BETA_SNAPSHOTS = 16
-# Snapshots per block of estimate_constants' stacked pass. Its products are
-# (SNAPSHOT_BLOCK, k, P) per sign matrix: at toy_table's shape (k = 1024,
-# P = 20) a block of 4 is 0.66 MB, where stacking all 201 snapshots would
-# hold about 33 MB.
+# Snapshots per block of estimate_constants' pass. Each sign matrix runs one
+# (k, n) @ (n, SNAPSHOT_BLOCK*P) product per block, whose result is 0.66 MB
+# at toy_table's shape (k = 1024, P = 20) and a block of 4.
+# A block of 8 (160 columns) holds 1.3 MB: it ran the pass about 5% faster
+# but raised its peak memory by 0.4 MB; all 201 snapshots would hold 33 MB.
 SNAPSHOT_BLOCK = 4
 GAMMA_QUANTILE = 0.95
 
@@ -119,12 +128,16 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     The holdout enters only through the recorded snapshots. Per-sample
     gradients on S are computed once per snapshot and shared by the L, V,
     subset-amplification, and batch-moment estimators. The snapshots go
-    through in blocks of SNAPSHOT_BLOCK: each block stacks its (n, P)
-    matrices and runs trajectory.bind_subset_norms' sign-row products, the
-    row norms and the batch means on the whole stack, each slice bitwise
-    the per-snapshot computation, which keeps the memory at one block's
-    products. The V and gamma' sign matrices are drawn once and reused at
-    every snapshot (trajectory._sign_rows is cached). The batch moments
+    through in blocks of SNAPSHOT_BLOCK: each block places its (n, P)
+    matrices side by side in one (n, c, P) array, the one copy a block
+    makes, and runs trajectory.bind_subset_norms' one wide sign-row
+    product per sign matrix, the row norms, the batch means and the
+    maxima over the block as array operations, each snapshot's values
+    bitwise the per-snapshot computation (the gradient norm is the BLAS dot
+    np.linalg.norm takes). The memory stays at one block's products, and
+    the zero-gradient flags are appended in snapshot order. The V and
+    gamma' sign matrices are drawn once and reused at every snapshot
+    (trajectory._sign_rows is cached). The batch moments
     average K_BATCHES size-b subsets per snapshot, drawn for all snapshots
     at once by optim.draw_batches on the STREAM_MOMENT stream, the same
     helper the training loop draws its batches with; at b = n the one draw
@@ -172,31 +185,29 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     m4 = 0.0
     trivial_v = False
     for start in range(0, len(weights), SNAPSHOT_BLOCK):
-        Gs = np.stack([per_sample_grads(spec, w, S)
-                       for w in weights[start:start + SNAPSHOT_BLOCK]])  # (c, n, P)
+        wide = np.stack([per_sample_grads(spec, w, S)
+                         for w in weights[start:start + SNAPSHOT_BLOCK]], axis=1)
+        Gs = wide.transpose(1, 0, 2)  # (c, n, P) view of the (n, c, P) block
         c = len(Gs)
         gs = np.mean(Gs, axis=1)
+        gnorm = np.sqrt((gs[:, None, :] @ gs[:, :, None]).reshape(c))  # bitwise norm
         l_max = np.max(np.sqrt(np.einsum("tnp,tnp->tn", Gs, Gs)), axis=1)
-        d_hats, subset_max = subset_norms(Gs)
+        d_hats, subset_max = subset_norms(wide)
         idx = moment_idx[start * k:(start + c) * k].reshape(c, k, b)
         means = Gs[np.arange(c)[:, None, None], idx].mean(axis=2)  # (c, k, P) batch means
         sq = (means[..., None, :] @ means[..., :, None]).reshape(c, k)  # bitwise gb @ gb
-        m2_t, m4_t = np.mean(sq, axis=1), np.mean(sq * sq, axis=1)
-        for j, snap in enumerate(snapshots[start:start + c]):
-            gnorm = float(np.linalg.norm(gs[j]))
-            l_hat = max(l_hat, float(l_max[j]))
-            d_hat = float(d_hats[j])
-            if d_hat == 0.0:
-                trivial_v = True
-            else:
-                v_m = max(v_m, gnorm / d_hat)
-            if gnorm == 0.0:
-                flags.append(f"gamma-prime: zero gradient at step {snap.t} skipped")
-            else:
-                inner_subset = max(inner_subset, float(subset_max[j]) / (n * gnorm))
-                envelope = max(envelope, float(l_max[j]) / gnorm)
-            m2 = max(m2, float(m2_t[j]))
-            m4 = max(m4, float(m4_t[j]))
+        l_hat = float(np.max(l_max, initial=l_hat))
+        mixed = d_hats != 0.0
+        trivial_v = trivial_v or not mixed.all()
+        v_m = float(np.max(gnorm[mixed] / d_hats[mixed], initial=v_m))
+        live = gnorm != 0.0
+        flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
+                     for snap, z in zip(snapshots[start:start + c], live) if not z)
+        inner_subset = float(np.max(subset_max[live] / (n * gnorm[live]),
+                                    initial=inner_subset))
+        envelope = float(np.max(l_max[live] / gnorm[live], initial=envelope))
+        m2 = float(np.max(np.mean(sq, axis=1), initial=m2))
+        m4 = float(np.max(np.mean(sq * sq, axis=1), initial=m4))
     if trivial_v:
         flags.append("trivial-bound: sign-mixed gradient mean vanished at a snapshot")
         v_m = math.inf
@@ -240,6 +251,19 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
         gamma_prime_envelope=gamma_prime_env, gamma_early=gamma_early,
         flags=flags,
     )
+
+
+def _sequential_sum(values) -> float:
+    """0.0 + values[0] + values[1] + ..., rounded after every addition.
+
+    The bound aggregates are summed this way, not with the builtin sum(),
+    whose float summation is compensated from Python 3.12 on, so the same
+    run would give other last digits on another supported Python. An empty
+    sum and a lone -0.0 give 0.0. Overflow gives inf (and inf - inf nan)
+    silently, as the Python loop does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(np.append(0.0, values))[-1])
 
 
 def _eval_bound(method: str, est: ConstantEstimates, agg: dict[str, float]) -> float:
@@ -334,14 +358,17 @@ def bound_trajectory_smooth(est: ConstantEstimates, snapshots,
             f"smoothness {est.beta_hat}"
         )
 
-    inner = 0.0
+    terms = []
     beta_sq = est.beta_hat * est.beta_hat
     for left, right in zip(snapshots[:-1], snapshots[1:]):
         ratio = covariance_ratio(left.trace_sigma, left.grad_norm_S)
         if ratio is None:
             continue  # stationary mean with residual spread: no defined weight
-        for t in range(left.t, right.t):
-            inner += ratio / (est.n * beta_sq * (t + 1) ** 4)
+        # (t + 1)^2 is an exact float up to t + 1 = 9.4e7, so its square is
+        # (t + 1)^4 rounded once, as Python's int-to-float conversion rounds it
+        sq = np.arange(left.t + 1, right.t + 1, dtype=np.float64) ** 2
+        terms.append(ratio / (est.n * beta_sq * (sq * sq)))
+    inner = _sequential_sum(np.concatenate(terms)) if terms else 0.0
     agg = {"C_final": snapshots[-1].C_cum, "sum_inv4_ratio": inner, "c": schedule.c}
     return BoundReport(
         method="ours_smooth",
@@ -366,7 +393,7 @@ def bound_trajectory_relaxed(est: ConstantEstimates, snapshots) -> BoundReport:
         )
     if est.zeta < 0:
         raise InvalidArgumentError(f"zeta must be >= 0, got {est.zeta}")
-    tail = sum(s.delta_t for s in snapshots if s.t >= est.T0)
+    tail = _sequential_sum([s.delta_t for s in snapshots if s.t >= est.T0])
     agg = {"C_final": snapshots[-1].C_cum, "tail_delta_sum": tail}
     return BoundReport(
         method="ours_relaxed",
@@ -397,15 +424,15 @@ def bound_stability_baseline(kind: str, est: ConstantEstimates, etas,
     """
     if kind not in STABILITY_KINDS:
         raise InvalidArgumentError(f"unknown stability baseline {kind!r}")
-    etas = np.asarray(etas, dtype=np.float64).tolist()
+    etas = np.asarray(etas, dtype=np.float64)
     agg: dict[str, float] = {}
     notes = ""
     if kind == "hardt_convex":
-        agg["sum_eta"] = float(sum(etas))
+        agg["sum_eta"] = _sequential_sum(etas)
     elif kind == "bassily":
         head = etas[:-1]
-        agg["sum_eta"] = float(sum(head))
-        agg["sum_eta_sq"] = float(sum(e * e for e in head))
+        agg["sum_eta"] = _sequential_sum(head)
+        agg["sum_eta_sq"] = _sequential_sum(head * head)
     else:
         if schedule is None or schedule.kind != "inverse_time":
             raise InvalidArgumentError(

@@ -218,25 +218,30 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
 
 
 def _signed_sum_norms(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """||sum_i rows[j, i] grad_i|| for every row j: shape (..., k).
+    """||sum_i rows[j, i] grad_i|| for every row j: shape (k,) or (c, k).
 
     rows is a float64 (k, n) matrix of signs or {0, 1} memberships and G an
-    (n, P) per-sample gradient matrix or a (c, n, P) stack of them. numpy
-    runs the stacked matmul as one BLAS product per G[t], and the einsum
-    reduces each row alone, so slice t of a stacked call is bitwise the
-    call on G[t].
+    (n, P) per-sample gradient matrix, or an (n, c, P) block of c of them
+    side by side. A block runs as one (k, n) @ (n, c*P) BLAS product:
+    at toy_table's P = 20 a product of P columns runs well below GEMM's
+    speed, which needs wide panels. A column's sum is formed the same way
+    whatever the operand's width, and the einsum reduces each (row, matrix)
+    pair alone into a C-ordered (c, k) result, so row t of a block call is
+    bitwise the call on G[:, t] and its means run over contiguous rows.
     """
-    sums = rows @ G
-    return np.sqrt(np.einsum("...kp,...kp->...k", sums, sums))
+    sums = (rows @ G.reshape(len(G), -1)).reshape(len(rows), *G.shape[1:])
+    return np.sqrt(np.einsum("k...p,k...p->...k", sums, sums, order="C"))
 
 
 def bind_subset_norms(cfg: SubsetEstimatorConfig, n: int):
-    """The V and gamma' sign-row pass over a stack of snapshots: block(Gs).
+    """The V and gamma' sign-row pass over a block of snapshots: block(Gs).
 
-    block(Gs), for a (c, n, P) stack of per-sample gradient matrices,
-    returns two (c,) arrays: D_hat, bitwise signed_mean_norm_stats(G[t],
-    cfg)[0] (its standard error is not formed), and the largest subset-sum
-    norm, bitwise subset_ratio_max(G[t], cfg) times n ||mean G[t]||. Each
+    block(Gs), for an (n, c, P) block of c per-sample gradient matrices
+    side by side, returns two (c,) arrays: D_hat, bitwise
+    signed_mean_norm_stats(Gs[:, t], cfg)[0] (its standard error is not
+    formed), and the largest subset-sum norm, whose ratio to
+    n ||mean Gs[:, t]|| is bitwise subset_ratio_max(Gs[:, t], cfg). Each
+    sign matrix runs one wide product per block (_signed_sum_norms). Each
     block converts both int8 sign matrices in turn into one float64 (k, n)
     buffer bound here, so a conversion serves a block of snapshots and no
     second float64 copy is held.

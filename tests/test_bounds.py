@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajbound import bounds, trajectory
 from trajbound.bounds import (
@@ -32,6 +35,7 @@ from trajbound.trajectory import (
     SubsetEstimatorConfig,
     TrajectoryRecorder,
     TrajectorySnapshot,
+    covariance_ratio,
     replay_trajectory,
     signed_mean_norm_stats,
     subset_ratio_max,
@@ -204,6 +208,49 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
     expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, res.etas,
                                       res.batch_size, S, est)
     assert {key: getattr(c, key) for key in expected} == expected
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])  # P = 3, P = 21
+def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
+                                                                        monkeypatch):
+    S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=4))
+    spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
+    est = SubsetEstimatorConfig(k_samples=64, seed=4)
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(mode="sgd", batch_size=3, schedule=Schedule("constant", eta0=0.05),
+                      max_steps=2 * BLOCK, snapshot_every=1, seed=4)
+    res = train(spec, init_params(spec, RngStream(4, 5)), S, Sp, cfg, rec)
+    products, blocks = [], []
+    kernel, bind = trajectory._signed_sum_norms, bounds.bind_subset_norms
+
+    def counted(rows, G):
+        products.append(G.shape)
+        return kernel(rows, G)
+
+    def recording_bind(cfg, n):
+        block = bind(cfg, n)
+
+        def recorded(wide):
+            out = block(wide)
+            blocks.append((wide.copy(), *out))
+            return out
+        return recorded
+
+    monkeypatch.setattr(trajectory, "_signed_sum_norms", counted)
+    monkeypatch.setattr(bounds, "bind_subset_norms", recording_bind)
+    estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
+                       cfg=est)
+    monkeypatch.undo()
+    P = rec.weights[0].size
+    # one (k, n) @ (n, c P) product per sign matrix (V, gamma') and block
+    assert products == [(S.n, c, P) for c in (BLOCK, BLOCK, 1) for _ in range(2)]
+    for i, (wide, d_hats, subset_max) in enumerate(blocks):
+        for j in range(wide.shape[1]):
+            G = per_sample_grads(spec, rec.weights[i * BLOCK + j], S)
+            assert np.array_equal(wide[:, j], G)
+            assert d_hats[j] == signed_mean_norm_stats(G, est)[0]
+            denom = S.n * float(np.linalg.norm(np.mean(G, axis=0)))
+            assert subset_max[j] / denom == subset_ratio_max(G, est)
 
 
 def test_constants_pass_memory_stays_bounded_by_the_block():
@@ -420,6 +467,57 @@ def test_bassily_closed_form_drops_the_final_step():
     head_sq = 0.01 + 0.04
     assert rep.value == pytest.approx(2.0 * 4.0 * math.sqrt(head_sq)
                                       + 4.0 * 4.0 / 10.0 * head_sum)
+
+
+def test_aggregate_sums_round_after_every_term():
+    # Python 3.12's sum() compensates and gives 1.0000000000000002e16 here;
+    # rounding after every addition gives 1e16 on every Python version
+    rep = bound_stability_baseline("hardt_convex", consts(), [1e16, 1.0, 1.0])
+    assert rep.trajectory_aggregates["sum_eta"] == 1e16
+    ba = bound_stability_baseline("bassily", consts(), [1e16, 1.0, 1.0, 5.0])
+    assert ba.trajectory_aggregates == {"sum_eta": 1e16, "sum_eta_sq": 1e32}
+    snapshots = [snap(0), snap(1, eta=1e16), snap(2, eta=1.0), snap(3, eta=1.0)]
+    rel = bound_trajectory_relaxed(consts(T0=1), snapshots)
+    assert rel.trajectory_aggregates["tail_delta_sum"] == 1e16
+
+
+def test_smooth_sum_is_the_step_loop_bitwise_past_exact_fourth_powers():
+    # (t + 1)^4 passes 2^53 at t + 1 = 9 742 and int64 at t + 1 = 55 109;
+    # the middle interval has no defined ratio and is skipped
+    est = consts(n=7, beta_hat=2.0)
+    snapshots = [snap(9_700, gnorm=1.0, trace=0.3), snap(9_800, gnorm=0.0, trace=1.0),
+                 snap(55_000, gnorm=0.7, trace=0.1), snap(55_200)]
+    rep = bound_trajectory_smooth(est, snapshots, INVERSE_TIME)
+    inner = 0.0
+    for left, right in zip(snapshots[:-1], snapshots[1:]):
+        ratio = covariance_ratio(left.trace_sigma, left.grad_norm_S)
+        for t in range(left.t, right.t) if ratio is not None else ():
+            inner += ratio / (est.n * (est.beta_hat * est.beta_hat) * (t + 1) ** 4)
+    assert inner > 0.0
+    assert rep.trajectory_aggregates["sum_inv4_ratio"] == inner
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+@example([])
+@example([-0.0])
+@example([1e16, 1.0, 1.0])
+def test_sequential_sum_is_the_python_loop_bitwise(xs):
+    s = 0.0
+    for v in xs:
+        s += v
+    assert _bits(bounds._sequential_sum(xs)) == _bits(s)
+    assert _bits(bounds._sequential_sum(np.array(xs, dtype=np.float64))) == _bits(s)
+
+
+def test_sequential_sum_of_nothing_or_negative_zero_is_positive_zero():
+    # as the builtin sum() gives on Python 3.11
+    assert _bits(bounds._sequential_sum([])) == _bits(0.0)
+    assert _bits(bounds._sequential_sum([-0.0])) == _bits(0.0)
 
 
 def test_hardt_nonconvex_closed_form():

@@ -1,5 +1,6 @@
 """The repository's helper scripts."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -22,3 +23,62 @@ def test_src_lines_prints_both_counts():
     assert "trajbound/optim.py" in [name for name, _, _ in modules]
     assert sum(int(m_total) for _, m_total, _ in modules) == total
     assert sum(int(m_code) for _, _, m_code in modules) == code
+
+
+def _shipped_outputs(*args):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "shipped_outputs.py"),
+                           *map(str, args)], capture_output=True, text=True)
+
+
+def test_shipped_outputs_compares_every_csv_byte_for_byte(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree in (old, new):
+        (tree / "toy_table").mkdir(parents=True)
+        (tree / "toy_table" / "bounds.csv").write_bytes(b"seed,value\n0,0.25\n")
+        (tree / "eos" / "eos.csv").parent.mkdir()
+        (tree / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.5\n")
+        (tree / "eos" / "meta.json").write_text(str(tree))  # not a CSV: not compared
+    same = _shipped_outputs(new, "--against", old)
+    assert same.returncode == 0, same.stdout
+    assert same.stdout == "2 CSV files identical\n"
+
+    (new / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.6\n")
+    changed = _shipped_outputs(new, "--against", old)
+    assert changed.returncode == 1
+    assert changed.stdout == "differs: eos/eos.csv\n"
+
+    (new / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.5\n")
+    (new / "toy_table" / "bounds.csv").unlink()
+    missing = _shipped_outputs(new, "--against", old)
+    assert missing.returncode == 1
+    assert missing.stdout == f"missing from {new}: toy_table/bounds.csv\n"
+
+    empty = _shipped_outputs(tmp_path / "a", "--against", tmp_path / "b")
+    assert empty.returncode == 1
+
+
+def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "shipped_outputs", os.path.join(ROOT, "tools", "shipped_outputs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = []
+    codes = {}
+
+    def fake_run(cmd, env, stdout):
+        calls.append((cmd, env["OPENBLAS_NUM_THREADS"]))
+        return subprocess.CompletedProcess(cmd, codes.get(len(calls), 0))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.main([str(tmp_path)]) == 0
+    names = sorted(f[:-4] for f in os.listdir(os.path.join(ROOT, "configs"))
+                   if f.endswith(".cfg"))
+    assert [cmd[3] for cmd, _ in calls] == names
+    for cmd, threads in calls:
+        assert cmd[1:3] == ["-m", "trajbound.cli"] and threads == "1"
+        assert cmd[-2:] == ["--out", str(tmp_path / cmd[3])]
+
+    calls.clear()
+    codes[2] = 3  # the second command diverges: the run stops with its code
+    assert tool.main([str(tmp_path)]) == 3
+    assert len(calls) == 2
