@@ -151,7 +151,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
     snapshots = list(snapshots)
-    etas = np.asarray(etas, dtype=np.float64).tolist()
+    etas = np.asarray(etas, dtype=np.float64)
     if not snapshots:
         raise InvalidArgumentError("constant estimation needs a non-empty trajectory")
     if any(s.F_Sprime is None for s in snapshots):
@@ -171,7 +171,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     flags: list[str] = []
     T = len(etas)
     b = batch_size
-    if not etas:
+    if T == 0:
         flags.append("no-steps: eta_m defaulted")
 
     k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
@@ -243,7 +243,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
     beta_hat = max(0.0, top_hessian_eig(spec, S, [weights[i] for i in pick]))
 
-    eta_m = max(etas, default=0.0)
+    eta_m = float(etas.max()) if T else 0.0
     return ConstantEstimates(
         L_hat=l_hat, beta_hat=beta_hat, M2_sq=m2, M4_fourth=m4,
         gamma=gamma, gamma_prime=gamma_prime, V_m=v_m, eta_m=eta_m,

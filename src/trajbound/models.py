@@ -36,13 +36,17 @@ per stack, a copy W of the (R, P) initial weights, its layer views (each
 with a leading R axis), the stacked features (R, n, d), each run's checked
 targets and one (R, P) gradient buffer with its views. Its gather takes a
 block of steps' batch rows for every run with one fancy index, step-major,
-so each step's operands are one C-contiguous slice; each update runs the
-forward pass and the backward pass on one step's slice with stacked
-matmuls, sets W <- W - eta * grad in place and writes each row's squared
-norm into a slot the caller gives, so the caller checks a whole block of
-steps at once. Numpy runs a stacked matmul as one BLAS call per run, so
-row r is bitwise grad_mean_xy's out-of-place step for run r whatever the
-other rows hold, and one run is the stack R = 1.
+so each step's operands are one C-contiguous slice, and its run takes the
+whole gathered block in one call: for each step it runs the forward and
+the backward pass on that step's slice with stacked matmuls and sets
+W <- W - eta * grad, and it writes each row's squared norm after each step
+into a block the caller gives, so the caller checks a whole block of steps
+at once. A single step is a block of one. The linear model, which has no
+layer views, steps a (k + 1, R, P) weight history with a few numpy calls a
+step and forms the block's norms in one product. Numpy runs a stacked
+matmul as one BLAS call per run, so row r is bitwise grad_mean_xy's
+out-of-place step for run r whatever the other rows hold (up to the sign
+of a zero weight in a linear batch-1 step), and one run is the stack R = 1.
 
 The snapshot pass, _snapshot_pass, is behind the trajectory snapshots: over
 a whole dataset it gives the mean loss, the mean gradient, every sample's
@@ -407,7 +411,7 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
 
 
 def bind_step_kernel(spec: ModelSpec, W0, data):
-    """The in-place SGD step on a stack of R runs: (W, gather, update, snapshot).
+    """The in-place SGD steps of a stack of R runs: (W, gather, run, snapshot).
 
     W0 holds the R runs' initial weights, an (R, P) array or R vectors, and
     data their R datasets, all of one n; run r trains on data[r]. The
@@ -419,20 +423,35 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     of run r takes the rows batches[j, r] of data[r]), returns the k steps'
     operands step-major: the features (k, R, b, d) and the targets
     (k, R, b), one fancy index each, so each step's slice is C-contiguous.
-    update(x, t, etas, sq_out), with x and t one step's slices and etas an
-    (R,) array, then sets row r of W to w_r - etas[r] * grad_mean_xy(spec,
-    w_r, X_B, y_B) in place, bitwise, and writes each row's new squared
-    norm w_r @ w_r into sq_out, an (R, 1, 1) float64 block. It neither
-    checks finiteness nor copies W: a NaN or inf gradient shows as a
-    non-finite norm of its own row only, and warns as numpy does unless the
-    caller silences it; a caller that keeps a row past the next update must
-    copy it.
+    run(xs, ts, rates, sq), with xs and ts such a gathered block and rates
+    its (k, R) step sizes, then runs the block's k steps in order: step j
+    sets row r of W to w_r - rates[j, r] * grad_mean_xy(spec, w_r, X_B,
+    y_B), bitwise, and writes the row's new squared norm w_r @ w_r into
+    sq[j, r], sq being a (k, R, 1, 1) float64 block, so the caller checks a
+    whole block at once. A single step is a block of one.
+
+    An MLP step is one stacked forward and backward pass on the bound views
+    and buffer, updating W in place, and one (R, 1, P) @ (R, P, 1) norm
+    product. The linear model has no views, so its steps write a (k + 1, R,
+    P) weight history instead, one per block: each step is the forward
+    einsum, the residual in place, at b = 1 the gradient as r * x (the
+    one-term matmul bitwise up to the sign of a zero, as a matmul sums from
+    +0.0; the division by 1 is skipped), the rate and the update into the
+    next row of the history. Only a -0.0 weight tells the two apart: its
+    step may end at +0.0 where grad_mean_xy's keeps -0.0.
+    The k * R norms are then one (k, R, 1, P) @ (k, R, P, 1) product, the
+    same BLAS dot per row, and the last row is copied back into W.
+
+    run neither checks finiteness nor copies W for the caller: a NaN or inf
+    gradient shows as non-finite norms of its own row only, and warns as
+    numpy does unless the caller silences it; a caller that keeps a row
+    past the next block must copy it.
 
     snapshot() runs _snapshot_pass over every run's whole dataset at the
     current W, on the bound features, targets, layer views and gradient
     buffer: (F (R,), grad (R, P), sq_norms (R, n), finite (R, n)), row r
     bitwise loss_grad_stats(spec, W[r], data[r]) before its check. Its
-    gradient rows view the step's buffer, which the next update overwrites.
+    gradient rows view the step's buffer, which the next block overwrites.
     """
     data = list(data)
     if not data or len(W0) != len(data):
@@ -447,6 +466,7 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     layers = [(mat, bias[:, None, :]) for mat, bias in _layer_views(spec, W)]
     out = _grad_buffer(spec, (len(W),))
     grad = out[0]
+    grad_rows = grad[:, None, :]
     runs = np.arange(len(W))[:, None]
     # (R, 1, P) @ (R, P, 1) is one BLAS dot per run, bitwise w @ w
     w_rows, w_cols = W[:, None, :], W[:, :, None]
@@ -454,17 +474,36 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     def gather(batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return X[runs, batches], t[runs, batches]
 
-    def update(x: np.ndarray, t_b: np.ndarray, etas: np.ndarray, sq_out: np.ndarray) -> None:
-        scores, hs, _ = _forward(spec, W, x, layers=layers)
-        _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
-        np.multiply(grad, etas[:, None], out=grad)
-        np.subtract(W, grad, out=W)
-        np.matmul(w_rows, w_cols, out=sq_out)
+    def run_mlp(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray) -> None:
+        for x, t_b, rate, sq_j in zip(xs, ts, rates[:, :, None], sq):
+            scores, hs, _ = _forward(spec, W, x, layers=layers)
+            _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
+            np.multiply(grad, rate, out=grad)
+            np.subtract(W, grad, out=W)
+            np.matmul(w_rows, w_cols, out=sq_j)
+
+    def run_linear(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray) -> None:
+        k, b = len(xs), xs.shape[2]
+        hist = np.empty((k + 1, *W.shape))
+        hist[0] = W
+        for x, t_b, rate, w, w_next in zip(xs, ts, rates[:, :, None], hist, hist[1:]):
+            r = np.einsum("...ni,...i->...n", x, w)
+            np.subtract(r, t_b, out=r)
+            if b == 1:
+                np.multiply(r[..., None], x, out=grad_rows)
+            else:
+                np.matmul(r[..., None, :], x, out=grad_rows)
+                np.divide(grad, b, out=grad)
+            np.multiply(grad, rate, out=grad)
+            np.subtract(w, grad, out=w_next)
+        steps = hist[1:]
+        np.matmul(steps[..., None, :], steps[..., :, None], out=sq)
+        W[...] = hist[k]
 
     def snapshot() -> tuple:
         return _snapshot_pass(spec, W, X, t, layers=layers, out=out)
 
-    return W, gather, update, snapshot
+    return W, gather, run_linear if spec.kind == "linear" else run_mlp, snapshot
 
 
 def _snapshot_pass(spec: ModelSpec, w: np.ndarray, X: np.ndarray, t: np.ndarray,

@@ -9,21 +9,21 @@ train runs one loop over snapshot intervals for a stack of R runs of one
 model, n, batch size, max_steps and snapshot_every; one run is the stack
 R = 1, with no second path. Each interval gathers its steps' batch rows for
 every run at once (models.bind_step_kernel's gather, in blocks of at most
-BATCH_BLOCK_ROWS sample rows a run), and every step of the stack is one
-update of the kernel, whose row r is bitwise run r's own step. The norm
-guard runs once per interval, on every row's norm after every step: a row
-that failed it is reported at its first failing step, while its later
-steps in the interval run on, with numpy's overflow and invalid warnings
-off, without touching the other rows. Each run keeps its own batch
+BATCH_BLOCK_ROWS sample rows a run), and the kernel's run takes each
+gathered block of steps in one call, its row r bitwise run r's own steps.
+The norm guard runs once per interval, on every row's norm after every
+step: a row that failed it is reported at its first failing step, while its
+later steps in the interval run on, with numpy's overflow and invalid
+warnings off, without touching the other rows. Each run keeps its own batch
 stream, schedule, recorder, early stop and divergence state. At each
-snapshot time the kernel's snapshot pass runs once for the live stack,
-and every recorder is called once with its run's row of it. Runs leave
-the stack there and nowhere else: those that stopped, whose recorder
-failed numerically, or that diverged in the interval just run (whose rows
-are dropped unrecorded), and the stack is rebound on the others. Each
+snapshot time the kernel's snapshot pass runs once for the live stack, and
+every recorder is called once with its run's row of it. Runs leave the
+stack there and nowhere else: those that stopped, whose recorder failed
+numerically, or that diverged in the interval just run (whose rows are
+dropped unrecorded), and the stack is rebound on the others. Each
 interval's step sizes are one lr_steps call a run, bitwise lr_at step by
-step. step is one update of the same kernel on a copy of the w it is
-given. A run's result keeps its step sizes, one float64 array, and its
+step. step is a block of one step of the same kernel on a copy of the w it
+is given. A run's result keeps its step sizes, one float64 array, and its
 batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
@@ -292,38 +292,39 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
          batch_indices: np.ndarray) -> np.ndarray:
     """One update w - eta_t * grad_F_B(w) over the given batch B, out of place.
 
-    train's step, the stack R = 1 of bind_step_kernel through the same
-    interval runner, bound to a copy of w for this one update, so w itself
-    is left unchanged; the result is bitwise the train step's. Raises
-    DivergedError when the updated norm fails the cap.
+    train's step, a block of one step on the stack R = 1 of
+    bind_step_kernel through the same interval runner, bound to a copy of w
+    for this one update, so w itself is left unchanged; the result is
+    bitwise the train step's. Raises DivergedError when the updated norm
+    fails the cap.
     """
-    W, gather, update, _ = bind_step_kernel(spec, [w], [data])
-    norm = float(_run_interval(gather, update, np.asarray(batch_indices)[None, None],
+    W, gather, run, _ = bind_step_kernel(spec, [w], [data])
+    norm = float(_run_interval(gather, run, np.asarray(batch_indices)[None, None],
                                np.array([[lr_at(cfg.schedule, t)]]))[0, 0])
     if not norm <= PARAM_NORM_CAP:
         raise DivergedError(t, norm)
     return W[0]
 
 
-def _run_interval(gather, update, batches: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _run_interval(gather, run, batches: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Run one interval's k steps on the bound stack: its (k, R) norms.
 
     batches (k, R, b) and rates (k, R) are the steps' rows and step sizes,
     step-major. The operands are gathered in blocks of whole steps holding
     at most BATCH_BLOCK_ROWS sample rows a run (one step when b is larger),
-    so their size grows neither with the interval nor with b. The steps run
-    with numpy's overflow and invalid warnings off, since a diverging row
-    keeps stepping until the interval ends; each row's norm after each step
-    comes back for the one guard check.
+    so their size grows neither with the interval nor with b, and the
+    kernel's run takes each gathered block in one call. The steps run with
+    numpy's overflow and invalid warnings off, since a diverging row keeps
+    stepping until the interval ends; each row's norm after each step comes
+    back for the one guard check.
     """
     k, R, b = batches.shape
     steps = max(1, BATCH_BLOCK_ROWS // b)
     sq = np.empty((k, R, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, k, steps):
-            xs, ts = gather(batches[start:start + steps])
-            for j, (x, t_b) in enumerate(zip(xs, ts), start):
-                update(x, t_b, rates[j], sq[j])
+            block = slice(start, start + steps)
+            run(*gather(batches[block]), rates[block], sq[block])
         return np.sqrt(sq.reshape(k, -1))
 
 
@@ -398,7 +399,7 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
     etas = [[] for _ in range(R)]
     outcomes: list = [None] * R
     live = list(range(R))  # the stacked runs, row i of W being run live[i]
-    W, gather, update, snapshot = bind_step_kernel(spec, w0s, Ss)
+    W, gather, run, snapshot = bind_step_kernel(spec, w0s, Ss)
     t = 0
     while True:
         stats = snapshot()
@@ -423,11 +424,11 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
             live = [live[i] for i in keep]
             if not live:
                 return outcomes
-            W, gather, update, snapshot = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
+            W, gather, run, snapshot = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
         k = min(every, horizon - t)
         batches = np.stack([next(streams[r]) for r in live], axis=1)  # (k, R, b)
         rates = np.stack([lr_steps(cfgs[r].schedule, t, k) for r in live])
-        norms = _run_interval(gather, update, batches, rates.T)
+        norms = _run_interval(gather, run, batches, rates.T)
         failed = ~(norms <= PARAM_NORM_CAP)  # (k, R); a NaN norm fails too
         diverged = failed.any(axis=0)
         for i, r in enumerate(live):

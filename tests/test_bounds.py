@@ -349,6 +349,23 @@ def test_estimate_constants_validation():
             estimate_constants(spec, rec.weights, rec.snapshots, res.etas, b, S, cfg=est)
 
 
+def test_estimate_constants_takes_etas_as_any_sequence():
+    # the step sizes stay one float64 array: a list, a tuple and an array of
+    # them give the same estimates, and eta_m is their largest as a float
+    spec, S, Sp, est, rec, res = small_run(steps=6)
+    etas = res.etas * np.linspace(1.0, 0.5, len(res.etas))  # the largest comes first
+    args = (spec, rec.weights, rec.snapshots)
+    runs = [estimate_constants(*args, form, res.batch_size, S, cfg=est)
+            for form in (etas.tolist(), tuple(etas.tolist()), etas)]
+    assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
+    assert type(runs[0].eta_m) is float and runs[0].eta_m == etas[0] and runs[0].T == 6
+    assert not any(f.startswith("no-steps") for f in runs[0].flags)
+    for empty in ([], (), np.zeros(0)):
+        c = estimate_constants(*args, empty, res.batch_size, S, cfg=est)
+        assert type(c.eta_m) is float and c.eta_m == 0.0 and c.T == 0
+        assert "no-steps: eta_m defaulted" in c.flags
+
+
 # -- trajectory bounds ------------------------------------------------------------
 
 def test_main_bound_is_the_three_factor_product():

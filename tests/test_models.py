@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajbound import models
+from trajbound import models, optim
 from trajbound.data import Dataset
 from trajbound.errors import (
     DimensionMismatchError,
@@ -320,24 +320,23 @@ def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     hess(v)  # each product unflattens only its direction
     assert len(calls) == 5 and calls[-1] is v
     # the step kernel takes the views of its own checked copy once, at bind,
-    # and never per update
+    # and never per step
     views = []
     real_views = models._layer_views
     monkeypatch.setattr(models, "_layer_views",
                         lambda spec, w: views.append(w) or real_views(spec, w))
-    w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, run, _ = models.bind_step_kernel(spec, [w], [data])
     assert len(calls) == 5 and sum(u is w_run for u in views) == 1
     bound = len(views)
     for b in (1, data.n, 2):
-        kernel_step(gather, update, np.arange(b)[None], np.array([0.1]))
+        kernel_step(gather, run, np.arange(b)[None], np.array([0.1]))
     assert len(calls) == 5 and len(views) == bound
 
 
-def kernel_step(gather, update, batches, etas):
-    """One update of a bound step kernel on the (R, b) batches: its (R,) norms."""
-    x, t = gather(np.asarray(batches)[None])
+def kernel_step(gather, run, batches, etas):
+    """One step of a bound step kernel on the (R, b) batches, a block of one: its (R,) norms."""
     sq = np.empty((1, len(etas), 1, 1))
-    update(x[0], t[0], etas, sq[0])
+    run(*gather(np.asarray(batches)[None]), np.asarray(etas)[None], sq)
     return np.sqrt(sq.ravel())
 
 
@@ -348,8 +347,8 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     for b in range(1, n + 1):
         batch = np.sort(gen.choice(n, size=b, replace=False))
         for eta in (0.0, float(gen.uniform(0.01, 1.0))):
-            w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
-            norm = kernel_step(gather, update, batch[None], np.array([eta]))
+            w_run, gather, run, _ = models.bind_step_kernel(spec, [w], [data])
+            norm = kernel_step(gather, run, batch[None], np.array([eta]))
             expected = w - eta * grad_mean_xy(spec, w, X[batch], y[batch])
             assert w_run.shape == (1, w.size)
             assert w_run[0].tobytes() == expected.tobytes()
@@ -363,11 +362,11 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     batches = [np.sort(perm[i:i + size]) for i in range(0, n, size)]
     batches += [np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
                 for _ in range(4)]
-    w_run, gather, update, _ = models.bind_step_kernel(spec, [w], [data])
+    w_run, gather, run, _ = models.bind_step_kernel(spec, [w], [data])
     w_ref = w
     for batch in batches:
         eta = float(gen.uniform(0.0, 0.5))
-        norm = kernel_step(gather, update, batch[None], np.array([eta]))
+        norm = kernel_step(gather, run, batch[None], np.array([eta]))
         w_ref = w_ref - eta * grad_mean_xy(spec, w_ref, X[batch], y[batch])
         assert w_run[0].tobytes() == w_ref.tobytes()
         assert norm[0] == math.sqrt(w_ref @ w_ref)
@@ -376,11 +375,11 @@ def assert_step_kernel_is_the_out_of_place_step(spec, w, data, seed):
     refs = [w, w[::-1] * 0.5, -w]
     data_r = [data] + [Dataset(X[gen.permutation(n)], y[gen.permutation(n)])
                        for _ in range(2)]
-    W_run, gather, update, snapshot = models.bind_step_kernel(spec, np.stack(refs), data_r)
+    W_run, gather, run, snapshot = models.bind_step_kernel(spec, np.stack(refs), data_r)
     for b in (1, n, int(gen.integers(1, n + 1))):
         rows = np.stack([np.sort(gen.choice(n, size=b, replace=False)) for _ in refs])
         etas = gen.uniform(0.0, 0.5, size=len(refs))
-        norms = kernel_step(gather, update, rows, etas)
+        norms = kernel_step(gather, run, rows, etas)
         for r, d in enumerate(data_r):
             refs[r] = refs[r] - etas[r] * grad_mean_xy(spec, refs[r], d.features[rows[r]],
                                                        d.labels[rows[r]])
@@ -434,32 +433,141 @@ def test_step_kernel_rejects_a_mismatched_stack():
 def test_step_kernel_gathers_an_interval_step_major(kind):
     # gather returns every step's operands of an interval at once, step-major:
     # each step's slice is a C-contiguous (R, b, ...) block holding each run's
-    # own rows, and k updates on those slices are k single-step updates
+    # own rows, and one run call on the block is its k single-step updates
     gen = np.random.default_rng(sum(map(ord, kind)) + 5)
     spec, w, data = random_case(gen, kind)
     n, R, k = data.n, 3, 6
     data_r = [data] + [Dataset(data.features[gen.permutation(n)], data.labels)
                        for _ in range(R - 1)]
     refs = [w, w * 0.5, -w]
-    W_run, gather, update, _ = models.bind_step_kernel(spec, refs, data_r)
+    W_run, gather, run, _ = models.bind_step_kernel(spec, refs, data_r)
     b = int(gen.integers(1, n + 1))
     batches = np.stack([[np.sort(gen.choice(n, size=b, replace=False)) for _ in refs]
                         for _ in range(k)])  # (k, R, b)
     xs, ts = gather(batches)
     assert xs.shape == (k, R, b, spec.input_dim) and ts.shape == (k, R, b)
-    sq = np.empty((k, R, 1, 1))
-    etas = gen.uniform(0.0, 0.5, size=(k, R))
     for j in range(k):
         assert xs[j].flags.c_contiguous and ts[j].flags.c_contiguous
         for r, d in enumerate(data_r):
             assert xs[j, r].tobytes() == d.features[batches[j, r]].tobytes()
-        update(xs[j], ts[j], etas[j], sq[j])
+    sq = np.empty((k, R, 1, 1))
+    etas = gen.uniform(0.0, 0.5, size=(k, R))
+    run(xs, ts, etas, sq)
+    for j in range(k):
         for r, d in enumerate(data_r):
             rows = batches[j, r]
             refs[r] = refs[r] - etas[j, r] * grad_mean_xy(spec, refs[r], d.features[rows],
                                                           d.labels[rows])
-            assert W_run[r].tobytes() == refs[r].tobytes()
             assert sq[j, r, 0, 0] == refs[r] @ refs[r]
+    for r in range(R):
+        assert W_run[r].tobytes() == refs[r].tobytes()
+
+
+def block_case(gen, kind, R, n=9):
+    """A stack of R runs of one random model on n-row datasets, for block runs."""
+    spec, w, _ = random_case(gen, kind)
+    X = gen.standard_normal((R, n, spec.input_dim))
+    if spec.loss == "squared":
+        y = gen.standard_normal((R, n))
+    else:
+        y = gen.integers(0, spec.output_dim, size=(R, n)).astype(np.float64)
+    ws = [w * s for s in (1.0, -0.5, 1.5)[:R]]
+    return spec, ws, [Dataset(X[r], y[r]) for r in range(R)]
+
+
+def one_step_blocks(spec, ws, datasets, batches, rates):
+    """The k steps as k blocks of one step each: (W, (k, R, 1, 1) squared norms)."""
+    W, gather, run, _ = models.bind_step_kernel(spec, ws, datasets)
+    sq = np.empty((*rates.shape, 1, 1))
+    for j in range(len(rates)):
+        run(*gather(batches[j:j + 1]), rates[j:j + 1], sq[j:j + 1])
+    return W, sq
+
+
+def reference_steps(spec, ws, datasets, batches, rates):
+    """The out-of-place steps: each run's weights and (k, R) norms."""
+    refs, norms = list(ws), np.empty(rates.shape)
+    for j, (rows, etas) in enumerate(zip(batches, rates)):
+        for r, d in enumerate(datasets):
+            refs[r] = refs[r] - etas[r] * grad_mean_xy(spec, refs[r], d.features[rows[r]],
+                                                       d.labels[rows[r]])
+            norms[j, r] = math.sqrt(refs[r] @ refs[r])
+    return refs, norms
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("kind, b", [("linear", 1), ("linear", 3), ("mlp", 2), ("mlp_ce", 4)])
+def test_a_block_run_is_bitwise_its_single_steps(kind, b, R):
+    # one run call over a gathered block of k steps leaves the weights and
+    # writes the k x R norms of k one-step blocks, bitwise, and those of the
+    # out-of-place step; a second block starts from where the first ended
+    gen = np.random.default_rng(sum(map(ord, kind)) + 10 * b + R)
+    spec, ws, datasets = block_case(gen, kind, R)
+    k, n = 7, datasets[0].n
+    batches = np.sort(np.stack([[gen.choice(n, size=b, replace=False) for _ in range(R)]
+                                for _ in range(2 * k)]), axis=2)
+    rates = gen.uniform(0.0, 0.5, size=(2 * k, R))
+    W, gather, run, _ = models.bind_step_kernel(spec, ws, datasets)
+    sq = np.empty((2 * k, R, 1, 1))
+    for block in (slice(0, k), slice(k, 2 * k)):
+        run(*gather(batches[block]), rates[block], sq[block])
+    W_one, sq_one = one_step_blocks(spec, ws, datasets, batches, rates)
+    assert W.tobytes() == W_one.tobytes() and sq.tobytes() == sq_one.tobytes()
+    refs, norms = reference_steps(spec, ws, datasets, batches, rates)
+    assert np.sqrt(sq.reshape(2 * k, R)).tobytes() == norms.tobytes()
+    assert all(W[r].tobytes() == refs[r].tobytes() for r in range(R))
+
+
+def test_a_linear_batch_one_step_differs_from_the_matmul_only_in_a_zero_weight_sign():
+    # at b = 1 the linear gradient is r * x, which keeps the sign of a zero
+    # product where the matmul's sum from +0.0 gives +0.0; a -0.0 weight whose
+    # feature is 0 may so end at +0.0 where the out-of-place step keeps -0.0,
+    # while every value and every norm is bitwise the same
+    gen = np.random.default_rng(43)
+    spec = ModelSpec(kind="linear", input_dim=3)
+    X = gen.standard_normal((6, 3))
+    X[:, 0] = 0.0
+    data = Dataset(X, X[:, 1] + 5.0)  # every residual negative at the start
+    w0 = np.array([-0.0, 0.5, -0.5])
+    batches = np.arange(6)[:, None, None]
+    rates = np.full((6, 1), 0.1)
+    W, gather, run, _ = models.bind_step_kernel(spec, [w0], [data])
+    sq = np.empty((6, 1, 1, 1))
+    run(*gather(batches), rates, sq)
+    (ref,), norms = reference_steps(spec, [w0], [data], batches, rates)
+    assert np.sqrt(sq.ravel()).tobytes() == norms.ravel().tobytes()
+    assert np.array_equal(W[0], ref)
+    differ = np.signbit(W[0]) != np.signbit(ref)
+    assert np.all(W[0][differ] == 0.0) and W[0][1:].tobytes() == ref[1:].tobytes()
+
+
+def test_a_diverging_linear_row_overflows_mid_block_at_the_single_steps_places():
+    # row 0 crosses PARAM_NORM_CAP at its first step, overflows to inf a few
+    # steps later and then runs on to NaN, all inside one block, while rows 1
+    # and 2 step normally; the interval runner gives one run call and keeps
+    # numpy's warnings in (pytest turns an escaping RuntimeWarning into an error)
+    gen = np.random.default_rng(41)
+    spec, ws, datasets = block_case(gen, "linear", 3)
+    k, n = 9, datasets[0].n
+    batches = gen.integers(0, n, size=(k, 3, 1))
+    rates = gen.uniform(0.0, 0.5, size=(k, 3))
+    rates[:, 0] = 1e100
+    W, gather, run, _ = models.bind_step_kernel(spec, ws, datasets)
+    calls = []
+    norms = optim._run_interval(gather, lambda *a: calls.append(1) or run(*a), batches, rates)
+    assert len(calls) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        W_one, sq_one = one_step_blocks(spec, ws, datasets, batches, rates)
+        refs, ref_norms = reference_steps(spec, ws, datasets, batches, rates)
+    assert norms.tobytes() == np.sqrt(sq_one.reshape(k, 3)).tobytes()
+    assert W.tobytes() == W_one.tobytes()
+    assert np.array_equal(norms, ref_norms, equal_nan=True)
+    assert all(np.array_equal(W[r], refs[r], equal_nan=True) for r in range(3))
+    row = norms[:, 0]
+    assert optim.PARAM_NORM_CAP < row[0] < math.inf
+    inf_at, nan_at = np.flatnonzero(np.isinf(row)), np.flatnonzero(np.isnan(row))
+    assert 0 < inf_at[0] < nan_at[0] < k - 1 and (nan_at == np.arange(nan_at[0], k)).all()
+    assert np.isfinite(norms[:, 1:]).all()
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])

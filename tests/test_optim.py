@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -558,6 +559,31 @@ def test_interval_batches_are_whole_intervals_of_the_sample_batch_stream(
         assert np.array_equal(row, sample_batch(oracle, n, b))
     assert (repr(rng.generator().bit_generator.state)
             == repr(oracle.generator().bit_generator.state))
+
+
+def test_a_long_linear_interval_holds_one_block_of_weight_history(monkeypatch):
+    # one 2 000-step interval at b = 1 runs as 40 gathered blocks of 50 steps:
+    # the linear steps' weight history is one block's 51 rows, 122 KB here,
+    # where a history of the whole interval would be 4.8 MB
+    monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 50)
+    R, P, n, k = 3, 100, 50, 2000
+    S, _, _ = generate_toy(ToyConfig(n, n, P, seed=0))
+    spec = linear_spec(P)
+    cfg = OptimConfig(mode="sgd", batch_size=1, schedule=Schedule("constant", eta0=1e-3),
+                      max_steps=k, snapshot_every=k, seed=0)
+    recorder = lambda t, epoch, eta, w, stats: SimpleNamespace(F_S=1.0)  # noqa: E731
+    tracemalloc.start()
+    try:
+        results = train([spec] * R, [np.zeros(P)] * R, [S] * R, None, [cfg] * R,
+                        [recorder] * R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [res.stopped_at for res in results] == [k] * R
+    block = 51 * R * P * 8 + 50 * R * (P + 1) * 8  # the history and the gathered operands
+    stack = R * n * P * 8  # the bound features
+    per_step = 8 * k * R * 8  # the interval's rows, rates and norms, a few floats a step
+    assert peak < block + stack + per_step  # about 0.75 MB
 
 
 @settings(max_examples=100, deadline=None)

@@ -82,3 +82,36 @@ def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypa
     codes[2] = 3  # the second command diverges: the run stops with its code
     assert tool.main([str(tmp_path)]) == 3
     assert len(calls) == 2
+
+
+def _ab_time(*args):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "ab_time.py"),
+                           *map(str, args)], capture_output=True, text=True)
+
+
+def test_ab_time_alternates_fresh_processes_over_two_sources(tmp_path):
+    # both sides the same src/, on toy_table cut to 2 epochs: 2 pairs of
+    # processes, the first side alternating, then the medians and their ratio
+    shipped = open(os.path.join(ROOT, "configs", "toy_table.cfg"), encoding="utf-8").read()
+    config = tmp_path / "toy.cfg"
+    config.write_text(re.sub(r"optim\.epochs = \d+", "optim.epochs = 2", shipped))
+    src = os.path.join(ROOT, "src")
+    done = _ab_time(src, src, config, "--pairs", 2, "--repeats", 1)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    seconds = r"(\d+\.\d{4}) s"
+    for pair, first in ((1, "old"), (2, "new")):
+        assert re.fullmatch(rf"pair {pair}: old {seconds}, new {seconds} \({first} first\)",
+                            lines[pair - 1]), lines
+    medians = re.fullmatch(rf"old median {seconds}, new median {seconds}", lines[2])
+    assert medians and 0 < float(medians[1]) < 60 and 0 < float(medians[2]) < 60
+    assert re.fullmatch(r"new / old \d+\.\d{3}; new faster in [012] of 2 pairs", lines[3])
+    assert len(lines) == 4
+
+
+def test_ab_time_rejects_a_missing_source(tmp_path):
+    src = os.path.join(ROOT, "src")
+    done = _ab_time(src, tmp_path / "nowhere", "toy_table", "--pairs", 1)
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"no trajbound package under {tmp_path / 'nowhere'}" in done.stderr
+    assert _ab_time(src, src, tmp_path / "missing.cfg").returncode == 2
