@@ -1,16 +1,18 @@
 """Flat key-value experiment configuration.
 
 The file format is one dotted key per line, `key = value`, with full-line
-# comments and blank lines ignored. Unknown keys, duplicate keys, and
-out-of-range values are rejected with the key and line named. Defaults are
-per experiment; a file only has to state what differs from its
-experiment's preset. emit_config writes the canonical form, and
-parse(emit(cfg)) reproduces cfg exactly.
+# comments and blank lines ignored. Unknown keys, duplicate keys and values
+that do not parse are rejected with the key and line named; out-of-range
+values and rules that span keys are rejected by validate_config with the
+key named. Defaults are per experiment; a file only has to state what
+differs from its experiment's preset. emit_config writes the canonical
+form, and parse(emit(cfg)) reproduces cfg exactly.
 
 Each key is one _KEYS row: the field it sets, its parser, the sentinel
 spellings that read as None (in any letter case; the first is the one
-written) and the config shapes in which emit_config writes it. Each
-experiment's preset is one _PRESETS entry.
+written), the config shapes in which emit_config writes it and, as its
+needs, the range of values it takes in those shapes. Each experiment's
+preset is one _PRESETS entry.
 
 Keys, in emit order (shape in parentheses):
   experiment              toy_table | track | assumption | sweep_noise |
@@ -164,16 +166,29 @@ def _unless(attr, value):
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: the field it sets and how its value is read and written.
+    """One config key: the field it sets and how its value is read, written and checked.
 
     A value whose lower-cased text is one of `none` reads as None, and None is
     written as `none[0]`; any other value goes to `parse(key, raw)`.
     emit_config writes the key only for configs where `applies(cfg)` holds.
+    `needs` is (accepts, text): the key's range, the values v for which
+    accepts(v) holds, written as the set it accepts so that NaN fails, and
+    described by text. validate_config checks it where `applies(cfg)` holds.
     """
     attr: str
     parse: Callable[[str, str], object]
     none: tuple[str, ...] = ()
     applies: Callable[[ExperimentConfig], bool] = _always
+    needs: tuple[Callable[[object], bool], str] | None = None
+
+
+def _at_least(low):
+    return lambda v: v >= low, f">= {low}"
+
+
+def _each(needs):
+    accepts, text = needs
+    return lambda v: len(v) > 0 and all(map(accepts, v)), f"one or more values {text}"
 
 
 _toy, _csv = _when("dataset_kind", "toy"), _when("dataset_kind", "csv")
@@ -181,121 +196,95 @@ _mlp = _when("model_kind", "mlp")
 _inverse_time = _when("schedule_kind", "inverse_time")
 _cosine = _when("schedule_kind", "cosine")
 _sweep = _unless("sweep_param", None)
+_positive = (lambda v: v > 0, "> 0")
+# the OS rejects a path holding a NUL with ValueError, not OSError
+_path = (lambda v: "\0" not in v, "a path without NUL")
 
 # key -> row; the order here is the canonical emit order
 _KEYS = {
     "experiment": _Key("experiment", _choice(*EXPERIMENTS)),
-    "seeds": _Key("seeds", _list(_parse_int)),
-    "output_dir": _Key("output_dir", _parse_text),
+    "seeds": _Key("seeds", _list(_parse_int), needs=_each(_at_least(0))),
+    "output_dir": _Key("output_dir", _parse_text, needs=_path),
     "dataset.kind": _Key("dataset_kind", _choice("toy", "csv")),
-    "dataset.n_train": _Key("n_train", _parse_int, applies=_toy),
-    "dataset.n_test": _Key("n_test", _parse_int, applies=_toy),
-    "dataset.dim": _Key("dim", _parse_int, applies=_toy),
-    "dataset.path": _Key("csv_path", _parse_text, ("none",), _csv),
+    "dataset.n_train": _Key("n_train", _parse_int, applies=_toy, needs=_at_least(2)),
+    "dataset.n_test": _Key("n_test", _parse_int, applies=_toy, needs=_at_least(1)),
+    "dataset.dim": _Key("dim", _parse_int, applies=_toy, needs=_at_least(1)),
+    "dataset.path": _Key("csv_path", _parse_text, ("none",), _csv, _path),
     "dataset.label_column": _Key("label_column", _parse_text, ("none",), _csv),
-    "dataset.holdout_fraction": _Key("holdout_fraction", _parse_float, applies=_csv),
-    "noise.flip_fraction": _Key("flip_fraction", _parse_float),
+    "dataset.holdout_fraction": _Key("holdout_fraction", _parse_float, applies=_csv,
+                                     needs=(lambda v: 0 < v < 1, "a value in (0, 1)")),
+    "noise.flip_fraction": _Key("flip_fraction", _parse_float,
+                                needs=(lambda v: 0 <= v <= 1, "a value in [0, 1]")),
     "model.kind": _Key("model_kind", _choice("linear", "mlp")),
-    "model.hidden": _Key("hidden", _list(_parse_int), applies=_mlp),
+    "model.hidden": _Key("hidden", _list(_parse_int), applies=_mlp,
+                         needs=_each(_at_least(1))),
     "model.loss": _Key("loss", _choice("squared", "cross_entropy"), applies=_mlp),
     "optim.mode": _Key("mode", _choice("gd", "sgd")),
     "optim.batch_size": _Key("batch_size", _parse_int, ("none",), _unless("mode", "gd")),
-    "optim.epochs": _Key("epochs", _parse_int, ("none",), _unless("epochs", None)),
+    "optim.epochs": _Key("epochs", _parse_int, ("none",), _unless("epochs", None),
+                         _at_least(0)),
     "optim.max_steps": _Key("max_steps", _parse_int, ("none",),
-                            _unless("max_steps", None)),
-    "optim.stop_train_loss": _Key("stop_train_loss", _parse_float, ("none",)),
-    "optim.snapshot_every": _Key("snapshot_every", _parse_int, ("epoch", "none")),
+                            _unless("max_steps", None), _at_least(0)),
+    "optim.stop_train_loss": _Key("stop_train_loss", _parse_float, ("none",),
+                                  needs=_positive),
+    "optim.snapshot_every": _Key("snapshot_every", _parse_int, ("epoch", "none"),
+                                 needs=_at_least(1)),
     "schedule.kind": _Key("schedule_kind", _choice("constant", "inverse_time", "cosine")),
     "schedule.eta0": _Key("eta0", _parse_float,
-                          applies=_unless("schedule_kind", "inverse_time")),
-    "schedule.c": _Key("c", _parse_float, applies=_inverse_time),
-    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time),
-    "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine),
-    "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine),
-    "est.k_samples": _Key("k_samples", _parse_int),
+                          applies=_unless("schedule_kind", "inverse_time"), needs=_positive),
+    "schedule.c": _Key("c", _parse_float, applies=_inverse_time, needs=_positive),
+    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time, _positive),
+    "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine,
+                             needs=_at_least(0)),
+    "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine, _at_least(1)),
+    "est.k_samples": _Key("k_samples", _parse_int, needs=_at_least(1)),
     "sweep.param": _Key("sweep_param", _choice("noise", "lr"), ("none",), _sweep),
     "sweep.values": _Key("sweep_values", _list(_parse_float), ("none",), _sweep),
 }
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Cross-field checks; every diagnostic names the offending key."""
+    """Each key's range, then the rules that span keys; every diagnostic names its key.
+
+    A _KEYS row with needs is checked wherever its applies(cfg) holds, the
+    shapes in which emit_config writes it; None passes it exactly where the
+    row has a sentinel.
+    """
     def bad(key, msg):
         return ConfigError(f"{key}: {msg}")
 
     if cfg.experiment not in EXPERIMENTS:
         raise bad("experiment", f"unknown experiment {cfg.experiment!r}")
-    if not cfg.seeds:
-        raise bad("seeds", "at least one seed is required")
-    if min(cfg.seeds) < 0:
-        raise bad("seeds", f"needs non-negative values, got {min(cfg.seeds)}")
-    # the OS rejects a path holding a NUL with ValueError, not OSError
-    if "\0" in cfg.output_dir:
-        raise bad("output_dir", "a path cannot contain a NUL character")
-    if cfg.dataset_kind == "toy":
-        if cfg.n_train < 2:
-            raise bad("dataset.n_train", f"needs >= 2, got {cfg.n_train}")
-        if cfg.n_test < 1:
-            raise bad("dataset.n_test", f"needs >= 1, got {cfg.n_test}")
-        if cfg.dim < 1:
-            raise bad("dataset.dim", f"needs >= 1, got {cfg.dim}")
-    else:
-        if not cfg.csv_path:
-            raise bad("dataset.path", "required when dataset.kind = csv")
-        if "\0" in cfg.csv_path:
-            raise bad("dataset.path", "a path cannot contain a NUL character")
-        if not cfg.label_column:
-            raise bad("dataset.label_column", "required when dataset.kind = csv")
-        if not 0.0 < cfg.holdout_fraction < 1.0:
-            raise bad("dataset.holdout_fraction",
-                      f"needs a value in (0, 1), got {cfg.holdout_fraction}")
-    if not 0.0 <= cfg.flip_fraction <= 1.0:
-        raise bad("noise.flip_fraction", f"needs [0, 1], got {cfg.flip_fraction}")
-    if cfg.model_kind == "mlp" and not cfg.hidden:
-        raise bad("model.hidden", "mlp needs at least one hidden width")
-    if cfg.model_kind == "mlp" and min(cfg.hidden) < 1:
-        raise bad("model.hidden", f"needs widths >= 1, got {min(cfg.hidden)}")
+    for key, row in _KEYS.items():
+        value = getattr(cfg, row.attr)
+        if row.needs and row.applies(cfg) and not (
+                row.none if value is None else row.needs[0](value)):
+            either = f" or {row.none[0]}" if row.none else ""
+            raise bad(key, f"needs {row.needs[1]}{either}, got {value!r}")
+    for key in ("dataset.path", "dataset.label_column"):
+        if _csv(cfg) and not getattr(cfg, _KEYS[key].attr):
+            raise bad(key, "required when dataset.kind = csv")
     if cfg.mode == "gd" and cfg.batch_size is not None:
         raise bad("optim.batch_size", "gd always uses the full batch; drop the key")
     if cfg.mode == "sgd" and (cfg.batch_size is None or cfg.batch_size < 1):
         raise bad("optim.batch_size", f"sgd needs a positive size, got {cfg.batch_size}")
     # a CSV dataset's n is known only once it is loaded
-    if cfg.mode == "sgd" and cfg.dataset_kind == "toy" and cfg.batch_size > cfg.n_train:
+    if cfg.mode == "sgd" and _toy(cfg) and cfg.batch_size > cfg.n_train:
         raise bad("optim.batch_size",
                   f"needs <= dataset.n_train = {cfg.n_train}, got {cfg.batch_size}")
     if (cfg.epochs is None) == (cfg.max_steps is None):
         raise bad("optim.epochs", "set exactly one of optim.epochs or optim.max_steps")
-    horizon = cfg.epochs if cfg.epochs is not None else cfg.max_steps
-    if horizon < 0:
-        raise bad("optim.epochs" if cfg.epochs is not None else "optim.max_steps",
-                  f"needs >= 0, got {horizon}")
-    if cfg.stop_train_loss is not None and cfg.stop_train_loss <= 0:
-        raise bad("optim.stop_train_loss", f"needs > 0, got {cfg.stop_train_loss}")
-    if cfg.snapshot_every is not None and cfg.snapshot_every < 1:
-        raise bad("optim.snapshot_every", f"needs >= 1, got {cfg.snapshot_every}")
     if cfg.experiment == "eos":
         # a CSV dataset's n is known only once it is loaded; cmd_eos checks it
-        toy_sgd = cfg.mode == "sgd" and cfg.dataset_kind == "toy"
+        toy_sgd = cfg.mode == "sgd" and _toy(cfg)
         every = cfg.snapshot_every or (math.ceil(cfg.n_train / cfg.batch_size)
                                        if toy_sgd else 1)
         if every != 1:
             raise bad("optim.snapshot_every",
                       f"eos needs a snapshot every step, got one every {every} steps")
-    if cfg.schedule_kind in ("constant", "cosine") and cfg.eta0 <= 0:
-        raise bad("schedule.eta0", f"needs > 0, got {cfg.eta0}")
-    if cfg.schedule_kind == "inverse_time":
-        if cfg.c <= 0:
-            raise bad("schedule.c", f"needs > 0, got {cfg.c}")
-        if cfg.beta is not None and cfg.beta <= 0:
-            raise bad("schedule.beta", f"needs > 0 or auto, got {cfg.beta}")
-    if cfg.schedule_kind == "cosine":
-        if not 0.0 <= cfg.eta_min <= cfg.eta0:
-            raise bad("schedule.eta_min",
-                      f"needs 0 <= eta_min <= eta0, got {cfg.eta_min}")
-        if cfg.t_max is not None and cfg.t_max < 1:
-            raise bad("schedule.t_max", f"needs >= 1 or auto, got {cfg.t_max}")
-    if cfg.k_samples < 1:
-        raise bad("est.k_samples", f"needs >= 1, got {cfg.k_samples}")
+    if _cosine(cfg) and not cfg.eta_min <= cfg.eta0:
+        raise bad("schedule.eta_min",
+                  f"needs <= schedule.eta0 = {cfg.eta0}, got {cfg.eta_min}")
 
     is_sweep = cfg.experiment in ("sweep_noise", "sweep_lr")
     if is_sweep:

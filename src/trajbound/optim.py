@@ -161,6 +161,11 @@ class OptimConfig:
             raise InvalidArgumentError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.snapshot_every < 1:
             raise InvalidArgumentError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        # written as the accepted set, so that a NaN threshold, which no loss
+        # falls below, is rejected too
+        if self.stop_train_loss is not None and not self.stop_train_loss > 0:
+            raise InvalidArgumentError(
+                f"stop_train_loss must be > 0 or None, got {self.stop_train_loss}")
 
 
 @dataclass

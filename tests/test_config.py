@@ -1,6 +1,7 @@
 """Config parsing, validation, and the emit/parse round trip."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from trajbound.config import (
     _KEYS,
     EXPERIMENTS,
     ExperimentConfig,
+    _parse_float,
     default_config,
     emit_config,
     parse_config,
@@ -416,3 +418,92 @@ def test_experiment_config_is_frozen():
     cfg = default_config("eos")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.eta0 = 0.5
+
+
+@pytest.mark.parametrize("experiment, key, fields", [
+    ("track", "optim.stop_train_loss", dict(stop_train_loss=float("nan"))),
+    ("toy_table", "schedule.c", dict(c=float("nan"))),
+    ("toy_table", "schedule.beta", dict(beta=float("nan"))),
+    ("assumption", "schedule.eta0", dict(eta0=float("nan"))),
+], ids=["stop_train_loss", "c", "beta", "eta0"])
+def test_validation_rejects_nan_thresholds_and_rates_set_in_code(experiment, key, fields):
+    # only the file parser rejects non-finite numbers; a NaN stop threshold
+    # would turn early stopping off, since F_S < nan never holds
+    with pytest.raises(ConfigError, match=rf"^{key}: needs > 0"):
+        validate_config(dataclasses.replace(default_config(experiment), **fields))
+
+
+TINY = math.nextafter(0.0, 1.0)
+_TRACK = default_config("track")  # toy data, mlp, sgd, epochs, cosine schedule
+_CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_column="y")
+
+# key -> (a valid config in which the key applies, values just outside its
+# range, boundary values inside it); eos trains on the full batch, so a
+# small n_train keeps it valid
+RANGE_CASES = {
+    "seeds": (_TRACK, [(), (-1,), (3, -1)], [(0,)]),
+    "output_dir": (_TRACK, ["a\0b"], ["", "a b"]),
+    "dataset.n_train": (default_config("eos"), [1], [2]),
+    "dataset.n_test": (_TRACK, [0], [1]),
+    "dataset.dim": (_TRACK, [0], [1]),
+    "dataset.path": (_CSV, ["x\0.csv"], ["x y.csv"]),
+    "dataset.holdout_fraction": (_CSV, [0.0, 1.0], [TINY, math.nextafter(1.0, 0.0)]),
+    "noise.flip_fraction": (_TRACK, [-TINY, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+    "model.hidden": (_TRACK, [(), (0,), (8, -3)], [(1,), (1, 1)]),
+    "optim.epochs": (_TRACK, [-1], [0]),
+    "optim.max_steps": (default_config("assumption"), [-1], [0]),
+    "optim.stop_train_loss": (_TRACK, [0.0, -TINY], [TINY]),
+    "optim.snapshot_every": (_TRACK, [0], [1]),
+    "schedule.eta0": (_TRACK, [0.0], [TINY]),
+    "schedule.c": (default_config("toy_table"), [0.0], [TINY]),
+    "schedule.beta": (default_config("toy_table"), [0.0], [TINY]),
+    "schedule.eta_min": (_TRACK, [-TINY], [0.0]),
+    "schedule.t_max": (_TRACK, [0], [1]),
+    "est.k_samples": (_TRACK, [0], [1]),
+}
+
+
+def test_every_ranged_key_has_a_range_case():
+    assert set(RANGE_CASES) == {key for key, row in _KEYS.items() if row.needs}
+
+
+def _needs_error(cfg, key):
+    """Whether validate_config rejects cfg for key's range."""
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        return str(exc).startswith(f"{key}: needs ")
+    return False
+
+
+@pytest.mark.parametrize("key", RANGE_CASES)
+def test_each_key_checks_its_range_where_it_applies(key):
+    base, outside, boundary = RANGE_CASES[key]
+    row = _KEYS[key]
+    assert validate_config(base) is base
+    if row.parse is _parse_float:
+        outside = [*outside, float("nan")]
+    for value in outside:
+        with pytest.raises(ConfigError, match=rf"^{key}: needs .*, got "):
+            validate_config(dataclasses.replace(base, **{row.attr: value}))
+    for value in boundary:
+        cfg = dataclasses.replace(base, **{row.attr: value})
+        assert validate_config(cfg) is cfg
+    # None is the sentinel's value: it passes the range exactly where the
+    # row has a sentinel, and the message then offers the sentinel
+    assert _needs_error(dataclasses.replace(base, **{row.attr: None}), key) != bool(row.none)
+    if row.none:
+        with pytest.raises(ConfigError, match=rf" or {row.none[0]}, got "):
+            validate_config(dataclasses.replace(base, **{row.attr: outside[0]}))
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("assumption", dict(c=-1.0, beta=-1.0, eta_min=-1.0, t_max=0)),  # constant schedule
+    ("toy_table", dict(eta0=-1.0, hidden=(0,))),  # inverse-time schedule, linear model
+    ("track", dict(dataset_kind="csv", csv_path="x.csv", label_column="y",
+                   n_train=0, n_test=0, dim=0)),
+    ("track", dict(holdout_fraction=2.0)),  # toy data
+], ids=["constant_schedule", "toy_table", "csv_dataset", "toy_dataset"])
+def test_keys_outside_the_config_shape_are_not_range_checked(experiment, fields):
+    cfg = dataclasses.replace(default_config(experiment), **fields)
+    assert validate_config(cfg) is cfg

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajbound import models, optim
@@ -184,6 +184,23 @@ def test_grad_mean_is_arithmetic_mean_of_per_sample_grads():
     assert F == float(np.mean(losses_batch(spec, w, data.features, data.labels)))
 
 
+def output_grad_and_terms(spec, w, data):
+    """Each sample's output-gradient norm, and the norm of the terms it subtracts.
+
+    The output gradient is a difference: out - y for the squared loss,
+    softmax(out) - onehot(y) for the cross-entropy.
+    """
+    out = forward_batch(spec, w, data.features)
+    if spec.loss == "squared":
+        minuend, subtrahend = out, data.labels[:, None]
+    else:
+        e = np.exp(out - np.max(out, axis=1, keepdims=True))
+        minuend = e / np.sum(e, axis=1, keepdims=True)
+        subtrahend = np.eye(out.shape[1])[data.labels.astype(int)]
+    return (np.linalg.norm(minuend - subtrahend, axis=1),
+            np.linalg.norm(np.abs(minuend) + np.abs(subtrahend), axis=1))
+
+
 def assert_loss_grad_stats_match_the_oracle(spec, w, data):
     F, g, sq_norms = loss_grad_stats(spec, w, data)
     G = per_sample_grads(spec, w, data)
@@ -196,7 +213,12 @@ def assert_loss_grad_stats_match_the_oracle(spec, w, data):
     # the mean gradient's roundoff scales with its summands, the per-sample
     # gradients, not with the (possibly cancelling) mean itself
     assert np.linalg.norm(g - g_ref) <= 1e-12 * math.sqrt(float(np.mean(sq_ref)))
-    assert np.all(np.abs(sq_norms - sq_ref) <= 1e-12 * sq_ref)
+    # a squared norm is quadratic in its sample's output gradient, whose
+    # roundoff is a few ulps of its uncancelled terms, not of itself: where
+    # those terms cancel, the norm's relative error grows by |terms| / |gradient|
+    out_grad, terms = output_grad_and_terms(spec, w, data)
+    assert np.all(np.abs(sq_norms - sq_ref) * out_grad
+                  <= 1e-12 * sq_ref * (out_grad + terms))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
@@ -256,6 +278,9 @@ any_shape = given(n=st.integers(1, 40), d=st.integers(1, 5),
 
 @settings(max_examples=100, deadline=None)
 @any_shape
+# the residual 8.27e-5 of sample 0 cancels out = 0.2197..., whose matmul and
+# einsum forward values differ by one ulp
+@example(n=19, d=3, hidden=[3], classes=0, seed=4153)
 def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
     assert_loss_grad_stats_match_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
 

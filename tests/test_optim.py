@@ -136,6 +136,14 @@ def test_optim_config_validation(kwargs):
         OptimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("stop", [0.0, -1.0, float("nan")])
+def test_optim_config_rejects_a_stop_threshold_no_loss_falls_below(stop):
+    # F_S < nan never holds, so a NaN threshold would turn early stopping off
+    with pytest.raises(InvalidArgumentError, match="stop_train_loss must be > 0"):
+        OptimConfig(stop_train_loss=stop)
+    OptimConfig(stop_train_loss=math.nextafter(0.0, 1.0))
+
+
 # -- batch sampling ----------------------------------------------------------
 
 def test_resolve_batch_size():

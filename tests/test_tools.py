@@ -1,10 +1,14 @@
 """The repository's helper scripts."""
 
+import dataclasses
 import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
+
+from trajbound.config import default_config, emit_config
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -37,10 +41,10 @@ def test_shipped_outputs_compares_every_csv_byte_for_byte(tmp_path):
         (tree / "toy_table" / "bounds.csv").write_bytes(b"seed,value\n0,0.25\n")
         (tree / "eos" / "eos.csv").parent.mkdir()
         (tree / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.5\n")
-        (tree / "eos" / "meta.json").write_text(str(tree))  # not a CSV: not compared
+        _write_meta(tree / "eos", default_config("eos"))
     same = _shipped_outputs(new, "--against", old)
     assert same.returncode == 0, same.stdout
-    assert same.stdout == "2 CSV files identical\n"
+    assert same.stdout == "2 CSV files and 1 meta.json files identical\n"
 
     (new / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.6\n")
     changed = _shipped_outputs(new, "--against", old)
@@ -55,6 +59,40 @@ def test_shipped_outputs_compares_every_csv_byte_for_byte(tmp_path):
 
     empty = _shipped_outputs(tmp_path / "a", "--against", tmp_path / "b")
     assert empty.returncode == 1
+
+
+def _write_meta(out, cfg, **extra):
+    # the shape of experiments._write_meta: the config echo names out itself
+    cfg = dataclasses.replace(cfg, output_dir=str(out))
+    meta = {"experiment": cfg.experiment, "seeds": list(cfg.seeds),
+            "config": emit_config(cfg), **extra}
+    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
+
+def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
+    old, new = tmp_path / "old", tmp_path / 'new "quoted\\n" caf\u00e9'
+    cfg = default_config("track")
+    for tree in (old, new):
+        (tree / "track").mkdir(parents=True)
+        (tree / "track" / "track.csv").write_bytes(b"t,F\n0,0.5\n")
+        _write_meta(tree / "track", cfg, seed_used=0)
+    assert '\\"quoted' in (new / "track" / "meta.json").read_text()
+    same = _shipped_outputs(new, "--against", old)
+    assert same.returncode == 0, same.stdout
+    assert same.stdout == "1 CSV files and 1 meta.json files identical\n"
+
+    for changed, seed_used in ((dataclasses.replace(cfg, eta0=0.06), 0),
+                               (dataclasses.replace(cfg, seeds=(0, 1)), 0),
+                               (cfg, 1)):
+        _write_meta(new / "track", changed, seed_used=seed_used)
+        differs = _shipped_outputs(new, "--against", old)
+        assert differs.returncode == 1
+        assert differs.stdout == "differs: track/meta.json\n"
+
+    (new / "track" / "meta.json").unlink()
+    missing = _shipped_outputs(new, "--against", old)
+    assert missing.returncode == 1
+    assert missing.stdout == f"missing from {new}: track/meta.json\n"
 
 
 def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypatch):
