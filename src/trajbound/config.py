@@ -197,6 +197,8 @@ _inverse_time = _when("schedule_kind", "inverse_time")
 _cosine = _when("schedule_kind", "cosine")
 _sweep = _unless("sweep_param", None)
 _positive = (lambda v: v > 0, "> 0")
+# a step size set from code may be +inf, which only the file parser rejects
+_finite_positive = (lambda v: 0 < v < math.inf, "> 0 and finite")
 # the OS rejects a path holding a NUL with ValueError, not OSError
 _path = (lambda v: "\0" not in v, "a path without NUL")
 
@@ -230,10 +232,10 @@ _KEYS = {
     "optim.snapshot_every": _Key("snapshot_every", _parse_int, ("epoch", "none"),
                                  needs=_at_least(1)),
     "schedule.kind": _Key("schedule_kind", _choice("constant", "inverse_time", "cosine")),
-    "schedule.eta0": _Key("eta0", _parse_float,
-                          applies=_unless("schedule_kind", "inverse_time"), needs=_positive),
-    "schedule.c": _Key("c", _parse_float, applies=_inverse_time, needs=_positive),
-    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time, _positive),
+    "schedule.eta0": _Key("eta0", _parse_float, applies=_unless("schedule_kind", "inverse_time"),
+                          needs=_finite_positive),
+    "schedule.c": _Key("c", _parse_float, applies=_inverse_time, needs=_finite_positive),
+    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time, _finite_positive),
     "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine,
                              needs=_at_least(0)),
     "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine, _at_least(1)),

@@ -42,11 +42,18 @@ the backward pass on that step's slice with stacked matmuls and sets
 W <- W - eta * grad, and it writes each row's squared norm after each step
 into a block the caller gives, so the caller checks a whole block of steps
 at once. A single step is a block of one. The linear model, which has no
-layer views, steps a (k + 1, R, P) weight history with a few numpy calls a
-step and forms the block's norms in one product. Numpy runs a stacked
-matmul as one BLAS call per run, so row r is bitwise grad_mean_xy's
-out-of-place step for run r whatever the other rows hold (up to the sign
-of a zero weight in a linear batch-1 step), and one run is the stack R = 1.
+layer views, writes a (k + 1, R, P) weight history and runs the block in
+chunks of max(1, LINEAR_CHUNK_ROWS // b) steps, each a handful of numpy
+calls: the residuals at the chunk's first weights, one unit triangular
+solve that turns them into every step's own residuals, the updates, and
+one accumulated subtraction into the history; the block's norms are one
+product. Numpy runs a stacked matmul as one BLAS call and a stacked solve
+as one LAPACK call per run, so row r depends on run r alone whatever the
+other rows hold, and one run is the stack R = 1. An MLP step's row r is
+bitwise grad_mean_xy's out-of-place step for run r; so is a linear block
+of one step and the first step of every chunk (up to the sign of a zero
+weight in a batch-1 step), while a chunk's later steps move at roundoff,
+within the bound that tests/linear_reference.py derives.
 
 The snapshot pass, _snapshot_pass, is behind the trajectory snapshots: over
 a whole dataset it gives the mean loss, the mean gradient, every sample's
@@ -78,6 +85,7 @@ product through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +98,16 @@ from .errors import (
     NumericDomainError,
 )
 from .numerics import RngStream
+
+# Sample rows per chunk of linear steps run as one triangular solve
+# (bind_step_kernel): a chunk holds max(1, LINEAR_CHUNK_ROWS // b) steps.
+# The stacked R = 3, d = 20, b = 1 step of toy_table, in 100-step blocks
+# (numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU x86 host), took
+# 4.02 us a step one step at a time, and in chunks of 10, 16, 25, 34, 50
+# and 100 steps 2.44, 2.02, 1.68, 1.66, 1.78 and 2.56 us: the per-chunk
+# calls shrink a step's share, the O(m^3) solve grows it.
+LINEAR_CHUNK_ROWS = 25
+_MAX = np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -426,26 +444,44 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     run(xs, ts, rates, sq), with xs and ts such a gathered block and rates
     its (k, R) step sizes, then runs the block's k steps in order: step j
     sets row r of W to w_r - rates[j, r] * grad_mean_xy(spec, w_r, X_B,
-    y_B), bitwise, and writes the row's new squared norm w_r @ w_r into
-    sq[j, r], sq being a (k, R, 1, 1) float64 block, so the caller checks a
-    whole block at once. A single step is a block of one.
+    y_B), and writes the row's new squared norm w_r @ w_r into sq[j, r], sq
+    being a (k, R, 1, 1) float64 block, so the caller checks a whole block
+    at once. A single step is a block of one. The MLP steps are bitwise
+    grad_mean_xy's, the linear ones at roundoff (below).
 
     An MLP step is one stacked forward and backward pass on the bound views
     and buffer, updating W in place, and one (R, 1, P) @ (R, P, 1) norm
     product. The linear model has no views, so its steps write a (k + 1, R,
-    P) weight history instead, one per block: each step is the forward
-    einsum, the residual in place, at b = 1 the gradient as r * x (the
-    one-term matmul bitwise up to the sign of a zero, as a matmul sums from
-    +0.0; the division by 1 is skipped), the rate and the update into the
-    next row of the history. Only a -0.0 weight tells the two apart: its
-    step may end at +0.0 where grad_mean_xy's keeps -0.0.
-    The k * R norms are then one (k, R, 1, P) @ (k, R, P, 1) product, the
-    same BLAS dot per row, and the last row is copied back into W.
+    P) weight history instead, one per block, in chunks of m = max(1,
+    LINEAR_CHUNK_ROWS // b) steps. A chunk starting at weights w_c forms
+    the residuals a = X w_c - y of all its steps with the step's forward
+    einsum, then solves (I + L) r = a for each step's own residuals
+    (_chunk_residuals: L is the strictly-earlier-step part of the chunk's
+    Gram matrix, each column scaled by its step's eta / b, and the rows go
+    latest step first, so that the matrix is unit upper triangular and
+    partial pivoting swaps no row). Each step's update is then formed as a
+    single step forms it: at b = 1 the gradient as r * x (the one-term
+    matmul bitwise up to the sign of a zero, as a matmul sums from +0.0;
+    the division by 1 is skipped), else a matmul divided by b, times the
+    rate, each written into its step's row of the history; one
+    np.subtract.accumulate over the chunk's rows, in place, then rounds
+    w_{t+1} = w_t - u_t exactly as the single steps do. A chunk of one step
+    solves nothing, so a block of one step, and the first step of every
+    chunk, are bitwise the single step; the residuals of a chunk's later
+    steps come from the solve, at roundoff. Only a -0.0 weight tells r * x
+    from the matmul: its step may end at +0.0 where grad_mean_xy's keeps
+    -0.0. The k * R norms are then one (k, R, 1, P) @ (k, R, P, 1)
+    product, the same BLAS dot per row, and the last row is copied back
+    into W.
 
     run neither checks finiteness nor copies W for the caller: a NaN or inf
     gradient shows as non-finite norms of its own row only, and warns as
     numpy does unless the caller silences it; a caller that keeps a row
-    past the next block must copy it.
+    past the next block must copy it. A linear step that overflows, at
+    any rate, spoils only its chunk's later steps, as in the single steps,
+    while the chunk's residuals at w_c are finite and its feature products
+    x_i . x_j are not NaN; with features or residuals beyond about 1e154
+    and 1e308 a step's failure may show at an earlier step of its chunk.
 
     snapshot() runs _snapshot_pass over every run's whole dataset at the
     current W, on the bound features, targets, layer views and gradient
@@ -466,7 +502,6 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     layers = [(mat, bias[:, None, :]) for mat, bias in _layer_views(spec, W)]
     out = _grad_buffer(spec, (len(W),))
     grad = out[0]
-    grad_rows = grad[:, None, :]
     runs = np.arange(len(W))[:, None]
     # (R, 1, P) @ (R, P, 1) is one BLAS dot per run, bitwise w @ w
     w_rows, w_cols = W[:, None, :], W[:, :, None]
@@ -484,18 +519,24 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
 
     def run_linear(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray) -> None:
         k, b = len(xs), xs.shape[2]
+        m = max(1, LINEAR_CHUNK_ROWS // b)
         hist = np.empty((k + 1, *W.shape))
         hist[0] = W
-        for x, t_b, rate, w, w_next in zip(xs, ts, rates[:, :, None], hist, hist[1:]):
-            r = np.einsum("...ni,...i->...n", x, w)
-            np.subtract(r, t_b, out=r)
+        for c in range(0, k, m):
+            x, eta = xs[c:c + m], rates[c:c + m]
+            chunk = hist[c:c + len(x) + 1]
+            u = chunk[1:, :, None, :]  # the chunk's updates, then its weights
+            r = np.einsum("...ni,...i->...n", x, chunk[0])
+            np.subtract(r, ts[c:c + m], out=r)
+            if len(x) > 1:
+                _chunk_residuals(x, r, eta)
             if b == 1:
-                np.multiply(r[..., None], x, out=grad_rows)
+                np.multiply(r[..., None], x, out=u)
             else:
-                np.matmul(r[..., None, :], x, out=grad_rows)
-                np.divide(grad, b, out=grad)
-            np.multiply(grad, rate, out=grad)
-            np.subtract(w, grad, out=w_next)
+                np.matmul(r[..., None, :], x, out=u)
+                np.divide(u, b, out=u)
+            np.multiply(u, eta[:, :, None, None], out=u)
+            np.subtract.accumulate(chunk, axis=0, out=chunk)
         steps = hist[1:]
         np.matmul(steps[..., None, :], steps[..., :, None], out=sq)
         W[...] = hist[k]
@@ -504,6 +545,48 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
         return _snapshot_pass(spec, W, X, t, layers=layers, out=out)
 
     return W, gather, run_linear if spec.kind == "linear" else run_mlp, snapshot
+
+
+def _chunk_residuals(x: np.ndarray, r: np.ndarray, rates: np.ndarray) -> None:
+    """Turn r, a chunk's (m, R, b) residuals at its first weights, into each step's own.
+
+    x (m, R, b, d) holds the m steps' batches and rates (m, R) their step
+    sizes. Step j's own residuals r'_j are r_j - sum over s < j of
+    (eta_s / b) X_j X_s' r'_s: one unit triangular system (I + L) r' = r
+    per run, L being the strictly-earlier-step part of the chunk's Gram
+    matrix X X', each column scaled by its step's eta / b. Its rows go
+    latest step first, so the matrix is unit upper triangular: partial
+    pivoting finds each pivot on the diagonal and swaps nothing, the solve
+    is a back substitution from the first step, and the first step's
+    residuals come back unchanged. A step that overflows so spoils only
+    the steps after it, while the system holds no NaN and r no inf: an
+    entry of X X' * eta / b that overflows is clamped to the largest float
+    before the mask zeroes the entries of later steps (0 * inf is NaN), as
+    LU would multiply an inf above the diagonal by the zero multipliers
+    below it and put NaN in the rows of the earlier steps. The result is
+    written back into r in step order: a reversed view would send the
+    update's matmul off its BLAS path, and so off the single step's sums.
+    """
+    m, R, b, _ = x.shape
+    X = x.transpose(1, 0, 2, 3).reshape(R, m * b, -1)  # a view at b = 1 or R = 1
+    G = X @ X.mT
+    G4 = G.reshape(R, m * b, m, b)
+    np.multiply(G4, (rates.T / b)[:, None, :, None], out=G4)
+    np.minimum(G, _MAX, out=G)
+    np.maximum(G, -_MAX, out=G)
+    G *= _earlier_steps(m, b)
+    G.reshape(R, -1)[:, ::m * b + 1] = 1.0
+    a = r.transpose(1, 0, 2).reshape(R, m * b, 1)
+    solved = np.linalg.solve(G[:, ::-1, ::-1], a[:, ::-1])[:, ::-1]
+    r[...] = solved.reshape(R, m, b).transpose(1, 0, 2)
+
+
+@functools.cache
+def _earlier_steps(m: int, b: int) -> np.ndarray:
+    """The (m*b, m*b) 0/1 mask of a chunk's row pairs whose column is an earlier step."""
+    mask = np.kron(np.tri(m, k=-1), np.ones((b, b)))
+    mask.flags.writeable = False
+    return mask
 
 
 def _snapshot_pass(spec: ModelSpec, w: np.ndarray, X: np.ndarray, t: np.ndarray,

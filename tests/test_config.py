@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -433,7 +434,23 @@ def test_validation_rejects_nan_thresholds_and_rates_set_in_code(experiment, key
         validate_config(dataclasses.replace(default_config(experiment), **fields))
 
 
+@pytest.mark.parametrize("experiment, key, fields", [
+    ("assumption", "schedule.eta0", dict(eta0=math.inf)),
+    ("toy_table", "schedule.c", dict(c=math.inf)),
+    ("toy_table", "schedule.beta", dict(beta=math.inf)),
+], ids=["eta0", "c", "beta"])
+def test_validation_rejects_infinite_rates_set_in_code(experiment, key, fields):
+    # only the file parser rejects non-finite numbers; an infinite rate set
+    # from code fails as the key's range error, not later in the run's
+    # schedule with an error that names no key
+    cfg = dataclasses.replace(default_config(experiment), **fields)
+    with pytest.raises(ConfigError,
+                       match=rf"^{key}: needs > 0 and finite( or auto)?, got inf$"):
+        validate_config(cfg)
+
+
 TINY = math.nextafter(0.0, 1.0)
+MAX = sys.float_info.max
 _TRACK = default_config("track")  # toy data, mlp, sgd, epochs, cosine schedule
 _CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_column="y")
 
@@ -454,9 +471,9 @@ RANGE_CASES = {
     "optim.max_steps": (default_config("assumption"), [-1], [0]),
     "optim.stop_train_loss": (_TRACK, [0.0, -TINY], [TINY]),
     "optim.snapshot_every": (_TRACK, [0], [1]),
-    "schedule.eta0": (_TRACK, [0.0], [TINY]),
-    "schedule.c": (default_config("toy_table"), [0.0], [TINY]),
-    "schedule.beta": (default_config("toy_table"), [0.0], [TINY]),
+    "schedule.eta0": (_TRACK, [0.0, math.inf], [TINY, MAX]),
+    "schedule.c": (default_config("toy_table"), [0.0, math.inf], [TINY, MAX]),
+    "schedule.beta": (default_config("toy_table"), [0.0, math.inf], [TINY, MAX]),
     "schedule.eta_min": (_TRACK, [-TINY], [0.0]),
     "schedule.t_max": (_TRACK, [0], [1]),
     "est.k_samples": (_TRACK, [0], [1]),

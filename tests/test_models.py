@@ -36,6 +36,8 @@ from trajbound.models import (
 )
 from trajbound.numerics import RngStream, central_diff_gradient, power_iteration_top_eig
 
+from linear_reference import assert_within, linear_reference
+
 
 def random_case(gen, kind):
     n = int(gen.integers(2, 8))
@@ -458,7 +460,9 @@ def test_step_kernel_rejects_a_mismatched_stack():
 def test_step_kernel_gathers_an_interval_step_major(kind):
     # gather returns every step's operands of an interval at once, step-major:
     # each step's slice is a C-contiguous (R, b, ...) block holding each run's
-    # own rows, and one run call on the block is its k single-step updates
+    # own rows, and one run call on the block is its k single-step updates:
+    # bitwise for an MLP, within the chunk solve's derived tolerance for the
+    # linear model
     gen = np.random.default_rng(sum(map(ord, kind)) + 5)
     spec, w, data = random_case(gen, kind)
     n, R, k = data.n, 3, 6
@@ -478,6 +482,10 @@ def test_step_kernel_gathers_an_interval_step_major(kind):
     sq = np.empty((k, R, 1, 1))
     etas = gen.uniform(0.0, 0.5, size=(k, R))
     run(xs, ts, etas, sq)
+    if kind == "linear":
+        assert_within(W_run, np.sqrt(sq.reshape(k, R)),
+                      *linear_reference(spec, refs, data_r, batches, etas))
+        return
     for j in range(k):
         for r, d in enumerate(data_r):
             rows = batches[j, r]
@@ -524,8 +532,12 @@ def reference_steps(spec, ws, datasets, batches, rates):
 @pytest.mark.parametrize("kind, b", [("linear", 1), ("linear", 3), ("mlp", 2), ("mlp_ce", 4)])
 def test_a_block_run_is_bitwise_its_single_steps(kind, b, R):
     # one run call over a gathered block of k steps leaves the weights and
-    # writes the k x R norms of k one-step blocks, bitwise, and those of the
-    # out-of-place step; a second block starts from where the first ended
+    # writes the k x R norms of k one-step blocks, bitwise for an MLP, and
+    # those of the out-of-place step; a second block starts from where the
+    # first ended. A linear block runs in chunks of triangular solves, which
+    # move every step after a chunk's first at roundoff: it is held to the
+    # derived tolerance of tests/linear_reference.py, and its one-step blocks
+    # stay bitwise the out-of-place steps
     gen = np.random.default_rng(sum(map(ord, kind)) + 10 * b + R)
     spec, ws, datasets = block_case(gen, kind, R)
     k, n = 7, datasets[0].n
@@ -537,17 +549,23 @@ def test_a_block_run_is_bitwise_its_single_steps(kind, b, R):
     for block in (slice(0, k), slice(k, 2 * k)):
         run(*gather(batches[block]), rates[block], sq[block])
     W_one, sq_one = one_step_blocks(spec, ws, datasets, batches, rates)
-    assert W.tobytes() == W_one.tobytes() and sq.tobytes() == sq_one.tobytes()
     refs, norms = reference_steps(spec, ws, datasets, batches, rates)
-    assert np.sqrt(sq.reshape(2 * k, R)).tobytes() == norms.tobytes()
-    assert all(W[r].tobytes() == refs[r].tobytes() for r in range(R))
+    assert np.sqrt(sq_one.reshape(2 * k, R)).tobytes() == norms.tobytes()
+    assert all(W_one[r].tobytes() == refs[r].tobytes() for r in range(R))
+    if kind == "linear":
+        assert_within(W, np.sqrt(sq.reshape(2 * k, R)),
+                      *linear_reference(spec, ws, datasets, batches, rates, blocks=(0, k)))
+        return
+    assert W.tobytes() == W_one.tobytes() and sq.tobytes() == sq_one.tobytes()
 
 
 def test_a_linear_batch_one_step_differs_from_the_matmul_only_in_a_zero_weight_sign():
     # at b = 1 the linear gradient is r * x, which keeps the sign of a zero
     # product where the matmul's sum from +0.0 gives +0.0; a -0.0 weight whose
-    # feature is 0 may so end at +0.0 where the out-of-place step keeps -0.0,
-    # while every value and every norm is bitwise the same
+    # feature is 0 may so end at +0.0 where the out-of-place step keeps -0.0.
+    # The six steps are one chunk of the triangular solve: the first is
+    # bitwise the out-of-place step, and every norm and weight is within the
+    # derived tolerance
     gen = np.random.default_rng(43)
     spec = ModelSpec(kind="linear", input_dim=3)
     X = gen.standard_normal((6, 3))
@@ -559,18 +577,21 @@ def test_a_linear_batch_one_step_differs_from_the_matmul_only_in_a_zero_weight_s
     W, gather, run, _ = models.bind_step_kernel(spec, [w0], [data])
     sq = np.empty((6, 1, 1, 1))
     run(*gather(batches), rates, sq)
-    (ref,), norms = reference_steps(spec, [w0], [data], batches, rates)
-    assert np.sqrt(sq.ravel()).tobytes() == norms.ravel().tobytes()
-    assert np.array_equal(W[0], ref)
-    differ = np.signbit(W[0]) != np.signbit(ref)
-    assert np.all(W[0][differ] == 0.0) and W[0][1:].tobytes() == ref[1:].tobytes()
+    weights, norms, tol = linear_reference(spec, [w0], [data], batches, rates)
+    assert np.sqrt(sq[0, 0, 0, 0]) == norms[0, 0]
+    assert_within(W, np.sqrt(sq.reshape(6, 1)), weights, norms, tol)
+    ref = weights[6, 0]
+    assert W[0][0] == ref[0] == 0.0 and np.signbit(ref[0]) and not np.signbit(W[0][0])
 
 
 def test_a_diverging_linear_row_overflows_mid_block_at_the_single_steps_places():
     # row 0 crosses PARAM_NORM_CAP at its first step, overflows to inf a few
     # steps later and then runs on to NaN, all inside one block, while rows 1
     # and 2 step normally; the interval runner gives one run call and keeps
-    # numpy's warnings in (pytest turns an escaping RuntimeWarning into an error)
+    # numpy's warnings in (pytest turns an escaping RuntimeWarning into an
+    # error). The first step is bitwise the single steps', row 0's inf and
+    # NaN norms fall at their places, and rows 1 and 2 are within the chunk
+    # solve's derived tolerance
     gen = np.random.default_rng(41)
     spec, ws, datasets = block_case(gen, "linear", 3)
     k, n = 9, datasets[0].n
@@ -584,15 +605,133 @@ def test_a_diverging_linear_row_overflows_mid_block_at_the_single_steps_places()
     with np.errstate(over="ignore", invalid="ignore"):
         W_one, sq_one = one_step_blocks(spec, ws, datasets, batches, rates)
         refs, ref_norms = reference_steps(spec, ws, datasets, batches, rates)
-    assert norms.tobytes() == np.sqrt(sq_one.reshape(k, 3)).tobytes()
-    assert W.tobytes() == W_one.tobytes()
-    assert np.array_equal(norms, ref_norms, equal_nan=True)
-    assert all(np.array_equal(W[r], refs[r], equal_nan=True) for r in range(3))
+    assert np.sqrt(sq_one.reshape(k, 3)).tobytes() == ref_norms.tobytes()
+    assert norms[0].tobytes() == ref_norms[0].tobytes()
+    assert np.array_equal(np.isinf(norms), np.isinf(ref_norms))
+    assert np.array_equal(np.isnan(norms), np.isnan(ref_norms))
+    assert np.isnan(W[0]).all() and np.isnan(refs[0]).all()
+    assert_within(W[1:], norms[:, 1:],
+                  *linear_reference(spec, ws[1:], datasets[1:], batches[:, 1:], rates[:, 1:]))
     row = norms[:, 0]
     assert optim.PARAM_NORM_CAP < row[0] < math.inf
     inf_at, nan_at = np.flatnonzero(np.isinf(row)), np.flatnonzero(np.isnan(row))
     assert 0 < inf_at[0] < nan_at[0] < k - 1 and (nan_at == np.arange(nan_at[0], k)).all()
     assert np.isfinite(norms[:, 1:]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 5), b_frac=st.floats(0.0, 1.0),
+       k=st.integers(1, 60), R=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_linear_block_is_within_the_chunk_roundoff_of_its_single_steps(n, d, b_frac, k,
+                                                                         R, seed):
+    # any n, d, b, k and stack, run as two blocks: rates of 0 and up to three
+    # times the inverse mean squared feature norm, where a step expands its
+    # weights, still leave every norm and final weight within the tolerance
+    # derived in tests/linear_reference.py of the out-of-place steps, and the
+    # block's first step is bitwise that step
+    gen = np.random.default_rng(seed)
+    b = 1 + int(b_frac * (n - 1))
+    spec = linear_spec(d)
+    datasets = [Dataset(gen.standard_normal((n, d)), gen.standard_normal(n)) for _ in range(R)]
+    ws = gen.standard_normal((R, d))
+    batches = np.sort(np.stack([[gen.choice(n, size=b, replace=False) for _ in range(R)]
+                                for _ in range(k)]), axis=2)
+    scale = [np.mean(np.sum(data.features ** 2, axis=1)) for data in datasets]
+    rates = gen.uniform(0.0, 3.0, size=(k, R)) / scale
+    rates[gen.random((k, R)) < 0.2] = 0.0
+    split = int(gen.integers(0, k + 1))
+    W, gather, run, _ = models.bind_step_kernel(spec, ws, datasets)
+    sq = np.empty((k, R, 1, 1))
+    for block in (slice(0, split), slice(split, k)):
+        if block.start < block.stop:
+            run(*gather(batches[block]), rates[block], sq[block])
+    weights, norms, tol = linear_reference(spec, ws, datasets, batches, rates,
+                                           blocks=(0, split))
+    assert np.sqrt(sq[0].ravel()).tobytes() == norms[0].tobytes()
+    assert_within(W, np.sqrt(sq.reshape(k, R)), weights, norms, tol)
+
+
+def test_the_linear_chunk_solve_swaps_no_rows_where_a_pivoting_one_loses_accuracy():
+    # 25 steps, one chunk, on 4 rows of 2 features at 2.9 / mean ||x||^2, where
+    # each step can expand the weights. The chunk's system (I + L) r = a has
+    # subdiagonal entries above 1 in magnitude: solved in step order, with L
+    # lower triangular, partial pivoting swaps rows and the weights lose about
+    # 1e-9 relative, some 10^4 times the derived tolerance. Latest step first
+    # the matrix is unit upper triangular, no row is swapped, and the kernel
+    # stays within the tolerance
+    gen = np.random.default_rng(1297)
+    X, y, w0 = gen.standard_normal((4, 2)), gen.standard_normal(4), gen.standard_normal(2)
+    k = 25
+    batches = gen.integers(0, 4, size=(k, 1, 1))
+    rates = np.full((k, 1), 2.9 / np.mean(np.sum(X ** 2, axis=1)))
+    spec, data = linear_spec(2), Dataset(X, y)
+    W, gather, run, _ = models.bind_step_kernel(spec, [w0], [data])
+    sq = np.empty((k, 1, 1, 1))
+    run(*gather(batches), rates, sq)
+    weights, norms, tol = linear_reference(spec, [w0], [data], batches, rates)
+    assert_within(W, np.sqrt(sq.reshape(k, 1)), weights, norms, tol)
+    # the same chunk solved in step order
+    xs = X[batches[:, 0, 0]]
+    r = np.linalg.solve(np.eye(k) + np.tril(xs @ xs.T, -1) * rates[:, 0],
+                        xs @ w0 - y[batches[:, 0, 0]])
+    pivoted = w0 - np.cumsum(r[:, None] * xs * rates, axis=0)
+    off = np.linalg.norm(pivoted - weights[1:, 0], axis=1)
+    assert (off / norms[:, 0]).max() > 1e-10 and (off / tol[:, 0]).max() > 1e3
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("huge, scale", [(1e100, 1.0), (1e200, 1.0), (1e300, 1.0),
+                                         (1e300, 1e5)])
+def test_a_huge_linear_rate_fails_at_the_single_steps_place(huge, scale, b):
+    # row 1's rate jumps to huge mid-chunk, at step 7 of a 30-step interval:
+    # the chunk solve raises no LinAlgError and lets no RuntimeWarning out of
+    # the interval runner; row 1 first fails the norm guard where the
+    # single steps do, its earlier norms within the derived tolerance, and
+    # rows 0 and 2 step on within it. With features of norm about 1e5 the
+    # huge rate's entries of the chunk's system overflow to inf
+    gen = np.random.default_rng(int(math.log10(huge)) + b)
+    spec, ws, datasets = block_case(gen, "linear", 3)
+    datasets = [Dataset(d.features * scale, d.labels) for d in datasets]
+    ws = [w / scale for w in ws]
+    k, n = 30, datasets[0].n
+    batches = np.sort(np.stack([[gen.choice(n, size=b, replace=False) for _ in range(3)]
+                                for _ in range(k)]), axis=2)
+    rates = gen.uniform(0.0, 0.5, size=(k, 3)) / scale ** 2
+    rates[7:, 1] = huge
+    W, gather, run, _ = models.bind_step_kernel(spec, ws, datasets)
+    norms = optim._run_interval(gather, run, batches, rates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ref_norms = reference_steps(spec, ws, datasets, batches, rates)
+    failed, ref_failed = ~(norms <= optim.PARAM_NORM_CAP), ~(ref_norms <= optim.PARAM_NORM_CAP)
+    assert np.argmax(failed[:, 1]) == np.argmax(ref_failed[:, 1]) == 7
+    rows = [0, 2]
+    _, before, tol = linear_reference(spec, ws[1:2], datasets[1:2], batches[:7, 1:2],
+                                      rates[:7, 1:2])
+    assert np.all(np.abs(norms[:7, 1] - before[:, 0]) <= tol[:, 0])
+    assert_within(W[rows], norms[:, rows],
+                  *linear_reference(spec, [ws[r] for r in rows], [datasets[r] for r in rows],
+                                    batches[:, rows], rates[:, rows]))
+
+
+def test_linear_feature_products_that_overflow_fail_at_the_single_steps_place():
+    # samples 5 and 7 hold features near 1e160, so their products overflow
+    # to inf in the chunk's Gram matrix, inside and outside its earlier-step
+    # part: the single steps first fail at step 5, and so does the chunk
+    gen = np.random.default_rng(47)
+    X = gen.standard_normal((9, 2))
+    X[5] = X[7] = [1e160, 1e160]
+    spec, data = linear_spec(2), Dataset(X, gen.standard_normal(9))
+    batches = (np.arange(12) % 9)[:, None, None]
+    rates = np.full((12, 1), 0.1)
+    W, gather, run, _ = models.bind_step_kernel(spec, [np.array([0.1, 0.2])], [data])
+    norms = optim._run_interval(gather, run, batches, rates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ref_norms = reference_steps(spec, [np.array([0.1, 0.2])], [data], batches, rates)
+    assert np.argmax(~(norms[:, 0] <= optim.PARAM_NORM_CAP)) == 5
+    assert np.argmax(~(ref_norms[:, 0] <= optim.PARAM_NORM_CAP)) == 5
+    _, before, tol = linear_reference(spec, [np.array([0.1, 0.2])], [data], batches[:5],
+                                      rates[:5])
+    assert np.all(np.abs(norms[:5] - before) <= tol)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])

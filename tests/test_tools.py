@@ -95,6 +95,52 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
     assert missing.stdout == f"missing from {new}: track/meta.json\n"
 
 
+def test_shipped_outputs_compares_csv_values_within_a_relative_tolerance(tmp_path):
+    # --rel compares each CSV by value: every column's largest relative
+    # difference is printed, and one above TOL, a changed header or row
+    # count, or differing text fails; meta.json is still compared by bytes
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree, value, tag in ((old, "0.25", "a"), (new, "0.25000000000001", "a")):
+        (tree / "toy_table").mkdir(parents=True)
+        (tree / "toy_table" / "bounds.csv").write_text(
+            f"seed,value,gap,tag\n0,{value},nan,{tag}\n1,-2.0,0.0,b\n")
+        _write_meta(tree / "toy_table", default_config("toy_table"))
+    close = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
+    assert close.returncode == 0, close.stdout
+    assert close.stdout.splitlines() == [
+        "toy_table/bounds.csv seed: 0",
+        "toy_table/bounds.csv value: 4e-14",
+        "toy_table/bounds.csv gap: 0",
+        "toy_table/bounds.csv tag: 0",
+        "1 CSV files within relative 1e-12 and 1 meta.json files identical",
+    ]
+    assert _shipped_outputs(new, "--against", old).stdout == "differs: toy_table/bounds.csv\n"
+
+    tight = _shipped_outputs(new, "--against", old, "--rel", "1e-14")
+    assert tight.returncode == 1
+    assert tight.stdout.splitlines()[-1] == "above 1e-14: toy_table/bounds.csv value: 4e-14"
+
+    table = new / "toy_table" / "bounds.csv"
+    for text, problem in (("seed,value,gap,tag\n0,0.25,nan,a\n1,-2.0,0.0,c\n",
+                           "above 1e-12: toy_table/bounds.csv tag: inf"),
+                          ("seed,value,gap,tag\n0,0.25,1.0,a\n1,-2.0,0.0,b\n",
+                           "above 1e-12: toy_table/bounds.csv gap: inf"),
+                          ("seed,value,gap\n0,0.25,nan\n1,-2.0,0.0\n",
+                           "columns differ: toy_table/bounds.csv"),
+                          ("seed,value,gap,tag\n0,0.25,nan,a\n",
+                           "rows differ: toy_table/bounds.csv")):
+        table.write_text(text)
+        done = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
+        assert done.returncode == 1 and done.stdout.splitlines()[-1] == problem
+
+    table.write_text("seed,value,gap,tag\n0,0.25,nan,a\n1,-2.0,0.0,b\n")
+    _write_meta(new / "toy_table", default_config("toy_table"), seed_used=1)
+    meta = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
+    assert meta.returncode == 1 and meta.stdout.splitlines()[-1] == "differs: toy_table/meta.json"
+
+    assert _shipped_outputs(new, "--rel", "1e-12").returncode == 2
+
+
 def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "shipped_outputs", os.path.join(ROOT, "tools", "shipped_outputs.py"))

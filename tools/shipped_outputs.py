@@ -1,7 +1,7 @@
 """Run every shipped config, or compare two such output trees byte for byte.
 
     python3 tools/shipped_outputs.py DIR
-    python3 tools/shipped_outputs.py DIR --against OLD
+    python3 tools/shipped_outputs.py DIR --against OLD [--rel TOL]
 
 The first form runs each configs/*.cfg through `python -m trajbound.cli`
 with this checkout's src/ and OPENBLAS_NUM_THREADS=1, writing the outputs
@@ -14,12 +14,22 @@ CSV files must match byte for byte; a meta.json too, apart from the
 output_dir line of the config it echoes, which names each tree's own
 directory. To check that a change keeps every shipped output, run the
 first form at the parent commit into OLD and at the change into DIR, then
-the second. Standard library only.
+the second.
+
+With --rel TOL the CSV files are compared by value instead: each pair must
+have the same header and the same number of rows, and for each column the
+tool prints the largest relative difference |a - b| / max(|a|, |b|) over
+its cells (0 for equal values, NaN included, and inf for differing cells
+that are not both numbers), then exits 1 if any column's is above TOL. This
+checks a change that moves outputs at roundoff, where bytes must differ.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import os
 import re
 import subprocess
@@ -68,20 +78,64 @@ def _outputs(tree: Path) -> set[str]:
             for p in tree.rglob(pattern)}
 
 
-def compare(new: Path, old: Path) -> list[str]:
-    """One line per CSV file or meta.json that differs or exists under only one tree."""
+def compare(new: Path, old: Path, tol: float | None = None) -> tuple[list[str], list[str]]:
+    """(problems, report): a line per output file that differs or exists under one tree only.
+
+    With tol the CSV files are compared by value: the report holds each
+    column's largest relative difference, and each column above tol is a
+    problem.
+    """
     new_files, old_files = _outputs(new), _outputs(old)
     if not any(rel.endswith(".csv") for rel in new_files | old_files):
-        return [f"no CSV files under {new} or {old}"]
-    problems = []
+        return [f"no CSV files under {new} or {old}"], []
+    problems, report = [], []
     for rel in sorted(new_files | old_files):
         if rel not in new_files:
             problems.append(f"missing from {new}: {rel}")
         elif rel not in old_files:
             problems.append(f"missing from {old}: {rel}")
+        elif tol is not None and rel.endswith(".csv"):
+            columns = _column_differences(new / rel, old / rel)
+            if isinstance(columns, str):
+                problems.append(f"{columns}: {rel}")
+                continue
+            for column, diff in columns:
+                line = f"{rel} {column}: {diff:.3g}"
+                report.append(line)
+                if not diff <= tol:
+                    problems.append(f"above {tol:g}: {line}")
         elif _compared_bytes(new / rel) != _compared_bytes(old / rel):
             problems.append(f"differs: {rel}")
-    return problems
+    return problems, report
+
+
+def _column_differences(new: Path, old: Path) -> list[tuple[str, float]] | str:
+    """Each column's largest relative difference, or why the two tables do not match."""
+    tables = []
+    for path in (new, old):
+        with open(path, newline="", encoding="utf-8") as f:
+            tables.append(list(csv.reader(f)))
+    (header, *rows), (old_header, *old_rows) = (t or [[]] for t in tables)
+    if header != old_header:
+        return "columns differ"
+    if len(rows) != len(old_rows) or any(len(r) != len(header) for r in rows + old_rows):
+        return "rows differ"
+    return [(name, max((_relative(row[i], old_row[i]) for row, old_row in zip(rows, old_rows)),
+                       default=0.0))
+            for i, name in enumerate(header)]
+
+
+def _relative(a: str, b: str) -> float:
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    diff = abs(x - y) / max(abs(x), abs(y))
+    return math.inf if math.isnan(diff) else diff
 
 
 def main(argv=None) -> int:
@@ -90,17 +144,26 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, metavar="OLD",
                         help="compare DIR's CSV and meta.json files with OLD's "
                              "instead of running")
+    parser.add_argument("--rel", type=float, metavar="TOL",
+                        help="with --against, compare the CSV files by value and "
+                             "allow each cell a relative difference up to TOL")
     args = parser.parse_args(argv)
     if args.against is None:
+        if args.rel is not None:
+            parser.error("--rel needs --against")
         return run(args.dir)
-    problems = compare(args.dir, args.against)
-    for line in problems:
+    problems, report = compare(args.dir, args.against, args.rel)
+    for line in report + problems:
         print(line)
     if problems:
         return 1
     files = _outputs(args.dir)
-    csv = sum(rel.endswith(".csv") for rel in files)
-    print(f"{csv} CSV files and {len(files) - csv} meta.json files identical")
+    csv_files = sum(rel.endswith(".csv") for rel in files)
+    if args.rel is None:
+        print(f"{csv_files} CSV files and {len(files) - csv_files} meta.json files identical")
+    else:
+        print(f"{csv_files} CSV files within relative {args.rel:g} and "
+              f"{len(files) - csv_files} meta.json files identical")
     return 0
 
 
