@@ -298,8 +298,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise bad("sweep.values", "a non-empty grid is required")
         if want == "noise" and not all(0.0 <= v <= 1.0 for v in cfg.sweep_values):
             raise bad("sweep.values", "noise fractions must lie in [0, 1]")
-        if want == "lr" and not all(v > 0 for v in cfg.sweep_values):
-            raise bad("sweep.values", "step sizes must be positive")
+        if want == "lr" and not all(map(_finite_positive[0], cfg.sweep_values)):
+            raise bad("sweep.values", "step sizes must be positive and finite")
         if want == "lr" and cfg.schedule_kind != "constant":
             raise bad("schedule.kind",
                       "sweep_lr varies a constant step size; "

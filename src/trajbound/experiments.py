@@ -123,14 +123,33 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     return RunParts(spec, S, S_prime, w0, ocfg, est)
 
 
-def _write_meta(out_dir: str, cfg: ExperimentConfig, extra: dict) -> str:
-    meta = {"experiment": cfg.experiment, "seeds": list(cfg.seeds),
-            "config": emit_config(cfg)}
-    meta.update(extra)
-    path = os.path.join(out_dir, "meta.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return path
+def _write_outputs(cfg: ExperimentConfig, plots: bool, tables: dict, meta: dict,
+                   figures) -> list[str]:
+    """Write a command's files under cfg.output_dir; their paths in writing order.
+
+    First each CSV of tables, which maps a file name to its (columns, rows)
+    or to a function that writes the file at the path it is given; then
+    meta.json, the experiment, seeds and resolved config with the
+    command's meta entries; then, with plots, each (CSV name, [PlotSpec])
+    of figures.
+    """
+    out = cfg.output_dir
+    paths = []
+    for name, table in tables.items():
+        paths.append(os.path.join(out, name))
+        if callable(table):
+            table(paths[-1])
+        else:
+            write_csv(paths[-1], *table)
+    doc = {"experiment": cfg.experiment, "seeds": list(cfg.seeds),
+           "config": emit_config(cfg), **meta}
+    paths.append(os.path.join(out, "meta.json"))
+    with open(paths[-1], "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if plots:
+        for name, specs in figures:
+            paths += emit_svg_plots(os.path.join(out, name), specs)
+    return paths
 
 
 def _train_cells(cells, recorders) -> list:
@@ -160,6 +179,18 @@ def _raise_failed(seeds, outcomes, label: str) -> None:
             raise res
 
 
+def _train_first_seed(cfg: ExperimentConfig) -> tuple[RunParts, TrajectoryRecorder]:
+    """Train cfg.seeds[0] alone with a holdout recorder; raise its failure, if any.
+
+    The output directory is made once the run is assembled, before training.
+    """
+    parts = assemble_run(cfg, cfg.seeds[0])
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
+    _raise_failed(cfg.seeds[:1], _train_cells([parts], [rec]), cfg.experiment)
+    return parts, rec
+
+
 TOY_TABLE_COLUMNS = ("seed", "gen_error", "ours_main", "ours_smooth",
                      "hardt_convex", "hardt_nonconvex", "zhang")
 
@@ -174,12 +205,9 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     Writes toy_table.csv (per-seed rows plus a seed-mean row) and bounds.csv
     with the full per-seed bound reports.
     """
-    out = cfg.output_dir
-    table_rows = []
-    reports = []
-    report_seeds = []
+    table_rows, reports, report_seeds = [], [], []
     cells = [assemble_run(cfg, s) for s in cfg.seeds]
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime) for p in cells]
     outcomes = _train_cells(cells, recs)
     _raise_failed(cfg.seeds, outcomes, "toy_table")
@@ -191,32 +219,25 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
         r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule)
         r_relaxed = bound_trajectory_relaxed(consts, rec.snapshots)
         r_hc = bound_stability_baseline("hardt_convex", consts, res.etas)
-        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas,
-                                         schedule)
+        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas, schedule)
         r_zh = bound_stability_baseline("zhang", consts, res.etas, schedule)
         r_ba = bound_stability_baseline("bassily", consts, res.etas)
         last = rec.snapshots[-1]
-        gen = last.F_Sprime - last.F_S
-        table_rows.append([s, gen, r_main.value, r_smooth.value,
+        table_rows.append([s, last.F_Sprime - last.F_S, r_main.value, r_smooth.value,
                            r_hc.value, r_hnc.value, r_zh.value])
-        for rep in (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba):
-            reports.append(rep)
-            report_seeds.append(s)
+        reports += (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba)
+        report_seeds += [s] * 7
 
     values = np.array([row[1:] for row in table_rows], dtype=np.float64)
     mean_row = ["mean"] + [float(v) for v in np.mean(values, axis=0)]
-    table_path = os.path.join(out, "toy_table.csv")
-    write_csv(table_path, TOY_TABLE_COLUMNS, table_rows + [mean_row])
-    bounds_path = os.path.join(out, "bounds.csv")
-    write_bounds_csv(bounds_path, reports, seeds=report_seeds)
-    meta_path = _write_meta(out, cfg, {})
-    paths = [table_path, bounds_path, meta_path]
-    if plots:
-        paths += emit_svg_plots(table_path, [
-            PlotSpec(x="seed", ys=("gen_error", "ours_main", "hardt_nonconvex"),
-                     out_name="toy_table.svg", title="bound comparison by seed",
-                     exclude=("seed", "mean")),
-        ])
+    paths = _write_outputs(cfg, plots, {
+        "toy_table.csv": (TOY_TABLE_COLUMNS, table_rows + [mean_row]),
+        "bounds.csv": lambda path: write_bounds_csv(path, reports, seeds=report_seeds),
+    }, {}, [("toy_table.csv", [
+        PlotSpec(x="seed", ys=("gen_error", "ours_main", "hardt_nonconvex"),
+                 out_name="toy_table.svg", title="bound comparison by seed",
+                 exclude=("seed", "mean")),
+    ])])
     mean = dict(zip(TOY_TABLE_COLUMNS[1:], mean_row[1:]))
     return {"paths": paths, "mean": mean}
 
@@ -227,39 +248,23 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     Writes trajectory.csv plus track.csv with F_S + C_cum and the
     per-interval ratio dC/dF_S (empty when F_S did not change).
     """
-    out = cfg.output_dir
-    s = cfg.seeds[0]
-    parts = assemble_run(cfg, s)
-    os.makedirs(out, exist_ok=True)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
-    _raise_failed([s], _train_cells([parts], [rec]), "track")
-
-    traj_path = os.path.join(out, "trajectory.csv")
-    write_trajectory_csv(traj_path, rec.snapshots)
-
+    _, rec = _train_first_seed(cfg)
     rows = []
     snaps = rec.snapshots
     for i, snap in enumerate(snaps):
-        if i == 0:
-            ratio = None
-        else:
-            df = snap.F_S - snaps[i - 1].F_S
-            dc = snap.C_cum - snaps[i - 1].C_cum
-            ratio = None if df == 0.0 else dc / df
+        df = snap.F_S - snaps[i - 1].F_S if i else 0.0
+        ratio = (snap.C_cum - snaps[i - 1].C_cum) / df if df != 0.0 else None
         rows.append([snap.t, snap.epoch, snap.F_S, snap.F_Sprime,
                      snap.F_S + snap.C_cum, ratio])
-    track_path = os.path.join(out, "track.csv")
-    write_csv(track_path, ("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"),
-              rows)
-    meta_path = _write_meta(out, cfg, {"seed_used": s})
-    paths = [traj_path, track_path, meta_path]
-    if plots:
-        paths += emit_svg_plots(track_path, [
-            PlotSpec(x="epoch", ys=("F_S", "F_Sprime", "F_plus_C"),
-                     out_name="track_loss.svg", title="loss and shifted complexity"),
-            PlotSpec(x="epoch", ys=("dC_dF",), out_name="track_ratio.svg",
-                     title="complexity-to-loss increment ratio"),
-        ])
+    paths = _write_outputs(cfg, plots, {
+        "trajectory.csv": lambda path: write_trajectory_csv(path, snaps),
+        "track.csv": (("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"), rows),
+    }, {"seed_used": cfg.seeds[0]}, [("track.csv", [
+        PlotSpec(x="epoch", ys=("F_S", "F_Sprime", "F_plus_C"),
+                 out_name="track_loss.svg", title="loss and shifted complexity"),
+        PlotSpec(x="epoch", ys=("dC_dF",), out_name="track_ratio.svg",
+                 title="complexity-to-loss increment ratio"),
+    ])])
     return {"paths": paths}
 
 
@@ -270,44 +275,29 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     same weights with the training set standing in for the holdout, where
     the ratio is identically 1.
     """
-    out = cfg.output_dir
-    s = cfg.seeds[0]
-    parts = assemble_run(cfg, s)
-    os.makedirs(out, exist_ok=True)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
-    _raise_failed([s], _train_cells([parts], [rec]), "assumption")
-    control = replay_trajectory(
-        parts.spec, parts.S, parts.S, rec.weights,
-        [sn.t for sn in rec.snapshots],
-        [sn.epoch for sn in rec.snapshots],
-        [sn.eta_t for sn in rec.snapshots],
-    )
+    parts, rec = _train_first_seed(cfg)
+    snaps = rec.snapshots
+    control = replay_trajectory(parts.spec, parts.S, parts.S, rec.weights,
+                                [sn.t for sn in snaps], [sn.epoch for sn in snaps],
+                                [sn.eta_t for sn in snaps])
 
     rows = []
     gamma_max = {}
-    for label, snaps in (("main", rec.snapshots), ("control", control.snapshots)):
-        defined = [sn.gamma_tilde for sn in snaps if sn.gamma_tilde is not None]
+    for label, series in (("main", snaps), ("control", control.snapshots)):
+        defined = [sn.gamma_tilde for sn in series if sn.gamma_tilde is not None]
         gamma_max[label] = max(defined) if defined else None
-        for sn in snaps:
-            rows.append([label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S,
-                         sn.grad_norm_Sprime, sn.gamma_tilde])
-    path = os.path.join(out, "assumption.csv")
-    write_csv(path, ("dataset", "t", "epoch", "F_S", "grad_norm_S",
-                     "grad_norm_Sprime", "gamma_tilde"), rows)
-    meta_path = _write_meta(out, cfg, {
-        "seed_used": s,
-        "gamma_max_main": gamma_max["main"],
-        "gamma_max_control": gamma_max["control"],
-    })
-    paths = [path, meta_path]
-    if plots:
-        paths += emit_svg_plots(path, [
-            PlotSpec(x="epoch", ys=("gamma_tilde",), out_name="assumption_gamma.svg",
-                     title="holdout/train gradient-norm ratio",
-                     where=("dataset", "main")),
-            PlotSpec(x="epoch", ys=("F_S",), out_name="assumption_loss.svg",
-                     title="training loss", where=("dataset", "main")),
-        ])
+        rows += [[label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S, sn.grad_norm_Sprime,
+                  sn.gamma_tilde] for sn in series]
+    paths = _write_outputs(cfg, plots, {
+        "assumption.csv": (("dataset", "t", "epoch", "F_S", "grad_norm_S",
+                            "grad_norm_Sprime", "gamma_tilde"), rows),
+    }, {"seed_used": cfg.seeds[0], "gamma_max_main": gamma_max["main"],
+        "gamma_max_control": gamma_max["control"]}, [("assumption.csv", [
+        PlotSpec(x="epoch", ys=("gamma_tilde",), out_name="assumption_gamma.svg",
+                 title="holdout/train gradient-norm ratio", where=("dataset", "main")),
+        PlotSpec(x="epoch", ys=("F_S",), out_name="assumption_loss.svg",
+                 title="training loss", where=("dataset", "main")),
+    ])])
     return {"paths": paths, "gamma_max": gamma_max}
 
 
@@ -330,7 +320,6 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     (a non-finite pass, including the final S' pass, or a negative trace)
     reports the last recorded snapshot step.
     """
-    out = cfg.output_dir
     param = cfg.sweep_param
     grid = [(v, s) for v in cfg.sweep_values for s in cfg.seeds]
     cells, recs, at = [], [], []
@@ -346,7 +335,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         cells.append(parts)
         recs.append(TrajectoryRecorder(parts.spec, parts.S, None))
         at.append(i)
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     trained = dict(zip(at, zip(cells, recs, _train_cells(cells, recs))))
 
     def cell_row(i: int) -> list:
@@ -377,30 +366,19 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         cell_rows = [cell_row(i) for i in range(j * n_seeds, (j + 1) * n_seeds)]
         rows += cell_rows
         metrics = [row[3:6] for row in cell_rows if row[6] == 0]
-        if metrics:
-            arr = np.array(metrics, dtype=np.float64)
-            m = np.mean(arr, axis=0)
-            per_value[v] = (float(m[0]), float(m[1]), float(m[2]))
-            rows.append([param, v, "mean", float(m[0]), float(m[1]),
-                         float(m[2]), None])
-        else:
-            per_value[v] = None
-            rows.append([param, v, "mean", None, None, None, None])
+        mean = (tuple(map(float, np.mean(np.array(metrics, dtype=np.float64), axis=0)))
+                if metrics else None)
+        per_value[v] = mean
+        rows.append([param, v, "mean", *(mean or (None, None, None)), None])
 
-    path = os.path.join(out, "sweep.csv")
-    write_csv(path, SWEEP_COLUMNS, rows)
-    meta_path = _write_meta(out, cfg, {"grid": list(cfg.sweep_values),
-                                       "sweep_param": param})
-    paths = [path, meta_path]
-    if plots:
-        paths += emit_svg_plots(path, [
-            PlotSpec(x="value", ys=("gen_error",), out_name="sweep_gen.svg",
-                     title=f"generalization gap vs {param}",
-                     where=("seed", "mean")),
-            PlotSpec(x="value", ys=("C_final",), out_name="sweep_c.svg",
-                     title=f"final complexity vs {param}",
-                     where=("seed", "mean")),
-        ])
+    paths = _write_outputs(cfg, plots, {"sweep.csv": (SWEEP_COLUMNS, rows)}, {
+        "grid": list(cfg.sweep_values), "sweep_param": param,
+    }, [("sweep.csv", [
+        PlotSpec(x="value", ys=("gen_error",), out_name="sweep_gen.svg",
+                 title=f"generalization gap vs {param}", where=("seed", "mean")),
+        PlotSpec(x="value", ys=("C_final",), out_name="sweep_c.svg",
+                 title=f"final complexity vs {param}", where=("seed", "mean")),
+    ])])
     return {"paths": paths, "per_value": per_value}
 
 
@@ -416,13 +394,12 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     checked here once n is known. On divergence the partial series is
     still written, then the error propagates.
     """
-    out = cfg.output_dir
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
     if parts.ocfg.snapshot_every != 1:
         raise ConfigError("optim.snapshot_every: eos needs a snapshot every step, "
                           f"got one every {parts.ocfg.snapshot_every} steps")
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, rp_mode="step")
     (res,) = _train_cells([parts], [rec])
     if isinstance(res, NumericDomainError):
@@ -438,26 +415,20 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
         eta = snap.eta_t  # also eta_eff: snapshots are one step apart
         rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
                      sharp, 2.0 / eta if eta > 0 else None])
-    path = os.path.join(out, "eos.csv")
-    write_csv(path, ("t", "epoch", "eta", "eta_eff", "rp", "trp",
-                     "sharpness", "two_over_eta_eff"), rows)
-    meta_path = _write_meta(out, cfg, {
-        "seed_used": s,
-        "rp_mode": "step",
-        "diverged_at": died.t if died is not None else None,
-    })
-    paths = [path, meta_path]
-    if plots:
-        paths += emit_svg_plots(path, [
-            PlotSpec(x="epoch", ys=("rp", "trp"), out_name="eos_rp.svg",
-                     title="relative progress"),
-            PlotSpec(x="epoch", ys=("sharpness", "two_over_eta_eff"),
-                     out_name="eos_sharpness.svg", title="sharpness vs 2/eta"),
-        ])
+    paths = _write_outputs(cfg, plots, {
+        "eos.csv": (("t", "epoch", "eta", "eta_eff", "rp", "trp",
+                     "sharpness", "two_over_eta_eff"), rows),
+    }, {"seed_used": s, "rp_mode": "step",
+        "diverged_at": died.t if died is not None else None}, [("eos.csv", [
+        PlotSpec(x="epoch", ys=("rp", "trp"), out_name="eos_rp.svg",
+                 title="relative progress"),
+        PlotSpec(x="epoch", ys=("sharpness", "two_over_eta_eff"),
+                 out_name="eos_sharpness.svg", title="sharpness vs 2/eta"),
+    ])])
     if died is not None:
         raise DivergedError(died.t, died.param_norm,
                             f"eos seed {s}: diverged at step {died.t}; "
-                            f"partial series written to {path}")
+                            f"partial series written to {paths[0]}")
     return {"paths": paths}
 
 

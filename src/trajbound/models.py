@@ -478,10 +478,10 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     gradient shows as non-finite norms of its own row only, and warns as
     numpy does unless the caller silences it; a caller that keeps a row
     past the next block must copy it. A linear step that overflows, at
-    any rate, spoils only its chunk's later steps, as in the single steps,
-    while the chunk's residuals at w_c are finite and its feature products
-    x_i . x_j are not NaN; with features or residuals beyond about 1e154
-    and 1e308 a step's failure may show at an earlier step of its chunk.
+    any rate or residual, spoils only its chunk's later steps, as in the
+    single steps, while the chunk's feature products x_i . x_j are not NaN;
+    with features beyond about 1e154, where a product may be inf - inf, a
+    step's failure may show at an earlier step of its chunk.
 
     snapshot() runs _snapshot_pass over every run's whole dataset at the
     current W, on the bound features, targets, layer views and gradient
@@ -559,13 +559,16 @@ def _chunk_residuals(x: np.ndarray, r: np.ndarray, rates: np.ndarray) -> None:
     pivoting finds each pivot on the diagonal and swaps nothing, the solve
     is a back substitution from the first step, and the first step's
     residuals come back unchanged. A step that overflows so spoils only
-    the steps after it, while the system holds no NaN and r no inf: an
-    entry of X X' * eta / b that overflows is clamped to the largest float
-    before the mask zeroes the entries of later steps (0 * inf is NaN), as
-    LU would multiply an inf above the diagonal by the zero multipliers
-    below it and put NaN in the rows of the earlier steps. The result is
-    written back into r in step order: a reversed view would send the
-    update's matmul off its BLAS path, and so off the single step's sums.
+    the steps after it, while the system holds no NaN: an entry of X X' *
+    eta / b that overflows is clamped to the largest float before the mask
+    zeroes the entries of later steps (0 * inf is NaN), and so is each
+    later step's residual in r, as LU would multiply an inf above the
+    diagonal, or in a, by the zero multipliers below it and put NaN in the
+    rows of the earlier steps. The first step's residuals, the system's
+    last rows, reach only later steps and keep their inf, so the first step
+    stays the single step. The result is written back into r in step
+    order: a reversed view would send the update's matmul off its BLAS
+    path, and so off the single step's sums.
     """
     m, R, b, _ = x.shape
     X = x.transpose(1, 0, 2, 3).reshape(R, m * b, -1)  # a view at b = 1 or R = 1
@@ -576,6 +579,9 @@ def _chunk_residuals(x: np.ndarray, r: np.ndarray, rates: np.ndarray) -> None:
     np.maximum(G, -_MAX, out=G)
     G *= _earlier_steps(m, b)
     G.reshape(R, -1)[:, ::m * b + 1] = 1.0
+    later = r[1:]
+    np.minimum(later, _MAX, out=later)
+    np.maximum(later, -_MAX, out=later)
     a = r.transpose(1, 0, 2).reshape(R, m * b, 1)
     solved = np.linalg.solve(G[:, ::-1, ::-1], a[:, ::-1])[:, ::-1]
     r[...] = solved.reshape(R, m, b).transpose(1, 0, 2)

@@ -64,6 +64,18 @@ def _fmt_tick(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, color: str = "#000000",
+          width: str = "1") -> str:
+    return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{color}" stroke-width="{width}"/>')
+
+
+def _text(x: str, y: str, body: str, size: int, anchor: str | None = None) -> str:
+    at = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{at} font-family="sans-serif" '
+            f'font-size="{size}">{body}</text>')
+
+
 def _svg_for_series(series: dict[str, list[tuple[float, float]]],
                     x_name: str, title: str) -> str:
     xs = [p[0] for pts in series.values() for p in pts]
@@ -94,44 +106,20 @@ def _svg_for_series(series: dict[str, list[tuple[float, float]]],
         f'<rect width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        parts.append(_text(f"{WIDTH / 2:.1f}", "20", title, 14, "middle"))
     # axes
     x0, y0 = MARGIN_L, MARGIN_T + plot_h
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{MARGIN_L + plot_w:.2f}" '
-        f'y2="{y0:.2f}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{MARGIN_T:.2f}" x2="{x0:.2f}" '
-        f'y2="{y0:.2f}" stroke="#000000" stroke-width="1"/>'
-    )
+    parts += [_line(x0, y0, MARGIN_L + plot_w, y0), _line(x0, MARGIN_T, x0, y0)]
     for tx in _ticks(x_lo, x_hi):
         cx = px(tx)
-        parts.append(
-            f'<line x1="{cx:.2f}" y1="{y0:.2f}" x2="{cx:.2f}" '
-            f'y2="{y0 + 5:.2f}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{cx:.2f}" y="{y0 + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(tx)}</text>'
-        )
+        parts += [_line(cx, y0, cx, y0 + 5),
+                  _text(f"{cx:.2f}", f"{y0 + 18:.2f}", _fmt_tick(tx), 11, "middle")]
     for ty in _ticks(y_lo, y_hi):
         cy = py(ty)
-        parts.append(
-            f'<line x1="{x0 - 5:.2f}" y1="{cy:.2f}" x2="{x0:.2f}" '
-            f'y2="{cy:.2f}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8:.2f}" y="{cy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(ty)}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 10:.1f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_name}</text>'
-    )
+        parts += [_line(x0 - 5, cy, x0, cy),
+                  _text(f"{x0 - 8:.2f}", f"{cy + 4:.2f}", _fmt_tick(ty), 11, "end")]
+    parts.append(_text(f"{MARGIN_L + plot_w / 2:.1f}", f"{HEIGHT - 10:.1f}", x_name, 12,
+                       "middle"))
     for i, (name, pts) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
@@ -141,14 +129,8 @@ def _svg_for_series(series: dict[str, list[tuple[float, float]]],
         )
         ly = MARGIN_T + 14.0 + 16.0 * i
         lx = MARGIN_L + plot_w - 150.0
-        parts.append(
-            f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" '
-            f'y2="{ly - 4:.2f}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts += [_line(lx, ly - 4, lx + 22, ly - 4, color, "1.5"),
+                  _text(f"{lx + 28:.2f}", f"{ly:.2f}", name, 11)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -284,6 +284,14 @@ def test_sweep_key_validation():
     assert cfg.sweep_values == (0.05, 0.1)
 
 
+def test_a_sweep_lr_rate_set_from_code_must_be_finite():
+    # the file parser rejects inf; a grid set from code reaches only
+    # validate_config, which holds its rates to schedule.eta0's range
+    cfg = dataclasses.replace(default_config("sweep_lr"), sweep_values=(0.1, math.inf))
+    with pytest.raises(ConfigError, match=r"^sweep\.values: step sizes must be positive"):
+        validate_config(cfg)
+
+
 def test_toy_table_pins_the_inverse_time_schedule():
     with pytest.raises(ConfigError, match="inverse_time"):
         parse_config_text("experiment = toy_table\nschedule.kind = constant\n")

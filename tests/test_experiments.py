@@ -600,6 +600,24 @@ def test_commands_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("plots", [False, True])
+@pytest.mark.parametrize("experiment", sorted(COMMANDS))
+def test_a_command_returns_exactly_its_files_in_writing_order(experiment, plots, tmp_path):
+    # the returned paths are the files of the output directory, each once:
+    # the CSV tables, then meta.json, then, only with plots, the SVGs
+    cfg = tiny(experiment, tmp_path / "out", epochs=None, max_steps=4)
+    if cfg.mode == "sgd":
+        cfg = dataclasses.replace(cfg, batch_size=4)
+    paths = COMMANDS[experiment](cfg, plots=plots)["paths"]
+    assert {os.path.dirname(p) for p in paths} == {cfg.output_dir}
+    names = [os.path.basename(p) for p in paths]
+    assert sorted(names) == sorted(os.listdir(cfg.output_dir))
+    kinds = [os.path.splitext(name)[1] for name in names]
+    assert kinds == sorted(kinds, key=[".csv", ".json", ".svg"].index)
+    assert ".csv" in kinds and names.count("meta.json") == kinds.count(".json") == 1
+    assert (".svg" in kinds) == plots
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -791,9 +809,11 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     ))
     out = tmp_path / "out"
     assert main(["eos", "--config", cfg, "--out", str(out)]) == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err
     # the partial series was still written before the failure surfaced
     assert (out / "eos.csv").exists()
+    assert f"partial series written to {out / 'eos.csv'}" in err
 
 
 @pytest.mark.parametrize("t_max", ["auto", "2"])

@@ -734,6 +734,30 @@ def test_linear_feature_products_that_overflow_fail_at_the_single_steps_place():
     assert np.all(np.abs(norms[:5] - before) <= tol)
 
 
+@pytest.mark.parametrize("at", [0, 1, 5, 9])
+def test_a_linear_residual_that_overflows_fails_at_the_single_steps_place(at):
+    # sample `at` holds a feature of 1e300 against a weight of 1e9, so its
+    # residual at the chunk's first weights overflows to inf; the ten steps
+    # are one chunk. The solve's residuals are clamped to the largest float,
+    # so the inf spoils no earlier step: the single steps first fail at step
+    # `at`, and so does the chunk, its earlier norms within the tolerance
+    gen = np.random.default_rng(5)
+    X = gen.standard_normal((10, 3))
+    X[at] = [1e300, 0.0, 0.0]
+    spec, data = linear_spec(3), Dataset(X, gen.standard_normal(10))
+    w0 = np.array([1e9, 1.0, 1.0])
+    batches = np.arange(10)[:, None, None]
+    rates = np.full((10, 1), 1e-3)
+    W, gather, run, _ = models.bind_step_kernel(spec, [w0], [data])
+    norms = optim._run_interval(gather, run, batches, rates)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ref_norms = reference_steps(spec, [w0], [data], batches, rates)
+    assert np.argmax(~(ref_norms[:, 0] <= optim.PARAM_NORM_CAP)) == at
+    assert np.argmax(~(norms[:, 0] <= optim.PARAM_NORM_CAP)) == at
+    _, before, tol = linear_reference(spec, [w0], [data], batches[:at], rates[:at])
+    assert np.all(np.abs(norms[:at] - before) <= tol)
+
+
 @pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
 def test_step_kernel_is_bitwise_the_out_of_place_step(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 2)

@@ -61,6 +61,33 @@ def test_shipped_outputs_compares_every_csv_byte_for_byte(tmp_path):
     assert empty.returncode == 1
 
 
+def test_shipped_outputs_compares_every_svg_byte_for_byte(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree in (old, new):
+        (tree / "eos").mkdir(parents=True)
+        (tree / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.5\n")
+        (tree / "eos" / "eos_rp.svg").write_bytes(b"<svg>\n</svg>\n")
+        _write_meta(tree / "eos", default_config("eos"))
+    same = _shipped_outputs(new, "--against", old)
+    assert same.returncode == 0, same.stdout
+    assert same.stdout == "1 CSV files, 1 SVG files and 1 meta.json files identical\n"
+    within = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
+    assert within.stdout.splitlines()[-1] == (
+        "1 CSV files within relative 1e-12, 1 SVG files and 1 meta.json files identical")
+
+    (new / "eos" / "eos_rp.svg").write_bytes(b"<svg>\n</svg>")
+    for args in ((), ("--rel", "1e-12")):
+        changed = _shipped_outputs(new, "--against", old, *args)
+        assert changed.returncode == 1
+        assert changed.stdout.splitlines()[-1] == "differs: eos/eos_rp.svg"
+
+    (new / "eos" / "eos_rp.svg").unlink()
+    missing = _shipped_outputs(new, "--against", old)
+    assert missing.returncode == 1
+    assert missing.stdout == f"missing from {new}: eos/eos_rp.svg\n"
+    assert _shipped_outputs(new, "--against", old, "--plots").returncode == 2
+
+
 def _write_meta(out, cfg, **extra):
     # the shape of experiments._write_meta: the config echo names out itself
     cfg = dataclasses.replace(cfg, output_dir=str(out))
@@ -161,6 +188,12 @@ def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypa
     for cmd, threads in calls:
         assert cmd[1:3] == ["-m", "trajbound.cli"] and threads == "1"
         assert cmd[-2:] == ["--out", str(tmp_path / cmd[3])]
+
+    calls.clear()
+    assert tool.main([str(tmp_path), "--plots"]) == 0
+    assert [cmd[3] for cmd, _ in calls] == names
+    for cmd, _ in calls:
+        assert cmd[-3:] == ["--out", str(tmp_path / cmd[3]), "--plots"]
 
     calls.clear()
     codes[2] = 3  # the second command diverges: the run stops with its code
