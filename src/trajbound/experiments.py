@@ -205,7 +205,9 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     Writes toy_table.csv (per-seed rows plus a seed-mean row) and bounds.csv
     with the full per-seed bound reports.
     """
-    table_rows, reports, report_seeds = [], [], []
+    table_rows = []
+    reports = []
+    report_seeds = []
     cells = [assemble_run(cfg, s) for s in cfg.seeds]
     os.makedirs(cfg.output_dir, exist_ok=True)
     recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime) for p in cells]
@@ -219,14 +221,17 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
         r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule)
         r_relaxed = bound_trajectory_relaxed(consts, rec.snapshots)
         r_hc = bound_stability_baseline("hardt_convex", consts, res.etas)
-        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas, schedule)
+        r_hnc = bound_stability_baseline("hardt_nonconvex", consts, res.etas,
+                                         schedule)
         r_zh = bound_stability_baseline("zhang", consts, res.etas, schedule)
         r_ba = bound_stability_baseline("bassily", consts, res.etas)
         last = rec.snapshots[-1]
-        table_rows.append([s, last.F_Sprime - last.F_S, r_main.value, r_smooth.value,
+        gen = last.F_Sprime - last.F_S
+        table_rows.append([s, gen, r_main.value, r_smooth.value,
                            r_hc.value, r_hnc.value, r_zh.value])
-        reports += (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba)
-        report_seeds += [s] * 7
+        for rep in (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba):
+            reports.append(rep)
+            report_seeds.append(s)
 
     values = np.array([row[1:] for row in table_rows], dtype=np.float64)
     mean_row = ["mean"] + [float(v) for v in np.mean(values, axis=0)]
@@ -252,8 +257,12 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     rows = []
     snaps = rec.snapshots
     for i, snap in enumerate(snaps):
-        df = snap.F_S - snaps[i - 1].F_S if i else 0.0
-        ratio = (snap.C_cum - snaps[i - 1].C_cum) / df if df != 0.0 else None
+        if i == 0:
+            ratio = None
+        else:
+            df = snap.F_S - snaps[i - 1].F_S
+            dc = snap.C_cum - snaps[i - 1].C_cum
+            ratio = None if df == 0.0 else dc / df
         rows.append([snap.t, snap.epoch, snap.F_S, snap.F_Sprime,
                      snap.F_S + snap.C_cum, ratio])
     paths = _write_outputs(cfg, plots, {
@@ -276,18 +285,21 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     the ratio is identically 1.
     """
     parts, rec = _train_first_seed(cfg)
-    snaps = rec.snapshots
-    control = replay_trajectory(parts.spec, parts.S, parts.S, rec.weights,
-                                [sn.t for sn in snaps], [sn.epoch for sn in snaps],
-                                [sn.eta_t for sn in snaps])
+    control = replay_trajectory(
+        parts.spec, parts.S, parts.S, rec.weights,
+        [sn.t for sn in rec.snapshots],
+        [sn.epoch for sn in rec.snapshots],
+        [sn.eta_t for sn in rec.snapshots],
+    )
 
     rows = []
     gamma_max = {}
-    for label, series in (("main", snaps), ("control", control.snapshots)):
-        defined = [sn.gamma_tilde for sn in series if sn.gamma_tilde is not None]
+    for label, snaps in (("main", rec.snapshots), ("control", control.snapshots)):
+        defined = [sn.gamma_tilde for sn in snaps if sn.gamma_tilde is not None]
         gamma_max[label] = max(defined) if defined else None
-        rows += [[label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S, sn.grad_norm_Sprime,
-                  sn.gamma_tilde] for sn in series]
+        for sn in snaps:
+            rows.append([label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S,
+                         sn.grad_norm_Sprime, sn.gamma_tilde])
     paths = _write_outputs(cfg, plots, {
         "assumption.csv": (("dataset", "t", "epoch", "F_S", "grad_norm_S",
                             "grad_norm_Sprime", "gamma_tilde"), rows),
@@ -366,10 +378,15 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         cell_rows = [cell_row(i) for i in range(j * n_seeds, (j + 1) * n_seeds)]
         rows += cell_rows
         metrics = [row[3:6] for row in cell_rows if row[6] == 0]
-        mean = (tuple(map(float, np.mean(np.array(metrics, dtype=np.float64), axis=0)))
-                if metrics else None)
-        per_value[v] = mean
-        rows.append([param, v, "mean", *(mean or (None, None, None)), None])
+        if metrics:
+            arr = np.array(metrics, dtype=np.float64)
+            m = np.mean(arr, axis=0)
+            per_value[v] = (float(m[0]), float(m[1]), float(m[2]))
+            rows.append([param, v, "mean", float(m[0]), float(m[1]),
+                         float(m[2]), None])
+        else:
+            per_value[v] = None
+            rows.append([param, v, "mean", None, None, None, None])
 
     paths = _write_outputs(cfg, plots, {"sweep.csv": (SWEEP_COLUMNS, rows)}, {
         "grid": list(cfg.sweep_values), "sweep_param": param,

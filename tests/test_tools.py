@@ -44,7 +44,7 @@ def test_shipped_outputs_compares_every_csv_byte_for_byte(tmp_path):
         _write_meta(tree / "eos", default_config("eos"))
     same = _shipped_outputs(new, "--against", old)
     assert same.returncode == 0, same.stdout
-    assert same.stdout == "2 CSV files and 1 meta.json files identical\n"
+    assert same.stdout == "2 CSV files, 0 SVG files and 1 meta.json files identical\n"
 
     (new / "eos" / "eos.csv").write_bytes(b"t,eig\n0,1.6\n")
     changed = _shipped_outputs(new, "--against", old)
@@ -85,11 +85,10 @@ def test_shipped_outputs_compares_every_svg_byte_for_byte(tmp_path):
     missing = _shipped_outputs(new, "--against", old)
     assert missing.returncode == 1
     assert missing.stdout == f"missing from {new}: eos/eos_rp.svg\n"
-    assert _shipped_outputs(new, "--against", old, "--plots").returncode == 2
 
 
 def _write_meta(out, cfg, **extra):
-    # the shape of experiments._write_meta: the config echo names out itself
+    # the meta.json of experiments._write_outputs: the config echo names out itself
     cfg = dataclasses.replace(cfg, output_dir=str(out))
     meta = {"experiment": cfg.experiment, "seeds": list(cfg.seeds),
             "config": emit_config(cfg), **extra}
@@ -106,7 +105,7 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
     assert '\\"quoted' in (new / "track" / "meta.json").read_text()
     same = _shipped_outputs(new, "--against", old)
     assert same.returncode == 0, same.stdout
-    assert same.stdout == "1 CSV files and 1 meta.json files identical\n"
+    assert same.stdout == "1 CSV files, 0 SVG files and 1 meta.json files identical\n"
 
     for changed, seed_used in ((dataclasses.replace(cfg, eta0=0.06), 0),
                                (dataclasses.replace(cfg, seeds=(0, 1)), 0),
@@ -139,7 +138,7 @@ def test_shipped_outputs_compares_csv_values_within_a_relative_tolerance(tmp_pat
         "toy_table/bounds.csv value: 4e-14",
         "toy_table/bounds.csv gap: 0",
         "toy_table/bounds.csv tag: 0",
-        "1 CSV files within relative 1e-12 and 1 meta.json files identical",
+        "1 CSV files within relative 1e-12, 0 SVG files and 1 meta.json files identical",
     ]
     assert _shipped_outputs(new, "--against", old).stdout == "differs: toy_table/bounds.csv\n"
 
@@ -187,12 +186,6 @@ def test_shipped_outputs_runs_each_config_into_its_experiment(tmp_path, monkeypa
     assert [cmd[3] for cmd, _ in calls] == names
     for cmd, threads in calls:
         assert cmd[1:3] == ["-m", "trajbound.cli"] and threads == "1"
-        assert cmd[-2:] == ["--out", str(tmp_path / cmd[3])]
-
-    calls.clear()
-    assert tool.main([str(tmp_path), "--plots"]) == 0
-    assert [cmd[3] for cmd, _ in calls] == names
-    for cmd, _ in calls:
         assert cmd[-3:] == ["--out", str(tmp_path / cmd[3]), "--plots"]
 
     calls.clear()

@@ -1,21 +1,21 @@
 """Run every shipped config, or compare two such output trees byte for byte.
 
-    python3 tools/shipped_outputs.py DIR [--plots]
+    python3 tools/shipped_outputs.py DIR
     python3 tools/shipped_outputs.py DIR --against OLD [--rel TOL]
 
 The first form runs each configs/*.cfg through `python -m trajbound.cli`
 with this checkout's src/ and OPENBLAS_NUM_THREADS=1, writing the outputs
 of experiment E under DIR/E/; it stops at the first command that fails,
-with that command's exit code. With --plots each command also gets
---plots and writes its SVG plots. The second form runs nothing: it
-compares every CSV file, SVG file and meta.json under DIR with the one at
-the same relative path under OLD, names each file that differs or exists
-on one side only, and exits 1 if there is any such file or no CSV file at
-all. CSV and SVG files must match byte for byte; a meta.json too, apart
-from the output_dir line of the config it echoes, which names each
-tree's own directory. To check that a change keeps every shipped output,
-run the first form at the parent commit into OLD and at the change into
-DIR, then the second.
+with that command's exit code. Each command gets --plots, so it writes
+its SVG plots too. The second form runs nothing: it compares every CSV
+file, SVG file and meta.json under DIR with the one at the same relative
+path under OLD, names each file that differs or exists on one side only,
+and exits 1 if there is any such file or no CSV file at all. CSV and SVG
+files must match byte for byte; a meta.json too, apart from the
+output_dir line of the config it echoes, which names each tree's own
+directory. To check that a change keeps every shipped output, run the
+first form at the parent commit into OLD and at the change into DIR, then
+the second.
 
 With --rel TOL the CSV files are compared by value instead: each pair must
 have the same header and the same number of rows, and for each column the
@@ -49,7 +49,7 @@ def _experiment(cfg: Path) -> str:
     raise SystemExit(f"{cfg}: no experiment key")
 
 
-def run(out: Path, plots: bool = False) -> int:
+def run(out: Path) -> int:
     """Run each shipped config into out/<experiment>/; the first failing exit code."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,7 +57,7 @@ def run(out: Path, plots: bool = False) -> int:
     for cfg in sorted((ROOT / "configs").glob("*.cfg")):
         name = _experiment(cfg)
         cmd = [sys.executable, "-m", "trajbound.cli", name, "--config", str(cfg),
-               "--out", str(out / name)] + (["--plots"] if plots else [])
+               "--out", str(out / name), "--plots"]
         code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
         if code:
             print(f"{cfg.name}: exit {code}", file=sys.stderr)
@@ -143,8 +143,6 @@ def _relative(a: str, b: str) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dir", type=Path, help="output tree to write, or to compare")
-    parser.add_argument("--plots", action="store_true",
-                        help="pass --plots to each command, so it also writes its SVG plots")
     parser.add_argument("--against", type=Path, metavar="OLD",
                         help="compare DIR's CSV, SVG and meta.json files with OLD's "
                              "instead of running")
@@ -155,9 +153,7 @@ def main(argv=None) -> int:
     if args.against is None:
         if args.rel is not None:
             parser.error("--rel needs --against")
-        return run(args.dir, args.plots)
-    if args.plots:
-        parser.error("--plots runs the commands; it does not go with --against")
+        return run(args.dir)
     problems, report = compare(args.dir, args.against, args.rel)
     for line in report + problems:
         print(line)
@@ -166,12 +162,9 @@ def main(argv=None) -> int:
     files = _outputs(args.dir)
     csv_files = sum(rel.endswith(".csv") for rel in files)
     svg_files = sum(rel.endswith(".svg") for rel in files)
-    head = f"{csv_files} CSV files"
-    if args.rel is not None:
-        head += f" within relative {args.rel:g}"
-    if svg_files:
-        head += f", {svg_files} SVG files"
-    print(f"{head} and {len(files) - csv_files - svg_files} meta.json files identical")
+    within = "" if args.rel is None else f" within relative {args.rel:g}"
+    print(f"{csv_files} CSV files{within}, {svg_files} SVG files and "
+          f"{len(files) - csv_files - svg_files} meta.json files identical")
     return 0
 
 
