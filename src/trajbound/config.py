@@ -6,13 +6,15 @@ that do not parse are rejected with the key and line named; out-of-range
 values and rules that span keys are rejected by validate_config with the
 key named. Defaults are per experiment; a file only has to state what
 differs from its experiment's preset. emit_config writes the canonical
-form, and parse(emit(cfg)) reproduces cfg exactly.
+form, and parse(emit(cfg)) reproduces cfg exactly where the fields that
+cfg's shape does not write hold their preset values.
 
 Each key is one _KEYS row: the field it sets, its parser, the sentinel
 spellings that read as None (in any letter case; the first is the one
 written), the config shapes in which emit_config writes it and, as its
 needs, the range of values it takes in those shapes. Each experiment's
-preset is one _PRESETS entry.
+preset is one _PRESETS entry, and the key each sweep varies one SWEEPS
+entry. optim.batch_size = none means the full batch, which is GD.
 
 Keys, in emit order (shape in parentheses):
   experiment              toy_table | track | assumption | sweep_noise |
@@ -23,25 +25,25 @@ Keys, in emit order (shape in parentheses):
   dataset.n_train, dataset.n_test, dataset.dim        (toy)
   dataset.path, dataset.label_column  or "none"       (csv)
   dataset.holdout_fraction                            (csv)
-  noise.flip_fraction     fraction of training labels flipped
+  noise.flip_fraction     fraction of training labels flipped (not in
+                          sweep_noise)
   model.kind              linear | mlp
   model.hidden            comma-separated widths >= 1 (mlp)
   model.loss              squared | cross_entropy     (mlp)
-  optim.mode              gd | sgd
-  optim.batch_size        1 to n, or "none"           (sgd; gd always uses
-                                                       the full batch)
+  optim.batch_size        1 to n (sgd), or "none" for the full batch (gd)
   optim.epochs | optim.max_steps   exactly one of the two; the other "none"
   optim.stop_train_loss   early-stop threshold or "none"
   optim.snapshot_every    positive step count, or "epoch" / "none" (eos
                           needs a snapshot every step)
   schedule.kind           constant | inverse_time | cosine
-  schedule.eta0           initial step size           (constant, cosine)
+  schedule.eta0           initial step size           (constant, cosine;
+                                                       not in sweep_lr)
   schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
                           "auto" (estimated from data at run time)
   schedule.eta_min, schedule.t_max (cosine; t_max "auto" = run length)
   est.k_samples           Monte-Carlo sign draws for V and gamma'
-  sweep.param             noise | lr, or "none"       (sweeps)
-  sweep.values            comma-separated grid values (sweeps)
+  sweep.values            comma-separated grid values (sweeps), each in
+                          the range of the key SWEEPS says the sweep varies
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ class ExperimentConfig:
     model_kind: str = "linear"
     hidden: tuple[int, ...] = (32,)
     loss: str = "squared"
-    mode: str = "sgd"
-    batch_size: int | None = 10
+    batch_size: int | None = 10  # None means the full batch: gd
     epochs: int | None = 200
     max_steps: int | None = None
     stop_train_loss: float | None = None
@@ -83,7 +84,6 @@ class ExperimentConfig:
     eta_min: float = 0.0
     t_max: int | None = None  # None means the run length
     k_samples: int = 1024
-    sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
 
@@ -93,16 +93,20 @@ _PRESETS = {
     "toy_table": dict(schedule_kind="inverse_time"),
     "track": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15,
                   schedule_kind="cosine", epochs=800),
-    "assumption": dict(model_kind="mlp", mode="gd", batch_size=None, eta0=0.008,
+    "assumption": dict(model_kind="mlp", batch_size=None, eta0=0.008,
                        epochs=None, max_steps=800, snapshot_every=4),
     "sweep_noise": dict(model_kind="mlp", epochs=400, stop_train_loss=0.005,
-                        sweep_param="noise", sweep_values=(0.0, 0.1, 0.2, 0.3)),
+                        sweep_values=(0.0, 0.1, 0.2, 0.3)),
     "sweep_lr": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15, eta0=0.1,
                      epochs=400, stop_train_loss=0.001,
-                     sweep_param="lr", sweep_values=(0.1, 0.2, 0.3, 0.5, 0.8)),
-    "eos": dict(model_kind="mlp", mode="gd", batch_size=None, snapshot_every=1),
+                     sweep_values=(0.1, 0.2, 0.3, 0.5, 0.8)),
+    "eos": dict(model_kind="mlp", batch_size=None, snapshot_every=1),
 }
 EXPERIMENTS = tuple(_PRESETS)
+# sweep experiment -> (its sweep.csv label, the key whose value each cell
+# takes from sweep.values)
+SWEEPS = {"sweep_noise": ("noise", "noise.flip_fraction"),
+          "sweep_lr": ("lr", "schedule.eta0")}
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -164,6 +168,10 @@ def _unless(attr, value):
     return lambda cfg: getattr(cfg, attr) != value
 
 
+def _sweep(cfg):
+    return cfg.experiment in SWEEPS
+
+
 @dataclass(frozen=True)
 class _Key:
     """One config key: the field it sets and how its value is read, written and checked.
@@ -195,12 +203,12 @@ _toy, _csv = _when("dataset_kind", "toy"), _when("dataset_kind", "csv")
 _mlp = _when("model_kind", "mlp")
 _inverse_time = _when("schedule_kind", "inverse_time")
 _cosine = _when("schedule_kind", "cosine")
-_sweep = _unless("sweep_param", None)
 _positive = (lambda v: v > 0, "> 0")
 # a step size set from code may be +inf, which only the file parser rejects
 _finite_positive = (lambda v: 0 < v < math.inf, "> 0 and finite")
-# the OS rejects a path holding a NUL with ValueError, not OSError
-_path = (lambda v: "\0" not in v, "a path without NUL")
+# the OS rejects a path holding a NUL with ValueError, not OSError, and
+# the empty path with FileNotFoundError only once the run is assembled
+_path = (lambda v: v != "" and "\0" not in v, "a non-empty path without NUL")
 
 # key -> row; the order here is the canonical emit order
 _KEYS = {
@@ -221,8 +229,7 @@ _KEYS = {
     "model.hidden": _Key("hidden", _list(_parse_int), applies=_mlp,
                          needs=_each(_at_least(1))),
     "model.loss": _Key("loss", _choice("squared", "cross_entropy"), applies=_mlp),
-    "optim.mode": _Key("mode", _choice("gd", "sgd")),
-    "optim.batch_size": _Key("batch_size", _parse_int, ("none",), _unless("mode", "gd")),
+    "optim.batch_size": _Key("batch_size", _parse_int, ("none",), needs=_at_least(1)),
     "optim.epochs": _Key("epochs", _parse_int, ("none",), _unless("epochs", None),
                          _at_least(0)),
     "optim.max_steps": _Key("max_steps", _parse_int, ("none",),
@@ -240,9 +247,13 @@ _KEYS = {
                              needs=_at_least(0)),
     "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine, _at_least(1)),
     "est.k_samples": _Key("k_samples", _parse_int, needs=_at_least(1)),
-    "sweep.param": _Key("sweep_param", _choice("noise", "lr"), ("none",), _sweep),
     "sweep.values": _Key("sweep_values", _list(_parse_float), ("none",), _sweep),
 }
+# each sweep cell sets the key its sweep varies, so the sweep neither writes
+# nor range-checks the config's own value of it
+_KEYS.update({key: replace(_KEYS[key], applies=lambda cfg, e=experiment, a=_KEYS[key].applies:
+                           cfg.experiment != e and a(cfg))
+              for experiment, (_, key) in SWEEPS.items()})
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -250,7 +261,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     A _KEYS row with needs is checked wherever its applies(cfg) holds, the
     shapes in which emit_config writes it; None passes it exactly where the
-    row has a sentinel.
+    row has a sentinel. A sweep's grid takes the range of the key SWEEPS
+    says it varies.
     """
     def bad(key, msg):
         return ConfigError(f"{key}: {msg}")
@@ -266,47 +278,26 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for key in ("dataset.path", "dataset.label_column"):
         if _csv(cfg) and not getattr(cfg, _KEYS[key].attr):
             raise bad(key, "required when dataset.kind = csv")
-    if cfg.mode == "gd" and cfg.batch_size is not None:
-        raise bad("optim.batch_size", "gd always uses the full batch; drop the key")
-    if cfg.mode == "sgd" and (cfg.batch_size is None or cfg.batch_size < 1):
-        raise bad("optim.batch_size", f"sgd needs a positive size, got {cfg.batch_size}")
     # a CSV dataset's n is known only once it is loaded
-    if cfg.mode == "sgd" and _toy(cfg) and cfg.batch_size > cfg.n_train:
+    if cfg.batch_size is not None and _toy(cfg) and cfg.batch_size > cfg.n_train:
         raise bad("optim.batch_size",
                   f"needs <= dataset.n_train = {cfg.n_train}, got {cfg.batch_size}")
     if (cfg.epochs is None) == (cfg.max_steps is None):
         raise bad("optim.epochs", "set exactly one of optim.epochs or optim.max_steps")
-    if cfg.experiment == "eos":
-        # a CSV dataset's n is known only once it is loaded; cmd_eos checks it
-        toy_sgd = cfg.mode == "sgd" and _toy(cfg)
-        every = cfg.snapshot_every or (math.ceil(cfg.n_train / cfg.batch_size)
-                                       if toy_sgd else 1)
-        if every != 1:
-            raise bad("optim.snapshot_every",
-                      f"eos needs a snapshot every step, got one every {every} steps")
     if _cosine(cfg) and not cfg.eta_min <= cfg.eta0:
         raise bad("schedule.eta_min",
                   f"needs <= schedule.eta0 = {cfg.eta0}, got {cfg.eta_min}")
-
-    is_sweep = cfg.experiment in ("sweep_noise", "sweep_lr")
-    if is_sweep:
-        want = "noise" if cfg.experiment == "sweep_noise" else "lr"
-        if cfg.sweep_param != want:
-            raise bad("sweep.param",
-                      f"{cfg.experiment} requires {want!r}, got {cfg.sweep_param!r}")
-        if not cfg.sweep_values:
-            raise bad("sweep.values", "a non-empty grid is required")
-        if want == "noise" and not all(0.0 <= v <= 1.0 for v in cfg.sweep_values):
-            raise bad("sweep.values", "noise fractions must lie in [0, 1]")
-        if want == "lr" and not all(map(_finite_positive[0], cfg.sweep_values)):
-            raise bad("sweep.values", "step sizes must be positive and finite")
-        if want == "lr" and cfg.schedule_kind != "constant":
-            raise bad("schedule.kind",
-                      "sweep_lr varies a constant step size; "
-                      "schedule.kind must be constant")
-    else:
-        if cfg.sweep_param is not None or cfg.sweep_values is not None:
-            raise bad("sweep.param", f"sweep keys are not valid for {cfg.experiment}")
+    if _sweep(cfg):
+        key = SWEEPS[cfg.experiment][1]
+        accepts, text = _KEYS[key].needs
+        if not (cfg.sweep_values and all(map(accepts, cfg.sweep_values))):
+            raise bad("sweep.values", f"needs one or more values that {key} accepts "
+                                      f"({text}), got {cfg.sweep_values!r}")
+    elif cfg.sweep_values is not None:
+        raise bad("sweep.values", f"not valid for {cfg.experiment}, which sweeps nothing")
+    if cfg.experiment == "sweep_lr" and cfg.schedule_kind != "constant":
+        raise bad("schedule.kind",
+                  "sweep_lr varies a constant step size; schedule.kind must be constant")
     if cfg.experiment == "toy_table" and cfg.schedule_kind != "inverse_time":
         raise bad("schedule.kind",
                   "toy_table compares against inverse-time-rate baselines; "
@@ -385,7 +376,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 def parse_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

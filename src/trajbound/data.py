@@ -146,7 +146,7 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
     A file the csv module cannot parse (say, a cell past its field size
     limit) raises DataSchemaError naming the row, as a schema fault does.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh.readlines())
         except UnicodeDecodeError as exc:

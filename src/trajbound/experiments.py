@@ -25,7 +25,7 @@ from .bounds import (
     top_hessian_eig,
     write_bounds_csv,
 )
-from .config import ExperimentConfig, emit_config
+from .config import SWEEPS, ExperimentConfig, emit_config
 from .data import (
     Dataset,
     ToyConfig,
@@ -93,7 +93,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         spec = mlp_spec(S.dim, cfg.hidden, out_dim, cfg.loss)
     w0 = init_params(spec, RngStream(run_seed, STREAM_INIT))
 
-    b = S.n if cfg.mode == "gd" else cfg.batch_size
+    b = S.n if cfg.batch_size is None else cfg.batch_size
     steps_per_epoch = max(1, math.ceil(S.n / b))
     max_steps = (cfg.max_steps if cfg.max_steps is not None
                  else cfg.epochs * steps_per_epoch)
@@ -110,7 +110,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         schedule = Schedule("cosine", eta0=eta0, eta_min=cfg.eta_min, t_max=t_max)
 
     ocfg = OptimConfig(
-        mode=cfg.mode,
+        mode="gd" if cfg.batch_size is None else "sgd",
         batch_size=b,
         schedule=schedule,
         max_steps=max_steps,
@@ -332,7 +332,7 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     (a non-finite pass, including the final S' pass, or a negative trace)
     reports the last recorded snapshot step.
     """
-    param = cfg.sweep_param
+    param = SWEEPS[cfg.experiment][0]
     grid = [(v, s) for v in cfg.sweep_values for s in cfg.seeds]
     cells, recs, at = [], [], []
     for i, (v, s) in enumerate(grid):
@@ -406,10 +406,9 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     top Hessian eigenvalue, and the 2/eta_eff stability reference (eta_eff
     is the step's eta), left empty at a snapshot whose rate is 0 (the
     cosine endpoint with eta_min = 0). Any other cadence raises a
-    ConfigError naming optim.snapshot_every before training: validation
-    rejects it, except for a CSV dataset's once-per-epoch cadence, which is
-    checked here once n is known. On divergence the partial series is
-    still written, then the error propagates.
+    ConfigError naming optim.snapshot_every before any output, checked here
+    once the run, and so a CSV dataset's n, is assembled. On divergence the
+    partial series is still written, then the error propagates.
     """
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)

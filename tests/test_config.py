@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trajbound.config import (
     _KEYS,
     EXPERIMENTS,
+    SWEEPS,
     ExperimentConfig,
     _parse_float,
     default_config,
@@ -21,6 +22,7 @@ from trajbound.config import (
     validate_config,
 )
 from trajbound.errors import ConfigError
+from trajbound.experiments import assemble_run, cmd_eos
 
 
 def test_minimal_config_fills_experiment_defaults():
@@ -79,15 +81,16 @@ def drawn_configs(draw):
         stop_train_loss=draw(st.none() | positive),
         snapshot_every=draw(st.none() | st.integers(1, 100)),
         k_samples=draw(st.integers(1, 4096)),
+        batch_size=draw(st.none() | st.integers(1, 200)),
     )
-    if cfg.mode == "sgd":
-        fields["batch_size"] = draw(st.integers(1, 200))
     kind = draw(st.sampled_from(("constant", "inverse_time", "cosine")))
     fields["schedule_kind"] = kind
     if kind == "inverse_time":
         fields.update(c=draw(positive), beta=draw(st.none() | positive))
     else:
-        fields["eta0"] = eta0 = draw(positive)
+        eta0 = draw(positive)
+        if cfg.experiment != "sweep_lr":  # each sweep_lr cell sets its own eta0
+            fields["eta0"] = eta0
         if kind == "cosine":
             fields.update(eta_min=eta0 * draw(st.floats(0.0, 1.0)),
                           t_max=draw(st.none() | st.integers(1, 10_000)))
@@ -124,17 +127,25 @@ def test_emit_omits_keys_outside_the_config_shape():
     assert "model.hidden" not in text
     assert "schedule.eta0" not in text  # inverse_time ignores eta0
     assert "schedule.beta = auto" in text
-    assert "sweep.param" not in text
+    assert "sweep.values" not in text
     assert "optim.batch_size = 10" in text
 
     gd_text = emit_config(default_config("assumption"))
-    assert "optim.batch_size" not in gd_text
+    assert "\noptim.batch_size = none\n" in gd_text  # the full batch
     assert "optim.max_steps = 800" in gd_text
     assert "optim.epochs" not in gd_text
 
     cosine_text = emit_config(default_config("track"))
     assert "schedule.t_max = auto" in cosine_text
     assert "schedule.c" not in cosine_text
+
+    # each sweep cell sets the key its sweep varies, so a value in the file
+    # parses but is neither written nor range-checked (see the sweep cases of
+    # test_keys_outside_the_config_shape_are_not_range_checked)
+    for experiment, (_, key) in SWEEPS.items():
+        cfg = parse_config_text(f"experiment = {experiment}\n{key} = 0.5\n")
+        assert getattr(cfg, _KEYS[key].attr) == 0.5
+        assert f"{key} =" not in emit_config(cfg)
 
 
 def test_sentinel_values_parse():
@@ -158,15 +169,14 @@ def test_sentinel_values_parse():
 NONE_CONTEXTS = {
     "dataset.path": ("experiment = track", dict(dataset_kind="csv")),
     "dataset.label_column": ("experiment = track", dict(dataset_kind="csv")),
-    "optim.batch_size": ("experiment = eos", dict(mode="sgd")),
+    "optim.batch_size": ("experiment = track", {}),
     "optim.epochs": ("experiment = track\noptim.max_steps = 50", None),
     "optim.max_steps": ("experiment = assumption\noptim.epochs = 5", None),
     "optim.stop_train_loss": ("experiment = track", {}),
     "optim.snapshot_every": ("experiment = track", {}),
     "schedule.beta": ("experiment = toy_table", {}),
     "schedule.t_max": ("experiment = track", {}),
-    "sweep.param": ("experiment = eos", None),
-    "sweep.values": ("experiment = eos", dict(sweep_param="noise")),
+    "sweep.values": ("experiment = eos", dict(experiment="sweep_noise")),
 }
 
 
@@ -236,7 +246,7 @@ def test_malformed_line_and_bad_values_name_the_source_line():
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config_text("experiment = eos\nschedule.eta0 = inf\n")
     with pytest.raises(ConfigError, match="expected one of"):
-        parse_config_text("experiment = eos\noptim.mode = adam\n")
+        parse_config_text("experiment = eos\nmodel.kind = cnn\n")
     with pytest.raises(ConfigError, match=r"<config>:2: experiment: expected one of"):
         parse_config_text("seeds = 1\nexperiment = foo\n")
 
@@ -258,26 +268,29 @@ def test_epochs_override_replaces_preset_max_steps():
         )
 
 
-def test_gd_rejects_batch_size_and_sgd_requires_it():
-    with pytest.raises(ConfigError, match="optim.batch_size"):
-        parse_config_text(
-            "experiment = eos\noptim.mode = gd\noptim.batch_size = 5\n"
-        )
-    with pytest.raises(ConfigError, match="optim.batch_size"):
-        parse_config_text(
-            "experiment = track\noptim.batch_size = none\n"
-        )
+def test_batch_size_none_means_the_full_batch():
+    # any experiment takes either: none trains with gd on all of S, a size
+    # trains with sgd on batches of that size
+    for experiment, raw, mode, b in (("track", "none", "gd", 16),
+                                     ("eos", "5", "sgd", 5)):
+        cfg = parse_config_text(f"experiment = {experiment}\noptim.batch_size = {raw}\n"
+                                "dataset.n_train = 16\n")
+        assert f"\noptim.batch_size = {raw}\n" in emit_config(cfg)
+        ocfg = assemble_run(cfg, 0).ocfg
+        assert (ocfg.mode, ocfg.batch_size) == (mode, b)
 
 
 def test_sweep_key_validation():
-    with pytest.raises(ConfigError, match="sweep keys are not valid"):
-        parse_config_text("experiment = eos\nsweep.param = lr\nsweep.values = 0.1\n")
-    with pytest.raises(ConfigError, match="requires 'noise'"):
-        parse_config_text("experiment = sweep_noise\nsweep.param = lr\n")
-    with pytest.raises(ConfigError, match="must lie in"):
+    with pytest.raises(ConfigError, match="^sweep.values: not valid for eos"):
+        parse_config_text("experiment = eos\nsweep.values = 0.1\n")
+    with pytest.raises(ConfigError, match=r"^sweep\.values: needs one or more values that "
+                                          r"noise\.flip_fraction accepts \(a value in \[0, 1\]\)"):
         parse_config_text("experiment = sweep_noise\nsweep.values = 0.1,1.5\n")
-    with pytest.raises(ConfigError, match="must be positive"):
+    with pytest.raises(ConfigError, match=r"^sweep\.values: .* schedule\.eta0 accepts "
+                                          r"\(> 0 and finite\), got \(0\.1, -0\.2\)$"):
         parse_config_text("experiment = sweep_lr\nsweep.values = 0.1,-0.2\n")
+    with pytest.raises(ConfigError, match=r"^sweep\.values: .*, got None$"):
+        parse_config_text("experiment = sweep_lr\nsweep.values = none\n")
     with pytest.raises(ConfigError, match="must be constant"):
         parse_config_text("experiment = sweep_lr\nschedule.kind = cosine\n")
     cfg = parse_config_text("experiment = sweep_lr\nsweep.values = 0.05,0.1\n")
@@ -288,7 +301,7 @@ def test_a_sweep_lr_rate_set_from_code_must_be_finite():
     # the file parser rejects inf; a grid set from code reaches only
     # validate_config, which holds its rates to schedule.eta0's range
     cfg = dataclasses.replace(default_config("sweep_lr"), sweep_values=(0.1, math.inf))
-    with pytest.raises(ConfigError, match=r"^sweep\.values: step sizes must be positive"):
+    with pytest.raises(ConfigError, match=r"^sweep\.values: .* schedule\.eta0 accepts"):
         validate_config(cfg)
 
 
@@ -356,30 +369,38 @@ def test_range_checks_accept_b_equal_n_unused_widths_and_csv_batch_sizes():
 
 # eos records exact one-step relative progress, so it takes exactly the
 # configs whose snapshots come every step: the preset's cadence 1, or once
-# per epoch where an epoch is one step (gd, or sgd with b = n); a CSV
-# dataset's n is known only once it is loaded, so cmd_eos checks that case
+# per epoch where an epoch is one step (gd, or sgd with b = n); cmd_eos
+# checks the cadence once the run, and so a CSV dataset's n, is assembled
 @pytest.mark.parametrize("fields, every", [
     (dict(), None),
     (dict(snapshot_every=None), None),
-    (dict(mode="sgd", batch_size=100, snapshot_every=None), None),
-    (dict(mode="sgd", batch_size=4, snapshot_every=1), None),
-    (dict(mode="sgd", batch_size=4, snapshot_every=None, dataset_kind="csv",
-          csv_path="x.csv", label_column="y"), None),
+    (dict(batch_size=100, snapshot_every=None), None),
+    (dict(batch_size=4, snapshot_every=1), None),
+    (dict(batch_size=4, snapshot_every=None, dataset_kind="csv", label_column="y",
+          holdout_fraction=0.5), None),  # 4 of the CSV's 8 rows train: b = n
     (dict(snapshot_every=2), 2),
-    (dict(mode="sgd", batch_size=100, snapshot_every=3), 3),
-    (dict(mode="sgd", batch_size=10, snapshot_every=None), 10),
-    (dict(mode="sgd", batch_size=99, snapshot_every=None), 2),
+    (dict(batch_size=100, snapshot_every=3), 3),
+    (dict(batch_size=10, snapshot_every=None), 10),
+    (dict(batch_size=99, snapshot_every=None), 2),
 ], ids=["preset", "gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
         "csv_sgd_epoch", "gd_every_2", "sgd_full_batch_every_3", "sgd_epoch_of_10",
         "sgd_epoch_of_2"])
-def test_eos_accepts_exactly_the_one_step_cadences(fields, every):
-    cfg = dataclasses.replace(default_config("eos"), **fields)  # n_train = 100
+def test_eos_accepts_exactly_the_one_step_cadences(fields, every, tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(8)]) + "\n")
+    out = tmp_path / "out"
+    cfg = dataclasses.replace(default_config("eos"), seeds=(0,), output_dir=str(out),
+                              n_test=8, dim=3, epochs=None, max_steps=2, k_samples=16,
+                              csv_path=str(data), **fields)  # n_train = 100
+    assert validate_config(cfg) is cfg
     if every is None:
-        assert validate_config(cfg) is cfg
+        cmd_eos(cfg)
+        assert (out / "eos.csv").exists()
     else:
         with pytest.raises(ConfigError, match=rf"^optim.snapshot_every: .*one every "
                                               rf"{every} steps"):
-            validate_config(cfg)
+            cmd_eos(cfg)
+        assert not out.exists()
 
 
 def test_parse_config_reads_files_and_names_them(tmp_path):
@@ -391,6 +412,14 @@ def test_parse_config_reads_files_and_names_them(tmp_path):
     bad.write_text("experiment = eos\nbogus = 1\n")
     with pytest.raises(ConfigError, match="bad.cfg:2"):
         parse_config(str(bad))
+
+
+def test_parse_config_skips_a_utf8_byte_order_mark(tmp_path):
+    # an editor's UTF-8 with signature starts the file with U+FEFF, which is
+    # not part of the first key
+    p = tmp_path / "bom.cfg"
+    p.write_bytes("experiment = eos\nseeds = 9\n".encode("utf-8-sig"))
+    assert parse_config(str(p)) == dataclasses.replace(default_config("eos"), seeds=(9,))
 
 
 def test_parse_config_rejects_bytes_that_are_not_utf8(tmp_path):
@@ -467,7 +496,7 @@ _CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_c
 # small n_train keeps it valid
 RANGE_CASES = {
     "seeds": (_TRACK, [(), (-1,), (3, -1)], [(0,)]),
-    "output_dir": (_TRACK, ["a\0b"], ["", "a b"]),
+    "output_dir": (_TRACK, ["a\0b", ""], ["a b"]),
     "dataset.n_train": (default_config("eos"), [1], [2]),
     "dataset.n_test": (_TRACK, [0], [1]),
     "dataset.dim": (_TRACK, [0], [1]),
@@ -475,6 +504,7 @@ RANGE_CASES = {
     "dataset.holdout_fraction": (_CSV, [0.0, 1.0], [TINY, math.nextafter(1.0, 0.0)]),
     "noise.flip_fraction": (_TRACK, [-TINY, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
     "model.hidden": (_TRACK, [(), (0,), (8, -3)], [(1,), (1, 1)]),
+    "optim.batch_size": (_TRACK, [0, -1], [1, 100]),
     "optim.epochs": (_TRACK, [-1], [0]),
     "optim.max_steps": (default_config("assumption"), [-1], [0]),
     "optim.stop_train_loss": (_TRACK, [0.0, -TINY], [TINY]),
@@ -528,7 +558,10 @@ def test_each_key_checks_its_range_where_it_applies(key):
     ("track", dict(dataset_kind="csv", csv_path="x.csv", label_column="y",
                    n_train=0, n_test=0, dim=0)),
     ("track", dict(holdout_fraction=2.0)),  # toy data
-], ids=["constant_schedule", "toy_table", "csv_dataset", "toy_dataset"])
+    ("sweep_noise", dict(flip_fraction=2.0)),  # each cell sets its own
+    ("sweep_lr", dict(eta0=0.0)),  # each cell sets its own
+], ids=["constant_schedule", "toy_table", "csv_dataset", "toy_dataset", "sweep_noise",
+        "sweep_lr"])
 def test_keys_outside_the_config_shape_are_not_range_checked(experiment, fields):
     cfg = dataclasses.replace(default_config(experiment), **fields)
     assert validate_config(cfg) is cfg

@@ -201,6 +201,16 @@ def test_load_csv_dataset_schema_errors(tmp_path):
         load_csv_dataset(str(ragged), "y")
 
 
+def test_load_csv_dataset_skips_a_utf8_byte_order_mark(tmp_path):
+    # a spreadsheet's UTF-8 export starts with U+FEFF, which is not part of
+    # the first column's name
+    p = tmp_path / "bom.csv"
+    p.write_bytes("y,a,b\n0,1,2\n1,3,4\n".encode("utf-8-sig"))
+    d = load_csv_dataset(str(p), "y")
+    assert np.array_equal(d.features, [[1, 2], [3, 4]])
+    assert np.array_equal(d.labels, [0, 1])
+
+
 def test_load_csv_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
     p = tmp_path / "latin1.csv"
     p.write_bytes("caf\u00e9,y\n1,0\n2,1\n".encode("latin-1"))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -312,7 +313,7 @@ def test_sweep_cells_match_a_recorder_with_the_holdout(experiment, tmp_path):
     cmd_sweep(cfg)
     _, rows = read_rows(tmp_path / "sweep.csv")
     cells = {(r["value"], r["seed"]): r for r in rows if r["seed"] != "mean"}
-    lr = cfg.sweep_param == "lr"
+    lr = experiment == "sweep_lr"
     stopped = []
     for v in cfg.sweep_values:
         for s in cfg.seeds:
@@ -454,6 +455,20 @@ def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
     assert stats["eos.snapshots"] > 0
     assert stats["numerics.power_iteration.solves"] == stats["eos.snapshots"]
     assert stats["numerics.power_iteration.applies"] > 0
+
+
+@pytest.mark.parametrize("workload", ["toy_table", "sweep_noise", "eos"])
+def test_benchmark_setup_assembles_each_workloads_shipped_cells(workload):
+    # bench/child.py's setup parses the shipped config and calls assemble_run
+    # for every cell the command trains, with the sweep's flip_override
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, os.path.join(root, "bench", "child.py"), "setup",
+                           workload, os.path.join(root, "configs", f"{workload}.cfg"),
+                           "0,1,2", repr(time.clock_gettime(time.CLOCK_MONOTONIC))],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["setup_s"] > 0
 
 
 @pytest.mark.parametrize("experiment, values, completed", [
@@ -606,7 +621,7 @@ def test_a_command_returns_exactly_its_files_in_writing_order(experiment, plots,
     # the returned paths are the files of the output directory, each once:
     # the CSV tables, then meta.json, then, only with plots, the SVGs
     cfg = tiny(experiment, tmp_path / "out", epochs=None, max_steps=4)
-    if cfg.mode == "sgd":
+    if cfg.batch_size is not None:
         cfg = dataclasses.replace(cfg, batch_size=4)
     paths = COMMANDS[experiment](cfg, plots=plots)["paths"]
     assert {os.path.dirname(p) for p in paths} == {cfg.output_dir}
@@ -754,10 +769,27 @@ def test_cli_nul_in_a_path_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert "config error" in err and key in err and "NUL" in err
 
 
+def test_cli_empty_output_dir_is_a_config_error(tmp_path, capsys):
+    # the empty path would fail only when the command makes it, as an i/o error
+    cfg = write_cfg(tmp_path, tiny_cfg_text("track", "optim.epochs = 1\noutput_dir =\n"))
+    assert main(["track", "--config", cfg]) == 2
+    assert "config error: output_dir: needs a non-empty path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("optim.mode", "gd"), ("sweep.param", "noise")])
+def test_cli_a_retired_key_exits_2_naming_the_key_and_its_line(tmp_path, capsys, key,
+                                                                value):
+    # optim.batch_size decides gd or sgd, and the experiment what a sweep varies
+    cfg = write_cfg(tmp_path, tiny_cfg_text("sweep_noise", f"{key} = {value}\n"))
+    assert main(["sweep_noise", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"run.cfg:7: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_eos_cadence_above_one_step_exits_2_before_any_output(tmp_path, capsys):
-    # toy sgd with b < n_train: validation rejects the once-per-epoch cadence
+    # toy sgd with b < n_train: cmd_eos rejects the once-per-epoch cadence
     cfg = write_cfg(tmp_path, tiny_cfg_text(
-        "eos", "optim.epochs = 1\noptim.mode = sgd\noptim.batch_size = 4\n"
+        "eos", "optim.epochs = 1\noptim.batch_size = 4\n"
                "optim.snapshot_every = epoch\n"))
     assert main(["eos", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "optim.snapshot_every" in capsys.readouterr().err
@@ -776,7 +808,7 @@ def test_cli_batch_larger_than_a_csv_training_set_leaves_no_output_dir(
     cfg = write_cfg(tmp_path, (
         f"experiment = {experiment}\nseeds = 0\ndataset.kind = csv\n"
         f"dataset.path = {data}\ndataset.label_column = y\n"
-        "optim.epochs = 1\noptim.mode = sgd\noptim.batch_size = 500\n"))
+        "optim.epochs = 1\noptim.batch_size = 500\n"))
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "need 1 <= batch_size <= n=10, got 500" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -787,7 +819,7 @@ def test_cmd_eos_checks_a_csv_epoch_cadence_before_any_output(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(10)]) + "\n")
     cfg = dataclasses.replace(
-        tiny("eos", tmp_path / "out", epochs=1), mode="sgd", batch_size=2,
+        tiny("eos", tmp_path / "out", epochs=1), batch_size=2,
         snapshot_every=None, dataset_kind="csv", csv_path=str(data), label_column="y",
         holdout_fraction=0.4,
     )
@@ -899,7 +931,7 @@ def test_cli_exit_code_is_documented_for_shrunk_presets(experiment, seeds, via_f
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     cfg = parse_config(os.path.join(root, f"{experiment}.cfg"))
     cfg = dataclasses.replace(cfg, **SHRUNK, seeds=(0,) if via_flag else tuple(seeds))
-    if cfg.mode == "sgd":
+    if cfg.batch_size is not None:
         cfg = dataclasses.replace(cfg, batch_size=min(cfg.batch_size, 4))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")

@@ -107,13 +107,23 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
     assert same.returncode == 0, same.stdout
     assert same.stdout == "1 CSV files, 0 SVG files and 1 meta.json files identical\n"
 
-    for changed, seed_used in ((dataclasses.replace(cfg, eta0=0.06), 0),
-                               (dataclasses.replace(cfg, seeds=(0, 1)), 0),
-                               (cfg, 1)):
-        _write_meta(new / "track", changed, seed_used=seed_used)
+    # under the file: its config lines only in OLD (-) or only in DIR (+),
+    # then each other top-level field that differs, as it is on each side
+    for changed, extra, lines in (
+            (dataclasses.replace(cfg, eta0=0.06), {},
+             ["- schedule.eta0 = 0.05", "+ schedule.eta0 = 0.06"]),
+            (dataclasses.replace(cfg, seeds=(0, 1)), {},
+             ["- seeds = 0,1,2", "+ seeds = 0,1", "- seeds: [0, 1, 2]", "+ seeds: [0, 1]"]),
+            (cfg, dict(seed_used=1), ["- seed_used: 0", "+ seed_used: 1"]),
+            (cfg, dict(grid=[0.5]), ["+ grid: [0.5]"]),
+            (dataclasses.replace(cfg, schedule_kind="constant"), {},
+             ["- schedule.kind = cosine", "- schedule.eta_min = 0.0",
+              "- schedule.t_max = auto", "+ schedule.kind = constant"])):
+        _write_meta(new / "track", changed, **dict(dict(seed_used=0), **extra))
         differs = _shipped_outputs(new, "--against", old)
         assert differs.returncode == 1
-        assert differs.stdout == "differs: track/meta.json\n"
+        assert differs.stdout.splitlines() == (["differs: track/meta.json"]
+                                               + [f"  {line}" for line in lines])
 
     (new / "track" / "meta.json").unlink()
     missing = _shipped_outputs(new, "--against", old)
@@ -162,7 +172,8 @@ def test_shipped_outputs_compares_csv_values_within_a_relative_tolerance(tmp_pat
     table.write_text("seed,value,gap,tag\n0,0.25,nan,a\n1,-2.0,0.0,b\n")
     _write_meta(new / "toy_table", default_config("toy_table"), seed_used=1)
     meta = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
-    assert meta.returncode == 1 and meta.stdout.splitlines()[-1] == "differs: toy_table/meta.json"
+    assert meta.returncode == 1 and meta.stdout.splitlines()[-2:] == [
+        "differs: toy_table/meta.json", "  + seed_used: 1"]
 
     assert _shipped_outputs(new, "--rel", "1e-12").returncode == 2
 

@@ -13,9 +13,12 @@ path under OLD, names each file that differs or exists on one side only,
 and exits 1 if there is any such file or no CSV file at all. CSV and SVG
 files must match byte for byte; a meta.json too, apart from the
 output_dir line of the config it echoes, which names each tree's own
-directory. To check that a change keeps every shipped output, run the
-first form at the parent commit into OLD and at the change into DIR, then
-the second.
+directory. Under each meta.json that differs it prints the config lines
+found only in OLD (`- key = value`) or only in DIR (`+ key = value`), and
+each other top-level field that differs, as `- name: value` from OLD and
+`+ name: value` from DIR. To check that a change keeps every shipped
+output, run the first form at the parent commit into OLD and at the change
+into DIR, then the second.
 
 With --rel TOL the CSV files are compared by value instead: each pair must
 have the same header and the same number of rows, and for each column the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import re
@@ -108,7 +112,23 @@ def compare(new: Path, old: Path, tol: float | None = None) -> tuple[list[str], 
                     problems.append(f"above {tol:g}: {line}")
         elif _compared_bytes(new / rel) != _compared_bytes(old / rel):
             problems.append(f"differs: {rel}")
+            if rel.endswith("meta.json"):
+                problems += _meta_changes(new / rel, old / rel)
     return problems, report
+
+
+def _meta_changes(new: Path, old: Path) -> list[str]:
+    """The config lines, output_dir's apart, and other fields that differ, OLD's first."""
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in (old, new)]
+    lines = [[line for line in doc.get("config", "").splitlines()
+              if not line.startswith("output_dir = ")] for doc in docs]
+    changes = [f"  - {line}" for line in lines[0] if line not in lines[1]]
+    changes += [f"  + {line}" for line in lines[1] if line not in lines[0]]
+    for name in sorted((docs[0].keys() | docs[1].keys()) - {"config"}):
+        if docs[0].get(name, ...) != docs[1].get(name, ...):
+            changes += [f"  {sign} {name}: {json.dumps(doc[name])}"
+                        for sign, doc in zip("-+", docs) if name in doc]
+    return changes
 
 
 def _column_differences(new: Path, old: Path) -> list[tuple[str, float]] | str:
