@@ -11,7 +11,9 @@ plug-in estimates.
 
 Every report stores the constants and scalar aggregates its formula
 consumed, and reevaluate_bound reproduces the value bitwise from those,
-so a report on disk can always be audited.
+so a report on disk can always be audited. Every report is built by
+_report, which takes its value from _eval_bound; the three trajectory
+bounds share one precondition check, _trajectory_aggregates.
 
 Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
 complexity C, the ratio gamma_tilde) are recorded by
@@ -19,9 +21,10 @@ trajectory.TrajectoryRecorder. estimate_constants is the only place the
 constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
 drift are formed. It runs the snapshots in blocks of SNAPSHOT_BLOCK, with
 one wide sign-row product per sign matrix and block
-(trajectory.bind_subset_norms). top_hessian_eig is the one smoothness
-estimator; it gives estimate_constants its beta_hat and assemble_run the
-schedule's beta.
+(trajectory.bind_subset_norms), and fills one column per per-snapshot
+statistic; each constant is then one reduction over its column.
+top_hessian_eig is the one smoothness estimator; it gives
+estimate_constants its beta_hat and assemble_run the schedule's beta.
 
 The aggregates the bound reports sum over steps or snapshots (sum_eta,
 sum_eta_sq, sum_inv4_ratio, tail_delta_sum) go through _sequential_sum,
@@ -131,11 +134,16 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     through in blocks of SNAPSHOT_BLOCK: each block places its (n, P)
     matrices side by side in one (n, c, P) array, the one copy a block
     makes, and runs trajectory.bind_subset_norms' one wide sign-row
-    product per sign matrix, the row norms, the batch means and the
-    maxima over the block as array operations, each snapshot's values
-    bitwise the per-snapshot computation (the gradient norm is the BLAS dot
-    np.linalg.norm takes). The memory stays at one block's products, and
-    the zero-gradient flags are appended in snapshot order. The V and
+    product per sign matrix, the row norms and the batch means as array
+    operations. They fill six per-snapshot columns, allocated before the
+    pass: ||mean grad||, max_i ||grad_i||, D_hat, the largest subset-sum
+    norm and the M2 and M4 batch means, each value bitwise the per-snapshot
+    computation (the gradient norm is the BLAS dot np.linalg.norm takes).
+    After the pass each constant is one reduction over its column, exact
+    as every max is; the zero-gradient flags come from one mask over the
+    ||mean grad|| column, in snapshot order, and the trivial-bound flag
+    from D_hat = 0 at any snapshot. The memory stays at one block's
+    products and the six columns. The V and
     gamma' sign matrices are drawn once and reused at every snapshot
     (trajectory._sign_rows is cached). The batch moments
     average K_BATCHES size-b subsets per snapshot, drawn for all snapshots
@@ -177,38 +185,29 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
     moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
     subset_norms = bind_subset_norms(cfg, n)
-    l_hat = 0.0
-    v_m = 0.0
-    inner_subset = 0.0
-    envelope = 0.0
-    m2 = 0.0
-    m4 = 0.0
-    trivial_v = False
+    # one column per per-snapshot statistic; each constant reduces one column
+    gnorm, l_max, d_hat, subset_max, m2, m4 = np.empty((6, len(weights)))
     for start in range(0, len(weights), SNAPSHOT_BLOCK):
         wide = np.stack([per_sample_grads(spec, w, S)
                          for w in weights[start:start + SNAPSHOT_BLOCK]], axis=1)
         Gs = wide.transpose(1, 0, 2)  # (c, n, P) view of the (n, c, P) block
         c = len(Gs)
+        block = slice(start, start + c)
         gs = np.mean(Gs, axis=1)
-        gnorm = np.sqrt((gs[:, None, :] @ gs[:, :, None]).reshape(c))  # bitwise norm
-        l_max = np.max(np.sqrt(np.einsum("tnp,tnp->tn", Gs, Gs)), axis=1)
-        d_hats, subset_max = subset_norms(wide)
+        gnorm[block] = np.sqrt((gs[:, None, :] @ gs[:, :, None]).reshape(c))  # bitwise norm
+        l_max[block] = np.max(np.sqrt(np.einsum("tnp,tnp->tn", Gs, Gs)), axis=1)
+        d_hat[block], subset_max[block] = subset_norms(wide)
         idx = moment_idx[start * k:(start + c) * k].reshape(c, k, b)
         means = Gs[np.arange(c)[:, None, None], idx].mean(axis=2)  # (c, k, P) batch means
         sq = (means[..., None, :] @ means[..., :, None]).reshape(c, k)  # bitwise gb @ gb
-        l_hat = float(np.max(l_max, initial=l_hat))
-        mixed = d_hats != 0.0
-        trivial_v = trivial_v or not mixed.all()
-        v_m = float(np.max(gnorm[mixed] / d_hats[mixed], initial=v_m))
-        live = gnorm != 0.0
-        flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
-                     for snap, z in zip(snapshots[start:start + c], live) if not z)
-        inner_subset = float(np.max(subset_max[live] / (n * gnorm[live]),
-                                    initial=inner_subset))
-        envelope = float(np.max(l_max[live] / gnorm[live], initial=envelope))
-        m2 = float(np.max(np.mean(sq, axis=1), initial=m2))
-        m4 = float(np.max(np.mean(sq * sq, axis=1), initial=m4))
-    if trivial_v:
+        m2[block] = np.mean(sq, axis=1)
+        m4[block] = np.mean(sq * sq, axis=1)
+    live = gnorm != 0.0
+    flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
+                 for snap, z in zip(snapshots, live) if not z)
+    if d_hat.all():
+        v_m = float(np.max(gnorm / d_hat))
+    else:
         flags.append("trivial-bound: sign-mixed gradient mean vanished at a snapshot")
         v_m = math.inf
 
@@ -218,7 +217,9 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
             "gamma undefined: every snapshot had zero training gradient norm"
         )
     gamma = max(r for _, r in ratios)
+    inner_subset = float(np.max(subset_max[live] / (n * gnorm[live]), initial=0.0))
     gamma_prime = max(1.0, inner_subset) * gamma
+    envelope = float(np.max(l_max[live] / gnorm[live], initial=0.0))
     gamma_prime_env = max(1.0, envelope) * gamma
 
     # Tail-drift onset: first snapshot whose ratio exceeds the high quantile
@@ -226,18 +227,11 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     vals = np.array([r for _, r in ratios])
     early = vals[: max(1, len(vals) // 2)]
     threshold = float(np.quantile(early, GAMMA_QUANTILE))
-    t0 = ratios[-1][0]
-    for t, r in ratios:
-        if r > threshold:
-            t0 = t
-            break
+    t0 = next((t for t, r in ratios if r > threshold), ratios[-1][0])
     before = [r for t, r in ratios if t < t0]
     gamma_early = max(before) if before else ratios[0][1]
-    zeta = 0.0
-    for snap in snapshots:
-        if snap.t >= t0:
-            excess = snap.grad_norm_Sprime - gamma_early * snap.grad_norm_S
-            zeta = max(zeta, max(0.0, excess))
+    zeta = max([0.0] + [s.grad_norm_Sprime - gamma_early * s.grad_norm_S
+                        for s in snapshots if s.t >= t0])
 
     count = min(BETA_SNAPSHOTS, len(weights))
     pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
@@ -245,7 +239,8 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
 
     eta_m = float(etas.max()) if T else 0.0
     return ConstantEstimates(
-        L_hat=l_hat, beta_hat=beta_hat, M2_sq=m2, M4_fourth=m4,
+        L_hat=float(np.max(l_max)), beta_hat=beta_hat,
+        M2_sq=float(np.max(m2)), M4_fourth=float(np.max(m4)),
         gamma=gamma, gamma_prime=gamma_prime, V_m=v_m, eta_m=eta_m,
         zeta=zeta, T0=t0, n=n, T=T, b=b,
         gamma_prime_envelope=gamma_prime_env, gamma_early=gamma_early,
@@ -306,11 +301,31 @@ def reevaluate_bound(report: BoundReport) -> float:
     return _eval_bound(report.method, report.constants, report.trajectory_aggregates)
 
 
-def _check_usable(est: ConstantEstimates) -> None:
+def _report(method: str, est: ConstantEstimates, agg: dict[str, float], *,
+            remainder: bool = False, notes: str = "") -> BoundReport:
+    """The one BoundReport constructor; the value is _eval_bound's.
+
+    A bound with remainder=True carries the unconstanted O(eta_m)
+    discretization remainder: its scale is stored as remainder_scale and
+    noted, and deliberately never added to the value.
+    """
+    if remainder:
+        notes = "plus O(eta_m) remainder, unknown constant, not added"
+    return BoundReport(method=method, value=_eval_bound(method, est, agg),
+                       constants=est, trajectory_aggregates=agg,
+                       remainder_scale=est.eta_m if remainder else None, notes=notes)
+
+
+def _trajectory_aggregates(est: ConstantEstimates, snapshots,
+                           bound: str) -> dict[str, float]:
+    """Check what every trajectory bound needs; return its C_final aggregate."""
+    if not snapshots:
+        raise IncompleteTrajectoryError(f"{bound} bound needs at least one snapshot")
     if not math.isfinite(est.V_m):
         raise InvalidArgumentError(
             "trivial-bound flag set: sign-mixing ratio is unbounded"
         )
+    return {"C_final": snapshots[-1].C_cum}
 
 
 def bound_trajectory_main(est: ConstantEstimates, snapshots) -> BoundReport:
@@ -319,18 +334,8 @@ def bound_trajectory_main(est: ConstantEstimates, snapshots) -> BoundReport:
     The unconstanted O(eta_m) discretization remainder is surfaced as
     remainder_scale and deliberately never added to the value.
     """
-    if not snapshots:
-        raise IncompleteTrajectoryError("main bound needs at least one snapshot")
-    _check_usable(est)
-    agg = {"C_final": snapshots[-1].C_cum}
-    return BoundReport(
-        method="ours_main",
-        value=_eval_bound("ours_main", est, agg),
-        constants=est,
-        trajectory_aggregates=agg,
-        remainder_scale=est.eta_m,
-        notes="plus O(eta_m) remainder, unknown constant, not added",
-    )
+    return _report("ours_main", est, _trajectory_aggregates(est, snapshots, "main"),
+                   remainder=True)
 
 
 def bound_trajectory_smooth(est: ConstantEstimates, snapshots,
@@ -343,9 +348,7 @@ def bound_trajectory_smooth(est: ConstantEstimates, snapshots,
     form is part of the hypothesis, so another schedule kind, or a beta
     other than the estimated smoothness, is rejected.
     """
-    if not snapshots:
-        raise IncompleteTrajectoryError("smooth bound needs at least one snapshot")
-    _check_usable(est)
+    agg = _trajectory_aggregates(est, snapshots, "smooth")
     if schedule.kind != "inverse_time":
         raise InvalidArgumentError(
             f"smooth bound assumes inverse-time steps, schedule is {schedule.kind!r}"
@@ -369,13 +372,8 @@ def bound_trajectory_smooth(est: ConstantEstimates, snapshots,
         sq = np.arange(left.t + 1, right.t + 1, dtype=np.float64) ** 2
         terms.append(ratio / (est.n * beta_sq * (sq * sq)))
     inner = _sequential_sum(np.concatenate(terms)) if terms else 0.0
-    agg = {"C_final": snapshots[-1].C_cum, "sum_inv4_ratio": inner, "c": schedule.c}
-    return BoundReport(
-        method="ours_smooth",
-        value=_eval_bound("ours_smooth", est, agg),
-        constants=est,
-        trajectory_aggregates=agg,
-    )
+    agg.update(sum_inv4_ratio=inner, c=schedule.c)
+    return _report("ours_smooth", est, agg)
 
 
 def bound_trajectory_relaxed(est: ConstantEstimates, snapshots) -> BoundReport:
@@ -384,25 +382,16 @@ def bound_trajectory_relaxed(est: ConstantEstimates, snapshots) -> BoundReport:
     Adds half of est.zeta times the sum of eta_t ||grad F_S|| over recorded
     steps at or after est.T0 (final step included).
     """
-    if not snapshots:
-        raise IncompleteTrajectoryError("relaxed bound needs at least one snapshot")
-    _check_usable(est)
+    agg = _trajectory_aggregates(est, snapshots, "relaxed")
     if est.T0 > snapshots[-1].t:
         raise InvalidArgumentError(
             f"T0={est.T0} is past the final recorded step {snapshots[-1].t}"
         )
     if est.zeta < 0:
         raise InvalidArgumentError(f"zeta must be >= 0, got {est.zeta}")
-    tail = _sequential_sum([s.delta_t for s in snapshots if s.t >= est.T0])
-    agg = {"C_final": snapshots[-1].C_cum, "tail_delta_sum": tail}
-    return BoundReport(
-        method="ours_relaxed",
-        value=_eval_bound("ours_relaxed", est, agg),
-        constants=est,
-        trajectory_aggregates=agg,
-        remainder_scale=est.eta_m,
-        notes="plus O(eta_m) remainder, unknown constant, not added",
-    )
+    agg["tail_delta_sum"] = _sequential_sum([s.delta_t for s in snapshots
+                                             if s.t >= est.T0])
+    return _report("ours_relaxed", est, agg, remainder=True)
 
 
 STABILITY_KINDS = ("hardt_convex", "hardt_nonconvex", "zhang", "bassily")
@@ -447,13 +436,7 @@ def bound_stability_baseline(kind: str, est: ConstantEstimates, etas,
                     "hardt_nonconvex needs a positive smoothness constant beta_hat"
                 )
             notes = _HARDT_NONCONVEX_FORM
-    return BoundReport(
-        method=kind,
-        value=_eval_bound(kind, est, agg),
-        constants=est,
-        trajectory_aggregates=agg,
-        notes=notes,
-    )
+    return _report(kind, est, agg, notes=notes)
 
 
 _CONSTANT_COLUMNS = (

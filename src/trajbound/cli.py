@@ -51,9 +51,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.out:
+        if args.out is not None:
             cfg = replace(cfg, output_dir=args.out)
-        if args.seeds:
+        if args.seeds is not None:
             cfg = replace(cfg, seeds=_KEYS["seeds"].parse("--seeds", args.seeds))
         # the overrides bypass parse_config's checks, so validate again
         cfg = validate_config(cfg)

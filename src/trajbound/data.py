@@ -14,6 +14,7 @@ its cell formatter csv_cell.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,10 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
     """Read a comma-separated file with a header row; one column holds labels.
 
     A file the csv module cannot parse (say, a cell past its field size
-    limit) raises DataSchemaError naming the row, as a schema fault does.
+    limit) raises DataSchemaError naming the row, as a schema fault does;
+    so does a header that names a column twice. A cell that is not a
+    finite number (nan, inf and -inf included) raises DataParseError naming
+    its row and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
@@ -159,6 +163,9 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
     if not table:
         raise DataSchemaError(f"{path}: file is empty, expected a header row")
     header = [h.strip() for h in table[0]]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataSchemaError(f"{path}: header names column {name!r} more than once")
     if label_column not in header:
         raise DataSchemaError(
             f"{path}: label column {label_column!r} not found in header {header}"
@@ -181,7 +188,9 @@ def load_csv_dataset(path: str, label_column: str) -> Dataset:
             try:
                 parsed.append(float(cell))
             except ValueError:
-                raise DataParseError(r, header[i], cell.strip()) from None
+                parsed.append(math.nan)
+            if not math.isfinite(parsed[-1]):
+                raise DataParseError(r, header[i], cell.strip())
         labels.append(parsed[label_pos])
         rows.append([v for i, v in enumerate(parsed) if i != label_pos])
 

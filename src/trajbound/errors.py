@@ -40,13 +40,14 @@ class DataSchemaError(TrajboundError):
 
 
 class DataParseError(TrajboundError):
-    """A dataset cell failed to parse; names the row and column."""
+    """A dataset cell is not a finite number; names the row and column."""
 
     def __init__(self, row: int, column: str, value: str):
         self.row = row
         self.column = column
         self.value = value
-        super().__init__(f"row {row}, column {column!r}: cannot parse {value!r} as a number")
+        super().__init__(f"row {row}, column {column!r}: cannot parse {value!r} "
+                         "as a finite number")
 
 
 class ConfigError(TrajboundError):

@@ -191,6 +191,7 @@ def _train_first_seed(cfg: ExperimentConfig) -> tuple[RunParts, TrajectoryRecord
     return parts, rec
 
 
+# toy_table.csv's columns; after seed and gen_error, the bound methods it shows
 TOY_TABLE_COLUMNS = ("seed", "gen_error", "ours_main", "ours_smooth",
                      "hardt_convex", "hardt_nonconvex", "zhang")
 
@@ -225,13 +226,13 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
                                          schedule)
         r_zh = bound_stability_baseline("zhang", consts, res.etas, schedule)
         r_ba = bound_stability_baseline("bassily", consts, res.etas)
+        seed_reports = (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba)
+        value = {rep.method: rep.value for rep in seed_reports}
         last = rec.snapshots[-1]
-        gen = last.F_Sprime - last.F_S
-        table_rows.append([s, gen, r_main.value, r_smooth.value,
-                           r_hc.value, r_hnc.value, r_zh.value])
-        for rep in (r_main, r_smooth, r_relaxed, r_hc, r_hnc, r_zh, r_ba):
-            reports.append(rep)
-            report_seeds.append(s)
+        table_rows.append([s, last.F_Sprime - last.F_S]
+                          + [value[m] for m in TOY_TABLE_COLUMNS[2:]])
+        reports.extend(seed_reports)
+        report_seeds.extend([s] * len(seed_reports))
 
     values = np.array([row[1:] for row in table_rows], dtype=np.float64)
     mean_row = ["mean"] + [float(v) for v in np.mean(values, axis=0)]

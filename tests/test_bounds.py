@@ -389,6 +389,10 @@ def test_bounds_reject_a_trivial_mixing_ratio():
                     bound_trajectory_relaxed):
         with pytest.raises(InvalidArgumentError, match="trivial"):
             builder(est, snapshots)
+        # every trajectory bound refuses an empty trajectory first
+        for e in (est, consts(beta_hat=2.0)):
+            with pytest.raises(IncompleteTrajectoryError, match="at least one snapshot"):
+                builder(e, [])
 
 
 def test_smooth_bound_worked_example():

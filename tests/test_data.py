@@ -228,6 +228,29 @@ def test_load_csv_dataset_names_unparseable_cell(tmp_path):
     assert exc.value.value == "x7"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN ", "1e400"])
+@pytest.mark.parametrize("column", ["a", "y"])
+def test_load_csv_dataset_names_a_cell_that_is_not_finite(tmp_path, cell, column):
+    # float() parses these; the loader must still name the row and column
+    p = tmp_path / "nonfinite.csv"
+    row = f"{cell},1" if column == "a" else f"2,{cell}"
+    p.write_text(f"a,y\n1,0\n{row}\n")
+    with pytest.raises(DataParseError) as exc:
+        load_csv_dataset(str(p), "y")
+    assert (exc.value.row, exc.value.column, exc.value.value) == (2, column, cell.strip())
+    assert "finite number" in str(exc.value)
+
+
+@pytest.mark.parametrize("header", ["a,y,y", "y,a,y", "a,a,y", "a,y,b,a"])
+def test_load_csv_dataset_rejects_a_header_that_names_a_column_twice(tmp_path, header):
+    p = tmp_path / "twice.csv"
+    width = header.count(",") + 1
+    p.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+    repeated = next(h for h in header.split(",") if header.split(",").count(h) > 1)
+    with pytest.raises(DataSchemaError, match=f"names column '{repeated}' more than once"):
+        load_csv_dataset(str(p), "y")
+
+
 def test_load_csv_dataset_maps_a_csv_module_error_to_a_schema_error(tmp_path):
     # the csv module caps a field at 131 072 characters and raises its own
     # csv.Error past that; the loader names the file and the row instead

@@ -182,6 +182,11 @@ def test_cmd_toy_table_outputs(tmp_path):
     methods = {r["method"] for r in brows}
     assert methods == {"ours_main", "ours_smooth", "ours_relaxed",
                        "hardt_convex", "hardt_nonconvex", "zhang", "bassily"}
+    # each seed's bound columns are that seed's report values, by method
+    value = {(r["seed"], r["method"]): r["value"] for r in brows}
+    for row in rows[:2]:
+        for col in header[2:]:
+            assert row[col] == value[row["seed"], col]
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["experiment"] == "toy_table"
     assert meta["seeds"] == [0, 1]
@@ -718,6 +723,9 @@ def test_cli_bad_seeds_exit_code(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
     assert main(["eos", "--config", cfg, "--seeds", ","]) == 2
     assert "--seeds" in capsys.readouterr().err
+    # an empty value is parsed, not ignored in favour of the config's seeds
+    assert main(["eos", "--config", cfg, "--seeds", ""]) == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("route", ["config", "flag"])
@@ -774,6 +782,12 @@ def test_cli_empty_output_dir_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_cfg_text("track", "optim.epochs = 1\noutput_dir =\n"))
     assert main(["track", "--config", cfg]) == 2
     assert "config error: output_dir: needs a non-empty path" in capsys.readouterr().err
+    # an empty --out overrides the config's output_dir, not falls back to it
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, tiny_cfg_text("track", f"optim.epochs = 1\noutput_dir = {out}\n"))
+    assert main(["track", "--config", cfg, "--out", ""]) == 2
+    assert "config error: output_dir: needs a non-empty path" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("optim.mode", "gd"), ("sweep.param", "noise")])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajbound import models, trajectory
-from trajbound.bounds import estimate_constants
+from trajbound.bounds import SNAPSHOT_BLOCK, estimate_constants
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import (
     IncompleteTrajectoryError,
@@ -399,6 +399,23 @@ def test_estimate_constants_skips_zero_gradient_snapshots_for_gamma_prime():
     # with only the zero-gradient snapshot nothing defines gamma
     with pytest.raises(InvalidArgumentError, match="zero training gradient"):
         constants_at(spec, data, weights[:1], cfg)
+    # zero-gradient snapshots in two blocks: their flags in snapshot order,
+    # then the trivial-bound flag, and gamma' from the live snapshots alone
+    zero, live = weights
+    later = SNAPSHOT_BLOCK + 1
+    path = [live * (1.0 + 0.25 * t) for t in range(2 * SNAPSHOT_BLOCK)]
+    path[0] = path[later] = zero
+    c = constants_at(spec, data, path, cfg)
+    assert c.flags == [
+        "no-steps: eta_m defaulted",
+        "gamma-prime: zero gradient at step 0 skipped",
+        f"gamma-prime: zero gradient at step {later} skipped",
+        "trivial-bound: sign-mixed gradient mean vanished at a snapshot",
+    ]
+    assert c.V_m == math.inf
+    inner = max(subset_ratio_max(per_sample_grads(spec, w, data), cfg)
+                for t, w in enumerate(path) if t not in (0, later))
+    assert c.gamma_prime == max(1.0, inner) * c.gamma
 
 
 # -- relative progress ---------------------------------------------------------
