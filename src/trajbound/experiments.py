@@ -400,6 +400,10 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
     return {"paths": paths, "per_value": per_value}
 
 
+# The Lanczos applies each eos sharpness solve may make.
+EOS_ITERS = 120
+
+
 def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     """Relative-progress and sharpness series for one run.
 
@@ -410,6 +414,12 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     ConfigError naming optim.snapshot_every before any output, checked here
     once the run, and so a CSV dataset's n, is assembled. On divergence the
     partial series is still written, then the error propagates.
+
+    Each sharpness solve makes at most EOS_ITERS operator applies and is
+    warm-started from the previous solves' Ritz vectors. meta.json's solver
+    field counts the solves, their applies and, as at_cap, the solves that
+    made all EOS_ITERS applies: those may have stopped short of their
+    tolerance.
     """
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
@@ -424,18 +434,32 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     died = res if isinstance(res, DivergedError) else None
 
     rows = []
-    ritz = None  # each solve starts from the previous snapshot's Ritz vector
+    solver = {"solves": 0, "applies": 0, "at_cap": 0}
+    start = prev = None
     for snap, w in zip(rec.snapshots, rec.weights):
-        sharp, ritz = power_iteration_top_eig(hessian_operator(parts.spec, w, parts.S),
-                                              dim=w.size, iters=120, tol=1e-7,
-                                              start=ritz)
+        hess = hessian_operator(parts.spec, w, parts.S)
+        before = solver["applies"]
+
+        def apply(v, hess=hess):
+            solver["applies"] += 1
+            return hess(v)
+
+        sharp, u = power_iteration_top_eig(apply, dim=w.size, iters=EOS_ITERS, tol=1e-7,
+                                           start=start)
+        solver["solves"] += 1
+        solver["at_cap"] += int(solver["applies"] - before == EOS_ITERS)
+        # the next solve starts from the last Ritz vector, then from the
+        # extrapolation 2 u_t - s u_(t-1) of the last two, s = sign(u_t . u_(t-1))
+        # aligning the sign each solve leaves free
+        start = u if prev is None else 2.0 * u - np.sign(u @ prev) * prev
+        prev = u
         eta = snap.eta_t  # also eta_eff: snapshots are one step apart
         rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
                      sharp, 2.0 / eta if eta > 0 else None])
     paths = _write_outputs(cfg, plots, {
         "eos.csv": (("t", "epoch", "eta", "eta_eff", "rp", "trp",
                      "sharpness", "two_over_eta_eff"), rows),
-    }, {"seed_used": s, "rp_mode": "step",
+    }, {"seed_used": s, "rp_mode": "step", "solver": solver,
         "diverged_at": died.t if died is not None else None}, [("eos.csv", [
         PlotSpec(x="epoch", ys=("rp", "trp"), out_name="eos_rp.svg",
                  title="relative progress"),

@@ -7,16 +7,20 @@ and samplers can be seeded separately and stay bit-reproducible.
 
 power_iteration_top_eig is a Lanczos solve for the top algebraic eigenvalue
 of a symmetric operator, such as models.hessian_operator; it stops on its
-Ritz residual. A cold solve starts from one fixed Gaussian vector per
-dimension; a warm solve starts from a caller's vector (a previous solve's
-Ritz vector, when the operator changes little between solves) plus a
-WARM_SHARE multiple of that Gaussian vector, so a new top eigenvector
-orthogonal to the old one is still reached. central_diff_gradient is the
-finite-difference oracle that the tests check analytic gradients against.
+Ritz residual. Each step forms the norm of its operator product once, as
+sqrt(aq @ aq): that norm is both the finiteness check and the operator
+scale the breakdown test reads. A cold solve starts from one fixed Gaussian
+vector per dimension; a warm solve starts from a caller's vector (one
+built from earlier Ritz vectors, when the operator changes little between
+solves) plus a WARM_SHARE multiple of that Gaussian vector, so a new top
+eigenvector orthogonal to the old one is still reached.
+central_diff_gradient is the finite-difference oracle that the tests check
+analytic gradients against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -106,7 +110,11 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     tridiagonal matrix T is solved with eigh, and the solve stops when the
     top Ritz pair's residual ||A x - theta x|| = beta_k |s_k| is at most tol,
     at a Krylov breakdown (an invariant subspace: the result is exact), or
-    after `iters` applies. A non-finite product raises NumericDomainError.
+    after `iters` applies. Each product is copied, since the step updates it
+    in place and `apply` may return its argument or a shared buffer. A
+    product whose norm is not finite (a NaN or inf entry, or an overflowing
+    norm) raises NumericDomainError naming the step, without an overflow
+    warning.
     Without `start` the first Lanczos vector is a Gaussian draw from one
     fixed stream (_gaussian_start), so the solve is deterministic. With it,
     the first vector is start/||start|| + WARM_SHARE * that draw, normalized:
@@ -144,16 +152,21 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
             raise DimensionMismatchError(
                 f"operator returned shape {aq.shape}, expected ({dim},)"
             )
-        if not np.all(np.isfinite(aq)):
-            raise NumericDomainError(f"non-finite operator product at Lanczos step {k}")
-        scale = max(scale, float(np.linalg.norm(aq)))
-        tri[k, k] = basis[k] @ aq
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            norm = math.sqrt(aq @ aq)
+        if not math.isfinite(norm):
+            raise NumericDomainError(
+                f"operator product with a non-finite norm at Lanczos step {k}"
+            )
+        scale = max(scale, norm)
+        q = basis[:k + 1]
+        tri[k, k] = q[k] @ aq
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
-            aq -= (basis[:k + 1] @ aq) @ basis[:k + 1]
-        beta = float(np.linalg.norm(aq))
+            aq -= (q @ aq) @ q
+        beta = math.sqrt(aq @ aq)
         thetas, s = np.linalg.eigh(tri[:k + 1, :k + 1])
         if beta * abs(s[-1, -1]) <= tol or beta <= BREAKDOWN * scale or k == steps - 1:
-            x = s[:, -1] @ basis[:k + 1]
+            x = s[:, -1] @ q
             return float(thetas[-1]), x / np.linalg.norm(x)
         basis[k + 1] = aq / beta
         tri[k, k + 1] = tri[k + 1, k] = beta

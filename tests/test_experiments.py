@@ -591,6 +591,34 @@ def test_cmd_eos_chained_solves_save_applies_on_the_shipped_config(tmp_path,
                               output_dir=str(tmp_path))
     _, applies = chained_and_cold_solves(monkeypatch, cfg)
     assert applies["chained"] <= 0.7 * applies["cold"]
+    # the count is deterministic: 1 836 from the previous Ritz vector alone,
+    # 1 641 from the two-vector extrapolation
+    assert applies["chained"] <= 1700
+
+
+def test_cmd_eos_records_its_solver_totals(tmp_path, monkeypatch):
+    # meta.json counts the solves, their applies and the solves that made
+    # every apply allowed; at 2 applies a solve, the tiny run caps them all
+    real = experiments.power_iteration_top_eig
+    used = []
+
+    def counted(apply, dim, iters, tol, start=None):
+        def wrapped(v):
+            used[-1] += 1
+            return apply(v)
+        used.append(0)
+        return real(wrapped, dim, iters=iters, tol=tol, start=start)
+
+    monkeypatch.setattr(experiments, "power_iteration_top_eig", counted)
+    cfg = tiny("eos", tmp_path, epochs=5)
+    for iters, capped in ((experiments.EOS_ITERS, 0), (2, 6)):
+        monkeypatch.setattr(experiments, "EOS_ITERS", iters)
+        used.clear()
+        cmd_eos(cfg)
+        solver = json.loads((tmp_path / "meta.json").read_text())["solver"]
+        assert solver == {"solves": 6, "applies": sum(used),
+                          "at_cap": sum(n == iters for n in used)}
+        assert solver["at_cap"] == capped
 
 
 @pytest.mark.parametrize("experiment", ["toy_table", "sweep_noise", "eos"])

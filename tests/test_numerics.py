@@ -1,5 +1,7 @@
 """RNG streams, finite differences, and the Lanczos top-eigenvalue solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,8 +138,32 @@ def test_power_iteration_checks_operator_shape():
 
 
 def test_power_iteration_rejects_a_non_finite_product():
-    with pytest.raises(NumericDomainError):
-        power_iteration_top_eig(lambda x: x * np.nan, dim=3)
+    # a NaN or inf entry, or finite entries whose norm overflows: at 1e160
+    # a solve that read inf <= inf as a Krylov breakdown returned 5.37e160
+    # for the top eigenvalue 1e161. No overflow warning comes first.
+    A = np.diag(np.arange(1.0, 11.0))
+    for factor in (np.nan, np.inf, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="at Lanczos step 0"):
+                power_iteration_top_eig(lambda x: factor * (A @ x), dim=10)
+    lam, _ = power_iteration_top_eig(lambda x: 1e150 * (A @ x), dim=10)
+    assert lam == pytest.approx(1e151, rel=1e-12)
+
+
+def test_power_iteration_copies_a_product_that_aliases_its_input():
+    # each step updates its product in place: an apply that returns its
+    # argument, a row of the Lanczos basis, or one shared buffer must
+    # leave the basis as it was
+    lam, v = power_iteration_top_eig(lambda x: x, dim=5)
+    assert lam == pytest.approx(1.0, rel=1e-15)
+    start = RngStream(0x9E3779B9, STREAM_POWER_ITER).generator().standard_normal(5)
+    assert v @ start / np.linalg.norm(start) == pytest.approx(1.0, rel=1e-15)
+    A = np.diag([1.0, 4.0, 2.0, 3.0, 0.5])
+    buf = np.empty(5)
+    lam, v = power_iteration_top_eig(lambda x: np.matmul(A, x, out=buf), dim=5)
+    assert lam == pytest.approx(4.0, rel=1e-12)
+    assert abs(v[1]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_power_iteration_is_deterministic_by_default():

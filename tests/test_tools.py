@@ -224,10 +224,38 @@ def test_ab_time_alternates_fresh_processes_over_two_sources(tmp_path):
     for pair, first in ((1, "old"), (2, "new")):
         assert re.fullmatch(rf"pair {pair}: old {seconds}, new {seconds} \({first} first\)",
                             lines[pair - 1]), lines
-    medians = re.fullmatch(rf"old median {seconds}, new median {seconds}", lines[2])
-    assert medians and 0 < float(medians[1]) < 60 and 0 < float(medians[2]) < 60
-    assert re.fullmatch(r"new / old \d+\.\d{3}; new faster in [012] of 2 pairs", lines[3])
-    assert len(lines) == 4
+    for side, line in zip(("old", "new"), lines[2:4]):
+        stats = re.fullmatch(rf"{side} median {seconds}, quartiles {seconds} and {seconds}",
+                             line)
+        assert stats, lines
+        low, median, high = (float(stats[i]) for i in (2, 1, 3))
+        assert 0 < low <= median <= high < 60
+    counts = re.fullmatch(r"new / old \d+\.\d{3}; new faster in (\d), slower in (\d), "
+                          r"tied in (\d) of 2 pairs", lines[4])
+    assert counts and sum(map(int, counts.groups())) == 2
+    assert len(lines) == 5
+
+
+def test_ab_time_reports_quartiles_and_counts_ties_for_neither_side(tmp_path, monkeypatch,
+                                                                     capsys):
+    spec = importlib.util.spec_from_file_location(
+        "ab_time", os.path.join(ROOT, "tools", "ab_time.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # per pair, old then new: new wins two, loses one and ties two
+    times = {"old": iter([0.30, 0.24, 0.20, 0.26, 0.21]),
+             "new": iter([0.20, 0.22, 0.20, 0.28, 0.21])}
+    for side in times:
+        (tmp_path / side / "trajbound").mkdir(parents=True)
+        (tmp_path / side / "trajbound" / "__init__.py").write_text("")
+    monkeypatch.setattr(tool, "time_once", lambda src, config, repeats: next(times[src.name]))
+    assert tool.main([str(tmp_path / "old"), str(tmp_path / "new"), "toy_table",
+                      "--pairs", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[5:] == [
+        "old median 0.2400 s, quartiles 0.2100 s and 0.2600 s",
+        "new median 0.2100 s, quartiles 0.2000 s and 0.2200 s",
+        "new / old 0.875; new faster in 2, slower in 1, tied in 2 of 5 pairs",
+    ]
 
 
 def test_ab_time_rejects_a_missing_source(tmp_path):

@@ -9,8 +9,9 @@ interpreter per side with OPENBLAS_NUM_THREADS=1, and which side runs first
 alternates from pair to pair. Each process imports trajbound from its own
 src, runs the experiment command once to warm up, then times M more calls
 and reports the fastest; the outputs go to a temporary directory. The tool
-prints each pair, each side's median over the pairs, the ratio of the
-medians (new / old) and the number of pairs the new side won. It exits 2
+prints each pair, each side's median and quartiles over the pairs, the
+ratio of the medians (new / old) and the number of pairs the new side won,
+lost and tied (equal times, which count for neither side). It exits 2
 when a src has no trajbound package or the config does not exist, and 1
 when a process fails. Standard library only.
 """
@@ -61,6 +62,13 @@ def time_once(src: Path, config: Path, repeats: int) -> float:
     return float(done.stdout.split()[-1])
 
 
+def quartiles(times: list[float]) -> list[float]:
+    """The lower quartile, the median and the upper quartile of the times."""
+    if len(times) == 1:
+        return times * 3
+    return statistics.quantiles(times, n=4, method="inclusive")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="the baseline src/ directory")
@@ -94,10 +102,14 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    old_m, new_m = statistics.median(old_s), statistics.median(new_s)
+    sides = {}
+    for name, times in (("old", old_s), ("new", new_s)):
+        low, sides[name], high = quartiles(times)
+        print(f"{name} median {sides[name]:.4f} s, quartiles {low:.4f} s and {high:.4f} s")
     won = sum(n < o for o, n in zip(old_s, new_s))
-    print(f"old median {old_m:.4f} s, new median {new_m:.4f} s")
-    print(f"new / old {new_m / old_m:.3f}; new faster in {won} of {args.pairs} pairs")
+    tied = sum(n == o for o, n in zip(old_s, new_s))
+    print(f"new / old {sides['new'] / sides['old']:.3f}; new faster in {won}, "
+          f"slower in {args.pairs - won - tied}, tied in {tied} of {args.pairs} pairs")
     return 0
 
 
