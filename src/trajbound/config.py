@@ -19,7 +19,7 @@ entry. optim.batch_size = none means the full batch, which is GD.
 Keys, in emit order (shape in parentheses):
   experiment              toy_table | track | assumption | sweep_noise |
                           sweep_lr | eos
-  seeds                   comma-separated non-negative integers
+  seeds                   comma-separated distinct non-negative integers
   output_dir              directory for CSV/SVG/meta outputs; no sentinel
   dataset.kind            toy | csv
   dataset.n_train, dataset.n_test, dataset.dim        (toy)
@@ -41,9 +41,9 @@ Keys, in emit order (shape in parentheses):
   schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
                           "auto" (estimated from data at run time)
   schedule.eta_min, schedule.t_max (cosine; t_max "auto" = run length)
-  est.k_samples           Monte-Carlo sign draws for V and gamma'
-  sweep.values            comma-separated grid values (sweeps), each in
-                          the range of the key SWEEPS says the sweep varies
+  sweep.values            comma-separated distinct grid values (sweeps),
+                          each in the range of the key SWEEPS says the
+                          sweep varies
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class ExperimentConfig:
     beta: float | None = None  # None means estimate from data at run time
     eta_min: float = 0.0
     t_max: int | None = None  # None means the run length
-    k_samples: int = 1024
     sweep_values: tuple[float, ...] | None = None
 
 
@@ -199,6 +198,11 @@ def _each(needs):
     return lambda v: len(v) > 0 and all(map(accepts, v)), f"one or more values {text}"
 
 
+def _distinct(needs):
+    accepts, text = needs
+    return lambda v: accepts(v) and len(set(v)) == len(v), f"{text}, each once"
+
+
 _toy, _csv = _when("dataset_kind", "toy"), _when("dataset_kind", "csv")
 _mlp = _when("model_kind", "mlp")
 _inverse_time = _when("schedule_kind", "inverse_time")
@@ -213,7 +217,7 @@ _path = (lambda v: v != "" and "\0" not in v, "a non-empty path without NUL")
 # key -> row; the order here is the canonical emit order
 _KEYS = {
     "experiment": _Key("experiment", _choice(*EXPERIMENTS)),
-    "seeds": _Key("seeds", _list(_parse_int), needs=_each(_at_least(0))),
+    "seeds": _Key("seeds", _list(_parse_int), needs=_distinct(_each(_at_least(0)))),
     "output_dir": _Key("output_dir", _parse_text, needs=_path),
     "dataset.kind": _Key("dataset_kind", _choice("toy", "csv")),
     "dataset.n_train": _Key("n_train", _parse_int, applies=_toy, needs=_at_least(2)),
@@ -246,7 +250,6 @@ _KEYS = {
     "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine,
                              needs=_at_least(0)),
     "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine, _at_least(1)),
-    "est.k_samples": _Key("k_samples", _parse_int, needs=_at_least(1)),
     "sweep.values": _Key("sweep_values", _list(_parse_float), ("none",), _sweep),
 }
 # each sweep cell sets the key its sweep varies, so the sweep neither writes
@@ -293,6 +296,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         if not (cfg.sweep_values and all(map(accepts, cfg.sweep_values))):
             raise bad("sweep.values", f"needs one or more values that {key} accepts "
                                       f"({text}), got {cfg.sweep_values!r}")
+        # a repeated value would train its cells twice under one per_value key
+        if len(set(cfg.sweep_values)) < len(cfg.sweep_values):
+            raise bad("sweep.values", f"needs each value once, got {cfg.sweep_values!r}")
     elif cfg.sweep_values is not None:
         raise bad("sweep.values", f"not valid for {cfg.experiment}, which sweeps nothing")
     if cfg.experiment == "sweep_lr" and cfg.schedule_kind != "constant":

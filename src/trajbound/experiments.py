@@ -66,7 +66,6 @@ class RunParts:
     S_prime: Dataset
     w0: np.ndarray
     ocfg: OptimConfig  # batch_size resolved: n for gd
-    est: SubsetEstimatorConfig  # read only by estimate_constants
 
 
 def assemble_run(cfg: ExperimentConfig, run_seed: int,
@@ -93,7 +92,8 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         spec = mlp_spec(S.dim, cfg.hidden, out_dim, cfg.loss)
     w0 = init_params(spec, RngStream(run_seed, STREAM_INIT))
 
-    b = S.n if cfg.batch_size is None else cfg.batch_size
+    # a batch larger than S (a CSV's n is known only here) fails before any output
+    b = resolve_batch_size(cfg.batch_size, S.n)
     steps_per_epoch = max(1, math.ceil(S.n / b))
     max_steps = (cfg.max_steps if cfg.max_steps is not None
                  else cfg.epochs * steps_per_epoch)
@@ -110,7 +110,6 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         schedule = Schedule("cosine", eta0=eta0, eta_min=cfg.eta_min, t_max=t_max)
 
     ocfg = OptimConfig(
-        mode="gd" if cfg.batch_size is None else "sgd",
         batch_size=b,
         schedule=schedule,
         max_steps=max_steps,
@@ -118,9 +117,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
         snapshot_every=snapshot_every,
         seed=run_seed,
     )
-    resolve_batch_size(ocfg, S.n)  # a batch larger than S fails here, before any output
-    est = SubsetEstimatorConfig(k_samples=cfg.k_samples, seed=run_seed)
-    return RunParts(spec, S, S_prime, w0, ocfg, est)
+    return RunParts(spec, S, S_prime, w0, ocfg)
 
 
 def _write_outputs(cfg: ExperimentConfig, plots: bool, tables: dict, meta: dict,
@@ -216,7 +213,8 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     _raise_failed(cfg.seeds, outcomes, "toy_table")
     for s, parts, rec, res in zip(cfg.seeds, cells, recs, outcomes):
         consts = estimate_constants(parts.spec, rec.weights, rec.snapshots,
-                                    res.etas, res.batch_size, parts.S, cfg=parts.est)
+                                    res.etas, res.batch_size, parts.S,
+                                    cfg=SubsetEstimatorConfig(seed=s))
         schedule = parts.ocfg.schedule
         r_main = bound_trajectory_main(consts, rec.snapshots)
         r_smooth = bound_trajectory_smooth(consts, rec.snapshots, schedule)

@@ -175,10 +175,6 @@ def mlp_spec(input_dim: int, hidden: tuple[int, ...], output_dim: int = 1,
                      layer_widths=widths, loss=loss)
 
 
-def param_count(spec: ModelSpec) -> int:
-    return spec.n_params
-
-
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Linear starts at zero; mlp layers draw uniform +-1/sqrt(fan_in)."""
     if spec.kind == "linear":
@@ -347,12 +343,6 @@ def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarra
         if l > 0:
             g = np.einsum("no,oi->ni", g, layers[l][0]) * (1.0 - h_prev * h_prev)
     return _flatten(grads)
-
-
-def loss_per_sample(spec: ModelSpec, w: np.ndarray, z: tuple) -> float:
-    x, y = z
-    return float(losses_batch(spec, w, np.asarray(x, dtype=np.float64)[None, :],
-                              np.asarray([y]))[0])
 
 
 def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:

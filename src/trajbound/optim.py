@@ -144,8 +144,7 @@ def lr_steps(schedule: Schedule, t: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    mode: str = "sgd"  # "gd" | "sgd"
-    batch_size: int | None = 10  # None means full batch
+    batch_size: int | None = 10  # None means the full batch: gd
     schedule: Schedule = Schedule(kind="constant", eta0=0.05)
     max_steps: int = 1000
     stop_train_loss: float | None = None
@@ -153,8 +152,6 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("gd", "sgd"):
-            raise InvalidArgumentError(f"unknown mode {self.mode!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:
@@ -179,14 +176,9 @@ class TrainResult:
     stopped_at: int = 0  # number of update steps actually taken
 
 
-def resolve_batch_size(cfg: OptimConfig, n: int) -> int:
-    if cfg.mode == "gd":
-        if cfg.batch_size is not None and cfg.batch_size != n:
-            raise InvalidArgumentError(
-                f"gd uses the full batch; batch_size={cfg.batch_size} with n={n}"
-            )
-        return n
-    b = n if cfg.batch_size is None else cfg.batch_size
+def resolve_batch_size(batch_size: int | None, n: int) -> int:
+    """The batch size a run of n samples takes: None means the full batch, n."""
+    b = n if batch_size is None else batch_size
     if not 1 <= b <= n:
         raise InvalidArgumentError(f"need 1 <= batch_size <= n={n}, got {b}")
     return b
@@ -391,8 +383,8 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
             f"a stack needs one entry per run in each of spec, w0, S, cfg and "
             f"recorder; got {[len(x) for x in (specs, w0s, Ss, cfgs, recorders)]}"
         )
-    shapes = [(sp, S.n, resolve_batch_size(cfg, S.n), cfg.max_steps, cfg.snapshot_every)
-              for sp, S, cfg in zip(specs, Ss, cfgs)]
+    shapes = [(sp, S.n, resolve_batch_size(cfg.batch_size, S.n), cfg.max_steps,
+               cfg.snapshot_every) for sp, S, cfg in zip(specs, Ss, cfgs)]
     for name, values in zip(_STACK_FIELDS, zip(*shapes)):
         if any(v != values[0] for v in values):
             raise InvalidArgumentError(f"stacked runs differ in {name}: {list(values)}")

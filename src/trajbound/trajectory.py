@@ -381,14 +381,9 @@ class TrajectoryRecorder:
     exact one-step ratios of rp_trp_gd (consecutive snapshots must be one
     step apart), recording None and a flag after a step of rate 0, which
     has no ratio. It needs the holdout, for trp.
-
-    est is not read: the recorder forms no subset estimate
-    (bounds.estimate_constants does). It remains the fourth positional
-    parameter, which existing callers still pass.
     """
 
-    def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset | None,
-                 est: SubsetEstimatorConfig | None = None,
+    def __init__(self, spec: ModelSpec, S: Dataset, S_prime: Dataset | None, *,
                  rp_mode: str | None = None):
         if rp_mode not in (None, "step"):
             raise InvalidArgumentError(f"unknown rp_mode {rp_mode!r}")

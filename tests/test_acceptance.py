@@ -28,9 +28,8 @@ from trajbound.models import (
     hessian_vector_product,
     init_params,
     linear_spec,
-    loss_per_sample,
+    losses_batch,
     mlp_spec,
-    param_count,
     per_sample_grads,
 )
 from trajbound.numerics import RngStream, central_diff_gradient
@@ -167,12 +166,12 @@ def test_criterion_04_gradient_check():
             spec = linear_spec(d) if kind == "linear" else mlp_spec(
                 d, (int(gen.integers(2, 5)),)
             )
-            w = gen.standard_normal(param_count(spec)) * 0.5
+            w = gen.standard_normal(spec.n_params) * 0.5
             G = per_sample_grads(spec, w, data)
             for i in range(n):
-                z = (data.features[i], data.labels[i])
+                x, y = data.features[i:i + 1], data.labels[i:i + 1]
                 fd = central_diff_gradient(
-                    lambda v: loss_per_sample(spec, v, z), w, h=1e-5
+                    lambda v: float(losses_batch(spec, v, x, y)[0]), w, h=1e-5
                 )
                 rel = float(np.linalg.norm(G[i] - fd)
                             / max(1.0, np.linalg.norm(fd)))
@@ -194,12 +193,12 @@ def test_criterion_04_gradient_check():
             f"worst symmetry dev {worst_sym:.1e}")
 
 
-def per_step_toy_run(seed, eta, steps, mode="gd", batch=None, n_test=200):
+def per_step_toy_run(seed, eta, steps, batch=None, n_test=200):
     S, Sp, _ = generate_toy(ToyConfig(100, n_test, 20, seed=seed))
     spec = mlp_spec(20, (8,))
     w0 = init_params(spec, RngStream(seed, 5))
-    rec = TrajectoryRecorder(spec, S, Sp, SubsetEstimatorConfig(k_samples=64))
-    cfg = OptimConfig(mode=mode, batch_size=batch,
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(batch_size=batch,
                       schedule=Schedule("constant", eta0=eta),
                       max_steps=steps, snapshot_every=1, seed=seed)
     train(spec, w0, S, Sp, cfg, rec)
@@ -208,9 +207,8 @@ def per_step_toy_run(seed, eta, steps, mode="gd", batch=None, n_test=200):
 
 def test_criterion_05_telescoping():
     worst = 0.0
-    for mode, batch in (("gd", None), ("sgd", 10)):
-        rec = per_step_toy_run(seed=0, eta=0.05, steps=40, mode=mode,
-                               batch=batch)
+    for batch in (None, 10):  # gd, sgd
+        rec = per_step_toy_run(seed=0, eta=0.05, steps=40, batch=batch)
         per_step, gen_lin, rem = gen_decomposition(
             rec.snapshots, rec.weights, rec.grads_S, rec.grads_Sprime
         )
@@ -247,7 +245,7 @@ def quadratic_rp_run(lam, eta, steps):
     data = Dataset(np.array([[math.sqrt(lam)]]), np.array([0.0]))
     spec = linear_spec(1)
     rec = TrajectoryRecorder(spec, data, data, rp_mode="step")
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=eta),
                       max_steps=steps, snapshot_every=1)
     train(spec, np.array([1.0]), data, data, cfg, rec)

@@ -67,8 +67,8 @@ def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     w0 = init_params(spec, RngStream(seed, 5))
     est = SubsetEstimatorConfig(k_samples=64, seed=seed)
-    rec = TrajectoryRecorder(spec, S, Sp, est)
-    cfg = OptimConfig(mode=mode, batch_size=None if mode == "gd" else batch,
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(batch_size=None if mode == "gd" else batch,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=steps, snapshot_every=1, seed=seed)
     res = train(spec, w0, S, Sp, cfg, rec)
@@ -198,7 +198,7 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     est = SubsetEstimatorConfig(k_samples=k_samples, seed=count)
     rec = TrajectoryRecorder(spec, S, Sp)
-    cfg = OptimConfig(mode=mode, batch_size=None if mode == "gd" else 3,
+    cfg = OptimConfig(batch_size=None if mode == "gd" else 3,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=count - 1, snapshot_every=1, seed=count)
     res = train(spec, init_params(spec, RngStream(count, 5)), S, Sp, cfg, rec)
@@ -217,7 +217,7 @@ def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     est = SubsetEstimatorConfig(k_samples=64, seed=4)
     rec = TrajectoryRecorder(spec, S, Sp)
-    cfg = OptimConfig(mode="sgd", batch_size=3, schedule=Schedule("constant", eta0=0.05),
+    cfg = OptimConfig(batch_size=3, schedule=Schedule("constant", eta0=0.05),
                       max_steps=2 * BLOCK, snapshot_every=1, seed=4)
     res = train(spec, init_params(spec, RngStream(4, 5)), S, Sp, cfg, rec)
     products, blocks = [], []
@@ -279,8 +279,8 @@ def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():
     S, Sp, _ = generate_toy(ToyConfig(10, 10, 4, seed=2))
     spec = linear_spec(4)
     w0 = np.zeros(4)
-    rec = TrajectoryRecorder(spec, S, Sp, SubsetEstimatorConfig(k_samples=64))
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=5,
                       snapshot_every=1)
     res = train(spec, w0, S, Sp, cfg, rec)
@@ -306,7 +306,7 @@ def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
                            S, cfg=est)
     assert c.beta_hat == 0.0
     cfg = dataclasses.replace(default_config("toy_table"), seeds=(0,),
-                              n_train=12, n_test=12, dim=3, k_samples=32,
+                              n_train=12, n_test=12, dim=3,
                               model_kind="mlp", hidden=(4,))
     with pytest.raises(InvalidArgumentError, match="beta > 0"):
         assemble_run(cfg, run_seed=0)

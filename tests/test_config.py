@@ -30,7 +30,6 @@ def test_minimal_config_fills_experiment_defaults():
     assert cfg.experiment == "toy_table"
     assert cfg.dim == 20
     assert cfg.batch_size == 10
-    assert cfg.k_samples == 1024
     assert cfg.n_train == 100 and cfg.n_test == 1000
     assert cfg.epochs == 200 and cfg.max_steps is None
     assert cfg.schedule_kind == "inverse_time"
@@ -55,7 +54,7 @@ def test_round_trip_survives_overrides():
     cfg = dataclasses.replace(
         default_config("toy_table"),
         seeds=(7, 8), batch_size=1, n_train=50, stop_train_loss=0.01,
-        k_samples=16, output_dir="elsewhere",
+        output_dir="elsewhere",
     )
     assert parse_config_text(emit_config(cfg)) == cfg
 
@@ -65,7 +64,7 @@ positive = st.floats(min_value=1e-6, max_value=10.0)
 
 @st.composite
 def drawn_configs(draw):
-    """A preset with drawn seeds, sizes, batch size, schedule and estimator.
+    """A preset with drawn distinct seeds, sizes, batch size and schedule.
 
     Only fields that the drawn shape emits are drawn: emit_config leaves the
     rest out, so parsing refills them from the preset.
@@ -74,13 +73,13 @@ def drawn_configs(draw):
     horizon = draw(st.integers(0, 10_000))
     by_epochs = draw(st.booleans())
     fields = dict(
-        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4,
+                                  unique=True))),
         n_train=draw(st.integers(2, 500)), n_test=draw(st.integers(1, 5000)),
         dim=draw(st.integers(1, 64)),
         epochs=horizon if by_epochs else None, max_steps=None if by_epochs else horizon,
         stop_train_loss=draw(st.none() | positive),
         snapshot_every=draw(st.none() | st.integers(1, 100)),
-        k_samples=draw(st.integers(1, 4096)),
         batch_size=draw(st.none() | st.integers(1, 200)),
     )
     kind = draw(st.sampled_from(("constant", "inverse_time", "cosine")))
@@ -271,13 +270,12 @@ def test_epochs_override_replaces_preset_max_steps():
 def test_batch_size_none_means_the_full_batch():
     # any experiment takes either: none trains with gd on all of S, a size
     # trains with sgd on batches of that size
-    for experiment, raw, mode, b in (("track", "none", "gd", 16),
-                                     ("eos", "5", "sgd", 5)):
+    for experiment, raw, b in (("track", "none", 16), ("eos", "5", 5)):
         cfg = parse_config_text(f"experiment = {experiment}\noptim.batch_size = {raw}\n"
                                 "dataset.n_train = 16\n")
         assert f"\noptim.batch_size = {raw}\n" in emit_config(cfg)
         ocfg = assemble_run(cfg, 0).ocfg
-        assert (ocfg.mode, ocfg.batch_size) == (mode, b)
+        assert ocfg.batch_size == b
 
 
 def test_sweep_key_validation():
@@ -305,6 +303,27 @@ def test_a_sweep_lr_rate_set_from_code_must_be_finite():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("experiment, grid", [
+    ("sweep_noise", (0.1, 0.2, 0.1)),
+    ("sweep_noise", (0.0, -0.0)),  # equal values: one per_value entry
+    ("sweep_lr", (0.5, 0.5)),
+])
+def test_a_repeated_sweep_value_is_rejected(experiment, grid):
+    cfg = dataclasses.replace(default_config(experiment), sweep_values=grid)
+    with pytest.raises(ConfigError, match=r"^sweep\.values: needs each value once, got "):
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match=r"^sweep\.values: needs each value once"):
+        parse_config_text(f"experiment = {experiment}\n"
+                          f"sweep.values = {','.join(map(str, grid))}\n")
+
+
+def test_every_config_field_is_set_by_exactly_one_key():
+    # no field that no key sets, no key without its field, no field set twice
+    attrs = [row.attr for row in _KEYS.values()]
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == set(attrs)
+    assert len(set(attrs)) == len(attrs)
+
+
 def test_toy_table_pins_the_inverse_time_schedule():
     with pytest.raises(ConfigError, match="inverse_time"):
         parse_config_text("experiment = toy_table\nschedule.kind = constant\n")
@@ -330,7 +349,6 @@ def test_cross_field_validation_catches_out_of_range_values():
         dict(stop_train_loss=0.0),
         dict(snapshot_every=0),
         dict(eta0=0.0),
-        dict(k_samples=0),
         dict(epochs=-1),
     ]
     for override in cases:
@@ -390,7 +408,7 @@ def test_eos_accepts_exactly_the_one_step_cadences(fields, every, tmp_path):
     data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(8)]) + "\n")
     out = tmp_path / "out"
     cfg = dataclasses.replace(default_config("eos"), seeds=(0,), output_dir=str(out),
-                              n_test=8, dim=3, epochs=None, max_steps=2, k_samples=16,
+                              n_test=8, dim=3, epochs=None, max_steps=2,
                               csv_path=str(data), **fields)  # n_train = 100
     assert validate_config(cfg) is cfg
     if every is None:
@@ -495,7 +513,7 @@ _CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_c
 # range, boundary values inside it); eos trains on the full batch, so a
 # small n_train keeps it valid
 RANGE_CASES = {
-    "seeds": (_TRACK, [(), (-1,), (3, -1)], [(0,)]),
+    "seeds": (_TRACK, [(), (-1,), (3, -1), (0, 0), (0, 1, 0)], [(0,), (1, 0)]),
     "output_dir": (_TRACK, ["a\0b", ""], ["a b"]),
     "dataset.n_train": (default_config("eos"), [1], [2]),
     "dataset.n_test": (_TRACK, [0], [1]),
@@ -514,7 +532,6 @@ RANGE_CASES = {
     "schedule.beta": (default_config("toy_table"), [0.0, math.inf], [TINY, MAX]),
     "schedule.eta_min": (_TRACK, [-TINY], [0.0]),
     "schedule.t_max": (_TRACK, [0], [1]),
-    "est.k_samples": (_TRACK, [0], [1]),
 }
 
 

@@ -50,8 +50,7 @@ from trajbound.trajectory import TrajectoryRecorder
 
 
 def tiny(experiment, out, **overrides):
-    base = dict(seeds=(0,), output_dir=str(out), n_train=16, n_test=16,
-                dim=3, k_samples=32)
+    base = dict(seeds=(0,), output_dir=str(out), n_train=16, n_test=16, dim=3)
     base.update(overrides)
     return dataclasses.replace(default_config(experiment), **base)
 
@@ -83,7 +82,6 @@ def test_assemble_run_resolves_dataset_model_and_schedule(tmp_path):
 def test_assemble_run_gd_uses_the_full_batch(tmp_path):
     cfg = tiny("assumption", tmp_path, max_steps=5)
     parts = assemble_run(cfg, 0)
-    assert parts.ocfg.mode == "gd"
     assert parts.ocfg.batch_size == 16
     assert parts.ocfg.max_steps == 5
 
@@ -305,7 +303,7 @@ def shrunk_sweep(experiment, out):
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     cfg = parse_config(os.path.join(root, f"{experiment}.cfg"))
     return dataclasses.replace(cfg, seeds=(0, 1), output_dir=str(out), n_train=20,
-                               n_test=40, dim=4, k_samples=16, epochs=12,
+                               n_test=40, dim=4, epochs=12,
                                batch_size=4, stop_train_loss=0.05,
                                sweep_values=cfg.sweep_values[:2])
 
@@ -324,8 +322,8 @@ def test_sweep_cells_match_a_recorder_with_the_holdout(experiment, tmp_path):
         for s in cfg.seeds:
             parts = assemble_run(cfg, s, eta0_override=v if lr else None,
                                  flip_override=None if lr else v)
-            full = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, parts.est)
-            bare = TrajectoryRecorder(parts.spec, parts.S, None, parts.est)
+            full = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
+            bare = TrajectoryRecorder(parts.spec, parts.S, None)
             res = train(parts.spec, parts.w0, parts.S, parts.S_prime, parts.ocfg, full)
             train(parts.spec, parts.w0, parts.S, None, parts.ocfg, bare)
             for a, b in zip(full.snapshots, bare.snapshots, strict=True):
@@ -421,7 +419,7 @@ tracing.install(tracer)
 from trajbound import optim
 from trajbound.config import default_config
 from trajbound.experiments import COMMANDS
-small = dict(seeds=(0, 1), n_train=16, n_test=16, dim=3, k_samples=32, epochs=2)
+small = dict(seeds=(0, 1), n_train=16, n_test=16, dim=3, epochs=2)
 for name, extra in (("toy_table", {}), ("sweep_noise", {"sweep_values": (0.0, 0.25)}),
                     ("eos", {"seeds": (0,), "hidden": (4,), "epochs": 3})):
     cfg = dataclasses.replace(default_config(name), output_dir=sys.argv[2] + "/" + name,
@@ -681,7 +679,6 @@ def tiny_cfg_text(experiment, extra=""):
         "dataset.n_train = 16\n"
         "dataset.n_test = 16\n"
         "dataset.dim = 3\n"
-        "est.k_samples = 32\n"
         + extra
     )
 
@@ -726,7 +723,7 @@ def test_cli_retired_key_in_an_old_config_exits_2(tmp_path, capsys):
     # configs written before est.n_sp was retired still carry its "none" line
     cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 2\nest.n_sp = none\n"))
     assert main(["eos", "--config", cfg]) == 2
-    assert f"{cfg}:8: unknown key 'est.n_sp'" in capsys.readouterr().err
+    assert f"{cfg}:7: unknown key 'est.n_sp'" in capsys.readouterr().err
 
 
 def test_cli_oversized_csv_field_is_a_config_error(tmp_path, capsys):
@@ -769,6 +766,21 @@ def test_cli_negative_seeds_are_a_config_error(tmp_path, capsys, route):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_repeated_seeds_are_a_config_error(tmp_path, capsys, route):
+    # a repeated seed would train twice and weigh twice in toy_table's mean row
+    text = tiny_cfg_text("toy_table", "optim.epochs = 1\n")
+    argv = ["--out", str(tmp_path / "out")]
+    if route == "config":
+        text = text.replace("seeds = 0", "seeds = 0,0,1")
+    else:
+        argv += ["--seeds", "0,0"]
+    assert main(["toy_table", "--config", write_cfg(tmp_path, text), *argv]) == 2
+    assert "config error: seeds: needs one or more values >= 0, each once" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_toy_table_with_an_mlp_exits_2_before_training(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tiny_cfg_text(
         "toy_table", "model.kind = mlp\nmodel.hidden = 8\noptim.epochs = 2\n"
@@ -781,7 +793,8 @@ def test_cli_toy_table_with_an_mlp_exits_2_before_training(tmp_path, capsys):
 @pytest.mark.parametrize("experiment, key, extra", [
     ("track", "model.hidden", "optim.epochs = 1\nmodel.hidden = 0\n"),
     ("sweep_noise", "optim.batch_size", "optim.epochs = 1\noptim.batch_size = 17\n"),
-], ids=["zero_width", "batch_above_n_train"])
+    ("sweep_noise", "sweep.values", "optim.epochs = 1\nsweep.values = 0.1,0.2,0.10\n"),
+], ids=["zero_width", "batch_above_n_train", "repeated_grid_value"])
 def test_cli_out_of_range_value_exits_2_at_validation(tmp_path, capsys, experiment, key,
                                                        extra):
     cfg = write_cfg(tmp_path, tiny_cfg_text(experiment, extra))  # n_train = 16
@@ -818,13 +831,15 @@ def test_cli_empty_output_dir_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("optim.mode", "gd"), ("sweep.param", "noise")])
+@pytest.mark.parametrize("key, value", [("optim.mode", "gd"), ("sweep.param", "noise"),
+                                        ("est.k_samples", "1024")])
 def test_cli_a_retired_key_exits_2_naming_the_key_and_its_line(tmp_path, capsys, key,
                                                                 value):
-    # optim.batch_size decides gd or sgd, and the experiment what a sweep varies
+    # optim.batch_size decides gd or sgd, the experiment what a sweep varies,
+    # and no command takes a Monte-Carlo budget from the config
     cfg = write_cfg(tmp_path, tiny_cfg_text("sweep_noise", f"{key} = {value}\n"))
     assert main(["sweep_noise", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert f"run.cfg:7: unknown key '{key}'" in capsys.readouterr().err
+    assert f"run.cfg:6: unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -944,7 +959,7 @@ def test_cli_maps_each_package_error_to_its_exit_code(tmp_path, monkeypatch,
 
 # Each preset at a size where a whole run takes milliseconds: the property
 # below is about which exit code comes back, not about the results.
-SHRUNK = dict(n_train=8, n_test=8, dim=3, k_samples=16, epochs=None, max_steps=3)
+SHRUNK = dict(n_train=8, n_test=8, dim=3, epochs=None, max_steps=3)
 
 
 def run_cli_quietly(argv):
@@ -984,4 +999,4 @@ def test_cli_exit_code_is_documented_for_shrunk_presets(experiment, seeds, via_f
             argv.append("--seeds=" + ",".join(str(s) for s in seeds))
         code = run_cli_quietly(argv)
     assert code in (0, 2, 3, 4)
-    assert (code == 2) == any(s < 0 for s in seeds)
+    assert (code == 2) == (any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds))

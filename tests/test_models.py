@@ -27,10 +27,8 @@ from trajbound.models import (
     init_params,
     linear_spec,
     loss_grad_stats,
-    loss_per_sample,
     losses_batch,
     mlp_spec,
-    param_count,
     per_sample_grads,
     unflatten,
 )
@@ -56,7 +54,7 @@ def random_case(gen, kind):
         spec = mlp_spec(d, (3,), output_dim=3, loss="cross_entropy")
         y = gen.integers(0, 3, size=n).astype(np.float64)
     data = Dataset(X, y)
-    w = gen.standard_normal(param_count(spec)) * 0.5
+    w = gen.standard_normal(spec.n_params) * 0.5
     return spec, w, data
 
 
@@ -80,16 +78,16 @@ def test_spec_validation():
 
 
 def test_param_count():
-    assert param_count(linear_spec(7)) == 7
+    assert linear_spec(7).n_params == 7
     # 3 -> 4 -> 2: (4*3 + 4) + (2*4 + 2)
-    assert param_count(mlp_spec(3, (4,), output_dim=2, loss="cross_entropy")) == 26
+    assert mlp_spec(3, (4,), output_dim=2, loss="cross_entropy").n_params == 26
 
 
 def test_init_params_linear_is_zero_and_mlp_is_bounded():
     assert np.array_equal(init_params(linear_spec(5), RngStream(0, 0)), np.zeros(5))
     spec = mlp_spec(4, (8,))
     w = init_params(spec, RngStream(1, 0))
-    assert w.shape == (param_count(spec),)
+    assert w.shape == (spec.n_params,)
     layers = unflatten(spec, w)
     assert np.max(np.abs(layers[0][0])) <= 1.0 / np.sqrt(4)
     assert np.max(np.abs(layers[1][0])) <= 1.0 / np.sqrt(8)
@@ -120,7 +118,7 @@ def test_forward_linear_is_matrix_vector_product():
 def test_forward_mlp_matches_manual_composition():
     spec = mlp_spec(2, (3,))
     gen = np.random.default_rng(5)
-    w = gen.standard_normal(param_count(spec))
+    w = gen.standard_normal(spec.n_params)
     X = gen.standard_normal((4, 2))
     (W1, b1), (W2, b2) = unflatten(spec, w)
     manual = np.tanh(X @ W1.T + b1) @ W2.T + b2
@@ -137,7 +135,7 @@ def test_squared_loss_value():
 def test_cross_entropy_matches_log_softmax():
     spec = mlp_spec(2, (3,), output_dim=3, loss="cross_entropy")
     gen = np.random.default_rng(2)
-    w = gen.standard_normal(param_count(spec))
+    w = gen.standard_normal(spec.n_params)
     X = gen.standard_normal((5, 2))
     y = np.array([0.0, 2.0, 1.0, 1.0, 2.0])
     logits = forward_batch(spec, w, X)
@@ -148,7 +146,7 @@ def test_cross_entropy_matches_log_softmax():
 
 def test_cross_entropy_rejects_bad_labels():
     spec = mlp_spec(2, (3,), output_dim=3, loss="cross_entropy")
-    w = np.zeros(param_count(spec))
+    w = np.zeros(spec.n_params)
     X = np.ones((2, 2))
     with pytest.raises(InvalidArgumentError):
         losses_batch(spec, w, X, np.array([0.0, 0.5]))
@@ -168,10 +166,10 @@ def test_per_sample_grads_match_central_differences(kind):
     for _ in range(20):
         spec, w, data = random_case(gen, kind)
         G = per_sample_grads(spec, w, data)
-        assert G.shape == (data.n, param_count(spec))
+        assert G.shape == (data.n, spec.n_params)
         for i in range(data.n):
-            z = (data.features[i], data.labels[i])
-            fd = central_diff_gradient(lambda v: loss_per_sample(spec, v, z),
+            x, y = data.features[i:i + 1], data.labels[i:i + 1]
+            fd = central_diff_gradient(lambda v: float(losses_batch(spec, v, x, y)[0]),
                                        w, h=1e-5)
             scale = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(G[i] - fd) / scale < 1e-5
@@ -269,7 +267,7 @@ def random_shape_case(n, d, hidden, classes, seed):
     else:
         spec = mlp_spec(d, tuple(hidden)) if hidden else linear_spec(d)
         y = gen.standard_normal(n)
-    w = gen.standard_normal(param_count(spec)) * 0.5
+    w = gen.standard_normal(spec.n_params) * 0.5
     return spec, w, Dataset(X, y)
 
 
@@ -298,7 +296,7 @@ def test_grad_mean_xy_matches_the_oracle_on_any_shape(n, d, hidden, classes, see
 def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, classes, seed):
     spec, w, _ = random_shape_case(n, d, hidden, classes, seed)
     widths = spec.layer_widths
-    assert spec.n_params == param_count(spec) == (
+    assert spec.n_params == (
         sum(o * i + o for i, o in zip(widths, widths[1:])) if widths else d)
     if spec.kind == "linear":
         assert spec.layout == () and unflatten(spec, w) == []
@@ -795,7 +793,7 @@ def test_kernels_never_write_into_their_inputs(n, d, hidden, classes, seed):
 
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
-    w = np.full(param_count(spec), 1e308)
+    w = np.full(spec.n_params, 1e308)
     # the MLP's matmul overflows to inf, which numpy reports as a warning
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         loss_grad_stats(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
@@ -803,7 +801,7 @@ def test_loss_grad_stats_rejects_a_non_finite_forward_pass(spec):
 
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_per_sample_grads_rejects_a_non_finite_forward_pass(spec):
-    w = np.full(param_count(spec), 1e308)
+    w = np.full(spec.n_params, 1e308)
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         per_sample_grads(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
@@ -861,7 +859,7 @@ def test_hvp_mlp_matches_dense_fd_hessian():
     gen = np.random.default_rng(12)
     spec = mlp_spec(2, (3,))
     data = Dataset(gen.standard_normal((5, 2)), gen.standard_normal(5))
-    w = gen.standard_normal(param_count(spec)) * 0.3
+    w = gen.standard_normal(spec.n_params) * 0.3
     dense = dense_fd_hessian(spec, w, data, h=1e-4)
     v = gen.standard_normal(w.size)
     hv = hessian_vector_product(spec, w, data, v)
@@ -926,7 +924,7 @@ def test_hvp_rejects_a_misshapen_direction():
 
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
-    w = np.full(param_count(spec), 1e308)
+    w = np.full(spec.n_params, 1e308)
     # the MLP's matmul overflows to inf, which numpy reports as a warning
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         hessian_operator(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
@@ -942,7 +940,7 @@ def test_hessian_solve_rejects_a_non_finite_product(kind):
         spec, w = linear_spec(2), np.zeros(2)
     else:
         spec = mlp_spec(2, (2,))
-        w = np.ones(param_count(spec))
+        w = np.ones(spec.n_params)
         w[:4] = 1e-200
     hess = hessian_operator(spec, w, data)
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):

@@ -21,7 +21,6 @@ from trajbound.models import (
     linear_spec,
     loss_grad_stats,
     mlp_spec,
-    param_count,
     unflatten,
 )
 from trajbound.numerics import STREAM_BATCH, RngStream
@@ -127,8 +126,8 @@ def test_schedule_validation(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(mode="adam"),
-    dict(mode="GD"),
+    dict(batch_size=-1),
+    dict(snapshot_every=-1),
     dict(batch_size=0),
     dict(max_steps=-1),
     dict(snapshot_every=0),
@@ -148,15 +147,20 @@ def test_optim_config_rejects_a_stop_threshold_no_loss_falls_below(stop):
 
 # -- batch sampling ----------------------------------------------------------
 
+def test_optim_config_has_no_mode():
+    # the batch size alone says gd or sgd: None is the full batch
+    with pytest.raises(TypeError):
+        OptimConfig(mode="gd")
+
+
 def test_resolve_batch_size():
-    assert resolve_batch_size(OptimConfig(mode="gd", batch_size=None), 12) == 12
-    assert resolve_batch_size(OptimConfig(mode="gd", batch_size=12), 12) == 12
-    with pytest.raises(InvalidArgumentError):
-        resolve_batch_size(OptimConfig(mode="gd", batch_size=5), 12)
-    assert resolve_batch_size(OptimConfig(mode="sgd", batch_size=5), 12) == 5
-    assert resolve_batch_size(OptimConfig(mode="sgd", batch_size=None), 12) == 12
-    with pytest.raises(InvalidArgumentError):
-        resolve_batch_size(OptimConfig(mode="sgd", batch_size=13), 12)
+    assert resolve_batch_size(None, 12) == 12
+    assert resolve_batch_size(12, 12) == 12
+    assert resolve_batch_size(5, 12) == 5
+    assert resolve_batch_size(1, 12) == 1
+    for bad in (0, 13):
+        with pytest.raises(InvalidArgumentError, match="1 <= batch_size <= n=12"):
+            resolve_batch_size(bad, 12)
 
 
 def test_sample_batch_distinct_sorted_indices():
@@ -270,7 +274,7 @@ def test_draw_batches_rejects_bad_arguments(n, b, k):
 
 def test_step_applies_gradient_descent_update():
     spec, w0, S, _ = toy_parts()
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.2), max_steps=1)
     w1 = step(spec, w0, S, cfg, 0, np.arange(S.n))
     resid = S.features @ w0 - S.labels
@@ -282,7 +286,7 @@ def test_step_applies_gradient_descent_update():
 def test_step_diverges_past_the_norm_cap():
     spec = linear_spec(1)
     S = Dataset(np.array([[1.0]]), np.array([0.0]))
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=1e15), max_steps=1)
     with pytest.raises(DivergedError) as exc:
         step(spec, np.array([1.0]), S, cfg, 0, np.arange(S.n))
@@ -314,7 +318,7 @@ def with_nan_feature(S, i, j):
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_step_diverges_on_a_nan_feature(kind):
     spec, w0, S, _ = toy_parts(kind=kind)
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=10)
     assert_step_diverges_at(spec, w0, with_nan_feature(S, 3, 1), cfg, 7)
 
@@ -323,9 +327,9 @@ def test_step_diverges_on_a_nan_feature(kind):
 def test_step_diverges_on_overflowing_weights(spec):
     # the linear output overflows to inf; the MLP's backward pass meets
     # inf * 0 and returns NaN
-    w = np.full(param_count(spec), 1e308)
+    w = np.full(spec.n_params, 1e308)
     S = Dataset(np.ones((3, 2)), np.zeros(3))
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=10)
     assert_step_diverges_at(spec, w, S, cfg, 4)
 
@@ -336,7 +340,7 @@ def test_step_diverges_on_a_non_finite_gradient_at_zero_rate(kind):
     # 0 * NaN is still NaN
     spec, w0, S, _ = toy_parts(kind=kind)
     sched = Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=5)
-    cfg = OptimConfig(mode="gd", batch_size=None, schedule=sched, max_steps=10)
+    cfg = OptimConfig(batch_size=None, schedule=sched, max_steps=10)
     assert lr_at(sched, 6) == 0.0
     assert_step_diverges_at(spec, w0, with_nan_feature(S, 0, 0), cfg, 6)
 
@@ -345,7 +349,7 @@ def test_step_diverges_on_a_non_finite_gradient_at_zero_rate(kind):
 
 def test_train_snapshot_cadence_and_counts():
     spec, w0, S, Sp = toy_parts()
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=10, snapshot_every=3)
     res = train(spec, w0, S, Sp, cfg)
@@ -357,7 +361,7 @@ def test_train_snapshot_cadence_and_counts():
 def test_train_records_schedule_rates():
     spec, w0, S, Sp = toy_parts()
     sched = Schedule("inverse_time", c=1.0, beta=2.0)
-    cfg = OptimConfig(mode="gd", batch_size=None, schedule=sched, max_steps=5)
+    cfg = OptimConfig(batch_size=None, schedule=sched, max_steps=5)
     res = train(spec, w0, S, Sp, cfg)
     assert res.etas.dtype == np.float64
     assert res.etas.tolist() == [lr_at(sched, t) for t in range(5)]
@@ -365,7 +369,7 @@ def test_train_records_schedule_rates():
 
 def test_train_epoch_indexing_uses_steps_per_epoch():
     spec, w0, S, Sp = toy_parts(n=20)
-    cfg = OptimConfig(mode="sgd", batch_size=5,
+    cfg = OptimConfig(batch_size=5,
                       schedule=Schedule("constant", eta0=0.01),
                       max_steps=12, snapshot_every=4)
     res = train(spec, w0, S, Sp, cfg)
@@ -373,15 +377,17 @@ def test_train_epoch_indexing_uses_steps_per_epoch():
 
 
 def test_sgd_full_batch_is_bitwise_identical_to_gd():
+    # batch_size None (gd) and batch_size n (sgd on the full batch) are one
+    # run: drawing a batch of n consumes nothing from the stream
     spec, w0, S, Sp = toy_parts(kind="mlp")
     sched = Schedule("constant", eta0=0.05)
     rec_gd = TrajectoryRecorder(spec, S, Sp)
     rec_sgd = TrajectoryRecorder(spec, S, Sp)
     res_gd = train(spec, w0, S, Sp,
-                   OptimConfig(mode="gd", batch_size=None, schedule=sched,
+                   OptimConfig(batch_size=None, schedule=sched,
                                max_steps=20, snapshot_every=1, seed=3), rec_gd)
     res_sgd = train(spec, w0, S, Sp,
-                    OptimConfig(mode="sgd", batch_size=S.n, schedule=sched,
+                    OptimConfig(batch_size=S.n, schedule=sched,
                                 max_steps=20, snapshot_every=1, seed=3), rec_sgd)
     assert np.array_equal(res_gd.w_final, res_sgd.w_final)
     # a snapshot at every step: the whole path agrees, not just its end
@@ -394,7 +400,7 @@ def test_sgd_full_batch_is_bitwise_identical_to_gd():
 def test_train_is_deterministic_per_seed():
     spec, w0, S, Sp = toy_parts()
     sched = Schedule("constant", eta0=0.05)
-    mk = lambda seed: OptimConfig(mode="sgd", batch_size=4, schedule=sched,
+    mk = lambda seed: OptimConfig(batch_size=4, schedule=sched,
                                   max_steps=15, seed=seed)
     r1 = train(spec, w0, S, Sp, mk(0))
     r2 = train(spec, w0, S, Sp, mk(0))
@@ -407,7 +413,7 @@ def test_early_stop_at_initial_snapshot():
     spec, w0, S, Sp = toy_parts()
     rec = TrajectoryRecorder(spec, S, Sp)
     f0 = rec(0, 0, 0.0, w0).F_S
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=50, stop_train_loss=f0 * 2)
     res = train(spec, w0, S, Sp, cfg)
@@ -425,7 +431,7 @@ def test_early_stop_is_checked_at_snapshot_times_only():
     S = Dataset(X, X @ gen.standard_normal(4))
     spec = linear_spec(4)
     w0 = init_params(spec, RngStream(0, 5))
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.3),
                       max_steps=500, stop_train_loss=1e-4, snapshot_every=7)
     res = train(spec, w0, S, S, cfg)
@@ -493,7 +499,7 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
     S = Dataset(X, X @ gen.standard_normal(4))
     spec = linear_spec(4)
     w0 = init_params(spec, RngStream(0, 5))
-    cfg = OptimConfig(mode="sgd", batch_size=1,
+    cfg = OptimConfig(batch_size=1,
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=400 if stop else 53, stop_train_loss=stop,
                       snapshot_every=7, seed=11)
@@ -510,7 +516,7 @@ def test_batch_one_training_draws_like_per_step_sample_batch(stop):
 
 def test_mlp_batch_ten_training_replays_through_step():
     spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
-    cfg = OptimConfig(mode="sgd", batch_size=10,
+    cfg = OptimConfig(batch_size=10,
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=53, snapshot_every=7, seed=11)
     rec = TrajectoryRecorder(spec, S, Sp)
@@ -526,7 +532,7 @@ def test_block_stream_rows_and_replay_across_block_edges(monkeypatch, stop):
     # block drawn at 30
     monkeypatch.setattr(optim, "BATCH_BLOCK_ROWS", 16)
     spec, w0, S, Sp = toy_parts(n=25, kind="mlp")
-    cfg = OptimConfig(mode="sgd", batch_size=6,
+    cfg = OptimConfig(batch_size=6,
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=53, snapshot_every=5, seed=11)
     if stop:
@@ -551,7 +557,7 @@ def test_block_stream_draws_only_the_blocks_a_run_takes(monkeypatch):
         return draw_batches(rng, n, b, k)
     monkeypatch.setattr(optim, "draw_batches", counted)
     spec, w0, S, _ = toy_parts(n=25, kind="mlp")
-    cfg = OptimConfig(mode="sgd", batch_size=6,
+    cfg = OptimConfig(batch_size=6,
                       schedule=Schedule("constant", eta0=0.1),
                       max_steps=10 ** 9, stop_train_loss=1e300, snapshot_every=4, seed=2)
     res = train(spec, w0, S, None, cfg)
@@ -602,7 +608,7 @@ def test_a_long_linear_interval_holds_one_block_of_weight_history(monkeypatch):
     R, P, n, k = 3, 100, 50, 2000
     S, _, _ = generate_toy(ToyConfig(n, n, P, seed=0))
     spec = linear_spec(P)
-    cfg = OptimConfig(mode="sgd", batch_size=1, schedule=Schedule("constant", eta0=1e-3),
+    cfg = OptimConfig(batch_size=1, schedule=Schedule("constant", eta0=1e-3),
                       max_steps=k, snapshot_every=k, seed=0)
     recorder = lambda t, epoch, eta, w, stats: SimpleNamespace(F_S=1.0)  # noqa: E731
     tracemalloc.start()
@@ -635,7 +641,7 @@ def test_interval_loop_snapshots_records_and_batches(n, b_frac, max_steps, every
     spec = linear_spec(3)
     w0 = init_params(spec, RngStream(seed, 5))
     stop = None if stop_frac is None else stop_frac * 0.5 * float(np.mean(S.labels ** 2))
-    cfg = OptimConfig(mode="sgd", batch_size=b,
+    cfg = OptimConfig(batch_size=b,
                       schedule=Schedule("constant", eta0=0.1), max_steps=max_steps,
                       stop_train_loss=stop, snapshot_every=every, seed=seed)
     res = train(spec, w0, S, None, cfg)
@@ -660,7 +666,7 @@ def test_interval_loop_snapshots_records_and_batches(n, b_frac, max_steps, every
 
 def test_max_steps_zero_records_only_the_initial_point():
     spec, w0, S, Sp = toy_parts()
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=0)
     res = train(spec, w0, S, Sp, cfg)
     assert res.stopped_at == 0
@@ -669,7 +675,7 @@ def test_max_steps_zero_records_only_the_initial_point():
 
 def test_train_propagates_divergence_with_step_index():
     spec, w0, S, Sp = toy_parts()
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=50.0), max_steps=200)
     with pytest.raises(DivergedError) as exc:
         train(spec, w0, S, Sp, cfg)
@@ -686,7 +692,7 @@ def test_train_never_forms_per_sample_gradients_or_losses(kind, monkeypatch):
     for name in ("losses_batch", "per_sample_grads"):
         for mod in (models, optim, trajectory):
             monkeypatch.setattr(mod, name, forbidden, raising=mod is models)
-    cfg = OptimConfig(mode="sgd", batch_size=5,
+    cfg = OptimConfig(batch_size=5,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=12, snapshot_every=4)
     res = train(spec, w0, S, Sp, cfg)
@@ -697,7 +703,7 @@ def test_train_never_forms_per_sample_gradients_or_losses(kind, monkeypatch):
 def test_train_does_not_mutate_the_initial_vector():
     spec, w0, S, Sp = toy_parts()
     w0_copy = w0.copy()
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=5)
     train(spec, w0, S, Sp, cfg)
     assert np.array_equal(w0, w0_copy)
@@ -705,7 +711,7 @@ def test_train_does_not_mutate_the_initial_vector():
     # and the returned weights are separate arrays
     spec, w0, S, Sp = toy_parts(kind="mlp")
     w0_copy = w0.copy()
-    cfg = OptimConfig(mode="sgd", batch_size=5,
+    cfg = OptimConfig(batch_size=5,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=12, snapshot_every=3)
     rec = TrajectoryRecorder(spec, S, Sp)
@@ -725,7 +731,7 @@ def test_mlp_training_diverges_at_the_step_a_step_replay_does(fault):
     spec, w0, S, _ = toy_parts(kind="mlp")
     if fault == "nan_feature":
         S = with_nan_feature(S, 3, 1)
-    cfg = OptimConfig(mode="sgd", batch_size=5,
+    cfg = OptimConfig(batch_size=5,
                       schedule=Schedule("constant",
                                         eta0=1e4 if fault == "huge_rate" else 0.05),
                       max_steps=200, snapshot_every=2, seed=4)
@@ -763,7 +769,7 @@ def test_train_binds_its_step_once(monkeypatch):
 
     def calls_per_run(max_steps, runs=1):
         counts.clear()
-        cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=max_steps,
+        cfg = OptimConfig(batch_size=5, max_steps=max_steps,
                           snapshot_every=max_steps)
         if runs == 1:
             train(spec, w0, S, None, cfg, lambda t, epoch, eta, w, stats: None)
@@ -822,7 +828,7 @@ def test_a_recorder_under_train_records_the_run_it_is_handed():
     # the S-side series, the complexity's n included, come from the row of
     # the run trained, not from the recorder's own S
     spec, w0, S, Sp = toy_parts(n=20)
-    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=12, snapshot_every=4)
+    cfg = OptimConfig(batch_size=5, max_steps=12, snapshot_every=4)
     own = TrajectoryRecorder(spec, S, Sp)
     other = TrajectoryRecorder(spec, Dataset(S.features[:7], S.labels[:7]), Sp)
     train(spec, w0, S, None, cfg, own)
@@ -891,7 +897,7 @@ def stack_runs(kind, n, b, max_steps, every, fates, seed):
             f0 = TrajectoryRecorder(spec, S, None)(0, 0, 0.0, w0).F_S
             stop = fate * f0
         eta = DIVERGING_RATE[kind] if fate == "diverge" else float(gen.uniform(0.02, 0.2))
-        cfg = OptimConfig(mode="sgd", batch_size=b, schedule=Schedule("constant", eta0=eta),
+        cfg = OptimConfig(batch_size=b, schedule=Schedule("constant", eta0=eta),
                           max_steps=max_steps, stop_train_loss=stop,
                           snapshot_every=every, seed=seed + 7 * r)
         fail_at = fate[1] if isinstance(fate, tuple) else None
@@ -1088,7 +1094,7 @@ def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monke
 ])
 def test_stack_rejects_runs_of_another_shape(field, change):
     spec, w0, S, _ = toy_parts(kind="mlp")
-    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=10, snapshot_every=5)
+    cfg = OptimConfig(batch_size=5, max_steps=10, snapshot_every=5)
     run = {"spec": spec, "w0": w0, "S": S, "cfg": cfg}
     other = {**run, **change(run)}
     rec = lambda t, epoch, eta, w, stats: None  # noqa: E731
@@ -1099,7 +1105,7 @@ def test_stack_rejects_runs_of_another_shape(field, change):
 
 def test_stack_rejects_ragged_or_holdout_arguments():
     spec, w0, S, Sp = toy_parts()
-    cfg = OptimConfig(mode="sgd", batch_size=5, max_steps=4)
+    cfg = OptimConfig(batch_size=5, max_steps=4)
     rec = lambda t, epoch, eta, w, stats: None  # noqa: E731
     with pytest.raises(InvalidArgumentError, match="one entry per run"):
         train([spec, spec], [w0, w0], [S], None, [cfg, cfg], [rec, rec])

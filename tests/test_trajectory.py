@@ -27,7 +27,6 @@ from trajbound.models import (
     linear_spec,
     losses_batch,
     mlp_spec,
-    param_count,
     per_sample_grads,
 )
 from trajbound.numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
@@ -452,8 +451,8 @@ def per_step_run(seed=0, steps=25, kind="mlp", eta=0.05):
     S, Sp, _ = generate_toy(ToyConfig(16, 16, 3, seed=seed))
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     w0 = init_params(spec, RngStream(seed, 5))
-    rec = TrajectoryRecorder(spec, S, Sp, SubsetEstimatorConfig(k_samples=64))
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    rec = TrajectoryRecorder(spec, S, Sp)
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=eta),
                       max_steps=steps, snapshot_every=1, seed=seed)
     res = train(spec, w0, S, Sp, cfg, rec)
@@ -483,7 +482,7 @@ def test_step_rp_after_a_zero_rate_step_is_none_and_flagged():
     S, Sp, _ = generate_toy(ToyConfig(16, 16, 3, seed=0))
     spec = mlp_spec(3, (4,))
     rec = TrajectoryRecorder(spec, S, Sp, rp_mode="step")
-    cfg = OptimConfig(mode="gd", batch_size=None, max_steps=5, snapshot_every=1,
+    cfg = OptimConfig(batch_size=None, max_steps=5, snapshot_every=1,
                       schedule=Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=3))
     train(spec, init_params(spec, RngStream(0, 5)), S, Sp, cfg, rec)
     assert [snap.eta_t for snap in rec.snapshots][3:] == [0.0, 0.0, 0.0]
@@ -571,10 +570,8 @@ def short_run(kind, holdout, seed=0, n=12, steps=11, snapshot_every=3, batch=4,
     S = S_toy if S is None else S
     spec = mlp_spec(S.dim, (4,)) if kind == "mlp" else linear_spec(S.dim)
     w0 = init_params(spec, RngStream(seed, 5)) if w0 is None else w0
-    rec = TrajectoryRecorder(spec, S, Sp if holdout else None,
-                             SubsetEstimatorConfig(k_samples=64, seed=seed))
-    cfg = OptimConfig(mode="sgd" if batch < S.n else "gd",
-                      batch_size=batch if batch < S.n else None,
+    rec = TrajectoryRecorder(spec, S, Sp if holdout else None)
+    cfg = OptimConfig(batch_size=batch if batch < S.n else None,
                       schedule=Schedule("constant", eta0=0.05), max_steps=steps,
                       snapshot_every=snapshot_every, seed=seed)
     res = train(spec, w0, S, Sp if holdout else None, cfg, rec)
@@ -725,14 +722,22 @@ def test_recorder_rp_modes():
         rec(2, 0, 0.1, np.zeros(3))
 
 
+@pytest.mark.parametrize("fourth", [SubsetEstimatorConfig(k_samples=64), "step"])
+def test_recorder_takes_no_fourth_positional_argument(fourth):
+    # the recorder reads no estimator config, and rp_mode is keyword-only,
+    # so a caller that still passes one fails here instead of being ignored
+    S, Sp, _ = generate_toy(ToyConfig(10, 10, 3, seed=1))
+    with pytest.raises(TypeError):
+        TrajectoryRecorder(linear_spec(3), S, Sp, fourth)
+
+
 def test_recorder_step_rp_matches_direct_computation():
     _, _, _, rec_plain, _ = per_step_run(steps=5)
     S, Sp, _ = generate_toy(ToyConfig(16, 16, 3, seed=0))
     spec = mlp_spec(3, (4,))
     w0 = init_params(spec, RngStream(0, 5))
-    rec = TrajectoryRecorder(spec, S, Sp, SubsetEstimatorConfig(k_samples=64),
-                             rp_mode="step")
-    cfg = OptimConfig(mode="gd", batch_size=None,
+    rec = TrajectoryRecorder(spec, S, Sp, rp_mode="step")
+    cfg = OptimConfig(batch_size=None,
                       schedule=Schedule("constant", eta0=0.05),
                       max_steps=5, snapshot_every=1, seed=0)
     train(spec, w0, S, Sp, cfg, rec)
