@@ -98,18 +98,18 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
     """Largest top algebraic Hessian eigenvalue of F_S over the given weights.
 
     The linear model's Hessian X'X/n does not depend on w and is solved
-    densely; the MLP runs a Lanczos solve (power_iteration_top_eig) on one
-    exact Hessian operator per weight vector. The value is the top algebraic
-    eigenvalue, not the one of largest magnitude, and it is not floored, so
-    callers see a non-positive estimate.
+    densely; the MLP runs one cold stacked Lanczos solve
+    (power_iteration_top_eig) on the exact Hessian operator of the stacked
+    weights, each row the single solve at its weight vector. The value is
+    the top algebraic eigenvalue, not the one of largest magnitude, and it
+    is not floored, so callers see a non-positive estimate.
     """
     if spec.kind == "linear":
         hess = (S.features.T @ S.features) / S.n  # (d, d)
         return float(np.max(np.linalg.eigvalsh(hess)))
-    return max(
-        power_iteration_top_eig(hessian_operator(spec, w, S), dim=w.size)[0]
-        for w in weights
-    )
+    W = np.stack(weights)
+    return float(np.max(power_iteration_top_eig(hessian_operator(spec, W, S),
+                                                dim=W.shape[1], stack=len(W))[0]))
 
 
 K_BATCHES = 64

@@ -400,6 +400,14 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
 
 # The Lanczos applies each eos sharpness solve may make.
 EOS_ITERS = 120
+# Snapshots per stacked eos solve (at least 2: a block starts from the last
+# two Ritz vectors of the one before). The shipped eos config (P = 705,
+# n = 100; numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU x86 host) took
+# 134.5, 126.7, 125.4, 124.9, 124.9 and 127.3 ms at blocks of 4, 6, 8, 10,
+# 12 and 16, and its peak RSS grew 0.5 MB from 8 to 10 and again to 12:
+# larger blocks make fewer stacked applies but more row applies (rows
+# further from their warm start) and larger stacked temporaries.
+EOS_BLOCK = 8
 
 
 def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
@@ -413,11 +421,16 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     once the run, and so a CSV dataset's n, is assembled. On divergence the
     partial series is still written, then the error propagates.
 
-    Each sharpness solve makes at most EOS_ITERS operator applies and is
-    warm-started from the previous solves' Ritz vectors. meta.json's solver
-    field counts the solves, their applies and, as at_cap, the solves that
-    made all EOS_ITERS applies: those may have stopped short of their
-    tolerance.
+    The sharpness is solved in blocks of EOS_BLOCK snapshots, each block one
+    stacked Lanczos solve on a stacked Hessian operator, each of its rows
+    making at most EOS_ITERS applies. The first block starts cold. Row j of
+    every later block starts from the extrapolation (2 + j) u_a - (1 + j) s
+    u_(a-1) of the last two Ritz vectors solved, s = sign(u_a . u_(a-1))
+    aligning the sign each solve leaves free: j + 1 steps ahead along
+    their difference. meta.json's solver field counts the solves (one a
+    snapshot), their applies and, as at_cap, the solves that made all
+    EOS_ITERS applies (those may have stopped short of their tolerance),
+    then the blocks and their stacked applies, block_applies.
     """
     s = cfg.seeds[0]
     parts = assemble_run(cfg, s)
@@ -431,26 +444,27 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
         raise res
     died = res if isinstance(res, DivergedError) else None
 
+    sharpness, steps = [], []  # steps: each block's applies per row
+    U = None  # the last block's Ritz vectors
+    for lo in range(0, len(rec.weights), EOS_BLOCK):
+        W = np.stack(rec.weights[lo:lo + EOS_BLOCK])
+        start = None
+        if U is not None:
+            u, prev = U[-1], U[-2]
+            j = np.arange(len(W))[:, None]
+            start = (2.0 + j) * u - ((1.0 + j) * np.sign(u @ prev)) * prev
+        sharp, U, used = power_iteration_top_eig(
+            hessian_operator(parts.spec, W, parts.S), dim=W.shape[1], iters=EOS_ITERS,
+            tol=1e-7, start=start, stack=len(W))
+        sharpness.extend(sharp.tolist())
+        steps.append(used)
+    # a stacked solve applies its operator until its last row stops
+    solver = {"solves": len(sharpness), "applies": int(sum(u.sum() for u in steps)),
+              "at_cap": int(sum((u == EOS_ITERS).sum() for u in steps)),
+              "blocks": len(steps), "block_applies": int(sum(u.max() for u in steps))}
+
     rows = []
-    solver = {"solves": 0, "applies": 0, "at_cap": 0}
-    start = prev = None
-    for snap, w in zip(rec.snapshots, rec.weights):
-        hess = hessian_operator(parts.spec, w, parts.S)
-        before = solver["applies"]
-
-        def apply(v, hess=hess):
-            solver["applies"] += 1
-            return hess(v)
-
-        sharp, u = power_iteration_top_eig(apply, dim=w.size, iters=EOS_ITERS, tol=1e-7,
-                                           start=start)
-        solver["solves"] += 1
-        solver["at_cap"] += int(solver["applies"] - before == EOS_ITERS)
-        # the next solve starts from the last Ritz vector, then from the
-        # extrapolation 2 u_t - s u_(t-1) of the last two, s = sign(u_t . u_(t-1))
-        # aligning the sign each solve leaves free
-        start = u if prev is None else 2.0 * u - np.sign(u @ prev) * prev
-        prev = u
+    for snap, sharp in zip(rec.snapshots, sharpness):
         eta = snap.eta_t  # also eta_eff: snapshots are one step apart
         rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
                      sharp, 2.0 / eta if eta > 0 else None])

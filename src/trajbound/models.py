@@ -84,7 +84,12 @@ one weight vector: it runs the forward and backward pass once, keeping the
 output gradients and the tanh'' curvature terms divided by n, and each
 product then costs one R-forward and one R-backward pass (Pearlmutter
 1994), with no finite-difference step, whose per-layer sums go into views
-of one fresh (P,) vector as the mean gradient's do. hessian_vector_product
+of one fresh (P,) vector as the mean gradient's do. It takes a (K, P)
+stack of weight vectors as well, like the step: its products then map a
+(K, P) stack of directions to (K, P), each array with a leading K axis and
+each bias a (K, 1, width) view, so a stacked Lanczos solve
+(numerics.power_iteration_top_eig) makes one apply for K solves; row k is
+bitwise the unstacked operator's product at w[k]. hessian_vector_product
 is a single product through it.
 """
 
@@ -112,6 +117,13 @@ from .numerics import RngStream
 # and 100 steps 2.44, 2.02, 1.68, 1.66, 1.78 and 2.56 us: the per-chunk
 # calls shrink a step's share, the O(m^3) solve grows it.
 LINEAR_CHUNK_ROWS = 25
+# Entries of an outer product (_times_weights) from which np.einsum forms it
+# faster than the matmul (numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU
+# x86 host): 1.51 against 0.71 us at (10, 1) x (1, 8), a tie near 1 300
+# entries, 2.40 against 2.80 us at (60, 1) x (1, 32). eos's products and
+# sweep_noise's (12, 10, 1) x (12, 1, 32) step are above it, track's
+# (10, 1) x (1, 8) and sweep_lr's (15, 10, 1) x (15, 1, 8) steps below.
+OUTER_EINSUM_MIN = 1536
 _MAX = np.finfo(np.float64).max
 
 
@@ -188,19 +200,24 @@ def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     return _flatten(layers)
 
 
-def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
-    """w as a float64 array of the flat shape (P,)."""
+def _check_params(spec: ModelSpec, w: np.ndarray, stack: bool = False) -> np.ndarray:
+    """w as a float64 array of the flat shape (P,), or with stack also (K, P)."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (spec.n_params,):
+    if w.shape != (spec.n_params,) and not (stack and w.ndim == 2
+                                            and w.shape[1] == spec.n_params):
         raise DimensionMismatchError(
-            f"parameter vector shape {w.shape}, expected (P,) with P = {spec.n_params}"
+            f"parameter vector shape {w.shape}, expected "
+            f"{'(P,) or (K, P)' if stack else '(P,)'} with P = {spec.n_params}"
         )
     return w
 
 
 def unflatten(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views of the flat vector (mlp only)."""
-    return _layer_views(spec, _check_params(spec, w))
+    """Per-layer (weight, bias) views of the flat vector (mlp only).
+
+    A (K, P) stack of vectors gives each view a leading K axis.
+    """
+    return _layer_views(spec, _check_params(spec, w, stack=True))
 
 
 def _layer_views(spec: ModelSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -221,13 +238,14 @@ def _flatten(layers) -> np.ndarray:
                           axis=-1)
 
 
-def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
+                  stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DimensionMismatchError(
             f"features shape {X.shape} incompatible with input_dim={spec.input_dim}"
         )
-    return _check_params(spec, w), X
+    return _check_params(spec, w, stack), X
 
 
 def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False,
@@ -287,7 +305,12 @@ def losses_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -
 
 
 def _check_finite(out: np.ndarray) -> None:
-    _check_samples(np.isfinite(out).all(axis=-1))
+    """_check_samples on outputs (n, output_dim) or a (K, n, output_dim) stack.
+
+    A sample of a stack fails when its outputs are non-finite in any row.
+    """
+    finite = np.isfinite(out).all(axis=-1)
+    _check_samples(finite if finite.ndim == 1 else finite.all(axis=0))
 
 
 def _check_samples(finite: np.ndarray) -> None:
@@ -408,12 +431,13 @@ def _times_weights(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """g @ mat: output gradients (..., n, out) times a layer weight (..., out, in).
 
     At out = 1 the product is an outer product, which np.einsum forms
-    bitwise as the matmul does (signed zeros included) and faster: 19 us
-    against 48 us at (12, 100, 1) x (12, 1, 32), 3.0 us against 4.2 us at
-    (100, 1) x (1, 32) (numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU
-    x86 host).
+    bitwise as the matmul does (signed zeros included). The einsum is the
+    faster of the two only on large products, so it runs when the product
+    has at least OUTER_EINSUM_MIN entries: 19 us against 48 us at
+    (12, 100, 1) x (12, 1, 32), 3.0 us against 4.2 us at (100, 1) x
+    (1, 32), but 1.51 us against 0.71 us at (10, 1) x (1, 8).
     """
-    if mat.shape[-2] == 1:
+    if mat.shape[-2] == 1 and g.size * mat.shape[-1] >= OUTER_EINSUM_MIN:
         return np.einsum("...no,...oi->...ni", g, mat)
     return g @ mat
 
@@ -497,6 +521,13 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     buffer: (F (R,), grad (R, P), sq_norms (R, n), finite (R, n)), row r
     bitwise loss_grad_stats(spec, W[r], data[r]) before its check. Its
     gradient rows view the step's buffer, which the next block overwrites.
+    A run(xs, ts, rates, sq, reuse=True) call takes that gradient as its
+    first step's, with no forward or backward pass of its own: the caller
+    sets reuse only when snapshot() ran at the current W and nothing has
+    written the buffer since, and the step's batch is every row in order,
+    range(n), over which the step's passes would give that gradient
+    bitwise. The linear steps keep their gradients out of the buffer and
+    ignore reuse.
     """
     data = list(data)
     if not data or len(W0) != len(data):
@@ -518,15 +549,20 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     def gather(batches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return X[runs, batches], t[runs, batches]
 
-    def run_mlp(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray) -> None:
+    def run_mlp(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray,
+                reuse: bool = False) -> None:
         for x, t_b, rate, sq_j in zip(xs, ts, rates[:, :, None], sq):
-            scores, hs, _ = _forward(spec, W, x, layers=layers)
-            _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
+            if reuse:  # step 0's gradient is the snapshot pass's, in the buffer
+                reuse = False
+            else:
+                scores, hs, _ = _forward(spec, W, x, layers=layers)
+                _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
             np.multiply(grad, rate, out=grad)
             np.subtract(W, grad, out=W)
             np.matmul(w_rows, w_cols, out=sq_j)
 
-    def run_linear(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray) -> None:
+    def run_linear(xs: np.ndarray, ts: np.ndarray, rates: np.ndarray, sq: np.ndarray,
+                   reuse: bool = False) -> None:
         k, b = len(xs), xs.shape[2]
         m = max(1, LINEAR_CHUNK_ROWS // b)
         hist = np.empty((k + 1, *W.shape))
@@ -657,70 +693,92 @@ def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool =
 def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
     """Exact Hessian-vector products of the mean loss at w, as apply(v).
 
-    The forward and backward pass at w run once, here; a non-finite forward
-    value raises NumericDomainError. Each apply(v) then runs only
-    Pearlmutter's R-forward and R-backward passes, the directional
-    derivatives R{.} = d/dr (.)(w + r v) at r = 0 of the forward values and
-    the mean gradient. The backward pass keeps each layer's output gradient
-    and tanh'' curvature term already divided by n, and the R-backward pass
-    divides R{output gradient} by n once, so each layer's sums are the mean's
-    and go straight into its views of one fresh (P,) product, as in
-    _mean_grad. The linear model's Hessian is X'X/n, so its product is
-    X'(Xv)/n.
+    w is one (P,) weight vector, or a (K, P) stack of them: apply then maps
+    a (K, P) stack of directions to the K products, row k at w[k], bitwise
+    the unstacked operator's product at w[k]. The forward and backward pass
+    at w run once, here; a non-finite forward value raises
+    NumericDomainError. Each apply(v) then runs only Pearlmutter's
+    R-forward and R-backward passes, the directional derivatives R{.} =
+    d/dr (.)(w + r v) at r = 0 of the forward values and the mean gradient.
+    The backward pass keeps each layer's output gradient and tanh''
+    curvature term already divided by n, and the R-backward pass divides
+    R{output gradient} by n once, so each layer's sums are the mean's and
+    go straight into its views of one fresh (P,) or (K, P) product, as in
+    _mean_grad. A stack gives every array a leading K axis (each bias a
+    (K, 1, width) view, the features shared), so each of its matmuls is one
+    BLAS call per row with the unstacked call's shapes. The linear model's
+    Hessian is X'X/n, so its product is X'(Xv)/n.
     """
-    w, X = _check_inputs(spec, w, data.features)
+    w, X = _check_inputs(spec, w, data.features, stack=True)
     t = _targets(spec, data.labels)
-    out, hs, layers = _forward(spec, w, X)
+    layers = [(mat, bias[..., None, :]) for mat, bias in unflatten(spec, w)]
+    out, hs, _ = _forward(spec, w, X, layers=layers)
     _check_finite(out)
     n = X.shape[0]
+
+    def check(v):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != w.shape:
+            raise DimensionMismatchError(f"direction shape {v.shape}, expected {w.shape}")
+        return v
+
     if spec.kind == "linear":
-        return lambda v: ((X @ _check_params(spec, v)) @ X) / n
+        # X v and (X v)' X as matrix-vector products, stacked or not
+        return lambda v: ((X @ check(v)[..., None]).mT @ X)[..., 0, :] / n
 
     last = len(layers) - 1
     # tanh' at each hidden activation h_l (hs[0] is the input)
-    dts = [None] + [1.0 - h * h for h in hs[1:]]
+    dts = [None]
+    for h in hs[1:]:
+        dt = h * h
+        dts.append(np.subtract(1.0, dt, out=dt))
     if spec.loss == "cross_entropy":
         probs = _softmax(out)
     # The backward pass at w of the mean loss, keeping each layer's output
-    # gradient g_l / n and, for tanh'', curv_l = -2 h_l * (g_l W_l) / n.
+    # gradient g_l / n and, for tanh'', curv_l = -2 h_l * (g_l W_l) / n. Each
+    # product is formed in place in a temporary of its own, as are the
+    # R-passes' below: a stack's (K, n, width) arrays are 200 KB each on eos.
     gs, curvs = [None] * len(layers), [None] * len(layers)
-    g = _output_grad(spec, out, t) / n
+    g = _output_grad(spec, out, np.broadcast_to(t, out.shape[:-1])) / n
     for l in range(last, -1, -1):
         gs[l] = g
         if l > 0:
-            gw = _times_weights(g, layers[l][0])
-            curvs[l] = -2.0 * hs[l] * gw
-            g = gw * dts[l]
+            g = _times_weights(g, layers[l][0])
+            curvs[l] = -2.0 * hs[l]
+            curvs[l] *= g
+            g *= dts[l]
 
     def apply(v):
-        dirs = unflatten(spec, v)
+        dirs = unflatten(spec, check(v))
         # R-forward: R{z_l} = R{h_l} W_l' + h_l V_l' + c_l, R{h_l+1} = tanh' R{z_l}
         rhs = [None] * len(layers)
         for l, ((mat, _bias), (V, c)) in enumerate(zip(layers, dirs)):
-            rz = hs[l] @ V.T
-            rz += c
+            rz = hs[l] @ V.mT
+            rz += c[..., None, :]
             if l > 0:
-                rz += rhs[l] @ mat.T
+                rz += rhs[l] @ mat.mT
             if l < last:
-                rhs[l + 1] = dts[l + 1] * rz
+                rz *= dts[l + 1]
+                rhs[l + 1] = rz
         # R{output gradient} / n: the loss's Hessian in the outputs times R{z}
         if spec.loss == "squared":
             rg = rz / n
         else:
-            rg = probs * (rz - np.sum(probs * rz, axis=1, keepdims=True))
+            rg = probs * (rz - np.sum(probs * rz, axis=-1, keepdims=True))
             rg /= n
         # R-backward, the mean-gradient pass of _mean_grad differentiated
-        hv, views = _grad_buffer(spec)
+        hv, views = _grad_buffer(spec, w.shape[:-1])
         for l in range(last, -1, -1):
             rw, rb = views[l]
-            np.matmul(rg.T, hs[l], out=rw)
-            np.add.reduce(rg, axis=0, out=rb)
+            np.matmul(rg.mT, hs[l], out=rw)
+            np.add.reduce(rg, axis=-2, out=rb)
             if l > 0:
-                rw += gs[l].T @ rhs[l]
+                rw += gs[l].mT @ rhs[l]
                 rg = _times_weights(rg, layers[l][0])
                 rg += _times_weights(gs[l], dirs[l][0])
                 rg *= dts[l]
-                rg += curvs[l] * rhs[l]
+                rhs[l] *= curvs[l]
+                rg += rhs[l]
         return hv
 
     return apply

@@ -13,7 +13,12 @@ scale the breakdown test reads. A cold solve starts from one fixed Gaussian
 vector per dimension; a warm solve starts from a caller's vector (one
 built from earlier Ritz vectors, when the operator changes little between
 solves) plus a WARM_SHARE multiple of that Gaussian vector, so a new top
-eigenvector orthogonal to the old one is still reached.
+eigenvector orthogonal to the old one is still reached. It takes a stack
+of K solves as well, like the stacked Hessian operator it is paired with:
+each step is one apply to a (K, dim) stack, Gram-Schmidt as one matmul a
+row and one batched eigh, and each row stops on its own test, row k
+bitwise the single solve of its operator. A single solve is the stack of
+one, on the same loop.
 central_diff_gradient is the finite-difference oracle that the tests check
 analytic gradients against.
 """
@@ -101,8 +106,13 @@ def _gaussian_start(dim: int) -> np.ndarray:
     return q
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's a_k @ b_k of two (K, dim) stacks: one BLAS dot a row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9,
-                            start: np.ndarray | None = None):
+                            start: np.ndarray | None = None, stack: int | None = None):
     """Top algebraic eigenvalue and a unit Ritz vector of a symmetric operator.
 
     Lanczos with full reorthogonalization: `apply` maps a length-dim vector
@@ -123,50 +133,103 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     shape raises DimensionMismatchError; a non-finite or zero one raises
     InvalidArgumentError. The name is kept from the power iteration it
     replaced.
+
+    With `stack` = K the call is K solves run as one: `apply` maps a
+    (K, dim) stack of vectors to their K products (the K rows of a stacked
+    models.hessian_operator, say), `start` is None or (K, dim), and the
+    result is the (K,) eigenvalues, the (K, dim) Ritz vectors and each
+    row's (K,) count of steps, its applies. Each step makes one stacked
+    apply, Gram-Schmidt as one matmul a row and one batched eigh over the
+    rows still running. Each row stops on its own test; a row that stopped
+    is then fed its product over an infinite divisor (zero vectors, while
+    its products are finite), and its products go unread until the last
+    row stops. A non-finite product of a running row raises, naming the
+    step and the row. Every product, dot and eigh acts on one row with the
+    unstacked call's shapes, so row k is bitwise the single solve of its
+    own operator from its own start. A single solve is the stack of one.
     """
     if dim < 1:
         raise InvalidArgumentError(f"operator dimension must be >= 1, got {dim}")
     if iters < 1:
         raise InvalidArgumentError(f"iters must be >= 1, got {iters}")
-    steps = min(iters, dim)
-    basis = np.empty((steps, dim))
-    tri = np.zeros((steps, steps))  # the Lanczos tridiagonal T
+    if stack is not None and stack < 1:
+        raise InvalidArgumentError(f"stack must be >= 1, got {stack}")
+    K = 1 if stack is None else stack
+    shape = (dim,) if stack is None else (K, dim)
     g = _gaussian_start(dim)
     if start is None:
-        basis[0] = g
+        q = np.tile(g, (K, 1))
     else:
         start = np.asarray(start, dtype=np.float64)
-        if start.shape != (dim,):
+        if start.shape != shape:
             raise DimensionMismatchError(
-                f"start vector has shape {start.shape}, expected ({dim},)"
+                f"start vector has shape {start.shape}, expected {shape}"
             )
-        norm = float(np.linalg.norm(start))
-        if not (np.isfinite(norm) and norm > 0.0):
+        start = start.reshape(K, dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            norm = np.sqrt(_row_dots(start, start))
+        if not (np.isfinite(norm) & (norm > 0.0)).all():
             raise InvalidArgumentError("start vector must be finite and nonzero")
-        q = start / norm + WARM_SHARE * g
-        basis[0] = q / np.linalg.norm(q)
-    scale = 0.0  # largest ||A q_k||, a lower bound on ||A||
+        q = start / norm[:, None] + WARM_SHARE * g
+        q /= np.sqrt(_row_dots(q, q))[:, None]
+    steps = min(iters, dim)
+    # The basis grows by doubling, to (steps, K, dim) at most, so that a short
+    # solve holds few steps' vectors: at K = 8, dim = 705 a whole basis of 120
+    # steps would be 5.4 MB, which numpy backs with huge pages.
+    cap = min(steps, 16)
+    basis = np.empty((cap, K, dim))
+    basis[0] = q
+    tri = np.zeros((K, cap, cap))  # each row's Lanczos tridiagonal T
+    scale = np.zeros(K)  # each row's largest ||A q_k||, a lower bound on ||A||
+    live = np.ones(K, dtype=bool)  # the rows still running
+    thetas, vecs, used = np.empty(K), np.empty((K, dim)), np.empty(K, dtype=np.int64)
     for k in range(steps):
-        aq = np.array(apply(basis[k]), dtype=np.float64)  # a copy: updated below
-        if aq.shape != (dim,):
+        aq = np.array(apply(basis[k].reshape(shape)), dtype=np.float64)  # a copy
+        if aq.shape != shape:
             raise DimensionMismatchError(
-                f"operator returned shape {aq.shape}, expected ({dim},)"
+                f"operator returned shape {aq.shape}, expected {shape}"
             )
-        with np.errstate(over="ignore"):  # an overflowing norm is reported below
-            norm = math.sqrt(aq @ aq)
-        if not math.isfinite(norm):
+        aq = aq.reshape(K, dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            norm = np.sqrt(_row_dots(aq, aq))
+        bad = live & ~np.isfinite(norm)
+        if bad.any():
+            row = "" if stack is None else f" in row {np.argmax(bad)}"
             raise NumericDomainError(
-                f"operator product with a non-finite norm at Lanczos step {k}"
+                f"operator product with a non-finite norm at Lanczos step {k}{row}"
             )
-        scale = max(scale, norm)
-        q = basis[:k + 1]
-        tri[k, k] = q[k] @ aq
+        np.maximum(scale, norm, out=scale)
+        Q = basis[:k + 1].transpose(1, 0, 2)  # (K, k + 1, dim)
+        tri[:, k, k] = _row_dots(basis[k], aq)
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
-            aq -= (q @ aq) @ q
-        beta = math.sqrt(aq @ aq)
-        thetas, s = np.linalg.eigh(tri[:k + 1, :k + 1])
-        if beta * abs(s[-1, -1]) <= tol or beta <= BREAKDOWN * scale or k == steps - 1:
-            x = s[:, -1] @ q
-            return float(thetas[-1]), x / np.linalg.norm(x)
-        basis[k + 1] = aq / beta
-        tri[k, k + 1] = tri[k + 1, k] = beta
+            aq -= ((Q @ aq[:, :, None]).mT @ Q)[:, 0]
+        beta = np.sqrt(_row_dots(aq, aq))
+        ritz, s = np.linalg.eigh(tri[live, :k + 1, :k + 1])
+        rows = np.flatnonzero(live)
+        b = beta[rows]
+        done = ((b * np.abs(s[:, -1, -1]) <= tol) | (b <= BREAKDOWN * scale[rows])
+                | (k == steps - 1))
+        stopped = rows[done]
+        for r, s_r in zip(stopped, s[done]):
+            # the top Ritz vector: the last column of s, a strided vector as
+            # in a single solve, times the row's basis
+            x = s_r[:, -1] @ Q[r]
+            vecs[r] = x / math.sqrt(x @ x)
+        thetas[stopped] = ritz[done, -1]
+        used[stopped] = k + 1
+        live[stopped] = False
+        if not live.any():
+            break
+        if k + 1 == cap:
+            cap = min(steps, 2 * cap)
+            basis, tri = np.empty((cap, K, dim)), np.pad(tri, ((0, 0), (0, cap - k - 1),
+                                                               (0, cap - k - 1)))
+            basis[:k + 1] = Q.transpose(1, 0, 2)
+            del Q  # the old basis
+        # a stopped row's next vector is its product over an infinite
+        # divisor: zero, with no division by its (maybe zero) residual
+        np.divide(aq, np.where(live, beta, np.inf)[:, None], out=basis[k + 1])
+        tri[:, k, k + 1] = tri[:, k + 1, k] = beta
+    if stack is None:
+        return float(thetas[0]), vecs[0]
+    return thetas, vecs, used

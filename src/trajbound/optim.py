@@ -17,14 +17,16 @@ later steps in the interval run on, with numpy's overflow and invalid
 warnings off, without touching the other rows. Each run keeps its own batch
 stream, schedule, recorder, early stop and divergence state. At each
 snapshot time the kernel's snapshot pass runs once for the live stack, and
-every recorder is called once with its run's row of it. Runs leave the
-stack there and nowhere else: those that stopped, whose recorder failed
-numerically, or that diverged in the interval just run (whose rows are
-dropped unrecorded), and the stack is rebound on the others. Each
-interval's step sizes are one lr_steps call a run, bitwise lr_at step by
-step. step is a block of one step of the same kernel on a copy of the w it
-is given. A run's result keeps its step sizes, one float64 array, and its
-batch size, not a per-step log.
+every recorder is called once with its run's row of it; at b = n, whose
+batch is range(n), the next interval's first step then takes its gradient
+from that pass instead of its own, unless the stack was rebound. Runs
+leave the stack there and nowhere else: those that stopped, whose
+recorder failed numerically, or that diverged in the interval just run
+(whose rows are dropped unrecorded), and the stack is rebound on the
+others. Each interval's step sizes are one lr_steps call a run, bitwise
+lr_at step by step. step is a block of one step of the same kernel on a
+copy of the w it is given. A run's result keeps its step sizes, one
+float64 array, and its batch size, not a per-step log.
 
 Batches are drawn by draw_batches, k steps at a time: each run draws its
 private batch stream in blocks of whole snapshot intervals, about
@@ -303,7 +305,8 @@ def step(spec: ModelSpec, w: np.ndarray, data: Dataset, cfg: OptimConfig, t: int
     return W[0]
 
 
-def _run_interval(gather, run, batches: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _run_interval(gather, run, batches: np.ndarray, rates: np.ndarray,
+                  reuse: bool = False) -> np.ndarray:
     """Run one interval's k steps on the bound stack: its (k, R) norms.
 
     batches (k, R, b) and rates (k, R) are the steps' rows and step sizes,
@@ -313,7 +316,9 @@ def _run_interval(gather, run, batches: np.ndarray, rates: np.ndarray) -> np.nda
     kernel's run takes each gathered block in one call. The steps run with
     numpy's overflow and invalid warnings off, since a diverging row keeps
     stepping until the interval ends; each row's norm after each step comes
-    back for the one guard check.
+    back for the one guard check. reuse passes on to the first block's
+    run: its first step may take the gradient already in the kernel's
+    buffer.
     """
     k, R, b = batches.shape
     steps = max(1, BATCH_BLOCK_ROWS // b)
@@ -321,7 +326,7 @@ def _run_interval(gather, run, batches: np.ndarray, rates: np.ndarray) -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, k, steps):
             block = slice(start, start + steps)
-            run(*gather(batches[block]), rates[block], sq[block])
+            run(*gather(batches[block]), rates[block], sq[block], reuse and start == 0)
         return np.sqrt(sq.reshape(k, -1))
 
 
@@ -347,8 +352,10 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     stream, so they change no output, and a stop at t = 0 draws nothing.
     w is a row of the live weight stack, which later
     steps overwrite: a recorder that keeps it must copy it, as
-    TrajectoryRecorder does. w0 is never written. S_prime is read only by
-    the default recorder (None gives it no holdout).
+    TrajectoryRecorder does. The row's gradient views the kernel's buffer,
+    which a full-batch run's next step reads: a recorder must not write
+    into its row. w0 is never written. S_prime is read only by the default
+    recorder (None gives it no holdout).
 
     A stack of R runs passes spec, w0, S, cfg and recorder as length-R
     sequences, one entry per run, and S_prime=None: each recorder holds its
@@ -417,15 +424,20 @@ def _train_stack(specs, w0s, Ss, cfgs, recorders) -> list:
                                           np.concatenate(etas[r] or [np.zeros(0)]), b, t)
             else:
                 keep.append(i)
+        # a full batch's rows are range(n), so the interval's first step
+        # would recompute the snapshot pass's gradient bitwise: it reuses
+        # the one in the kernel's buffer, unless the stack was just rebound
+        reuse = b == n
         if len(keep) < len(live):
             live = [live[i] for i in keep]
             if not live:
                 return outcomes
             W, gather, run, snapshot = bind_step_kernel(spec, W[keep], [Ss[r] for r in live])
+            reuse = False
         k = min(every, horizon - t)
         batches = np.stack([next(streams[r]) for r in live], axis=1)  # (k, R, b)
         rates = np.stack([lr_steps(cfgs[r].schedule, t, k) for r in live])
-        norms = _run_interval(gather, run, batches, rates.T)
+        norms = _run_interval(gather, run, batches, rates.T, reuse)
         failed = ~(norms <= PARAM_NORM_CAP)  # (k, R); a NaN norm fails too
         diverged = failed.any(axis=0)
         for i, r in enumerate(live):

@@ -299,7 +299,9 @@ def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
     # one smoothness routine serves both callers: the pre-training schedule
     # sees the raw eigenvalue and rejects it, estimate_constants floors it
     monkeypatch.setattr(bounds, "power_iteration_top_eig",
-                        lambda apply, dim: (-1.0, np.zeros(dim)))
+                        lambda apply, dim, stack: (np.full(stack, -1.0),
+                                                   np.zeros((stack, dim)),
+                                                   np.ones(stack, dtype=np.int64)))
     spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3)
     assert top_hessian_eig(spec, S, rec.weights) == -1.0
     c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -441,7 +442,7 @@ def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
     # stacked train call is one optim.train span per command, assemble_run
     # still runs once per cell and estimate_constants once per seed, and
     # eos's power_iteration_top_eig is bound by its `apply` and `iters`
-    # parameter names, one solve per snapshot
+    # parameter names, one stacked solve per block of EOS_BLOCK snapshots
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run([sys.executable, "-c", TRACED_RUN, os.path.join(root, "bench"),
@@ -456,7 +457,8 @@ def test_benchmark_tracer_still_wraps_the_stacked_commands(tmp_path):
     assert stats["trajectory.recorder.calls"] > 4
     assert stats["wrapped"] == ["step", "grad_mean_xy"]
     assert stats["eos.snapshots"] > 0
-    assert stats["numerics.power_iteration.solves"] == stats["eos.snapshots"]
+    assert stats["numerics.power_iteration.solves"] == math.ceil(
+        stats["eos.snapshots"] / experiments.EOS_BLOCK)
     assert stats["numerics.power_iteration.applies"] > 0
 
 
@@ -544,37 +546,42 @@ def test_cmd_eos_uses_per_step_ratios_at_cadence_one(tmp_path):
 
 
 def chained_and_cold_solves(monkeypatch, cfg):
-    """Run cmd_eos, solving each snapshot both as cmd_eos does and cold.
+    """Run cmd_eos, solving each block of snapshots both as cmd_eos does and cold.
 
-    Returns the (chained, cold) eigenvalues per snapshot and the operator
-    applies each side made, counted through a wrapped `apply`.
+    Returns the (chained, cold) eigenvalues per snapshot, and the operator
+    applies each side made: per row, from each solve's step counts, and
+    stacked, counted through a wrapped `apply`.
     """
     real = experiments.power_iteration_top_eig
     values = {"chained": [], "cold": []}
     applies = {"chained": 0, "cold": 0}
+    stacked = {"chained": 0, "cold": 0}
 
-    def counted(apply, side):
+    def solve(apply, side, **kwargs):
         def wrapped(v):
-            applies[side] += 1
+            stacked[side] += 1
             return apply(v)
-        return wrapped
+        lam, U, used = real(wrapped, **kwargs)
+        values[side].extend(lam)
+        applies[side] += int(used.sum())
+        return lam, U, used
 
-    def both(apply, dim, iters, tol, start=None):
-        cold, _ = real(counted(apply, "cold"), dim, iters=iters, tol=tol)
-        lam, v = real(counted(apply, "chained"), dim, iters=iters, tol=tol, start=start)
-        values["chained"].append(lam)
-        values["cold"].append(cold)
-        return lam, v
+    def both(apply, dim, iters, tol, start=None, stack=None):
+        solve(apply, "cold", dim=dim, iters=iters, tol=tol, stack=stack)
+        return solve(apply, "chained", dim=dim, iters=iters, tol=tol, start=start,
+                     stack=stack)
 
     monkeypatch.setattr(experiments, "power_iteration_top_eig", both)
     cmd_eos(cfg)
-    return values, applies
+    return values, applies, stacked
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cmd_eos_chained_solves_match_cold_solves(seed, tmp_path, monkeypatch):
+    # each row of a warm-started block against its own cold solve: a cold
+    # stack's row k is the single cold solve at its weights
     cfg = tiny("eos", tmp_path, seeds=(seed,), epochs=40)
-    values, _ = chained_and_cold_solves(monkeypatch, cfg)
+    values, _, _ = chained_and_cold_solves(monkeypatch, cfg)
     chained, cold = np.array(values["chained"]), np.array(values["cold"])
     assert len(chained) == 41
     assert np.all(np.abs(chained - cold) <= 1e-12 * np.abs(cold))
@@ -587,36 +594,47 @@ def test_cmd_eos_chained_solves_save_applies_on_the_shipped_config(tmp_path,
     root = os.path.join(os.path.dirname(__file__), "..")
     cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "eos.cfg")),
                               output_dir=str(tmp_path))
-    _, applies = chained_and_cold_solves(monkeypatch, cfg)
+    _, applies, stacked = chained_and_cold_solves(monkeypatch, cfg)
     assert applies["chained"] <= 0.7 * applies["cold"]
-    # the count is deterministic: 1 836 from the previous Ritz vector alone,
-    # 1 641 from the two-vector extrapolation
-    assert applies["chained"] <= 1700
+    # the counts are deterministic. One solve a snapshot made 1 836 applies
+    # warm-started from the previous Ritz vector alone and 1 641 from the
+    # two-vector extrapolation. The 26 blocks of 8 make 243 stacked applies,
+    # and their rows 1 811 applies in all: a row j > 0 of a block starts
+    # further from its eigenvector than the next snapshot's own solve did
+    assert (stacked["chained"], applies["chained"]) == (243, 1811)
 
 
 def test_cmd_eos_records_its_solver_totals(tmp_path, monkeypatch):
-    # meta.json counts the solves, their applies and the solves that made
-    # every apply allowed; at 2 applies a solve, the tiny run caps them all
+    # meta.json counts the solves, their applies, the solves that made every
+    # apply allowed, the blocks and their stacked applies; at 2 applies a
+    # solve, the tiny run caps them all
     real = experiments.power_iteration_top_eig
-    used = []
+    used, stacked = [], [0]
 
-    def counted(apply, dim, iters, tol, start=None):
+    def counted(apply, dim, iters, tol, start=None, stack=None):
         def wrapped(v):
-            used[-1] += 1
+            stacked[0] += 1
             return apply(v)
-        used.append(0)
-        return real(wrapped, dim, iters=iters, tol=tol, start=start)
+        lam, U, steps = real(wrapped, dim, iters=iters, tol=tol, start=start, stack=stack)
+        used.extend(steps.tolist())
+        return lam, U, steps
 
     monkeypatch.setattr(experiments, "power_iteration_top_eig", counted)
     cfg = tiny("eos", tmp_path, epochs=5)
-    for iters, capped in ((experiments.EOS_ITERS, 0), (2, 6)):
-        monkeypatch.setattr(experiments, "EOS_ITERS", iters)
-        used.clear()
-        cmd_eos(cfg)
-        solver = json.loads((tmp_path / "meta.json").read_text())["solver"]
-        assert solver == {"solves": 6, "applies": sum(used),
-                          "at_cap": sum(n == iters for n in used)}
-        assert solver["at_cap"] == capped
+    full = experiments.EOS_ITERS
+    for block, blocks in ((experiments.EOS_BLOCK, 1), (4, 2)):
+        monkeypatch.setattr(experiments, "EOS_BLOCK", block)
+        for iters, capped in ((full, 0), (2, 6)):
+            monkeypatch.setattr(experiments, "EOS_ITERS", iters)
+            used.clear()
+            stacked[0] = 0
+            cmd_eos(cfg)
+            solver = json.loads((tmp_path / "meta.json").read_text())["solver"]
+            assert solver == {"solves": 6, "applies": sum(used),
+                              "at_cap": sum(n == iters for n in used),
+                              "blocks": blocks, "block_applies": stacked[0]}
+            assert solver["at_cap"] == capped
+            assert max(used) <= solver["block_applies"] <= sum(used)
 
 
 @pytest.mark.parametrize("experiment", ["toy_table", "sweep_noise", "eos"])

@@ -925,9 +925,77 @@ def test_hvp_rejects_a_misshapen_direction():
 @pytest.mark.parametrize("spec", [linear_spec(2), mlp_spec(2, (2,))])
 def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
     w = np.full(spec.n_params, 1e308)
-    # the MLP's matmul overflows to inf, which numpy reports as a warning
-    with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
-        hessian_operator(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
+    # the MLP's matmul overflows to inf, which numpy reports as a warning;
+    # in a stack, one such row fails the whole operator
+    for weights in (w, np.stack([np.zeros(spec.n_params), w])):
+        with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
+            hessian_operator(spec, weights, Dataset(np.ones((3, 2)), np.zeros(3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 5),
+       hidden=st.lists(st.integers(1, 40), max_size=2),
+       classes=st.sampled_from([0, 2, 4]), K=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_each_row_of_a_stacked_hessian_operator_is_the_unstacked_product(
+        n, d, hidden, classes, K, seed):
+    # both losses, up to two hidden layers, and no hidden layer at the
+    # squared loss, the linear model; widths up to 40 put a stack's outer
+    # products and a single row's on either side of _times_weights' size rule
+    spec, _, data = random_shape_case(n, d, hidden, classes, seed)
+    gen = np.random.default_rng(seed + 1)
+    W = gen.standard_normal((K, spec.n_params)) * 0.5
+    V = gen.standard_normal((K, spec.n_params))
+    stacked = hessian_operator(spec, W, data)(V)
+    assert stacked.shape == (K, spec.n_params)
+    for k in range(K):
+        assert stacked[k].tobytes() == hessian_operator(spec, W[k], data)(V[k]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_a_stacked_hessian_operator_checks_its_shapes(kind):
+    spec, w, data = random_case(np.random.default_rng(13), kind)
+    W = np.stack([w, 2.0 * w])
+    hess = hessian_operator(spec, W, data)
+    for v in (w, np.stack([w] * 3), np.ones((2, w.size + 1))):
+        with pytest.raises(DimensionMismatchError):
+            hess(v)
+    with pytest.raises(DimensionMismatchError):
+        hessian_operator(spec, w, data)(W)
+    with pytest.raises(DimensionMismatchError):
+        hessian_operator(spec, W[None], data)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_times_weights_is_the_matmul_bitwise_on_both_sides_of_its_size_rule(
+        lead, monkeypatch):
+    # an outer product of OUTER_EINSUM_MIN entries or more runs as an
+    # einsum, a smaller one as the matmul; either is the matmul bitwise,
+    # signed zeros included
+    real = np.einsum
+    einsums = []
+    monkeypatch.setattr(np, "einsum",
+                        lambda *args, **kwargs: einsums.append(args[0]) or real(*args,
+                                                                                  **kwargs))
+    gen = np.random.default_rng(14)
+    width, runs = 32, math.prod(lead)
+    at = math.ceil(models.OUTER_EINSUM_MIN / (runs * width))
+    for n, einsum in ((at - 1, False), (at, True)):
+        g = gen.standard_normal((*lead, n, 1))
+        mat = gen.standard_normal((*lead, 1, width))
+        g.reshape(-1)[::5] = -0.0
+        mat.reshape(-1)[::3] = 0.0
+        mat.reshape(-1)[1::7] = -0.0
+        einsums.clear()
+        product = models._times_weights(g, mat)
+        assert bool(einsums) == einsum
+        assert product.tobytes() == (g @ mat).tobytes()
+        assert product.tobytes() == real("...no,...oi->...ni", g, mat).tobytes()
+    # a product through a layer of more than one output is the matmul
+    g, mat = gen.standard_normal((*lead, 200, 2)), gen.standard_normal((*lead, 2, width))
+    einsums.clear()
+    assert models._times_weights(g, mat).tobytes() == (g @ mat).tobytes()
+    assert not einsums
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

@@ -231,3 +231,109 @@ def test_cold_start_is_the_fixed_gaussian_solve_bitwise():
     again = power_iteration_top_eig(lambda x: A @ x, dim=25, start=None)
     assert again[0] == lam
     assert np.array_equal(again[1], v)
+
+
+def stacked_matrices(gen, K, dim):
+    M = gen.standard_normal((K, dim, dim))
+    return M + M.mT
+
+
+def stacked_apply(A, calls=None):
+    """apply of the K operators A (K, dim, dim), one matrix-vector product a row."""
+    def apply(V):
+        if calls is not None:
+            calls.append(V.copy())
+        return (A @ V[:, :, None])[:, :, 0]
+    return apply
+
+
+@pytest.mark.parametrize("K, dim, tol", [(1, 12, 1e-9), (4, 30, 1e-8), (7, 25, 1e-10)])
+def test_each_row_of_a_stacked_solve_is_its_single_solve(K, dim, tol):
+    # each row stops on its own residual test, after as many applies as
+    # its single solve from the same start made, and meets tol there
+    gen = np.random.default_rng(K)
+    A = stacked_matrices(gen, K, dim)
+    for start in (None, gen.standard_normal((K, dim))):
+        calls = []
+        lam, U, used = power_iteration_top_eig(stacked_apply(A, calls), dim, tol=tol,
+                                               start=start, stack=K)
+        assert lam.shape == (K,) and U.shape == (K, dim) and used.shape == (K,)
+        assert len(calls) == used.max()
+        for k in range(K):
+            apply, applies = counted(A[k])
+            one, u = power_iteration_top_eig(apply, dim, tol=tol,
+                                             start=None if start is None else start[k])
+            assert used[k] == applies[0]
+            assert abs(lam[k] - one) <= 1e-12 * abs(one)
+            assert np.linalg.norm(U[k] - u) <= 1e-12
+            residual = np.linalg.norm(A[k] @ U[k] - lam[k] * U[k])
+            assert residual <= tol + 1e-13 * np.abs(np.linalg.eigvalsh(A[k])).max()
+
+
+def test_a_row_that_stops_early_is_unchanged_by_the_rows_still_running():
+    # the zero operator breaks down at once with a zero residual, the
+    # identity after one apply; the stack then feeds those rows zero
+    # vectors until the last row stops, with no division by their zero
+    # residual and no RuntimeWarning
+    gen = np.random.default_rng(8)
+    dim = 20
+    A = np.stack([np.zeros((dim, dim)), np.eye(dim), stacked_matrices(gen, 1, dim)[0]])
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, U, used = power_iteration_top_eig(stacked_apply(A, calls), dim, tol=1e-12,
+                                               stack=3)
+    assert used.tolist()[:2] == [1, 1] and used[2] > 5
+    assert all(not V[:2].any() for V in calls[1:])
+    for k in range(3):
+        one, u = power_iteration_top_eig(lambda x: A[k] @ x, dim, tol=1e-12)
+        assert lam[k] == one and np.array_equal(U[k], u)
+    # a stopped row's product is read no more, whatever it holds
+    steps = []
+
+    def noisy(V):
+        out = (A @ V[:, :, None])[:, :, 0]
+        if steps:
+            out[0] = np.nan
+        steps.append(None)
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam_noisy, _, _ = power_iteration_top_eig(noisy, dim, tol=1e-12, stack=3, start=U)
+    lam_clean, _, _ = power_iteration_top_eig(stacked_apply(A), dim, tol=1e-12, stack=3,
+                                              start=U)
+    assert np.array_equal(lam_noisy[1:], lam_clean[1:])
+
+
+def test_a_stacked_solve_names_the_step_and_row_of_a_non_finite_product():
+    A = np.stack([np.diag(np.arange(1.0, 11.0))] * 3)
+    for bad_step, row, value in ((0, 2, np.inf), (3, 1, np.nan), (2, 0, 1e160)):
+        calls = []
+
+        def apply(V):
+            out = (A @ V[:, :, None])[:, :, 0]
+            if len(calls) == bad_step:
+                out[row] *= value
+            calls.append(None)
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError,
+                               match=f"at Lanczos step {bad_step} in row {row}$"):
+                power_iteration_top_eig(apply, 10, tol=0.0, stack=3)
+
+
+def test_a_stacked_solve_checks_its_stack_and_starts():
+    apply = stacked_apply(stacked_matrices(np.random.default_rng(9), 2, 3))
+    with pytest.raises(InvalidArgumentError):
+        power_iteration_top_eig(apply, 3, stack=0)
+    for start in (np.ones(3), np.ones((3, 3)), np.ones((2, 4))):
+        with pytest.raises(DimensionMismatchError):
+            power_iteration_top_eig(apply, 3, start=start, stack=2)
+    for bad in ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[np.nan, 1.0, 0.0], [1.0, 0.0, 0.0]]):
+        with pytest.raises(InvalidArgumentError):
+            power_iteration_top_eig(apply, 3, start=np.array(bad), stack=2)
+    with pytest.raises(DimensionMismatchError):
+        power_iteration_top_eig(lambda V: V[0], 3, stack=2)

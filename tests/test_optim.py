@@ -1084,6 +1084,42 @@ def test_an_interval_longer_than_a_batch_block_is_gathered_in_blocks(kind, monke
         assert finals[23] == finals[3]
 
 
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_a_full_batch_step_reuses_the_snapshot_gradient_bitwise(kind, monkeypatch):
+    # at b = n each interval's first step may take the gradient the snapshot
+    # pass left in the kernel's buffer: every run is bitwise the stack
+    # trained with reuse off, through an early stop, a divergence and a
+    # recorder fault that rebind the stack, and no b < n block reuses
+    real_bind = optim.bind_step_kernel
+    blocks = []
+
+    def bind(*args, allow=True):
+        W, gather, run, snapshot = real_bind(*args)
+
+        def spied(xs, ts, rates, sq, reuse=False):
+            blocks.append((xs.shape[2], reuse))
+            run(xs, ts, rates, sq, reuse and allow)
+
+        return W, gather, spied, snapshot
+
+    fates = [0.5, "diverge", ("fail", 6), "run"]
+    for b in (12, 5):
+        spec, runs = stack_runs(kind, 12, b, 30, 3, fates, seed=5)
+        result = {}
+        for allow in (False, True):
+            monkeypatch.setattr(optim, "bind_step_kernel",
+                                lambda *args, allow=allow: bind(*args, allow=allow))
+            recs = [make_recorder() for *_, make_recorder in runs]
+            with np.errstate(all="ignore"):
+                outs = train([spec] * len(runs), [w0 for _, w0, *_ in runs],
+                             [S for S, *_ in runs], None, [cfg for *_, cfg, _ in runs],
+                             recs)
+            result[allow] = [outcome_bytes(out, rec) for out, rec in zip(outs, recs)]
+        assert result[True] == result[False]
+    assert {reuse for b, reuse in blocks if b < 12} == {False}
+    assert {reuse for b, reuse in blocks if b == 12} == {False, True}
+
+
 @pytest.mark.parametrize("field, change", [
     ("spec", lambda run: {"spec": mlp_spec(3, (5,))}),
     ("n", lambda run: {"S": Dataset(run["S"].features[:-1], run["S"].labels[:-1])}),
