@@ -117,13 +117,6 @@ from .numerics import RngStream
 # and 100 steps 2.44, 2.02, 1.68, 1.66, 1.78 and 2.56 us: the per-chunk
 # calls shrink a step's share, the O(m^3) solve grows it.
 LINEAR_CHUNK_ROWS = 25
-# Entries of an outer product (_times_weights) from which np.einsum forms it
-# faster than the matmul (numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU
-# x86 host): 1.51 against 0.71 us at (10, 1) x (1, 8), a tie near 1 300
-# entries, 2.40 against 2.80 us at (60, 1) x (1, 32). eos's products and
-# sweep_noise's (12, 10, 1) x (12, 1, 32) step are above it, track's
-# (10, 1) x (1, 8) and sweep_lr's (15, 10, 1) x (15, 1, 8) steps below.
-OUTER_EINSUM_MIN = 1536
 _MAX = np.finfo(np.float64).max
 
 
@@ -431,13 +424,12 @@ def _times_weights(g: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """g @ mat: output gradients (..., n, out) times a layer weight (..., out, in).
 
     At out = 1 the product is an outer product, which np.einsum forms
-    bitwise as the matmul does (signed zeros included). The einsum is the
-    faster of the two only on large products, so it runs when the product
-    has at least OUTER_EINSUM_MIN entries: 19 us against 48 us at
-    (12, 100, 1) x (12, 1, 32), 3.0 us against 4.2 us at (100, 1) x
-    (1, 32), but 1.51 us against 0.71 us at (10, 1) x (1, 8).
+    bitwise as the matmul does (signed zeros included) and faster: 19 us
+    against 48 us at (12, 100, 1) x (12, 1, 32), 3.0 us against 4.2 us at
+    (100, 1) x (1, 32) (numpy 2.4.6, OpenBLAS on one thread of a 2-vCPU
+    x86 host).
     """
-    if mat.shape[-2] == 1 and g.size * mat.shape[-1] >= OUTER_EINSUM_MIN:
+    if mat.shape[-2] == 1:
         return np.einsum("...no,...oi->...ni", g, mat)
     return g @ mat
 
@@ -520,7 +512,8 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     current W, on the bound features, targets, layer views and gradient
     buffer: (F (R,), grad (R, P), sq_norms (R, n), finite (R, n)), row r
     bitwise loss_grad_stats(spec, W[r], data[r]) before its check. Its
-    gradient rows view the step's buffer, which the next block overwrites.
+    gradient is a read-only view of the step's buffer, which the next block
+    overwrites, so a caller's write into it raises ValueError.
     A run(xs, ts, rates, sq, reuse=True) call takes that gradient as its
     first step's, with no forward or backward pass of its own: the caller
     sets reuse only when snapshot() ran at the current W and nothing has
@@ -542,6 +535,8 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     layers = [(mat, bias[:, None, :]) for mat, bias in _layer_views(spec, W)]
     out = _grad_buffer(spec, (len(W),))
     grad = out[0]
+    frozen = grad.view()  # what snapshot() hands out: a run may read it as is
+    frozen.flags.writeable = False
     runs = np.arange(len(W))[:, None]
     # (R, 1, P) @ (R, P, 1) is one BLAS dot per run, bitwise w @ w
     w_rows, w_cols = W[:, None, :], W[:, :, None]
@@ -587,7 +582,8 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
         W[...] = hist[k]
 
     def snapshot() -> tuple:
-        return _snapshot_pass(spec, W, X, t, layers=layers, out=out)
+        F, _, sq_norms, finite = _snapshot_pass(spec, W, X, t, layers=layers, out=out)
+        return F, frozen, sq_norms, finite
 
     return W, gather, run_linear if spec.kind == "linear" else run_mlp, snapshot
 

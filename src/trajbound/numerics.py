@@ -146,16 +146,22 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     row stops. A non-finite product of a running row raises, naming the
     step and the row. Every product, dot and eigh acts on one row with the
     unstacked call's shapes, so row k is bitwise the single solve of its
-    own operator from its own start. A single solve is the stack of one.
+    own operator from its own start. A single solve (`stack` None) is the
+    stack of one, its vectors given a leading axis of one on the way in
+    and its row taken on the way out.
     """
+    if stack is None:
+        theta, x, _ = power_iteration_top_eig(
+            lambda V: np.asarray(apply(V[0]))[None], dim, iters, tol,
+            None if start is None else np.asarray(start)[None], stack=1)
+        return float(theta[0]), x[0]
     if dim < 1:
         raise InvalidArgumentError(f"operator dimension must be >= 1, got {dim}")
     if iters < 1:
         raise InvalidArgumentError(f"iters must be >= 1, got {iters}")
-    if stack is not None and stack < 1:
+    if stack < 1:
         raise InvalidArgumentError(f"stack must be >= 1, got {stack}")
-    K = 1 if stack is None else stack
-    shape = (dim,) if stack is None else (K, dim)
+    K, shape = stack, (stack, dim)
     g = _gaussian_start(dim)
     if start is None:
         q = np.tile(g, (K, 1))
@@ -165,7 +171,6 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
             raise DimensionMismatchError(
                 f"start vector has shape {start.shape}, expected {shape}"
             )
-        start = start.reshape(K, dim)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             norm = np.sqrt(_row_dots(start, start))
         if not (np.isfinite(norm) & (norm > 0.0)).all():
@@ -184,19 +189,18 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
     live = np.ones(K, dtype=bool)  # the rows still running
     thetas, vecs, used = np.empty(K), np.empty((K, dim)), np.empty(K, dtype=np.int64)
     for k in range(steps):
-        aq = np.array(apply(basis[k].reshape(shape)), dtype=np.float64)  # a copy
+        aq = np.array(apply(basis[k]), dtype=np.float64)  # a copy: updated below
         if aq.shape != shape:
             raise DimensionMismatchError(
                 f"operator returned shape {aq.shape}, expected {shape}"
             )
-        aq = aq.reshape(K, dim)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             norm = np.sqrt(_row_dots(aq, aq))
         bad = live & ~np.isfinite(norm)
         if bad.any():
-            row = "" if stack is None else f" in row {np.argmax(bad)}"
             raise NumericDomainError(
-                f"operator product with a non-finite norm at Lanczos step {k}{row}"
+                f"operator product with a non-finite norm at Lanczos step {k} "
+                f"in row {np.argmax(bad)}"
             )
         np.maximum(scale, norm, out=scale)
         Q = basis[:k + 1].transpose(1, 0, 2)  # (K, k + 1, dim)
@@ -230,6 +234,4 @@ def power_iteration_top_eig(apply, dim: int, iters: int = 200, tol: float = 1e-9
         # divisor: zero, with no division by its (maybe zero) residual
         np.divide(aq, np.where(live, beta, np.inf)[:, None], out=basis[k + 1])
         tri[:, k, k + 1] = tri[:, k + 1, k] = beta
-    if stack is None:
-        return float(thetas[0]), vecs[0]
     return thetas, vecs, used

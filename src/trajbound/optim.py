@@ -17,9 +17,10 @@ later steps in the interval run on, with numpy's overflow and invalid
 warnings off, without touching the other rows. Each run keeps its own batch
 stream, schedule, recorder, early stop and divergence state. At each
 snapshot time the kernel's snapshot pass runs once for the live stack, and
-every recorder is called once with its run's row of it; at b = n, whose
-batch is range(n), the next interval's first step then takes its gradient
-from that pass instead of its own, unless the stack was rebound. Runs
+every recorder is called once with its run's row of it (its gradient
+read-only); at b = n, whose batch is range(n), the next interval's first
+step then takes its gradient from that pass instead of its own, unless
+the stack was rebound. Runs
 leave the stack there and nowhere else: those that stopped, whose
 recorder failed numerically, or that diverged in the interval just run
 (whose rows are dropped unrecorded), and the stack is rebound on the
@@ -352,9 +353,9 @@ def train(spec, w0, S, S_prime, cfg, recorder=None):
     stream, so they change no output, and a stop at t = 0 draws nothing.
     w is a row of the live weight stack, which later
     steps overwrite: a recorder that keeps it must copy it, as
-    TrajectoryRecorder does. The row's gradient views the kernel's buffer,
-    which a full-batch run's next step reads: a recorder must not write
-    into its row. w0 is never written. S_prime is read only by the default
+    TrajectoryRecorder does. The row's gradient is a read-only view of the
+    kernel's buffer, which a full-batch run's next step reads, so a
+    recorder that writes into it raises ValueError. w0 is never written. S_prime is read only by the default
     recorder (None gives it no holdout).
 
     A stack of R runs passes spec, w0, S, cfg and recorder as length-R

@@ -940,8 +940,7 @@ def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
 def test_each_row_of_a_stacked_hessian_operator_is_the_unstacked_product(
         n, d, hidden, classes, K, seed):
     # both losses, up to two hidden layers, and no hidden layer at the
-    # squared loss, the linear model; widths up to 40 put a stack's outer
-    # products and a single row's on either side of _times_weights' size rule
+    # squared loss, the linear model
     spec, _, data = random_shape_case(n, d, hidden, classes, seed)
     gen = np.random.default_rng(seed + 1)
     W = gen.standard_normal((K, spec.n_params)) * 0.5
@@ -964,38 +963,6 @@ def test_a_stacked_hessian_operator_checks_its_shapes(kind):
         hessian_operator(spec, w, data)(W)
     with pytest.raises(DimensionMismatchError):
         hessian_operator(spec, W[None], data)
-
-
-@pytest.mark.parametrize("lead", [(), (3,)])
-def test_times_weights_is_the_matmul_bitwise_on_both_sides_of_its_size_rule(
-        lead, monkeypatch):
-    # an outer product of OUTER_EINSUM_MIN entries or more runs as an
-    # einsum, a smaller one as the matmul; either is the matmul bitwise,
-    # signed zeros included
-    real = np.einsum
-    einsums = []
-    monkeypatch.setattr(np, "einsum",
-                        lambda *args, **kwargs: einsums.append(args[0]) or real(*args,
-                                                                                  **kwargs))
-    gen = np.random.default_rng(14)
-    width, runs = 32, math.prod(lead)
-    at = math.ceil(models.OUTER_EINSUM_MIN / (runs * width))
-    for n, einsum in ((at - 1, False), (at, True)):
-        g = gen.standard_normal((*lead, n, 1))
-        mat = gen.standard_normal((*lead, 1, width))
-        g.reshape(-1)[::5] = -0.0
-        mat.reshape(-1)[::3] = 0.0
-        mat.reshape(-1)[1::7] = -0.0
-        einsums.clear()
-        product = models._times_weights(g, mat)
-        assert bool(einsums) == einsum
-        assert product.tobytes() == (g @ mat).tobytes()
-        assert product.tobytes() == real("...no,...oi->...ni", g, mat).tobytes()
-    # a product through a layer of more than one output is the matmul
-    g, mat = gen.standard_normal((*lead, 200, 2)), gen.standard_normal((*lead, 2, width))
-    einsums.clear()
-    assert models._times_weights(g, mat).tobytes() == (g @ mat).tobytes()
-    assert not einsums
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

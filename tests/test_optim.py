@@ -1120,6 +1120,21 @@ def test_a_full_batch_step_reuses_the_snapshot_gradient_bitwise(kind, monkeypatc
     assert {reuse for b, reuse in blocks if b == 12} == {False, True}
 
 
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_a_recorder_cannot_write_into_its_snapshot_row(kind):
+    # a full-batch run's next step reads the row's gradient from the
+    # kernel's buffer: a recorder's write into it raises instead of
+    # changing the run
+    spec, runs = stack_runs(kind, 12, 12, 6, 3, ["run"], seed=5)
+    S, w0, cfg, _ = runs[0]
+
+    def recorder(t, epoch, eta, w, stats):
+        stats[1][...] = 0
+
+    with pytest.raises(ValueError, match="read-only"):
+        train(spec, w0, S, None, cfg, recorder)
+
+
 @pytest.mark.parametrize("field, change", [
     ("spec", lambda run: {"spec": mlp_spec(3, (5,))}),
     ("n", lambda run: {"S": Dataset(run["S"].features[:-1], run["S"].labels[:-1])}),
