@@ -19,7 +19,8 @@ entry. optim.batch_size = none means the full batch, which is GD.
 Keys, in emit order (shape in parentheses):
   experiment              toy_table | track | assumption | sweep_noise |
                           sweep_lr | eos
-  seeds                   comma-separated distinct non-negative integers
+  seeds                   comma-separated distinct non-negative integers;
+                          exactly one for track, assumption and eos
   output_dir              directory for CSV/SVG/meta outputs; no sentinel
   dataset.kind            toy | csv
   dataset.n_train, dataset.n_test, dataset.dim        (toy)
@@ -34,7 +35,7 @@ Keys, in emit order (shape in parentheses):
   optim.epochs | optim.max_steps   exactly one of the two; the other "none"
   optim.stop_train_loss   early-stop threshold or "none"
   optim.snapshot_every    positive step count, or "epoch" / "none" (eos
-                          needs a snapshot every step)
+                          takes 1 or epoch, at optim.batch_size = none)
   schedule.kind           constant | inverse_time | cosine
   schedule.eta0           initial step size           (constant, cosine;
                                                        not in sweep_lr)
@@ -90,22 +91,23 @@ class ExperimentConfig:
 # defaults; the order here is the order of EXPERIMENTS
 _PRESETS = {
     "toy_table": dict(schedule_kind="inverse_time"),
-    "track": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15,
+    "track": dict(seeds=(0,), model_kind="mlp", hidden=(8,), flip_fraction=0.15,
                   schedule_kind="cosine", epochs=800),
-    "assumption": dict(model_kind="mlp", batch_size=None, eta0=0.008,
+    "assumption": dict(seeds=(0,), model_kind="mlp", batch_size=None, eta0=0.008,
                        epochs=None, max_steps=800, snapshot_every=4),
     "sweep_noise": dict(model_kind="mlp", epochs=400, stop_train_loss=0.005,
                         sweep_values=(0.0, 0.1, 0.2, 0.3)),
     "sweep_lr": dict(model_kind="mlp", hidden=(8,), flip_fraction=0.15, eta0=0.1,
                      epochs=400, stop_train_loss=0.001,
                      sweep_values=(0.1, 0.2, 0.3, 0.5, 0.8)),
-    "eos": dict(model_kind="mlp", batch_size=None, snapshot_every=1),
+    "eos": dict(seeds=(0,), model_kind="mlp", batch_size=None, snapshot_every=1),
 }
 EXPERIMENTS = tuple(_PRESETS)
 # sweep experiment -> (its sweep.csv label, the key whose value each cell
 # takes from sweep.values)
 SWEEPS = {"sweep_noise": ("noise", "noise.flip_fraction"),
           "sweep_lr": ("lr", "schedule.eta0")}
+SINGLE_RUN = ("track", "assumption", "eos")  # each trains its one seed's run
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -301,6 +303,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise bad("sweep.values", f"needs each value once, got {cfg.sweep_values!r}")
     elif cfg.sweep_values is not None:
         raise bad("sweep.values", f"not valid for {cfg.experiment}, which sweeps nothing")
+    if cfg.experiment in SINGLE_RUN and len(cfg.seeds) > 1:
+        raise bad("seeds", f"needs one seed for {cfg.experiment}, got {cfg.seeds!r}")
+    # eos plots sharpness against 2/eta, the stability threshold of full-batch
+    # gd, and its one-step rp/trp need a snapshot every step (or epoch, at b = n)
+    if cfg.experiment == "eos" and cfg.batch_size is not None:
+        raise bad("optim.batch_size", f"needs none for eos, got {cfg.batch_size!r}")
+    if cfg.experiment == "eos" and cfg.snapshot_every not in (None, 1):
+        raise bad("optim.snapshot_every",
+                  f"needs 1 or epoch for eos, got {cfg.snapshot_every!r}")
     if cfg.experiment == "sweep_lr" and cfg.schedule_kind != "constant":
         raise bad("schedule.kind",
                   "sweep_lr varies a constant step size; schedule.kind must be constant")

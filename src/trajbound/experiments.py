@@ -37,7 +37,7 @@ from .data import (
     split_train_holdout,
     write_csv,
 )
-from .errors import ConfigError, DivergedError, NumericDomainError
+from .errors import DivergedError, NumericDomainError
 from .models import (
     ModelSpec,
     hessian_operator,
@@ -176,16 +176,16 @@ def _raise_failed(seeds, outcomes, label: str) -> None:
             raise res
 
 
-def _train_first_seed(cfg: ExperimentConfig) -> tuple[RunParts, TrajectoryRecorder]:
-    """Train cfg.seeds[0] alone with a holdout recorder; raise its failure, if any.
+def _train_seeds(cfg: ExperimentConfig, rp_mode: str | None = None) -> tuple:
+    """Train cfg.seeds as one stack, each with a holdout recorder of rp_mode.
 
-    The output directory is made once the run is assembled, before training.
+    Returns their RunParts, recorders and _train_cells outcomes, in config
+    order; the output directory is made once all are assembled.
     """
-    parts = assemble_run(cfg, cfg.seeds[0])
+    cells = [assemble_run(cfg, s) for s in cfg.seeds]
     os.makedirs(cfg.output_dir, exist_ok=True)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime)
-    _raise_failed(cfg.seeds[:1], _train_cells([parts], [rec]), cfg.experiment)
-    return parts, rec
+    recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime, rp_mode=rp_mode) for p in cells]
+    return cells, recs, _train_cells(cells, recs)
 
 
 # toy_table.csv's columns; after seed and gen_error, the bound methods it shows
@@ -203,13 +203,8 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     Writes toy_table.csv (per-seed rows plus a seed-mean row) and bounds.csv
     with the full per-seed bound reports.
     """
-    table_rows = []
-    reports = []
-    report_seeds = []
-    cells = [assemble_run(cfg, s) for s in cfg.seeds]
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    recs = [TrajectoryRecorder(p.spec, p.S, p.S_prime) for p in cells]
-    outcomes = _train_cells(cells, recs)
+    table_rows, reports, report_seeds = [], [], []
+    cells, recs, outcomes = _train_seeds(cfg)
     _raise_failed(cfg.seeds, outcomes, "toy_table")
     for s, parts, rec, res in zip(cfg.seeds, cells, recs, outcomes):
         consts = estimate_constants(parts.spec, rec.weights, rec.snapshots,
@@ -247,12 +242,13 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
 
 
 def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
-    """Record one run and derive the complexity-tracking series.
+    """Record the run of the one seed and derive the complexity-tracking series.
 
     Writes trajectory.csv plus track.csv with F_S + C_cum and the
     per-interval ratio dC/dF_S (empty when F_S did not change).
     """
-    _, rec = _train_first_seed(cfg)
+    _, (rec,), outcomes = _train_seeds(cfg)
+    _raise_failed(cfg.seeds, outcomes, "track")
     rows = []
     snaps = rec.snapshots
     for i, snap in enumerate(snaps):
@@ -267,7 +263,7 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
     paths = _write_outputs(cfg, plots, {
         "trajectory.csv": lambda path: write_trajectory_csv(path, snaps),
         "track.csv": (("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"), rows),
-    }, {"seed_used": cfg.seeds[0]}, [("track.csv", [
+    }, {}, [("track.csv", [
         PlotSpec(x="epoch", ys=("F_S", "F_Sprime", "F_plus_C"),
                  out_name="track_loss.svg", title="loss and shifted complexity"),
         PlotSpec(x="epoch", ys=("dC_dF",), out_name="track_ratio.svg",
@@ -277,13 +273,14 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
 
 
 def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
-    """Probe the holdout/train gradient-norm ratio along one run.
+    """Probe the holdout/train gradient-norm ratio along the run of the one seed.
 
     The main series uses the held-out set; a control series replays the
     same weights with the training set standing in for the holdout, where
     the ratio is identically 1.
     """
-    parts, rec = _train_first_seed(cfg)
+    (parts,), (rec,), outcomes = _train_seeds(cfg)
+    _raise_failed(cfg.seeds, outcomes, "assumption")
     control = replay_trajectory(
         parts.spec, parts.S, parts.S, rec.weights,
         [sn.t for sn in rec.snapshots],
@@ -302,7 +299,7 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
     paths = _write_outputs(cfg, plots, {
         "assumption.csv": (("dataset", "t", "epoch", "F_S", "grad_norm_S",
                             "grad_norm_Sprime", "gamma_tilde"), rows),
-    }, {"seed_used": cfg.seeds[0], "gamma_max_main": gamma_max["main"],
+    }, {"gamma_max_main": gamma_max["main"],
         "gamma_max_control": gamma_max["control"]}, [("assumption.csv", [
         PlotSpec(x="epoch", ys=("gamma_tilde",), out_name="assumption_gamma.svg",
                  title="holdout/train gradient-norm ratio", where=("dataset", "main")),
@@ -411,15 +408,13 @@ EOS_BLOCK = 8
 
 
 def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
-    """Relative-progress and sharpness series for one run.
+    """Relative-progress and sharpness series for the full-batch gd run of the one seed.
 
-    Snapshots come every step. Each records the exact one-step RP/TRP, the
-    top Hessian eigenvalue, and the 2/eta_eff stability reference (eta_eff
-    is the step's eta), left empty at a snapshot whose rate is 0 (the
-    cosine endpoint with eta_min = 0). Any other cadence raises a
-    ConfigError naming optim.snapshot_every before any output, checked here
-    once the run, and so a CSV dataset's n, is assembled. On divergence the
-    partial series is still written, then the error propagates.
+    A snapshot every step (validate_config holds eos to 1 or epoch) records
+    the exact one-step RP/TRP, the top Hessian eigenvalue, and the 2/eta_eff
+    stability reference (eta_eff is the step's eta), left empty at a
+    snapshot whose rate is 0 (the cosine endpoint with eta_min = 0). On
+    divergence the partial series is still written, then the error propagates.
 
     The sharpness is solved in blocks of EOS_BLOCK snapshots, each block one
     stacked Lanczos solve on a stacked Hessian operator, each of its rows
@@ -432,14 +427,7 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     EOS_ITERS applies (those may have stopped short of their tolerance),
     then the blocks and their stacked applies, block_applies.
     """
-    s = cfg.seeds[0]
-    parts = assemble_run(cfg, s)
-    if parts.ocfg.snapshot_every != 1:
-        raise ConfigError("optim.snapshot_every: eos needs a snapshot every step, "
-                          f"got one every {parts.ocfg.snapshot_every} steps")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    rec = TrajectoryRecorder(parts.spec, parts.S, parts.S_prime, rp_mode="step")
-    (res,) = _train_cells([parts], [rec])
+    (parts,), (rec,), (res,) = _train_seeds(cfg, rp_mode="step")
     if isinstance(res, NumericDomainError):
         raise res
     died = res if isinstance(res, DivergedError) else None
@@ -471,7 +459,7 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     paths = _write_outputs(cfg, plots, {
         "eos.csv": (("t", "epoch", "eta", "eta_eff", "rp", "trp",
                      "sharpness", "two_over_eta_eff"), rows),
-    }, {"seed_used": s, "rp_mode": "step", "solver": solver,
+    }, {"rp_mode": "step", "solver": solver,
         "diverged_at": died.t if died is not None else None}, [("eos.csv", [
         PlotSpec(x="epoch", ys=("rp", "trp"), out_name="eos_rp.svg",
                  title="relative progress"),
@@ -480,7 +468,7 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     ])])
     if died is not None:
         raise DivergedError(died.t, died.param_norm,
-                            f"eos seed {s}: diverged at step {died.t}; "
+                            f"eos seed {cfg.seeds[0]}: diverged at step {died.t}; "
                             f"partial series written to {paths[0]}")
     return {"paths": paths}
 

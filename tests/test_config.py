@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from trajbound.config import (
     _KEYS,
     EXPERIMENTS,
+    SINGLE_RUN,
     SWEEPS,
     ExperimentConfig,
     _parse_float,
@@ -21,6 +22,7 @@ from trajbound.config import (
     parse_config_text,
     validate_config,
 )
+from trajbound.cli import main
 from trajbound.errors import ConfigError
 from trajbound.experiments import assemble_run, cmd_eos
 
@@ -67,14 +69,17 @@ def drawn_configs(draw):
     """A preset with drawn distinct seeds, sizes, batch size and schedule.
 
     Only fields that the drawn shape emits are drawn: emit_config leaves the
-    rest out, so parsing refills them from the preset.
+    rest out, so parsing refills them from the preset. A single-run
+    experiment draws one seed, and eos the full batch and a cadence of 1 or
+    epoch, the only values they take.
     """
     cfg = default_config(draw(st.sampled_from(EXPERIMENTS)))
     horizon = draw(st.integers(0, 10_000))
     by_epochs = draw(st.booleans())
+    max_seeds = 1 if cfg.experiment in SINGLE_RUN else 4
     fields = dict(
-        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4,
-                                  unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                                  max_size=max_seeds, unique=True))),
         n_train=draw(st.integers(2, 500)), n_test=draw(st.integers(1, 5000)),
         dim=draw(st.integers(1, 64)),
         epochs=horizon if by_epochs else None, max_steps=None if by_epochs else horizon,
@@ -82,6 +87,8 @@ def drawn_configs(draw):
         snapshot_every=draw(st.none() | st.integers(1, 100)),
         batch_size=draw(st.none() | st.integers(1, 200)),
     )
+    if cfg.experiment == "eos":
+        fields.update(batch_size=None, snapshot_every=draw(st.sampled_from((None, 1))))
     kind = draw(st.sampled_from(("constant", "inverse_time", "cosine")))
     fields["schedule_kind"] = kind
     if kind == "inverse_time":
@@ -268,9 +275,9 @@ def test_epochs_override_replaces_preset_max_steps():
 
 
 def test_batch_size_none_means_the_full_batch():
-    # any experiment takes either: none trains with gd on all of S, a size
-    # trains with sgd on batches of that size
-    for experiment, raw, b in (("track", "none", 16), ("eos", "5", 5)):
+    # any experiment but eos (full-batch gd only) takes either: none trains
+    # with gd on all of S, a size trains with sgd on batches of that size
+    for experiment, raw, b in (("track", "none", 16), ("assumption", "5", 5)):
         cfg = parse_config_text(f"experiment = {experiment}\noptim.batch_size = {raw}\n"
                                 "dataset.n_train = 16\n")
         assert f"\noptim.batch_size = {raw}\n" in emit_config(cfg)
@@ -385,40 +392,47 @@ def test_range_checks_accept_b_equal_n_unused_widths_and_csv_batch_sizes():
                                         label_column="y", batch_size=500))
 
 
-# eos records exact one-step relative progress, so it takes exactly the
-# configs whose snapshots come every step: the preset's cadence 1, or once
-# per epoch where an epoch is one step (gd, or sgd with b = n); cmd_eos
-# checks the cadence once the run, and so a CSV dataset's n, is assembled
-@pytest.mark.parametrize("fields, every", [
+# eos plots the sharpness of full-batch gd against its stability threshold
+# 2/eta and records exact one-step relative progress, so it takes only the
+# full batch and a snapshot every step: the preset's cadence 1, or once per
+# epoch, which is one step at the full batch. validate_config rejects
+# anything else naming the key, for a toy or a CSV dataset, so the CLI
+# exits 2 before any output.
+@pytest.mark.parametrize("fields, key", [
     (dict(), None),
     (dict(snapshot_every=None), None),
-    (dict(batch_size=100, snapshot_every=None), None),
-    (dict(batch_size=4, snapshot_every=1), None),
+    (dict(snapshot_every=None, dataset_kind="csv", label_column="y",
+          holdout_fraction=0.5), None),
+    (dict(batch_size=100, snapshot_every=None), "optim.batch_size"),
+    (dict(batch_size=4, snapshot_every=1), "optim.batch_size"),
     (dict(batch_size=4, snapshot_every=None, dataset_kind="csv", label_column="y",
-          holdout_fraction=0.5), None),  # 4 of the CSV's 8 rows train: b = n
-    (dict(snapshot_every=2), 2),
-    (dict(batch_size=100, snapshot_every=3), 3),
-    (dict(batch_size=10, snapshot_every=None), 10),
-    (dict(batch_size=99, snapshot_every=None), 2),
-], ids=["preset", "gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
+          holdout_fraction=0.5), "optim.batch_size"),  # 4 of the CSV's 8 rows: b = n
+    (dict(snapshot_every=2), "optim.snapshot_every"),
+    (dict(batch_size=100, snapshot_every=3), "optim.batch_size"),
+    (dict(batch_size=10, snapshot_every=None), "optim.batch_size"),
+    (dict(batch_size=99, snapshot_every=None), "optim.batch_size"),
+], ids=["preset", "gd_epoch", "csv_gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
         "csv_sgd_epoch", "gd_every_2", "sgd_full_batch_every_3", "sgd_epoch_of_10",
         "sgd_epoch_of_2"])
-def test_eos_accepts_exactly_the_one_step_cadences(fields, every, tmp_path):
+def test_eos_accepts_exactly_the_one_step_cadences(fields, key, tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(8)]) + "\n")
     out = tmp_path / "out"
     cfg = dataclasses.replace(default_config("eos"), seeds=(0,), output_dir=str(out),
                               n_test=8, dim=3, epochs=None, max_steps=2,
                               csv_path=str(data), **fields)  # n_train = 100
-    assert validate_config(cfg) is cfg
-    if every is None:
+    if key is None:
+        assert validate_config(cfg) is cfg
         cmd_eos(cfg)
         assert (out / "eos.csv").exists()
-    else:
-        with pytest.raises(ConfigError, match=rf"^optim.snapshot_every: .*one every "
-                                              rf"{every} steps"):
-            cmd_eos(cfg)
-        assert not out.exists()
+        return
+    with pytest.raises(ConfigError, match=rf"^{key}: needs .* for eos, got "):
+        validate_config(cfg)
+    path = tmp_path / "run.cfg"
+    path.write_text(emit_config(cfg))
+    assert main(["eos", "--config", str(path)]) == 2
+    assert f"config error: {key}: needs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_reads_files_and_names_them(tmp_path):
@@ -513,7 +527,8 @@ _CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_c
 # range, boundary values inside it); eos trains on the full batch, so a
 # small n_train keeps it valid
 RANGE_CASES = {
-    "seeds": (_TRACK, [(), (-1,), (3, -1), (0, 0), (0, 1, 0)], [(0,), (1, 0)]),
+    "seeds": (default_config("toy_table"), [(), (-1,), (3, -1), (0, 0), (0, 1, 0)],
+              [(0,), (1, 0)]),
     "output_dir": (_TRACK, ["a\0b", ""], ["a b"]),
     "dataset.n_train": (default_config("eos"), [1], [2]),
     "dataset.n_test": (_TRACK, [0], [1]),
@@ -533,6 +548,17 @@ RANGE_CASES = {
     "schedule.eta_min": (_TRACK, [-TINY], [0.0]),
     "schedule.t_max": (_TRACK, [0], [1]),
 }
+
+
+@pytest.mark.parametrize("experiment", SINGLE_RUN)
+def test_a_single_run_experiment_takes_exactly_one_seed(experiment):
+    # track, assumption and eos train one run: a second seed would go unused
+    cfg = default_config(experiment)
+    assert cfg.seeds == (0,) and validate_config(cfg) is cfg
+    assert validate_config(dataclasses.replace(cfg, seeds=(7,))).seeds == (7,)
+    with pytest.raises(ConfigError,
+                       match=rf"^seeds: needs one seed for {experiment}, got \(0, 1\)$"):
+        validate_config(dataclasses.replace(cfg, seeds=(0, 1)))
 
 
 def test_every_ranged_key_has_a_range_case():

@@ -14,17 +14,19 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajbound import cli, experiments, models
 from trajbound.cli import main
 from trajbound.config import (
     EXPERIMENTS,
+    SINGLE_RUN,
     default_config,
     emit_config,
     parse_config,
     parse_config_text,
+    validate_config,
 )
 from trajbound.errors import (
     ConfigError,
@@ -862,17 +864,52 @@ def test_cli_a_retired_key_exits_2_naming_the_key_and_its_line(tmp_path, capsys,
 
 
 def test_cli_eos_cadence_above_one_step_exits_2_before_any_output(tmp_path, capsys):
-    # toy sgd with b < n_train: cmd_eos rejects the once-per-epoch cadence
-    cfg = write_cfg(tmp_path, tiny_cfg_text(
-        "eos", "optim.epochs = 1\noptim.batch_size = 4\n"
-               "optim.snapshot_every = epoch\n"))
+    # eos takes only full-batch gd, so toy sgd with b < n_train, whose epoch
+    # is more than one step, fails on its batch size; at the full batch a
+    # snapshot every 2 steps fails on the cadence
+    for key, extra in (("optim.batch_size", "optim.batch_size = 4\n"
+                                            "optim.snapshot_every = epoch\n"),
+                       ("optim.snapshot_every", "optim.snapshot_every = 2\n")):
+        cfg = write_cfg(tmp_path, tiny_cfg_text("eos", "optim.epochs = 1\n" + extra))
+        assert main(["eos", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key}: needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["track", "assumption", "eos"])
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_a_single_run_experiment_rejects_a_second_seed(tmp_path, capsys, experiment,
+                                                          route):
+    # these experiments train one run: a second seed would go untrained
+    text = tiny_cfg_text(experiment, "optim.epochs = 1\n")
+    argv = ["--out", str(tmp_path / "out")]
+    if route == "config":
+        text = text.replace("seeds = 0", "seeds = 0,1")
+    else:
+        argv += ["--seeds", "0,1"]
+    assert main([experiment, "--config", write_cfg(tmp_path, text), *argv]) == 2
+    assert (f"config error: seeds: needs one seed for {experiment}, got (0, 1)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dataset", ["toy", "csv"])
+def test_cli_eos_with_a_batch_size_exits_2_before_any_output(tmp_path, capsys, dataset):
+    # 2/eta is the stability threshold of full-batch gd, not of sgd steps
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(20)]) + "\n")
+    extra = "optim.epochs = 1\noptim.batch_size = 4\noptim.snapshot_every = 1\n"
+    if dataset == "csv":
+        extra += f"dataset.kind = csv\ndataset.path = {data}\ndataset.label_column = y\n"
+    cfg = write_cfg(tmp_path, tiny_cfg_text("eos", extra))
     assert main(["eos", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "optim.snapshot_every" in capsys.readouterr().err
+    assert "config error: optim.batch_size: needs none for eos, got 4" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment", ["toy_table", "track", "assumption",
-                                        "sweep_noise", "eos"])
+                                        "sweep_noise"])
 def test_cli_batch_larger_than_a_csv_training_set_leaves_no_output_dir(
         experiment, tmp_path, capsys):
     # validation cannot see a CSV's size: assemble_run rejects the batch,
@@ -889,20 +926,21 @@ def test_cli_batch_larger_than_a_csv_training_set_leaves_no_output_dir(
     assert not (tmp_path / "out").exists()
 
 
-def test_cmd_eos_checks_a_csv_epoch_cadence_before_any_output(tmp_path):
-    # a CSV dataset's n is known only once it is loaded: 6 rows of S at b = 2
+def test_cmd_eos_runs_a_csv_dataset_at_the_full_batch(tmp_path):
+    # 6 rows of S, known only once the CSV is loaded: at the full batch an
+    # epoch is one step, so the once-per-epoch cadence snapshots every step
     data = tmp_path / "d.csv"
     data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(10)]) + "\n")
     cfg = dataclasses.replace(
-        tiny("eos", tmp_path / "out", epochs=1), batch_size=2,
-        snapshot_every=None, dataset_kind="csv", csv_path=str(data), label_column="y",
-        holdout_fraction=0.4,
+        tiny("eos", tmp_path / "out", epochs=3), snapshot_every=None,
+        dataset_kind="csv", csv_path=str(data), label_column="y", holdout_fraction=0.4,
     )
-    with pytest.raises(ConfigError, match=r"^optim.snapshot_every: .*one every 3 steps"):
-        cmd_eos(cfg)
-    assert not (tmp_path / "out").exists()
-    cmd_eos(dataclasses.replace(cfg, batch_size=6))  # b = n: one step an epoch
-    assert (tmp_path / "out" / "eos.csv").exists()
+    assert validate_config(cfg) is cfg
+    cmd_eos(cfg)
+    _, rows = read_rows(tmp_path / "out" / "eos.csv")
+    assert [(r["t"], r["epoch"]) for r in rows] == [("0", "0"), ("1", "1"), ("2", "2"),
+                                                   ("3", "3")]
+    assert all(r["rp"] != "" for r in rows[1:])
 
 
 def test_cli_missing_config_is_an_io_error(tmp_path, capsys):
@@ -1002,6 +1040,8 @@ def test_cli_exit_code_is_documented_for_any_config_bytes(raw, experiment):
 @given(experiment=st.sampled_from(sorted(COMMANDS)),
        seeds=st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=1, max_size=2),
        via_flag=st.booleans())
+@example(experiment="track", seeds=[0, 1], via_flag=False)
+@example(experiment="track", seeds=[0, 1], via_flag=True)
 def test_cli_exit_code_is_documented_for_shrunk_presets(experiment, seeds, via_flag):
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     cfg = parse_config(os.path.join(root, f"{experiment}.cfg"))
@@ -1017,4 +1057,5 @@ def test_cli_exit_code_is_documented_for_shrunk_presets(experiment, seeds, via_f
             argv.append("--seeds=" + ",".join(str(s) for s in seeds))
         code = run_cli_quietly(argv)
     assert code in (0, 2, 3, 4)
-    assert (code == 2) == (any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds))
+    assert (code == 2) == (any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds)
+                           or (experiment in SINGLE_RUN and len(seeds) > 1))

@@ -101,7 +101,7 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
     for tree in (old, new):
         (tree / "track").mkdir(parents=True)
         (tree / "track" / "track.csv").write_bytes(b"t,F\n0,0.5\n")
-        _write_meta(tree / "track", cfg, seed_used=0)
+        _write_meta(tree / "track", cfg, diverged_at=None)
     assert '\\"quoted' in (new / "track" / "meta.json").read_text()
     same = _shipped_outputs(new, "--against", old)
     assert same.returncode == 0, same.stdout
@@ -112,14 +112,14 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
     for changed, extra, lines in (
             (dataclasses.replace(cfg, eta0=0.06), {},
              ["- schedule.eta0 = 0.05", "+ schedule.eta0 = 0.06"]),
-            (dataclasses.replace(cfg, seeds=(0, 1)), {},
-             ["- seeds = 0,1,2", "+ seeds = 0,1", "- seeds: [0, 1, 2]", "+ seeds: [0, 1]"]),
-            (cfg, dict(seed_used=1), ["- seed_used: 0", "+ seed_used: 1"]),
+            (dataclasses.replace(cfg, seeds=(1,)), {},
+             ["- seeds = 0", "+ seeds = 1", "- seeds: [0]", "+ seeds: [1]"]),
+            (cfg, dict(diverged_at=7), ["- diverged_at: null", "+ diverged_at: 7"]),
             (cfg, dict(grid=[0.5]), ["+ grid: [0.5]"]),
             (dataclasses.replace(cfg, schedule_kind="constant"), {},
              ["- schedule.kind = cosine", "- schedule.eta_min = 0.0",
               "- schedule.t_max = auto", "+ schedule.kind = constant"])):
-        _write_meta(new / "track", changed, **dict(dict(seed_used=0), **extra))
+        _write_meta(new / "track", changed, **dict(dict(diverged_at=None), **extra))
         differs = _shipped_outputs(new, "--against", old)
         assert differs.returncode == 1
         assert differs.stdout.splitlines() == (["differs: track/meta.json"]
@@ -170,10 +170,10 @@ def test_shipped_outputs_compares_csv_values_within_a_relative_tolerance(tmp_pat
         assert done.returncode == 1 and done.stdout.splitlines()[-1] == problem
 
     table.write_text("seed,value,gap,tag\n0,0.25,nan,a\n1,-2.0,0.0,b\n")
-    _write_meta(new / "toy_table", default_config("toy_table"), seed_used=1)
+    _write_meta(new / "toy_table", default_config("toy_table"), grid=[0.5])
     meta = _shipped_outputs(new, "--against", old, "--rel", "1e-12")
     assert meta.returncode == 1 and meta.stdout.splitlines()[-2:] == [
-        "differs: toy_table/meta.json", "  + seed_used: 1"]
+        "differs: toy_table/meta.json", "  + grid: [0.5]"]
 
     assert _shipped_outputs(new, "--rel", "1e-12").returncode == 2
 
