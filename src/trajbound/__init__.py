@@ -12,10 +12,9 @@ from .bounds import (
     write_bounds_csv,
 )
 from .config import ExperimentConfig, default_config, emit_config, parse_config
-from .data import Dataset, ToyConfig, generate_toy, inject_label_noise, load_csv_dataset
+from .data import Dataset, ToyConfig, generate_toy, inject_label_noise
 from .errors import (
     ConfigError,
-    DataParseError,
     DataSchemaError,
     DimensionMismatchError,
     DivergedError,

@@ -18,7 +18,6 @@ from dataclasses import replace
 from .config import _KEYS, EXPERIMENTS, parse_config, validate_config
 from .errors import (
     ConfigError,
-    DataSchemaError,
     DivergedError,
     NumericDomainError,
     TrajboundError,
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seeds=_KEYS["seeds"].parse("--seeds", args.seeds))
         # the overrides bypass parse_config's checks, so validate again
         cfg = validate_config(cfg)
-    except (ConfigError, DataSchemaError) as exc:
+    except ConfigError as exc:
         print(f"trajbound: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -22,15 +22,11 @@ Keys, in emit order (shape in parentheses):
   seeds                   comma-separated distinct non-negative integers;
                           exactly one for track, assumption and eos
   output_dir              directory for CSV/SVG/meta outputs; no sentinel
-  dataset.kind            toy | csv
-  dataset.n_train, dataset.n_test, dataset.dim        (toy)
-  dataset.path, dataset.label_column  or "none"       (csv)
-  dataset.holdout_fraction                            (csv)
+  dataset.n_train, dataset.n_test, dataset.dim  the toy dataset's sizes
   noise.flip_fraction     fraction of training labels flipped (not in
                           sweep_noise)
   model.kind              linear | mlp
   model.hidden            comma-separated widths >= 1 (mlp)
-  model.loss              squared | cross_entropy     (mlp)
   optim.batch_size        1 to n (sgd), or "none" for the full batch (gd)
   optim.epochs | optim.max_steps   exactly one of the two; the other "none"
   optim.stop_train_loss   early-stop threshold or "none"
@@ -62,17 +58,12 @@ class ExperimentConfig:
     experiment: str
     seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "out"
-    dataset_kind: str = "toy"
     n_train: int = 100
     n_test: int = 1000
     dim: int = 20
-    csv_path: str | None = None
-    label_column: str | None = None
-    holdout_fraction: float = 0.5
     flip_fraction: float = 0.0
     model_kind: str = "linear"
     hidden: tuple[int, ...] = (32,)
-    loss: str = "squared"
     batch_size: int | None = 10  # None means the full batch: gd
     epochs: int | None = 200
     max_steps: int | None = None
@@ -205,7 +196,6 @@ def _distinct(needs):
     return lambda v: accepts(v) and len(set(v)) == len(v), f"{text}, each once"
 
 
-_toy, _csv = _when("dataset_kind", "toy"), _when("dataset_kind", "csv")
 _mlp = _when("model_kind", "mlp")
 _inverse_time = _when("schedule_kind", "inverse_time")
 _cosine = _when("schedule_kind", "cosine")
@@ -221,20 +211,14 @@ _KEYS = {
     "experiment": _Key("experiment", _choice(*EXPERIMENTS)),
     "seeds": _Key("seeds", _list(_parse_int), needs=_distinct(_each(_at_least(0)))),
     "output_dir": _Key("output_dir", _parse_text, needs=_path),
-    "dataset.kind": _Key("dataset_kind", _choice("toy", "csv")),
-    "dataset.n_train": _Key("n_train", _parse_int, applies=_toy, needs=_at_least(2)),
-    "dataset.n_test": _Key("n_test", _parse_int, applies=_toy, needs=_at_least(1)),
-    "dataset.dim": _Key("dim", _parse_int, applies=_toy, needs=_at_least(1)),
-    "dataset.path": _Key("csv_path", _parse_text, ("none",), _csv, _path),
-    "dataset.label_column": _Key("label_column", _parse_text, ("none",), _csv),
-    "dataset.holdout_fraction": _Key("holdout_fraction", _parse_float, applies=_csv,
-                                     needs=(lambda v: 0 < v < 1, "a value in (0, 1)")),
+    "dataset.n_train": _Key("n_train", _parse_int, needs=_at_least(2)),
+    "dataset.n_test": _Key("n_test", _parse_int, needs=_at_least(1)),
+    "dataset.dim": _Key("dim", _parse_int, needs=_at_least(1)),
     "noise.flip_fraction": _Key("flip_fraction", _parse_float,
                                 needs=(lambda v: 0 <= v <= 1, "a value in [0, 1]")),
     "model.kind": _Key("model_kind", _choice("linear", "mlp")),
     "model.hidden": _Key("hidden", _list(_parse_int), applies=_mlp,
                          needs=_each(_at_least(1))),
-    "model.loss": _Key("loss", _choice("squared", "cross_entropy"), applies=_mlp),
     "optim.batch_size": _Key("batch_size", _parse_int, ("none",), needs=_at_least(1)),
     "optim.epochs": _Key("epochs", _parse_int, ("none",), _unless("epochs", None),
                          _at_least(0)),
@@ -280,11 +264,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                 row.none if value is None else row.needs[0](value)):
             either = f" or {row.none[0]}" if row.none else ""
             raise bad(key, f"needs {row.needs[1]}{either}, got {value!r}")
-    for key in ("dataset.path", "dataset.label_column"):
-        if _csv(cfg) and not getattr(cfg, _KEYS[key].attr):
-            raise bad(key, "required when dataset.kind = csv")
-    # a CSV dataset's n is known only once it is loaded
-    if cfg.batch_size is not None and _toy(cfg) and cfg.batch_size > cfg.n_train:
+    if cfg.batch_size is not None and cfg.batch_size > cfg.n_train:
         raise bad("optim.batch_size",
                   f"needs <= dataset.n_train = {cfg.n_train}, got {cfg.batch_size}")
     if (cfg.epochs is None) == (cfg.max_steps is None):

@@ -1,9 +1,9 @@
-"""Datasets: the synthetic teacher-sign task, label noise, splits, CSV I/O.
+"""Datasets: the synthetic teacher-sign task, label noise, and CSV output.
 
 The toy task draws x ~ N(0, I_d) and a fixed teacher direction w_t ~ N(0, I_d),
 then labels y = 1 if w_t'x > 0 else 0. Train and test sets come from disjoint
-RNG substreams of the same master seed. The holdout split exists because the
-package estimates population quantities on a held-out set everywhere a true
+RNG substreams of the same master seed. The test set doubles as the holdout
+S' on which the package estimates population quantities everywhere a true
 data distribution would be needed.
 
 write_csv is the one CSV writer of the package: every output table, from
@@ -13,16 +13,13 @@ its cell formatter csv_cell.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataParseError, DataSchemaError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .numerics import (
     STREAM_NOISE,
-    STREAM_SPLIT,
     STREAM_TEACHER,
     STREAM_TEST_X,
     STREAM_TRAIN_X,
@@ -122,83 +119,6 @@ def inject_label_noise(data: Dataset, flip_fraction: float, rng: RngStream) -> D
     return Dataset(data.features, flipped)
 
 
-def split_train_holdout(data: Dataset, holdout_fraction: float,
-                        rng: RngStream) -> tuple[Dataset, Dataset]:
-    """Disjoint uniform partition; the holdout gets round(fraction * n) rows."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise InvalidArgumentError(
-            f"holdout_fraction must be strictly inside (0, 1), got {holdout_fraction}"
-        )
-    n_hold = int(np.rint(holdout_fraction * data.n))
-    if n_hold < 1 or data.n - n_hold < 1:
-        raise InvalidArgumentError(
-            f"split of n={data.n} at fraction {holdout_fraction} empties one side"
-        )
-    perm = rng.generator().permutation(data.n)
-    hold_idx = np.sort(perm[:n_hold])
-    keep_idx = np.sort(perm[n_hold:])
-    return (Dataset(data.features[keep_idx], data.labels[keep_idx]),
-            Dataset(data.features[hold_idx], data.labels[hold_idx]))
-
-
-def load_csv_dataset(path: str, label_column: str) -> Dataset:
-    """Read a comma-separated file with a header row; one column holds labels.
-
-    A file the csv module cannot parse (say, a cell past its field size
-    limit) raises DataSchemaError naming the row, as a schema fault does;
-    so does a header that names a column twice. A cell that is not a
-    finite number (nan, inf and -inf included) raises DataParseError naming
-    its row and column.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            reader = csv.reader(fh.readlines())
-        except UnicodeDecodeError as exc:
-            raise DataSchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    try:
-        table = list(reader)
-    except csv.Error as exc:
-        where = f"row {reader.line_num - 1}" if reader.line_num > 1 else "header row"
-        raise DataSchemaError(f"{path}: {where}: {exc}") from None
-    if not table:
-        raise DataSchemaError(f"{path}: file is empty, expected a header row")
-    header = [h.strip() for h in table[0]]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise DataSchemaError(f"{path}: header names column {name!r} more than once")
-    if label_column not in header:
-        raise DataSchemaError(
-            f"{path}: label column {label_column!r} not found in header {header}"
-        )
-    label_pos = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_pos]
-    if not feature_names:
-        raise DataSchemaError(f"{path}: no feature columns besides {label_column!r}")
-
-    rows, labels = [], []
-    for r, row in enumerate(table[1:], start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataSchemaError(
-                f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
-            )
-        parsed = []
-        for i, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(math.nan)
-            if not math.isfinite(parsed[-1]):
-                raise DataParseError(r, header[i], cell.strip())
-        labels.append(parsed[label_pos])
-        rows.append([v for i, v in enumerate(parsed) if i != label_pos])
-
-    if not rows:
-        raise DataSchemaError(f"{path}: header only, no data rows")
-    return Dataset(np.array(rows), np.array(labels))
-
-
 def csv_cell(v) -> str:
     """One CSV cell: blank for None, digits for integers, repr for floats.
 
@@ -226,6 +146,3 @@ def write_csv(path: str, header, rows) -> None:
 def noise_stream(seed: int) -> RngStream:
     return RngStream(seed, STREAM_NOISE)
 
-
-def split_stream(seed: int) -> RngStream:
-    return RngStream(seed, STREAM_SPLIT)

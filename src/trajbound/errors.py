@@ -36,18 +36,7 @@ class DivergedError(TrajboundError):
 
 
 class DataSchemaError(TrajboundError):
-    """A dataset file is structurally unusable (missing column, no rows)."""
-
-
-class DataParseError(TrajboundError):
-    """A dataset cell is not a finite number; names the row and column."""
-
-    def __init__(self, row: int, column: str, value: str):
-        self.row = row
-        self.column = column
-        self.value = value
-        super().__init__(f"row {row}, column {column!r}: cannot parse {value!r} "
-                         "as a finite number")
+    """A CSV file read back for plotting is structurally unusable (no rows)."""
 
 
 class ConfigError(TrajboundError):

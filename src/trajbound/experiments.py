@@ -31,10 +31,7 @@ from .data import (
     ToyConfig,
     generate_toy,
     inject_label_noise,
-    load_csv_dataset,
     noise_stream,
-    split_stream,
-    split_train_holdout,
     write_csv,
 )
 from .errors import DivergedError, NumericDomainError
@@ -71,28 +68,16 @@ class RunParts:
 def assemble_run(cfg: ExperimentConfig, run_seed: int,
                  eta0_override: float | None = None,
                  flip_override: float | None = None) -> RunParts:
-    if cfg.dataset_kind == "toy":
-        S, S_prime, _teacher = generate_toy(
-            ToyConfig(cfg.n_train, cfg.n_test, cfg.dim, seed=run_seed)
-        )
-    else:
-        full = load_csv_dataset(cfg.csv_path, cfg.label_column)
-        S, S_prime = split_train_holdout(full, cfg.holdout_fraction,
-                                         split_stream(run_seed))
+    S, S_prime, _teacher = generate_toy(
+        ToyConfig(cfg.n_train, cfg.n_test, cfg.dim, seed=run_seed)
+    )
     flip = cfg.flip_fraction if flip_override is None else flip_override
     if flip > 0.0:
         S = inject_label_noise(S, flip, noise_stream(run_seed))
 
-    if cfg.model_kind == "linear":
-        spec = linear_spec(S.dim)
-    else:
-        out_dim = 1
-        if cfg.loss == "cross_entropy":  # S and S' together: the split must not set it
-            out_dim = int(max(S.labels.max(), S_prime.labels.max())) + 1
-        spec = mlp_spec(S.dim, cfg.hidden, out_dim, cfg.loss)
+    spec = linear_spec(S.dim) if cfg.model_kind == "linear" else mlp_spec(S.dim, cfg.hidden)
     w0 = init_params(spec, RngStream(run_seed, STREAM_INIT))
 
-    # a batch larger than S (a CSV's n is known only here) fails before any output
     b = resolve_batch_size(cfg.batch_size, S.n)
     steps_per_epoch = max(1, math.ceil(S.n / b))
     max_steps = (cfg.max_steps if cfg.max_steps is not None

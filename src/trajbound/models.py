@@ -1,7 +1,7 @@
 """Small differentiable predictors with exact per-sample gradients.
 
-Two model kinds: a bias-free linear model with squared loss, and a tanh MLP
-with squared or softmax cross-entropy loss. Parameters live in one flat
+Two model kinds, both of one output and squared loss 0.5 (f(x) - y)^2: a
+bias-free linear model and a tanh MLP. Parameters live in one flat
 vector whose layout ModelSpec fixes once: layer-major, each layer's weight
 matrix (C order) followed by its bias, with the slice bounds and shapes in
 spec.layout and the length in spec.n_params. The linear model's vector is
@@ -36,8 +36,8 @@ recorder's 1000-row holdout one is 256 KB, above glibc's mmap threshold.
 grad_mean_xy gives only a batch's mean gradient. bind_step_kernel is the
 training step, for a stack of R runs of one model and one n: it binds, once
 per stack, a copy W of the (R, P) initial weights, its layer views (each
-with a leading R axis), the stacked features (R, n, d), each run's checked
-targets and one (R, P) gradient buffer with its views. Its gather takes a
+with a leading R axis), the stacked features (R, n, d), the stacked
+targets (R, n) and one (R, P) gradient buffer with its views. Its gather takes a
 block of steps' batch rows for every run with one fancy index, step-major,
 so each step's operands are one C-contiguous slice, and its run takes the
 whole gathered block in one call: for each step it runs the forward and
@@ -122,7 +122,7 @@ _MAX = np.finfo(np.float64).max
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture and loss choice; validated on construction.
+    """Architecture; validated on construction.
 
     Construction also derives the parameter layout: n_params, the length P
     of the flat vector, and layout, one (weight start, bias start, bias end,
@@ -131,35 +131,25 @@ class ModelSpec:
 
     kind: str  # "linear" | "mlp"
     input_dim: int
-    output_dim: int = 1
-    layer_widths: tuple[int, ...] = ()  # mlp only, includes input and output
-    loss: str = "squared"  # "squared" | "cross_entropy"
+    layer_widths: tuple[int, ...] = ()  # mlp only, includes input and output 1
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise InvalidArgumentError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.kind == "linear":
-            if self.output_dim != 1 or self.loss != "squared":
-                raise InvalidArgumentError("linear model is squared-loss, single-output")
             object.__setattr__(self, "layer_widths", ())
         elif self.kind == "mlp":
             w = tuple(int(x) for x in self.layer_widths)
             if len(w) < 2 or any(x < 1 for x in w):
                 raise InvalidArgumentError(f"mlp needs widths >= 1 from input to output, got {w}")
-            if w[0] != self.input_dim or w[-1] != self.output_dim:
+            if w[0] != self.input_dim or w[-1] != 1:
                 raise InvalidArgumentError(
                     f"mlp widths {w} must start at input_dim={self.input_dim} "
-                    f"and end at output_dim={self.output_dim}"
+                    "and end at the one output"
                 )
             object.__setattr__(self, "layer_widths", w)
         else:
             raise InvalidArgumentError(f"unknown model kind {self.kind!r}")
-        if self.loss not in ("squared", "cross_entropy"):
-            raise InvalidArgumentError(f"unknown loss {self.loss!r}")
-        if self.loss == "squared" and self.output_dim != 1:
-            raise InvalidArgumentError("squared loss is wired for a single output")
-        if self.loss == "cross_entropy" and self.output_dim < 2:
-            raise InvalidArgumentError("cross-entropy needs >= 2 output logits")
         layout, pos = [], 0
         for fan_in, fan_out in zip(self.layer_widths, self.layer_widths[1:]):
             bias_at = pos + fan_out * fan_in
@@ -173,11 +163,8 @@ def linear_spec(input_dim: int) -> ModelSpec:
     return ModelSpec(kind="linear", input_dim=input_dim)
 
 
-def mlp_spec(input_dim: int, hidden: tuple[int, ...], output_dim: int = 1,
-             loss: str = "squared") -> ModelSpec:
-    widths = (input_dim, *hidden, output_dim)
-    return ModelSpec(kind="mlp", input_dim=input_dim, output_dim=output_dim,
-                     layer_widths=widths, loss=loss)
+def mlp_spec(input_dim: int, hidden: tuple[int, ...]) -> ModelSpec:
+    return ModelSpec(kind="mlp", input_dim=input_dim, layer_widths=(input_dim, *hidden, 1))
 
 
 def init_params(spec: ModelSpec, rng: RngStream) -> np.ndarray:
@@ -245,7 +232,7 @@ def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False
              layers: list | None = None):
     """Batched forward pass: (outputs, input of each layer, layer views).
 
-    The outputs have shape (n, output_dim), hs[l] is layer l's input,
+    The outputs have shape (n, 1), hs[l] is layer l's input,
     (n, width_l), and the views are unflatten(spec, w), or the given layers
     when the caller has already bound them; the linear model is one
     bias-free layer whose input is X, with no views. Each MLP layer is a
@@ -271,34 +258,20 @@ def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray, oracle: bool = False
 
 
 def forward_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Model outputs, shape (n, output_dim)."""
+    """Model outputs, shape (n, 1)."""
     w, X = _check_inputs(spec, w, X)
     return _forward(spec, w, X)[0]
-
-
-def _class_indices(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    idx = np.asarray(y)
-    rounded = np.rint(idx)
-    if not np.all(rounded == idx):
-        raise InvalidArgumentError("cross-entropy labels must be integral class indices")
-    idx = rounded.astype(np.int64)
-    if np.any(idx < 0) or np.any(idx >= spec.output_dim):
-        raise InvalidArgumentError(
-            f"class labels must lie in [0, {spec.output_dim}), got range "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    return idx
 
 
 def losses_batch(spec: ModelSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample losses, shape (n,)."""
     out = forward_batch(spec, w, X)
     _check_finite(out)
-    return _losses(spec, out, _targets(spec, y))
+    return _losses(out, np.asarray(y, dtype=np.float64))
 
 
 def _check_finite(out: np.ndarray) -> None:
-    """_check_samples on outputs (n, output_dim) or a (K, n, output_dim) stack.
+    """_check_samples on outputs (n, 1) or a (K, n, 1) stack.
 
     A sample of a stack fails when its outputs are non-finite in any row.
     """
@@ -312,44 +285,24 @@ def _check_samples(finite: np.ndarray) -> None:
         raise NumericDomainError(f"non-finite forward value at sample {int(np.argmin(finite))}")
 
 
-def _targets(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    """The labels as the loss reads them: values, or checked class indices."""
-    y = np.asarray(y, dtype=np.float64)
-    return y if spec.loss == "squared" else _class_indices(spec, y)
+def _losses(out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-sample squared losses of outputs (..., n, 1) against targets t, (..., n)."""
+    resid = out[..., 0] - t
+    return 0.5 * resid * resid
 
 
-def _losses(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-sample losses of model outputs against _targets t, (..., n)."""
-    if spec.loss == "squared":
-        resid = out[..., 0] - t
-        return 0.5 * resid * resid
-    m = np.max(out, axis=-1)
-    lse = m + np.log(np.sum(np.exp(out - m[..., None]), axis=-1))
-    return lse - np.take_along_axis(out, t[..., None], axis=-1)[..., 0]
-
-
-def _output_grad(spec: ModelSpec, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Gradient of each sample's loss with respect to its outputs, (..., n, output_dim)."""
-    if spec.loss == "squared":
-        return out - t[..., None]
-    delta = _softmax(out)
-    delta[(*np.indices(t.shape, sparse=True), t)] -= 1.0
-    return delta
-
-
-def _softmax(out: np.ndarray) -> np.ndarray:
-    e = np.exp(out - np.max(out, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _output_grad(out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient of each sample's loss with respect to its output, (..., n, 1)."""
+    return out - t[..., None]
 
 
 def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarray:
     """Exact gradient of each sample's loss, stacked as an (n, P) matrix."""
     w, X = _check_inputs(spec, w, data.features)
-    t = _targets(spec, data.labels)
     out, hs, layers = _forward(spec, w, X, oracle=True)
     _check_finite(out)
     # gradient wrt pre-activation of the current layer, (n, width)
-    g = _output_grad(spec, out, t)
+    g = _output_grad(out, data.labels)
     if spec.kind == "linear":
         return g * X
     grads = [None] * len(layers)
@@ -450,7 +403,7 @@ def grad_mean_xy(spec: ModelSpec, w: np.ndarray, X: np.ndarray,
     """
     w, X = _check_inputs(spec, w, X)
     out, hs, layers = _forward(spec, w, X)
-    return _mean_grad(spec, layers, hs, _output_grad(spec, out, _targets(spec, y)))
+    return _mean_grad(spec, layers, hs, _output_grad(out, np.asarray(y, dtype=np.float64)))
 
 
 def bind_step_kernel(spec: ModelSpec, W0, data):
@@ -459,7 +412,7 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     W0 holds the R runs' initial weights, an (R, P) array or R vectors, and
     data their R datasets, all of one n; run r trains on data[r]. The
     checks, the stacked copy W, its layer views, the stacked features
-    (R, n, d), each run's checked targets and one (R, P) gradient buffer
+    (R, n, d), the stacked targets (R, n) and one (R, P) gradient buffer
     with its views are bound here, once per stack.
 
     gather(batches), with batches a (k, R, b) array of row indices (step j
@@ -530,7 +483,7 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
     checked = [_check_inputs(spec, w, d.features) for w, d in zip(W0, data)]
     W = np.stack([w for w, _ in checked])
     X = np.stack([x for _, x in checked])
-    t = np.stack([_targets(spec, d.labels) for d in data])
+    t = np.stack([d.labels for d in data])
     # each bias as an (R, 1, width) view, to broadcast over the stacked batch
     layers = [(mat, bias[:, None, :]) for mat, bias in _layer_views(spec, W)]
     out = _grad_buffer(spec, (len(W),))
@@ -551,7 +504,7 @@ def bind_step_kernel(spec: ModelSpec, W0, data):
                 reuse = False
             else:
                 scores, hs, _ = _forward(spec, W, x, layers=layers)
-                _mean_grad(spec, layers, hs, _output_grad(spec, scores, t_b), out=out)
+                _mean_grad(spec, layers, hs, _output_grad(scores, t_b), out=out)
             np.multiply(grad, rate, out=grad)
             np.subtract(W, grad, out=W)
             np.matmul(w_rows, w_cols, out=sq_j)
@@ -655,8 +608,8 @@ def _snapshot_pass(spec: ModelSpec, w: np.ndarray, X: np.ndarray, t: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         scores, hs, layers = _forward(spec, w, X, layers=layers)
         sq_norms = np.zeros(X.shape[:-1]) if norms else None
-        grad = _mean_grad(spec, layers, hs, _output_grad(spec, scores, t), sq_norms, out)
-        return (np.mean(_losses(spec, scores, t), axis=-1), grad, sq_norms,
+        grad = _mean_grad(spec, layers, hs, _output_grad(scores, t), sq_norms, out)
+        return (np.mean(_losses(scores, t), axis=-1), grad, sq_norms,
                 np.isfinite(scores).all(axis=-1))
 
 
@@ -683,7 +636,7 @@ def loss_grad_stats(spec: ModelSpec, w: np.ndarray, data: Dataset, norms: bool =
     the loss and the gradient are bitwise those of the full call.
     """
     w, X = _check_inputs(spec, w, data.features)
-    return checked_stats(_snapshot_pass(spec, w, X, _targets(spec, data.labels), norms))
+    return checked_stats(_snapshot_pass(spec, w, X, data.labels, norms))
 
 
 def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
@@ -706,7 +659,6 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
     Hessian is X'X/n, so its product is X'(Xv)/n.
     """
     w, X = _check_inputs(spec, w, data.features, stack=True)
-    t = _targets(spec, data.labels)
     layers = [(mat, bias[..., None, :]) for mat, bias in unflatten(spec, w)]
     out, hs, _ = _forward(spec, w, X, layers=layers)
     _check_finite(out)
@@ -728,14 +680,12 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
     for h in hs[1:]:
         dt = h * h
         dts.append(np.subtract(1.0, dt, out=dt))
-    if spec.loss == "cross_entropy":
-        probs = _softmax(out)
     # The backward pass at w of the mean loss, keeping each layer's output
     # gradient g_l / n and, for tanh'', curv_l = -2 h_l * (g_l W_l) / n. Each
     # product is formed in place in a temporary of its own, as are the
     # R-passes' below: a stack's (K, n, width) arrays are 200 KB each on eos.
     gs, curvs = [None] * len(layers), [None] * len(layers)
-    g = _output_grad(spec, out, np.broadcast_to(t, out.shape[:-1])) / n
+    g = _output_grad(out, np.broadcast_to(data.labels, out.shape[:-1])) / n
     for l in range(last, -1, -1):
         gs[l] = g
         if l > 0:
@@ -756,12 +706,8 @@ def hessian_operator(spec: ModelSpec, w: np.ndarray, data: Dataset):
             if l < last:
                 rz *= dts[l + 1]
                 rhs[l + 1] = rz
-        # R{output gradient} / n: the loss's Hessian in the outputs times R{z}
-        if spec.loss == "squared":
-            rg = rz / n
-        else:
-            rg = probs * (rz - np.sum(probs * rz, axis=-1, keepdims=True))
-            rg /= n
+        # R{output gradient} / n: the squared loss's output Hessian is 1
+        rg = rz / n
         # R-backward, the mean-gradient pass of _mean_grad differentiated
         hv, views = _grad_buffer(spec, w.shape[:-1])
         for l in range(last, -1, -1):

@@ -35,11 +35,12 @@ from .errors import DimensionMismatchError, InvalidArgumentError, NumericDomainE
 
 # Conventional stream ids, one per consumer of randomness. Anything that
 # draws from a master seed picks its lane here so streams never collide.
+# Ids 4 and 10 belonged to retired consumers; they stay unused, since
+# renumbering a stream would re-seed every output drawn from it.
 STREAM_TEACHER = 0
 STREAM_TRAIN_X = 1
 STREAM_TEST_X = 2
 STREAM_NOISE = 3
-STREAM_SPLIT = 4
 STREAM_INIT = 5
 STREAM_BATCH = 6
 STREAM_SUBSET_V = 7

@@ -116,15 +116,12 @@ def test_emit_then_parse_reproduces_any_valid_config(cfg):
     assert parse_config_text(emit_config(cfg)) == cfg
 
 
-def test_round_trip_csv_dataset_shape():
-    cfg = dataclasses.replace(
-        default_config("track"),
-        dataset_kind="csv", csv_path="data.csv", label_column="y",
-        holdout_fraction=0.25,
-    )
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_writes_its_toy_dataset_sizes(experiment):
+    # every run trains on the toy task, so its sizes are always written
+    cfg = dataclasses.replace(default_config(experiment), n_train=50, n_test=7, dim=3)
     text = emit_config(cfg)
-    assert "dataset.path = data.csv" in text
-    assert "dataset.n_train" not in text
+    assert "\ndataset.n_train = 50\ndataset.n_test = 7\ndataset.dim = 3\n" in text
     assert parse_config_text(text) == cfg
 
 
@@ -173,8 +170,6 @@ def test_sentinel_values_parse():
 # key -> (a config text that accepts the key as None, fields under which
 # emit_config writes the key, or None where a None value drops the key)
 NONE_CONTEXTS = {
-    "dataset.path": ("experiment = track", dict(dataset_kind="csv")),
-    "dataset.label_column": ("experiment = track", dict(dataset_kind="csv")),
     "optim.batch_size": ("experiment = track", {}),
     "optim.epochs": ("experiment = track\noptim.max_steps = 50", None),
     "optim.max_steps": ("experiment = assumption\noptim.epochs = 5", None),
@@ -223,10 +218,13 @@ def test_comments_and_blank_lines_are_ignored():
     assert cfg.seeds == (4,)
 
 
-# model.activation, optim.sampling, est.n_sp and est.subset_mode are retired
-# keys: each had one value in use and is rejected like any unknown key
+# model.activation, optim.sampling, est.n_sp, est.subset_mode, dataset.kind
+# and model.loss are retired keys: each had one value in use and is rejected
+# like any unknown key, as are the keys of the retired CSV dataset
 @pytest.mark.parametrize("key", ["optim.lr", "model.activation", "optim.sampling",
-                                 "est.n_sp", "est.subset_mode"])
+                                 "est.n_sp", "est.subset_mode", "dataset.kind",
+                                 "dataset.path", "dataset.label_column",
+                                 "dataset.holdout_fraction", "model.loss"])
 def test_unknown_key_names_key_and_line(key):
     with pytest.raises(ConfigError, match=rf"<config>:3: unknown key '{key}'"):
         parse_config_text(f"experiment = eos\n\n{key} = none\n")
@@ -361,11 +359,6 @@ def test_cross_field_validation_catches_out_of_range_values():
     for override in cases:
         with pytest.raises(ConfigError):
             validate_config(dataclasses.replace(base, **override))
-    with pytest.raises(ConfigError, match="dataset.path"):
-        validate_config(dataclasses.replace(base, dataset_kind="csv"))
-    with pytest.raises(ConfigError, match="label_column"):
-        validate_config(dataclasses.replace(base, dataset_kind="csv",
-                                            csv_path="x.csv"))
     with pytest.raises(ConfigError, match="eta_min"):
         validate_config(dataclasses.replace(base, eta_min=0.2))  # above eta0
     with pytest.raises(ConfigError, match="schedule.c"):
@@ -382,45 +375,34 @@ def test_validation_names_an_out_of_range_width_or_batch_size(fields, key):
         validate_config(dataclasses.replace(default_config("track"), **fields))
 
 
-def test_range_checks_accept_b_equal_n_unused_widths_and_csv_batch_sizes():
+def test_range_checks_accept_b_equal_n_and_unused_widths():
     track = default_config("track")
     validate_config(dataclasses.replace(track, batch_size=100))  # b = n is allowed
-    # a linear model has no hidden layer, and a CSV dataset's n is known only
-    # once it is loaded, so the runtime check guards it
+    # a linear model has no hidden layer
     validate_config(dataclasses.replace(track, model_kind="linear", hidden=(0,)))
-    validate_config(dataclasses.replace(track, dataset_kind="csv", csv_path="x.csv",
-                                        label_column="y", batch_size=500))
 
 
 # eos plots the sharpness of full-batch gd against its stability threshold
 # 2/eta and records exact one-step relative progress, so it takes only the
 # full batch and a snapshot every step: the preset's cadence 1, or once per
 # epoch, which is one step at the full batch. validate_config rejects
-# anything else naming the key, for a toy or a CSV dataset, so the CLI
-# exits 2 before any output.
+# anything else naming the key, so the CLI exits 2 before any output.
 @pytest.mark.parametrize("fields, key", [
     (dict(), None),
     (dict(snapshot_every=None), None),
-    (dict(snapshot_every=None, dataset_kind="csv", label_column="y",
-          holdout_fraction=0.5), None),
     (dict(batch_size=100, snapshot_every=None), "optim.batch_size"),
     (dict(batch_size=4, snapshot_every=1), "optim.batch_size"),
-    (dict(batch_size=4, snapshot_every=None, dataset_kind="csv", label_column="y",
-          holdout_fraction=0.5), "optim.batch_size"),  # 4 of the CSV's 8 rows: b = n
     (dict(snapshot_every=2), "optim.snapshot_every"),
     (dict(batch_size=100, snapshot_every=3), "optim.batch_size"),
     (dict(batch_size=10, snapshot_every=None), "optim.batch_size"),
     (dict(batch_size=99, snapshot_every=None), "optim.batch_size"),
-], ids=["preset", "gd_epoch", "csv_gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
-        "csv_sgd_epoch", "gd_every_2", "sgd_full_batch_every_3", "sgd_epoch_of_10",
-        "sgd_epoch_of_2"])
+], ids=["preset", "gd_epoch", "sgd_full_batch_epoch", "sgd_every_step",
+        "gd_every_2", "sgd_full_batch_every_3", "sgd_epoch_of_10", "sgd_epoch_of_2"])
 def test_eos_accepts_exactly_the_one_step_cadences(fields, key, tmp_path, capsys):
-    data = tmp_path / "d.csv"
-    data.write_text("\n".join(["f1,y"] + [f"{i},{i % 2}" for i in range(8)]) + "\n")
     out = tmp_path / "out"
     cfg = dataclasses.replace(default_config("eos"), seeds=(0,), output_dir=str(out),
                               n_test=8, dim=3, epochs=None, max_steps=2,
-                              csv_path=str(data), **fields)  # n_train = 100
+                              **fields)  # n_train = 100
     if key is None:
         assert validate_config(cfg) is cfg
         cmd_eos(cfg)
@@ -521,7 +503,6 @@ def test_validation_rejects_infinite_rates_set_in_code(experiment, key, fields):
 TINY = math.nextafter(0.0, 1.0)
 MAX = sys.float_info.max
 _TRACK = default_config("track")  # toy data, mlp, sgd, epochs, cosine schedule
-_CSV = dataclasses.replace(_TRACK, dataset_kind="csv", csv_path="x.csv", label_column="y")
 
 # key -> (a valid config in which the key applies, values just outside its
 # range, boundary values inside it); eos trains on the full batch, so a
@@ -533,8 +514,6 @@ RANGE_CASES = {
     "dataset.n_train": (default_config("eos"), [1], [2]),
     "dataset.n_test": (_TRACK, [0], [1]),
     "dataset.dim": (_TRACK, [0], [1]),
-    "dataset.path": (_CSV, ["x\0.csv"], ["x y.csv"]),
-    "dataset.holdout_fraction": (_CSV, [0.0, 1.0], [TINY, math.nextafter(1.0, 0.0)]),
     "noise.flip_fraction": (_TRACK, [-TINY, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
     "model.hidden": (_TRACK, [(), (0,), (8, -3)], [(1,), (1, 1)]),
     "optim.batch_size": (_TRACK, [0, -1], [1, 100]),
@@ -598,13 +577,9 @@ def test_each_key_checks_its_range_where_it_applies(key):
 @pytest.mark.parametrize("experiment, fields", [
     ("assumption", dict(c=-1.0, beta=-1.0, eta_min=-1.0, t_max=0)),  # constant schedule
     ("toy_table", dict(eta0=-1.0, hidden=(0,))),  # inverse-time schedule, linear model
-    ("track", dict(dataset_kind="csv", csv_path="x.csv", label_column="y",
-                   n_train=0, n_test=0, dim=0)),
-    ("track", dict(holdout_fraction=2.0)),  # toy data
     ("sweep_noise", dict(flip_fraction=2.0)),  # each cell sets its own
     ("sweep_lr", dict(eta0=0.0)),  # each cell sets its own
-], ids=["constant_schedule", "toy_table", "csv_dataset", "toy_dataset", "sweep_noise",
-        "sweep_lr"])
+], ids=["constant_schedule", "toy_table", "sweep_noise", "sweep_lr"])
 def test_keys_outside_the_config_shape_are_not_range_checked(experiment, fields):
     cfg = dataclasses.replace(default_config(experiment), **fields)
     assert validate_config(cfg) is cfg

@@ -47,12 +47,9 @@ def random_case(gen, kind):
     elif kind == "mlp":
         spec = mlp_spec(d, (int(gen.integers(2, 5)),))
         y = gen.standard_normal(n)
-    elif kind == "mlp2":
+    else:
         spec = mlp_spec(d, (int(gen.integers(2, 5)), int(gen.integers(2, 5))))
         y = gen.standard_normal(n)
-    else:
-        spec = mlp_spec(d, (3,), output_dim=3, loss="cross_entropy")
-        y = gen.integers(0, 3, size=n).astype(np.float64)
     data = Dataset(X, y)
     w = gen.standard_normal(spec.n_params) * 0.5
     return spec, w, data
@@ -64,8 +61,6 @@ def test_spec_validation():
     with pytest.raises(InvalidArgumentError):
         ModelSpec(kind="linear", input_dim=0)
     with pytest.raises(InvalidArgumentError):
-        ModelSpec(kind="linear", input_dim=3, loss="cross_entropy")
-    with pytest.raises(InvalidArgumentError):
         mlp_spec(3, (0,))  # zero-width hidden layer
     with pytest.raises(InvalidArgumentError):
         ModelSpec(kind="mlp", input_dim=3, layer_widths=(3,))  # no output layer
@@ -73,14 +68,14 @@ def test_spec_validation():
     assert mlp_spec(3, ()).layer_widths == (3, 1)
     with pytest.raises(InvalidArgumentError):
         ModelSpec(kind="mlp", input_dim=3, layer_widths=(4, 2, 1))  # wrong input
-    with pytest.raises(InvalidArgumentError):
-        mlp_spec(3, (4,), output_dim=1, loss="cross_entropy")
+    with pytest.raises(InvalidArgumentError, match="end at the one output"):
+        ModelSpec(kind="mlp", input_dim=3, layer_widths=(3, 4, 2))  # two outputs
 
 
 def test_param_count():
     assert linear_spec(7).n_params == 7
-    # 3 -> 4 -> 2: (4*3 + 4) + (2*4 + 2)
-    assert mlp_spec(3, (4,), output_dim=2, loss="cross_entropy").n_params == 26
+    # 3 -> 4 -> 1: (4*3 + 4) + (1*4 + 1)
+    assert mlp_spec(3, (4,)).n_params == 21
 
 
 def test_init_params_linear_is_zero_and_mlp_is_bounded():
@@ -132,35 +127,13 @@ def test_squared_loss_value():
     assert losses[0] == pytest.approx(0.5 * 4.0)
 
 
-def test_cross_entropy_matches_log_softmax():
-    spec = mlp_spec(2, (3,), output_dim=3, loss="cross_entropy")
-    gen = np.random.default_rng(2)
-    w = gen.standard_normal(spec.n_params)
-    X = gen.standard_normal((5, 2))
-    y = np.array([0.0, 2.0, 1.0, 1.0, 2.0])
-    logits = forward_batch(spec, w, X)
-    probs = np.exp(logits) / np.sum(np.exp(logits), axis=1, keepdims=True)
-    expect = -np.log(probs[np.arange(5), y.astype(int)])
-    assert np.allclose(losses_batch(spec, w, X, y), expect, atol=1e-12)
-
-
-def test_cross_entropy_rejects_bad_labels():
-    spec = mlp_spec(2, (3,), output_dim=3, loss="cross_entropy")
-    w = np.zeros(spec.n_params)
-    X = np.ones((2, 2))
-    with pytest.raises(InvalidArgumentError):
-        losses_batch(spec, w, X, np.array([0.0, 0.5]))
-    with pytest.raises(InvalidArgumentError):
-        losses_batch(spec, w, X, np.array([0.0, 3.0]))
-
-
 def test_forward_overflow_raises_numeric_domain():
     spec = linear_spec(1)
     with pytest.raises(NumericDomainError):
         losses_batch(spec, np.array([1e200]), np.array([[1e200]]), np.array([0.0]))
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_per_sample_grads_match_central_differences(kind):
     gen = np.random.default_rng(hash(kind) % 2 ** 31)
     for _ in range(20):
@@ -187,16 +160,10 @@ def test_grad_mean_is_arithmetic_mean_of_per_sample_grads():
 def output_grad_and_terms(spec, w, data):
     """Each sample's output-gradient norm, and the norm of the terms it subtracts.
 
-    The output gradient is a difference: out - y for the squared loss,
-    softmax(out) - onehot(y) for the cross-entropy.
+    The output gradient of the squared loss is the difference out - y.
     """
     out = forward_batch(spec, w, data.features)
-    if spec.loss == "squared":
-        minuend, subtrahend = out, data.labels[:, None]
-    else:
-        e = np.exp(out - np.max(out, axis=1, keepdims=True))
-        minuend = e / np.sum(e, axis=1, keepdims=True)
-        subtrahend = np.eye(out.shape[1])[data.labels.astype(int)]
+    minuend, subtrahend = out, data.labels[:, None]
     return (np.linalg.norm(minuend - subtrahend, axis=1),
             np.linalg.norm(np.abs(minuend) + np.abs(subtrahend), axis=1))
 
@@ -221,7 +188,7 @@ def assert_loss_grad_stats_match_the_oracle(spec, w, data):
                   <= 1e-12 * sq_ref * (out_grad + terms))
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_loss_grad_stats_matches_the_per_sample_oracle(kind):
     gen = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(20):
@@ -237,7 +204,7 @@ def assert_grad_mean_xy_matches_the_oracle(spec, w, data):
         float(np.mean(np.einsum("np,np->n", G, G))))
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_grad_mean_xy_matches_the_per_sample_oracle(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 1)
     for _ in range(20):
@@ -256,45 +223,40 @@ def test_grad_mean_xy_is_bitwise_the_oracle_at_batch_size_one():
             assert np.array_equal(g, grad_mean(spec, w, one)[1])
 
 
-def random_shape_case(n, d, hidden, classes, seed):
-    # classes = 0 picks the squared loss, and with no hidden layer the
-    # squared-loss case is the linear model
+def random_shape_case(n, d, hidden, seed):
+    # with no hidden layer the case is the linear model
     gen = np.random.default_rng(seed)
     X = gen.standard_normal((n, d))
-    if classes:
-        spec = mlp_spec(d, tuple(hidden), output_dim=classes, loss="cross_entropy")
-        y = gen.integers(0, classes, size=n).astype(np.float64)
-    else:
-        spec = mlp_spec(d, tuple(hidden)) if hidden else linear_spec(d)
-        y = gen.standard_normal(n)
+    spec = mlp_spec(d, tuple(hidden)) if hidden else linear_spec(d)
+    y = gen.standard_normal(n)
     w = gen.standard_normal(spec.n_params) * 0.5
     return spec, w, Dataset(X, y)
 
 
 any_shape = given(n=st.integers(1, 40), d=st.integers(1, 5),
                   hidden=st.lists(st.integers(1, 6), max_size=2),
-                  classes=st.sampled_from([0, 2, 4]), seed=st.integers(0, 2 ** 32 - 1))
+                  seed=st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=100, deadline=None)
 @any_shape
 # the residual 8.27e-5 of sample 0 cancels out = 0.2197..., whose matmul and
 # einsum forward values differ by one ulp
-@example(n=19, d=3, hidden=[3], classes=0, seed=4153)
-def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
-    assert_loss_grad_stats_match_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
+@example(n=19, d=3, hidden=[3], seed=4153)
+def test_loss_grad_stats_matches_the_oracle_on_any_shape(n, d, hidden, seed):
+    assert_loss_grad_stats_match_the_oracle(*random_shape_case(n, d, hidden, seed))
 
 
 @settings(max_examples=100, deadline=None)
 @any_shape
-def test_grad_mean_xy_matches_the_oracle_on_any_shape(n, d, hidden, classes, seed):
-    assert_grad_mean_xy_matches_the_oracle(*random_shape_case(n, d, hidden, classes, seed))
+def test_grad_mean_xy_matches_the_oracle_on_any_shape(n, d, hidden, seed):
+    assert_grad_mean_xy_matches_the_oracle(*random_shape_case(n, d, hidden, seed))
 
 
 @settings(max_examples=100, deadline=None)
 @any_shape
-def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, classes, seed):
-    spec, w, _ = random_shape_case(n, d, hidden, classes, seed)
+def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, seed):
+    spec, w, _ = random_shape_case(n, d, hidden, seed)
     widths = spec.layer_widths
     assert spec.n_params == (
         sum(o * i + o for i, o in zip(widths, widths[1:])) if widths else d)
@@ -314,15 +276,15 @@ def test_flatten_inverts_unflatten_on_any_shape(n, d, hidden, classes, seed):
 
 def test_the_layout_is_derived_not_a_constructor_field():
     assert [f.name for f in dataclasses.fields(ModelSpec)] == [
-        "kind", "input_dim", "output_dim", "layer_widths", "loss"]
-    spec = mlp_spec(3, (4,), output_dim=2, loss="cross_entropy")
-    assert spec.layout == ((0, 12, 16, (4, 3)), (16, 24, 26, (2, 4)))
+        "kind", "input_dim", "layer_widths"]
+    spec = mlp_spec(3, (4,))
+    assert spec.layout == ((0, 12, 16, (4, 3)), (16, 20, 21, (1, 4)))
     assert dataclasses.replace(spec) == spec
     assert dataclasses.replace(spec).layout == spec.layout
     assert linear_spec(7).layout == () and linear_spec(7).n_params == 7
 
 
-@pytest.mark.parametrize("kind", ["mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["mlp", "mlp2"])
 def test_each_mlp_kernel_unflattens_the_weights_once(kind, monkeypatch):
     spec, w, data = random_case(np.random.default_rng(sum(map(ord, kind))), kind)
     calls = []
@@ -439,10 +401,9 @@ def assert_snapshot_rows_are_loss_grad_stats(spec, stats, ws, datasets):
 
 @settings(max_examples=100, deadline=None)
 @any_shape
-def test_step_kernel_is_bitwise_the_out_of_place_step_on_any_shape(n, d, hidden, classes,
-                                                                   seed):
+def test_step_kernel_is_bitwise_the_out_of_place_step_on_any_shape(n, d, hidden, seed):
     assert_step_kernel_is_the_out_of_place_step(
-        *random_shape_case(n, d, hidden, classes, seed), seed)
+        *random_shape_case(n, d, hidden, seed), seed)
 
 
 def test_step_kernel_rejects_a_mismatched_stack():
@@ -454,7 +415,7 @@ def test_step_kernel_rejects_a_mismatched_stack():
             models.bind_step_kernel(spec, weights, datasets)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_step_kernel_gathers_an_interval_step_major(kind):
     # gather returns every step's operands of an interval at once, step-major:
     # each step's slice is a C-contiguous (R, b, ...) block holding each run's
@@ -498,10 +459,7 @@ def block_case(gen, kind, R, n=9):
     """A stack of R runs of one random model on n-row datasets, for block runs."""
     spec, w, _ = random_case(gen, kind)
     X = gen.standard_normal((R, n, spec.input_dim))
-    if spec.loss == "squared":
-        y = gen.standard_normal((R, n))
-    else:
-        y = gen.integers(0, spec.output_dim, size=(R, n)).astype(np.float64)
+    y = gen.standard_normal((R, n))
     ws = [w * s for s in (1.0, -0.5, 1.5)[:R]]
     return spec, ws, [Dataset(X[r], y[r]) for r in range(R)]
 
@@ -527,7 +485,7 @@ def reference_steps(spec, ws, datasets, batches, rates):
 
 
 @pytest.mark.parametrize("R", [1, 3])
-@pytest.mark.parametrize("kind, b", [("linear", 1), ("linear", 3), ("mlp", 2), ("mlp_ce", 4)])
+@pytest.mark.parametrize("kind, b", [("linear", 1), ("linear", 3), ("mlp", 2), ("mlp2", 4)])
 def test_a_block_run_is_bitwise_its_single_steps(kind, b, R):
     # one run call over a gathered block of k steps leaves the weights and
     # writes the k x R norms of k one-step blocks, bitwise for an MLP, and
@@ -756,7 +714,7 @@ def test_a_linear_residual_that_overflows_fails_at_the_single_steps_place(at):
     assert np.all(np.abs(norms[:at] - before) <= tol)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_step_kernel_is_bitwise_the_out_of_place_step(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 2)
     for k in range(20):
@@ -765,12 +723,12 @@ def test_step_kernel_is_bitwise_the_out_of_place_step(kind):
 
 @settings(max_examples=100, deadline=None)
 @any_shape
-def test_kernels_never_write_into_their_inputs(n, d, hidden, classes, seed):
+def test_kernels_never_write_into_their_inputs(n, d, hidden, seed):
     # the MLP forward and backward passes update their temporaries in place;
     # none of them may be the caller's weights, direction or data. A stray
     # write into a Dataset's read-only arrays raises; the (X, y) kernels get
     # writable copies, where it would not.
-    spec, w, data = random_shape_case(n, d, hidden, classes, seed)
+    spec, w, data = random_shape_case(n, d, hidden, seed)
     X, y = data.features.copy(), data.labels.copy()
     vs = np.random.default_rng(seed + 1).standard_normal((3, w.size))
     inputs = (w, vs, X, y)
@@ -810,7 +768,7 @@ def test_singleton_batch_row_is_bitwise_identical():
     # the documented identity behind the trace computation: row i of the
     # batched gradient equals the gradient of the singleton batch {z_i}
     gen = np.random.default_rng(9)
-    for kind in ("linear", "mlp", "mlp_ce"):
+    for kind in ("linear", "mlp", "mlp2"):
         spec, w, data = random_case(gen, kind)
         G = per_sample_grads(spec, w, data)
         for i in range(data.n):
@@ -866,7 +824,7 @@ def test_hvp_mlp_matches_dense_fd_hessian():
     assert np.linalg.norm(hv - dense @ v) < 1e-4 * max(1.0, np.linalg.norm(dense @ v))
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_hessian_operator_matches_a_dense_fd_hessian(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 2)
     for _ in range(20):
@@ -881,8 +839,8 @@ def test_hessian_operator_matches_a_dense_fd_hessian(kind):
 @settings(max_examples=100, deadline=None)
 @any_shape
 def test_hessian_operator_matches_a_directional_difference_on_any_shape(
-        n, d, hidden, classes, seed):
-    spec, w, data = random_shape_case(n, d, hidden, classes, seed)
+        n, d, hidden, seed):
+    spec, w, data = random_shape_case(n, d, hidden, seed)
     v = np.random.default_rng(seed + 1).standard_normal(w.size)
     v /= np.linalg.norm(v)
     h = 1e-5
@@ -891,7 +849,7 @@ def test_hessian_operator_matches_a_directional_difference_on_any_shape(
     assert np.linalg.norm(hv - fd) <= 1e-7 * max(1.0, float(np.linalg.norm(hv)))
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_hessian_operator_is_symmetric(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 3)
     for _ in range(20):
@@ -903,7 +861,7 @@ def test_hessian_operator_is_symmetric(kind):
         assert abs(float(u @ hv) - float(v @ hu)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2", "mlp_ce"])
+@pytest.mark.parametrize("kind", ["linear", "mlp", "mlp2"])
 def test_hvp_is_bitwise_one_apply_of_the_operator(kind):
     gen = np.random.default_rng(sum(map(ord, kind)) + 4)
     spec, w, data = random_case(gen, kind)
@@ -935,13 +893,12 @@ def test_hessian_operator_rejects_a_non_finite_forward_pass(spec):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 40), d=st.integers(1, 5),
        hidden=st.lists(st.integers(1, 40), max_size=2),
-       classes=st.sampled_from([0, 2, 4]), K=st.integers(1, 5),
+       K=st.integers(1, 5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_each_row_of_a_stacked_hessian_operator_is_the_unstacked_product(
-        n, d, hidden, classes, K, seed):
-    # both losses, up to two hidden layers, and no hidden layer at the
-    # squared loss, the linear model
-    spec, _, data = random_shape_case(n, d, hidden, classes, seed)
+        n, d, hidden, K, seed):
+    # up to two hidden layers, and no hidden layer, the linear model
+    spec, _, data = random_shape_case(n, d, hidden, seed)
     gen = np.random.default_rng(seed + 1)
     W = gen.standard_normal((K, spec.n_params)) * 0.5
     V = gen.standard_normal((K, spec.n_params))

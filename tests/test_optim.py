@@ -756,11 +756,11 @@ def test_mlp_training_diverges_at_the_step_a_step_replay_does(fault):
 
 
 def test_train_binds_its_step_once(monkeypatch):
-    # the step's checks, target conversion and layer views are bound once per
-    # run: their count does not grow with the number of steps
+    # the step's checks and layer views are bound once per run: their count
+    # does not grow with the number of steps
     spec, w0, S, _ = toy_parts(kind="mlp")
     counts = {}
-    for name in ("unflatten", "_layer_views", "_check_inputs", "_targets", "_flatten"):
+    for name in ("unflatten", "_layer_views", "_check_inputs", "_flatten"):
         def counted(*args, _real=getattr(models, name), _name=name, **kwargs):
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args, **kwargs)
@@ -780,10 +780,10 @@ def test_train_binds_its_step_once(monkeypatch):
 
     # two sets of views: the weights' and the gradient buffer's
     assert calls_per_run(2) == calls_per_run(40) == {
-        "_layer_views": 2, "_check_inputs": 1, "_targets": 1}
+        "_layer_views": 2, "_check_inputs": 1}
     # a stack checks each run's inputs once and binds one set of stacked views
     assert calls_per_run(2, runs=3) == calls_per_run(40, runs=3) == {
-        "_layer_views": 2, "_check_inputs": 3, "_targets": 3}
+        "_layer_views": 2, "_check_inputs": 3}
 
 
 def test_a_stack_of_recorders_runs_one_snapshot_pass_per_snapshot_time(monkeypatch):
@@ -839,19 +839,16 @@ def test_a_recorder_under_train_records_the_run_it_is_handed():
 
 # -- stacked runs ------------------------------------------------------------
 
-STACK_KINDS = ("linear", "mlp", "mlp2", "mlp_ce")
+STACK_KINDS = ("linear", "mlp", "mlp2")
 # The constant rate of a "diverge" run: it blows past PARAM_NORM_CAP within a
 # few steps, mid-interval for the fixed seed of the test below (the linear
-# model grows geometrically, the MLP by eta * grad a step; cross-entropy
-# saturates, so it needs the largest rate).
-DIVERGING_RATE = {"linear": 60.0, "mlp": 1e9, "mlp2": 1e9, "mlp_ce": 5e11}
+# model grows geometrically, the MLP by eta * grad a step).
+DIVERGING_RATE = {"linear": 60.0, "mlp": 1e9, "mlp2": 1e9}
 
 
 def stack_spec(kind, d=3):
     if kind == "linear":
         return linear_spec(d)
-    if kind == "mlp_ce":
-        return mlp_spec(d, (3,), output_dim=3, loss="cross_entropy")
     return mlp_spec(d, (4,) if kind == "mlp" else (3, 2))
 
 
@@ -881,12 +878,8 @@ def stack_runs(kind, n, b, max_steps, every, fates, seed):
     runs = []
     for r, fate in enumerate(fates):
         X, Xp = gen.standard_normal((n, 3)), gen.standard_normal((5, 3))
-        if kind == "mlp_ce":
-            S = Dataset(X, gen.integers(0, 3, n).astype(np.float64))
-            Sp = Dataset(Xp, gen.integers(0, 3, 5).astype(np.float64))
-        else:
-            teacher = gen.standard_normal(3)
-            S, Sp = Dataset(X, X @ teacher), Dataset(Xp, Xp @ teacher)
+        teacher = gen.standard_normal(3)
+        S, Sp = Dataset(X, X @ teacher), Dataset(Xp, Xp @ teacher)
         w0 = init_params(spec, RngStream(seed + r, 5))
         if kind == "linear":
             w0 = w0 + gen.standard_normal(3) * 0.1
