@@ -18,10 +18,13 @@ forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
 bounds.estimate_constants computes them through bind_subset_norms, the
 block form of this module's per-sample-gradient kernels
-signed_mean_norm_stats (for V) and subset_ratio_max (for gamma'). All
-three share one product-and-norm kernel, _signed_sum_norms, and read
-their +-1 sign matrices from _sign_rows, the one place the sign patterns
-are built. The helpers that can meet a degenerate ratio
+signed_mean_norm_stats (for V) and subset_ratio_max (for gamma'), or for
+the linear model through linear_subset_norms, which takes the same sign
+sums from one feature-product tensor per chunk of sign rows and agrees
+with those kernels at roundoff. The first three share one
+product-and-norm kernel, _signed_sum_norms, and all four read their +-1
+sign matrices from _sign_rows, the one place the sign patterns are
+built. The helpers that can meet a degenerate ratio
 (complexity_update, gamma_tilde, rp_trp_gd) append a flag to the list
 they are given, which is required; the recorder passes its own flags.
 Relative progress has one formula, rp_trp_gd's exact one-step ratio, so
@@ -212,7 +215,9 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
             if not bad.any():
                 break
             bits[bad] = gen.integers(0, 2, size=(int(bad.sum()), n))
-    rows = (2 * bits - 1).astype(np.int8)
+    bits *= 2  # in place: one int64 (k, n) array at a time
+    bits -= 1
+    rows = bits.astype(np.int8)
     rows.flags.writeable = False
     return rows, exhaustive
 
@@ -259,6 +264,64 @@ def bind_subset_norms(cfg: SubsetEstimatorConfig, n: int):
         return d_hat, np.max(_signed_sum_norms(members, Gs), axis=-1)
 
     return block
+
+
+# Chunks of linear_subset_norms: sign rows per (r, n) @ (n, d (d+1)) product
+# and snapshots per (r d, d+1) @ (d+1, c) product. At toy_table's shape
+# (n = 100, d = 20, 201 snapshots, 1024 rows per sign matrix), best of 25
+# calls with one OpenBLAS thread on a 2-vCPU host: 16 rows and all 201
+# snapshots in one chunk took 13.9 ms a call; 8, 24 or 32 rows 15.5, 14.8
+# and 15.2 ms; chunks of 64 snapshots 18.9 ms at 16 rows and 17.1 ms at 32.
+# The sums buffer, 16 d c floats, is 0.5 MB there; the snapshot chunk caps
+# it on longer runs.
+SIGN_CHUNK = 16
+SNAPSHOT_CHUNK = 256
+
+
+def linear_subset_norms(cfg: SubsetEstimatorConfig, S: Dataset, weights
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """bind_subset_norms' two columns for every snapshot of the linear model.
+
+    A linear model's per-sample gradient is g_i(w) = (x_i . w - y_i) x_i, so
+    with B = [X, -y] and w~ = [w; 1] each sign sum is a contraction of one
+    weight-free tensor: sum_i s_ki g_i(w) = sum_j T[k, :, j] w~_j, with
+    T[k, p, j] = sum_i s_ki X_ip B_ij. The feature products F = X (.) B are
+    formed once as an (n, d (d+1)) array; each chunk of SIGN_CHUNK sign rows
+    (the int8 signs, the gamma' rows as {0, 1} membership) is one product
+    with F, and each chunk of SNAPSHOT_CHUNK snapshots one product of that
+    chunk's T with their w~, which lie as the columns of one (d+1, m) array.
+    D_hat is a running sum of the row norms and the subset-sum maximum a
+    running maximum, in buffers bound once per call, after the sign draws.
+    The sums add the per-snapshot kernels' terms in another order, so both
+    columns agree with those kernels at roundoff, not bitwise, and a
+    snapshot whose gradients all vanish may get a D_hat of roundoff size.
+    """
+    v_rows, _ = _sign_rows(cfg, S.n, STREAM_SUBSET_V, exclude_trivial=False)
+    gamma_rows, _ = _sign_rows(cfg, S.n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
+    n, d = S.features.shape
+    B = np.column_stack([S.features, -S.labels])
+    F = (S.features[:, :, None] * B[:, None, :]).reshape(n, -1)
+    W = np.vstack([np.transpose(weights), np.ones(len(weights))])
+    T = np.empty((SIGN_CHUNK, F.shape[1]))
+    sums_buf = np.empty(SIGN_CHUNK * d * min(SNAPSHOT_CHUNK, W.shape[1]))
+    d_sum, sq_max = np.zeros((2, W.shape[1]))
+
+    def squared_norms(rows):
+        """(snapshot slice, (r, c) squared sign-sum norms) per pair of chunks."""
+        for a in range(0, len(rows), SIGN_CHUNK):
+            r = min(SIGN_CHUNK, len(rows) - a)
+            np.matmul(rows[a:a + r], F, out=T[:r])
+            for c0 in range(0, W.shape[1], SNAPSHOT_CHUNK):
+                w = W[:, c0:c0 + SNAPSHOT_CHUNK]
+                sums = sums_buf[:r * d * w.shape[1]].reshape(r, d, w.shape[1])
+                np.matmul(T[:r].reshape(r * d, d + 1), w, out=sums.reshape(r * d, -1))
+                yield slice(c0, c0 + w.shape[1]), np.einsum("kpc,kpc->kc", sums, sums)
+
+    for block, sq in squared_norms(v_rows):
+        d_sum[block] += np.sqrt(sq).sum(axis=0)
+    for block, sq in squared_norms(gamma_rows > 0):  # {0, 1} membership
+        np.maximum(sq_max[block], sq.max(axis=0), out=sq_max[block])
+    return d_sum / (n * len(v_rows)), np.sqrt(sq_max)
 
 
 def signed_mean_norm_stats(G: np.ndarray, cfg: SubsetEstimatorConfig

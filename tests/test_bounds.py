@@ -41,6 +41,8 @@ from trajbound.trajectory import (
     subset_ratio_max,
 )
 
+from linear_sign_sums import constant_bounds
+
 
 def snap(t, F_S=1.0, gnorm=1.0, trace=0.0, C_cum=0.0, gnorm_sp=1.0, eta=0.1):
     return TrajectorySnapshot(
@@ -207,6 +209,14 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
                            cfg=est)
     expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, res.etas,
                                       res.batch_size, S, est)
+    if kind == "linear":
+        # the linear sign sums come from trajectory.linear_subset_norms, which
+        # sums the oracle's terms in another order: V_m and gamma' meet the
+        # bound derived in tests/linear_sign_sums.py, every other field is bitwise
+        for key, (lo, hi) in constant_bounds(spec, S, rec.weights, rec.snapshots,
+                                             est).items():
+            assert lo <= getattr(c, key) <= hi
+            del expected[key]
     assert {key: getattr(c, key) for key in expected} == expected
 
 
@@ -220,8 +230,8 @@ def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
     cfg = OptimConfig(batch_size=3, schedule=Schedule("constant", eta0=0.05),
                       max_steps=2 * BLOCK, snapshot_every=1, seed=4)
     res = train(spec, init_params(spec, RngStream(4, 5)), S, Sp, cfg, rec)
-    products, blocks = [], []
-    kernel, bind = trajectory._signed_sum_norms, bounds.bind_subset_norms
+    products, blocks, matmuls = [], [], []
+    kernel, bind, matmul = trajectory._signed_sum_norms, bounds.bind_subset_norms, np.matmul
 
     def counted(rows, G):
         products.append(G.shape)
@@ -236,12 +246,31 @@ def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
             return out
         return recorded
 
+    def counted_matmul(a, b, **kwargs):
+        matmuls.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
     monkeypatch.setattr(trajectory, "_signed_sum_norms", counted)
     monkeypatch.setattr(bounds, "bind_subset_norms", recording_bind)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    # chunks that leave a short last chunk of sign rows and of snapshots
+    monkeypatch.setattr(trajectory, "SIGN_CHUNK", 24)
+    monkeypatch.setattr(trajectory, "SNAPSHOT_CHUNK", 4)
     estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
                        cfg=est)
     monkeypatch.undo()
     P = rec.weights[0].size
+    if kind == "linear":
+        # no G-side sign product; per sign matrix (V, gamma') one (r, n) @
+        # (n, P (d+1)) product per chunk of sign rows, then one (r P, d+1) @
+        # (d+1, c) product per chunk of snapshots (d = P)
+        assert products == [] and blocks == []
+        route = []
+        for r in (24, 24, 16):
+            route.append(((r, S.n), (S.n, P * (P + 1))))
+            route += [((r * P, P + 1), (P + 1, c)) for c in (4, 4, 1)]
+        assert matmuls == 2 * route
+        return
     # one (k, n) @ (n, c P) product per sign matrix (V, gamma') and block
     assert products == [(S.n, c, P) for c in (BLOCK, BLOCK, 1) for _ in range(2)]
     for i, (wide, d_hats, subset_max) in enumerate(blocks):
@@ -255,9 +284,10 @@ def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
 
 def test_constants_pass_memory_stays_bounded_by_the_block():
     # toy_table's shape: n = 100, P = 20, 1024 sign rows, 201 snapshots. The
-    # blocked pass holds one float64 sign buffer and one block's products
-    # (about 2.9 MB at its tracemalloc peak with the sign draw, 2.3 MB
-    # without); stacking the whole trajectory would need about 35 MB
+    # blocked pass holds one block's per-sample gradients, then the linear
+    # route's feature products and chunk buffers (about 1.7 MB at its
+    # tracemalloc peak with the sign draw, 1.4 MB without); stacking the
+    # whole trajectory would need about 35 MB
     S, Sp, _ = generate_toy(ToyConfig(100, 100, 20, seed=0))
     spec = linear_spec(20)
     gen = np.random.default_rng(0)

@@ -32,6 +32,7 @@ from trajbound.models import (
 from trajbound.numerics import STREAM_SUBSET_GAMMA, STREAM_SUBSET_V, RngStream
 from trajbound.optim import OptimConfig, Schedule, train
 from trajbound.trajectory import (
+    EXHAUSTIVE_MAX_N,
     SubsetEstimatorConfig,
     TrajectoryRecorder,
     _sign_rows,
@@ -40,6 +41,7 @@ from trajbound.trajectory import (
     gamma_tilde,
     gen_decomposition,
     grad_trace_sigma,
+    linear_subset_norms,
     noise_cov_scale,
     replay_trajectory,
     rp_trp_gd,
@@ -47,6 +49,8 @@ from trajbound.trajectory import (
     subset_ratio_max,
     write_trajectory_csv,
 )
+
+from linear_sign_sums import oracle_snapshot
 
 
 def linear_state(n=6, d=3, seed=0):
@@ -288,6 +292,35 @@ def test_sign_rows_equal_the_reference_construction(n, k, seed, stream,
                                          n, stream, exclude_trivial)
 
 
+def old_sign_rows(cfg, n, stream_id, exclude_trivial):
+    """_sign_rows' bits from the same patterns or stream, signed out of place."""
+    trim = int(exclude_trivial)
+    if n <= EXHAUSTIVE_MAX_N and 2 ** n - 2 * trim <= cfg.k_samples:
+        masks = np.arange(trim, 2 ** n - trim, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(n)) & 1
+    else:
+        gen = RngStream(cfg.seed, stream_id).generator()
+        bits = gen.integers(0, 2, size=(cfg.k_samples, n))
+        for _ in range(64 if exclude_trivial else 0):
+            bad = bits.min(axis=1) == bits.max(axis=1)
+            if not bad.any():
+                break
+            bits[bad] = gen.integers(0, 2, size=(int(bad.sum()), n))
+    return (2 * bits - 1).astype(np.int8)
+
+
+@pytest.mark.parametrize("n, k, seed", [(6, 64, 0), (12, 4096, 1),  # every pattern
+                                        (12, 64, 2), (10, 1000, 3)])  # draws, redraws
+@pytest.mark.parametrize("stream, exclude_trivial",
+                         [(STREAM_SUBSET_V, False), (STREAM_SUBSET_GAMMA, True)])
+def test_sign_rows_equal_the_out_of_place_expression(n, k, seed, stream, exclude_trivial):
+    # the rows are signed in place, so only one int64 array is held at a time
+    cfg = SubsetEstimatorConfig(k_samples=k, seed=seed)
+    rows, _ = _sign_rows(cfg, n, stream, exclude_trivial)
+    old = old_sign_rows(cfg, n, stream, exclude_trivial)
+    assert rows.dtype == old.dtype and np.array_equal(rows, old)
+
+
 def test_jensen_bound_on_signed_mean():
     # E ||(1/n) sum s_i g_i|| <= sqrt(E ||...||^2) = sqrt((TrSigma + ||g||^2)/n)
     spec, w, data = linear_state(n=6, d=4, seed=9)
@@ -337,6 +370,59 @@ def test_estimate_constants_needs_two_samples():
     data = Dataset(np.ones((1, 2)), np.zeros(1))
     with pytest.raises(InvalidArgumentError, match="n >= 2"):
         constants_at(linear_spec(2), data, [np.ones(2)], SubsetEstimatorConfig())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(2, 12),  # every pattern at 4096 rows
+                   st.integers(EXHAUSTIVE_MAX_N + 1, EXHAUSTIVE_MAX_N + 12)),
+       k=st.integers(1, 80), d=st.integers(1, 6), count=st.integers(1, 70),
+       chunks=st.tuples(st.integers(1, 40), st.integers(1, 70)),
+       seed=st.integers(0, 2 ** 16))
+def test_linear_subset_norms_match_the_per_snapshot_oracle(n, k, d, count, chunks, seed):
+    # every snapshot's D_hat and subset-sum maximum lie within the bound that
+    # tests/linear_sign_sums.py derives of signed_mean_norm_stats and
+    # subset_ratio_max on per_sample_grads, whatever the chunk sizes
+    gen = np.random.default_rng(seed)
+    spec = linear_spec(d)
+    data = Dataset(gen.standard_normal((n, d)), gen.standard_normal(n))
+    weights = list(gen.standard_normal((count, d)) * gen.uniform(0.1, 10.0, (count, 1)))
+    cfg = SubsetEstimatorConfig(k_samples=4096 if n <= 12 else k, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "SIGN_CHUNK", chunks[0])
+        patch.setattr(trajectory, "SNAPSHOT_CHUNK", chunks[1])
+        d_hat, subset_max = linear_subset_norms(cfg, data, weights)
+    assert d_hat.shape == subset_max.shape == (count,)
+    for t, w in enumerate(weights):
+        ref, tol, ratio, ratio_tol = oracle_snapshot(spec, data, w, cfg)
+        assert abs(d_hat[t] - ref) <= tol
+        if ratio is not None:
+            gnorm = float(np.linalg.norm(np.mean(per_sample_grads(spec, w, data), axis=0)))
+            assert abs(subset_max[t] / (n * gnorm) - ratio) <= ratio_tol
+
+
+def test_linear_zero_residual_snapshot_keeps_the_trivial_flag():
+    # labels that are the model's own outputs at w give bitwise-zero
+    # gradients; the feature products still sum to roundoff there, and the
+    # pass must report D_hat = 0 and the trivial-bound flag, not that roundoff
+    gen = np.random.default_rng(4)
+    X = gen.standard_normal((9, 3))
+    w = gen.standard_normal(3)
+    spec = linear_spec(3)
+    data = Dataset(X, models.forward_batch(spec, w, X)[:, 0])
+    assert not per_sample_grads(spec, w, data).any()
+    c = constants_at(spec, data, [w, 2.0 * w], SubsetEstimatorConfig(k_samples=64))
+    assert c.V_m == math.inf
+    assert "trivial-bound: sign-mixed gradient mean vanished at a snapshot" in c.flags
+    assert "gamma-prime: zero gradient at step 0 skipped" in c.flags
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_estimate_constants_rejects_non_finite_linear_weights(bad):
+    spec, w, data = linear_state(n=6, d=3, seed=14)
+    rec = replay_trajectory(spec, data, data, [w], [0], [0], [0.1])
+    with pytest.raises(NumericDomainError, match="non-finite"):
+        estimate_constants(spec, [w, np.array([1.0, bad, 0.0])],
+                           [*rec.snapshots, rec.snapshots[0]], [], data.n, data)
 
 
 def test_subset_ratio_max_matches_exhaustive_enumeration():
