@@ -19,11 +19,11 @@ Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
 complexity C, the ratio gamma_tilde) are recorded by
 trajectory.TrajectoryRecorder. estimate_constants is the only place the
 constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
-drift are formed. It runs the snapshots in blocks of SNAPSHOT_BLOCK and
-fills one column per per-snapshot statistic; each constant is then one
-reduction over its column. The sign-row columns behind V and gamma' come,
-for the MLP, from one wide sign-row product per sign matrix and block
-(trajectory.bind_subset_norms), and for the linear model from one
+drift are formed. It walks the snapshots one at a time and fills one
+column per per-snapshot statistic; each constant is then one reduction
+over its column. The sign-row columns behind V and gamma' come, for the
+MLP, from trajectory.signed_mean_norm_stats and subset_ratio_max on each
+snapshot's per-sample gradients, and for the linear model from one
 feature-product tensor per chunk of sign rows, contracted with every
 snapshot's weights (trajectory.linear_subset_norms).
 top_hessian_eig is the one smoothness estimator; it gives
@@ -50,8 +50,8 @@ from .errors import (
 from .models import ModelSpec, hessian_operator, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, draw_batches
-from .trajectory import (SubsetEstimatorConfig, bind_subset_norms, covariance_ratio,
-                         linear_subset_norms)
+from .trajectory import (SubsetEstimatorConfig, covariance_ratio, linear_subset_norms,
+                         signed_mean_norm_stats, subset_ratio_max)
 
 
 @dataclass
@@ -118,14 +118,6 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
 
 K_BATCHES = 64
 BETA_SNAPSHOTS = 16
-# Snapshots per block of estimate_constants' pass. For the MLP each sign
-# matrix runs one (k, n) @ (n, SNAPSHOT_BLOCK*P) product per block; the
-# linear model runs none, so its blocks form only the per-sample gradients.
-# Measured when the linear model still ran them, at toy_table's shape
-# (k = 1024, P = 20): the result is 0.66 MB at a block of 4, and a block
-# of 8 (160 columns) held 1.3 MB, ran the pass about 5% faster and raised
-# its peak memory by 0.4 MB; all 201 snapshots would hold 33 MB.
-SNAPSHOT_BLOCK = 4
 GAMMA_QUANTILE = 0.95
 
 
@@ -134,30 +126,22 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
                        ) -> ConstantEstimates:
     """One pass over the snapshot weights collecting every constant.
 
-    The holdout enters only through the recorded snapshots. Per-sample
-    gradients on S are computed once per snapshot and shared by the L,
-    batch-moment and, for the MLP, V and subset-amplification estimators.
-    The snapshots go through in blocks of SNAPSHOT_BLOCK: each block places
-    its (n, P) matrices side by side in one (n, c, P) array, the one copy a
-    block makes, and forms the row norms and the batch means as array
-    operations; for the MLP it also runs trajectory.bind_subset_norms' one
-    wide sign-row product per sign matrix. They fill six per-snapshot
-    columns, allocated before the pass: ||mean grad||, max_i ||grad_i||,
-    D_hat, the largest subset-sum norm and the M2 and M4 batch means, each
-    value bitwise the per-snapshot computation (the gradient norm is the
-    BLAS dot np.linalg.norm takes), except D_hat and the subset-sum norm of
-    the linear model. For spec.kind == "linear" those two columns come
-    after the pass from trajectory.linear_subset_norms, which forms each
+    The holdout enters only through the recorded snapshots. One loop over
+    the snapshots forms each snapshot's (n, P) per-sample gradients on S,
+    shared by the L, batch-moment and, for the MLP, V and
+    subset-amplification estimators, and fills its slot of six columns:
+    ||mean grad||, max_i ||grad_i||, D_hat (signed_mean_norm_stats), the
+    subset ratio (subset_ratio_max, where ||mean grad|| != 0) and the M2 and
+    M4 batch means. For spec.kind == "linear" D_hat and the ratio come
+    after the loop from trajectory.linear_subset_norms, which forms each
     sign sum from one weight-free feature-product tensor and agrees with
-    the per-snapshot computation at roundoff; a snapshot whose per-sample
-    gradients are all exactly 0 keeps D_hat = 0 exactly. After the pass
-    each constant is one reduction over its column, exact as every max is;
-    the zero-gradient flags come from one mask over the ||mean grad||
-    column, in snapshot order, and the trivial-bound flag from D_hat = 0 at
-    any snapshot. The memory stays at one block's products (or the linear
-    route's chunk buffers) and the six columns. The V and gamma' sign
-    matrices are drawn once and reused at every snapshot
-    (trajectory._sign_rows is cached). The batch moments
+    the per-snapshot kernels at roundoff; a snapshot whose per-sample
+    gradients are all exactly 0 keeps D_hat = 0 exactly. Each constant is
+    then one reduction over its column, exact as every max is; the
+    zero-gradient flags come from one mask over the ||mean grad|| column,
+    in snapshot order, and the trivial-bound flag from D_hat = 0 at any
+    snapshot. The V and gamma' sign matrices are drawn once and reused at
+    every snapshot (trajectory._sign_rows is cached). The batch moments
     average K_BATCHES size-b subsets per snapshot, drawn for all snapshots
     at once by optim.draw_batches on the STREAM_MOMENT stream, the same
     helper the training loop draws its batches with; at b = n the one draw
@@ -195,31 +179,28 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
         flags.append("no-steps: eta_m defaulted")
 
     k = 1 if b == n else K_BATCHES  # the full batch is one exact draw
-    moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b, len(weights) * k)
-    # the MLP's sign sums run on each block's G; the linear model's after the pass
-    subset_norms = None if spec.kind == "linear" else bind_subset_norms(cfg, n)
+    moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b,
+                              len(weights) * k).reshape(len(weights), k, b)
     # one column per per-snapshot statistic; each constant reduces one column
-    gnorm, l_max, d_hat, subset_max, m2, m4 = np.empty((6, len(weights)))
-    for start in range(0, len(weights), SNAPSHOT_BLOCK):
-        wide = np.stack([per_sample_grads(spec, w, S)
-                         for w in weights[start:start + SNAPSHOT_BLOCK]], axis=1)
-        Gs = wide.transpose(1, 0, 2)  # (c, n, P) view of the (n, c, P) block
-        c = len(Gs)
-        block = slice(start, start + c)
-        gs = np.mean(Gs, axis=1)
-        gnorm[block] = np.sqrt((gs[:, None, :] @ gs[:, :, None]).reshape(c))  # bitwise norm
-        l_max[block] = np.max(np.sqrt(np.einsum("tnp,tnp->tn", Gs, Gs)), axis=1)
-        if subset_norms is not None:
-            d_hat[block], subset_max[block] = subset_norms(wide)
-        idx = moment_idx[start * k:(start + c) * k].reshape(c, k, b)
-        means = Gs[np.arange(c)[:, None, None], idx].mean(axis=2)  # (c, k, P) batch means
-        sq = (means[..., None, :] @ means[..., :, None]).reshape(c, k)  # bitwise gb @ gb
-        m2[block] = np.mean(sq, axis=1)
-        m4[block] = np.mean(sq * sq, axis=1)
-    if subset_norms is None:
-        d_hat[:], subset_max[:] = linear_subset_norms(cfg, S, weights)
-        d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
+    gnorm, l_max, d_hat, ratio, m2, m4 = np.zeros((6, len(weights)))
+    for i, w in enumerate(weights):
+        G = per_sample_grads(spec, w, S)
+        g = np.add.reduce(G) / n  # bitwise np.mean(G, axis=0)
+        gnorm[i] = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
+        l_max[i] = math.sqrt(np.einsum("np,np->n", G, G).max())
+        if spec.kind != "linear":
+            d_hat[i] = signed_mean_norm_stats(G, cfg)[0]
+            if gnorm[i] != 0.0:
+                ratio[i] = subset_ratio_max(G, cfg)
+        means = np.add.reduce(G[moment_idx[i]], axis=1) / b  # (k, P) batch means
+        sq = (means[:, None, :] @ means[:, :, None]).reshape(k)  # bitwise gb @ gb
+        m2[i] = np.add.reduce(sq) / k
+        m4[i] = np.add.reduce(sq * sq) / k
     live = gnorm != 0.0
+    if spec.kind == "linear":
+        d_hat[:], subset_max = linear_subset_norms(cfg, S, weights)
+        d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
+        ratio[live] = subset_max[live] / (n * gnorm[live])
     flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
                  for snap, z in zip(snapshots, live) if not z)
     if d_hat.all():
@@ -234,7 +215,7 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
             "gamma undefined: every snapshot had zero training gradient norm"
         )
     gamma = max(r for _, r in ratios)
-    inner_subset = float(np.max(subset_max[live] / (n * gnorm[live]), initial=0.0))
+    inner_subset = float(np.max(ratio[live], initial=0.0))
     gamma_prime = max(1.0, inner_subset) * gamma
     envelope = float(np.max(l_max[live] / gnorm[live], initial=0.0))
     gamma_prime_env = max(1.0, envelope) * gamma

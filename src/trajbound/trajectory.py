@@ -16,19 +16,19 @@ None) makes no S' call and leaves every S' statistic None; the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
-bounds.estimate_constants computes them through bind_subset_norms, the
-block form of this module's per-sample-gradient kernels
-signed_mean_norm_stats (for V) and subset_ratio_max (for gamma'), or for
-the linear model through linear_subset_norms, which takes the same sign
-sums from one feature-product tensor per chunk of sign rows and agrees
-with those kernels at roundoff. The first three share one
-product-and-norm kernel, _signed_sum_norms, and all four read their +-1
-sign matrices from _sign_rows, the one place the sign patterns are
-built. The helpers that can meet a degenerate ratio
-(complexity_update, gamma_tilde, rp_trp_gd) append a flag to the list
-they are given, which is required; the recorder passes its own flags.
-Relative progress has one formula, rp_trp_gd's exact one-step ratio, so
-a recorder that records it needs consecutive snapshots one step apart.
+bounds.estimate_constants computes them per snapshot through this
+module's per-sample-gradient kernels signed_mean_norm_stats (for V) and
+subset_ratio_max (for gamma'), or for the linear model through
+linear_subset_norms, which takes the same sign sums from one
+feature-product tensor per chunk of sign rows and agrees with those
+kernels at roundoff. The first two share one product-and-norm kernel,
+_signed_sum_norms, and all three read their +-1 sign matrices from
+_sign_rows, the one place the sign patterns are built. The helpers that
+can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd)
+append a flag to the list they are given, which is required; the
+recorder passes its own flags. Relative progress has one formula,
+rp_trp_gd's exact one-step ratio, so a recorder that records it needs
+consecutive snapshots one step apart.
 
 Conventions used throughout:
   - The covariance trace uses the identity
@@ -223,47 +223,14 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
 
 
 def _signed_sum_norms(rows: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """||sum_i rows[j, i] grad_i|| for every row j: shape (k,) or (c, k).
+    """||sum_i rows[j, i] grad_i|| for every row j, shape (k,).
 
-    rows is a float64 (k, n) matrix of signs or {0, 1} memberships and G an
-    (n, P) per-sample gradient matrix, or an (n, c, P) block of c of them
-    side by side. A block runs as one (k, n) @ (n, c*P) BLAS product:
-    at toy_table's P = 20 a product of P columns runs well below GEMM's
-    speed, which needs wide panels. A column's sum is formed the same way
-    whatever the operand's width, and the einsum reduces each (row, matrix)
-    pair alone into a C-ordered (c, k) result, so row t of a block call is
-    bitwise the call on G[:, t] and its means run over contiguous rows.
+    rows is a float64 (k, n) matrix of signs or {0, 1} memberships and G
+    the (n, P) per-sample gradient matrix; the sums are one (k, n) @ (n, P)
+    product.
     """
-    sums = (rows @ G.reshape(len(G), -1)).reshape(len(rows), *G.shape[1:])
-    return np.sqrt(np.einsum("k...p,k...p->...k", sums, sums, order="C"))
-
-
-def bind_subset_norms(cfg: SubsetEstimatorConfig, n: int):
-    """The V and gamma' sign-row pass over a block of snapshots: block(Gs).
-
-    block(Gs), for an (n, c, P) block of c per-sample gradient matrices
-    side by side, returns two (c,) arrays: D_hat, bitwise
-    signed_mean_norm_stats(Gs[:, t], cfg)[0] (its standard error is not
-    formed), and the largest subset-sum norm, whose ratio to
-    n ||mean Gs[:, t]|| is bitwise subset_ratio_max(Gs[:, t], cfg). Each
-    sign matrix runs one wide product per block (_signed_sum_norms). Each
-    block converts both int8 sign matrices in turn into one float64 (k, n)
-    buffer bound here, so a conversion serves a block of snapshots and no
-    second float64 copy is held.
-    """
-    v_rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_V, exclude_trivial=False)
-    gamma_rows, _ = _sign_rows(cfg, n, STREAM_SUBSET_GAMMA, exclude_trivial=True)
-    buf = np.empty((max(len(v_rows), len(gamma_rows)), n))
-
-    def block(Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        signs = buf[:len(v_rows)]
-        np.copyto(signs, v_rows)
-        d_hat = np.mean(_signed_sum_norms(signs, Gs) / n, axis=-1)
-        members = buf[:len(gamma_rows)]
-        np.greater(gamma_rows, 0, out=members)  # {0,1} membership
-        return d_hat, np.max(_signed_sum_norms(members, Gs), axis=-1)
-
-    return block
+    sums = rows @ G
+    return np.sqrt(np.einsum("kp,kp->k", sums, sums))
 
 
 # Chunks of linear_subset_norms: sign rows per (r, n) @ (n, d (d+1)) product
@@ -280,11 +247,13 @@ SNAPSHOT_CHUNK = 256
 
 def linear_subset_norms(cfg: SubsetEstimatorConfig, S: Dataset, weights
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """bind_subset_norms' two columns for every snapshot of the linear model.
+    """D_hat and the largest subset-sum norm of every linear snapshot.
 
-    A linear model's per-sample gradient is g_i(w) = (x_i . w - y_i) x_i, so
-    with B = [X, -y] and w~ = [w; 1] each sign sum is a contraction of one
-    weight-free tensor: sum_i s_ki g_i(w) = sum_j T[k, :, j] w~_j, with
+    They are signed_mean_norm_stats' mean and n ||mean grad|| times
+    subset_ratio_max. A linear model's per-sample gradient is
+    g_i(w) = (x_i . w - y_i) x_i, so with B = [X, -y] and w~ = [w; 1] each
+    sign sum is a contraction of one weight-free tensor:
+    sum_i s_ki g_i(w) = sum_j T[k, :, j] w~_j, with
     T[k, p, j] = sum_i s_ki X_ip B_ij. The feature products F = X (.) B are
     formed once as an (n, d (d+1)) array; each chunk of SIGN_CHUNK sign rows
     (the int8 signs, the gamma' rows as {0, 1} membership) is one product

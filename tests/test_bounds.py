@@ -154,7 +154,7 @@ def test_estimate_constants_minibatch_moments_match_the_per_draw_loop(kind, batc
 
 
 def per_snapshot_constants(spec, weights, snapshots, etas, b, S, est):
-    """The per-snapshot loop the blocked constants pass must reproduce bitwise.
+    """The per-snapshot loop the constants pass must reproduce bitwise.
 
     One (n, P) matrix per snapshot, signed_mean_norm_stats, subset_ratio_max
     and the batch-moment means of that snapshot's K_BATCHES draws; returns
@@ -187,10 +187,7 @@ def per_snapshot_constants(spec, weights, snapshots, etas, b, S, est):
                 flags=flags)
 
 
-BLOCK = bounds.SNAPSHOT_BLOCK
-
-
-@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 @pytest.mark.parametrize("n, k_samples", [(8, 1024), (12, 64)])  # exhaustive, sampled
 @pytest.mark.parametrize("mode", ["gd", "sgd"])  # b = n, b = 3
@@ -221,37 +218,36 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])  # P = 3, P = 21
-def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
-                                                                        monkeypatch):
+def test_constants_pass_runs_the_sign_kernels_per_snapshot_or_the_linear_route(
+        kind, monkeypatch):
     S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=4))
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     est = SubsetEstimatorConfig(k_samples=64, seed=4)
     rec = TrajectoryRecorder(spec, S, Sp)
     cfg = OptimConfig(batch_size=3, schedule=Schedule("constant", eta0=0.05),
-                      max_steps=2 * BLOCK, snapshot_every=1, seed=4)
+                      max_steps=8, snapshot_every=1, seed=4)
     res = train(spec, init_params(spec, RngStream(4, 5)), S, Sp, cfg, rec)
-    products, blocks, matmuls = [], [], []
-    kernel, bind, matmul = trajectory._signed_sum_norms, bounds.bind_subset_norms, np.matmul
+    assert all(s.grad_norm_S > 0.0 for s in rec.snapshots)  # every snapshot is live
+    products, calls, matmuls = [], [], []
+    kernel, matmul = trajectory._signed_sum_norms, np.matmul
 
     def counted(rows, G):
         products.append(G.shape)
         return kernel(rows, G)
 
-    def recording_bind(cfg, n):
-        block = bind(cfg, n)
-
-        def recorded(wide):
-            out = block(wide)
-            blocks.append((wide.copy(), *out))
-            return out
-        return recorded
+    def recorded(name, fn):
+        def call(G, cfg):
+            calls.append((name, G.copy()))
+            return fn(G, cfg)
+        return call
 
     def counted_matmul(a, b, **kwargs):
         matmuls.append((a.shape, b.shape))
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(trajectory, "_signed_sum_norms", counted)
-    monkeypatch.setattr(bounds, "bind_subset_norms", recording_bind)
+    for name in ("signed_mean_norm_stats", "subset_ratio_max"):
+        monkeypatch.setattr(bounds, name, recorded(name, getattr(trajectory, name)))
     monkeypatch.setattr(np, "matmul", counted_matmul)
     # chunks that leave a short last chunk of sign rows and of snapshots
     monkeypatch.setattr(trajectory, "SIGN_CHUNK", 24)
@@ -261,25 +257,25 @@ def test_constants_pass_runs_one_wide_product_per_sign_matrix_per_block(kind,
     monkeypatch.undo()
     P = rec.weights[0].size
     if kind == "linear":
-        # no G-side sign product; per sign matrix (V, gamma') one (r, n) @
+        # neither per-snapshot kernel; per sign matrix (V, gamma') one (r, n) @
         # (n, P (d+1)) product per chunk of sign rows, then one (r P, d+1) @
         # (d+1, c) product per chunk of snapshots (d = P)
-        assert products == [] and blocks == []
+        assert products == [] and calls == []
         route = []
         for r in (24, 24, 16):
             route.append(((r, S.n), (S.n, P * (P + 1))))
             route += [((r * P, P + 1), (P + 1, c)) for c in (4, 4, 1)]
         assert matmuls == 2 * route
         return
-    # one (k, n) @ (n, c P) product per sign matrix (V, gamma') and block
-    assert products == [(S.n, c, P) for c in (BLOCK, BLOCK, 1) for _ in range(2)]
-    for i, (wide, d_hats, subset_max) in enumerate(blocks):
-        for j in range(wide.shape[1]):
-            G = per_sample_grads(spec, rec.weights[i * BLOCK + j], S)
-            assert np.array_equal(wide[:, j], G)
-            assert d_hats[j] == signed_mean_norm_stats(G, est)[0]
-            denom = S.n * float(np.linalg.norm(np.mean(G, axis=0)))
-            assert subset_max[j] / denom == subset_ratio_max(G, est)
+    # signed_mean_norm_stats at every snapshot and subset_ratio_max at every
+    # live one, each on that snapshot's per-sample gradients, and one
+    # (k, n) @ (n, P) product per call: no wider operand
+    assert [name for name, _ in calls] == (
+        ["signed_mean_norm_stats", "subset_ratio_max"] * len(rec.weights))
+    for i, w in enumerate(rec.weights):
+        G = per_sample_grads(spec, w, S)
+        assert all(np.array_equal(G2, G) for _, G2 in calls[2 * i:2 * i + 2])
+    assert products == [(S.n, P)] * len(calls)
 
 
 def test_constants_pass_memory_stays_bounded_by_the_block():

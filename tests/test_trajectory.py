@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajbound import models, trajectory
-from trajbound.bounds import SNAPSHOT_BLOCK, estimate_constants
+from trajbound.bounds import estimate_constants
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import (
     IncompleteTrajectoryError,
@@ -340,14 +340,18 @@ def constants_at(spec, data, weights, cfg):
                               cfg=cfg)
 
 
-def zero_gradient_start():
+def zero_gradient_start(kind):
     """Two snapshots; the first has bitwise-zero per-sample gradients.
 
-    Zero weights on zero labels give exactly zero residuals; a label vector
-    built as X @ w_star would not (roundoff leaves a tiny residual).
+    Zero weights on zero labels give exactly zero residuals, and the MLP's
+    zero weights also zero every hidden activation and the gradient of each
+    layer; a label vector built as X @ w_star would not (roundoff leaves a
+    tiny residual).
     """
     X = np.random.default_rng(1).standard_normal((4, 3))
-    return linear_spec(3), Dataset(X, np.zeros(4)), [np.zeros(3), np.full(3, 0.5)]
+    spec = linear_spec(3) if kind == "linear" else mlp_spec(3, (4,))
+    P = spec.n_params
+    return spec, Dataset(X, np.zeros(4)), [np.zeros(P), np.full(P, 0.5)]
 
 
 def test_estimate_constants_v_and_trivial_flag():
@@ -360,7 +364,7 @@ def test_estimate_constants_v_and_trivial_flag():
     assert not any("trivial-bound" in f for f in c.flags)
 
     # every gradient zero at the first snapshot: the sign-mixed mean vanishes
-    spec, data, weights = zero_gradient_start()
+    spec, data, weights = zero_gradient_start("linear")
     c = constants_at(spec, data, weights, SubsetEstimatorConfig(k_samples=32))
     assert c.V_m == math.inf
     assert any("trivial-bound" in f for f in c.flags)
@@ -474,8 +478,10 @@ def test_estimate_constants_gamma_prime_brackets():
     assert c.gamma_prime == pytest.approx(max(1.0, inner) * c.gamma, rel=1e-12)
 
 
-def test_estimate_constants_skips_zero_gradient_snapshots_for_gamma_prime():
-    spec, data, weights = zero_gradient_start()
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_estimate_constants_skips_zero_gradient_snapshots_for_gamma_prime(kind):
+    spec, data, weights = zero_gradient_start(kind)
+    assert not per_sample_grads(spec, weights[0], data).any()
     cfg = SubsetEstimatorConfig(k_samples=16)
     c = constants_at(spec, data, weights, cfg)
     assert any("gamma-prime: zero gradient at step 0" in f for f in c.flags)
@@ -484,11 +490,11 @@ def test_estimate_constants_skips_zero_gradient_snapshots_for_gamma_prime():
     # with only the zero-gradient snapshot nothing defines gamma
     with pytest.raises(InvalidArgumentError, match="zero training gradient"):
         constants_at(spec, data, weights[:1], cfg)
-    # zero-gradient snapshots in two blocks: their flags in snapshot order,
-    # then the trivial-bound flag, and gamma' from the live snapshots alone
+    # two zero-gradient snapshots apart: their flags in snapshot order, then
+    # the trivial-bound flag, and gamma' from the live snapshots alone
     zero, live = weights
-    later = SNAPSHOT_BLOCK + 1
-    path = [live * (1.0 + 0.25 * t) for t in range(2 * SNAPSHOT_BLOCK)]
+    later = 5
+    path = [live * (1.0 + 0.25 * t) for t in range(8)]
     path[0] = path[later] = zero
     c = constants_at(spec, data, path, cfg)
     assert c.flags == [
