@@ -32,12 +32,12 @@ Keys, in emit order (shape in parentheses):
   optim.stop_train_loss   early-stop threshold or "none"
   optim.snapshot_every    positive step count, or "epoch" / "none" (eos
                           takes 1 or epoch, at optim.batch_size = none)
-  schedule.kind           constant | inverse_time | cosine
+  schedule.kind           constant | inverse_time | cosine; cosine decays
+                          from eta0 to 0 over the run
   schedule.eta0           initial step size           (constant, cosine;
                                                        not in sweep_lr)
-  schedule.c, schedule.beta        inverse-time c/(beta(t+1)); beta may be
-                          "auto" (estimated from data at run time)
-  schedule.eta_min, schedule.t_max (cosine; t_max "auto" = run length)
+  schedule.c              inverse-time c/(beta(t+1)), beta the smoothness
+                          estimated from the data at w0 at run time
   sweep.values            comma-separated distinct grid values (sweeps),
                           each in the range of the key SWEEPS says the
                           sweep varies
@@ -72,9 +72,6 @@ class ExperimentConfig:
     schedule_kind: str = "constant"
     eta0: float = 0.05
     c: float = 1.0
-    beta: float | None = None  # None means estimate from data at run time
-    eta_min: float = 0.0
-    t_max: int | None = None  # None means the run length
     sweep_values: tuple[float, ...] | None = None
 
 
@@ -198,7 +195,6 @@ def _distinct(needs):
 
 _mlp = _when("model_kind", "mlp")
 _inverse_time = _when("schedule_kind", "inverse_time")
-_cosine = _when("schedule_kind", "cosine")
 _positive = (lambda v: v > 0, "> 0")
 # a step size set from code may be +inf, which only the file parser rejects
 _finite_positive = (lambda v: 0 < v < math.inf, "> 0 and finite")
@@ -232,10 +228,6 @@ _KEYS = {
     "schedule.eta0": _Key("eta0", _parse_float, applies=_unless("schedule_kind", "inverse_time"),
                           needs=_finite_positive),
     "schedule.c": _Key("c", _parse_float, applies=_inverse_time, needs=_finite_positive),
-    "schedule.beta": _Key("beta", _parse_float, ("auto",), _inverse_time, _finite_positive),
-    "schedule.eta_min": _Key("eta_min", _parse_float, applies=_cosine,
-                             needs=_at_least(0)),
-    "schedule.t_max": _Key("t_max", _parse_int, ("auto",), _cosine, _at_least(1)),
     "sweep.values": _Key("sweep_values", _list(_parse_float), ("none",), _sweep),
 }
 # each sweep cell sets the key its sweep varies, so the sweep neither writes
@@ -269,9 +261,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                   f"needs <= dataset.n_train = {cfg.n_train}, got {cfg.batch_size}")
     if (cfg.epochs is None) == (cfg.max_steps is None):
         raise bad("optim.epochs", "set exactly one of optim.epochs or optim.max_steps")
-    if _cosine(cfg) and not cfg.eta_min <= cfg.eta0:
-        raise bad("schedule.eta_min",
-                  f"needs <= schedule.eta0 = {cfg.eta0}, got {cfg.eta_min}")
     if _sweep(cfg):
         key = SWEEPS[cfg.experiment][1]
         accepts, text = _KEYS[key].needs

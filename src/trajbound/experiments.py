@@ -88,11 +88,9 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     if cfg.schedule_kind == "constant":
         schedule = Schedule("constant", eta0=eta0)
     elif cfg.schedule_kind == "inverse_time":
-        beta = cfg.beta if cfg.beta is not None else top_hessian_eig(spec, S, [w0])
-        schedule = Schedule("inverse_time", c=cfg.c, beta=beta)
+        schedule = Schedule("inverse_time", c=cfg.c, beta=top_hessian_eig(spec, S, [w0]))
     else:
-        t_max = cfg.t_max if cfg.t_max is not None else max(1, max_steps)
-        schedule = Schedule("cosine", eta0=eta0, eta_min=cfg.eta_min, t_max=t_max)
+        schedule = Schedule("cosine", eta0=eta0, t_max=max(1, max_steps))
 
     ocfg = OptimConfig(
         batch_size=b,
@@ -398,7 +396,7 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
     A snapshot every step (validate_config holds eos to 1 or epoch) records
     the exact one-step RP/TRP, the top Hessian eigenvalue, and the 2/eta_eff
     stability reference (eta_eff is the step's eta), left empty at a
-    snapshot whose rate is 0 (the cosine endpoint with eta_min = 0). On
+    snapshot whose rate is 0 (with cosine, only the last, its endpoint). On
     divergence the partial series is still written, then the error propagates.
 
     The sharpness is solved in blocks of EOS_BLOCK snapshots, each block one

@@ -35,7 +35,6 @@ def test_minimal_config_fills_experiment_defaults():
     assert cfg.n_train == 100 and cfg.n_test == 1000
     assert cfg.epochs == 200 and cfg.max_steps is None
     assert cfg.schedule_kind == "inverse_time"
-    assert cfg.beta is None  # estimated from data at run time
     assert cfg.seeds == (0, 1, 2)
 
 
@@ -92,14 +91,9 @@ def drawn_configs(draw):
     kind = draw(st.sampled_from(("constant", "inverse_time", "cosine")))
     fields["schedule_kind"] = kind
     if kind == "inverse_time":
-        fields.update(c=draw(positive), beta=draw(st.none() | positive))
-    else:
-        eta0 = draw(positive)
-        if cfg.experiment != "sweep_lr":  # each sweep_lr cell sets its own eta0
-            fields["eta0"] = eta0
-        if kind == "cosine":
-            fields.update(eta_min=eta0 * draw(st.floats(0.0, 1.0)),
-                          t_max=draw(st.none() | st.integers(1, 10_000)))
+        fields["c"] = draw(positive)
+    elif cfg.experiment != "sweep_lr":  # each sweep_lr cell sets its own eta0
+        fields["eta0"] = draw(positive)
     if draw(st.booleans()):  # a library caller may pass numpy scalars
         fields = {k: np.int64(v) if type(v) is int else np.float64(v) if type(v) is float
                   else v for k, v in fields.items()}
@@ -129,7 +123,7 @@ def test_emit_omits_keys_outside_the_config_shape():
     text = emit_config(default_config("toy_table"))  # linear model, sgd
     assert "model.hidden" not in text
     assert "schedule.eta0" not in text  # inverse_time ignores eta0
-    assert "schedule.beta = auto" in text
+    assert "schedule.c = 1.0" in text
     assert "sweep.values" not in text
     assert "optim.batch_size = 10" in text
 
@@ -139,7 +133,7 @@ def test_emit_omits_keys_outside_the_config_shape():
     assert "optim.epochs" not in gd_text
 
     cosine_text = emit_config(default_config("track"))
-    assert "schedule.t_max = auto" in cosine_text
+    assert "schedule.eta0 = 0.05" in cosine_text
     assert "schedule.c" not in cosine_text
 
     # each sweep cell sets the key its sweep varies, so a value in the file
@@ -156,15 +150,9 @@ def test_sentinel_values_parse():
         "experiment = track\n"
         "optim.stop_train_loss = none\n"
         "optim.snapshot_every = epoch\n"
-        "schedule.t_max = auto\n"
     )
     assert cfg.stop_train_loss is None
     assert cfg.snapshot_every is None
-    assert cfg.t_max is None
-    cfg2 = parse_config_text("experiment = toy_table\nschedule.beta = auto\n")
-    assert cfg2.beta is None
-    cfg3 = parse_config_text("experiment = toy_table\nschedule.beta = 3.5\n")
-    assert cfg3.beta == 3.5
 
 
 # key -> (a config text that accepts the key as None, fields under which
@@ -175,8 +163,6 @@ NONE_CONTEXTS = {
     "optim.max_steps": ("experiment = assumption\noptim.epochs = 5", None),
     "optim.stop_train_loss": ("experiment = track", {}),
     "optim.snapshot_every": ("experiment = track", {}),
-    "schedule.beta": ("experiment = toy_table", {}),
-    "schedule.t_max": ("experiment = track", {}),
     "sweep.values": ("experiment = eos", dict(experiment="sweep_noise")),
 }
 
@@ -218,13 +204,16 @@ def test_comments_and_blank_lines_are_ignored():
     assert cfg.seeds == (4,)
 
 
-# model.activation, optim.sampling, est.n_sp, est.subset_mode, dataset.kind
-# and model.loss are retired keys: each had one value in use and is rejected
-# like any unknown key, as are the keys of the retired CSV dataset
+# model.activation, optim.sampling, est.n_sp, est.subset_mode, dataset.kind,
+# model.loss, schedule.beta, schedule.eta_min and schedule.t_max are retired
+# keys: each had one value in use and is rejected like any unknown key, as
+# are the keys of the retired CSV dataset
 @pytest.mark.parametrize("key", ["optim.lr", "model.activation", "optim.sampling",
                                  "est.n_sp", "est.subset_mode", "dataset.kind",
                                  "dataset.path", "dataset.label_column",
-                                 "dataset.holdout_fraction", "model.loss"])
+                                 "dataset.holdout_fraction", "model.loss",
+                                 "schedule.beta", "schedule.eta_min",
+                                 "schedule.t_max"])
 def test_unknown_key_names_key_and_line(key):
     with pytest.raises(ConfigError, match=rf"<config>:3: unknown key '{key}'"):
         parse_config_text(f"experiment = eos\n\n{key} = none\n")
@@ -337,9 +326,8 @@ def test_toy_table_pins_the_inverse_time_schedule():
 def test_toy_table_pins_the_linear_model():
     # the smooth bound needs the schedule's beta, fixed at w0, to be the
     # trajectory's smoothness: true only for a Hessian independent of w
-    for extra in ("", "schedule.beta = 2.0\n"):
-        with pytest.raises(ConfigError, match="model.kind: .*must be linear"):
-            parse_config_text("experiment = toy_table\nmodel.kind = mlp\n" + extra)
+    with pytest.raises(ConfigError, match="model.kind: .*must be linear"):
+        parse_config_text("experiment = toy_table\nmodel.kind = mlp\n")
 
 
 def test_cross_field_validation_catches_out_of_range_values():
@@ -359,8 +347,6 @@ def test_cross_field_validation_catches_out_of_range_values():
     for override in cases:
         with pytest.raises(ConfigError):
             validate_config(dataclasses.replace(base, **override))
-    with pytest.raises(ConfigError, match="eta_min"):
-        validate_config(dataclasses.replace(base, eta_min=0.2))  # above eta0
     with pytest.raises(ConfigError, match="schedule.c"):
         validate_config(dataclasses.replace(default_config("toy_table"), c=0.0))
 
@@ -475,9 +461,8 @@ def test_experiment_config_is_frozen():
 @pytest.mark.parametrize("experiment, key, fields", [
     ("track", "optim.stop_train_loss", dict(stop_train_loss=float("nan"))),
     ("toy_table", "schedule.c", dict(c=float("nan"))),
-    ("toy_table", "schedule.beta", dict(beta=float("nan"))),
     ("assumption", "schedule.eta0", dict(eta0=float("nan"))),
-], ids=["stop_train_loss", "c", "beta", "eta0"])
+], ids=["stop_train_loss", "c", "eta0"])
 def test_validation_rejects_nan_thresholds_and_rates_set_in_code(experiment, key, fields):
     # only the file parser rejects non-finite numbers; a NaN stop threshold
     # would turn early stopping off, since F_S < nan never holds
@@ -488,15 +473,14 @@ def test_validation_rejects_nan_thresholds_and_rates_set_in_code(experiment, key
 @pytest.mark.parametrize("experiment, key, fields", [
     ("assumption", "schedule.eta0", dict(eta0=math.inf)),
     ("toy_table", "schedule.c", dict(c=math.inf)),
-    ("toy_table", "schedule.beta", dict(beta=math.inf)),
-], ids=["eta0", "c", "beta"])
+], ids=["eta0", "c"])
 def test_validation_rejects_infinite_rates_set_in_code(experiment, key, fields):
     # only the file parser rejects non-finite numbers; an infinite rate set
     # from code fails as the key's range error, not later in the run's
     # schedule with an error that names no key
     cfg = dataclasses.replace(default_config(experiment), **fields)
     with pytest.raises(ConfigError,
-                       match=rf"^{key}: needs > 0 and finite( or auto)?, got inf$"):
+                       match=rf"^{key}: needs > 0 and finite, got inf$"):
         validate_config(cfg)
 
 
@@ -523,9 +507,6 @@ RANGE_CASES = {
     "optim.snapshot_every": (_TRACK, [0], [1]),
     "schedule.eta0": (_TRACK, [0.0, math.inf], [TINY, MAX]),
     "schedule.c": (default_config("toy_table"), [0.0, math.inf], [TINY, MAX]),
-    "schedule.beta": (default_config("toy_table"), [0.0, math.inf], [TINY, MAX]),
-    "schedule.eta_min": (_TRACK, [-TINY], [0.0]),
-    "schedule.t_max": (_TRACK, [0], [1]),
 }
 
 
@@ -575,7 +556,7 @@ def test_each_key_checks_its_range_where_it_applies(key):
 
 
 @pytest.mark.parametrize("experiment, fields", [
-    ("assumption", dict(c=-1.0, beta=-1.0, eta_min=-1.0, t_max=0)),  # constant schedule
+    ("assumption", dict(c=-1.0)),  # constant schedule
     ("toy_table", dict(eta0=-1.0, hidden=(0,))),  # inverse-time schedule, linear model
     ("sweep_noise", dict(flip_fraction=2.0)),  # each cell sets its own
     ("sweep_lr", dict(eta0=0.0)),  # each cell sets its own

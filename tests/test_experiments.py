@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajbound import cli, experiments, models
+from trajbound.bounds import top_hessian_eig
 from trajbound.cli import main
 from trajbound.config import (
     EXPERIMENTS,
@@ -74,6 +75,7 @@ def test_assemble_run_resolves_dataset_model_and_schedule(tmp_path):
     assert parts.ocfg.snapshot_every == 4  # defaults to one epoch
     assert parts.ocfg.schedule.kind == "cosine"
     assert parts.ocfg.schedule.t_max == 12
+    assert parts.ocfg.schedule.eta_min == 0.0
 
     clean = assemble_run(dataclasses.replace(cfg, flip_fraction=0.0), 1)
     flipped = int(np.sum(parts.S.labels != clean.S.labels))
@@ -103,9 +105,12 @@ def test_assemble_run_inverse_time_estimates_smoothness(tmp_path):
     parts = assemble_run(cfg, 0)
     hess = parts.S.features.T @ parts.S.features / parts.S.n
     assert parts.ocfg.schedule.kind == "inverse_time"
-    assert parts.ocfg.schedule.beta == pytest.approx(
-        float(np.max(np.linalg.eigvalsh(hess)))
-    )
+    # the same eigvalsh gives estimate_constants its beta_hat, at any weights
+    # (the linear Hessian does not depend on w), and the smooth bound checks
+    # the schedule's beta against it
+    w = parts.w0 + 1.0
+    assert parts.ocfg.schedule.beta == top_hessian_eig(parts.spec, parts.S, [w])
+    assert parts.ocfg.schedule.beta == float(np.max(np.linalg.eigvalsh(hess)))
 
 
 def test_assemble_run_is_deterministic(tmp_path):
@@ -837,6 +842,18 @@ def test_cli_a_retired_key_exits_2_naming_the_key_and_its_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_a_fixed_schedule_beta_exits_2_before_training(tmp_path, capsys):
+    # toy_table's smooth bound holds only at the beta estimated from the data,
+    # which assemble_run always sets, so a config that fixes beta is rejected
+    # before any seed trains or any output is made
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "toy_table", "optim.epochs = 2\noptim.batch_size = 4\nschedule.beta = 3.5\n"))
+    out = tmp_path / "out"
+    assert main(["toy_table", "--config", cfg, "--out", str(out)]) == 2
+    assert "run.cfg:8: unknown key 'schedule.beta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_eos_cadence_above_one_step_exits_2_before_any_output(tmp_path, capsys):
     # eos takes only full-batch gd, so toy sgd with b < n_train, whose epoch
     # is more than one step, fails on its batch size; at the full batch a
@@ -909,20 +926,18 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert f"partial series written to {out / 'eos.csv'}" in err
 
 
-@pytest.mark.parametrize("t_max", ["auto", "2"])
-def test_cli_eos_runs_through_zero_rate_steps(tmp_path, t_max):
-    # cosine down to eta_min = 0: at t_max = auto only the last snapshot has
-    # rate 0, at t_max = 2 every step from the third on is a no-op, which
-    # has no one-step rp/trp; 2/eta_eff is left empty wherever the rate is 0
+def test_cli_eos_runs_through_zero_rate_steps(tmp_path):
+    # cosine decays to 0 over the run, so only the last snapshot has rate 0;
+    # 2/eta_eff is left empty wherever the rate is 0 (mid-run zero rates,
+    # which have no one-step rp/trp, are covered at the recorder level)
     cfg = write_cfg(tmp_path, tiny_cfg_text("eos", (
-        "optim.max_steps = 5\nschedule.kind = cosine\nschedule.eta0 = 0.1\n"
-        f"schedule.eta_min = 0.0\nschedule.t_max = {t_max}\n")))
+        "optim.max_steps = 5\nschedule.kind = cosine\nschedule.eta0 = 0.1\n")))
     out = tmp_path / "out"
     assert main(["eos", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_rows(out / "eos.csv")
     assert [r["t"] for r in rows] == ["0", "1", "2", "3", "4", "5"]
     zero = [r["t"] for r in rows if float(r["eta"]) == 0.0]
-    assert zero == (["5"] if t_max == "auto" else ["2", "3", "4", "5"])
+    assert zero == ["5"]
     for r in rows:
         assert (r["two_over_eta_eff"] == "") == (r["t"] in zero)
         # rp/trp at t describe the step from t - 1

@@ -116,9 +116,8 @@ def test_shipped_outputs_compares_meta_json_apart_from_its_output_dir(tmp_path):
              ["- seeds = 0", "+ seeds = 1", "- seeds: [0]", "+ seeds: [1]"]),
             (cfg, dict(diverged_at=7), ["- diverged_at: null", "+ diverged_at: 7"]),
             (cfg, dict(grid=[0.5]), ["+ grid: [0.5]"]),
-            (dataclasses.replace(cfg, schedule_kind="constant"), {},
-             ["- schedule.kind = cosine", "- schedule.eta_min = 0.0",
-              "- schedule.t_max = auto", "+ schedule.kind = constant"])):
+            (dataclasses.replace(cfg, model_kind="linear"), {},
+             ["- model.kind = mlp", "- model.hidden = 8", "+ model.kind = linear"])):
         _write_meta(new / "track", changed, **dict(dict(diverged_at=None), **extra))
         differs = _shipped_outputs(new, "--against", old)
         assert differs.returncode == 1
