@@ -19,13 +19,14 @@ Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
 complexity C, the ratio gamma_tilde) are recorded by
 trajectory.TrajectoryRecorder. estimate_constants is the only place the
 constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
-drift are formed. It walks the snapshots one at a time and fills one
-column per per-snapshot statistic; each constant is then one reduction
-over its column. The sign-row columns behind V and gamma' come, for the
-MLP, from trajectory.signed_mean_norm_stats and subset_ratio_max on each
-snapshot's per-sample gradients, and for the linear model from one
-feature-product tensor per chunk of sign rows, contracted with every
-snapshot's weights (trajectory.linear_subset_norms).
+drift are formed. It fills one column per per-snapshot statistic; each
+constant is then one reduction over its column. For the MLP it walks
+the snapshots one at a time, and the sign-row columns behind V and
+gamma' come from trajectory.signed_mean_norm_stats and subset_ratio_max
+on each snapshot's per-sample gradients. The linear model's columns come
+from the residuals of every snapshot at once, and its sign-row columns
+from one feature-product tensor per chunk of sign rows, contracted with
+every snapshot's weights (trajectory.linear_subset_norms).
 top_hessian_eig is the one smoothness estimator; it gives
 estimate_constants its beta_hat and assemble_run the schedule's beta.
 
@@ -47,7 +48,7 @@ from .errors import (
     IncompleteTrajectoryError,
     InvalidArgumentError,
 )
-from .models import ModelSpec, hessian_operator, per_sample_grads
+from .models import ModelSpec, hessian_operator, linear_residuals, per_sample_grads
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, draw_batches
 from .trajectory import (SubsetEstimatorConfig, covariance_ratio, linear_subset_norms,
@@ -119,6 +120,51 @@ def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
 K_BATCHES = 64
 BETA_SNAPSHOTS = 16
 GAMMA_QUANTILE = 0.95
+# Snapshots per gather of the linear batch moments, whose (c, K_BATCHES, b, d)
+# feature rows take 160 KB at toy_table's b = 1, d = 20. At toy_table's shape
+# (201 snapshots, one OpenBLAS thread on a 2-vCPU x86 host, best of 21 calls)
+# the call less linear_subset_norms took 2.6-3.2, 2.4, 2.3, 3.1 and 4.4 ms
+# with chunks of 8, 16, 32, 64 and all 201 snapshots; 16 holds half of 32's
+# temporaries.
+MOMENT_CHUNK = 16
+
+
+def _batch_moments(means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M2 and M4 of (..., k, P) batch means: the means of ||g_B||^2 and ||g_B||^4.
+
+    Each ||g_B||^2 is a (1, P) @ (P, 1) product, bitwise g_B @ g_B.
+    """
+    sq = (means[..., None, :] @ means[..., :, None])[..., 0, 0]
+    k = sq.shape[-1]
+    return np.add.reduce(sq, axis=-1) / k, np.add.reduce(sq * sq, axis=-1) / k
+
+
+def _residual_columns(spec: ModelSpec, S: Dataset, weights, moment_idx: np.ndarray
+                      ) -> tuple[np.ndarray, ...]:
+    """||mean grad||, max_i ||grad_i||, M2 and M4 of every linear snapshot.
+
+    All four come from the (snapshots, n) residual matrix r of
+    models.linear_residuals, sample i's gradient being r_i x_i: the mean
+    gradient is (r @ X) / n, each gradient norm |r_i| ||x_i||, and each
+    batch mean sum_{i in B} r_i x_i / b over moment_idx's (snapshots, k, b)
+    rows, gathered MOMENT_CHUNK snapshots at a time, which makes M2 and M4
+    bitwise those of the per-sample gradient matrices. The temporaries are
+    freed on return, before linear_subset_norms binds its buffers.
+    """
+    X = S.features
+    r = linear_residuals(spec, weights, S)
+    g = (r @ X) / S.n
+    norms = np.abs(r)
+    norms *= np.sqrt(np.einsum("nd,nd->n", X, X))
+    m2, m4 = np.empty((2, len(r)))
+    for a in range(0, len(r), MOMENT_CHUNK):
+        idx = moment_idx[a:a + MOMENT_CHUNK]
+        batch = X[idx]  # (c, k, b, d) batch rows, scaled in place into gradients
+        batch *= r[np.arange(a, a + len(idx))[:, None, None], idx][..., None]
+        means = np.add.reduce(batch, axis=-2)
+        means /= idx.shape[-1]
+        m2[a:a + len(idx)], m4[a:a + len(idx)] = _batch_moments(means)
+    return np.sqrt(np.einsum("md,md->m", g, g)), norms.max(axis=1), m2, m4
 
 
 def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: int,
@@ -126,17 +172,20 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
                        ) -> ConstantEstimates:
     """One pass over the snapshot weights collecting every constant.
 
-    The holdout enters only through the recorded snapshots. One loop over
-    the snapshots forms each snapshot's (n, P) per-sample gradients on S,
-    shared by the L, batch-moment and, for the MLP, V and
-    subset-amplification estimators, and fills its slot of six columns:
-    ||mean grad||, max_i ||grad_i||, D_hat (signed_mean_norm_stats), the
-    subset ratio (subset_ratio_max, where ||mean grad|| != 0) and the M2 and
-    M4 batch means. For spec.kind == "linear" D_hat and the ratio come
-    after the loop from trajectory.linear_subset_norms, which forms each
-    sign sum from one weight-free feature-product tensor and agrees with
-    the per-snapshot kernels at roundoff; a snapshot whose per-sample
-    gradients are all exactly 0 keeps D_hat = 0 exactly. Each constant is
+    The holdout enters only through the recorded snapshots. Six columns
+    hold one value per snapshot: ||mean grad||, max_i ||grad_i||, D_hat,
+    the subset ratio (where ||mean grad|| != 0) and the M2 and M4 batch
+    means. For the MLP one loop over the snapshots forms each snapshot's
+    (n, P) per-sample gradients on S and fills its slot of each column,
+    D_hat from signed_mean_norm_stats and the ratio from subset_ratio_max.
+    The linear model forms no per-sample gradient: _residual_columns fills
+    ||mean grad||, max_i ||grad_i||, M2 and M4 from one residual matrix for
+    all snapshots, M2 and M4 bitwise the per-sample ones and the other two
+    at roundoff. Its D_hat and the ratio's subset-sum norms come from
+    trajectory.linear_subset_norms, which forms each sign sum from one
+    weight-free feature-product tensor and agrees with the per-snapshot
+    kernels at roundoff; a snapshot whose per-sample gradients are all
+    exactly 0 keeps D_hat = 0 exactly. Each constant is
     then one reduction over its column, exact as every max is; the
     zero-gradient flags come from one mask over the ||mean grad|| column,
     in snapshot order, and the trivial-bound flag from D_hat = 0 at any
@@ -183,24 +232,22 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
                               len(weights) * k).reshape(len(weights), k, b)
     # one column per per-snapshot statistic; each constant reduces one column
     gnorm, l_max, d_hat, ratio, m2, m4 = np.zeros((6, len(weights)))
-    for i, w in enumerate(weights):
-        G = per_sample_grads(spec, w, S)
-        g = np.add.reduce(G) / n  # bitwise np.mean(G, axis=0)
-        gnorm[i] = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
-        l_max[i] = math.sqrt(np.einsum("np,np->n", G, G).max())
-        if spec.kind != "linear":
+    if spec.kind == "linear":
+        gnorm[:], l_max[:], m2[:], m4[:] = _residual_columns(spec, S, weights, moment_idx)
+        d_hat[:], subset_max = linear_subset_norms(cfg, S, weights)
+        d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
+        np.divide(subset_max, n * gnorm, out=ratio, where=gnorm != 0.0)
+    else:
+        for i, w in enumerate(weights):
+            G = per_sample_grads(spec, w, S)
+            g = np.add.reduce(G) / n  # bitwise np.mean(G, axis=0)
+            gnorm[i] = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
+            l_max[i] = math.sqrt(np.einsum("np,np->n", G, G).max())
             d_hat[i] = signed_mean_norm_stats(G, cfg)[0]
             if gnorm[i] != 0.0:
                 ratio[i] = subset_ratio_max(G, cfg)
-        means = np.add.reduce(G[moment_idx[i]], axis=1) / b  # (k, P) batch means
-        sq = (means[:, None, :] @ means[:, :, None]).reshape(k)  # bitwise gb @ gb
-        m2[i] = np.add.reduce(sq) / k
-        m4[i] = np.add.reduce(sq * sq) / k
+            m2[i], m4[i] = _batch_moments(np.add.reduce(G[moment_idx[i]], axis=1) / b)
     live = gnorm != 0.0
-    if spec.kind == "linear":
-        d_hat[:], subset_max = linear_subset_norms(cfg, S, weights)
-        d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
-        ratio[live] = subset_max[live] / (n * gnorm[live])
     flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
                  for snap, z in zip(snapshots, live) if not z)
     if d_hat.all():

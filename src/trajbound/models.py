@@ -314,6 +314,25 @@ def per_sample_grads(spec: ModelSpec, w: np.ndarray, data: Dataset) -> np.ndarra
     return _flatten(grads)
 
 
+def linear_residuals(spec: ModelSpec, weights, data: Dataset) -> np.ndarray:
+    """The residuals r = X w - y of a linear model at m weight vectors, (m, n).
+
+    Sample i's gradient at weights[j] is r[j, i] x_i. One forward einsum over
+    the (m, d) stack, the one _forward runs, so row j is bitwise the output
+    gradients per_sample_grads forms at weights[j], exact zeros included. A
+    non-finite output raises per_sample_grads' NumericDomainError at the
+    first snapshot that has one, naming its first non-finite sample.
+    """
+    if spec.kind != "linear":
+        raise InvalidArgumentError(f"residuals need the linear model, got {spec.kind!r}")
+    W, X = _check_inputs(spec, np.asarray(weights, dtype=np.float64), data.features,
+                         stack=True)
+    out = _forward(spec, W, X)[0]
+    finite = np.isfinite(out[..., 0])
+    _check_samples(finite[np.argmin(finite.all(axis=1))])
+    return _output_grad(out, data.labels)[..., 0]
+
+
 def grad_mean(spec: ModelSpec, w: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:
     """Mean loss and mean gradient over the dataset: the reference oracle.
 

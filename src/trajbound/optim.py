@@ -246,20 +246,26 @@ def _floyd_rows(rng: RngStream, n: int, b: int, rows: np.ndarray) -> None:
     rejected row the generator is restored, advanced past the rows already
     replayed, and that row is drawn by sample_batch; a new block resumes
     after it. A block holds at most BATCH_BLOCK_ROWS rows, which bounds the
-    uint64 temporaries of a long draw such as estimate_constants' moments.
+    uint64 products of a long draw such as estimate_constants' moments; their
+    high words are shifted in place, and the low words are the draws
+    multiplied in place, wrapping mod 2**32, so a block allocates one uint64
+    array besides its draws.
     """
     gen = rng.generator()
     bounds = np.array([*range(n - b + 1, n + 1), *range(b, 1, -1)], dtype=np.uint64)
-    thresholds = (1 << 32) % bounds
+    thresholds = ((1 << 32) % bounds).astype(np.uint32)
+    low_bounds = bounds.astype(np.uint32)  # each bound mod 2**32
     done = 0
     while done < len(rows):
         state = gen.bit_generator.state
         k = min(len(rows) - done, BATCH_BLOCK_ROWS)
         u = gen.integers(0, 1 << 32, size=(k, 2 * b - 1), dtype=np.uint32)
         m = u * bounds
-        rejected = np.flatnonzero(((m & 0xFFFFFFFF) < thresholds).any(axis=1))
+        m >>= 32  # in place: each product's high word, the pick
+        u *= low_bounds  # in place, wrapping mod 2**32: each product's low word
+        rejected = np.flatnonzero((u < thresholds).any(axis=1))
         good = int(rejected[0]) if len(rejected) else len(m)
-        picks = (m[:good, :b] >> 32).T.astype(np.int64, order="C")  # a row per pick
+        picks = m[:good, :b].T.astype(np.int64, order="C")  # a row per pick
         for c in range(1, b):
             np.putmask(picks[c], (picks[:c] == picks[c]).any(axis=0), n - b + c)
         block = rows[done:done + good]

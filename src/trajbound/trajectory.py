@@ -9,10 +9,13 @@ from one snapshot pass on S: during training, the row of the pass
 optim.train runs once per snapshot time for the whole stack (the stats
 argument), which every recorder gets; only a direct call without stats
 makes its own models.loss_grad_stats call, the unstacked pass, bitwise
-the same. The loss and mean gradient on S' come from the recorder's own
-call that skips the norms; the recorder never forms the (n, P)
-per-sample gradient matrix. A recorder built without a holdout (S' =
-None) makes no S' call and leaves every S' statistic None; the
+the same. The loss and mean gradient on S' are the recorder's own
+(_holdout_stats): for the MLP a loss_grad_stats call that skips the
+norms, for the linear model the triangular factor R of [X', -y'] /
+sqrt(n'), bound once, so that a snapshot costs one (d+1)-square
+matrix-vector product and no pass over S'. The recorder never forms the
+(n, P) per-sample gradient matrix. A recorder built without a holdout (S'
+= None) makes no S' call and leaves every S' statistic None; the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
@@ -52,6 +55,7 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import (
+    DimensionMismatchError,
     IncompleteTrajectoryError,
     InvalidArgumentError,
     NumericDomainError,
@@ -386,6 +390,47 @@ def gen_decomposition(snapshots, weights, grads_S, grads_Sp
     return per_step, gen_lin, total - gen_lin
 
 
+def _holdout_stats(spec: ModelSpec, S_prime: Dataset):
+    """The recorder's holdout statistics, w -> (F_S'(w), grad F_S'(w)), bound once.
+
+    For the MLP each call is loss_grad_stats' pass over S' without the
+    norms. For the linear model, with B = [X', -y'] / sqrt(n') and
+    w~ = [w; 1], F_S' = ||B w~||^2 / 2 and its gradient is B[:, :d]' B w~.
+    The triangular factor R of B = Q R, a (d+1, d+1) matrix, is computed
+    once, and each call takes u = R w~, F_S' = u.u / 2 and the gradient
+    R[:, :d]' u: O(d^2) instead of a pass over the n' rows. F_S' stays a sum
+    of squares, so it keeps its relative accuracy near an interpolating w,
+    where the Gram form (w'Aw - 2b'w + c) / 2 cancels. A non-finite value
+    falls back to the pass, whose NumericDomainError names the first
+    non-finite sample. A holdout whose dimension is not the model's raises
+    DimensionMismatchError here.
+    """
+    if S_prime.dim != spec.input_dim:
+        raise DimensionMismatchError(
+            f"holdout features shape {S_prime.features.shape} incompatible with "
+            f"input_dim={spec.input_dim}"
+        )
+
+    def holdout_pass(w):
+        return loss_grad_stats(spec, w, S_prime, norms=False)[:2]
+
+    if spec.kind != "linear":
+        return holdout_pass
+    B = np.column_stack([S_prime.features, -S_prime.labels]) / math.sqrt(S_prime.n)
+    R = np.linalg.qr(B, mode="r")
+    R_w = R[:, :-1]
+
+    def factor(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = R @ np.append(w, 1.0)
+            F, g = 0.5 * float(u @ u), u @ R_w
+        if math.isfinite(F) and np.isfinite(g).all():
+            return F, g
+        return holdout_pass(w)
+
+    return factor
+
+
 class TrajectoryRecorder:
     """Computes and stores one TrajectorySnapshot per recorded step.
 
@@ -395,8 +440,11 @@ class TrajectoryRecorder:
     grads_Sprime) for downstream estimators, and collects flags for
     degenerate situations instead of failing mid-run.
 
-    S_prime = None skips the holdout pass: the snapshots' holdout fields are
-    None, the S-side statistics are bitwise those of a recorder with a
+    The holdout statistics come from _holdout_stats, bound at construction:
+    a loss_grad_stats pass over S' for the MLP, the R factor of S' for the
+    linear model, whose F_S' and gradient agree with that pass at roundoff
+    (F_S stays bitwise the pass's). S_prime = None skips them: the
+    snapshots' holdout fields are None, the S-side statistics are bitwise those of a recorder with a
     holdout, and no history is kept (weights, grads_S and grads_Sprime stay
     empty), since every reader of it needs the holdout too.
 
@@ -424,6 +472,7 @@ class TrajectoryRecorder:
         self.spec = spec
         self.S = S
         self.S_prime = S_prime
+        self._holdout = None if S_prime is None else _holdout_stats(spec, S_prime)
         self.rp_mode = rp_mode
         self.snapshots: list[TrajectorySnapshot] = []
         self.weights: list[np.ndarray] = []
@@ -443,7 +492,7 @@ class TrajectoryRecorder:
         norm_s = float(np.linalg.norm(g_s))
         f_sp = g_sp = norm_sp = None
         if self.S_prime is not None:
-            f_sp, g_sp, _ = loss_grad_stats(self.spec, w, self.S_prime, norms=False)
+            f_sp, g_sp = self._holdout(w)
             norm_sp = float(np.linalg.norm(g_sp))
 
         if self.snapshots:

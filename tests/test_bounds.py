@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trajbound import bounds, trajectory
+from trajbound import bounds, models, trajectory
 from trajbound.bounds import (
     STABILITY_KINDS,
     BoundReport,
@@ -25,10 +25,10 @@ from trajbound.bounds import (
     write_bounds_csv,
 )
 from trajbound.config import default_config
-from trajbound.data import ToyConfig, generate_toy
+from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
 from trajbound.experiments import assemble_run
-from trajbound.models import init_params, linear_spec, mlp_spec, per_sample_grads
+from trajbound.models import forward_batch, init_params, linear_spec, mlp_spec, per_sample_grads
 from trajbound.numerics import STREAM_MOMENT, RngStream
 from trajbound.optim import OptimConfig, Schedule, draw_batches, train
 from trajbound.trajectory import (
@@ -41,7 +41,7 @@ from trajbound.trajectory import (
     subset_ratio_max,
 )
 
-from linear_sign_sums import constant_bounds
+from linear_residuals import constant_bounds
 
 
 def snap(t, F_S=1.0, gnorm=1.0, trace=0.0, C_cum=0.0, gnorm_sp=1.0, eta=0.1):
@@ -181,6 +181,8 @@ def per_snapshot_constants(spec, weights, snapshots, etas, b, S, est):
         sq = np.array([gb @ gb for gb in means])
         m2 = max(m2, float(np.mean(sq)))
         m4 = max(m4, float(np.mean(sq * sq)))
+    if v_m == math.inf:
+        flags.append("trivial-bound: sign-mixed gradient mean vanished at a snapshot")
     gamma = max(s.gamma_tilde for s in snapshots if s.gamma_tilde is not None)
     return dict(L_hat=l_hat, V_m=v_m, gamma_prime=max(1.0, inner) * gamma,
                 gamma_prime_envelope=max(1.0, envelope) * gamma, M2_sq=m2, M4_fourth=m4,
@@ -207,9 +209,11 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
     expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, res.etas,
                                       res.batch_size, S, est)
     if kind == "linear":
-        # the linear sign sums come from trajectory.linear_subset_norms, which
-        # sums the oracle's terms in another order: V_m and gamma' meet the
-        # bound derived in tests/linear_sign_sums.py, every other field is bitwise
+        # the linear route sums the oracle's terms in another order: its sign
+        # sums (trajectory.linear_subset_norms) and its ||mean grad|| and
+        # max_i ||g_i|| columns, from the residuals. L_hat, V_m, gamma' and its
+        # envelope meet the bounds derived in tests/linear_residuals.py; M2,
+        # M4 and the flags are bitwise
         for key, (lo, hi) in constant_bounds(spec, S, rec.weights, rec.snapshots,
                                              est).items():
             assert lo <= getattr(c, key) <= hi
@@ -277,6 +281,55 @@ def test_constants_pass_runs_the_sign_kernels_per_snapshot_or_the_linear_route(
         assert all(np.array_equal(G2, G) for _, G2 in calls[2 * i:2 * i + 2])
     assert products == [(S.n, P)] * len(calls)
 
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_linear_constants_pass_forms_no_per_sample_gradients(kind, monkeypatch):
+    # the linear columns come from one residual matrix: no per_sample_grads
+    # call at all; the MLP forms one (n, P) matrix per snapshot
+    spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=3, steps=6, kind=kind)
+    calls = []
+    real = bounds.per_sample_grads
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "per_sample_grads", spy)
+    monkeypatch.setattr(models, "per_sample_grads", spy)
+    estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
+                       cfg=est)
+    assert len(calls) == (0 if kind == "linear" else len(rec.weights))
+
+
+@settings(deadline=None)
+@given(n=st.integers(2, 14), d=st.integers(1, 5), count=st.integers(1, 6),
+       batch=st.integers(1, 14), k_samples=st.sampled_from([64, 256]),
+       zero_at=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+def test_linear_residual_columns_match_the_per_snapshot_loop(n, d, count, batch, k_samples,
+                                                            zero_at, seed):
+    # L_hat, V_m, gamma' and its envelope lie within the bounds that
+    # tests/linear_residuals.py derives of the per-sample-gradient loop; M2,
+    # M4 and the flags are bitwise. With two or more snapshots the labels are
+    # the model's outputs at one of them, whose gradients then all vanish
+    gen = np.random.default_rng(seed)
+    spec = linear_spec(d)
+    X = gen.standard_normal((n, d))
+    weights = list(gen.standard_normal((count, d)) * gen.uniform(0.1, 10.0, (count, 1)))
+    y = (forward_batch(spec, weights[zero_at % count], X)[:, 0] if count > 1
+         else gen.standard_normal(n))
+    S = Dataset(X, y)
+    Sp = Dataset(gen.standard_normal((n, d)), gen.standard_normal(n))
+    rec = replay_trajectory(spec, S, Sp, weights, range(count), range(count), [0.1] * count)
+    est = SubsetEstimatorConfig(k_samples=k_samples, seed=seed)
+    b = min(batch, n)
+    etas = [0.1] * 3
+    c = estimate_constants(spec, rec.weights, rec.snapshots, etas, b, S, cfg=est)
+    expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, etas, b, S, est)
+    for key, (lo, hi) in constant_bounds(spec, S, rec.weights, rec.snapshots, est).items():
+        assert lo <= getattr(c, key) <= hi, key
+        del expected[key]
+    assert {key: getattr(c, key) for key in expected} == expected
 
 def test_constants_pass_memory_stays_bounded_by_the_block():
     # toy_table's shape: n = 100, P = 20, 1024 sign rows, 201 snapshots. The

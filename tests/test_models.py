@@ -25,6 +25,7 @@ from trajbound.models import (
     hessian_operator,
     hessian_vector_product,
     init_params,
+    linear_residuals,
     linear_spec,
     loss_grad_stats,
     losses_batch,
@@ -763,6 +764,43 @@ def test_per_sample_grads_rejects_a_non_finite_forward_pass(spec):
     with np.errstate(over="ignore"), pytest.raises(NumericDomainError):
         per_sample_grads(spec, w, Dataset(np.ones((3, 2)), np.zeros(3)))
 
+
+
+@given(n=st.integers(1, 30), d=st.integers(1, 24), count=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 16))
+def test_linear_residuals_are_bitwise_the_oracle_output_gradients(n, d, count, seed):
+    # row j times x_i is per_sample_grads' row i at weights[j], bit for bit,
+    # and labels that are the model's own outputs leave residuals exactly 0
+    gen = np.random.default_rng(seed)
+    spec = linear_spec(d)
+    X = gen.standard_normal((n, d))
+    W = gen.standard_normal((count, d)) * gen.uniform(0.1, 10.0, (count, 1))
+    data = Dataset(X, gen.standard_normal(n))
+    r = linear_residuals(spec, W, data)
+    assert r.shape == (count, n)
+    for j in range(count):
+        assert np.array_equal(r[j][:, None] * X, per_sample_grads(spec, W[j], data))
+    own = Dataset(X, forward_batch(spec, W[-1], X)[:, 0])
+    assert not linear_residuals(spec, W, own)[-1].any()
+
+
+def test_linear_residuals_name_the_first_bad_sample_of_the_first_bad_snapshot():
+    # snapshot 1 overflows at sample 2 (3e308), snapshot 2 is NaN from sample
+    # 0: the error is the one per_sample_grads raises at snapshot 1
+    X = np.array([[0.0, 1.0], [0.5, 1.0], [3.0, 1.0], [4.0, 1.0]])
+    data = Dataset(X, np.zeros(4))
+    spec = linear_spec(2)
+    W = np.array([[1.0, 2.0], [1e308, 0.0], [np.nan, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericDomainError) as oracle:
+            per_sample_grads(spec, W[1], data)
+        with pytest.raises(NumericDomainError, match="at sample 2$") as got:
+            linear_residuals(spec, W, data)
+    assert str(got.value) == str(oracle.value)
+    with pytest.raises(DimensionMismatchError):
+        linear_residuals(spec, np.ones((2, 3)), data)
+    with pytest.raises(InvalidArgumentError, match="linear model"):
+        linear_residuals(mlp_spec(2, (2,)), np.ones((1, 9)), data)
 
 def test_singleton_batch_row_is_bitwise_identical():
     # the documented identity behind the trace computation: row i of the

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from trajbound.config import default_config, emit_config
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -232,29 +234,60 @@ def test_ab_time_alternates_fresh_processes_over_two_sources(tmp_path):
     counts = re.fullmatch(r"new / old \d+\.\d{3}; new faster in (\d), slower in (\d), "
                           r"tied in (\d) of 2 pairs", lines[4])
     assert counts and sum(map(int, counts.groups())) == 2
-    assert len(lines) == 5
+    assert re.fullmatch(rf"claim rule (met|not met): new faster in {counts[1]} of 2 pairs "
+                        r"\(at least 9/10 needed\), median gap -?\d+\.\d{4} s \(above the "
+                        rf"old interquartile range {seconds} needed\)", lines[5]), lines
+    assert len(lines) == 6
 
 
-def test_ab_time_reports_quartiles_and_counts_ties_for_neither_side(tmp_path, monkeypatch,
-                                                                     capsys):
+def ab_time_summary(tmp_path, monkeypatch, capsys, old, new):
+    """The summary lines ab_time prints after pairs timed old[j], new[j]."""
     spec = importlib.util.spec_from_file_location(
         "ab_time", os.path.join(ROOT, "tools", "ab_time.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    # per pair, old then new: new wins two, loses one and ties two
-    times = {"old": iter([0.30, 0.24, 0.20, 0.26, 0.21]),
-             "new": iter([0.20, 0.22, 0.20, 0.28, 0.21])}
+    times = {"old": iter(old), "new": iter(new)}
     for side in times:
-        (tmp_path / side / "trajbound").mkdir(parents=True)
+        (tmp_path / side / "trajbound").mkdir(parents=True, exist_ok=True)
         (tmp_path / side / "trajbound" / "__init__.py").write_text("")
     monkeypatch.setattr(tool, "time_once", lambda src, config, repeats: next(times[src.name]))
     assert tool.main([str(tmp_path / "old"), str(tmp_path / "new"), "toy_table",
-                      "--pairs", "5"]) == 0
-    assert capsys.readouterr().out.splitlines()[5:] == [
+                      "--pairs", str(len(old))]) == 0
+    return capsys.readouterr().out.splitlines()[len(old):]
+
+
+def test_ab_time_reports_quartiles_and_counts_ties_for_neither_side(tmp_path, monkeypatch,
+                                                                     capsys):
+    # per pair, old then new: new wins two, loses one and ties two
+    assert ab_time_summary(tmp_path, monkeypatch, capsys, [0.30, 0.24, 0.20, 0.26, 0.21],
+                           [0.20, 0.22, 0.20, 0.28, 0.21]) == [
         "old median 0.2400 s, quartiles 0.2100 s and 0.2600 s",
         "new median 0.2100 s, quartiles 0.2000 s and 0.2200 s",
         "new / old 0.875; new faster in 2, slower in 1, tied in 2 of 5 pairs",
+        "claim rule not met: new faster in 2 of 5 pairs (at least 9/10 needed), "
+        "median gap 0.0300 s (above the old interquartile range 0.0500 s needed)",
     ]
+
+
+# old times whose median is 0.2200 s and interquartile range 0.0200 s
+AB_OLD = [0.200, 0.220, 0.240, 0.210, 0.230, 0.200, 0.240, 0.220, 0.210, 0.230]
+
+
+@pytest.mark.parametrize("new, verdict", [
+    # 10 of 10 won, by a median gap of 0.0400 s
+    ([0.180] * 10, "met: new faster in 10 of 10 pairs"),
+    # 9 of 10 won, the tenth tied
+    ([0.180] * 9 + AB_OLD[9:], "met: new faster in 9 of 10 pairs"),
+    # 8 of 10 won
+    ([0.180] * 8 + [0.300] * 2, "not met: new faster in 8 of 10 pairs"),
+    # 10 of 10 won, by a median gap of 0.0010 s, inside the old range
+    ([t - 0.001 for t in AB_OLD], "not met: new faster in 10 of 10 pairs"),
+])
+def test_ab_time_says_whether_the_pairs_meet_the_claim_rule(tmp_path, monkeypatch, capsys,
+                                                           new, verdict):
+    last = ab_time_summary(tmp_path, monkeypatch, capsys, AB_OLD, new)[-1]
+    assert last.startswith(f"claim rule {verdict} (at least 9/10 needed), median gap ")
+    assert last.endswith("(above the old interquartile range 0.0200 s needed)")
 
 
 def test_ab_time_rejects_a_missing_source(tmp_path):

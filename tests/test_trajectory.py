@@ -18,6 +18,7 @@ from trajbound import models, trajectory
 from trajbound.bounds import estimate_constants
 from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import (
+    DimensionMismatchError,
     IncompleteTrajectoryError,
     InvalidArgumentError,
     NumericDomainError,
@@ -50,7 +51,8 @@ from trajbound.trajectory import (
     write_trajectory_csv,
 )
 
-from linear_sign_sums import oracle_snapshot
+from linear_residuals import constant_bounds, holdout_tolerances
+from linear_sign_sums import MARGIN, U, gamma, oracle_snapshot
 
 
 def linear_state(n=6, d=3, seed=0):
@@ -470,12 +472,19 @@ def test_subset_estimator_config_validation():
 def test_estimate_constants_gamma_prime_brackets():
     spec, w, data = linear_state(n=6, d=3, seed=13)
     cfg = SubsetEstimatorConfig(k_samples=64)
-    c = constants_at(spec, data, [w], cfg)
-    assert c.gamma == 1.0  # the holdout is the training set
+    rec = replay_trajectory(spec, data, data, [w], [0], [0], [0.1])
+    c = estimate_constants(spec, rec.weights, rec.snapshots, [], data.n, data, cfg=cfg)
+    # the holdout is the training set, so gamma is 1 up to the distance of
+    # the holdout factor's gradient from the pass's (tests/linear_residuals.py)
+    g = rec.snapshots[0].grad_norm_S
+    g_tol = holdout_tolerances(data, w)[1] + 2 * gamma(spec.n_params + 1) * g
+    assert abs(c.gamma - 1.0) <= MARGIN * (g_tol / g + U)
     assert c.gamma_prime >= c.gamma  # the amplification factor is at least 1
     assert c.gamma_prime_envelope >= c.gamma_prime  # the analytic bracket
-    inner = subset_ratio_max(per_sample_grads(spec, w, data), cfg)
-    assert c.gamma_prime == pytest.approx(max(1.0, inner) * c.gamma, rel=1e-12)
+    bounds = constant_bounds(spec, data, rec.weights, rec.snapshots, cfg)
+    for key in ("gamma_prime", "gamma_prime_envelope"):
+        lo, hi = bounds[key]
+        assert lo <= getattr(c, key) <= hi
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -628,9 +637,14 @@ def test_recorder_computes_no_per_sample_norms_on_the_holdout(kind, monkeypatch)
     on_S = [sq for X, sq in calls
             if X.shape[-2:] == S.features.shape and (X == S.features).all()]
     on_Sp = [sq for X, sq in calls if X is Sp.features]
-    assert len(on_S) == len(on_Sp) == len(rec.snapshots)
-    assert len(calls) == 2 * len(rec.snapshots)
+    assert len(on_S) == len(rec.snapshots)
     assert all(sq is not None for sq in on_S)
+    if kind == "linear":
+        # the linear holdout comes from the recorder's R factor: no S' pass
+        assert on_Sp == [] and len(calls) == len(rec.snapshots)
+        return
+    assert len(on_Sp) == len(rec.snapshots)
+    assert len(calls) == 2 * len(rec.snapshots)
     assert all(sq is None for sq in on_Sp)
 
 
@@ -641,9 +655,90 @@ def test_recorder_losses_are_bitwise_the_mean_of_losses_batch(kind):
     spec, S, Sp, rec, _ = per_step_run(kind=kind)
     for snap, w in zip(rec.snapshots, rec.weights):
         assert snap.F_S == float(np.mean(losses_batch(spec, w, S.features, S.labels)))
-        assert snap.F_Sprime == float(np.mean(
-            losses_batch(spec, w, Sp.features, Sp.labels)))
+        F_Sprime = float(np.mean(losses_batch(spec, w, Sp.features, Sp.labels)))
+        if kind == "mlp":
+            assert snap.F_Sprime == F_Sprime
+        else:  # the holdout factor, within the bound tests/linear_residuals.py derives
+            assert abs(snap.F_Sprime - F_Sprime) <= holdout_tolerances(Sp, w)[0]
 
+
+
+def interpolated_holdout(n, d, seed, noise):
+    """(spec, S', w*): labels X w* plus noise of the given scale, so F_S'(w*) ~ noise^2."""
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    w_star = gen.standard_normal(d)
+    y = X @ w_star + noise * gen.standard_normal(n)
+    return linear_spec(d), Dataset(X, y), w_star
+
+
+def holdout_snapshot(spec, Sp, w):
+    """(F_S', grad F_S') the recorder records at w with Sp as its holdout."""
+    rec = TrajectoryRecorder(spec, Sp, Sp)
+    snap = rec(0, 0, 0.1, w)
+    return snap.F_Sprime, rec.grads_Sprime[0]
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 60), d=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
+       noise=st.sampled_from([1.0, 1e-6, 1e-12, 0.0]),
+       offset=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+def test_linear_holdout_factor_matches_the_pass(n, d, seed, noise, offset):
+    # the recorder's R-factor F_S' and grad F_S' lie within the bound
+    # tests/linear_residuals.py derives of loss_grad_stats' pass over S',
+    # near an interpolating w too, where a Gram form would cancel
+    spec, Sp, w_star = interpolated_holdout(n, d, seed, noise)
+    w = w_star + offset * np.random.default_rng(seed + 1).standard_normal(d)
+    F, g = holdout_snapshot(spec, Sp, w)
+    F_pass, g_pass, _ = models.loss_grad_stats(spec, w, Sp, norms=False)
+    F_tol, g_tol = holdout_tolerances(Sp, w)
+    assert abs(F - F_pass) <= F_tol
+    assert np.linalg.norm(g - g_pass) <= g_tol
+
+
+def test_linear_holdout_factor_keeps_a_near_interpolating_loss():
+    # a 1000 x 20 holdout at F_S' ~ 5e-19: the factor stays within the
+    # derived bound of the pass, and the Gram form (w'Aw - 2b'w + c) / 2,
+    # whose terms are 10^19 times larger, does not
+    spec, Sp, w = interpolated_holdout(1000, 20, 3, 1e-9)
+    F, _ = holdout_snapshot(spec, Sp, w)
+    F_pass = models.loss_grad_stats(spec, w, Sp, norms=False)[0]
+    F_tol = holdout_tolerances(Sp, w)[0]
+    assert F_pass < 1e-18 and F_tol < 1e-3 * F_pass
+    assert abs(F - F_pass) <= F_tol
+    X, y = Sp.features, Sp.labels
+    gram = 0.5 * (w @ (X.T @ X) @ w - 2 * (X.T @ y) @ w + y @ y) / Sp.n
+    assert abs(gram - F_pass) > F_tol
+
+
+@pytest.mark.parametrize("w, sample", [([1e308, 0.0], 2), ([math.nan, 0.0], 0),
+                                       ([math.inf, 1.0], 0)])
+def test_linear_holdout_factor_raises_the_pass_error_at_a_non_finite_value(w, sample):
+    # the S-side row is handed in, so only the holdout sees w: the factor's
+    # non-finite value falls back to the pass, which names the first
+    # non-finite sample (1e308 overflows at the third row, 3e308)
+    X = np.array([[0.0, 1.0], [0.5, 1.0], [3.0, 1.0], [4.0, 1.0]])
+    Sp = Dataset(X, np.ones(4))
+    spec = linear_spec(2)
+    rec = TrajectoryRecorder(spec, Sp, Sp)
+    row = models._snapshot_pass(spec, np.zeros(2), X, Sp.labels)
+    w = np.array(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericDomainError) as oracle:
+            models.loss_grad_stats(spec, w, Sp, norms=False)
+        with pytest.raises(NumericDomainError, match=f"at sample {sample}$") as got:
+            rec(0, 0, 0.1, w, row)
+    assert str(got.value) == str(oracle.value)
+    assert rec.snapshots == []
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_recorder_rejects_a_holdout_of_another_dimension(kind):
+    S, _, _ = generate_toy(ToyConfig(8, 8, 3, seed=0))
+    _, Sp, _ = generate_toy(ToyConfig(8, 8, 4, seed=0))
+    spec = linear_spec(3) if kind == "linear" else mlp_spec(3, (4,))
+    with pytest.raises(DimensionMismatchError, match="input_dim=3"):
+        TrajectoryRecorder(spec, S, Sp)
 
 def test_recorder_complexity_telescopes():
     _, S, _, rec, _ = per_step_run()

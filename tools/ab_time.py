@@ -11,7 +11,10 @@ src, runs the experiment command once to warm up, then times M more calls
 and reports the fastest; the outputs go to a temporary directory. The tool
 prints each pair, each side's median and quartiles over the pairs, the
 ratio of the medians (new / old) and the number of pairs the new side won,
-lost and tied (equal times, which count for neither side). It exits 2
+lost and tied (equal times, which count for neither side). Its last line
+says whether the pairs meet the claim rule for a speedup: the new side
+faster in at least 9 of every 10 pairs, and the old median minus the new
+one larger than the old side's interquartile range. It exits 2
 when a src has no trajbound package or the config does not exist, and 1
 when a process fails. Standard library only.
 """
@@ -104,12 +107,18 @@ def main(argv=None) -> int:
         return 1
     sides = {}
     for name, times in (("old", old_s), ("new", new_s)):
-        low, sides[name], high = quartiles(times)
-        print(f"{name} median {sides[name]:.4f} s, quartiles {low:.4f} s and {high:.4f} s")
+        sides[name] = low, median, high = quartiles(times)
+        print(f"{name} median {median:.4f} s, quartiles {low:.4f} s and {high:.4f} s")
+    (old_low, old_median, old_high), new_median = sides["old"], sides["new"][1]
     won = sum(n < o for o, n in zip(old_s, new_s))
     tied = sum(n == o for o, n in zip(old_s, new_s))
-    print(f"new / old {sides['new'] / sides['old']:.3f}; new faster in {won}, "
+    print(f"new / old {new_median / old_median:.3f}; new faster in {won}, "
           f"slower in {args.pairs - won - tied}, tied in {tied} of {args.pairs} pairs")
+    gap, spread = old_median - new_median, old_high - old_low
+    met = 10 * won >= 9 * args.pairs and gap > spread
+    print(f"claim rule {'met' if met else 'not met'}: new faster in {won} of "
+          f"{args.pairs} pairs (at least 9/10 needed), median gap {gap:.4f} s "
+          f"(above the old interquartile range {spread:.4f} s needed)")
     return 0
 
 
