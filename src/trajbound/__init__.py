@@ -15,7 +15,6 @@ from .config import ExperimentConfig, default_config, emit_config, parse_config
 from .data import Dataset, ToyConfig, generate_toy, inject_label_noise
 from .errors import (
     ConfigError,
-    DataSchemaError,
     DimensionMismatchError,
     DivergedError,
     IncompleteTrajectoryError,

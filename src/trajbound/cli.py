@@ -3,10 +3,9 @@
 Usage: trajbound <experiment> --config <path> [--out <dir>]
        [--seeds s1,s2,...] [--plots]
 
-Exit codes: 0 success; 2 configuration, input-schema or any other package
-error; 3 numeric divergence or a quantity outside its numeric domain,
-outside a sweep (sweeps record diverged cells as rows instead); 4 I/O
-failure.
+Exit codes: 0 success; 2 configuration or any other package error; 3
+numeric divergence or a quantity outside its numeric domain, outside a
+sweep (sweeps record diverged cells as rows instead); 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -35,10 +35,6 @@ class DivergedError(TrajboundError):
         super().__init__(detail)
 
 
-class DataSchemaError(TrajboundError):
-    """A CSV file read back for plotting is structurally unusable (no rows)."""
-
-
 class ConfigError(TrajboundError):
     """A config file is invalid; message names the offending key."""
 

@@ -110,8 +110,8 @@ def _write_outputs(cfg: ExperimentConfig, plots: bool, tables: dict, meta: dict,
     First each CSV of tables, which maps a file name to its (columns, rows)
     or to a function that writes the file at the path it is given; then
     meta.json, the experiment, seeds and resolved config with the
-    command's meta entries; then, with plots, each (CSV name, [PlotSpec])
-    of figures.
+    command's meta entries; then, with plots, each (columns, rows, [PlotSpec])
+    of figures, drawn from the rows the command passes.
     """
     out = cfg.output_dir
     paths = []
@@ -127,8 +127,8 @@ def _write_outputs(cfg: ExperimentConfig, plots: bool, tables: dict, meta: dict,
     with open(paths[-1], "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if plots:
-        for name, specs in figures:
-            paths += emit_svg_plots(os.path.join(out, name), specs)
+        for columns, rows, specs in figures:
+            paths += emit_svg_plots(out, columns, rows, specs)
     return paths
 
 
@@ -215,10 +215,9 @@ def cmd_toy_table(cfg: ExperimentConfig, plots: bool = False) -> dict:
     paths = _write_outputs(cfg, plots, {
         "toy_table.csv": (TOY_TABLE_COLUMNS, table_rows + [mean_row]),
         "bounds.csv": lambda path: write_bounds_csv(path, reports, seeds=report_seeds),
-    }, {}, [("toy_table.csv", [
+    }, {}, [(TOY_TABLE_COLUMNS, table_rows, [
         PlotSpec(x="seed", ys=("gen_error", "ours_main", "hardt_nonconvex"),
-                 out_name="toy_table.svg", title="bound comparison by seed",
-                 exclude=("seed", "mean")),
+                 out_name="toy_table.svg", title="bound comparison by seed"),
     ])])
     mean = dict(zip(TOY_TABLE_COLUMNS[1:], mean_row[1:]))
     return {"paths": paths, "mean": mean}
@@ -243,10 +242,11 @@ def cmd_track(cfg: ExperimentConfig, plots: bool = False) -> dict:
             ratio = None if df == 0.0 else dc / df
         rows.append([snap.t, snap.epoch, snap.F_S, snap.F_Sprime,
                      snap.F_S + snap.C_cum, ratio])
+    columns = ("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF")
     paths = _write_outputs(cfg, plots, {
         "trajectory.csv": lambda path: write_trajectory_csv(path, snaps),
-        "track.csv": (("t", "epoch", "F_S", "F_Sprime", "F_plus_C", "dC_dF"), rows),
-    }, {}, [("track.csv", [
+        "track.csv": (columns, rows),
+    }, {}, [(columns, rows, [
         PlotSpec(x="epoch", ys=("F_S", "F_Sprime", "F_plus_C"),
                  out_name="track_loss.svg", title="loss and shifted complexity"),
         PlotSpec(x="epoch", ys=("dC_dF",), out_name="track_ratio.svg",
@@ -271,23 +271,23 @@ def cmd_assumption(cfg: ExperimentConfig, plots: bool = False) -> dict:
         [sn.eta_t for sn in rec.snapshots],
     )
 
-    rows = []
+    rows = {}
     gamma_max = {}
     for label, snaps in (("main", rec.snapshots), ("control", control.snapshots)):
         defined = [sn.gamma_tilde for sn in snaps if sn.gamma_tilde is not None]
         gamma_max[label] = max(defined) if defined else None
-        for sn in snaps:
-            rows.append([label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S,
-                         sn.grad_norm_Sprime, sn.gamma_tilde])
+        rows[label] = [[label, sn.t, sn.epoch, sn.F_S, sn.grad_norm_S,
+                        sn.grad_norm_Sprime, sn.gamma_tilde] for sn in snaps]
+    columns = ("dataset", "t", "epoch", "F_S", "grad_norm_S", "grad_norm_Sprime",
+               "gamma_tilde")
     paths = _write_outputs(cfg, plots, {
-        "assumption.csv": (("dataset", "t", "epoch", "F_S", "grad_norm_S",
-                            "grad_norm_Sprime", "gamma_tilde"), rows),
+        "assumption.csv": (columns, rows["main"] + rows["control"]),
     }, {"gamma_max_main": gamma_max["main"],
-        "gamma_max_control": gamma_max["control"]}, [("assumption.csv", [
+        "gamma_max_control": gamma_max["control"]}, [(columns, rows["main"], [
         PlotSpec(x="epoch", ys=("gamma_tilde",), out_name="assumption_gamma.svg",
-                 title="holdout/train gradient-norm ratio", where=("dataset", "main")),
+                 title="holdout/train gradient-norm ratio"),
         PlotSpec(x="epoch", ys=("F_S",), out_name="assumption_loss.svg",
-                 title="training loss", where=("dataset", "main")),
+                 title="training loss"),
     ])])
     return {"paths": paths, "gamma_max": gamma_max}
 
@@ -350,30 +350,30 @@ def cmd_sweep(cfg: ExperimentConfig, plots: bool = False) -> dict:
         last = rec.snapshots[-1]
         return [param, v, s, f_sp - last.F_S, last.C_cum, res.stopped_at, 0]
 
-    rows = []
+    rows, mean_rows = [], []
     per_value = {}
     n_seeds = len(cfg.seeds)
     for j, v in enumerate(cfg.sweep_values):
         cell_rows = [cell_row(i) for i in range(j * n_seeds, (j + 1) * n_seeds)]
-        rows += cell_rows
         metrics = [row[3:6] for row in cell_rows if row[6] == 0]
         if metrics:
             arr = np.array(metrics, dtype=np.float64)
             m = np.mean(arr, axis=0)
             per_value[v] = (float(m[0]), float(m[1]), float(m[2]))
-            rows.append([param, v, "mean", float(m[0]), float(m[1]),
-                         float(m[2]), None])
+            mean_rows.append([param, v, "mean", float(m[0]), float(m[1]),
+                              float(m[2]), None])
         else:
             per_value[v] = None
-            rows.append([param, v, "mean", None, None, None, None])
+            mean_rows.append([param, v, "mean", None, None, None, None])
+        rows += cell_rows + [mean_rows[-1]]
 
     paths = _write_outputs(cfg, plots, {"sweep.csv": (SWEEP_COLUMNS, rows)}, {
         "grid": list(cfg.sweep_values), "sweep_param": param,
-    }, [("sweep.csv", [
+    }, [(SWEEP_COLUMNS, mean_rows, [
         PlotSpec(x="value", ys=("gen_error",), out_name="sweep_gen.svg",
-                 title=f"generalization gap vs {param}", where=("seed", "mean")),
+                 title=f"generalization gap vs {param}"),
         PlotSpec(x="value", ys=("C_final",), out_name="sweep_c.svg",
-                 title=f"final complexity vs {param}", where=("seed", "mean")),
+                 title=f"final complexity vs {param}"),
     ])])
     return {"paths": paths, "per_value": per_value}
 
@@ -439,11 +439,11 @@ def cmd_eos(cfg: ExperimentConfig, plots: bool = False) -> dict:
         eta = snap.eta_t  # also eta_eff: snapshots are one step apart
         rows.append([snap.t, snap.epoch, eta, eta, snap.rp, snap.trp,
                      sharp, 2.0 / eta if eta > 0 else None])
-    paths = _write_outputs(cfg, plots, {
-        "eos.csv": (("t", "epoch", "eta", "eta_eff", "rp", "trp",
-                     "sharpness", "two_over_eta_eff"), rows),
-    }, {"rp_mode": "step", "solver": solver,
-        "diverged_at": died.t if died is not None else None}, [("eos.csv", [
+    columns = ("t", "epoch", "eta", "eta_eff", "rp", "trp", "sharpness",
+               "two_over_eta_eff")
+    paths = _write_outputs(cfg, plots, {"eos.csv": (columns, rows)}, {
+        "rp_mode": "step", "solver": solver,
+        "diverged_at": died.t if died is not None else None}, [(columns, rows, [
         PlotSpec(x="epoch", ys=("rp", "trp"), out_name="eos_rp.svg",
                  title="relative progress"),
         PlotSpec(x="epoch", ys=("sharpness", "two_over_eta_eff"),

@@ -82,7 +82,6 @@ class Schedule:
     eta0: float = 0.05
     c: float = 1.0
     beta: float = 1.0
-    eta_min: float = 0.0
     t_max: int = 1
 
     def __post_init__(self):
@@ -97,10 +96,6 @@ class Schedule:
         elif self.kind == "cosine":
             if not (self.eta0 > 0 and math.isfinite(self.eta0)):
                 raise InvalidArgumentError(f"cosine schedule needs eta0 > 0, got {self.eta0}")
-            if not 0.0 <= self.eta_min <= self.eta0:
-                raise InvalidArgumentError(
-                    f"cosine needs 0 <= eta_min <= eta0, got eta_min={self.eta_min}"
-                )
             if self.t_max < 1:
                 raise InvalidArgumentError(f"cosine needs t_max >= 1, got {self.t_max}")
         else:
@@ -110,9 +105,9 @@ class Schedule:
 def lr_at(schedule: Schedule, t: int) -> float:
     """Learning rate for step t (0-based).
 
-    Cosine past t_max clamps to eta_min; with eta_min = 0 the endpoint rate
-    is 0 and further steps are no-ops, which is the documented endpoint
-    behavior rather than an error.
+    Cosine decays from eta0 to 0 at t_max and stays at 0 after it: the
+    endpoint rate is 0 and further steps are no-ops, which is the documented
+    endpoint behavior rather than an error.
     """
     if t < 0:
         raise InvalidArgumentError(f"step index must be >= 0, got {t}")
@@ -121,10 +116,8 @@ def lr_at(schedule: Schedule, t: int) -> float:
     if schedule.kind == "inverse_time":
         return schedule.c / (schedule.beta * (t + 1))
     if t >= schedule.t_max:
-        return schedule.eta_min
-    return schedule.eta_min + 0.5 * (schedule.eta0 - schedule.eta_min) * (
-        1.0 + math.cos(math.pi * t / schedule.t_max)
-    )
+        return 0.0
+    return 0.5 * schedule.eta0 * (1.0 + math.cos(math.pi * t / schedule.t_max))
 
 
 def lr_steps(schedule: Schedule, t: int, k: int) -> np.ndarray:

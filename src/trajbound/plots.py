@@ -1,18 +1,17 @@
-"""Deterministic SVG line plots from CSV columns.
+"""Deterministic SVG line plots from a command's table rows.
 
-No plotting library: the renderer is a pure function of the parsed table,
-so identical inputs produce byte-identical files. Layout is fixed-size
-with linear axes, five ticks per axis, a small legend, and one polyline
-per series; cells that are empty in the CSV are simply skipped.
+No plotting library: the renderer is a pure function of the columns and
+rows it is handed, so identical inputs produce byte-identical files. Layout
+is fixed-size with linear axes, five ticks per axis, a small legend, and one
+polyline per series; None cells are simply skipped.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
-from .errors import DataSchemaError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 WIDTH, HEIGHT = 640.0, 420.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 20.0, 34.0, 48.0
@@ -21,35 +20,20 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """One output file: x column, y columns, optional row filters.
-
-    where keeps only rows whose column equals the given string; exclude
-    drops such rows. Both compare raw CSV text.
-    """
+    """One SVG file: its x column, its y columns (one polyline each), its title."""
 
     x: str
     ys: tuple[str, ...]
     out_name: str
     title: str = ""
-    where: tuple[str, str] | None = None
-    exclude: tuple[str, str] | None = None
 
 
-def _read_table(csv_path: str) -> tuple[list[str], list[list[str]]]:
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataSchemaError(f"{csv_path}: empty file")
-    return rows[0], rows[1:]
-
-
-def _column(header: list[str], name: str, csv_path: str) -> int:
+def _column(columns, name: str, out_name: str) -> int:
     try:
-        return header.index(name)
+        return columns.index(name)
     except ValueError:
         raise InvalidArgumentError(
-            f"{csv_path}: no column {name!r}; have {', '.join(header)}"
+            f"{out_name}: no column {name!r}; have {', '.join(columns)}"
         ) from None
 
 
@@ -135,39 +119,30 @@ def _svg_for_series(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts) + "\n"
 
 
-def emit_svg_plots(csv_path: str, specs) -> list[str]:
-    """Render each PlotSpec from the CSV into its directory; returns the paths.
+def emit_svg_plots(out_dir: str, columns, rows, specs) -> list[str]:
+    """Render each PlotSpec from the rows into out_dir; returns the paths.
 
-    Every referenced column must exist, and every series must contribute
-    at least one point, otherwise nothing is written and the offending
-    column is named.
+    columns names the cells of each row; every row is plotted, a value as
+    float(value), and a None cell is skipped. Every referenced column must
+    exist, and every series must contribute at least one point; otherwise
+    that SVG is not written and the error names the column and the SVG.
     """
-    header, rows = _read_table(csv_path)
-    out_dir = os.path.dirname(csv_path) or "."
     written = []
     for spec in specs:
-        xi = _column(header, spec.x, csv_path)
-        yidx = {name: _column(header, name, csv_path) for name in spec.ys}
-        if spec.where is not None:
-            wi = _column(header, spec.where[0], csv_path)
-        if spec.exclude is not None:
-            ei = _column(header, spec.exclude[0], csv_path)
+        xi = _column(columns, spec.x, spec.out_name)
+        yidx = {name: _column(columns, name, spec.out_name) for name in spec.ys}
         series: dict[str, list[tuple[float, float]]] = {n: [] for n in spec.ys}
         for row in rows:
-            if spec.where is not None and row[wi] != spec.where[1]:
-                continue
-            if spec.exclude is not None and row[ei] == spec.exclude[1]:
-                continue
-            if not row[xi]:
+            if row[xi] is None:
                 continue
             x = float(row[xi])
             for name, yi in yidx.items():
-                if row[yi]:
+                if row[yi] is not None:
                     series[name].append((x, float(row[yi])))
         for name, pts in series.items():
             if not pts:
                 raise InvalidArgumentError(
-                    f"{csv_path}: series {name!r} has no points for {spec.out_name}"
+                    f"{spec.out_name}: series {name!r} has no points"
                 )
         svg = _svg_for_series(series, spec.x, spec.title)
         path = os.path.join(out_dir, spec.out_name)

@@ -23,6 +23,7 @@ from trajbound.cli import main
 from trajbound.config import (
     EXPERIMENTS,
     SINGLE_RUN,
+    SWEEPS,
     default_config,
     emit_config,
     parse_config,
@@ -30,7 +31,6 @@ from trajbound.config import (
 )
 from trajbound.errors import (
     ConfigError,
-    DataSchemaError,
     DimensionMismatchError,
     DivergedError,
     IncompleteTrajectoryError,
@@ -75,7 +75,6 @@ def test_assemble_run_resolves_dataset_model_and_schedule(tmp_path):
     assert parts.ocfg.snapshot_every == 4  # defaults to one epoch
     assert parts.ocfg.schedule.kind == "cosine"
     assert parts.ocfg.schedule.t_max == 12
-    assert parts.ocfg.schedule.eta_min == 0.0
 
     clean = assemble_run(dataclasses.replace(cfg, flip_fraction=0.0), 1)
     flipped = int(np.sum(parts.S.labels != clean.S.labels))
@@ -670,6 +669,53 @@ def test_a_command_returns_exactly_its_files_in_writing_order(experiment, plots,
     assert (".svg" in kinds) == plots
 
 
+# Each command's plotted CSV, which of its rows the figures draw, and each
+# figure's SVG, x column and y columns in polyline order.
+FIGURE_ROWS = {
+    "toy_table": ("toy_table.csv", lambda r: r["seed"] != "mean", [
+        ("toy_table.svg", "seed", ("gen_error", "ours_main", "hardt_nonconvex"))]),
+    "sweep_noise": ("sweep.csv", lambda r: r["seed"] == "mean", [
+        ("sweep_gen.svg", "value", ("gen_error",)),
+        ("sweep_c.svg", "value", ("C_final",))]),
+    "assumption": ("assumption.csv", lambda r: r["dataset"] == "main", [
+        ("assumption_gamma.svg", "epoch", ("gamma_tilde",)),
+        ("assumption_loss.svg", "epoch", ("F_S",))]),
+    "track": ("track.csv", lambda r: True, [
+        ("track_loss.svg", "epoch", ("F_S", "F_Sprime", "F_plus_C")),
+        ("track_ratio.svg", "epoch", ("dC_dF",))]),
+    "eos": ("eos.csv", lambda r: True, [
+        ("eos_rp.svg", "epoch", ("rp", "trp")),
+        ("eos_sharpness.svg", "epoch", ("sharpness", "two_over_eta_eff"))]),
+}
+FIGURE_ROWS["sweep_lr"] = FIGURE_ROWS["sweep_noise"]
+
+
+@pytest.mark.parametrize("experiment", sorted(COMMANDS))
+def test_each_figure_draws_the_rows_its_command_picks(experiment, tmp_path):
+    # toy_table draws one point per seed and not the mean row, a sweep one
+    # point per value (its mean rows), assumption only its main rows, and
+    # track and eos every row; each polyline counts its rows' non-empty cells
+    cfg = tiny(experiment, tmp_path, epochs=None, max_steps=4)
+    if cfg.batch_size is not None:
+        cfg = dataclasses.replace(cfg, batch_size=4)
+    if experiment not in SINGLE_RUN:
+        cfg = dataclasses.replace(cfg, seeds=(0, 1, 2))
+    COMMANDS[experiment](cfg, plots=True)
+    table, drawn, figures = FIGURE_ROWS[experiment]
+    _, rows = read_rows(tmp_path / table)
+    picked = [r for r in rows if drawn(r)]
+    for svg, x, ys in figures:
+        text = (tmp_path / svg).read_text()
+        counts = [len(chunk.split('"')[0].split()) for chunk in text.split('points="')[1:]]
+        assert counts == [sum(r[x] != "" and r[y] != "" for r in picked) for y in ys]
+        if experiment == "toy_table":
+            assert counts == [3, 3, 3]
+        elif experiment in SWEEPS:
+            assert counts == [len(cfg.sweep_values)]
+        elif experiment == "assumption":
+            assert 0 < len(picked) == len(rows) // 2 and counts[0] > 0
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -949,7 +995,6 @@ PACKAGE_ERROR_EXITS = [
     (TrajboundError("unclassified"), 2),
     (InvalidArgumentError("bad argument"), 2),
     (DimensionMismatchError("bad shape"), 2),
-    (DataSchemaError("no rows"), 2),
     (ConfigError("bad key"), 2),
     (IncompleteTrajectoryError("snapshots too sparse"), 2),
     (NumericDomainError("negative trace"), 3),

@@ -64,18 +64,19 @@ def test_inverse_time_schedule_closed_form():
 
 
 def test_cosine_schedule_closed_form_and_clamp():
-    s = Schedule("cosine", eta0=0.1, eta_min=0.01, t_max=50)
-    assert lr_at(s, 0) == pytest.approx(0.1)
-    mid = 0.01 + 0.5 * 0.09 * (1 + math.cos(math.pi * 25 / 50))
-    assert lr_at(s, 25) == pytest.approx(mid)
-    assert lr_at(s, 50) == 0.01
-    assert lr_at(s, 51) == 0.01
+    # cosine decays from eta0 to 0 at t_max and clamps to 0 after it
+    s = Schedule("cosine", eta0=0.1, t_max=50)
+    assert lr_at(s, 0) == 0.1
+    for t in (1, 25, 37, 49):
+        assert lr_at(s, t) == 0.5 * 0.1 * (1.0 + math.cos(math.pi * t / 50))
+    assert lr_at(s, 25) == pytest.approx(0.05)
+    assert lr_at(s, 50) == 0.0
+    assert lr_at(s, 51) == 0.0
 
 
 def test_cosine_rates_stay_positive_over_the_run():
-    # with eta_min = 0 the rate only reaches 0 AT t_max; steps 0..t_max-1
-    # all make progress
-    s = Schedule("cosine", eta0=0.05, eta_min=0.0, t_max=100)
+    # the rate only reaches 0 AT t_max; steps 0..t_max-1 all make progress
+    s = Schedule("cosine", eta0=0.05, t_max=100)
     assert all(lr_at(s, t) > 0 for t in range(100))
     assert lr_at(s, 100) == 0.0
 
@@ -90,8 +91,8 @@ def test_lr_at_rejects_negative_step():
     Schedule("inverse_time", c=2.0, beta=4.0),
     Schedule("inverse_time", c=0.7, beta=1.37),
     Schedule("inverse_time", c=3, beta=7),
-    Schedule("cosine", eta0=0.05, eta_min=0.0, t_max=8000),
-    Schedule("cosine", eta0=0.1, eta_min=0.01, t_max=12345),
+    Schedule("cosine", eta0=0.05, t_max=8000),
+    Schedule("cosine", eta0=0.1, t_max=12345),
 ], ids=["constant", "inverse_time", "inverse_time_beta_1.37", "inverse_time_ints",
         "cosine_to_zero", "cosine_clamped"])
 def test_lr_steps_are_bitwise_lr_at(schedule):
@@ -114,9 +115,9 @@ def test_lr_steps_are_bitwise_lr_at(schedule):
     dict(kind="constant", eta0=float("inf")),
     dict(kind="inverse_time", c=0.0),
     dict(kind="inverse_time", c=1.0, beta=-1.0),
-    dict(kind="cosine", eta0=0.1, eta_min=0.2),
-    dict(kind="cosine", eta0=0.1, eta_min=-0.1),
-    dict(kind="cosine", eta0=0.1, eta_min=float("nan")),
+    dict(kind="cosine", eta0=0.0),
+    dict(kind="cosine", eta0=float("nan")),
+    dict(kind="cosine", eta0=float("inf")),
     dict(kind="cosine", eta0=0.1, t_max=0),
     dict(kind="warmup"),
 ])
@@ -336,10 +337,9 @@ def test_step_diverges_on_overflowing_weights(spec):
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_step_diverges_on_a_non_finite_gradient_at_zero_rate(kind):
-    # past t_max a cosine schedule with eta_min = 0 steps at eta = 0, and
-    # 0 * NaN is still NaN
+    # past t_max a cosine schedule steps at eta = 0, and 0 * NaN is still NaN
     spec, w0, S, _ = toy_parts(kind=kind)
-    sched = Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=5)
+    sched = Schedule("cosine", eta0=0.1, t_max=5)
     cfg = OptimConfig(batch_size=None, schedule=sched, max_steps=10)
     assert lr_at(sched, 6) == 0.0
     assert_step_diverges_at(spec, w0, with_nan_feature(S, 0, 0), cfg, 6)

@@ -584,7 +584,7 @@ def test_step_rp_after_a_zero_rate_step_is_none_and_flagged():
     spec = mlp_spec(3, (4,))
     rec = TrajectoryRecorder(spec, S, Sp, rp_mode="step")
     cfg = OptimConfig(batch_size=None, max_steps=5, snapshot_every=1,
-                      schedule=Schedule("cosine", eta0=0.1, eta_min=0.0, t_max=3))
+                      schedule=Schedule("cosine", eta0=0.1, t_max=3))
     train(spec, init_params(spec, RngStream(0, 5)), S, Sp, cfg, rec)
     assert [snap.eta_t for snap in rec.snapshots][3:] == [0.0, 0.0, 0.0]
     assert all(snap.rp is not None and snap.trp is not None
