@@ -19,15 +19,12 @@ Where each statistic comes from: the snapshots (Tr Sigma, gradient norms,
 complexity C, the ratio gamma_tilde) are recorded by
 trajectory.TrajectoryRecorder. estimate_constants is the only place the
 constants L_hat, V_m, gamma', its envelope, the batch moments and the tail
-drift are formed. It fills one column per per-snapshot statistic; each
-constant is then one reduction over its column. For the MLP it walks
-the snapshots one at a time, and the sign-row columns behind V and
-gamma' come from trajectory.signed_mean_norm_stats and subset_ratio_max
-on each snapshot's per-sample gradients. The linear model's columns come
-from the residuals of every snapshot at once, and its sign-row columns
-from one feature-product tensor per chunk of sign rows, contracted with
-every snapshot's weights (trajectory.linear_subset_norms).
-top_hessian_eig is the one smoothness estimator; it gives
+drift are formed, for the linear model alone. It fills one column per
+per-snapshot statistic from the residuals of every snapshot at once, and
+the sign-row columns behind V and gamma' from one feature-product tensor
+per chunk of sign rows, contracted with every snapshot's weights
+(trajectory.linear_subset_norms); each constant is then one reduction over
+its column. top_hessian_eig is the one smoothness estimator; it gives
 estimate_constants its beta_hat and assemble_run the schedule's beta.
 
 The aggregates the bound reports sum over steps or snapshots (sum_eta,
@@ -48,11 +45,10 @@ from .errors import (
     IncompleteTrajectoryError,
     InvalidArgumentError,
 )
-from .models import ModelSpec, hessian_operator, linear_residuals, per_sample_grads
+from .models import ModelSpec, hessian_operator, linear_residuals
 from .numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from .optim import Schedule, draw_batches
-from .trajectory import (SubsetEstimatorConfig, covariance_ratio, linear_subset_norms,
-                         signed_mean_norm_stats, subset_ratio_max)
+from .trajectory import SubsetEstimatorConfig, covariance_ratio, linear_subset_norms
 
 
 @dataclass
@@ -60,7 +56,7 @@ class ConstantEstimates:
     """Plug-in estimates of every scalar the bound formulas consume.
 
     L_hat: max per-sample gradient norm seen along the trajectory.
-    beta_hat: top Hessian eigenvalue estimate (exact for the linear model).
+    beta_hat: top eigenvalue of the linear model's Hessian X'X/n, exact.
     M2_sq / M4_fourth: max over snapshots of the Monte-Carlo batch-gradient
     second / fourth moments E||grad F_B||^2 and E||grad F_B||^4.
     gamma: max holdout/train gradient-norm ratio; gamma_prime its
@@ -99,26 +95,22 @@ class BoundReport:
     notes: str = ""
 
 
-def top_hessian_eig(spec: ModelSpec, S: Dataset, weights) -> float:
-    """Largest top algebraic Hessian eigenvalue of F_S over the given weights.
+def top_hessian_eig(spec: ModelSpec, S: Dataset, w: np.ndarray) -> float:
+    """Top algebraic Hessian eigenvalue of F_S at the weight vector w.
 
     The linear model's Hessian X'X/n does not depend on w and is solved
-    densely; the MLP runs one cold stacked Lanczos solve
-    (power_iteration_top_eig) on the exact Hessian operator of the stacked
-    weights, each row the single solve at its weight vector. The value is
-    the top algebraic eigenvalue, not the one of largest magnitude, and it
-    is not floored, so callers see a non-positive estimate.
+    densely; the MLP runs one cold Lanczos solve (power_iteration_top_eig)
+    on the exact Hessian operator at w. The value is the top algebraic
+    eigenvalue, not the one of largest magnitude, and it is not floored, so
+    callers see a non-positive estimate.
     """
     if spec.kind == "linear":
         hess = (S.features.T @ S.features) / S.n  # (d, d)
         return float(np.max(np.linalg.eigvalsh(hess)))
-    W = np.stack(weights)
-    return float(np.max(power_iteration_top_eig(hessian_operator(spec, W, S),
-                                                dim=W.shape[1], stack=len(W))[0]))
+    return power_iteration_top_eig(hessian_operator(spec, w, S), dim=w.size)[0]
 
 
 K_BATCHES = 64
-BETA_SNAPSHOTS = 16
 GAMMA_QUANTILE = 0.95
 # Snapshots per gather of the linear batch moments, whose (c, K_BATCHES, b, d)
 # feature rows take 160 KB at toy_table's b = 1, d = 20. At toy_table's shape
@@ -170,37 +162,40 @@ def _residual_columns(spec: ModelSpec, S: Dataset, weights, moment_idx: np.ndarr
 def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: int,
                        S: Dataset, *, cfg: SubsetEstimatorConfig | None = None
                        ) -> ConstantEstimates:
-    """One pass over the snapshot weights collecting every constant.
+    """One pass over a linear model's snapshot weights collecting every constant.
 
+    Another model kind raises InvalidArgumentError before any draw or pass.
     The holdout enters only through the recorded snapshots. Six columns
     hold one value per snapshot: ||mean grad||, max_i ||grad_i||, D_hat,
     the subset ratio (where ||mean grad|| != 0) and the M2 and M4 batch
-    means. For the MLP one loop over the snapshots forms each snapshot's
-    (n, P) per-sample gradients on S and fills its slot of each column,
-    D_hat from signed_mean_norm_stats and the ratio from subset_ratio_max.
-    The linear model forms no per-sample gradient: _residual_columns fills
+    means. No per-sample gradient is formed: _residual_columns fills
     ||mean grad||, max_i ||grad_i||, M2 and M4 from one residual matrix for
     all snapshots, M2 and M4 bitwise the per-sample ones and the other two
-    at roundoff. Its D_hat and the ratio's subset-sum norms come from
+    at roundoff. D_hat and the ratio's subset-sum norms come from
     trajectory.linear_subset_norms, which forms each sign sum from one
     weight-free feature-product tensor and agrees with the per-snapshot
-    kernels at roundoff; a snapshot whose per-sample gradients are all
-    exactly 0 keeps D_hat = 0 exactly. Each constant is
-    then one reduction over its column, exact as every max is; the
-    zero-gradient flags come from one mask over the ||mean grad|| column,
-    in snapshot order, and the trivial-bound flag from D_hat = 0 at any
-    snapshot. The V and gamma' sign matrices are drawn once and reused at
-    every snapshot (trajectory._sign_rows is cached). The batch moments
+    kernels signed_mean_norm_stats and subset_ratio_max at roundoff; a
+    snapshot whose per-sample gradients are all exactly 0 keeps D_hat = 0
+    exactly. Each constant is then one reduction over its column, exact as
+    every max is; the zero-gradient flags come from one mask over the
+    ||mean grad|| column, in snapshot order, and the trivial-bound flag
+    from D_hat = 0 at any snapshot. The V and gamma' sign matrices are
+    drawn once per call and serve every snapshot. The batch moments
     average K_BATCHES size-b subsets per snapshot, drawn for all snapshots
     at once by optim.draw_batches on the STREAM_MOMENT stream, the same
     helper the training loop draws its batches with; at b = n the one draw
-    is the exact mean gradient. The smoothness constant is top_hessian_eig
-    at up to BETA_SNAPSHOTS evenly spaced weights, floored at 0; the
+    is the exact mean gradient. The smoothness constant beta_hat is
+    top_hessian_eig, X'X/n's top eigenvalue at any weights, which is at
+    least X'X/n's largest diagonal entry and so never negative; the
     tail-drift onset uses the GAMMA_QUANTILE quantile of the early ratios.
 
     etas are the run's step sizes, one per step taken (TrainResult.etas),
     and batch_size its b; the largest step size is eta_m.
     """
+    if spec.kind != "linear":
+        raise InvalidArgumentError(
+            f"constant estimation supports the linear model only, got {spec.kind!r}"
+        )
     cfg = cfg or SubsetEstimatorConfig()
     weights = list(weights)
     snapshots = list(snapshots)
@@ -231,22 +226,10 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     moment_idx = draw_batches(RngStream(cfg.seed, STREAM_MOMENT), n, b,
                               len(weights) * k).reshape(len(weights), k, b)
     # one column per per-snapshot statistic; each constant reduces one column
-    gnorm, l_max, d_hat, ratio, m2, m4 = np.zeros((6, len(weights)))
-    if spec.kind == "linear":
-        gnorm[:], l_max[:], m2[:], m4[:] = _residual_columns(spec, S, weights, moment_idx)
-        d_hat[:], subset_max = linear_subset_norms(cfg, S, weights)
-        d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
-        np.divide(subset_max, n * gnorm, out=ratio, where=gnorm != 0.0)
-    else:
-        for i, w in enumerate(weights):
-            G = per_sample_grads(spec, w, S)
-            g = np.add.reduce(G) / n  # bitwise np.mean(G, axis=0)
-            gnorm[i] = math.sqrt(g @ g)  # bitwise np.linalg.norm(g)
-            l_max[i] = math.sqrt(np.einsum("np,np->n", G, G).max())
-            d_hat[i] = signed_mean_norm_stats(G, cfg)[0]
-            if gnorm[i] != 0.0:
-                ratio[i] = subset_ratio_max(G, cfg)
-            m2[i], m4[i] = _batch_moments(np.add.reduce(G[moment_idx[i]], axis=1) / b)
+    gnorm, l_max, m2, m4 = _residual_columns(spec, S, weights, moment_idx)
+    d_hat, subset_max = linear_subset_norms(cfg, S, weights)
+    d_hat[l_max == 0.0] = 0.0  # every g_i is 0: D_hat is exactly 0, not roundoff
+    ratio = np.divide(subset_max, n * gnorm, out=np.zeros_like(gnorm), where=gnorm != 0.0)
     live = gnorm != 0.0
     flags.extend(f"gamma-prime: zero gradient at step {snap.t} skipped"
                  for snap, z in zip(snapshots, live) if not z)
@@ -278,13 +261,9 @@ def estimate_constants(spec: ModelSpec, weights, snapshots, etas, batch_size: in
     zeta = max([0.0] + [s.grad_norm_Sprime - gamma_early * s.grad_norm_S
                         for s in snapshots if s.t >= t0])
 
-    count = min(BETA_SNAPSHOTS, len(weights))
-    pick = np.unique(np.linspace(0, len(weights) - 1, count).astype(int))
-    beta_hat = max(0.0, top_hessian_eig(spec, S, [weights[i] for i in pick]))
-
     eta_m = float(etas.max()) if T else 0.0
     return ConstantEstimates(
-        L_hat=float(np.max(l_max)), beta_hat=beta_hat,
+        L_hat=float(np.max(l_max)), beta_hat=top_hessian_eig(spec, S, weights[0]),
         M2_sq=float(np.max(m2)), M4_fourth=float(np.max(m4)),
         gamma=gamma, gamma_prime=gamma_prime, V_m=v_m, eta_m=eta_m,
         zeta=zeta, T0=t0, n=n, T=T, b=b,

@@ -88,7 +88,7 @@ def assemble_run(cfg: ExperimentConfig, run_seed: int,
     if cfg.schedule_kind == "constant":
         schedule = Schedule("constant", eta0=eta0)
     elif cfg.schedule_kind == "inverse_time":
-        schedule = Schedule("inverse_time", c=cfg.c, beta=top_hessian_eig(spec, S, [w0]))
+        schedule = Schedule("inverse_time", c=cfg.c, beta=top_hessian_eig(spec, S, w0))
     else:
         schedule = Schedule("cosine", eta0=eta0, t_max=max(1, max_steps))
 

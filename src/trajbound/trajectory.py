@@ -19,17 +19,16 @@ matrix-vector product and no pass over S'. The recorder never forms the
 sweeps use one, since they read F_S' only at the final weights, where one
 forward pass over S' gives it. gen_decomposition splits the
 generalization gap per step. The bound constants are not formed here:
-bounds.estimate_constants computes them per snapshot through this
-module's per-sample-gradient kernels signed_mean_norm_stats (for V) and
-subset_ratio_max (for gamma'), or for the linear model through
-linear_subset_norms, which takes the same sign sums from one
-feature-product tensor per chunk of sign rows and agrees with those
-kernels at roundoff. The first two share one product-and-norm kernel,
-_signed_sum_norms, and all three read their +-1 sign matrices from
-_sign_rows, the one place the sign patterns are built. The helpers that
-can meet a degenerate ratio (complexity_update, gamma_tilde, rp_trp_gd)
-append a flag to the list they are given, which is required; the
-recorder passes its own flags. Relative progress has one formula,
+bounds.estimate_constants takes the sign sums behind V and gamma' from
+linear_subset_norms, which forms them from one feature-product tensor
+per chunk of sign rows. The per-sample-gradient kernels
+signed_mean_norm_stats (for V) and subset_ratio_max (for gamma') are
+its references, which it agrees with at roundoff; they share one
+product-and-norm kernel, _signed_sum_norms, and all three read their
++-1 sign matrices from _sign_rows, the one place the sign patterns are
+built. The helpers that can meet a degenerate ratio (complexity_update,
+gamma_tilde, rp_trp_gd) append a flag to the list they are given, which
+is required; the recorder passes its own flags. Relative progress has one formula,
 rp_trp_gd's exact one-step ratio, so a recorder that records it needs
 consecutive snapshots one step apart.
 
@@ -47,7 +46,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -188,10 +186,9 @@ def gamma_tilde(grad_norm_Sprime: float, grad_norm_S: float,
     return grad_norm_Sprime / grad_norm_S
 
 
-@functools.lru_cache(maxsize=4)
 def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
                exclude_trivial: bool) -> tuple[np.ndarray, bool]:
-    """The +-1 sign matrix of a subset estimator, as cached read-only int8.
+    """The +-1 sign matrix of a subset estimator, as int8.
 
     Returns (rows, exhaustive). When every pattern fits in cfg.k_samples
     (n <= EXHAUSTIVE_MAX_N), the rows are all 2^n patterns in binary
@@ -201,9 +198,8 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
     drops the all-minus and all-plus patterns (the empty and full
     subsets): the enumeration skips them, and a draw redraws such rows from
     the same stream, at most 64 times. The draw depends only on the
-    arguments, so every snapshot of an estimate_constants call reuses one
-    matrix for V and one for gamma'; the cache outlives the call, hence
-    int8.
+    arguments; linear_subset_norms makes one for V and one for gamma' per
+    call and contracts each with every snapshot.
     """
     trim = int(exclude_trivial)  # masks 0 and 2^n - 1 are the trivial patterns
     total = 2 ** n if n <= EXHAUSTIVE_MAX_N else None
@@ -221,9 +217,7 @@ def _sign_rows(cfg: SubsetEstimatorConfig, n: int, stream_id: int,
             bits[bad] = gen.integers(0, 2, size=(int(bad.sum()), n))
     bits *= 2  # in place: one int64 (k, n) array at a time
     bits -= 1
-    rows = bits.astype(np.int8)
-    rows.flags.writeable = False
-    return rows, exhaustive
+    return bits.astype(np.int8), exhaustive
 
 
 def _signed_sum_norms(rows: np.ndarray, G: np.ndarray) -> np.ndarray:

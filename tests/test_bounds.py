@@ -29,7 +29,7 @@ from trajbound.data import Dataset, ToyConfig, generate_toy
 from trajbound.errors import IncompleteTrajectoryError, InvalidArgumentError
 from trajbound.experiments import assemble_run
 from trajbound.models import forward_batch, init_params, linear_spec, mlp_spec, per_sample_grads
-from trajbound.numerics import STREAM_MOMENT, RngStream
+from trajbound.numerics import STREAM_MOMENT, RngStream, power_iteration_top_eig
 from trajbound.optim import OptimConfig, Schedule, draw_batches, train
 from trajbound.trajectory import (
     SubsetEstimatorConfig,
@@ -41,7 +41,8 @@ from trajbound.trajectory import (
     subset_ratio_max,
 )
 
-from linear_residuals import constant_bounds
+from linear_residuals import constant_bounds, holdout_tolerances
+from linear_sign_sums import MARGIN, U, gamma
 
 
 def snap(t, F_S=1.0, gnorm=1.0, trace=0.0, C_cum=0.0, gnorm_sp=1.0, eta=0.1):
@@ -64,7 +65,7 @@ def consts(**overrides):
     return ConstantEstimates(**base)
 
 
-def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="mlp"):
+def small_run(seed=0, steps=30, mode="sgd", batch=4, kind="linear"):
     S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=seed))
     spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
     w0 = init_params(spec, RngStream(seed, 5))
@@ -142,12 +143,12 @@ def assert_moments_match_the_per_draw_loop(kind, batch):
     assert c.M2_sq == m2 and c.M4_fourth == m4
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])
 def test_estimate_constants_batch_one_moments_match_the_per_draw_loop(kind):
     assert_moments_match_the_per_draw_loop(kind, 1)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])
 @pytest.mark.parametrize("batch", [2, 5])
 def test_estimate_constants_minibatch_moments_match_the_per_draw_loop(kind, batch):
     assert_moments_match_the_per_draw_loop(kind, batch)
@@ -190,13 +191,13 @@ def per_snapshot_constants(spec, weights, snapshots, etas, b, S, est):
 
 
 @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])
 @pytest.mark.parametrize("n, k_samples", [(8, 1024), (12, 64)])  # exhaustive, sampled
 @pytest.mark.parametrize("mode", ["gd", "sgd"])  # b = n, b = 3
 def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_samples,
                                                              mode):
     S, Sp, _ = generate_toy(ToyConfig(n, n, 3, seed=count))
-    spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
+    spec = linear_spec(3)
     est = SubsetEstimatorConfig(k_samples=k_samples, seed=count)
     rec = TrajectoryRecorder(spec, S, Sp)
     cfg = OptimConfig(batch_size=None if mode == "gd" else 3,
@@ -208,24 +209,23 @@ def test_blocked_constants_are_bitwise_the_per_snapshot_loop(count, kind, n, k_s
                            cfg=est)
     expected = per_snapshot_constants(spec, rec.weights, rec.snapshots, res.etas,
                                       res.batch_size, S, est)
-    if kind == "linear":
-        # the linear route sums the oracle's terms in another order: its sign
-        # sums (trajectory.linear_subset_norms) and its ||mean grad|| and
-        # max_i ||g_i|| columns, from the residuals. L_hat, V_m, gamma' and its
-        # envelope meet the bounds derived in tests/linear_residuals.py; M2,
-        # M4 and the flags are bitwise
-        for key, (lo, hi) in constant_bounds(spec, S, rec.weights, rec.snapshots,
-                                             est).items():
-            assert lo <= getattr(c, key) <= hi
-            del expected[key]
+    # the linear route sums the oracle's terms in another order: its sign
+    # sums (trajectory.linear_subset_norms) and its ||mean grad|| and
+    # max_i ||g_i|| columns, from the residuals. L_hat, V_m, gamma' and its
+    # envelope meet the bounds derived in tests/linear_residuals.py; M2, M4
+    # and the flags are bitwise
+    for key, (lo, hi) in constant_bounds(spec, S, rec.weights, rec.snapshots,
+                                         est).items():
+        assert lo <= getattr(c, key) <= hi
+        del expected[key]
     assert {key: getattr(c, key) for key in expected} == expected
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])  # P = 3, P = 21
+@pytest.mark.parametrize("kind", ["linear"])
 def test_constants_pass_runs_the_sign_kernels_per_snapshot_or_the_linear_route(
         kind, monkeypatch):
     S, Sp, _ = generate_toy(ToyConfig(12, 12, 3, seed=4))
-    spec = mlp_spec(3, (4,)) if kind == "mlp" else linear_spec(3)
+    spec = linear_spec(3)
     est = SubsetEstimatorConfig(k_samples=64, seed=4)
     rec = TrajectoryRecorder(spec, S, Sp)
     cfg = OptimConfig(batch_size=3, schedule=Schedule("constant", eta0=0.05),
@@ -251,7 +251,7 @@ def test_constants_pass_runs_the_sign_kernels_per_snapshot_or_the_linear_route(
 
     monkeypatch.setattr(trajectory, "_signed_sum_norms", counted)
     for name in ("signed_mean_norm_stats", "subset_ratio_max"):
-        monkeypatch.setattr(bounds, name, recorded(name, getattr(trajectory, name)))
+        monkeypatch.setattr(trajectory, name, recorded(name, getattr(trajectory, name)))
     monkeypatch.setattr(np, "matmul", counted_matmul)
     # chunks that leave a short last chunk of sign rows and of snapshots
     monkeypatch.setattr(trajectory, "SIGN_CHUNK", 24)
@@ -260,46 +260,54 @@ def test_constants_pass_runs_the_sign_kernels_per_snapshot_or_the_linear_route(
                        cfg=est)
     monkeypatch.undo()
     P = rec.weights[0].size
-    if kind == "linear":
-        # neither per-snapshot kernel; per sign matrix (V, gamma') one (r, n) @
-        # (n, P (d+1)) product per chunk of sign rows, then one (r P, d+1) @
-        # (d+1, c) product per chunk of snapshots (d = P)
-        assert products == [] and calls == []
-        route = []
-        for r in (24, 24, 16):
-            route.append(((r, S.n), (S.n, P * (P + 1))))
-            route += [((r * P, P + 1), (P + 1, c)) for c in (4, 4, 1)]
-        assert matmuls == 2 * route
-        return
-    # signed_mean_norm_stats at every snapshot and subset_ratio_max at every
-    # live one, each on that snapshot's per-sample gradients, and one
-    # (k, n) @ (n, P) product per call: no wider operand
-    assert [name for name, _ in calls] == (
-        ["signed_mean_norm_stats", "subset_ratio_max"] * len(rec.weights))
-    for i, w in enumerate(rec.weights):
-        G = per_sample_grads(spec, w, S)
-        assert all(np.array_equal(G2, G) for _, G2 in calls[2 * i:2 * i + 2])
-    assert products == [(S.n, P)] * len(calls)
+    # neither per-snapshot kernel; per sign matrix (V, gamma') one (r, n) @
+    # (n, P (d+1)) product per chunk of sign rows, then one (r P, d+1) @
+    # (d+1, c) product per chunk of snapshots (d = P)
+    assert products == [] and calls == []
+    route = []
+    for r in (24, 24, 16):
+        route.append(((r, S.n), (S.n, P * (P + 1))))
+        route += [((r * P, P + 1), (P + 1, c)) for c in (4, 4, 1)]
+    assert matmuls == 2 * route
 
 
-
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])
 def test_linear_constants_pass_forms_no_per_sample_gradients(kind, monkeypatch):
     # the linear columns come from one residual matrix: no per_sample_grads
-    # call at all; the MLP forms one (n, P) matrix per snapshot
+    # call at all
     spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=3, steps=6, kind=kind)
     calls = []
-    real = bounds.per_sample_grads
+    real = models.per_sample_grads
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "per_sample_grads", spy)
     monkeypatch.setattr(models, "per_sample_grads", spy)
     estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
                        cfg=est)
-    assert len(calls) == (0 if kind == "linear" else len(rec.weights))
+    assert calls == []
+
+
+def test_estimate_constants_rejects_another_model_kind_before_any_pass(monkeypatch):
+    # the constants have one route, the linear model's: an MLP trajectory is
+    # refused by name before the moment batches are drawn or a residual is
+    # formed
+    spec, S, Sp, est, rec, res = small_run(mode="sgd", batch=3, steps=3, kind="mlp")
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("draw_batches", "linear_residuals"):
+        monkeypatch.setattr(bounds, name, refused(name))
+    with pytest.raises(InvalidArgumentError, match="'mlp'"):
+        estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size, S,
+                           cfg=est)
+    assert calls == []
 
 
 @settings(deadline=None)
@@ -333,17 +341,16 @@ def test_linear_residual_columns_match_the_per_snapshot_loop(n, d, count, batch,
 
 def test_constants_pass_memory_stays_bounded_by_the_block():
     # toy_table's shape: n = 100, P = 20, 1024 sign rows, 201 snapshots. The
-    # blocked pass holds one block's per-sample gradients, then the linear
-    # route's feature products and chunk buffers (about 1.7 MB at its
-    # tracemalloc peak with the sign draw, 1.4 MB without); stacking the
-    # whole trajectory would need about 35 MB
+    # pass holds the residual matrix and the moment gather's chunk, then the
+    # sign draws and the linear route's feature products and chunk buffers
+    # (about 1.7 MB at its tracemalloc peak); stacking the whole
+    # trajectory's per-sample gradients would need about 35 MB
     S, Sp, _ = generate_toy(ToyConfig(100, 100, 20, seed=0))
     spec = linear_spec(20)
     gen = np.random.default_rng(0)
     weights = list(np.cumsum(gen.standard_normal((201, 20)) * 0.01, axis=0))
     rec = TrajectoryRecorder(spec, S, Sp)
     snaps = [rec(100 * i, i, 0.01, w) for i, w in enumerate(weights)]
-    trajectory._sign_rows.cache_clear()  # the first call of a process draws the signs
     tracemalloc.start()
     try:
         estimate_constants(spec, weights, snaps, np.full(20_000, 0.01), 1, S,
@@ -368,24 +375,26 @@ def test_estimate_constants_linear_smoothness_is_the_top_eigenvalue():
     assert c.beta_hat == pytest.approx(float(np.max(np.linalg.eigvalsh(hess))))
 
 
-def test_top_hessian_eig_is_the_largest_solve_over_the_weights():
-    spec, S, _, _, rec, _ = small_run(mode="gd", steps=4)
-    each = [top_hessian_eig(spec, S, [w]) for w in rec.weights]
-    assert top_hessian_eig(spec, S, rec.weights) == max(each)
+def test_mlp_schedule_beta_is_one_cold_solve_at_the_initial_weights():
+    # assemble_run's one MLP smoothness call: the inverse-time schedule's beta
+    # is the single Lanczos solve on the exact Hessian operator at w0, bitwise
+    cfg = dataclasses.replace(default_config("sweep_noise"), seeds=(0,), n_train=12,
+                              n_test=12, dim=3, hidden=(4,), schedule_kind="inverse_time")
+    parts = assemble_run(cfg, run_seed=0)
+    assert parts.spec.kind == "mlp"
+    apply = models.hessian_operator(parts.spec, parts.w0, parts.S)
+    beta, _ = power_iteration_top_eig(apply, dim=parts.w0.size)
+    assert parts.ocfg.schedule.beta == beta
+    assert top_hessian_eig(parts.spec, parts.S, parts.w0) == beta
 
 
-def test_non_positive_curvature_is_floored_only_in_the_constants(monkeypatch):
-    # one smoothness routine serves both callers: the pre-training schedule
-    # sees the raw eigenvalue and rejects it, estimate_constants floors it
+def test_non_positive_curvature_is_rejected_by_the_schedule(monkeypatch):
+    # top_hessian_eig returns the raw eigenvalue, unfloored, and the
+    # pre-training inverse-time schedule rejects a non-positive one
     monkeypatch.setattr(bounds, "power_iteration_top_eig",
-                        lambda apply, dim, stack: (np.full(stack, -1.0),
-                                                   np.zeros((stack, dim)),
-                                                   np.ones(stack, dtype=np.int64)))
-    spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3)
-    assert top_hessian_eig(spec, S, rec.weights) == -1.0
-    c = estimate_constants(spec, rec.weights, rec.snapshots, res.etas, res.batch_size,
-                           S, cfg=est)
-    assert c.beta_hat == 0.0
+                        lambda apply, dim: (-1.0, np.zeros(dim)))
+    spec, S, Sp, est, rec, res = small_run(mode="gd", steps=3, kind="mlp")
+    assert top_hessian_eig(spec, S, rec.weights[0]) == -1.0
     cfg = dataclasses.replace(default_config("toy_table"), seeds=(0,),
                               n_train=12, n_test=12, dim=3,
                               model_kind="mlp", hidden=(4,))
@@ -403,8 +412,14 @@ def test_estimate_constants_zeta_vanishes_when_holdout_is_the_train_set():
                                 [s.eta_t for s in rec.snapshots])
     c = estimate_constants(spec, control.weights, control.snapshots,
                            res.etas, res.batch_size, S, cfg=est)
-    assert c.gamma == 1.0
-    assert c.zeta == 0.0
+    # each ratio is 1 up to e, the distance of the holdout factor's gradient
+    # from the pass's (tests/linear_residuals.py), so gamma is too, and the
+    # drift g'_t - gamma_early g_t beyond the onset is at most 2 e g_t
+    errs = [MARGIN * ((holdout_tolerances(S, w)[1] + 2 * gamma(spec.n_params + 1)
+                       * s.grad_norm_S) / s.grad_norm_S + U)
+            for w, s in zip(control.weights, control.snapshots)]
+    assert abs(c.gamma - 1.0) <= max(errs)
+    assert 0.0 <= c.zeta <= 2 * max(errs) * max(s.grad_norm_S for s in control.snapshots)
 
 
 def test_estimate_constants_takes_the_estimator_config_by_keyword_only():

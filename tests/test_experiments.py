@@ -104,11 +104,12 @@ def test_assemble_run_inverse_time_estimates_smoothness(tmp_path):
     parts = assemble_run(cfg, 0)
     hess = parts.S.features.T @ parts.S.features / parts.S.n
     assert parts.ocfg.schedule.kind == "inverse_time"
-    # the same eigvalsh gives estimate_constants its beta_hat, at any weights
-    # (the linear Hessian does not depend on w), and the smooth bound checks
-    # the schedule's beta against it
+    # top_hessian_eig is this eigvalsh at any weight vector (the linear
+    # Hessian does not depend on w); estimate_constants takes its beta_hat
+    # from the same call, and the smooth bound checks the schedule's beta
+    # against it
     w = parts.w0 + 1.0
-    assert parts.ocfg.schedule.beta == top_hessian_eig(parts.spec, parts.S, [w])
+    assert parts.ocfg.schedule.beta == top_hessian_eig(parts.spec, parts.S, w)
     assert parts.ocfg.schedule.beta == float(np.max(np.linalg.eigvalsh(hess)))
 
 
@@ -257,6 +258,40 @@ def test_sweep_cell_numeric_domain_error_does_not_abort_the_grid(tmp_path,
     seed0 = [r for r in rows if r["value"] == "0.0" and r["seed"] == "0"][0]
     assert means["0.0"]["gen_error"] == seed0["gen_error"]
     assert all(r["gen_error"] != "" for r in rows if r["value"] == "0.25")
+
+
+def test_sweep_cell_whose_beta_solve_fails_is_a_diverged_row(tmp_path, monkeypatch):
+    # an inverse-time sweep solves each cell's beta before training; a cell
+    # whose solve raises NumericDomainError trains no step and reads as
+    # diverged at step 0, and the other cells complete
+    real, solves = experiments.top_hessian_eig, []
+
+    def flaky(spec, S, w):
+        solves.append(spec.kind)
+        if len(solves) == 2:  # the second cell: value 0.0, seed 1
+            raise NumericDomainError("non-finite Hessian-vector product")
+        return real(spec, S, w)
+
+    monkeypatch.setattr(experiments, "top_hessian_eig", flaky)
+    cfg = write_cfg(tmp_path, tiny_cfg_text(
+        "sweep_noise", "schedule.kind = inverse_time\noptim.epochs = 3\n"
+        "optim.batch_size = 4\noptim.stop_train_loss = none\nsweep.values = 0.0,0.25\n"))
+    out = tmp_path / "out"
+    assert main(["sweep_noise", "--config", cfg, "--out", str(out),
+                 "--seeds", "0,1"]) == 0
+    assert solves == ["mlp"] * 4
+    _, rows = read_rows(out / "sweep.csv")
+    assert len(rows) == 2 * (2 + 1)
+    failed = [r for r in rows if r["diverged"] == "1"]
+    assert [(r["value"], r["seed"]) for r in failed] == [("0.0", "1")]
+    assert failed[0]["gen_error"] == "" and failed[0]["C_final"] == ""
+    assert failed[0]["stopped_at"] == "0"
+    done = [r for r in rows if r["diverged"] == "0"]
+    assert [(r["value"], r["seed"]) for r in done] == [("0.0", "0"), ("0.25", "0"),
+                                                       ("0.25", "1")]
+    assert all(r["gen_error"] != "" and r["C_final"] != "" for r in done)
+    means = {r["value"]: r for r in rows if r["seed"] == "mean"}
+    assert means["0.0"]["gen_error"] == done[0]["gen_error"]
 
 
 def shrunk_sweep(experiment, out):
